@@ -8,22 +8,19 @@
 use netsim::{
     BinnedThroughput, Endpoint, FlowId, NodeCtx, NodeId, Packet, Payload, SimDuration, SimTime,
 };
-use transport::{TcpConfig, TcpReceiver, TcpSender};
+use transport::{Protocol, SenderEndpoint, TcpConfig, TcpReceiver};
 
-/// Timer token for the sender's wakeups.
-const TICK: u64 = 3;
-/// Timer token for the start-of-transfer event.
+/// Timer token for the start-of-transfer event (the hosted
+/// [`SenderEndpoint`] wakes itself with token 1).
 const START: u64 = 4;
 
-/// Server side of the bulk flow: a TCP sender with one huge transfer.
+/// Server side of the bulk flow: a [`SenderEndpoint`] that starts serving
+/// one huge transfer, unasked, at `start_at`.
 pub struct BulkSender {
     local: NodeId,
-    sender: TcpSender,
+    server: SenderEndpoint,
     start_at: SimTime,
     bytes: u64,
-    started: bool,
-    /// Earliest outstanding timer (dedup; see `transport::SenderEndpoint`).
-    next_timer: SimTime,
 }
 
 impl BulkSender {
@@ -39,17 +36,17 @@ impl BulkSender {
     ) -> Self {
         // A bulk flow queues its entire (possibly huge) transfer up front;
         // size the send buffer to fit it rather than model backpressure.
+        // Its peer is a `BulkReceiver`, which speaks TCP only.
         let cfg = TcpConfig {
+            transport: Protocol::Tcp,
             send_buffer: cfg.send_buffer.max(bytes + 1),
             ..cfg
         };
         BulkSender {
             local,
-            sender: TcpSender::new(local, remote, flow, cfg),
+            server: SenderEndpoint::new(local, remote, flow, cfg),
             start_at,
             bytes,
-            started: false,
-            next_timer: SimTime::MAX,
         }
     }
 
@@ -60,64 +57,19 @@ impl BulkSender {
         sim.set_endpoint(node, Box::new(self));
         sim.start_timer(node, at, START);
     }
-
-    /// The node this sender lives on.
-    pub fn local_node(&self) -> NodeId {
-        self.local
-    }
-
-    /// Telemetry access.
-    pub fn sender(&self) -> &TcpSender {
-        &self.sender
-    }
-
-    /// Arm the next wakeup, deduplicating against the outstanding timer.
-    fn arm(&mut self, now: SimTime, ctx: &mut NodeCtx) {
-        if self.next_timer <= now {
-            self.next_timer = SimTime::MAX;
-        }
-        if let Some(w) = self.sender.next_wakeup(now) {
-            let w = w.max(now + SimDuration::from_micros(1));
-            if w < self.next_timer {
-                self.next_timer = w;
-                ctx.set_timer(w, TICK);
-            }
-        }
-    }
 }
 
 impl Endpoint for BulkSender {
     fn on_packet(&mut self, now: SimTime, pkt: Packet, ctx: &mut NodeCtx) {
-        if let Payload::Ack {
-            cum_ack,
-            echo_ts,
-            round,
-        } = pkt.payload
-        {
-            if pkt.flow == self.sender.flow() {
-                let mut out = Vec::new();
-                self.sender.on_ack(now, cum_ack, echo_ts, round, &mut out);
-                for p in out {
-                    ctx.send(p);
-                }
-                self.arm(now, ctx);
-            }
-        }
+        self.server.on_packet(now, pkt, ctx);
     }
 
     fn on_timer(&mut self, now: SimTime, token: u64, ctx: &mut NodeCtx) {
-        let mut out = Vec::new();
-        if token == START && !self.started {
-            self.started = true;
-            self.sender.start_transfer(now, self.bytes, None);
-            self.sender.pump(now, &mut out);
-        } else if token == TICK {
-            self.sender.on_tick(now, &mut out);
+        if token == START {
+            self.server.serve(now, self.bytes, None, ctx);
+        } else {
+            self.server.on_timer(now, token, ctx);
         }
-        for p in out {
-            ctx.send(p);
-        }
-        self.arm(now, ctx);
     }
 
     fn as_any(&mut self) -> &mut dyn std::any::Any {

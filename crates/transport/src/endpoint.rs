@@ -10,15 +10,19 @@
 //!
 //! [`ReceiverEndpoint`] hosts one [`TransportReceiver`] and ACKs arriving
 //! data. Experiments read progress via [`ReceiverEndpoint::receiver`].
+//!
+//! Every sender host in the workspace is a [`SenderEndpoint`]:
+//! [`MultiSenderEndpoint`](crate::MultiSenderEndpoint) holds N of them and
+//! `traffic::BulkSender` one, so the wakeup-timer deduplication exists once.
 
+use crate::core::{CompletedTransfer, TcpConfig};
 use crate::mux::{self, Protocol, TransportReceiver, TransportSender};
-use crate::sender::{CompletedTransfer, TcpConfig};
 use netsim::{
     BinnedThroughput, Endpoint, FlowId, GaugeSeries, NodeCtx, NodeId, Packet, Payload, Rate,
     SimDuration, SimTime,
 };
 
-/// Timer token used by sender endpoints for all wakeups.
+/// Timer token a stand-alone [`SenderEndpoint`] uses for all wakeups.
 const TICK: u64 = 1;
 
 /// A server endpoint: one transport sender serving transfer requests.
@@ -28,9 +32,10 @@ pub struct SenderEndpoint {
     pub completed: Vec<CompletedTransfer>,
     /// Smoothed-RTT samples over time (ms), recorded on each ACK.
     pub rtt_trace: GaugeSeries,
-    /// Map from request id to transfer id (they coincide in practice but we
-    /// keep the mapping explicit).
     requests_served: u64,
+    /// Token of this endpoint's wakeup timer (distinct per slot when
+    /// several share a node).
+    pub(crate) token: u64,
     /// Earliest outstanding timer, for deduplication: engine timers are not
     /// cancellable, so without this every ACK would arm a fresh immortal
     /// timer chain and event counts would grow quadratically.
@@ -45,6 +50,7 @@ impl SenderEndpoint {
             completed: Vec::new(),
             rtt_trace: GaugeSeries::new(),
             requests_served: 0,
+            token: TICK,
             next_timer: SimTime::MAX,
         }
     }
@@ -64,7 +70,20 @@ impl SenderEndpoint {
         self.requests_served
     }
 
-    fn after_event(&mut self, now: SimTime, ctx: &mut NodeCtx) {
+    /// Serve a transfer of `size` bytes paced at `pace`, as if a request
+    /// for it had just arrived.
+    pub fn serve(&mut self, now: SimTime, size: u64, pace: Option<Rate>, ctx: &mut NodeCtx) {
+        let mut out = Vec::new();
+        self.sender.start_transfer(now, size, pace);
+        self.sender.pump(now, &mut out);
+        self.requests_served += 1;
+        self.after_event(now, out, ctx);
+    }
+
+    fn after_event(&mut self, now: SimTime, out: Vec<Packet>, ctx: &mut NodeCtx) {
+        for p in out {
+            ctx.send(p);
+        }
         self.completed.extend(self.sender.take_completed());
         if self.next_timer <= now {
             // The recorded timer has fired (or is firing now).
@@ -77,7 +96,7 @@ impl SenderEndpoint {
             let wake = wake.max(now + SimDuration::from_micros(1));
             if wake < self.next_timer {
                 self.next_timer = wake;
-                ctx.set_timer(wake, TICK);
+                ctx.set_timer(wake, self.token);
             }
         }
     }
@@ -87,33 +106,24 @@ impl Endpoint for SenderEndpoint {
     fn on_packet(&mut self, now: SimTime, pkt: Packet, ctx: &mut NodeCtx) {
         let mut out = Vec::new();
         if self.sender.handle_packet(now, &pkt, &mut out) {
-            if let Some(srtt) = self.sender.srtt() {
+            if let Some(srtt) = self.sender.core().srtt() {
                 self.rtt_trace.record(now, srtt.as_millis_f64());
             }
         } else if let Payload::Request { size, pace_bps, .. } = pkt.payload {
-            if pkt.flow == self.sender.flow() {
-                let pace = pace_bps.map(Rate::from_bps);
-                self.sender.start_transfer(now, size, pace);
-                self.sender.pump(now, &mut out);
-                self.requests_served += 1;
+            if pkt.flow == self.sender.core().flow() {
+                return self.serve(now, size, pace_bps.map(Rate::from_bps), ctx);
             }
         }
-        for p in out {
-            ctx.send(p);
-        }
-        self.after_event(now, ctx);
+        self.after_event(now, out, ctx);
     }
 
     fn on_timer(&mut self, now: SimTime, token: u64, ctx: &mut NodeCtx) {
-        if token != TICK {
+        if token != self.token {
             return;
         }
         let mut out = Vec::new();
         self.sender.on_tick(now, &mut out);
-        for p in out {
-            ctx.send(p);
-        }
-        self.after_event(now, ctx);
+        self.after_event(now, out, ctx);
     }
 
     fn as_any(&mut self) -> &mut dyn std::any::Any {

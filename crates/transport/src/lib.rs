@@ -3,14 +3,20 @@
 //! This crate implements the transport substrate of the Sammy reproduction
 //! on top of [`netsim`]:
 //!
-//! - [`TcpSender`] / [`TcpReceiver`]: a NewReno byte-stream transport with
-//!   slow start, AIMD congestion avoidance, duplicate-ACK fast retransmit,
-//!   partial-ACK recovery, RTO with exponential backoff, and slow-start
-//!   restart after idle.
-//! - [`QuicSender`] / [`QuicReceiver`]: a QUIC-style transport — stream
-//!   multiplexing over one connection, ACK ranges with selective
-//!   retransmission (no head-of-line blocking across streams), connection
-//!   flow control — behind the same pacing and congestion-control hooks.
+//! - [`SenderCore`]: the one sender core under both wire protocols. It
+//!   owns the congestion controller, the [`Pacer`], the RTT estimator, the
+//!   retransmission timer (exponential backoff, slow-start restart after
+//!   idle) and all telemetry, and runs the single emission loop *peek next
+//!   frame → pacing gate → commit*. The decision "when may bytes leave a
+//!   paced sender" — the paper's contribution — lives here and nowhere else.
+//! - [`Sender`]`<W: `[`Wire`]`>`: the core plus a protocol half that only
+//!   frames, parses ACKs, detects loss and tracks flow control.
+//!   [`TcpSender`] (`Sender<TcpWire>`, with [`TcpReceiver`]) is a NewReno
+//!   byte stream: duplicate-ACK fast retransmit, partial-ACK recovery,
+//!   go-back-N after an RTO. [`QuicSender`] (`Sender<QuicWire>`, with
+//!   [`QuicReceiver`]) is QUIC-style: stream multiplexing over one
+//!   connection, ACK ranges with selective retransmission (no head-of-line
+//!   blocking across streams), connection flow control.
 //!   [`TransportSender`] / [`TransportReceiver`] select the protocol per
 //!   [`Protocol`] so endpoints are transport-agnostic.
 //! - [`Reno`], [`Cubic`], [`BbrLite`] (BBR with PROBE_RTT, app-limited
@@ -36,6 +42,7 @@
 
 pub mod bbr;
 pub mod cc;
+pub mod core;
 pub mod endpoint;
 pub mod multi;
 pub mod mux;
@@ -49,6 +56,7 @@ pub mod udp;
 
 pub use bbr::BbrLite;
 pub use cc::{CcAlgorithm, CongestionControl, Cubic, Reno, INITIAL_CWND_SEGMENTS};
+pub use core::{CompletedTransfer, Frame, Sender, SenderCore, SenderStats, TcpConfig, Wire};
 pub use endpoint::{ReceiverEndpoint, SenderEndpoint};
 pub use multi::MultiSenderEndpoint;
 pub use mux::{Protocol, TransportReceiver, TransportSender};
@@ -57,5 +65,5 @@ pub use quic::{QuicReceiver, QuicSender};
 pub use receiver::TcpReceiver;
 pub use rtt::RttEstimator;
 pub use scavenger::{Ledbat, LedbatConfig};
-pub use sender::{CompletedTransfer, SenderStats, TcpConfig, TcpSender};
+pub use sender::TcpSender;
 pub use udp::{UdpCbrSource, UdpSink};

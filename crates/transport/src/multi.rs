@@ -1,46 +1,30 @@
 //! Multi-flow sender endpoint for shared-bottleneck topologies.
 //!
-//! [`MultiSenderEndpoint`] hosts N independent [`TransportSender`]s (TCP or
+//! [`MultiSenderEndpoint`] hosts N independent [`SenderEndpoint`]s (TCP or
 //! QUIC per flow) at a single node — the CDN origin of a
 //! [`netsim::SharedTopology`] serves every video session from one server
 //! node, so the endpoint demultiplexes arriving ACKs/requests by [`FlowId`]
-//! and keeps one timer chain per flow.
+//! and each slot keeps its own timer chain.
 //!
 //! Timer tokens are `1 + slot_index`, so a single-flow instance uses token
-//! `1` — exactly the `TICK` of the legacy [`SenderEndpoint`] — and drives
+//! `1` — exactly the token of a stand-alone [`SenderEndpoint`] — and drives
 //! the engine through an event sequence identical to the one-sender path.
 //! That equivalence is what the shared-topology differential test pins down
 //! byte-for-byte.
-//!
-//! [`SenderEndpoint`]: crate::SenderEndpoint
 
-use crate::mux::TransportSender;
-use crate::sender::{CompletedTransfer, TcpConfig};
-use netsim::{
-    Endpoint, FlowId, GaugeSeries, NodeCtx, NodeId, Packet, Payload, Rate, SimDuration, SimTime,
-};
+use crate::core::{CompletedTransfer, TcpConfig};
+use crate::endpoint::SenderEndpoint;
+use netsim::{Endpoint, FlowId, NodeCtx, NodeId, Packet, SimTime};
 use std::collections::HashMap;
 
-/// One hosted sender plus its per-flow bookkeeping.
-struct SenderSlot {
-    sender: TransportSender,
-    completed: Vec<CompletedTransfer>,
-    rtt_trace: GaugeSeries,
-    requests_served: u64,
-    /// Earliest outstanding timer for this slot; engine timers are not
-    /// cancellable, so arming is deduplicated exactly as in the
-    /// single-flow endpoint.
-    next_timer: SimTime,
-}
-
-/// A server endpoint hosting one [`TransportSender`] per flow.
+/// A server endpoint hosting one [`SenderEndpoint`] per flow.
 ///
 /// Flows are registered up front with [`add_flow`](Self::add_flow); packets
 /// for unknown flows are ignored (same as the single-flow endpoint's flow
 /// filter).
 #[derive(Default)]
 pub struct MultiSenderEndpoint {
-    slots: Vec<SenderSlot>,
+    slots: Vec<SenderEndpoint>,
     index: HashMap<FlowId, usize>,
 }
 
@@ -67,13 +51,9 @@ impl MultiSenderEndpoint {
             "flow {flow:?} already registered"
         );
         let slot = self.slots.len();
-        self.slots.push(SenderSlot {
-            sender: TransportSender::new(local, remote, flow, cfg),
-            completed: Vec::new(),
-            rtt_trace: GaugeSeries::new(),
-            requests_served: 0,
-            next_timer: SimTime::MAX,
-        });
+        let mut endpoint = SenderEndpoint::new(local, remote, flow, cfg);
+        endpoint.token = 1 + slot as u64;
+        self.slots.push(endpoint);
         self.index.insert(flow, slot);
         slot
     }
@@ -88,83 +68,31 @@ impl MultiSenderEndpoint {
         self.index.get(&flow).copied()
     }
 
-    /// The sender in `slot`.
-    pub fn sender(&self, slot: usize) -> &TransportSender {
-        &self.slots[slot].sender
-    }
-
-    /// Mutable access to the sender in `slot`.
-    pub fn sender_mut(&mut self, slot: usize) -> &mut TransportSender {
-        &mut self.slots[slot].sender
+    /// The single-flow endpoint in `slot` (sender, RTT trace, counters).
+    pub fn slot(&self, slot: usize) -> &SenderEndpoint {
+        &self.slots[slot]
     }
 
     /// Completed transfers drained from `slot`'s sender so far.
     pub fn completed(&self, slot: usize) -> &[CompletedTransfer] {
         &self.slots[slot].completed
     }
-
-    /// Smoothed-RTT trace for `slot` (ms), recorded on each ACK.
-    pub fn rtt_trace(&self, slot: usize) -> &GaugeSeries {
-        &self.slots[slot].rtt_trace
-    }
-
-    /// Requests served by `slot`.
-    pub fn requests_served(&self, slot: usize) -> u64 {
-        self.slots[slot].requests_served
-    }
-
-    fn after_event(&mut self, slot: usize, now: SimTime, ctx: &mut NodeCtx) {
-        let s = &mut self.slots[slot];
-        s.completed.extend(s.sender.take_completed());
-        if s.next_timer <= now {
-            s.next_timer = SimTime::MAX;
-        }
-        if let Some(wake) = s.sender.next_wakeup(now) {
-            let wake = wake.max(now + SimDuration::from_micros(1));
-            if wake < s.next_timer {
-                s.next_timer = wake;
-                ctx.set_timer(wake, 1 + slot as u64);
-            }
-        }
-    }
 }
 
 impl Endpoint for MultiSenderEndpoint {
     fn on_packet(&mut self, now: SimTime, pkt: Packet, ctx: &mut NodeCtx) {
-        let Some(&slot) = self.index.get(&pkt.flow) else {
-            return;
-        };
-        let mut out = Vec::new();
-        let s = &mut self.slots[slot];
-        if s.sender.handle_packet(now, &pkt, &mut out) {
-            if let Some(srtt) = s.sender.srtt() {
-                s.rtt_trace.record(now, srtt.as_millis_f64());
-            }
-        } else if let Payload::Request { size, pace_bps, .. } = pkt.payload {
-            let pace = pace_bps.map(Rate::from_bps);
-            s.sender.start_transfer(now, size, pace);
-            s.sender.pump(now, &mut out);
-            s.requests_served += 1;
+        if let Some(&slot) = self.index.get(&pkt.flow) {
+            self.slots[slot].on_packet(now, pkt, ctx);
         }
-        for p in out {
-            ctx.send(p);
-        }
-        self.after_event(slot, now, ctx);
     }
 
     fn on_timer(&mut self, now: SimTime, token: u64, ctx: &mut NodeCtx) {
-        let Some(slot) = token.checked_sub(1).map(|s| s as usize) else {
-            return;
-        };
-        if slot >= self.slots.len() {
-            return;
+        let slot = token
+            .checked_sub(1)
+            .and_then(|s| self.slots.get_mut(s as usize));
+        if let Some(slot) = slot {
+            slot.on_timer(now, token, ctx);
         }
-        let mut out = Vec::new();
-        self.slots[slot].sender.on_tick(now, &mut out);
-        for p in out {
-            ctx.send(p);
-        }
-        self.after_event(slot, now, ctx);
     }
 
     fn as_any(&mut self) -> &mut dyn std::any::Any {
@@ -175,8 +103,8 @@ impl Endpoint for MultiSenderEndpoint {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::endpoint::{ReceiverEndpoint, SenderEndpoint};
-    use netsim::{Dumbbell, DumbbellConfig, Simulator};
+    use crate::endpoint::ReceiverEndpoint;
+    use netsim::{Dumbbell, DumbbellConfig, Payload, Simulator};
 
     fn run_single(bytes: u64, pace: Option<f64>, multi: bool) -> (u64, u64, u64) {
         let mut sim = Simulator::new();
@@ -268,7 +196,7 @@ mod tests {
         for slot in 0..2 {
             assert_eq!(ep.completed(slot).len(), 1, "slot {slot}");
             assert_eq!(ep.completed(slot)[0].bytes, 1_000_000);
-            assert_eq!(ep.requests_served(slot), 1);
+            assert_eq!(ep.slot(slot).requests_served(), 1);
         }
     }
 }

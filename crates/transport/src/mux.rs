@@ -7,10 +7,11 @@
 //! A/B matrix vary transport and congestion control independently of the
 //! Sammy pacing policy.
 
+use crate::core::{CompletedTransfer, SenderCore, SenderStats, TcpConfig};
 use crate::quic::{QuicReceiver, QuicSender};
 use crate::receiver::TcpReceiver;
-use crate::sender::{CompletedTransfer, SenderStats, TcpConfig, TcpSender};
-use netsim::{FlowId, NodeId, Packet, Payload, Rate, SimDuration, SimTime};
+use crate::sender::TcpSender;
+use netsim::{FlowId, NodeId, Packet, Payload, Rate, SimTime};
 use tdigest::TDigest;
 
 /// Which wire protocol a sender/receiver pair speaks.
@@ -65,14 +66,25 @@ impl std::str::FromStr for Protocol {
 
 /// A sender of either protocol, chosen by [`TcpConfig::transport`].
 ///
-/// Every method delegates to the underlying state machine; the two expose
-/// the same surface by construction.
+/// Only what the wire protocol decides is dispatched here; everything the
+/// two share (flow id, congestion window, RTT, telemetry) is read through
+/// [`core`](Self::core).
 #[derive(Debug)]
 pub enum TransportSender {
     /// TCP byte-stream sender.
     Tcp(TcpSender),
     /// QUIC-style stream sender.
     Quic(QuicSender),
+}
+
+/// Run `$body` on whichever protocol's state machine `$self` holds.
+macro_rules! either {
+    ($enum:ident, $self:expr, $s:ident => $body:expr) => {
+        match $self {
+            $enum::Tcp($s) => $body,
+            $enum::Quic($s) => $body,
+        }
+    };
 }
 
 impl TransportSender {
@@ -84,52 +96,39 @@ impl TransportSender {
         }
     }
 
-    /// Which protocol this sender speaks.
-    pub fn protocol(&self) -> Protocol {
-        match self {
-            TransportSender::Tcp(_) => Protocol::Tcp,
-            TransportSender::Quic(_) => Protocol::Quic,
-        }
+    /// The protocol-independent sender core.
+    pub fn core(&self) -> &SenderCore {
+        either!(TransportSender, self, s => s.core())
     }
 
-    /// The connection's flow id.
-    pub fn flow(&self) -> FlowId {
-        match self {
-            TransportSender::Tcp(s) => s.flow(),
-            TransportSender::Quic(s) => s.flow(),
-        }
+    /// Telemetry counters.
+    pub fn stats(&self) -> &SenderStats {
+        self.core().stats()
+    }
+
+    /// Per-packet RTT samples (t-digest).
+    pub fn rtt_digest(&self) -> &TDigest {
+        self.core().rtt_digest()
     }
 
     /// Queue a transfer of `bytes`, paced at `pace`; returns the transfer id.
     pub fn start_transfer(&mut self, now: SimTime, bytes: u64, pace: Option<Rate>) -> u64 {
-        match self {
-            TransportSender::Tcp(s) => s.start_transfer(now, bytes, pace),
-            TransportSender::Quic(s) => s.start_transfer(now, bytes, pace),
-        }
+        either!(TransportSender, self, s => s.start_transfer(now, bytes, pace))
     }
 
     /// Change a queued/in-flight transfer's pace rate.
     pub fn set_transfer_pace(&mut self, now: SimTime, id: u64, pace: Option<Rate>) {
-        match self {
-            TransportSender::Tcp(s) => s.set_transfer_pace(now, id, pace),
-            TransportSender::Quic(s) => s.set_transfer_pace(now, id, pace),
-        }
+        either!(TransportSender, self, s => s.set_transfer_pace(now, id, pace))
     }
 
     /// Transmit whatever the window, flow control, and pacer allow.
     pub fn pump(&mut self, now: SimTime, out: &mut Vec<Packet>) {
-        match self {
-            TransportSender::Tcp(s) => s.pump(now, out),
-            TransportSender::Quic(s) => s.pump(now, out),
-        }
+        either!(TransportSender, self, s => s.pump(now, out))
     }
 
     /// Timer callback (retransmission timeouts, pacing releases).
     pub fn on_tick(&mut self, now: SimTime, out: &mut Vec<Packet>) {
-        match self {
-            TransportSender::Tcp(s) => s.on_tick(now, out),
-            TransportSender::Quic(s) => s.on_tick(now, out),
-        }
+        either!(TransportSender, self, s => s.on_tick(now, out))
     }
 
     /// Feed an arriving packet to the sender. Returns `true` if it was an
@@ -137,92 +136,22 @@ impl TransportSender {
     /// consumed), `false` for anything else — e.g. a [`Payload::Request`],
     /// which the host endpoint handles itself.
     pub fn handle_packet(&mut self, now: SimTime, pkt: &Packet, out: &mut Vec<Packet>) -> bool {
-        match self {
-            TransportSender::Tcp(s) => match pkt.payload {
-                Payload::Ack {
-                    cum_ack,
-                    echo_ts,
-                    round,
-                } if pkt.flow == s.flow() => {
-                    s.on_ack(now, cum_ack, echo_ts, round, out);
-                    true
-                }
-                _ => false,
-            },
-            TransportSender::Quic(s) => s.on_ack_packet(now, pkt, out),
-        }
+        either!(TransportSender, self, s => s.handle_packet(now, pkt, out))
     }
 
     /// When the sender next needs a timer callback.
     pub fn next_wakeup(&mut self, now: SimTime) -> Option<SimTime> {
-        match self {
-            TransportSender::Tcp(s) => s.next_wakeup(now),
-            TransportSender::Quic(s) => s.next_wakeup(now),
-        }
+        either!(TransportSender, self, s => s.next_wakeup(now))
     }
 
     /// Drain completed-transfer reports.
     pub fn take_completed(&mut self) -> Vec<CompletedTransfer> {
-        match self {
-            TransportSender::Tcp(s) => s.take_completed(),
-            TransportSender::Quic(s) => s.take_completed(),
-        }
+        either!(TransportSender, self, s => s.take_completed())
     }
 
     /// True when nothing remains queued or outstanding.
     pub fn is_idle(&self) -> bool {
-        match self {
-            TransportSender::Tcp(s) => s.is_idle(),
-            TransportSender::Quic(s) => s.is_idle(),
-        }
-    }
-
-    /// Bytes currently in flight.
-    pub fn bytes_in_flight(&self) -> u64 {
-        match self {
-            TransportSender::Tcp(s) => s.bytes_in_flight(),
-            TransportSender::Quic(s) => s.bytes_in_flight(),
-        }
-    }
-
-    /// Current congestion window in bytes.
-    pub fn cwnd(&self) -> u64 {
-        match self {
-            TransportSender::Tcp(s) => s.cwnd(),
-            TransportSender::Quic(s) => s.cwnd(),
-        }
-    }
-
-    /// The congestion-control algorithm's name.
-    pub fn cc_name(&self) -> &'static str {
-        match self {
-            TransportSender::Tcp(s) => s.cc_name(),
-            TransportSender::Quic(s) => s.cc_name(),
-        }
-    }
-
-    /// Telemetry counters.
-    pub fn stats(&self) -> &SenderStats {
-        match self {
-            TransportSender::Tcp(s) => s.stats(),
-            TransportSender::Quic(s) => s.stats(),
-        }
-    }
-
-    /// Per-packet RTT samples (t-digest).
-    pub fn rtt_digest(&self) -> &TDigest {
-        match self {
-            TransportSender::Tcp(s) => s.rtt_digest(),
-            TransportSender::Quic(s) => s.rtt_digest(),
-        }
-    }
-
-    /// Smoothed RTT estimate.
-    pub fn srtt(&self) -> Option<SimDuration> {
-        match self {
-            TransportSender::Tcp(s) => s.srtt(),
-            TransportSender::Quic(s) => s.srtt(),
-        }
+        either!(TransportSender, self, s => s.is_idle())
     }
 }
 
@@ -244,46 +173,16 @@ impl TransportReceiver {
         }
     }
 
-    /// The flow id this receiver listens on.
-    pub fn flow(&self) -> FlowId {
-        match self {
-            TransportReceiver::Tcp(r) => r.flow(),
-            TransportReceiver::Quic(r) => r.flow(),
-        }
-    }
-
     /// Handle an arriving data packet of this receiver's protocol,
     /// producing the ACK to send back. `None` for any other packet.
     pub fn on_data(&mut self, now: SimTime, pkt: &Packet) -> Option<Packet> {
-        match self {
-            TransportReceiver::Tcp(r) => r.on_data(now, pkt),
-            TransportReceiver::Quic(r) => r.on_data(now, pkt),
-        }
+        either!(TransportReceiver, self, r => r.on_data(now, pkt))
     }
 
     /// Application-visible delivered bytes (contiguous prefix for TCP; sum
     /// of per-stream contiguous prefixes for QUIC).
     pub fn contiguous_bytes(&self) -> u64 {
-        match self {
-            TransportReceiver::Tcp(r) => r.contiguous_bytes(),
-            TransportReceiver::Quic(r) => r.contiguous_bytes(),
-        }
-    }
-
-    /// Total payload bytes received, including duplicates.
-    pub fn bytes_received(&self) -> u64 {
-        match self {
-            TransportReceiver::Tcp(r) => r.bytes_received,
-            TransportReceiver::Quic(r) => r.bytes_received,
-        }
-    }
-
-    /// Payload bytes that duplicated already-held data.
-    pub fn duplicate_bytes(&self) -> u64 {
-        match self {
-            TransportReceiver::Tcp(r) => r.duplicate_bytes,
-            TransportReceiver::Quic(r) => r.duplicate_bytes,
-        }
+        either!(TransportReceiver, self, r => r.contiguous_bytes())
     }
 }
 
@@ -301,6 +200,7 @@ pub fn data_len(pkt: &Packet) -> Option<u64> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use netsim::SimDuration;
 
     #[test]
     fn protocol_parse_roundtrip() {
@@ -322,7 +222,7 @@ mod tests {
     #[test]
     fn sender_variant_follows_config() {
         let tcp = TransportSender::new(NodeId(0), NodeId(1), FlowId(1), TcpConfig::default());
-        assert_eq!(tcp.protocol(), Protocol::Tcp);
+        assert!(matches!(tcp, TransportSender::Tcp(_)));
         let quic = TransportSender::new(
             NodeId(0),
             NodeId(1),
@@ -332,7 +232,7 @@ mod tests {
                 ..Default::default()
             },
         );
-        assert_eq!(quic.protocol(), Protocol::Quic);
+        assert!(matches!(quic, TransportSender::Quic(_)));
     }
 
     /// The same request-driven transfer completes over either variant.

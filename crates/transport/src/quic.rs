@@ -1,7 +1,8 @@
 //! A QUIC-style transport: stream multiplexing over one connection.
 //!
-//! [`QuicSender`] and [`QuicReceiver`] implement the transport properties
-//! that distinguish QUIC from the TCP model in [`crate::sender`]:
+//! [`QuicWire`] (the sender's protocol half) and [`QuicReceiver`] implement
+//! the transport properties that distinguish QUIC from the TCP model in
+//! [`crate::sender`]:
 //!
 //! - **Stream multiplexing.** Each application transfer is its own stream;
 //!   streams share one connection, one congestion controller, and one
@@ -17,21 +18,20 @@
 //!   (delivered bytes + window); the sender never has more cumulative
 //!   stream bytes outstanding than that credit.
 //! - **Loss detection.** Packet-threshold reordering detection (3 packets,
-//!   RFC 9002-style) plus a probe timeout (PTO) with exponential backoff.
+//!   RFC 9002-style) plus a probe timeout (PTO).
 //!
-//! The sender reuses the exact [`Pacer`]/[`CongestionControl`] hooks the
-//! TCP sender uses — the same application-informed pace rate rides on
-//! [`QuicSender::start_transfer`], and the congestion controller is chosen
-//! by [`TcpConfig::cc`] — so the Sammy-vs-baseline A/B can vary transport
-//! and congestion control independently.
+//! Pacing, the congestion controller, timer backoff, idle restart and
+//! telemetry are not here: [`QuicSender`] runs this wire half under the
+//! same [`SenderCore`] as TCP, so the Sammy-vs-baseline A/B can vary
+//! transport and congestion control independently.
 
-use crate::cc::CongestionControl;
-use crate::pacing::Pacer;
-use crate::rtt::RttEstimator;
-use crate::sender::{CompletedTransfer, SenderStats, TcpConfig};
-use netsim::{FlowId, NodeId, Packet, Payload, Rate, SimDuration, SimTime, MSS_BYTES};
+use crate::core::{CompletedTransfer, Frame, Sender, SenderCore, TcpConfig, Wire};
+use netsim::{FlowId, NodeId, Packet, Payload, Rate, SimTime, MSS_BYTES};
 use std::collections::VecDeque;
-use tdigest::TDigest;
+
+/// QUIC-style sender: streams over one congestion-controlled, paced
+/// connection.
+pub type QuicSender = Sender<QuicWire>;
 
 /// Reordering threshold before a packet is declared lost (RFC 9002 §6.1.1).
 const PACKET_THRESHOLD: u64 = 3;
@@ -80,29 +80,32 @@ fn range_insert(set: &mut Vec<(u64, u64)>, start: u64, end: u64) -> u64 {
 }
 
 /// Subtract a sorted, disjoint range set from `[start, end)`, yielding the
-/// sub-ranges not covered by the set.
-fn range_subtract(set: &[(u64, u64)], start: u64, end: u64) -> Vec<(u64, u64)> {
-    let mut out = Vec::new();
+/// sub-ranges not covered by the set, in order.
+fn range_subtract(
+    set: &[(u64, u64)],
+    start: u64,
+    end: u64,
+) -> impl Iterator<Item = (u64, u64)> + '_ {
     let mut cursor = start;
-    for &(s, e) in set {
-        if e <= cursor {
-            continue;
+    let mut covered = set.iter().skip_while(move |&&(_, e)| e <= start);
+    std::iter::from_fn(move || {
+        while cursor < end {
+            let gap_start = cursor;
+            match covered.next() {
+                Some(&(s, e)) if s < end => {
+                    cursor = cursor.max(e);
+                    if s > gap_start {
+                        return Some((gap_start, s));
+                    }
+                }
+                _ => {
+                    cursor = end;
+                    return Some((gap_start, end));
+                }
+            }
         }
-        if s >= end {
-            break;
-        }
-        if s > cursor {
-            out.push((cursor, s.min(end)));
-        }
-        cursor = cursor.max(e);
-        if cursor >= end {
-            break;
-        }
-    }
-    if cursor < end {
-        out.push((cursor, end));
-    }
-    out
+        None
+    })
 }
 
 /// Bookkeeping for one sent (not yet fully resolved) packet.
@@ -131,22 +134,44 @@ struct SendStream {
     pace: Option<Rate>,
     queued_at: SimTime,
     started_at: Option<SimTime>,
+    /// `retx-queue-conservation` ledger: bytes declared lost, minus those
+    /// `commit` has since retransmitted or found acknowledged. Must equal
+    /// what `retx` holds — bytes leave the queue no other way.
+    #[cfg(feature = "validate")]
+    retx_owed: u64,
 }
 
-/// QUIC-style sender: streams over one congestion-controlled, paced
-/// connection. Mirrors the [`crate::TcpSender`] API so host endpoints can
-/// drive either transport.
+impl SendStream {
+    /// The first queued retransmission range still unacknowledged. Anything
+    /// acknowledged since the loss was declared is skipped (a spurious
+    /// retransmission wastes the bottleneck) — but only `take_retx`, after
+    /// the gate opened, removes it from the queue.
+    fn peek_retx(&self) -> Option<(u64, u64)> {
+        self.retx
+            .iter()
+            .find_map(|&(start, end)| range_subtract(&self.acked, start, end).next())
+    }
+
+    /// Remove everything below `upto` from the retransmission queue;
+    /// returns the bytes removed.
+    fn take_retx(&mut self, upto: u64) -> u64 {
+        let mut removed = 0;
+        while let Some(head) = self.retx.first_mut() {
+            removed += head.1.min(upto).saturating_sub(head.0);
+            if head.1 > upto {
+                head.0 = head.0.max(upto);
+                break;
+            }
+            self.retx.remove(0);
+        }
+        removed
+    }
+}
+
+/// QUIC protocol state: packet numbers, per-stream send/ack/retransmit
+/// range sets, and connection flow control.
 #[derive(Debug)]
-pub struct QuicSender {
-    src: NodeId,
-    dst: NodeId,
-    flow: FlowId,
-    cfg: TcpConfig,
-
-    cc: Box<dyn CongestionControl>,
-    pacer: Pacer,
-    rtt: RttEstimator,
-
+pub struct QuicWire {
     next_pkt_num: u64,
     largest_acked: Option<u64>,
     /// Sent packets not yet resolved (acked or lost), ordered by pkt_num.
@@ -164,31 +189,13 @@ pub struct QuicSender {
     /// Loss events within one recovery epoch count once: the epoch ends
     /// when a packet numbered at/after this is acknowledged.
     recovery_end: Option<u64>,
-    pto_deadline: Option<SimTime>,
-    pto_backoff: u32,
-
-    last_send: Option<SimTime>,
-
-    completed: Vec<CompletedTransfer>,
-    stats: SenderStats,
-    rtt_digest: TDigest,
 }
 
-impl QuicSender {
-    /// Create a sender for a connection from `src` to `dst`. `cfg.cc`
-    /// selects the congestion controller; `cfg.max_burst_packets` bounds
-    /// line-rate bursts exactly as for TCP.
-    pub fn new(src: NodeId, dst: NodeId, flow: FlowId, cfg: TcpConfig) -> Self {
-        let pacer = Pacer::unlimited(cfg.max_burst_packets);
-        let cc = cfg.cc.build();
-        QuicSender {
-            src,
-            dst,
-            flow,
-            cfg,
-            cc,
-            pacer,
-            rtt: RttEstimator::new(),
+impl Wire for QuicWire {
+    const SANITY_TAG: &'static str = "quic-sender-sanity";
+
+    fn new(_cfg: &TcpConfig) -> Self {
+        QuicWire {
             next_pkt_num: 0,
             largest_acked: None,
             sent: VecDeque::new(),
@@ -198,25 +205,12 @@ impl QuicSender {
             conn_sent: 0,
             peer_max_data: INITIAL_MAX_DATA,
             recovery_end: None,
-            pto_deadline: None,
-            pto_backoff: 0,
-            last_send: None,
-            completed: Vec::new(),
-            stats: SenderStats::default(),
-            rtt_digest: TDigest::new(100.0),
         }
     }
 
-    /// The connection's flow id.
-    pub fn flow(&self) -> FlowId {
-        self.flow
-    }
-
-    /// Open a new stream carrying `bytes`, paced at `pace` (or unpaced).
-    /// Returns the stream id (doubles as the transfer id in completion
-    /// reports).
-    pub fn start_transfer(&mut self, now: SimTime, bytes: u64, pace: Option<Rate>) -> u64 {
-        assert!(bytes > 0, "empty transfer");
+    /// Open a new stream; its id doubles as the transfer id in completion
+    /// reports.
+    fn start_transfer(&mut self, now: SimTime, bytes: u64, pace: Option<Rate>) -> u64 {
         let id = self.next_stream_id;
         self.next_stream_id += 1;
         self.streams.push(SendStream {
@@ -229,109 +223,134 @@ impl QuicSender {
             pace,
             queued_at: now,
             started_at: None,
+            #[cfg(feature = "validate")]
+            retx_owed: 0,
         });
         id
     }
 
-    /// Change the pace rate of a stream. Applies on the next released
-    /// packet of that stream.
-    pub fn set_transfer_pace(&mut self, now: SimTime, id: u64, pace: Option<Rate>) {
-        let mut active = false;
-        if let Some(s) = self.streams.iter_mut().find(|s| s.id == id) {
-            s.pace = pace;
-            active = s.sent > 0 && s.acked_bytes < s.len;
-        }
-        if active {
-            self.sync_pacer_rate(now);
-        }
+    fn set_pace(&mut self, id: u64, pace: Option<Rate>) -> bool {
+        self.streams
+            .iter_mut()
+            .find(|s| s.id == id)
+            .is_some_and(|s| {
+                s.pace = pace;
+                s.sent > 0
+            })
     }
 
-    /// Drain completed-transfer reports accumulated since the last call.
-    pub fn take_completed(&mut self) -> Vec<CompletedTransfer> {
-        std::mem::take(&mut self.completed)
-    }
-
-    /// True when every opened stream has been fully acknowledged.
-    pub fn is_idle(&self) -> bool {
+    fn is_idle(&self) -> bool {
         self.streams.is_empty()
     }
 
-    /// Bytes in flight (sent, neither acked nor declared lost).
-    pub fn bytes_in_flight(&self) -> u64 {
+    fn bytes_in_flight(&self) -> u64 {
         self.bytes_in_flight
     }
 
-    /// Current congestion window in bytes.
-    pub fn cwnd(&self) -> u64 {
-        self.cc.cwnd()
-    }
-
-    /// The congestion-control algorithm's name.
-    pub fn cc_name(&self) -> &'static str {
-        self.cc.name()
-    }
-
-    /// Telemetry counters.
-    pub fn stats(&self) -> &SenderStats {
-        &self.stats
-    }
-
-    /// Per-packet RTT samples (t-digest).
-    pub fn rtt_digest(&self) -> &TDigest {
-        &self.rtt_digest
-    }
-
-    /// Smoothed RTT estimate.
-    pub fn srtt(&self) -> Option<SimDuration> {
-        self.rtt.srtt()
-    }
-
-    /// When the sender next needs a timer callback: the earlier of the PTO
-    /// deadline and the pacer release time (when there is something to
-    /// send but pacing blocks).
-    pub fn next_wakeup(&mut self, now: SimTime) -> Option<SimTime> {
-        let mut wake = self.pto_deadline;
-        if self.has_sendable_frame() {
-            if let Some(t) = self
-                .pacer
-                .next_release(now, MSS_BYTES + netsim::HEADER_BYTES)
-            {
-                wake = Some(wake.map_or(t, |w| w.min(t)));
+    /// Retransmissions first (oldest stream first), then fresh data in
+    /// stream-open order, subject to cwnd and connection flow control.
+    fn peek(&self, cwnd: u64) -> Option<Frame> {
+        // Retransmissions bypass the window (they replace bytes that left
+        // the flight count), exactly as TCP's recovery retransmit does.
+        for (stream, s) in self.streams.iter().enumerate() {
+            if let Some((start, end)) = s.peek_retx() {
+                return Some(Frame {
+                    stream,
+                    offset: start,
+                    len: (end - start).min(MSS_BYTES),
+                    retx: true,
+                });
             }
         }
-        wake
+        let budget = self.peer_max_data.saturating_sub(self.conn_sent);
+        if self.bytes_in_flight >= cwnd || budget == 0 {
+            return None;
+        }
+        let (stream, s) = self
+            .streams
+            .iter()
+            .enumerate()
+            .find(|(_, s)| s.sent < s.len)?;
+        Some(Frame {
+            stream,
+            offset: s.sent,
+            len: (s.len - s.sent).min(MSS_BYTES).min(budget),
+            retx: false,
+        })
     }
 
-    /// Handle an arriving [`Payload::QuicAck`] for this connection.
-    /// Returns false (untouched) for any other packet.
-    pub fn on_ack_packet(&mut self, now: SimTime, pkt: &Packet, out: &mut Vec<Packet>) -> bool {
+    fn commit(&mut self, now: SimTime, frame: &Frame) -> Payload {
+        let pkt_num = self.next_pkt_num;
+        self.next_pkt_num += 1;
+        let s = &mut self.streams[frame.stream];
+        s.started_at.get_or_insert(now);
+        if frame.retx {
+            let _removed = s.take_retx(frame.offset + frame.len);
+            #[cfg(feature = "validate")]
+            {
+                s.retx_owed -= _removed;
+            }
+        } else {
+            debug_assert_eq!(frame.offset, s.sent);
+            s.sent += frame.len;
+            self.conn_sent += frame.len;
+        }
+        self.sent.push_back(SentPacket {
+            pkt_num,
+            stream: s.id,
+            offset: frame.offset,
+            len: frame.len as u32,
+            acked: false,
+            lost: false,
+        });
+        self.bytes_in_flight += frame.len;
+        Payload::QuicData {
+            pkt_num,
+            stream: s.id,
+            offset: frame.offset,
+            len: frame.len as u32,
+            fin: frame.offset + frame.len == s.len,
+            retx: frame.retx,
+        }
+    }
+
+    fn pace_of(&self, frame: &Frame) -> Option<Rate> {
+        self.streams[frame.stream].pace
+    }
+
+    /// Unsent data held back by flow control is *not* app-limited; only
+    /// "every open stream is fully sent, nothing queued to resend" is.
+    fn app_limited(&self, cwnd: u64) -> bool {
+        self.bytes_in_flight < cwnd
+            && !self.streams.is_empty()
+            && self
+                .streams
+                .iter()
+                .all(|s| s.sent >= s.len && s.retx.is_empty())
+    }
+
+    /// Probe timeout: declare the oldest outstanding packet lost; its
+    /// bytes go out again as the probe.
+    fn on_timeout(&mut self) {
+        if let Some(i) = self.sent.iter().position(|sp| !sp.acked && !sp.lost) {
+            self.declare_lost(i);
+        }
+        self.recovery_end = Some(self.next_pkt_num);
+    }
+
+    /// Process an ACK: credit newly acknowledged packets, detect losses by
+    /// packet threshold, and report progress, losses and completions to
+    /// the core.
+    fn on_ack(&mut self, core: &mut SenderCore, now: SimTime, payload: &Payload) -> bool {
         let Payload::QuicAck {
             largest,
             echo_ts,
             ranges,
             max_data,
-        } = pkt.payload
+        } = *payload
         else {
             return false;
         };
-        if pkt.flow != self.flow {
-            return false;
-        }
-        self.on_quic_ack(now, largest, echo_ts, &ranges, max_data, out);
-        true
-    }
-
-    /// Process an ACK: credit newly acknowledged packets, detect losses by
-    /// packet threshold, update the congestion controller, and pump.
-    pub fn on_quic_ack(
-        &mut self,
-        now: SimTime,
-        largest: u64,
-        echo_ts: SimTime,
-        ranges: &[(u64, u64); 3],
-        max_data: u64,
-        out: &mut Vec<Packet>,
-    ) {
         self.peer_max_data = self.peer_max_data.max(max_data);
         let was_in_recovery = self.recovery_end.is_some();
 
@@ -342,10 +361,7 @@ impl QuicSender {
         let mut progressed = false;
         for i in 0..self.sent.len() {
             let sp = self.sent[i];
-            if sp.acked || sp.pkt_num > largest {
-                continue;
-            }
-            if !acked_range(sp.pkt_num) {
+            if sp.acked || sp.pkt_num > largest || !acked_range(sp.pkt_num) {
                 continue;
             }
             self.sent[i].acked = true;
@@ -356,10 +372,8 @@ impl QuicSender {
                 self.bytes_in_flight = self.bytes_in_flight.saturating_sub(sp.len as u64);
                 newly_acked += sp.len as u64;
             }
-            if let Some(r) = self.recovery_end {
-                if sp.pkt_num >= r {
-                    self.recovery_end = None;
-                }
+            if self.recovery_end.is_some_and(|r| sp.pkt_num >= r) {
+                self.recovery_end = None;
             }
             if let Some(s) = self.streams.iter_mut().find(|s| s.id == sp.stream) {
                 let added = range_insert(&mut s.acked, sp.offset, sp.offset + sp.len as u64);
@@ -367,24 +381,11 @@ impl QuicSender {
             }
         }
 
-        if largest > self.largest_acked.unwrap_or(0) || self.largest_acked.is_none() {
-            self.largest_acked = Some(largest);
-        }
+        self.largest_acked = self.largest_acked.max(Some(largest));
 
-        // RTT sample from the echoed timestamp, taken only when the ACK
-        // acknowledged something new (RFC 9002 §5.1).
-        if progressed {
-            if let Some(r) = now.checked_since(echo_ts) {
-                self.rtt.on_sample(r);
-                self.rtt_digest.add(r.as_millis_f64());
-                obs::observe!(
-                    "transport.srtt_ms",
-                    self.rtt.srtt().unwrap_or(r).as_millis_f64()
-                );
-                obs::gauge!("transport.cwnd_bytes", self.cc.cwnd() as f64);
-            }
-            self.pto_backoff = 0;
-        }
+        // Progress — and an RTT sample — only when the ACK acknowledged
+        // something new (RFC 9002 §5.1).
+        let rtt = progressed.then(|| core.on_progress(now, echo_ts)).flatten();
 
         // Pass 2: packet-threshold loss detection. Anything unacked and
         // PACKET_THRESHOLD below the largest acknowledged packet is lost.
@@ -397,114 +398,48 @@ impl QuicSender {
             if sp.pkt_num + PACKET_THRESHOLD > largest_acked {
                 break;
             }
-            self.sent[i].lost = true;
-            self.bytes_in_flight = self.bytes_in_flight.saturating_sub(sp.len as u64);
-            self.queue_retransmission(sp);
+            self.declare_lost(i);
             // One congestion response per recovery epoch.
             if self.recovery_end.is_none_or(|r| sp.pkt_num >= r) {
-                self.stats.loss_events += 1;
-                self.cc.on_loss_event(now);
-                obs::counter!("transport.loss_events", 1);
-                obs::trace_event!(TcpLossEvent, now.as_nanos(), self.cc.cwnd(), 0);
+                core.on_loss_event(now);
                 self.recovery_end = Some(self.next_pkt_num);
             }
         }
 
         // Drop fully resolved packets from the front of the deque.
-        while let Some(front) = self.sent.front() {
-            if front.acked || front.lost {
-                self.sent.pop_front();
-            } else {
-                break;
-            }
+        while self.sent.front().is_some_and(|sp| sp.acked || sp.lost) {
+            self.sent.pop_front();
         }
 
         if newly_acked > 0 {
-            let rtt = now.checked_since(echo_ts);
-            self.cc.on_ack(now, newly_acked, rtt, was_in_recovery);
-            self.cc.on_inflight(now, self.bytes_in_flight);
+            core.on_acked(now, newly_acked, rtt, was_in_recovery, self.bytes_in_flight);
         }
 
-        self.complete_streams(now);
+        self.streams.retain(|s| {
+            let done = s.acked_bytes >= s.len;
+            if done {
+                core.complete(CompletedTransfer {
+                    id: s.id,
+                    bytes: s.len,
+                    queued_at: s.queued_at,
+                    started_at: s.started_at.unwrap_or(s.queued_at),
+                    completed_at: now,
+                });
+            }
+            !done
+        });
 
-        if self.bytes_in_flight == 0 && !self.has_sendable_frame() {
-            self.pto_deadline = None;
+        if self.bytes_in_flight == 0 && self.peek(core.cwnd()).is_none() {
+            core.clear_timeout();
         } else if progressed {
-            self.arm_pto(now);
+            core.arm_timeout(now);
         }
-
-        self.pump(now, out);
+        true
     }
 
-    /// Timer callback: PTO expiry and pacing-released transmission.
-    pub fn on_tick(&mut self, now: SimTime, out: &mut Vec<Packet>) {
-        if let Some(deadline) = self.pto_deadline {
-            if now >= deadline && (self.bytes_in_flight > 0 || !self.sent.is_empty()) {
-                // Probe timeout: declare the oldest outstanding packet lost
-                // and retransmit it as the probe. Exponential backoff.
-                self.stats.rtos += 1;
-                self.cc.on_rto(now);
-                obs::counter!("transport.rtos", 1);
-                obs::trace_event!(TcpRto, now.as_nanos(), self.cc.cwnd(), 0);
-                self.pto_backoff = (self.pto_backoff + 1).min(10);
-                if let Some(i) = self.sent.iter().position(|sp| !sp.acked && !sp.lost) {
-                    let sp = self.sent[i];
-                    self.sent[i].lost = true;
-                    self.bytes_in_flight = self.bytes_in_flight.saturating_sub(sp.len as u64);
-                    self.queue_retransmission(sp);
-                }
-                self.recovery_end = Some(self.next_pkt_num);
-                self.arm_pto(now);
-            }
-        }
-        self.pump(now, out);
-    }
-
-    /// Kick transmission (e.g. right after the application opens a stream).
-    pub fn pump(&mut self, now: SimTime, out: &mut Vec<Packet>) {
-        // Restart-after-idle, as for TCP: a long app-limited gap means the
-        // controller's window no longer reflects the path.
-        if self.cfg.idle_restart {
-            if let Some(last) = self.last_send {
-                if self.bytes_in_flight == 0
-                    && self.has_sendable_frame()
-                    && now.saturating_since(last) > self.rtt.rto()
-                {
-                    self.cc.on_idle_restart(now);
-                }
-            }
-        }
-
-        loop {
-            let Some((stream_idx, offset, len, retx)) = self.next_frame() else {
-                // Window open but nothing to send: if streams still have
-                // unsent data the limit is flow control, otherwise the
-                // application — tell the controller about the latter.
-                if self.bytes_in_flight < self.cc.cwnd()
-                    && !self.streams.is_empty()
-                    && self.streams.iter().all(|s| s.sent >= s.len)
-                    && self.streams.iter().all(|s| s.retx.is_empty())
-                {
-                    self.cc.on_app_limited(now);
-                }
-                break;
-            };
-            let wire = len + netsim::HEADER_BYTES;
-            if !self.pacer.can_send(now, wire) {
-                break;
-            }
-            self.sync_pacer_rate(now);
-            if !self.pacer.can_send(now, wire) {
-                break;
-            }
-            self.emit_frame(now, stream_idx, offset, len, retx, out);
-        }
-        self.check_invariants();
-    }
-
-    /// Sender sanity (validate feature): flight accounting never exceeds
-    /// the flow-control credit plus retransmissions, cwnd stays above one
-    /// MSS, and any pace rate is physical.
+    /// QUIC sanity (validate feature): flow control is never overrun, and
+    /// per stream every byte declared lost has been retransmitted, has been
+    /// acknowledged since, or is still queued.
     #[cfg(feature = "validate")]
     fn check_invariants(&self) {
         netsim::invariant!(
@@ -514,197 +449,72 @@ impl QuicSender {
             self.conn_sent,
             self.peer_max_data
         );
-        netsim::invariant!(
-            "quic-sender-sanity",
-            self.cc.cwnd() >= MSS_BYTES,
-            "cwnd {} below one MSS",
-            self.cc.cwnd()
-        );
-        if let Some(rate) = self.pacer.rate() {
+        for s in &self.streams {
+            let queued: u64 = s.retx.iter().map(|&(a, b)| b - a).sum();
             netsim::invariant!(
-                "pacing-rate-bounds",
-                rate.bps().is_finite() && rate.bps() > 0.0 && rate.bps() <= 1e12,
-                "pace {} bps outside (0, 1e12]",
-                rate.bps()
+                "retx-queue-conservation",
+                s.retx_owed == queued,
+                "stream {}: {} lost bytes neither resent nor acked, {} queued",
+                s.id,
+                s.retx_owed,
+                queued
             );
         }
     }
+}
 
-    #[cfg(not(feature = "validate"))]
-    #[inline(always)]
-    fn check_invariants(&self) {}
-
-    /// Is there any frame we could send right now (ignoring pacing)?
-    fn has_sendable_frame(&self) -> bool {
-        let retx = self.streams.iter().any(|s| !s.retx.is_empty());
-        if retx {
-            return true;
-        }
-        self.bytes_in_flight < self.cc.cwnd()
-            && self.conn_sent < self.peer_max_data
-            && self.streams.iter().any(|s| s.sent < s.len)
-    }
-
-    /// Choose the next frame: retransmissions first (oldest stream first),
-    /// then fresh data in stream-open order, subject to cwnd and
-    /// connection flow control. Returns (stream index, offset, len, retx).
-    fn next_frame(&mut self) -> Option<(usize, u64, u64, bool)> {
-        // Retransmissions bypass the window (they replace bytes that left
-        // the flight count), exactly as TCP's recovery retransmit does.
-        for (i, s) in self.streams.iter_mut().enumerate() {
-            while let Some(&(start, end)) = s.retx.first() {
-                // Skip anything acknowledged since the loss was declared
-                // (spurious retransmissions waste the bottleneck).
-                let pending = range_subtract(&s.acked, start, end);
-                match pending.first() {
-                    None => {
-                        s.retx.remove(0);
-                        continue;
-                    }
-                    Some(&(ps, pe)) => {
-                        let len = (pe - ps).min(MSS_BYTES);
-                        // Consume from the queue: drop the covered prefix.
-                        if ps + len >= end {
-                            s.retx.remove(0);
-                        } else {
-                            s.retx[0] = (ps + len, end);
-                        }
-                        return Some((i, ps, len, true));
-                    }
+impl QuicWire {
+    /// Mark `sent[i]` lost: it leaves the flight count and its stream
+    /// bytes — minus anything the receiver has meanwhile acknowledged —
+    /// are queued for selective retransmission.
+    fn declare_lost(&mut self, i: usize) {
+        let sp = self.sent[i];
+        self.sent[i].lost = true;
+        self.bytes_in_flight = self.bytes_in_flight.saturating_sub(sp.len as u64);
+        if let Some(s) = self.streams.iter_mut().find(|s| s.id == sp.stream) {
+            for (start, end) in range_subtract(&s.acked, sp.offset, sp.offset + sp.len as u64) {
+                let _added = range_insert(&mut s.retx, start, end);
+                #[cfg(feature = "validate")]
+                {
+                    s.retx_owed += _added;
                 }
             }
         }
-        if self.bytes_in_flight >= self.cc.cwnd() {
-            return None;
-        }
-        let budget = self.peer_max_data.saturating_sub(self.conn_sent);
-        if budget == 0 {
-            return None;
-        }
-        for (i, s) in self.streams.iter().enumerate() {
-            if s.sent < s.len {
-                let len = (s.len - s.sent).min(MSS_BYTES).min(budget);
-                return Some((i, s.sent, len, false));
-            }
-        }
-        None
     }
+}
 
-    fn emit_frame(
+impl QuicSender {
+    /// Process an ACK — largest acknowledged packet number, echoed send
+    /// timestamp, up to three `[start, end)` packet-number ranges and the
+    /// receiver's flow-control credit — then pump.
+    pub fn on_quic_ack(
         &mut self,
         now: SimTime,
-        stream_idx: usize,
-        offset: u64,
-        len: u64,
-        retx: bool,
+        largest: u64,
+        echo_ts: SimTime,
+        ranges: &[(u64, u64); 3],
+        max_data: u64,
         out: &mut Vec<Packet>,
     ) {
-        debug_assert!(len > 0);
-        let pkt_num = self.next_pkt_num;
-        self.next_pkt_num += 1;
-        let s = &mut self.streams[stream_idx];
-        let fin = offset + len == s.len;
-        let stream_id = s.id;
-        if s.started_at.is_none() {
-            s.started_at = Some(now);
-        }
-        if !retx {
-            debug_assert_eq!(offset, s.sent);
-            s.sent += len;
-            self.conn_sent += len;
-        }
-        let pkt = Packet::new(
-            self.src,
-            self.dst,
-            self.flow,
-            Payload::QuicData {
-                pkt_num,
-                stream: stream_id,
-                offset,
-                len: len as u32,
-                fin,
-                retx,
-            },
-        );
-        self.pacer.on_send(now, pkt.size);
-        self.sent.push_back(SentPacket {
-            pkt_num,
-            stream: stream_id,
-            offset,
-            len: len as u32,
-            acked: false,
-            lost: false,
-        });
-        self.bytes_in_flight += len;
-        self.stats.bytes_sent += len;
-        self.stats.packets_sent += 1;
-        if retx {
-            self.stats.retx_bytes += len;
-            self.stats.retx_packets += 1;
-            obs::counter!("transport.retx_packets", 1);
-        }
-        self.last_send = Some(now);
-        if self.pto_deadline.is_none() {
-            self.arm_pto(now);
-        }
-        out.push(pkt);
-    }
-
-    /// Queue a lost packet's stream bytes for selective retransmission,
-    /// minus anything the receiver has meanwhile acknowledged.
-    fn queue_retransmission(&mut self, sp: SentPacket) {
-        if let Some(s) = self.streams.iter_mut().find(|s| s.id == sp.stream) {
-            for (rs, re) in range_subtract(&s.acked, sp.offset, sp.offset + sp.len as u64) {
-                range_insert(&mut s.retx, rs, re);
-            }
-        }
-    }
-
-    /// Pace at the minimum of the active stream's application-informed
-    /// rate and the congestion controller's own pacing rate.
-    fn sync_pacer_rate(&mut self, now: SimTime) {
-        let app = self
-            .streams
-            .iter()
-            .find(|s| s.acked_bytes < s.len)
-            .and_then(|s| s.pace);
-        let cc = self.cc.pacing_rate();
-        let rate = match (app, cc) {
-            (Some(a), Some(c)) => Some(a.min(c)),
-            (Some(a), None) => Some(a),
-            (None, Some(c)) => Some(c),
-            (None, None) => None,
+        let ack = Payload::QuicAck {
+            largest,
+            echo_ts,
+            ranges: *ranges,
+            max_data,
         };
-        if self.pacer.rate().map(|r| r.bps()) != rate.map(|r| r.bps()) {
-            // `_new`: referenced only from the obs expansion.
-            if let Some(_new) = rate {
-                obs::observe!("transport.pacing_rate_mbps", _new.bps() / 1e6);
-            }
-            self.pacer.set_rate(now, rate);
-        }
+        self.wire.on_ack(&mut self.core, now, &ack);
+        self.pump(now, out);
     }
 
-    fn complete_streams(&mut self, now: SimTime) {
-        let completed = &mut self.completed;
-        self.streams.retain(|s| {
-            if s.acked_bytes >= s.len {
-                completed.push(CompletedTransfer {
-                    id: s.id,
-                    bytes: s.len,
-                    queued_at: s.queued_at,
-                    started_at: s.started_at.unwrap_or(s.queued_at),
-                    completed_at: now,
-                });
-                false
-            } else {
-                true
-            }
-        });
-    }
-
-    fn arm_pto(&mut self, now: SimTime) {
-        let pto = self.rtt.rto().saturating_mul(1 << self.pto_backoff);
-        self.pto_deadline = Some(now + pto);
+    /// Mutant mode: drop the head of the retransmission queue as the
+    /// pre-core sender did when it selected a frame and the pacer then
+    /// said no — consumed, never emitted. Must trip
+    /// `retx-queue-conservation` on the next [`pump`](Self::pump).
+    #[cfg(feature = "validate")]
+    pub fn mutant_consume_before_gate(&mut self) {
+        let frame = self.wire.peek(0).filter(|f| f.retx);
+        let frame = frame.expect("mutant needs a queued retransmission");
+        self.wire.streams[frame.stream].take_retx(frame.offset + frame.len);
     }
 }
 
@@ -862,7 +672,7 @@ impl QuicReceiver {
 mod tests {
     use super::*;
     use crate::cc::CcAlgorithm;
-    use netsim::HEADER_BYTES;
+    use netsim::{SimDuration, HEADER_BYTES};
 
     fn pair() -> (QuicSender, QuicReceiver) {
         let cfg = TcpConfig::default();
@@ -888,7 +698,7 @@ mod tests {
             }
             pkt.sent_at = now;
             let ack = r.on_data(now, &pkt).expect("data frame");
-            s.on_ack_packet(now + SimDuration::from_millis(10), &ack, &mut next);
+            s.handle_packet(now + SimDuration::from_millis(10), &ack, &mut next);
         }
         next
     }
@@ -900,11 +710,14 @@ mod tests {
         assert_eq!(range_insert(&mut set, 20, 30), 10);
         assert_eq!(range_insert(&mut set, 5, 25), 10);
         assert_eq!(set, vec![(0, 30)]);
-        assert_eq!(range_subtract(&set, 0, 40), vec![(30, 40)]);
+        let gaps = |set: &[(u64, u64)], s, e| range_subtract(set, s, e).collect::<Vec<_>>();
+        assert_eq!(gaps(&set, 0, 40), vec![(30, 40)]);
         assert_eq!(
-            range_subtract(&[(5, 10), (20, 25)], 0, 30),
+            gaps(&[(5, 10), (20, 25)], 0, 30),
             vec![(0, 5), (10, 20), (25, 30)]
         );
+        assert_eq!(gaps(&[(0, 10), (20, 25)], 5, 22), vec![(10, 20)]);
+        assert_eq!(gaps(&[(0, 10)], 2, 8), vec![]);
     }
 
     #[test]
@@ -1072,9 +885,9 @@ mod tests {
             }
         }
         assert!(
-            s.conn_sent <= INITIAL_MAX_DATA,
+            s.wire.conn_sent <= INITIAL_MAX_DATA,
             "sender violated flow control: {} > {}",
-            s.conn_sent,
+            s.wire.conn_sent,
             INITIAL_MAX_DATA
         );
     }

@@ -1,61 +1,24 @@
-//! The TCP sender state machine.
+//! The TCP wire half: a NewReno byte stream.
 //!
-//! [`TcpSender`] sends a byte stream split into application *transfers*
-//! (video chunks, HTTP responses). It implements:
+//! [`TcpWire`] splits one byte stream into application *transfers* (video
+//! chunks, HTTP responses) and implements what is TCP about sending them:
 //!
-//! - sliding-window transmission limited by the congestion window,
-//! - NewReno loss recovery: duplicate-ACK fast retransmit, partial-ACK
-//!   retransmission during recovery, RTO with exponential backoff,
-//! - pacing via [`Pacer`] — the application-informed pacing mechanism:
-//!   each transfer carries an optional pace rate that upper-bounds the
-//!   release rate of its bytes (§3.2 of the paper),
-//! - slow-start restart after idle periods,
-//! - telemetry: retransmitted bytes, total bytes, per-packet RTT samples
-//!   recorded in a t-digest, per-transfer timings (for chunk throughput).
+//! - the `snd_una / snd_nxt / stream_end` sequence space and MSS framing,
+//! - cumulative-ACK parsing and duplicate-ACK counting,
+//! - NewReno loss detection and recovery: fast retransmit on the third
+//!   duplicate ACK, one hole per partial ACK, go-back-N after an RTO.
 //!
-//! The sender is not itself a [`netsim::Endpoint`]; host endpoints own one
-//! or more senders and forward ACKs/timers to them (see
-//! [`crate::endpoint::SenderEndpoint`] for a ready-made wrapper).
+//! *When* a segment may leave — the congestion window's pacing, the
+//! application-informed pace rate (§3.2 of the paper), timer backoff, idle
+//! restart — and all telemetry live in [`SenderCore`], shared with QUIC.
+//! [`TcpSender`] is the two joined.
 
-use crate::cc::{CcAlgorithm, CongestionControl};
-use crate::mux::Protocol;
-use crate::pacing::Pacer;
-use crate::rtt::RttEstimator;
-use netsim::{FlowId, NodeId, Packet, Payload, Rate, SimDuration, SimTime, MSS_BYTES};
+use crate::core::{CompletedTransfer, Frame, Sender, SenderCore, TcpConfig, Wire};
+use netsim::{Packet, Payload, Rate, SimTime, MSS_BYTES};
 use std::collections::VecDeque;
-use tdigest::TDigest;
 
-/// Configuration for a transport sender (TCP or QUIC — the name predates
-/// the QUIC-style transport; every field applies to both).
-#[derive(Debug, Clone)]
-pub struct TcpConfig {
-    /// Wire protocol: TCP byte stream or QUIC-style streams.
-    pub transport: Protocol,
-    /// Congestion-control algorithm.
-    pub cc: CcAlgorithm,
-    /// Maximum line-rate burst in packets (applies even when unpaced; the
-    /// production default in the paper is 40).
-    pub max_burst_packets: u32,
-    /// Restart from the initial window after an idle period longer than one
-    /// RTO (slow-start restart), as production stacks do.
-    pub idle_restart: bool,
-    /// Maximum segment lifetime of the flow's send buffer in bytes — how
-    /// far ahead of `snd_una` the application may queue. Effectively the
-    /// socket send-buffer size.
-    pub send_buffer: u64,
-}
-
-impl Default for TcpConfig {
-    fn default() -> Self {
-        TcpConfig {
-            transport: Protocol::Tcp,
-            cc: CcAlgorithm::Reno,
-            max_burst_packets: 40,
-            idle_restart: true,
-            send_buffer: 64 * 1024 * 1024,
-        }
-    }
-}
+/// NewReno TCP sender with application-informed pacing.
+pub type TcpSender = Sender<TcpWire>;
 
 /// A queued or in-progress application transfer (one chunk / response).
 #[derive(Debug, Clone)]
@@ -72,73 +35,16 @@ struct Transfer {
     started_at: Option<SimTime>,
 }
 
-/// A completed transfer report.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct CompletedTransfer {
-    /// Application-assigned transfer id.
-    pub id: u64,
-    /// Payload bytes transferred.
-    pub bytes: u64,
-    /// When the transfer was queued by the application.
-    pub queued_at: SimTime,
-    /// When the first byte was sent.
-    pub started_at: SimTime,
-    /// When the last byte was cumulatively acknowledged.
-    pub completed_at: SimTime,
-}
-
-impl CompletedTransfer {
-    /// Goodput of this transfer in bits/sec, measured from first send to
-    /// completion — the paper's "chunk throughput".
-    pub fn throughput(&self) -> Rate {
-        let dur = self.completed_at.saturating_since(self.started_at);
-        if dur.is_zero() {
-            return Rate::ZERO;
-        }
-        Rate::from_bps(self.bytes as f64 * 8.0 / dur.as_secs_f64())
+impl Transfer {
+    fn contains(&self, offset: u64) -> bool {
+        self.start <= offset && offset < self.end
     }
 }
 
-/// Telemetry counters exposed by the sender.
-#[derive(Debug, Clone, Default)]
-pub struct SenderStats {
-    /// Payload bytes sent, including retransmissions.
-    pub bytes_sent: u64,
-    /// Payload bytes retransmitted.
-    pub retx_bytes: u64,
-    /// Data packets sent, including retransmissions.
-    pub packets_sent: u64,
-    /// Data packets retransmitted.
-    pub retx_packets: u64,
-    /// Fast-retransmit loss events.
-    pub loss_events: u64,
-    /// Retransmission timeouts.
-    pub rtos: u64,
-}
-
-impl SenderStats {
-    /// Fraction of sent bytes that were retransmissions — the paper's
-    /// "% retransmits" congestion metric (§5.1).
-    pub fn retransmit_fraction(&self) -> f64 {
-        if self.bytes_sent == 0 {
-            0.0
-        } else {
-            self.retx_bytes as f64 / self.bytes_sent as f64
-        }
-    }
-}
-
-/// NewReno TCP sender with application-informed pacing.
+/// TCP protocol state: sequence space and NewReno recovery.
 #[derive(Debug)]
-pub struct TcpSender {
-    src: NodeId,
-    dst: NodeId,
-    flow: FlowId,
-    cfg: TcpConfig,
-
-    cc: Box<dyn CongestionControl>,
-    pacer: Pacer,
-    rtt: RttEstimator,
+pub struct TcpWire {
+    send_buffer: u64,
 
     /// Lowest unacknowledged byte.
     snd_una: u64,
@@ -153,72 +59,34 @@ pub struct TcpSender {
     recover: Option<u64>,
     /// Next byte to (re)send inside the recovery hole, if any.
     retx_next: Option<u64>,
-
-    /// RTO deadline, if data is in flight.
-    rto_deadline: Option<SimTime>,
-    /// Consecutive RTO backoff exponent.
-    rto_backoff: u32,
     /// Send epoch: bumped on RTO so stale ACK info can be recognized.
     round: u64,
 
-    /// Last time any segment was sent (for idle restart).
-    last_send: Option<SimTime>,
-
     transfers: VecDeque<Transfer>,
-    completed: Vec<CompletedTransfer>,
     next_transfer_id: u64,
-
-    /// Telemetry.
-    stats: SenderStats,
-    rtt_digest: TDigest,
 }
 
-impl TcpSender {
-    /// Create a sender for a flow from `src` to `dst`.
-    pub fn new(src: NodeId, dst: NodeId, flow: FlowId, cfg: TcpConfig) -> Self {
-        let pacer = Pacer::unlimited(cfg.max_burst_packets);
-        let cc = cfg.cc.build();
-        TcpSender {
-            src,
-            dst,
-            flow,
-            cfg,
-            cc,
-            pacer,
-            rtt: RttEstimator::new(),
+impl Wire for TcpWire {
+    const SANITY_TAG: &'static str = "tcp-sender-sanity";
+
+    fn new(cfg: &TcpConfig) -> Self {
+        TcpWire {
+            send_buffer: cfg.send_buffer,
             snd_una: 0,
             snd_nxt: 0,
             stream_end: 0,
             dup_acks: 0,
             recover: None,
             retx_next: None,
-            rto_deadline: None,
-            rto_backoff: 0,
             round: 0,
-            last_send: None,
             transfers: VecDeque::new(),
-            completed: Vec::new(),
             next_transfer_id: 0,
-            stats: SenderStats::default(),
-            rtt_digest: TDigest::new(100.0),
         }
     }
 
-    /// The flow id this sender transmits on.
-    pub fn flow(&self) -> FlowId {
-        self.flow
-    }
-
-    /// Queue an application transfer of `bytes`, paced at `pace` (or
-    /// unpaced if `None`). Returns the transfer id.
-    ///
-    /// The pace rate applies from the moment this transfer's first byte is
-    /// released; queuing a transfer with a different rate changes the pacer
-    /// when the stream reaches it.
-    pub fn start_transfer(&mut self, now: SimTime, bytes: u64, pace: Option<Rate>) -> u64 {
-        assert!(bytes > 0, "empty transfer");
+    fn start_transfer(&mut self, now: SimTime, bytes: u64, pace: Option<Rate>) -> u64 {
         debug_assert!(
-            self.stream_end - self.snd_una + bytes <= self.cfg.send_buffer,
+            self.stream_end - self.snd_una + bytes <= self.send_buffer,
             "send buffer overflow"
         );
         let id = self.next_transfer_id;
@@ -236,84 +104,105 @@ impl TcpSender {
         id
     }
 
-    /// Change the pace rate of a queued or active transfer. Applies
-    /// immediately if the transfer is currently transmitting.
-    pub fn set_transfer_pace(&mut self, now: SimTime, id: u64, pace: Option<Rate>) {
-        let mut is_active = false;
+    fn set_pace(&mut self, id: u64, pace: Option<Rate>) -> bool {
         let snd_nxt = self.snd_nxt;
-        if let Some(t) = self.transfers.iter_mut().find(|t| t.id == id) {
-            t.pace = pace;
-            is_active = t.start <= snd_nxt && snd_nxt < t.end;
-        }
-        if is_active {
-            self.pacer.set_rate(now, pace);
-        }
+        self.transfers
+            .iter_mut()
+            .find(|t| t.id == id)
+            .is_some_and(|t| {
+                t.pace = pace;
+                t.contains(snd_nxt)
+            })
     }
 
-    /// Drain completed-transfer reports accumulated since the last call.
-    pub fn take_completed(&mut self) -> Vec<CompletedTransfer> {
-        std::mem::take(&mut self.completed)
-    }
-
-    /// True when every queued byte has been acknowledged.
-    pub fn is_idle(&self) -> bool {
+    fn is_idle(&self) -> bool {
         self.snd_una == self.stream_end
     }
 
-    /// Bytes in flight (sent but unacknowledged).
-    pub fn bytes_in_flight(&self) -> u64 {
+    fn bytes_in_flight(&self) -> u64 {
         self.snd_nxt - self.snd_una
     }
 
-    /// Current congestion window in bytes.
-    pub fn cwnd(&self) -> u64 {
-        self.cc.cwnd()
-    }
-
-    /// The congestion-control algorithm's name.
-    pub fn cc_name(&self) -> &'static str {
-        self.cc.name()
-    }
-
-    /// Telemetry counters.
-    pub fn stats(&self) -> &SenderStats {
-        &self.stats
-    }
-
-    /// Per-packet RTT samples (t-digest), as recorded by this connection.
-    pub fn rtt_digest(&self) -> &TDigest {
-        &self.rtt_digest
-    }
-
-    /// Smoothed RTT estimate.
-    pub fn srtt(&self) -> Option<SimDuration> {
-        self.rtt.srtt()
-    }
-
-    /// When the sender next needs a timer callback ([`TcpSender::on_tick`]):
-    /// the earlier of the RTO deadline and the pacer release time (when the
-    /// window has room but pacing blocks). `None` if nothing is pending.
-    pub fn next_wakeup(&mut self, now: SimTime) -> Option<SimTime> {
-        let mut wake = self.rto_deadline;
-        if self.can_send_more() {
-            let seg = self.next_segment_len();
-            if let Some(t) = self.pacer.next_release(now, seg + netsim::HEADER_BYTES) {
-                wake = Some(wake.map_or(t, |w| w.min(t)));
+    fn peek(&self, cwnd: u64) -> Option<Frame> {
+        // Priority 1: the recovery hole (one per partial ACK / entry). It
+        // replaces bytes already counted in flight, so cwnd does not apply.
+        if let (Some(next), Some(recover)) = (self.retx_next, self.recover) {
+            if next < recover {
+                return Some(Frame {
+                    stream: 0,
+                    offset: next,
+                    len: MSS_BYTES.min(recover - next),
+                    retx: true,
+                });
             }
         }
-        wake
+        self.peek_paced(cwnd)
     }
 
-    /// Handle an arriving cumulative ACK. Newly permitted segments are
-    /// pushed into `out`.
-    pub fn on_ack(
-        &mut self,
-        now: SimTime,
-        cum_ack: u64,
-        echo_ts: SimTime,
-        _round: u64,
-        out: &mut Vec<Packet>,
-    ) {
+    /// New data within cwnd. A recovery retransmit the pacer held back is
+    /// not scheduled: NewReno's recovery is ACK-clocked (one hole per
+    /// partial ACK), so it is retried on the next ACK — or on this wakeup
+    /// if the window also has room — with the RTO as backstop.
+    fn peek_paced(&self, cwnd: u64) -> Option<Frame> {
+        // Always a full segment once permitted to send at all; sub-MSS
+        // nibbles would stall recovery.
+        if self.snd_nxt == self.stream_end || self.bytes_in_flight() >= cwnd {
+            return None;
+        }
+        Some(Frame {
+            stream: 0,
+            offset: self.snd_nxt,
+            len: MSS_BYTES.min(self.stream_end - self.snd_nxt),
+            retx: false,
+        })
+    }
+
+    fn commit(&mut self, now: SimTime, frame: &Frame) -> Payload {
+        if let Some(t) = self.transfers.iter_mut().find(|t| t.contains(frame.offset)) {
+            t.started_at.get_or_insert(now);
+        }
+        if frame.retx {
+            self.retx_next = None;
+        } else {
+            self.snd_nxt += frame.len;
+        }
+        Payload::Data {
+            offset: frame.offset,
+            len: frame.len as u32,
+            retx: frame.retx,
+            round: self.round,
+        }
+    }
+
+    fn pace_of(&self, frame: &Frame) -> Option<Rate> {
+        self.transfers
+            .iter()
+            .find(|t| t.contains(frame.offset))
+            .and_then(|t| t.pace)
+    }
+
+    fn app_limited(&self, cwnd: u64) -> bool {
+        self.snd_nxt == self.stream_end && self.bytes_in_flight() < cwnd
+    }
+
+    fn on_timeout(&mut self) {
+        self.round += 1;
+        self.dup_acks = 0;
+        self.recover = None;
+        self.retx_next = None;
+        // Go-back-N from the hole.
+        self.snd_nxt = self.snd_una;
+    }
+
+    /// Process a cumulative ACK: advance the window, run NewReno's
+    /// recovery state machine, and count duplicate ACKs.
+    fn on_ack(&mut self, core: &mut SenderCore, now: SimTime, payload: &Payload) -> bool {
+        let Payload::Ack {
+            cum_ack, echo_ts, ..
+        } = *payload
+        else {
+            return false;
+        };
         if cum_ack > self.snd_una {
             // New data acknowledged.
             let newly_acked = cum_ack - self.snd_una;
@@ -322,24 +211,12 @@ impl TcpSender {
             // before the reset can move snd_una past snd_nxt; restore the
             // invariant snd_nxt >= snd_una or in-flight accounting
             // underflows and the connection wedges.
-            if self.snd_nxt < self.snd_una {
-                self.snd_nxt = self.snd_una;
-            }
+            self.snd_nxt = self.snd_nxt.max(self.snd_una);
             self.dup_acks = 0;
-            self.rto_backoff = 0;
-
-            // RTT sample from the echoed timestamp (timestamp option
-            // semantics: valid even for retransmissions).
-            let rtt = now.checked_since(echo_ts);
-            if let Some(r) = rtt {
-                self.rtt.on_sample(r);
-                self.rtt_digest.add(r.as_millis_f64());
-                obs::observe!(
-                    "transport.srtt_ms",
-                    self.rtt.srtt().unwrap_or(r).as_millis_f64()
-                );
-                obs::gauge!("transport.cwnd_bytes", self.cc.cwnd() as f64);
-            }
+            // Every advancing cumulative ACK is progress; its echoed
+            // timestamp is valid even for retransmissions (timestamp
+            // option semantics).
+            let rtt = core.on_progress(now, echo_ts);
 
             let mut in_recovery = self.recover.is_some();
             if let Some(recover) = self.recover {
@@ -353,120 +230,40 @@ impl TcpSender {
                     self.retx_next = Some(cum_ack);
                 }
             }
-            self.cc.on_ack(now, newly_acked, rtt, in_recovery);
-            self.cc.on_inflight(now, self.bytes_in_flight());
+            core.on_acked(now, newly_acked, rtt, in_recovery, self.bytes_in_flight());
 
-            self.complete_transfers(now);
+            while let Some(t) = self.transfers.front().filter(|t| self.snd_una >= t.end) {
+                core.complete(CompletedTransfer {
+                    id: t.id,
+                    bytes: t.end - t.start,
+                    queued_at: t.queued_at,
+                    started_at: t.started_at.unwrap_or(t.queued_at),
+                    completed_at: now,
+                });
+                self.transfers.pop_front();
+            }
 
             if self.snd_una == self.snd_nxt {
-                self.rto_deadline = None;
+                core.clear_timeout();
             } else {
-                self.arm_rto(now);
+                core.arm_timeout(now);
             }
         } else if cum_ack == self.snd_una && self.snd_nxt > self.snd_una {
             // Duplicate ACK.
             self.dup_acks += 1;
             if self.dup_acks == 3 && self.recover.is_none() {
                 // Fast retransmit: enter recovery.
-                self.stats.loss_events += 1;
-                self.cc.on_loss_event(now);
-                obs::counter!("transport.loss_events", 1);
-                obs::trace_event!(TcpLossEvent, now.as_nanos(), self.cc.cwnd(), 0);
+                core.on_loss_event(now);
                 self.recover = Some(self.snd_nxt);
                 self.retx_next = Some(self.snd_una);
-                self.arm_rto(now);
+                core.arm_timeout(now);
             }
         }
-        self.pump(now, out);
+        true
     }
 
-    /// Timer callback: handles RTO expiry and pacing-released transmission.
-    pub fn on_tick(&mut self, now: SimTime, out: &mut Vec<Packet>) {
-        if let Some(deadline) = self.rto_deadline {
-            if now >= deadline && self.snd_nxt > self.snd_una {
-                // Retransmission timeout.
-                self.stats.rtos += 1;
-                self.cc.on_rto(now);
-                obs::counter!("transport.rtos", 1);
-                obs::trace_event!(TcpRto, now.as_nanos(), self.cc.cwnd(), 0);
-                self.rto_backoff = (self.rto_backoff + 1).min(10);
-                self.round += 1;
-                self.dup_acks = 0;
-                self.recover = None;
-                // Go-back-N from the hole.
-                self.snd_nxt = self.snd_una;
-                self.retx_next = None;
-                self.arm_rto(now);
-            }
-        }
-        self.pump(now, out);
-    }
-
-    /// Kick transmission without an ACK or timer (e.g. right after the
-    /// application queues a transfer).
-    pub fn pump(&mut self, now: SimTime, out: &mut Vec<Packet>) {
-        // Slow-start restart after idle.
-        if self.cfg.idle_restart {
-            if let Some(last) = self.last_send {
-                if self.snd_una == self.snd_nxt
-                    && now.saturating_since(last) > self.rtt.rto()
-                    && self.snd_nxt < self.stream_end
-                {
-                    self.cc.on_idle_restart(now);
-                }
-            }
-        }
-
-        loop {
-            // Priority 1: recovery retransmissions.
-            if let (Some(next), Some(recover)) = (self.retx_next, self.recover) {
-                if next < recover {
-                    let len = self.segment_len_at(next, recover);
-                    let wire = len + netsim::HEADER_BYTES;
-                    if !self.pacer.can_send(now, wire) {
-                        break;
-                    }
-                    self.emit_segment(now, next, len, true, out);
-                    self.retx_next = None; // one hole per partial ACK / entry
-                    continue;
-                }
-                self.retx_next = None;
-            }
-
-            // Priority 2: new data within cwnd.
-            if !self.can_send_more() {
-                // Out of data (not window): the path is app-limited, so
-                // delivery-rate samples must not be taken at face value.
-                if self.snd_nxt == self.stream_end && self.bytes_in_flight() < self.cc.cwnd() {
-                    self.cc.on_app_limited(now);
-                }
-                break;
-            }
-            let len = self.next_segment_len();
-            let wire = len + netsim::HEADER_BYTES;
-            if !self.pacer.can_send(now, wire) {
-                break;
-            }
-            self.sync_pacer_rate(now);
-            // Re-check after a possible rate change.
-            if !self.pacer.can_send(now, wire) {
-                break;
-            }
-            let offset = self.snd_nxt;
-            self.emit_segment(now, offset, len, false, out);
-            self.snd_nxt += len;
-            if self.rto_deadline.is_none() {
-                self.arm_rto(now);
-            }
-        }
-        self.check_invariants();
-    }
-
-    /// Sender sanity (validate feature): sequence-space ordering, in-flight
-    /// bounded by the send buffer, cwnd never below one MSS, and the pace
-    /// (when set) finite, positive, and under a 1 Tbps sanity cap. Checked
-    /// at the end of [`pump`](Self::pump), which every ACK/timer/app path
-    /// funnels through.
+    /// TCP sanity (validate feature): sequence-space ordering and in-flight
+    /// bounded by the send buffer.
     #[cfg(feature = "validate")]
     fn check_invariants(&self) {
         netsim::invariant!(
@@ -479,144 +276,40 @@ impl TcpSender {
         );
         netsim::invariant!(
             "tcp-sender-sanity",
-            self.bytes_in_flight() <= self.cfg.send_buffer,
+            self.bytes_in_flight() <= self.send_buffer,
             "inflight {} exceeds send buffer {}",
             self.bytes_in_flight(),
-            self.cfg.send_buffer
+            self.send_buffer
         );
-        netsim::invariant!(
-            "tcp-sender-sanity",
-            self.cc.cwnd() >= MSS_BYTES,
-            "cwnd {} below one MSS",
-            self.cc.cwnd()
-        );
-        if let Some(rate) = self.pacer.rate() {
-            netsim::invariant!(
-                "pacing-rate-bounds",
-                rate.bps().is_finite() && rate.bps() > 0.0 && rate.bps() <= 1e12,
-                "pace {} bps outside (0, 1e12]",
-                rate.bps()
-            );
-        }
     }
+}
 
-    #[cfg(not(feature = "validate"))]
-    #[inline(always)]
-    fn check_invariants(&self) {}
-
-    /// Can a new (non-retransmitted) segment be sent under cwnd and data
-    /// availability?
-    fn can_send_more(&self) -> bool {
-        self.snd_nxt < self.stream_end && self.bytes_in_flight() < self.cc.cwnd()
-    }
-
-    fn next_segment_len(&self) -> u64 {
-        let remaining_data = self.stream_end - self.snd_nxt;
-        let window_room = self.cc.cwnd().saturating_sub(self.bytes_in_flight());
-        // Always allow at least one full segment of window room once we are
-        // permitted to send at all; sub-MSS nibbles would stall recovery.
-        let cap = window_room.max(MSS_BYTES);
-        MSS_BYTES.min(remaining_data).min(cap)
-    }
-
-    fn segment_len_at(&self, offset: u64, limit: u64) -> u64 {
-        MSS_BYTES.min(limit - offset)
-    }
-
-    fn emit_segment(
+impl TcpSender {
+    /// Handle an arriving cumulative ACK. Newly permitted segments are
+    /// pushed into `out`.
+    pub fn on_ack(
         &mut self,
         now: SimTime,
-        offset: u64,
-        len: u64,
-        retx: bool,
+        cum_ack: u64,
+        echo_ts: SimTime,
+        round: u64,
         out: &mut Vec<Packet>,
     ) {
-        debug_assert!(len > 0);
-        let pkt = Packet::new(
-            self.src,
-            self.dst,
-            self.flow,
-            Payload::Data {
-                offset,
-                len: len as u32,
-                retx,
-                round: self.round,
-            },
-        );
-        self.pacer.on_send(now, pkt.size);
-        self.stats.bytes_sent += len;
-        self.stats.packets_sent += 1;
-        if retx {
-            self.stats.retx_bytes += len;
-            self.stats.retx_packets += 1;
-            obs::counter!("transport.retx_packets", 1);
-        }
-        self.note_transfer_start(now, offset);
-        self.last_send = Some(now);
-        out.push(pkt);
-    }
-
-    /// Update the pacer to the effective pace rate at `snd_nxt`: the
-    /// minimum of the active transfer's application-informed rate and any
-    /// rate the congestion controller itself requests (BBR-style).
-    fn sync_pacer_rate(&mut self, now: SimTime) {
-        let nxt = self.snd_nxt;
-        let app = self
-            .transfers
-            .iter()
-            .find(|t| t.start <= nxt && nxt < t.end)
-            .and_then(|t| t.pace);
-        let cc = self.cc.pacing_rate();
-        let rate = match (app, cc) {
-            (Some(a), Some(c)) => Some(a.min(c)),
-            (Some(a), None) => Some(a),
-            (None, Some(c)) => Some(c),
-            (None, None) => None,
+        let ack = Payload::Ack {
+            cum_ack,
+            echo_ts,
+            round,
         };
-        if self.pacer.rate().map(|r| r.bps()) != rate.map(|r| r.bps()) {
-            // `_new`: referenced only from the obs expansion.
-            if let Some(_new) = rate {
-                obs::observe!("transport.pacing_rate_mbps", _new.bps() / 1e6);
-            }
-            self.pacer.set_rate(now, rate);
-        }
-    }
-
-    fn note_transfer_start(&mut self, now: SimTime, offset: u64) {
-        for t in self.transfers.iter_mut() {
-            if t.start <= offset && offset < t.end && t.started_at.is_none() {
-                t.started_at = Some(now);
-            }
-        }
-    }
-
-    fn complete_transfers(&mut self, now: SimTime) {
-        while let Some(front) = self.transfers.front() {
-            if self.snd_una >= front.end {
-                let t = self.transfers.pop_front().expect("checked front");
-                self.completed.push(CompletedTransfer {
-                    id: t.id,
-                    bytes: t.end - t.start,
-                    queued_at: t.queued_at,
-                    started_at: t.started_at.unwrap_or(t.queued_at),
-                    completed_at: now,
-                });
-            } else {
-                break;
-            }
-        }
-    }
-
-    fn arm_rto(&mut self, now: SimTime) {
-        let rto = self.rtt.rto().saturating_mul(1 << self.rto_backoff);
-        self.rto_deadline = Some(now + rto);
+        self.wire.on_ack(&mut self.core, now, &ack);
+        self.pump(now, out);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use netsim::HEADER_BYTES;
+    use crate::core::SenderStats;
+    use netsim::{FlowId, NodeId, SimDuration, HEADER_BYTES};
 
     fn sender() -> TcpSender {
         TcpSender::new(NodeId(0), NodeId(1), FlowId(1), TcpConfig::default())
@@ -660,7 +353,7 @@ mod tests {
         s.pump(SimTime::ZERO, &mut out);
         // IW = 10 segments.
         assert_eq!(out.len(), 10);
-        assert_eq!(s.bytes_in_flight(), 10 * MSS_BYTES);
+        assert_eq!(s.wire.bytes_in_flight(), 10 * MSS_BYTES);
         let (o, e, retx) = data_range(&out[0]);
         assert_eq!((o, e, retx), (0, MSS_BYTES, false));
     }
@@ -675,12 +368,12 @@ mod tests {
         out.clear();
         // ACK everything: slow start doubles cwnd; roughly 2x packets flow.
         let t1 = SimTime::from_millis(10);
-        s.on_ack(t1, s.bytes_in_flight(), SimTime::ZERO, 0, &mut out);
+        s.on_ack(t1, s.wire.bytes_in_flight(), SimTime::ZERO, 0, &mut out);
         assert!(
             out.len() >= first_burst,
             "slow start should open the window"
         );
-        assert!(s.srtt().is_some());
+        assert!(s.core().srtt().is_some());
     }
 
     #[test]
@@ -715,7 +408,7 @@ mod tests {
         let mut out = Vec::new();
         s.start_transfer(SimTime::ZERO, 100_000, None);
         s.pump(SimTime::ZERO, &mut out);
-        let w0 = s.cwnd();
+        let w0 = s.core().cwnd();
         out.clear();
 
         // First segment lost: receiver keeps ACKing 0... wait, receiver
@@ -726,7 +419,7 @@ mod tests {
         }
         s.on_ack(SimTime::from_millis(6), 0, SimTime::ZERO, 0, &mut out);
         assert_eq!(s.stats().loss_events, 1);
-        assert!(s.cwnd() < w0);
+        assert!(s.core().cwnd() < w0);
         // The retransmission of the first segment must be in `out`.
         let retxs: Vec<_> = out.iter().filter(|p| data_range(p).2).collect();
         assert_eq!(retxs.len(), 1);
@@ -739,7 +432,7 @@ mod tests {
         let mut out = Vec::new();
         s.start_transfer(SimTime::ZERO, 50_000, None);
         s.pump(SimTime::ZERO, &mut out);
-        let flight = s.bytes_in_flight();
+        let flight = s.wire.bytes_in_flight();
         for _ in 0..3 {
             s.on_ack(SimTime::from_millis(5), 0, SimTime::ZERO, 0, &mut out);
         }
@@ -766,7 +459,7 @@ mod tests {
         let deadline = s.next_wakeup(SimTime::ZERO).expect("rto armed");
         s.on_tick(deadline, &mut out);
         assert_eq!(s.stats().rtos, 1);
-        assert_eq!(s.cwnd(), MSS_BYTES);
+        assert_eq!(s.core().cwnd(), MSS_BYTES);
         // Go-back-N restart: first segment retransmitted.
         assert!(!out.is_empty());
         let (o, _, _) = data_range(&out[0]);
@@ -837,7 +530,7 @@ mod tests {
                     wire_bytes += len as u64 + HEADER_BYTES;
                 }
             }
-            acked += s.bytes_in_flight();
+            acked += s.wire.bytes_in_flight();
             s.on_ack(now, acked, now, 0, &mut out);
             if s.is_idle() && out.is_empty() {
                 finished_at = Some(now);
@@ -870,13 +563,13 @@ mod tests {
         s.start_transfer(SimTime::ZERO, 2 * MSS_BYTES, Some(Rate::from_mbps(100.0)));
         s.pump(SimTime::ZERO, &mut out);
         // Still inside the first transfer: pacer at 1 Mbps.
-        assert_eq!(s.pacer.rate().map(|r| r.mbps()), Some(1.0));
+        assert_eq!(s.core().pacing_rate().map(|r| r.mbps()), Some(1.0));
         // ACK what's outstanding; the window opens and the stream eventually
         // crosses into the second transfer, switching the pacer.
         let mut now = SimTime::ZERO;
         for _ in 0..200 {
             now += SimDuration::from_millis(100);
-            s.on_ack(now, s.snd_nxt, now, 0, &mut out);
+            s.on_ack(now, s.wire.snd_nxt, now, 0, &mut out);
             if s.is_idle() {
                 break;
             }
@@ -886,7 +579,7 @@ mod tests {
             }
         }
         assert!(s.is_idle());
-        assert_eq!(s.pacer.rate().map(|r| r.mbps()), Some(100.0));
+        assert_eq!(s.core().pacing_rate().map(|r| r.mbps()), Some(100.0));
         assert_eq!(s.take_completed().len(), 2);
     }
 
@@ -911,7 +604,7 @@ mod tests {
         let mut out = Vec::new();
         s.start_transfer(SimTime::ZERO, 100_000, None);
         s.pump(SimTime::ZERO, &mut out);
-        let sent = s.snd_nxt;
+        let sent = s.wire.snd_nxt;
         assert!(sent > 0);
 
         // RTO fires with everything unacked.
@@ -929,9 +622,9 @@ mod tests {
             &mut out,
         );
         assert!(
-            s.bytes_in_flight() < 1 << 40,
+            s.wire.bytes_in_flight() < 1 << 40,
             "flight underflowed: {}",
-            s.bytes_in_flight()
+            s.wire.bytes_in_flight()
         );
 
         // The connection keeps making progress to completion.
@@ -942,43 +635,10 @@ mod tests {
                 break;
             }
             now += SimDuration::from_millis(5);
-            acked += s.bytes_in_flight();
+            acked += s.wire.bytes_in_flight();
             s.on_ack(now, acked, now, 0, &mut out);
             s.on_tick(now, &mut out);
         }
         assert!(s.is_idle(), "transfer wedged after late ACK");
-    }
-
-    #[test]
-    fn idle_restart_resets_cwnd() {
-        let mut s = sender();
-        let mut out = Vec::new();
-        s.start_transfer(SimTime::ZERO, 1_000_000, None);
-        s.pump(SimTime::ZERO, &mut out);
-        // Grow the window a lot.
-        let mut now = SimTime::ZERO;
-        for _ in 0..20 {
-            now += SimDuration::from_millis(10);
-            s.on_ack(
-                now,
-                s.snd_nxt,
-                now - SimDuration::from_millis(10),
-                0,
-                &mut out,
-            );
-        }
-        assert!(s.cwnd() > 20 * MSS_BYTES);
-        assert!(s.is_idle());
-
-        // Long idle, then a new transfer: window restarts at IW.
-        let later = now + SimDuration::from_secs(30);
-        s.start_transfer(later, 100_000, None);
-        out.clear();
-        s.pump(later, &mut out);
-        assert_eq!(
-            out.len(),
-            10,
-            "slow-start restart should cap the burst at IW"
-        );
     }
 }

@@ -11,12 +11,13 @@
 
 use sammy_repro::netsim::invariants::{panic_message, violation_tag};
 use sammy_repro::netsim::{
-    Dumbbell, DumbbellConfig, FlowId, Packet, Payload, SimDuration, SimTime, Simulator,
+    Dumbbell, DumbbellConfig, FlowId, NodeId, Packet, Payload, Rate, SimDuration, SimTime,
+    Simulator, MSS_BYTES,
 };
 use sammy_repro::sammy_bench::lab::{
     chaos_fluid_download, chaos_packet_download, chaos_profile, single_flow, LabArm, LabConfig,
 };
-use sammy_repro::transport::{ReceiverEndpoint, SenderEndpoint, TcpConfig};
+use sammy_repro::transport::{QuicSender, ReceiverEndpoint, SenderEndpoint, TcpConfig};
 use sammy_repro::video::{FixedRung, Ladder, Player, PlayerConfig, Title, TitleConfig, VmafModel};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
@@ -129,6 +130,36 @@ fn negative_buffer_mutant_trips_player_conservation() {
     expect_violation("player-buffer-conservation", || {
         p.mutant_negative_buffer();
         p.advance_to(now + SimDuration::from_millis(1));
+    });
+}
+
+/// The bug the sender core removed, re-introduced: a QUIC retransmission
+/// taken off its queue before the pacing gate and dropped on the pacer's
+/// "no". The byte ledger (lost = retransmitted + acked + queued) must
+/// notice on the very next pump.
+#[test]
+fn consume_before_gate_mutant_trips_retx_queue_conservation() {
+    // Sammy's operating point: a trickle pace, a loss, an empty pacer.
+    let cfg = TcpConfig {
+        max_burst_packets: 4,
+        ..Default::default()
+    };
+    let mut s = QuicSender::new(NodeId(0), NodeId(1), FlowId(1), cfg);
+    let mut out = Vec::new();
+    let pace = Some(Rate::from_bps(100_000.0));
+    s.start_transfer(SimTime::ZERO, 5 * MSS_BYTES, pace);
+    s.pump(SimTime::ZERO, &mut out);
+    assert_eq!(out.len(), 4, "burst-limited initial send");
+    // ACK only packet 3: packet 0 is declared lost, and its retransmission
+    // waits in the queue because the pacer has no tokens.
+    let t1 = SimTime::from_millis(10);
+    let ranges = [(3, 4), (0, 0), (0, 0)];
+    s.on_quic_ack(t1, 3, SimTime::ZERO, &ranges, 8 << 20, &mut out);
+    assert_eq!(s.stats().loss_events, 1);
+    assert_eq!(out.len(), 4, "retransmission held back by the pacer");
+    expect_violation("retx-queue-conservation", || {
+        s.mutant_consume_before_gate();
+        s.pump(t1, &mut out);
     });
 }
 
