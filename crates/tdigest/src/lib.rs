@@ -26,7 +26,10 @@
 //! ```
 
 use serde::{Deserialize, Serialize};
+use std::borrow::Cow;
 
+#[cfg(test)]
+mod oracle;
 pub mod wire;
 
 /// A single centroid: a weighted point summarizing `weight` samples whose
@@ -46,12 +49,98 @@ pub struct Centroid {
 /// quantile span and keeps tails fine-grained.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct TDigest {
-    compression: f64,
+    scale: Scale,
     centroids: Vec<Centroid>,
+    /// Whether `centroids` is non-decreasing in `mean`. A reclustering pass
+    /// can leave neighbours an ulp out of order (a merged mean rounds past
+    /// the next centroid's); the next pass then has to sort first.
+    sorted: bool,
     buffer: Vec<f64>,
     count: f64,
     min: f64,
     max: f64,
+}
+
+/// The k1 scale function `k(q) = δ/2π · asin(2q − 1)` and the merge test
+/// built on it: a centroid may span at most one unit of k-space.
+///
+/// With `θ = 2π/δ`, `x = 2q − 1` and `α = asin x₀`, the test
+/// `k(q₂) − k(q₀) ≤ 1` is `asin x₂ ≤ α + θ`, which holds for every `x₂`
+/// once `x₀ ≥ cos θ` and is otherwise `x₂ ≤ sin(α + θ) = x₀·cos θ +
+/// √(1 − x₀²)·sin θ` — one `sqrt` instead of two `asin` (DESIGN.md §11).
+#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+struct Scale {
+    compression: f64,
+    cos_theta: f64,
+    sin_theta: f64,
+}
+
+/// The half of the merge test that depends only on `q₀`, fixed while one
+/// centroid grows.
+struct Span {
+    q0: f64,
+    /// `sin(α + θ)`, or NaN where `x₀` is too close to ±1 to compute it.
+    x2_limit: f64,
+    /// `x₀ ≥ cos θ`: the span reaches `q = 1` inside one k-unit.
+    open_ended: bool,
+}
+
+/// `sin(α + θ)` is compared with `x₂` only outside this distance. The float
+/// `k(q₂) − k(q₀)` is within a few ulps of `δ/4` (~1e-16·δ) of its real
+/// value and `dk/dx₂ ≥ δ/2π`, so this far from the real threshold it differs
+/// from 1 by ≥ 1.6e-10·δ and cannot round across.
+const X2_MARGIN: f64 = 1e-9;
+/// `√(1 − x₀²)` loses its relative accuracy as `|x₀| → 1`; inside this
+/// distance of ±1 the limit is not computed at all.
+const X0_MARGIN: f64 = 1e-6;
+/// How far out of order, relative to their magnitude, [`TDigest::decode`]
+/// lets neighbouring means be: far above the rounding of a pass of merges
+/// (~1e-15), far below any real disorder.
+const DECODE_ORDER_SLACK: f64 = 1e-9;
+
+impl Scale {
+    fn new(compression: f64) -> Self {
+        let theta = 2.0 * std::f64::consts::PI / compression;
+        Scale {
+            compression,
+            cos_theta: theta.cos(),
+            sin_theta: theta.sin(),
+        }
+    }
+
+    fn k(&self, q: f64) -> f64 {
+        let q = q.clamp(0.0, 1.0);
+        self.compression / (2.0 * std::f64::consts::PI) * (2.0 * q - 1.0).asin()
+    }
+
+    fn span_from(&self, q0: f64) -> Span {
+        let x0 = 2.0 * q0.clamp(0.0, 1.0) - 1.0;
+        let x2_limit = if x0.abs() <= 1.0 - X0_MARGIN {
+            x0 * self.cos_theta + (1.0 - x0 * x0).sqrt() * self.sin_theta
+        } else {
+            f64::NAN
+        };
+        Span {
+            q0,
+            x2_limit,
+            open_ended: x0 >= self.cos_theta,
+        }
+    }
+
+    /// `k(q2) − k(span.q0) <= 1`, with exactly the outcome of evaluating
+    /// that float expression.
+    fn within_one_k_unit(&self, span: &Span, q2: f64) -> bool {
+        let x2 = 2.0 * q2.clamp(0.0, 1.0) - 1.0;
+        if (x2 - span.x2_limit).abs() >= X2_MARGIN {
+            span.open_ended || x2 <= span.x2_limit
+        } else {
+            // Too close to call in the reals (or a NaN limit or `q`):
+            // evaluate the definition itself.
+            #[cfg(test)]
+            tests::VERBATIM_DECISIONS.with(|n| n.set(n.get() + 1));
+            self.k(q2) - self.k(span.q0) <= 1.0
+        }
+    }
 }
 
 impl Default for TDigest {
@@ -71,8 +160,9 @@ impl TDigest {
     pub fn new(compression: f64) -> Self {
         assert!(compression >= 10.0, "compression must be >= 10");
         TDigest {
-            compression,
+            scale: Scale::new(compression),
             centroids: Vec::new(),
+            sorted: true,
             buffer: Vec::new(),
             count: 0.0,
             min: f64::INFINITY,
@@ -82,7 +172,7 @@ impl TDigest {
 
     /// The compression parameter δ this digest was created with.
     pub fn compression(&self) -> f64 {
-        self.compression
+        self.scale.compression
     }
 
     /// Total number of samples added (including buffered ones).
@@ -91,8 +181,11 @@ impl TDigest {
     }
 
     /// True if no samples have been added.
+    ///
+    /// Tests the weight itself, not [`TDigest::count`]: a digest holding a
+    /// single sample of weight 0.3 counts 0 but is not empty.
     pub fn is_empty(&self) -> bool {
-        self.count() == 0
+        self.count == 0.0 && self.buffer.is_empty()
     }
 
     /// Smallest sample seen, or `None` if empty.
@@ -125,7 +218,7 @@ impl TDigest {
         self.max = self.max.max(value);
         self.buffer.push(value);
         // Compress when the buffer reaches a multiple of the centroid budget.
-        if self.buffer.len() >= (8.0 * self.compression) as usize {
+        if self.buffer.len() >= (8.0 * self.scale.compression) as usize {
             self.compress();
         }
     }
@@ -143,12 +236,19 @@ impl TDigest {
         self.flush_buffer();
         self.min = self.min.min(value);
         self.max = self.max.max(value);
-        self.centroids.push(Centroid {
+        let new = Centroid {
             mean: value,
             weight,
-        });
+        };
+        if self.sorted {
+            // Where a stable sort would put a centroid pushed at the end.
+            let at = self.centroids.partition_point(|c| c.mean <= value);
+            self.centroids.insert(at, new);
+        } else {
+            self.centroids.push(new);
+        }
         self.count += weight;
-        self.compress_centroids();
+        self.recluster();
     }
 
     /// Merge another digest into this one.
@@ -156,8 +256,7 @@ impl TDigest {
     /// Merging is how the paper combines per-connection RTT digests into a
     /// per-session digest. The result summarizes the union of both streams.
     pub fn merge(&mut self, other: &TDigest) {
-        let mut other = other.clone();
-        other.flush_buffer();
+        let other = other.flushed();
         if other.count == 0.0 {
             return;
         }
@@ -165,8 +264,9 @@ impl TDigest {
         self.min = self.min.min(other.min);
         self.max = self.max.max(other.max);
         self.centroids.extend_from_slice(&other.centroids);
+        self.sorted = false;
         self.count += other.count;
-        self.compress_centroids();
+        self.recluster();
     }
 
     /// Estimate the value at quantile `q` in `[0, 1]`.
@@ -177,9 +277,7 @@ impl TDigest {
         if q.is_nan() {
             return f64::NAN;
         }
-        let mut snapshot = self.clone();
-        snapshot.flush_buffer();
-        snapshot.quantile_inner(q.clamp(0.0, 1.0))
+        self.flushed().quantile_inner(q.clamp(0.0, 1.0))
     }
 
     /// Estimate the median (`quantile(0.5)`).
@@ -189,15 +287,12 @@ impl TDigest {
 
     /// Estimate the fraction of samples `<= value` (the CDF).
     pub fn cdf(&self, value: f64) -> f64 {
-        let mut snapshot = self.clone();
-        snapshot.flush_buffer();
-        snapshot.cdf_inner(value)
+        self.flushed().cdf_inner(value)
     }
 
     /// Mean of all samples.
     pub fn mean(&self) -> f64 {
-        let mut snapshot = self.clone();
-        snapshot.flush_buffer();
+        let snapshot = self.flushed();
         if snapshot.count == 0.0 {
             return f64::NAN;
         }
@@ -207,22 +302,19 @@ impl TDigest {
 
     /// The current centroids (after compressing any buffered samples).
     pub fn centroids(&self) -> Vec<Centroid> {
-        let mut snapshot = self.clone();
-        snapshot.flush_buffer();
-        snapshot.centroids
+        self.flushed().into_owned().centroids
     }
 
     /// Serialize into `out` via the [`wire`] codec.
     ///
-    /// The buffered samples are compressed into centroids first (on a
+    /// Any buffered samples are compressed into centroids first (on a
     /// clone; `self` is untouched), so the encoding is canonical: a digest
     /// and its decoded copy produce bit-identical quantiles and merge
     /// histories. All floats are written as raw bits — round trips are
     /// exact.
     pub fn encode(&self, out: &mut Vec<u8>) {
-        let mut snapshot = self.clone();
-        snapshot.flush_buffer();
-        wire::put_f64(out, snapshot.compression);
+        let snapshot = self.flushed();
+        wire::put_f64(out, snapshot.scale.compression);
         wire::put_f64(out, snapshot.count);
         wire::put_f64(out, snapshot.min);
         wire::put_f64(out, snapshot.max);
@@ -235,10 +327,11 @@ impl TDigest {
 
     /// Decode a digest previously written by [`TDigest::encode`].
     ///
-    /// Validates the structural invariants (finite sane compression,
-    /// non-negative count, finite centroid means sorted ascending) so a
-    /// corrupt checkpoint surfaces as an error, never as a digest that
-    /// later panics or reports garbage quantiles.
+    /// Validates what `encode` can emit and nothing stricter (finite sane
+    /// compression, non-negative count, finite centroid means ascending up
+    /// to the rounding of a merge, positive finite weights) so a corrupt
+    /// checkpoint surfaces as an error, never as a digest that later panics
+    /// or reports garbage quantiles.
     pub fn decode(r: &mut wire::Reader<'_>) -> Result<TDigest, wire::WireError> {
         let bad = |context| wire::WireError { context };
         let compression = r.f64("tdigest.compression")?;
@@ -253,13 +346,19 @@ impl TDigest {
         let max = r.f64("tdigest.max")?;
         let n = r.len("tdigest.centroids")?;
         let mut centroids = Vec::with_capacity(n.min(1 << 20));
+        let mut sorted = true;
         let mut prev = f64::NEG_INFINITY;
         for _ in 0..n {
             let mean = r.f64("tdigest.centroid.mean")?;
             let weight = r.f64("tdigest.centroid.weight")?;
-            if !mean.is_finite() || !weight.is_finite() || weight <= 0.0 || mean < prev {
+            // A merged mean is a few ulps off its real value, so `encode`
+            // can write neighbours that far out of order; anything beyond
+            // is not something it wrote.
+            let disorder = prev - mean > DECODE_ORDER_SLACK * prev.abs().max(mean.abs());
+            if !mean.is_finite() || !weight.is_finite() || weight <= 0.0 || disorder {
                 return Err(bad("tdigest.centroid"));
             }
+            sorted &= prev <= mean;
             prev = mean;
             centroids.push(Centroid { mean, weight });
         }
@@ -267,13 +366,26 @@ impl TDigest {
             return Err(bad("tdigest.count"));
         }
         Ok(TDigest {
-            compression,
+            scale: Scale::new(compression),
             centroids,
+            sorted,
             buffer: Vec::new(),
             count,
             min,
             max,
         })
+    }
+
+    /// `self` with nothing buffered: borrowed as is when the buffer is
+    /// empty, otherwise a compressed clone.
+    fn flushed(&self) -> Cow<'_, TDigest> {
+        if self.buffer.is_empty() {
+            Cow::Borrowed(self)
+        } else {
+            let mut snapshot = self.clone();
+            snapshot.compress();
+            Cow::Owned(snapshot)
+        }
     }
 
     fn flush_buffer(&mut self) {
@@ -283,63 +395,65 @@ impl TDigest {
     }
 
     fn compress(&mut self) {
-        let buffered = std::mem::take(&mut self.buffer);
-        self.count += buffered.len() as f64;
+        self.count += self.buffer.len() as f64;
         self.centroids
-            .extend(buffered.into_iter().map(|v| Centroid {
+            .extend(self.buffer.drain(..).map(|v| Centroid {
                 mean: v,
                 weight: 1.0,
             }));
-        self.compress_centroids();
+        self.sorted = false;
+        self.recluster();
     }
 
-    /// Re-cluster `self.centroids` so each centroid's quantile span respects
-    /// the scale-function bound.
-    fn compress_centroids(&mut self) {
-        if self.centroids.len() <= 1 {
+    /// Re-cluster `self.centroids`, in place, so each centroid's quantile
+    /// span respects the scale-function bound: walk the centroids in mean
+    /// order and merge each into its predecessor while the pair stays
+    /// within one unit of k-space.
+    fn recluster(&mut self) {
+        if !self.sorted {
+            // Stable, so equal means keep their insertion order and the
+            // merge arithmetic below sees them in one defined sequence.
+            self.centroids
+                .sort_by(|a, b| a.mean.partial_cmp(&b.mean).expect("finite means"));
+            self.sorted = true;
+        }
+        let n = self.centroids.len();
+        if n <= 1 {
             return;
         }
-        self.centroids
-            .sort_by(|a, b| a.mean.partial_cmp(&b.mean).expect("finite means"));
-        let total = self.count;
-        let mut merged: Vec<Centroid> = Vec::with_capacity(self.centroids.len());
+        let (scale, total) = (self.scale, self.count);
         let mut current = self.centroids[0];
         // Cumulative weight *before* `current`.
         let mut so_far = 0.0;
-        for &c in &self.centroids[1..] {
+        let mut span = scale.span_from(so_far / total);
+        // `centroids[..kept]` is the output; it never overtakes the reader.
+        let mut kept = 0;
+        for read in 1..n {
+            let c = self.centroids[read];
             let proposed = current.weight + c.weight;
-            let q0 = so_far / total;
             let q2 = (so_far + proposed) / total;
-            if proposed <= self.k_size_limit(q0, q2, total) {
-                // Merge c into current.
-                let w = proposed;
-                current.mean = (current.mean * current.weight + c.mean * c.weight) / w;
-                current.weight = w;
+            // The weight cap cannot bind while `count` is the sum of the
+            // weights; it is part of the pinned decision all the same.
+            if proposed <= total && scale.within_one_k_unit(&span, q2) {
+                current.mean = (current.mean * current.weight + c.mean * c.weight) / proposed;
+                current.weight = proposed;
             } else {
                 so_far += current.weight;
-                merged.push(current);
+                self.keep(kept, current);
+                kept += 1;
                 current = c;
+                span = scale.span_from(so_far / total);
             }
         }
-        merged.push(current);
-        self.centroids = merged;
+        self.keep(kept, current);
+        self.centroids.truncate(kept + 1);
     }
 
-    /// Maximum allowed weight for a centroid spanning quantiles `[q0, q2]`.
-    ///
-    /// Uses the k1 scale function: a centroid may span at most 1 unit of
-    /// k-space, i.e. `k(q2) − k(q0) <= 1`.
-    fn k_size_limit(&self, q0: f64, q2: f64, total: f64) -> f64 {
-        if self.k(q2) - self.k(q0) <= 1.0 {
-            total
-        } else {
-            0.0
+    fn keep(&mut self, at: usize, c: Centroid) {
+        if at > 0 && self.centroids[at - 1].mean > c.mean {
+            self.sorted = false;
         }
-    }
-
-    fn k(&self, q: f64) -> f64 {
-        let q = q.clamp(0.0, 1.0);
-        self.compression / (2.0 * std::f64::consts::PI) * (2.0 * q - 1.0).asin()
+        self.centroids[at] = c;
     }
 
     fn quantile_inner(&self, q: f64) -> f64 {
@@ -455,8 +569,20 @@ impl FromIterator<f64> for TDigest {
 
 #[cfg(test)]
 mod tests {
+    use super::oracle::{check_same, Oracle};
     use super::*;
     use rand::prelude::*;
+    use std::cell::Cell;
+
+    thread_local! {
+        /// Merge decisions this thread took by evaluating `k(q₂) − k(q₀)`
+        /// itself instead of the `asin`-free comparison.
+        pub(super) static VERBATIM_DECISIONS: Cell<u64> = const { Cell::new(0) };
+    }
+
+    fn verbatim_decisions() -> u64 {
+        VERBATIM_DECISIONS.with(Cell::get)
+    }
 
     fn exact_quantile(sorted: &[f64], q: f64) -> f64 {
         let idx = (q * (sorted.len() - 1) as f64).round() as usize;
@@ -715,5 +841,185 @@ mod tests {
         assert_eq!(d.max(), Some(exact_max));
         assert_eq!(d.quantile(0.0), exact_min);
         assert_eq!(d.quantile(1.0), exact_max);
+    }
+
+    /// Regression: `count()` truncates to `u64`, so a digest
+    /// whose whole weight is below one used to read as empty — no `min`,
+    /// no `max` — while `quantile` answered.
+    #[test]
+    fn sub_unit_weight_is_not_empty() {
+        let mut d = TDigest::default();
+        d.add_weighted(41.5, 0.3);
+        assert_eq!(d.count(), 0);
+        assert!(!d.is_empty());
+        assert_eq!(d.min(), Some(41.5));
+        assert_eq!(d.max(), Some(41.5));
+        assert_eq!(d.median(), 41.5);
+    }
+
+    fn round_trip(d: &TDigest) -> Result<TDigest, wire::WireError> {
+        let mut bytes = Vec::new();
+        d.encode(&mut bytes);
+        let back = TDigest::decode(&mut wire::Reader::new(&bytes))?;
+        let mut again = Vec::new();
+        back.encode(&mut again);
+        assert_eq!(bytes, again, "re-encoding changed the bytes");
+        Ok(back)
+    }
+
+    /// Regression: merged means round an ulp past their
+    /// neighbour on two-valued streams, and `decode` used to refuse the
+    /// bytes `encode` had just written for such a digest.
+    #[test]
+    fn decode_accepts_what_encode_wrote() {
+        let mut unsorted_seen = 0;
+        for other in [30.1, 37.3, 1.0 / 3.0, 52.7] {
+            let mut d = TDigest::default();
+            for i in 0..5000 {
+                d.add(if i % 2 == 0 { 0.1 } else { other });
+            }
+            let back = round_trip(&d).expect("decode(encode(d))");
+            unsorted_seen += usize::from(!back.sorted);
+            assert_eq!(back.median().to_bits(), d.median().to_bits());
+        }
+        let mut d = TDigest::default();
+        for i in 0..5000 {
+            d.add_weighted(if i % 2 == 0 { 52.7 } else { 82.7 }, 1.0);
+            unsorted_seen += usize::from(!d.sorted);
+            round_trip(&d).expect("decode(encode(d))");
+        }
+        assert!(unsorted_seen > 0, "the streams no longer reproduce the bug");
+    }
+
+    #[test]
+    fn decode_still_rejects_real_disorder() {
+        let encode = |centroids: &[(f64, f64)], count: f64| {
+            let mut out = Vec::new();
+            wire::put_f64(&mut out, 100.0);
+            wire::put_f64(&mut out, count);
+            wire::put_f64(&mut out, 1.0);
+            wire::put_f64(&mut out, 9.0);
+            wire::put_u64(&mut out, centroids.len() as u64);
+            for &(mean, weight) in centroids {
+                wire::put_f64(&mut out, mean);
+                wire::put_f64(&mut out, weight);
+            }
+            out
+        };
+        let decode = |bytes: &[u8]| TDigest::decode(&mut wire::Reader::new(bytes));
+        assert!(decode(&encode(&[(1.0, 2.0), (5.0, 1.0), (9.0, 2.0)], 5.0)).is_ok());
+        // An ulp of disorder is a merge's rounding; more is corruption.
+        let ulp_down = f64::from_bits(5.0f64.to_bits() - 1);
+        let ulp_off = decode(&encode(&[(5.0, 2.0), (ulp_down, 1.0), (9.0, 2.0)], 5.0)).unwrap();
+        assert!(!ulp_off.sorted);
+        assert!(decode(&encode(&[(5.0, 2.0), (4.999, 1.0), (9.0, 2.0)], 5.0)).is_err());
+        assert!(decode(&encode(&[(5.0, 2.0), (-5.0, 1.0), (9.0, 2.0)], 5.0)).is_err());
+    }
+
+    /// The pass's own output can be an ulp out of order; the next
+    /// `add_weighted` must then sort like the old pass did instead of
+    /// inserting at a partition point that does not exist.
+    #[test]
+    fn unsorted_array_takes_the_sort_path_and_matches() {
+        let (mut new, mut old) = (TDigest::default(), Oracle::new(100.0));
+        let mut entered_unsorted = 0;
+        for i in 0..5000 {
+            let v = if i % 2 == 0 { 52.7 } else { 82.7 };
+            entered_unsorted += usize::from(!new.sorted);
+            new.add_weighted(v, 1.0);
+            old.add_weighted(v, 1.0);
+            check_same(&new, &old, true).unwrap();
+        }
+        assert!(
+            entered_unsorted > 0,
+            "the stream never left the array unsorted"
+        );
+        // The flush and merge paths meet the same arrays.
+        let (mut sink_new, mut sink_old) = (TDigest::default(), Oracle::new(100.0));
+        for i in 0..5000 {
+            let v = if i % 2 == 0 { 0.1 } else { 30.1 };
+            new.add(v);
+            old.add(v);
+            if i % 500 == 0 {
+                sink_new.merge(&new);
+                sink_old.merge(&old);
+                check_same(&sink_new, &sink_old, true).unwrap();
+            }
+        }
+        check_same(&new, &old, true).unwrap();
+    }
+
+    /// `x₂` placed exactly on (and an ulp either side of) the `asin`-free
+    /// threshold is decided by the original expression, and a pass through
+    /// such a pair matches the oracle.
+    #[test]
+    fn inside_the_margin_the_original_expression_decides() {
+        for compression in [10.0, 25.0, 100.0, 333.0] {
+            let scale = Scale::new(compression);
+            for q0 in [1e-4, 0.05, 0.3, 0.5, 0.8, 0.97] {
+                let span = scale.span_from(q0);
+                assert!(span.x2_limit.is_finite());
+                let on = (span.x2_limit + 1.0) / 2.0;
+                for q2 in [
+                    f64::from_bits(on.to_bits() - 1),
+                    on,
+                    f64::from_bits(on.to_bits() + 1),
+                ] {
+                    let before = verbatim_decisions();
+                    let decided = scale.within_one_k_unit(&span, q2);
+                    assert_eq!(verbatim_decisions(), before + 1, "δ {compression} q0 {q0}");
+                    assert_eq!(decided, scale.k(q2) - scale.k(q0) <= 1.0);
+                }
+            }
+            // `x₀` inside its own margin: no limit is computed at all.
+            for q0 in [0.0, 1e-8, 1.0 - 1e-8, 1.0] {
+                let span = scale.span_from(q0);
+                assert!(span.x2_limit.is_nan());
+                let before = verbatim_decisions();
+                let decided = scale.within_one_k_unit(&span, 1.0);
+                assert_eq!(verbatim_decisions(), before + 1);
+                assert_eq!(decided, scale.k(1.0) - scale.k(q0) <= 1.0);
+            }
+
+            // Through a whole pass: 1+2 is refused (decided by the original
+            // expression, `q₀ = 0` being inside the `x₀` margin), then 2+3
+            // lands on the threshold for `q₀ = 0.3`; only 2+3+4 is far off.
+            let on = (scale.span_from(0.3).x2_limit + 1.0) / 2.0;
+            let weights = [0.3, (on - 0.3) / 2.0, (on - 0.3) / 2.0, 1.0 - on];
+            let mut new = TDigest::new(compression);
+            new.centroids = (weights.iter().zip(1..))
+                .map(|(&weight, i)| Centroid {
+                    mean: i as f64,
+                    weight,
+                })
+                .collect();
+            (new.count, new.min, new.max) = (1.0, 1.0, 4.0);
+            let mut old = Oracle(new.clone());
+            let before = verbatim_decisions();
+            new.recluster();
+            old.compress_centroids();
+            assert_eq!(verbatim_decisions(), before + 2);
+            check_same(&new, &old, true).unwrap();
+        }
+    }
+
+    /// The point of the kernel: in steady state (a compressed digest taking
+    /// one weighted sample at a time) the fallback is the rare case.
+    #[test]
+    fn steady_state_rarely_needs_the_original_expression() {
+        let mut rng = StdRng::seed_from_u64(9);
+        let mut d = TDigest::default();
+        let before = verbatim_decisions();
+        for _ in 0..4000 {
+            d.add_weighted(20.0 + rng.gen::<f64>() * 60.0, 0.5 + rng.gen::<f64>() * 4.0);
+        }
+        let verbatim = verbatim_decisions() - before;
+        assert!(d.centroids.len() > 40);
+        // ~65 decisions a pass, of which the one on the first centroid
+        // (`q₀ = 0`) is inside the `x₀` margin every time.
+        assert!(
+            verbatim < 2 * 4000,
+            "{verbatim} fallback decisions in 4000 passes"
+        );
     }
 }

@@ -1,7 +1,7 @@
 //! Property-based tests for the t-digest.
 
 use proptest::prelude::*;
-use tdigest::TDigest;
+use tdigest::{wire, TDigest};
 
 proptest! {
     /// Quantile estimates always lie inside [min, max].
@@ -59,5 +59,34 @@ proptest! {
         let tol = 1e-9 * v.abs().max(1.0);
         prop_assert!((d.median() - v).abs() < tol);
         prop_assert!((d.mean() - v).abs() < tol);
+    }
+
+    /// `decode(encode(d))` succeeds and re-encodes to the same bytes on
+    /// tie-heavy streams, whose merged means round an ulp past their
+    /// neighbours (`decode` used to reject such digests as disordered).
+    #[test]
+    fn tie_heavy_streams_round_trip(
+        values in prop::collection::vec(0.05f64..100.0, 2..5),
+        picks in prop::collection::vec(0usize..4, 1..6000),
+        weighted in any::<bool>(),
+    ) {
+        let mut d = TDigest::default();
+        for pick in picks {
+            let v = values[pick % values.len()];
+            if weighted {
+                d.add_weighted(v, 1.0 + (pick % 3) as f64);
+            } else {
+                d.add(v);
+            }
+        }
+        let mut bytes = Vec::new();
+        d.encode(&mut bytes);
+        let mut r = wire::Reader::new(&bytes);
+        let back = TDigest::decode(&mut r);
+        prop_assert!(back.is_ok(), "decode(encode(d)) failed: {:?}", back.err());
+        prop_assert!(r.is_done());
+        let mut again = Vec::new();
+        back.unwrap().encode(&mut again);
+        prop_assert_eq!(bytes, again);
     }
 }
