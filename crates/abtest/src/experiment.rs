@@ -14,15 +14,15 @@ use crate::stats::{
     compare_paired, paired_delta, percentile, Aggregate, PairedDelta, PercentChange,
 };
 use abr::{
-    initial_rung_for, shared_history, HistoryPolicy, InitialSelectorConfig, Mpc, ProductionAbr,
-    SharedHistory,
+    initial_rung_for, shared_history, HistoryPolicy, HistoryStore, InitialSelectorConfig, Mpc,
+    ProductionAbr, SharedHistory,
 };
 use fluidsim::{FluidConfig, SessionBuilder, SessionOutcome};
 use netsim::{SimDuration, SimError};
 use sammy_core::{NaivePacedAbr, PaceSelector, Sammy, SammyConfig};
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
-use video::Abr;
+use video::{Abr, Title};
 
 /// An experiment arm: which algorithm variant users run.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -166,6 +166,13 @@ impl ExperimentConfig {
         }
     }
 
+    /// Sessions simulated for `users` user pairs: each pair runs its
+    /// pre-experiment sessions once and its experiment sessions under
+    /// both arms.
+    pub fn sessions_simulated(&self, users: usize) -> u64 {
+        users as u64 * (self.pre_sessions as u64 + 2 * self.sessions_per_user as u64)
+    }
+
     /// Reject configurations that cannot produce a meaningful experiment.
     pub fn validate(&self) -> Result<(), SimError> {
         let invalid = |field: &'static str, reason: &str| {
@@ -250,47 +257,69 @@ impl ArmResult {
 
 /// Run all sessions for one user under `arm`, returning the records.
 ///
-/// The pre-experiment sessions always use [`Arm::Production`] (they model
-/// the user's traffic before the test began) and their chunk throughputs
-/// define the user's pre-experiment p95.
+/// The one-arm composition of the two phases a user pair is built from:
+/// the pre-experiment warm-up, then the experiment sessions under `arm`
+/// from a private copy of the warmed history store.
 pub fn run_user(user: &UserProfile, arm: Arm, cfg: &ExperimentConfig) -> Vec<SessionRecord> {
-    let history = shared_history();
-    let init_cfg = InitialSelectorConfig::default();
-    let fluid = FluidConfig::default();
+    let warm = warm_up(user, cfg);
+    run_arm(user, arm, cfg.seed, &warm, &experiment_sessions(user, cfg))
+}
 
-    // Pre-experiment phase.
+/// A user's state when the experiment begins — shared by every arm.
+struct WarmUp {
+    /// The device's historical store after the pre-experiment sessions
+    /// (the cold-start store when `pre_sessions` is 0).
+    store: HistoryStore,
+    /// The user's pre-experiment p95 chunk throughput (Mbps).
+    pre_p95_mbps: f64,
+}
+
+/// The pre-experiment phase: `pre_sessions` sessions that always use
+/// [`Arm::Production`] (they model the user's traffic before the test
+/// began). Their chunk throughputs define the user's pre-experiment p95.
+fn warm_up(user: &UserProfile, cfg: &ExperimentConfig) -> WarmUp {
+    let history = shared_history();
     let mut pre_tputs: Vec<f64> = Vec::new();
-    for s in 0..cfg.pre_sessions {
-        let out = run_one(
-            user,
-            Arm::Production,
-            history.clone(),
-            &init_cfg,
-            &fluid,
-            s as u64,
-            cfg.seed,
-        );
+    for s in 0..cfg.pre_sessions as u64 {
+        let title = Arc::new(user.title(s));
+        let out = run_one(user, Arm::Production, &history, title, s, cfg.seed);
         pre_tputs.extend(out.chunk_throughputs_mbps.iter().copied());
     }
-    let pre_p95 = percentile(&pre_tputs, 0.95);
+    WarmUp {
+        store: history.snapshot(),
+        pre_p95_mbps: percentile(&pre_tputs, 0.95),
+    }
+}
 
-    // Experiment phase.
-    (0..cfg.sessions_per_user)
-        .map(|s| {
-            let out = run_one(
-                user,
-                arm,
-                history.clone(),
-                &init_cfg,
-                &fluid,
-                (cfg.pre_sessions + s) as u64,
-                cfg.seed,
-            );
+/// A user's experiment sessions as (session index, title), in run order.
+/// A title depends on (user, session index) only, so every arm plays
+/// these.
+fn experiment_sessions(user: &UserProfile, cfg: &ExperimentConfig) -> Vec<(u64, Arc<Title>)> {
+    (cfg.pre_sessions..cfg.pre_sessions + cfg.sessions_per_user)
+        .map(|s| (s as u64, Arc::new(user.title(s as u64))))
+        .collect()
+}
+
+/// The experiment phase under one arm. The arm starts from its own deep
+/// copy of the warmed store, so what it learns is invisible to every
+/// other arm run from the same `warm`.
+fn run_arm(
+    user: &UserProfile,
+    arm: Arm,
+    seed: u64,
+    warm: &WarmUp,
+    sessions: &[(u64, Arc<Title>)],
+) -> Vec<SessionRecord> {
+    let history = SharedHistory::from_store(warm.store.clone());
+    sessions
+        .iter()
+        .map(|(session_idx, title)| {
+            let outcome = run_one(user, arm, &history, title.clone(), *session_idx, seed);
             obs::counter!("abtest.sessions", 1);
             SessionRecord {
                 user: user.id,
-                pre_p95_mbps: pre_p95,
-                outcome: out,
+                pre_p95_mbps: warm.pre_p95_mbps,
+                outcome,
             }
         })
         .collect()
@@ -299,15 +328,14 @@ pub fn run_user(user: &UserProfile, arm: Arm, cfg: &ExperimentConfig) -> Vec<Ses
 fn run_one(
     user: &UserProfile,
     arm: Arm,
-    history: SharedHistory,
-    init_cfg: &InitialSelectorConfig,
-    fluid: &FluidConfig,
+    history: &SharedHistory,
+    title: Arc<Title>,
     session_idx: u64,
     seed: u64,
 ) -> SessionOutcome {
-    let title = Arc::new(user.title(session_idx));
     let estimate = history.discounted_estimate();
-    let predicted_rung = initial_rung_for(estimate, &title.ladder, init_cfg);
+    let predicted_rung =
+        initial_rung_for(estimate, &title.ladder, &InitialSelectorConfig::default());
     let abr = arm.build_abr(history.clone());
     let outcome = SessionBuilder::new(&user.network, title, abr)
         .history_estimate(estimate)
@@ -318,7 +346,7 @@ fn run_one(
                 .wrapping_add(session_idx.wrapping_mul(0xA24B_AED4_963E_E407))
                 .wrapping_add(seed),
         )
-        .fluid(*fluid)
+        .fluid(FluidConfig::default())
         .startup_latency(user.startup_latency)
         .run();
     // Fold this session's samples into the device's historical store.
@@ -669,7 +697,12 @@ pub(crate) fn run_user_pair(
         #[cfg(feature = "obs")]
         let _wall = obs::WallTimer::start("abtest.user_wall");
         obs::counter!("abtest.users", 1);
-        (run_user(user, control, cfg), run_user(user, treatment, cfg))
+        let warm = warm_up(user, cfg);
+        let sessions = experiment_sessions(user, cfg);
+        (
+            run_arm(user, control, cfg.seed, &warm, &sessions),
+            run_arm(user, treatment, cfg.seed, &warm, &sessions),
+        )
     };
     let per_user = obs::install(outer);
     (pair, per_user)
@@ -1078,6 +1111,83 @@ mod tests {
             .run()
             .unwrap();
         assert_eq!(drawn.control.sessions, given.control.sessions);
+    }
+
+    /// Record-for-record equality that also holds across the NaN p95 of
+    /// `pre_sessions == 0` (`SessionRecord: PartialEq` is IEEE equality).
+    fn same_records(a: &[SessionRecord], b: &[SessionRecord]) -> bool {
+        a.len() == b.len()
+            && a.iter().zip(b).all(|(x, y)| {
+                x.user == y.user
+                    && x.pre_p95_mbps.to_bits() == y.pre_p95_mbps.to_bits()
+                    && x.outcome == y.outcome
+            })
+    }
+
+    const ARMS: [Arm; 4] = [
+        Arm::Production,
+        Arm::Sammy { c0: 3.2, c1: 2.8 },
+        Arm::InitialOnly,
+        Arm::NaivePaced { multiplier: 4.0 },
+    ];
+
+    proptest::proptest! {
+        /// The pair shares one warm-up and one set of titles between its
+        /// arms; each arm must still see exactly what it would have seen
+        /// alone. Arms that shared one `HistoryStore` would fail both
+        /// halves: the second arm would start from the first's history.
+        #[test]
+        fn pair_equals_unshared_arms(
+            index in 0u64..100_000,
+            seed in 0u64..1_000,
+            light in 0usize..2,
+            control in 0usize..4,
+            treatment in 0usize..4,
+            pre in 0usize..3,
+            experiment in 0usize..2,
+        ) {
+            let population =
+                [PopulationConfig::default(), PopulationConfig::light()][light].clone();
+            let user = crate::population::user_at(&population, index, seed);
+            let (control, treatment) = (ARMS[control], ARMS[treatment]);
+            let cfg = ExperimentConfig {
+                pre_sessions: [0, 1, 3][pre],
+                sessions_per_user: [1, 4][experiment],
+                seed,
+                ..tiny_cfg()
+            };
+
+            let ((c, t), _) = run_user_pair(&user, control, treatment, &cfg);
+            proptest::prop_assert!(same_records(&c, &run_user(&user, control, &cfg)));
+            proptest::prop_assert!(same_records(&t, &run_user(&user, treatment, &cfg)));
+
+            // Swapping the arm order swaps the outputs exactly.
+            let ((t2, c2), _) = run_user_pair(&user, treatment, control, &cfg);
+            proptest::prop_assert!(same_records(&c, &c2));
+            proptest::prop_assert!(same_records(&t, &t2));
+        }
+    }
+
+    #[test]
+    fn no_pre_sessions_is_a_cold_start() {
+        let user = &draw_population(&PopulationConfig::default(), 1, 5)[0];
+        let cfg = ExperimentConfig {
+            pre_sessions: 0,
+            ..tiny_cfg()
+        };
+        let warm = warm_up(user, &cfg);
+        assert_eq!(warm.store.sessions(), 0);
+        assert_eq!(warm.store.samples(), 0);
+        assert!(warm.store.estimate().is_none());
+        assert!(warm.pre_p95_mbps.is_nan());
+
+        // Experiment sessions are numbered from 0 and carry the NaN p95.
+        let (first_idx, first_title) = &experiment_sessions(user, &cfg)[0];
+        assert_eq!(*first_idx, 0);
+        assert_eq!(first_title.chunk(0).sizes(), user.title(0).chunk(0).sizes());
+        let records = run_user(user, Arm::Production, &cfg);
+        assert_eq!(records.len(), cfg.sessions_per_user);
+        assert!(records.iter().all(|r| r.pre_p95_mbps.is_nan()));
     }
 
     #[cfg(feature = "obs")]

@@ -16,6 +16,7 @@ use abr::{
 use fluidsim::{run_session, FluidConfig, SessionParams, StartPolicy};
 use netsim::SimDuration;
 use std::sync::Arc;
+use video::Title;
 
 /// Configuration for the cold-start experiment.
 #[derive(Debug, Clone, Copy)]
@@ -139,8 +140,8 @@ fn run_cold_start_user(
 
     // Warm a history store.
     let warmed = shared_history();
-    for s in 0..cfg.warmup_sessions {
-        run_one(user, warmed.clone(), s as u64, cfg.seed);
+    for s in 0..cfg.warmup_sessions as u64 {
+        run_one(user, &warmed, Arc::new(user.title(s)), s, cfg.seed);
     }
     // Control: continue with the warmed history.
     // Treatment: same user, fresh store (reset at day 0).
@@ -150,8 +151,10 @@ fn run_cold_start_user(
     for day in 0..cfg.days {
         for s in 0..cfg.sessions_per_day {
             let idx = (cfg.warmup_sessions + day * cfg.sessions_per_day + s) as u64;
-            let c = run_one(user, control.clone(), idx, cfg.seed);
-            let t = run_one(user, treatment.clone(), idx, cfg.seed);
+            // Identical traffic: both stores play the same title.
+            let title = Arc::new(user.title(idx));
+            let c = run_one(user, &control, title.clone(), idx, cfg.seed);
+            let t = run_one(user, &treatment, title, idx, cfg.seed);
             if let Some(v) = c {
                 control_days[day].push(v);
             }
@@ -163,10 +166,15 @@ fn run_cold_start_user(
     (control_days, treatment_days)
 }
 
-/// Run one session with production ABR and the given history store;
-/// returns the session's initial VMAF.
-fn run_one(user: &UserProfile, history: SharedHistory, session_idx: u64, seed: u64) -> Option<f64> {
-    let title = Arc::new(user.title(session_idx));
+/// Run one session of `title` with production ABR and the given history
+/// store; returns the session's initial VMAF.
+fn run_one(
+    user: &UserProfile,
+    history: &SharedHistory,
+    title: Arc<Title>,
+    session_idx: u64,
+    seed: u64,
+) -> Option<f64> {
     let init_cfg = InitialSelectorConfig::default();
     let estimate = history.discounted_estimate();
     let predicted = initial_rung_for(estimate, &title.ladder, &init_cfg);

@@ -313,14 +313,11 @@ pub struct HalvingOutcome {
     pub evaluations: Vec<Evaluation>,
     /// Rungs actually executed (stops early once no arm survives).
     pub rungs_run: usize,
-    /// Simulated user-sessions spent: `users × 2 arms × (pre + experiment
-    /// sessions)` summed over evaluations. This is the budget the
+    /// Simulated user-sessions spent: `users × (pre + 2 arms × experiment
+    /// sessions)` summed over evaluations
+    /// ([`ExperimentConfig::sessions_simulated`]). This is the budget the
     /// EXPERIMENTS table compares against the fixed grid.
     pub user_sessions: u64,
-}
-
-fn sessions_spent(users: usize, cfg: &ExperimentConfig) -> u64 {
-    users as u64 * 2 * (cfg.pre_sessions as u64 + cfg.sessions_per_user as u64)
 }
 
 /// Run a successive-halving search to completion.
@@ -383,7 +380,7 @@ where
                 Some(c) => c,
                 None => evaluate(&population, &rung_cfg, c0, c1, cfg.guards)?,
             };
-            user_sessions += sessions_spent(users, &rung_cfg);
+            user_sessions += rung_cfg.sessions_simulated(users);
             let ev = Evaluation {
                 rung,
                 users,
@@ -577,8 +574,8 @@ mod tests {
         for e in &out.evaluations {
             assert_eq!(e.users, 6 << e.rung);
         }
-        // users × 2 arms × (1 pre + 1 session) summed over evaluations.
-        assert_eq!(out.user_sessions, (8 * 6 + 4 * 12 + 2 * 24) * 2 * 2);
+        // users × (1 pre + 2 arms × 1 session) summed over evaluations.
+        assert_eq!(out.user_sessions, (8 * 6 + 4 * 12 + 2 * 24) * (1 + 2));
         assert!(out.best.feasible);
         // The winner is the smoothest feasible arm of the deepest rung.
         let last: Vec<&Candidate> = out

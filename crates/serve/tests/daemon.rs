@@ -233,9 +233,9 @@ fn killed_search_resumes_bit_identical() {
         Some(6)
     );
     assert_eq!(doc.get("rungs_run").and_then(Value::as_u64), Some(2));
-    // 4 arms × 4 users + 2 arms × 8 users, × 2 arms-per-experiment
-    // × (1 pre + 1 measured) sessions.
-    assert_eq!(doc.get("user_sessions").and_then(Value::as_u64), Some(128));
+    // 4 arms × 4 users + 2 arms × 8 users, × (1 pre + 2 arms-per-experiment
+    // × 1 measured) sessions.
+    assert_eq!(doc.get("user_sessions").and_then(Value::as_u64), Some(96));
     assert_eq!(
         doc.get("best")
             .and_then(|b| b.get("feasible"))

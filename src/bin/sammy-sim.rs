@@ -437,8 +437,7 @@ fn tune(opts: &Opts) {
         b.c0, b.c1, b.tput_pct, b.vmaf_pct, b.play_delay_pct
     );
     println!("(the paper's production choice was c0=3.2, c1=2.8 at -61% throughput)");
-    let spent =
-        out.trace.len() * cfg.users_per_arm * 2 * (cfg.pre_sessions + cfg.sessions_per_user);
+    let spent = out.trace.len() as u64 * cfg.sessions_simulated(cfg.users_per_arm);
     println!(
         "budget: {spent} simulated user-sessions over {} evaluations",
         out.trace.len()
@@ -506,10 +505,7 @@ fn tune_halving(opts: &Opts, base: &ExperimentSpec) {
     // The budget comparison EXPERIMENTS.md tabulates: the fixed grid
     // evaluates every arm at the final-rung population.
     let full_users = cfg.initial_users * cfg.eta.pow(out.rungs_run.saturating_sub(1) as u32);
-    let grid_equiv = cfg.arms.len() as u64
-        * full_users as u64
-        * 2
-        * (cfg.base.pre_sessions + cfg.base.sessions_per_user) as u64;
+    let grid_equiv = cfg.arms.len() as u64 * cfg.base.sessions_simulated(full_users);
     println!(
         "budget: {} simulated user-sessions over {} evaluations \
          (grid over the same {} arms at {} users/arm: {})",

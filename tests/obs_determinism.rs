@@ -9,11 +9,15 @@
 use sammy_repro::prelude::*;
 use sammy_repro::sammy_bench::lab::{self, LabArm, LabConfig};
 
-fn experiment_jsonl(threads: usize, serial: bool) -> String {
+const USERS: u64 = 8;
+const PRE_SESSIONS: u64 = 1;
+const SESSIONS_PER_USER: u64 = 2;
+
+fn experiment_metrics(threads: usize, serial: bool) -> Registry {
     let cfg = ExperimentConfig {
-        users_per_arm: 8,
-        pre_sessions: 1,
-        sessions_per_user: 2,
+        users_per_arm: USERS as usize,
+        pre_sessions: PRE_SESSIONS as usize,
+        sessions_per_user: SESSIONS_PER_USER as usize,
         seed: 2023,
         bootstrap_reps: 50,
         threads,
@@ -24,7 +28,28 @@ fn experiment_jsonl(threads: usize, serial: bool) -> String {
         .serial_reference(serial)
         .run()
         .unwrap();
-    run.metrics.to_jsonl()
+    run.metrics
+}
+
+fn experiment_jsonl(threads: usize, serial: bool) -> String {
+    experiment_metrics(threads, serial).to_jsonl()
+}
+
+/// A user pair simulates its pre-experiment sessions once and its
+/// experiment sessions once per arm — no session is simulated twice.
+#[cfg(feature = "obs")]
+#[test]
+fn session_counts_are_exact() {
+    let metrics = experiment_metrics(2, false);
+    assert_eq!(metrics.counter_value("abtest.users"), USERS);
+    assert_eq!(
+        metrics.counter_value("abtest.sessions"),
+        USERS * 2 * SESSIONS_PER_USER
+    );
+    assert_eq!(
+        metrics.counter_value("fluidsim.sessions"),
+        USERS * (PRE_SESSIONS + 2 * SESSIONS_PER_USER)
+    );
 }
 
 #[cfg(feature = "obs")]
