@@ -219,16 +219,6 @@ impl ArmResult {
         self.sessions.extend(other.sessions);
     }
 
-    /// Summarize a per-session metric as a mergeable t-digest
-    /// ([`crate::stats::StreamingStat`]): shards can summarize locally and
-    /// merge summaries without shipping or materializing session records.
-    pub fn streaming_metric(
-        &self,
-        f: impl Fn(&SessionRecord) -> Option<f64>,
-    ) -> crate::stats::StreamingStat {
-        self.sessions.iter().filter_map(f).collect()
-    }
-
     /// Extract a per-session metric as a vector.
     pub fn metric(&self, f: impl Fn(&SessionRecord) -> Option<f64>) -> Vec<f64> {
         self.sessions.iter().filter_map(f).collect()
@@ -586,15 +576,6 @@ impl<'p> ExperimentBuilder<'p> {
     /// with no checkpoint present the run starts from shard 0.
     pub fn resume(mut self, resume: bool) -> Self {
         self.stream.resume = resume;
-        self
-    }
-
-    /// Bound on completed-but-unmerged shards (0 = `2 × threads`). This is
-    /// the streaming runner's memory knob: peak state is
-    /// `O(threads + max_pending)` shard accumulators regardless of
-    /// population size.
-    pub fn max_pending_shards(mut self, n: usize) -> Self {
-        self.stream.max_pending_shards = n;
         self
     }
 

@@ -45,8 +45,8 @@ pub use population::{
     Population, PopulationConfig, UserProfile, THROUGHPUT_BUCKETS,
 };
 pub use stats::{
-    compare, compare_paired, mean, median, paired_delta, percentile, Aggregate, PairedDelta,
-    PercentChange, StreamingStat,
+    compare_paired, mean, median, paired_delta, percentile, Aggregate, PairedDelta, PercentChange,
+    StreamingStat,
 };
 pub use streaming::{
     MetricAcc, ShardState, StreamConfig, StreamFailure, StreamReport, StreamRow, StreamRun,

@@ -119,59 +119,15 @@ impl PercentChange {
     }
 }
 
-/// Compare treatment vs control session values with a percentile bootstrap
-/// (independent resampling of each arm, `reps` replicates, seeded).
-pub fn compare(
-    control: &[f64],
-    treatment: &[f64],
-    agg: Aggregate,
-    reps: usize,
-    seed: u64,
-) -> PercentChange {
-    let c_stat = agg.apply(control);
-    let t_stat = agg.apply(treatment);
-    let pct = pct_change(c_stat, t_stat);
-
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut boots = Vec::with_capacity(reps);
-    for _ in 0..reps {
-        let c = resample_stat(control, agg, &mut rng);
-        let t = resample_stat(treatment, agg, &mut rng);
-        let p = pct_change(c, t);
-        if p.is_finite() {
-            boots.push(p);
-        }
-    }
-    let (lo, hi) = if boots.is_empty() {
-        (f64::NAN, f64::NAN)
-    } else {
-        (percentile(&boots, 0.025), percentile(&boots, 0.975))
-    };
-    PercentChange {
-        control: c_stat,
-        treatment: t_stat,
-        pct_change: pct,
-        ci_low: lo,
-        ci_high: hi,
-    }
-}
-
-fn pct_change(control: f64, treatment: f64) -> f64 {
+/// Percent change of `treatment` over `control`; NaN when the control is
+/// zero or either side is non-finite. Shared by the collecting and the
+/// streaming report.
+pub(crate) fn pct_change(control: f64, treatment: f64) -> f64 {
     if control == 0.0 || !control.is_finite() || !treatment.is_finite() {
         f64::NAN
     } else {
         (treatment - control) / control.abs() * 100.0
     }
-}
-
-fn resample_stat(values: &[f64], agg: Aggregate, rng: &mut StdRng) -> f64 {
-    if values.is_empty() {
-        return f64::NAN;
-    }
-    let sample: Vec<f64> = (0..values.len())
-        .map(|_| values[rng.gen_range(0..values.len())])
-        .collect();
-    agg.apply(&sample)
 }
 
 /// Compare treatment vs control for a *paired* experiment: both arms ran
@@ -326,15 +282,14 @@ pub fn paired_delta(
 /// A mergeable streaming summary of a metric: exact count/mean plus
 /// t-digest quantiles.
 ///
-/// Each experiment shard builds one `StreamingStat` per metric from its own
-/// sessions; shard summaries are then [`merge`](StreamingStat::merge)d into
-/// the experiment-wide summary. Count and mean merge exactly (order
-/// independent); quantiles come from the underlying [`tdigest::TDigest`],
-/// whose estimates are order-*insensitive* within the digest's accuracy
-/// bound (≈1% in quantile space at the default compression) but not
-/// bit-identical across merge orders. For bit-identical reports the runner
-/// keeps full session lists; `StreamingStat` is the bounded-memory path for
-/// large sweeps.
+/// The streaming runner keeps one `StreamingStat` per metric and arm in
+/// each shard's [`MetricAcc`](crate::streaming::MetricAcc); shard summaries
+/// are then [`merge`](StreamingStat::merge)d into the experiment-wide
+/// summary. Count and mean merge exactly (order independent); quantiles
+/// come from the underlying [`tdigest::TDigest`], whose estimates are
+/// order-*insensitive* within the digest's accuracy bound (≈1% in quantile
+/// space at the default compression) but not bit-identical across merge
+/// orders — which is why the runner merges in strict shard order.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct StreamingStat {
     digest: tdigest::TDigest,
@@ -497,52 +452,6 @@ mod tests {
     }
 
     #[test]
-    fn clear_difference_is_significant() {
-        let control: Vec<f64> = (0..500).map(|i| 100.0 + (i % 10) as f64).collect();
-        let treatment: Vec<f64> = (0..500).map(|i| 50.0 + (i % 10) as f64).collect();
-        let c = compare(&control, &treatment, Aggregate::Median, 500, 1);
-        assert!(c.significant());
-        assert!(c.pct_change < -40.0 && c.pct_change > -55.0);
-        assert!(c.ci_high < 0.0);
-        assert!(c.display().contains('%'));
-    }
-
-    #[test]
-    fn identical_arms_not_significant() {
-        let vals: Vec<f64> = (0..500).map(|i| 10.0 + ((i * 7) % 100) as f64).collect();
-        let c = compare(&vals, &vals, Aggregate::Median, 500, 2);
-        assert!(
-            !c.significant(),
-            "identical arms must not be significant: {c:?}"
-        );
-        assert!(c.display().contains('–'));
-    }
-
-    #[test]
-    fn noisy_small_difference_not_significant() {
-        // 0.1% shift buried in 30% noise with modest n.
-        let mut rng = StdRng::seed_from_u64(3);
-        let control: Vec<f64> = (0..200)
-            .map(|_| 100.0 * (1.0 + 0.3 * (rng.gen::<f64>() - 0.5)))
-            .collect();
-        let treatment: Vec<f64> = (0..200)
-            .map(|_| 100.1 * (1.0 + 0.3 * (rng.gen::<f64>() - 0.5)))
-            .collect();
-        let c = compare(&control, &treatment, Aggregate::Median, 500, 4);
-        assert!(!c.significant());
-    }
-
-    #[test]
-    fn bootstrap_deterministic() {
-        let a: Vec<f64> = (0..100).map(|i| i as f64).collect();
-        let b: Vec<f64> = (0..100).map(|i| (i * 2) as f64).collect();
-        let c1 = compare(&a, &b, Aggregate::Mean, 300, 7);
-        let c2 = compare(&a, &b, Aggregate::Mean, 300, 7);
-        assert_eq!(c1.ci_low, c2.ci_low);
-        assert_eq!(c1.ci_high, c2.ci_high);
-    }
-
-    #[test]
     fn paired_compare_detects_small_shift() {
         // 100 users, 5 sessions each; treatment is a consistent -2% on a
         // metric with large between-user spread. An unpaired split would
@@ -562,6 +471,7 @@ mod tests {
         let r = compare_paired(&control, &treatment, Aggregate::Median, 400, 9);
         assert!(r.significant(), "{r:?}");
         assert!((r.pct_change + 2.0).abs() < 1.0, "{r:?}");
+        assert!(r.display().contains('%'));
     }
 
     #[test]
@@ -570,6 +480,7 @@ mod tests {
         let r = compare_paired(&arm, &arm, Aggregate::Median, 200, 3);
         assert!(!r.significant());
         assert_eq!(r.pct_change, 0.0);
+        assert!(r.display().contains('–'));
     }
 
     #[test]
@@ -594,16 +505,6 @@ mod tests {
         let d = paired_delta(&arm, &arm, 100, 1);
         assert_eq!(d.mean_delta_pct, 0.0);
         assert!(!d.significant());
-    }
-
-    #[test]
-    fn compare_with_empty_arms_is_nan_and_not_significant() {
-        let c = compare(&[], &[], Aggregate::Median, 100, 1);
-        assert!(c.pct_change.is_nan());
-        assert!(!c.significant());
-        let c = compare(&[1.0, 2.0], &[], Aggregate::Median, 100, 1);
-        assert!(c.pct_change.is_nan());
-        assert!(!c.significant());
     }
 
     #[test]

@@ -17,8 +17,8 @@
 //!    Session records die with the user.
 //! 3. A merger (the calling thread) folds completed shards into the global
 //!    state in **strict shard order**. Workers that run too far ahead of
-//!    the merger block (`max_pending_shards`), bounding completed-but-
-//!    unmerged state to O(threads).
+//!    the merger block (the window is `2 × threads` shards), bounding
+//!    completed-but-unmerged state to O(threads).
 //!
 //! Every accumulator merge is deterministic given the merge order, and the
 //! merge order is fixed, so the final state — down to t-digest centroid
@@ -38,7 +38,7 @@
 
 use crate::experiment::{panic_message, run_user_pair, Arm, ExperimentConfig, METRICS};
 use crate::population::Population;
-use crate::stats::{percentile, Aggregate, PairedDelta, StreamingStat};
+use crate::stats::{pct_change, percentile, Aggregate, PairedDelta, StreamingStat};
 use netsim::SimError;
 use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -55,6 +55,10 @@ const CKPT_VERSION: u32 = 1;
 /// samples are the first few in population order, for error messages).
 const MAX_FAILURE_SAMPLES: usize = 32;
 
+/// Checkpoint files retained (older ones are pruned). Two means a torn
+/// newest file can always fall back to its predecessor.
+const KEEP_CHECKPOINTS: usize = 2;
+
 /// Options for the streaming runner (set via the
 /// [`ExperimentBuilder`](crate::experiment::ExperimentBuilder) methods).
 #[derive(Debug, Clone)]
@@ -69,11 +73,6 @@ pub struct StreamConfig {
     pub checkpoint_dir: Option<PathBuf>,
     /// Resume from the newest valid checkpoint in `checkpoint_dir`.
     pub resume: bool,
-    /// Checkpoint files retained (older ones are pruned). Two means a torn
-    /// newest file can always fall back to its predecessor.
-    pub keep_checkpoints: usize,
-    /// Bound on completed-but-unmerged shards (0 = `2 × threads`).
-    pub max_pending_shards: usize,
     /// Test/ops hook: stop cleanly after writing this many checkpoints,
     /// simulating a kill at a checkpoint boundary.
     pub abort_after_checkpoints: Option<usize>,
@@ -92,8 +91,6 @@ impl Default for StreamConfig {
             checkpoint_every: 16,
             checkpoint_dir: None,
             resume: false,
-            keep_checkpoints: 2,
-            max_pending_shards: 0,
             abort_after_checkpoints: None,
             progress_path: None,
         }
@@ -133,15 +130,6 @@ fn poisson1(key: u64) -> u64 {
             return k;
         }
         k += 1;
-    }
-}
-
-/// Percent change with the same conventions as the collecting report.
-fn pct_change(control: f64, treatment: f64) -> f64 {
-    if control == 0.0 || !control.is_finite() || !treatment.is_finite() {
-        f64::NAN
-    } else {
-        (treatment - control) / control.abs() * 100.0
     }
 }
 
@@ -527,7 +515,6 @@ fn write_checkpoint(
     config_fp: u64,
     next_shard: usize,
     state: &ShardState,
-    keep: usize,
 ) -> Result<(), SimError> {
     std::fs::create_dir_all(dir)?;
     let mut buf = Vec::new();
@@ -550,7 +537,7 @@ fn write_checkpoint(
     std::fs::rename(&tmp, checkpoint_path(dir, next_shard))?;
 
     let mut files = list_checkpoints(dir)?;
-    while files.len() > keep.max(1) {
+    while files.len() > KEEP_CHECKPOINTS {
         let (path, _) = files.remove(0);
         let _ = std::fs::remove_file(path);
     }
@@ -918,12 +905,7 @@ pub(crate) fn run_stream_impl(
 
     if start_shard < shards {
         let threads = cfg.effective_threads().min(shards - start_shard).max(1);
-        let window = if stream.max_pending_shards == 0 {
-            threads * 2
-        } else {
-            stream.max_pending_shards
-        }
-        .max(1);
+        let window = threads * 2;
 
         let next = AtomicUsize::new(start_shard);
         let pending = Mutex::new(Pending {
@@ -987,13 +969,7 @@ pub(crate) fn run_stream_impl(
                             && merged_here.is_multiple_of(stream.checkpoint_every);
                         let last = k + 1 == shards;
                         if due || last {
-                            write_checkpoint(
-                                dir,
-                                config_fp,
-                                k + 1,
-                                &global,
-                                stream.keep_checkpoints,
-                            )?;
+                            write_checkpoint(dir, config_fp, k + 1, &global)?;
                             checkpoints_written += 1;
                             if stream
                                 .abort_after_checkpoints
@@ -1125,7 +1101,7 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("sammy-ckpt-unit-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let state = ShardState::new(5);
-        write_checkpoint(&dir, 0xFEED, 3, &state, 2).unwrap();
+        write_checkpoint(&dir, 0xFEED, 3, &state).unwrap();
         let path = checkpoint_path(&dir, 3);
         let (_, next_shard) = load_checkpoint(&path, 0xFEED, 5).unwrap();
         assert_eq!(next_shard, 3);
@@ -1165,7 +1141,7 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         let state = ShardState::new(2);
         for k in 1..=5 {
-            write_checkpoint(&dir, 1, k, &state, 2).unwrap();
+            write_checkpoint(&dir, 1, k, &state).unwrap();
         }
         let files = list_checkpoints(&dir).unwrap();
         let shards: Vec<usize> = files.iter().map(|&(_, s)| s).collect();

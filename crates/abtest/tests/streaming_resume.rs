@@ -205,7 +205,7 @@ fn corrupt_newest_checkpoint_falls_back_with_a_tagged_note() {
         .unwrap();
     assert_eq!(partial.checkpoints_written, 2);
     let files = checkpoint_files(dir.path());
-    assert_eq!(files.len(), 2, "keep_checkpoints retains two files");
+    assert_eq!(files.len(), 2, "KEEP_CHECKPOINTS retains two files");
 
     // Tear the newest file mid-payload.
     let newest = files.last().unwrap();

@@ -29,17 +29,14 @@
 //! The `figures` binary (`cargo run -p sammy-bench --bin figures --release`)
 //! regenerates all of them as aligned text tables and CSV files.
 //!
-//! [`perf`] is the perf-trajectory battery behind the `perf` binary: a
-//! fixed set of hot-path wall-clock measurements written to schema'd
-//! `BENCH_<n>.json` files ([`json`] is the offline reader/writer) and
-//! compared release over release.
+//! Timing lives outside this crate: the repo's one benchmark is the
+//! `benchmark/` package (`bash benchmark/run.sh`, declared in
+//! `BENCHMARK.json`), which drives these harnesses from outside.
 
 #![warn(missing_docs)]
 
 pub mod ablation;
 pub mod figures;
-pub mod json;
 pub mod lab;
 pub mod matrix;
-pub mod perf;
 pub mod shared;

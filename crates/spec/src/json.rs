@@ -175,11 +175,18 @@ fn write_str(s: &str, out: &mut String) {
     out.push('"');
 }
 
-/// Parse a JSON document. Trailing non-whitespace is an error.
+/// Deepest array/object nesting [`parse`] accepts. The parser recurses
+/// once per level, so without a cap a request body of `[`s overflows the
+/// stack and aborts the process; no spec nests deeper than a handful.
+const MAX_DEPTH: usize = 128;
+
+/// Parse a JSON document. Trailing non-whitespace and nesting deeper than
+/// [`MAX_DEPTH`] are errors.
 pub fn parse(input: &str) -> Result<Value, SimError> {
     let mut p = Parser {
         bytes: input.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let v = p.value()?;
@@ -193,6 +200,7 @@ pub fn parse(input: &str) -> Result<Value, SimError> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -238,12 +246,25 @@ impl<'a> Parser<'a> {
             Some(b't') => self.literal("true", Value::Bool(true)),
             Some(b'f') => self.literal("false", Value::Bool(false)),
             Some(b'"') => self.string().map(Value::Str),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(b'-' | b'0'..=b'9') => self.number(),
             Some(_) => Err(self.err("unexpected character")),
             None => Err(self.err("unexpected end of input")),
         }
+    }
+
+    fn nested(
+        &mut self,
+        container: fn(&mut Self) -> Result<Value, SimError>,
+    ) -> Result<Value, SimError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err(&format!("nesting deeper than {MAX_DEPTH} levels")));
+        }
+        self.depth += 1;
+        let v = container(self);
+        self.depth -= 1;
+        v
     }
 
     fn array(&mut self) -> Result<Value, SimError> {
@@ -491,6 +512,17 @@ mod tests {
             let msg = e.unwrap_err().to_string();
             assert!(msg.contains("json"), "error names the format: {msg}");
         }
+        let nest = |depth: usize| "[".repeat(depth) + &"]".repeat(depth);
+        assert!(parse(&nest(MAX_DEPTH)).is_ok());
+        let msg = parse(&nest(MAX_DEPTH + 1)).unwrap_err().to_string();
+        assert!(
+            msg.contains(&format!("at byte {MAX_DEPTH}")),
+            "offset of the first bracket too deep: {msg}"
+        );
+        // A full-size request body of openers must be an error, not a
+        // stack overflow.
+        assert!(parse(&"[".repeat(1 << 20)).is_err());
+        assert!(parse(&"{\"a\":".repeat((1 << 20) / 5)).is_err());
     }
 
     #[test]

@@ -82,12 +82,17 @@ fn usage() {
 struct Opts(Vec<(String, String)>);
 
 impl Opts {
+    /// The parsed value of `--key`, or `default` when the flag is absent.
+    /// A flag that is present but does not parse exits with status 2: a
+    /// typo must not silently run the default experiment.
     fn get<T: std::str::FromStr>(&self, key: &str, default: T) -> T {
-        self.0
-            .iter()
-            .find(|(k, _)| k == key)
-            .and_then(|(_, v)| v.parse().ok())
-            .unwrap_or(default)
+        match self.get_str(key) {
+            None => default,
+            Some(v) => v.parse().unwrap_or_else(|_| {
+                eprintln!("invalid value for --{key}: '{v}'");
+                std::process::exit(2);
+            }),
+        }
     }
 
     fn get_str(&self, key: &str) -> Option<&str> {

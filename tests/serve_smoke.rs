@@ -1,0 +1,98 @@
+//! Tier-1 mirror of the serve crate's daemon battery.
+//!
+//! Plain `cargo test` runs only this root package, so the daemon gets one
+//! submit → poll → result round trip over a real socket here, plus the
+//! hostile body that used to abort it; the kill/resume battery lives in
+//! `crates/serve/tests/daemon.rs`.
+
+use std::time::{Duration, Instant};
+
+use sammy_repro::abtest::METRICS;
+use sammy_repro::prelude::*;
+use sammy_repro::sammy_serve::http::{http_request, MAX_BODY};
+use sammy_repro::sammy_serve::{Daemon, ServeConfig};
+use sammy_repro::spec::json::{self, Value};
+
+/// Two shards of three light users, one measured session each.
+const SPEC: &str = r#"{"name":"smoke","users_per_arm":6,"pre_sessions":1,"sessions_per_user":1,"seed":7,"bootstrap_reps":40,"threads":2,"shard_size":3,"light_population":true}"#;
+
+/// `doc[key]` as the daemon renders an `f64`: non-finite values are `null`.
+fn num(doc: &Value, key: &str) -> Option<f64> {
+    doc.get(key).and_then(Value::as_f64)
+}
+
+fn rendered(x: f64) -> Option<f64> {
+    Some(x).filter(|x| x.is_finite())
+}
+
+#[test]
+fn run_round_trip_matches_in_process_and_survives_deep_nesting() {
+    let dir = std::env::temp_dir().join(format!("sammy-serve-smoke-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let daemon = Daemon::start("127.0.0.1:0", ServeConfig::new(&dir)).unwrap();
+    let addr = daemon.local_addr();
+
+    let (code, body) = http_request(addr, "POST", "/runs", Some(SPEC)).unwrap();
+    assert_eq!(code, 201, "{body}");
+    let deadline = Instant::now() + Duration::from_secs(120);
+    loop {
+        let (code, body) = http_request(addr, "GET", "/runs/r0001", None).unwrap();
+        assert_eq!(code, 200, "{body}");
+        let status = json::parse(&body).unwrap();
+        match status.get("state").and_then(Value::as_str) {
+            Some("done") => break,
+            Some("queued" | "running") => {}
+            other => panic!("run ended {other:?}: {body}"),
+        }
+        assert!(Instant::now() < deadline, "timed out: {body}");
+        std::thread::sleep(Duration::from_millis(10));
+    }
+
+    // The daemon's artifact is the in-process streaming run of the same
+    // spec, field for field (floats round-trip bit-exactly).
+    let spec = ExperimentSpec::from_json_str(SPEC).unwrap();
+    let run = Experiment::builder().spec(&spec).run_streaming().unwrap();
+    let report = run.report();
+    let result = std::fs::read_to_string(dir.join("runs/r0001/result.json")).unwrap();
+    let result = json::parse(&result).unwrap();
+    assert_eq!(num(&result, "users"), Some(6.0));
+    assert_eq!(num(&result, "failures"), Some(0.0));
+    assert_eq!(num(&result, "shards"), Some(run.shards as f64));
+    assert_eq!(
+        result.get("fingerprint").and_then(Value::as_str),
+        Some(format!("{:016x}", run.fingerprint()).as_str())
+    );
+    let rows = result.get("rows").and_then(Value::as_arr).unwrap();
+    assert_eq!(rows.len(), METRICS.len());
+    for ((got, want), &(name, ..)) in rows.iter().zip(&report.rows).zip(&METRICS) {
+        assert_eq!(got.get("name").and_then(Value::as_str), Some(name));
+        assert_eq!(want.name, name);
+        assert_eq!(num(got, "control"), rendered(want.control), "{name}");
+        assert_eq!(num(got, "treatment"), rendered(want.treatment), "{name}");
+        assert_eq!(num(got, "pct_change"), rendered(want.pct_change), "{name}");
+        let paired = got.get("paired").unwrap();
+        assert_eq!(
+            num(paired, "mean_delta_pct"),
+            rendered(want.paired.mean_delta_pct),
+            "{name}"
+        );
+        assert_eq!(num(paired, "ci_low"), rendered(want.paired.ci_low));
+        assert_eq!(num(paired, "ci_high"), rendered(want.paired.ci_high));
+        assert_eq!(num(got, "control_count"), Some(want.control_count as f64));
+        assert_eq!(
+            num(got, "treatment_count"),
+            Some(want.treatment_count as f64)
+        );
+    }
+
+    // The largest body the HTTP layer admits, all openers: a 400 from the
+    // JSON nesting cap, and a daemon that is still there afterwards.
+    let (code, body) = http_request(addr, "POST", "/runs", Some(&"[".repeat(MAX_BODY))).unwrap();
+    assert_eq!(code, 400, "{body}");
+    assert!(body.contains("nesting"), "{body}");
+    let (code, body) = http_request(addr, "GET", "/healthz", None).unwrap();
+    assert_eq!((code, body.as_str()), (200, r#"{"ok":true}"#));
+
+    daemon.stop();
+    let _ = std::fs::remove_dir_all(&dir);
+}
