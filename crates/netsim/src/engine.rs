@@ -19,17 +19,15 @@
 //! write into scratch buffers owned by the simulator (reused across events),
 //! routing tables and per-link/per-flow state are dense vectors indexed by
 //! the id newtypes, and endpoint timers — the dominant event class under
-//! pacing — live in a hierarchical timer wheel (`timerwheel`) instead of the
-//! packet event heap. Timers and packet events draw `seq` from one global
-//! counter, so the merged dispatch order is exactly the historical single-
-//! heap `(at, seq)` order.
+//! pacing — live in a binary heap of their own beside the packet event heap,
+//! so neither kind sifts through the other's population. Timers and packet
+//! events draw `seq` from one global counter, so the merged dispatch order
+//! is exactly the single-heap `(at, seq)` order.
 
 use crate::link::{Link, LinkConfig, TxStart};
 use crate::packet::{FlowId, LinkId, NodeId, Packet, PacketId, PacketRef, PacketStore};
-use crate::queue::{EnqueueResult, TrainStop};
-use crate::time::SimDuration;
-use crate::time::SimTime;
-use crate::timerwheel::TimerWheel;
+use crate::queue::EnqueueResult;
+use crate::time::{SimDuration, SimTime};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
 
@@ -93,31 +91,32 @@ enum EventKind {
     PacketArrive(NodeId, PacketId),
 }
 
+/// A heap entry: `what` is due at `at`. Every comparison keys on
+/// `(at, seq)` alone — the payload must never influence queue order (or
+/// equality), and `seq` is globally unique so the order is total and
+/// deterministic.
 #[derive(Debug, Clone, Copy)]
-struct Event {
+struct Due<T> {
     at: SimTime,
     seq: u64,
-    kind: EventKind,
+    what: T,
 }
 
-// Every comparison trait keys on `(at, seq)` alone — the payload must never
-// influence queue order (or equality), and `seq` is globally unique so the
-// order is total and deterministic.
-impl PartialEq for Event {
+impl<T> PartialEq for Due<T> {
     fn eq(&self, other: &Self) -> bool {
         (self.at, self.seq) == (other.at, other.seq)
     }
 }
 
-impl Eq for Event {}
+impl<T> Eq for Due<T> {}
 
-impl Ord for Event {
+impl<T> Ord for Due<T> {
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
         (self.at, self.seq).cmp(&(other.at, other.seq))
     }
 }
 
-impl PartialOrd for Event {
+impl<T> PartialOrd for Due<T> {
     fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
         Some(self.cmp(other))
     }
@@ -153,27 +152,6 @@ pub struct FlowStats {
 /// a hash map so the table cannot balloon.
 const DENSE_FLOWS: u64 = 4096;
 
-/// Upper bound on packets pulled per [`Queue::dequeue_train`] call: bounds
-/// the per-call latency and the slack term in the train byte budget.
-///
-/// [`Queue::dequeue_train`]: crate::queue::Queue::dequeue_train
-const MAX_TRAIN: u64 = 64;
-
-/// Consecutive fusion misses on a link before the engine stops paying for
-/// the window/budget computation on it (see the gate in `handle_tx_done`).
-const FUSE_PROBE_AFTER: u32 = 8;
-
-/// Gated completions between fusion re-probes, so a link that becomes
-/// fusible (queue composition or timer pattern changed) is re-detected.
-const FUSE_REPROBE_EVERY: u32 = 256;
-
-/// Padding subtracted from a train's serialization window before converting
-/// it to a byte budget: each per-packet `time_to_send` can round up by a
-/// nanosecond, so a train of up to [`MAX_TRAIN`] packets needs this much
-/// headroom for the cumulative completion times to provably stay inside
-/// the window.
-const TRAIN_SLACK: SimDuration = SimDuration::from_nanos(MAX_TRAIN + 2);
-
 /// The error returned by [`Simulator::run_with_budget`] when the event
 /// budget is exhausted before the queue drains.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -197,14 +175,15 @@ impl std::fmt::Display for BudgetExceeded {
 impl std::error::Error for BudgetExceeded {}
 
 /// The discrete-event network simulator.
+#[derive(Default)]
 pub struct Simulator {
     now: SimTime,
     seq: u64,
     /// Packet events (`LinkTxDone`, `PacketArrive`).
-    events: BinaryHeap<Reverse<Event>>,
+    events: BinaryHeap<Reverse<Due<EventKind>>>,
     /// Endpoint timers; shares the `seq` counter with `events` so the merged
     /// dispatch order equals the historical single-heap order.
-    timers: TimerWheel,
+    timers: BinaryHeap<Reverse<Due<(NodeId, u64)>>>,
     nodes: Vec<Node>,
     links: Vec<Link>,
     /// Packet currently being serialized on each link, indexed by `LinkId`.
@@ -225,42 +204,16 @@ pub struct Simulator {
     scratch_timers: Vec<(SimTime, u64)>,
     /// Scratch buffer for AQM head-drops surfaced by `Queue::dequeue`.
     scratch_dropped: Vec<PacketRef>,
-    /// Scratch buffer for pre-pulled packet trains (`Link::start_train`).
-    scratch_train: Vec<(PacketRef, SimTime)>,
     /// `(at, seq)` of the most recently dispatched event (validate feature):
-    /// dispatch keys must be strictly increasing across the heap/wheel merge.
+    /// dispatch keys must be strictly increasing across the two-heap merge.
     #[cfg(feature = "validate")]
     last_dispatch: Option<(SimTime, u64)>,
-}
-
-impl Default for Simulator {
-    fn default() -> Self {
-        Self::new()
-    }
 }
 
 impl Simulator {
     /// Create an empty simulator at time zero.
     pub fn new() -> Self {
-        Simulator {
-            now: SimTime::ZERO,
-            seq: 0,
-            events: BinaryHeap::new(),
-            timers: TimerWheel::new(),
-            nodes: Vec::new(),
-            links: Vec::new(),
-            in_flight: Vec::new(),
-            store: PacketStore::new(),
-            flow_stats: Vec::new(),
-            flow_stats_overflow: HashMap::new(),
-            processed_events: 0,
-            scratch_out: Vec::new(),
-            scratch_timers: Vec::new(),
-            scratch_dropped: Vec::new(),
-            scratch_train: Vec::new(),
-            #[cfg(feature = "validate")]
-            last_dispatch: None,
-        }
+        Simulator::default()
     }
 
     /// Current simulated time.
@@ -406,28 +359,26 @@ impl Simulator {
         self.route_packet(from, dst, pref);
     }
 
-    /// Arm a timer for a node's endpoint from outside the endpoint (used to
-    /// bootstrap protocols: e.g. fire token 0 at t=0 to start a flow).
+    /// Arm a timer for a node's endpoint. Endpoints arm theirs through
+    /// [`NodeCtx::set_timer`]; from outside this bootstraps a protocol (e.g.
+    /// fire token 0 at t=0 to start a flow).
     pub fn start_timer(&mut self, node: NodeId, at: SimTime, token: u64) {
-        self.push_timer(at, node, token);
+        let timer = self.due(at, (node, token));
+        self.timers.push(timer);
     }
 
     fn push_event(&mut self, at: SimTime, kind: EventKind) {
-        debug_assert!(at >= self.now, "scheduling into the past");
-        let ev = Event {
-            at,
-            seq: self.seq,
-            kind,
-        };
-        self.seq += 1;
-        self.events.push(Reverse(ev));
+        let event = self.due(at, kind);
+        self.events.push(event);
     }
 
-    fn push_timer(&mut self, at: SimTime, node: NodeId, token: u64) {
+    /// Stamp a heap entry with the next sequence number: the one counter
+    /// both heaps draw from.
+    fn due<T>(&mut self, at: SimTime, what: T) -> Reverse<Due<T>> {
         debug_assert!(at >= self.now, "scheduling into the past");
         let seq = self.seq;
         self.seq += 1;
-        self.timers.insert(at, seq, node, token);
+        Reverse(Due { at, seq, what })
     }
 
     /// Route a packet leaving `from` toward `dst`: pick the next hop and
@@ -482,71 +433,45 @@ impl Simulator {
             }
             TxStart::Idle => {}
         }
-        if !dropped.is_empty() {
-            self.account_head_drops(&mut dropped);
-        }
-        self.scratch_dropped = dropped;
-    }
-
-    /// Account AQM head-drops surfaced by a dequeue and free their ids.
-    fn account_head_drops(&mut self, dropped: &mut Vec<PacketRef>) {
-        let now = self.now;
         for pkt in dropped.drain(..) {
             obs::counter!("netsim.link.drops", 1);
             obs::trace_event!(LinkDrop, now.as_nanos(), pkt.flow.0, pkt.size);
-            let _ = now;
             let st = self.flow_stats_mut(pkt.flow);
             st.dropped_packets += 1;
             st.dropped_bytes += pkt.size;
             self.store.discard(pkt.id);
         }
+        self.scratch_dropped = dropped;
     }
 
     /// Run one event. Returns `false` if the queue is empty.
-    ///
-    /// The public single-step never fuses transmission completions (the
-    /// horizon is the current clock), so external observers see exactly one
-    /// dispatched event per call.
     pub fn step(&mut self) -> bool {
-        let horizon = self.now;
-        self.step_inner(horizon, u64::MAX)
-    }
-
-    /// Run one event, allowing `LinkTxDone` fusion up to `fuse_horizon`
-    /// (inclusive) while staying under the `limit` on `processed_events`.
-    /// Fused completions consume sequence numbers and event-budget slots
-    /// exactly as heap-dispatched ones would, so the observable schedule is
-    /// byte-identical to the unfused engine.
-    fn step_inner(&mut self, fuse_horizon: SimTime, limit: u64) -> bool {
-        // Merge the packet heap and the timer wheel by (at, seq): both draw
+        // Merge the packet heap and the timer heap by (at, seq): both draw
         // seq from the same counter, so the pair is unique and the merged
         // order is the historical single-queue order.
-        let packet_key = self.events.peek().map(|&Reverse(e)| (e.at, e.seq));
-        let timer_key = self.timers.peek_key();
-        let take_timer = match (packet_key, timer_key) {
+        let packet_key = self.events.peek().map(|Reverse(e)| (e.at, e.seq));
+        let timer_key = self.timers.peek().map(|Reverse(e)| (e.at, e.seq));
+        let (take_timer, (at, seq)) = match (packet_key, timer_key) {
             (None, None) => return false,
-            (None, Some(_)) => true,
-            (Some(_), None) => false,
-            (Some(p), Some(t)) => t < p,
+            (None, Some(t)) => (true, t),
+            (Some(p), None) => (false, p),
+            (Some(p), Some(t)) => (t < p, t.min(p)),
         };
         obs::counter!("netsim.engine.events", 1);
+        // Tagged invariant first: under `validate` a backwards clock must
+        // surface as [dispatch-order], not a bare debug_assert.
+        self.check_dispatch(at, seq);
+        debug_assert!(at >= self.now, "time went backwards");
+        self.now = at;
+        self.processed_events += 1;
         if take_timer {
-            let e = self.timers.pop().expect("peeked entry vanished");
-            // Tagged invariant first: under `validate` a backwards clock
-            // must surface as [dispatch-order], not a bare debug_assert.
-            self.check_dispatch(e.at, e.seq);
-            debug_assert!(e.at >= self.now, "time went backwards");
-            self.now = e.at;
-            self.processed_events += 1;
-            self.dispatch_timer(e.node, e.token);
+            let Reverse(e) = self.timers.pop().expect("peeked entry vanished");
+            let (node, token) = e.what;
+            self.with_endpoint(node, |ep, ctx| ep.on_timer(at, token, ctx));
         } else {
             let Reverse(ev) = self.events.pop().expect("peeked event vanished");
-            self.check_dispatch(ev.at, ev.seq);
-            debug_assert!(ev.at >= self.now, "time went backwards");
-            self.now = ev.at;
-            self.processed_events += 1;
-            match ev.kind {
-                EventKind::LinkTxDone(id) => self.handle_tx_done(id, fuse_horizon, limit),
+            match ev.what {
+                EventKind::LinkTxDone(id) => self.handle_tx_done(id),
                 EventKind::PacketArrive(node, pid) => self.deliver(node, pid),
                 EventKind::LinkWake(id) => {
                     let link = &mut self.links[id.0];
@@ -560,161 +485,21 @@ impl Simulator {
         true
     }
 
-    /// Handle a `LinkTxDone` for `id` at the current clock, fusing the
-    /// back-to-back completions that follow it whenever no other event can
-    /// interleave.
-    ///
-    /// Correctness argument: the serialization window is bounded above by
-    /// `min(heap top, wheel top, fuse_horizon + 1ns)` computed *after*
-    /// pushing the finished packet's arrival, so the window never exceeds
-    /// `now + delay`. Every arrival pushed while fusing lands at
-    /// `done_i + delay > now + delay >= window`, no endpoint code runs, and
-    /// the train byte budget keeps every cumulative completion time inside
-    /// the window — hence nothing the baseline engine would dispatch can
-    /// fall between two fused completions, and the dispatch order (and seq
-    /// assignment) is exactly the unfused order.
-    fn handle_tx_done(&mut self, id: LinkId, fuse_horizon: SimTime, limit: u64) {
-        let lid = id.0;
-        // `scratch_train`/`scratch_dropped` are used in place (no take/put
-        // dance): nothing called below re-enters them — fusion runs no
-        // endpoint code, and `account_head_drops` only touches stats and
-        // the store. Elements are `Copy`, so reads copy out before `&mut
-        // self` calls.
-        let mut train_next = usize::MAX; // force a fresh pull first time
-        loop {
-            // The link just finished serializing `in_flight[lid]` at `now`.
-            let pkt = self.in_flight[lid]
-                .take()
-                .expect("LinkTxDone with no packet in flight");
-            let (delay, dst) = {
-                let link = &mut self.links[lid];
-                link.finish_transmission(&pkt);
-                (link.delay, link.dst)
-            };
-            self.push_event(self.now + delay, EventKind::PacketArrive(dst, pkt.id));
-
-            // Continue a pre-pulled train: the byte budget proved every
-            // completion in it is fusible.
-            if train_next < self.scratch_train.len() {
-                let (next, done) = self.scratch_train[train_next];
-                train_next += 1;
-                self.links[lid].resume_train();
-                self.in_flight[lid] = Some(next);
-                self.fuse_tx_done(done);
-                continue;
-            }
-            self.scratch_train.clear();
-
-            // Fast path: nothing queued means no train and no wake (a
-            // shaper only returns `Wait` when packets are held back), so
-            // skip the window/budget computation entirely. This is the
-            // common case for ACK-clocked or paced senders.
-            if self.links[lid].queue.is_empty() {
-                break;
-            }
-
-            // Fusion gate. Fusing and not fusing produce the identical
-            // observable schedule (same seq consumption, same dispatch
-            // order), so gating is purely a cost decision: a link whose
-            // propagation delay undercuts its per-packet serialization
-            // time (so the head's own arrival always cuts the window)
-            // misses on every pull. After enough consecutive misses the
-            // engine takes the plain single-packet path and only re-probes
-            // every `FUSE_REPROBE_EVERY` completions.
-            let misses = self.links[lid].fuse_misses;
-            if (FUSE_PROBE_AFTER..FUSE_PROBE_AFTER + FUSE_REPROBE_EVERY).contains(&misses) {
-                self.links[lid].fuse_misses = misses + 1;
-                self.kick_link(id);
-                break;
-            }
-
-            // Pull a fresh train. `window` is the earliest instant any
-            // other pending work could run (the arrival just pushed is
-            // already in the heap, so window <= now + delay).
-            let heap_at = self.events.peek().map(|&Reverse(e)| e.at);
-            let wheel_at = self.timers.peek_key().map(|(at, _)| at);
-            let mut window = match (heap_at, wheel_at) {
-                (None, None) => SimTime::MAX,
-                (Some(p), None) => p,
-                (None, Some(t)) => t,
-                (Some(p), Some(t)) => p.min(t),
-            };
-            window = window.min(fuse_horizon + SimDuration::from_nanos(1));
-            let slots = limit.saturating_sub(self.processed_events).min(MAX_TRAIN);
-            let max_packets = slots.max(1) as usize;
-            let max_bytes = if window > self.now + TRAIN_SLACK {
-                self.links[lid]
-                    .rate
-                    .bytes_in(window - (self.now + TRAIN_SLACK))
-            } else {
-                0
-            };
-            let link = &mut self.links[lid];
-            let stop = link.start_train(
-                self.now,
-                max_packets,
-                max_bytes,
-                &mut self.scratch_train,
-                &mut self.scratch_dropped,
-            );
-            if !self.scratch_dropped.is_empty() {
-                let mut dropped = std::mem::take(&mut self.scratch_dropped);
-                self.account_head_drops(&mut dropped);
-                self.scratch_dropped = dropped;
-            }
-            match self.scratch_train.first().copied() {
-                Some((first, done)) => {
-                    self.in_flight[lid] = Some(first);
-                    train_next = 1;
-                    if done < window && self.processed_events < limit {
-                        self.links[lid].fuse_misses = 0;
-                        self.fuse_tx_done(done);
-                        continue;
-                    }
-                    // Miss: count it; a failed re-probe (misses already
-                    // past the gate window) goes straight back to the
-                    // gated regime rather than re-running full attempts.
-                    self.links[lid].fuse_misses = if misses >= FUSE_PROBE_AFTER {
-                        FUSE_PROBE_AFTER
-                    } else {
-                        misses + 1
-                    };
-                    // Only a budget-exempt head can land outside the
-                    // window, and then it is the train's sole packet.
-                    debug_assert_eq!(self.scratch_train.len(), 1);
-                    self.push_event(done, EventKind::LinkTxDone(id));
-                }
-                None => {
-                    if let TrainStop::Wait(at) = stop {
-                        let at = at.max(self.now + SimDuration::from_nanos(1));
-                        let pending = self.links[lid].wake_at;
-                        if pending.is_none_or(|w| w <= self.now || at < w) {
-                            self.links[lid].wake_at = Some(at);
-                            self.push_event(at, EventKind::LinkWake(id));
-                        }
-                    }
-                }
-            }
-            break;
-        }
-        self.scratch_train.clear();
-    }
-
-    /// Bookkeeping for a fused `LinkTxDone`: consume the sequence number
-    /// the heap push would have taken and advance the clock/accounting
-    /// exactly as a dispatched event would.
-    fn fuse_tx_done(&mut self, done: SimTime) {
-        let seq = self.seq;
-        self.seq += 1;
-        obs::counter!("netsim.engine.events", 1);
-        self.check_dispatch(done, seq);
-        debug_assert!(done >= self.now, "time went backwards");
-        self.now = done;
-        self.processed_events += 1;
+    /// The link finished serializing its in-flight packet: send it down the
+    /// wire and offer the link its next one.
+    fn handle_tx_done(&mut self, id: LinkId) {
+        let pkt = self.in_flight[id.0]
+            .take()
+            .expect("LinkTxDone with no packet in flight");
+        let link = &mut self.links[id.0];
+        link.finish_transmission(&pkt);
+        let (arrive, dst) = (self.now + link.delay, link.dst);
+        self.push_event(arrive, EventKind::PacketArrive(dst, pkt.id));
+        self.kick_link(id);
     }
 
     /// Dispatch-order invariant: the clock never runs backwards and the
-    /// merged heap/wheel stream dispatches in strictly increasing
+    /// merged two-heap stream dispatches in strictly increasing
     /// `(time, seq)` — the global event order every golden test pins.
     #[cfg(feature = "validate")]
     fn check_dispatch(&mut self, at: SimTime, seq: u64) {
@@ -845,39 +630,30 @@ impl Simulator {
         let st = self.flow_stats_mut(pkt.flow);
         st.delivered_bytes += pkt.size;
         st.delivered_packets += 1;
-        if self.nodes[node.0].endpoint.is_some() {
-            let mut ep = self.nodes[node.0].endpoint.take().expect("checked");
-            let mut out = std::mem::take(&mut self.scratch_out);
-            let mut timers = std::mem::take(&mut self.scratch_timers);
-            let mut ctx = NodeCtx {
-                node,
-                out: &mut out,
-                timers: &mut timers,
-            };
-            ep.on_packet(self.now, pkt, &mut ctx);
-            self.nodes[node.0].endpoint = Some(ep);
-            self.apply_ctx(node, &mut out, &mut timers);
-            self.scratch_out = out;
-            self.scratch_timers = timers;
-        }
+        let now = self.now;
+        self.with_endpoint(node, |ep, ctx| ep.on_packet(now, pkt, ctx));
     }
 
-    fn dispatch_timer(&mut self, node: NodeId, token: u64) {
-        if self.nodes[node.0].endpoint.is_some() {
-            let mut ep = self.nodes[node.0].endpoint.take().expect("checked");
-            let mut out = std::mem::take(&mut self.scratch_out);
-            let mut timers = std::mem::take(&mut self.scratch_timers);
-            let mut ctx = NodeCtx {
-                node,
-                out: &mut out,
-                timers: &mut timers,
-            };
-            ep.on_timer(self.now, token, &mut ctx);
-            self.nodes[node.0].endpoint = Some(ep);
-            self.apply_ctx(node, &mut out, &mut timers);
-            self.scratch_out = out;
-            self.scratch_timers = timers;
-        }
+    /// Run one callback on `node`'s endpoint (a node without one ignores
+    /// the event), lending it the scratch buffers through a [`NodeCtx`],
+    /// then apply what it emitted. The endpoint and the buffers are moved
+    /// out for the call so `apply_ctx` can borrow `self` mutably.
+    fn with_endpoint(&mut self, node: NodeId, call: impl FnOnce(&mut dyn Endpoint, &mut NodeCtx)) {
+        let Some(mut ep) = self.nodes[node.0].endpoint.take() else {
+            return;
+        };
+        let mut out = std::mem::take(&mut self.scratch_out);
+        let mut timers = std::mem::take(&mut self.scratch_timers);
+        let mut ctx = NodeCtx {
+            node,
+            out: &mut out,
+            timers: &mut timers,
+        };
+        call(ep.as_mut(), &mut ctx);
+        self.nodes[node.0].endpoint = Some(ep);
+        self.apply_ctx(node, &mut out, &mut timers);
+        self.scratch_out = out;
+        self.scratch_timers = timers;
     }
 
     /// Drain one callback's scratch output into the queues. Timers first,
@@ -885,7 +661,7 @@ impl Simulator {
     /// tests pin.
     fn apply_ctx(&mut self, node: NodeId, out: &mut Vec<Packet>, timers: &mut Vec<(SimTime, u64)>) {
         for (at, token) in timers.drain(..) {
-            self.push_timer(at.max(self.now), node, token);
+            self.start_timer(node, at.max(self.now), token);
         }
         for mut pkt in out.drain(..) {
             pkt.sent_at = self.now;
@@ -901,19 +677,8 @@ impl Simulator {
     /// Process all events up to and including `deadline`, then set the clock
     /// to `deadline`. Events after the deadline stay queued.
     pub fn run_until(&mut self, deadline: SimTime) -> SimTime {
-        loop {
-            let packet_t = self.events.peek().map(|&Reverse(e)| e.at);
-            let timer_t = self.timers.peek_key().map(|(at, _)| at);
-            let next = match (packet_t, timer_t) {
-                (None, None) => break,
-                (Some(p), None) => p,
-                (None, Some(t)) => t,
-                (Some(p), Some(t)) => p.min(t),
-            };
-            if next > deadline {
-                break;
-            }
-            self.step_inner(deadline, u64::MAX);
+        while self.next_event_time().is_some_and(|t| t <= deadline) {
+            self.step();
         }
         if self.now < deadline {
             self.now = deadline;
@@ -924,7 +689,7 @@ impl Simulator {
 
     /// Run until no events remain.
     pub fn run_to_completion(&mut self) -> SimTime {
-        while self.step_inner(SimTime::MAX, u64::MAX) {}
+        while self.step() {}
         self.check_topology_conservation();
         self.now
     }
@@ -936,14 +701,9 @@ impl Simulator {
     /// self-rearming timers) fail loudly instead of spinning forever.
     pub fn run_with_budget(&mut self, max_events: u64) -> Result<SimTime, BudgetExceeded> {
         let limit = self.processed_events.saturating_add(max_events);
-        while self.processed_events < limit {
-            if !self.step_inner(SimTime::MAX, limit) {
-                self.check_topology_conservation();
-                return Ok(self.now);
-            }
-        }
+        while self.processed_events < limit && self.step() {}
         self.check_topology_conservation();
-        if self.events.is_empty() && self.timers.is_empty() {
+        if self.next_event_time().is_none() {
             Ok(self.now)
         } else {
             Err(BudgetExceeded {
@@ -955,13 +715,9 @@ impl Simulator {
 
     /// Time of the next pending event, if any.
     pub fn next_event_time(&self) -> Option<SimTime> {
-        let packet_t = self.events.peek().map(|&Reverse(e)| e.at);
-        let timer_t = self.timers.next_time();
-        match (packet_t, timer_t) {
-            (None, t) => t,
-            (p, None) => p,
-            (Some(p), Some(t)) => Some(p.min(t)),
-        }
+        let packet_t = self.events.peek().map(|Reverse(e)| e.at);
+        let timer_t = self.timers.peek().map(|Reverse(e)| e.at);
+        packet_t.into_iter().chain(timer_t).min()
     }
 }
 
@@ -1317,6 +1073,223 @@ mod tests {
         assert_eq!(sim.flow_stats(FlowId(DENSE_FLOWS + 99)).injected_packets, 0);
     }
 
+    // ---- dispatch order against a flat reference model ----
+    //
+    // A random script of timers and packets on a four-node ring
+    // a → r → b → r' → a (endpoints at a and b, two hops each way), where
+    // dispatching one op arms its children. `Model` is the engine's ordering
+    // contract in its plainest form: one unsorted list, one arming counter,
+    // next = minimum `(at, armed)`.
+
+    /// What one dispatched event showed the outside world.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    enum Seen {
+        Timer(u64),
+        Packet(u64),
+        /// `LinkTxDone`, or an arrival at a router: no endpoint runs.
+        Internal,
+    }
+
+    /// One `(time, seen)` per dispatched event.
+    type DispatchLog = Rc<RefCell<Vec<(SimTime, Seen)>>>;
+
+    struct Op {
+        packet: bool,
+        /// Timer delay from arming (unused by packets).
+        delay: SimDuration,
+        /// Armed when this earlier op dispatches; `None` = armed up front.
+        parent: Option<usize>,
+    }
+
+    const ENDS: [NodeId; 2] = [NodeId(0), NodeId(2)];
+    const PROP_DELAY: SimDuration = SimDuration::from_millis(2);
+    /// Added to a timer's half-millisecond grid delay. Packet events land on
+    /// that grid (0.5 or 1 ms to serialize, 2 ms to propagate), so timers tie
+    /// with them to the nanosecond or miss by one; the last two offsets lie
+    /// beyond 2^36 ns.
+    const OFFSETS_NS: [u64; 4] = [0, 1, 70_000_000_000, 140_000_000_000];
+
+    /// Op `i` as a packet from `from` to the other end, 1500 B or 750 B.
+    fn op_packet(i: usize, from: NodeId) -> Packet {
+        let (seq, to) = (i as u64, NodeId((from.0 + 2) % 4));
+        Packet::new(from, to, FlowId(seq), Payload::Datagram { seq })
+            .with_size(if i.is_multiple_of(2) { 1500 } else { 750 })
+    }
+
+    /// The endpoint at both ends: logs what it sees, arms the op's children
+    /// in script order (the engine applies one callback's timers first).
+    struct Scripted {
+        script: Rc<Vec<Op>>,
+        log: DispatchLog,
+    }
+
+    impl Scripted {
+        fn dispatched(&self, seen: Seen, i: u64, now: SimTime, ctx: &mut NodeCtx) {
+            self.log.borrow_mut().push((now, seen));
+            for (child, op) in armed_by(&self.script, Some(i as usize)) {
+                if op.packet {
+                    ctx.send(op_packet(child, ctx.node()));
+                } else {
+                    ctx.set_timer(now + op.delay, child as u64);
+                }
+            }
+        }
+    }
+
+    impl Endpoint for Scripted {
+        fn on_packet(&mut self, now: SimTime, pkt: Packet, ctx: &mut NodeCtx) {
+            self.dispatched(Seen::Packet(pkt.flow.0), pkt.flow.0, now, ctx);
+        }
+        fn on_timer(&mut self, now: SimTime, token: u64, ctx: &mut NodeCtx) {
+            self.dispatched(Seen::Timer(token), token, now, ctx);
+        }
+        fn as_any(&mut self) -> &mut dyn std::any::Any {
+            self
+        }
+    }
+
+    /// The ops armed when `parent` dispatches (`None`: from outside, up
+    /// front, alternating between the two ends), in script order.
+    fn armed_by(script: &[Op], parent: Option<usize>) -> impl Iterator<Item = (usize, &Op)> {
+        let ops = script.iter().enumerate();
+        ops.filter(move |(_, op)| op.parent == parent)
+    }
+
+    /// The real engine with the script's roots armed.
+    fn scripted_sim(script: &Rc<Vec<Op>>) -> (Simulator, DispatchLog) {
+        let mut sim = Simulator::new();
+        let log = DispatchLog::default();
+        for _ in 0..4 {
+            sim.add_node();
+        }
+        for end in ENDS {
+            let (script, log) = (script.clone(), log.clone());
+            sim.set_endpoint(end, Box::new(Scripted { script, log }));
+        }
+        let cfg = LinkConfig::new(Rate::from_mbps(12.0), PROP_DELAY, 1_000_000);
+        for n in 0..4 {
+            let id = sim.add_link(NodeId(n), NodeId((n + 1) % 4), cfg);
+            sim.add_route(NodeId(n), ENDS[(n < 2) as usize], id);
+        }
+        for (i, op) in armed_by(script, None) {
+            let node = ENDS[i % 2];
+            if op.packet {
+                sim.inject(node, op_packet(i, node));
+            } else {
+                sim.start_timer(node, SimTime::ZERO + op.delay, i as u64);
+            }
+        }
+        (sim, log)
+    }
+
+    enum ModelEvent {
+        Timer(NodeId, u64),
+        /// Link `n` (node `n` to node `n + 1`) finished serializing.
+        TxDone(usize),
+        Arrive(NodeId, Packet),
+    }
+
+    #[derive(Default)]
+    struct Model {
+        now: SimTime,
+        armed: u64,
+        pending: Vec<(SimTime, u64, ModelEvent)>,
+        /// Per link: the packet on the wire, and those waiting behind it.
+        sending: [Option<Packet>; 4],
+        queued: [std::collections::VecDeque<Packet>; 4],
+    }
+
+    impl Model {
+        fn arm(&mut self, at: SimTime, ev: ModelEvent) {
+            self.pending.push((at, self.armed, ev));
+            self.armed += 1;
+        }
+
+        /// Node `from` forwards `pkt` onto its one outgoing link.
+        fn send(&mut self, from: NodeId, pkt: Packet) {
+            self.queued[from.0].push_back(pkt);
+            if self.sending[from.0].is_none() {
+                self.start(from.0);
+            }
+        }
+
+        fn start(&mut self, link: usize) {
+            self.sending[link] = self.queued[link].pop_front();
+            if let Some(pkt) = self.sending[link] {
+                // 12 Mbps: 1500 B in 1 ms, 750 B in 0.5 ms.
+                let done = self.now + SimDuration::from_micros(pkt.size * 2 / 3);
+                self.arm(done, ModelEvent::TxDone(link));
+            }
+        }
+
+        /// Run `call` on the scripted endpoint as `node`'s, then arm what it
+        /// emitted: its timers first, then its packets.
+        fn callback(
+            &mut self,
+            ep: &mut Scripted,
+            node: NodeId,
+            call: impl FnOnce(&mut Scripted, &mut NodeCtx),
+        ) {
+            let (mut out, mut timers) = (Vec::new(), Vec::new());
+            call(
+                ep,
+                &mut NodeCtx {
+                    node,
+                    out: &mut out,
+                    timers: &mut timers,
+                },
+            );
+            for (at, token) in timers {
+                self.arm(at, ModelEvent::Timer(node, token));
+            }
+            for pkt in out {
+                self.send(node, pkt);
+            }
+        }
+
+        /// Dispatch the whole script; the log has one entry per event.
+        fn run(script: &Rc<Vec<Op>>) -> Vec<(SimTime, Seen)> {
+            let (mut m, log) = (Model::default(), DispatchLog::default());
+            let mut ep = Scripted {
+                script: script.clone(),
+                log: log.clone(),
+            };
+            for (i, op) in armed_by(script, None) {
+                let node = ENDS[i % 2];
+                if op.packet {
+                    m.send(node, op_packet(i, node));
+                } else {
+                    m.arm(SimTime::ZERO + op.delay, ModelEvent::Timer(node, i as u64));
+                }
+            }
+            while let Some(next) =
+                (0..m.pending.len()).min_by_key(|&k| (m.pending[k].0, m.pending[k].1))
+            {
+                let (now, _, ev) = m.pending.swap_remove(next);
+                m.now = now;
+                match ev {
+                    ModelEvent::Timer(node, token) => {
+                        m.callback(&mut ep, node, |ep, ctx| ep.on_timer(now, token, ctx));
+                        continue;
+                    }
+                    ModelEvent::Arrive(node, pkt) if node == pkt.dst => {
+                        m.callback(&mut ep, node, |ep, ctx| ep.on_packet(now, pkt, ctx));
+                        continue;
+                    }
+                    ModelEvent::Arrive(node, pkt) => m.send(node, pkt),
+                    ModelEvent::TxDone(link) => {
+                        let pkt = m.sending[link].take().expect("link was sending");
+                        let far_end = NodeId((link + 1) % 4);
+                        m.arm(now + PROP_DELAY, ModelEvent::Arrive(far_end, pkt));
+                        m.start(link);
+                    }
+                }
+                log.borrow_mut().push((now, Seen::Internal));
+            }
+            log.take()
+        }
+    }
+
     proptest::proptest! {
         #![proptest_config(proptest::test_runner::Config::with_cases(32))]
 
@@ -1363,6 +1336,59 @@ mod tests {
             proptest::prop_assert!(
                 sim.flow_stats_overflow.keys().all(|f| f.0 >= DENSE_FLOWS)
             );
+        }
+
+        /// The two-heap merge dispatches in `(at, arming order)` — the one
+        /// ordering contract every golden rests on — for timers and packets
+        /// arming each other, nanosecond ties in both arming orders, and
+        /// timers tens of seconds out; and an event budget of `n` stops
+        /// after exactly `n` of those events.
+        #[test]
+        fn dispatch_order_matches_flat_model(
+            raw in proptest::collection::vec(
+                // (packet?, half-ms delay steps, delay offset, parent selector)
+                (0u8..2, 0u64..14, 0usize..OFFSETS_NS.len(), 0usize..1 << 32),
+                1..40usize,
+            ),
+            cut in 0usize..1 << 16,
+        ) {
+            let script: Rc<Vec<Op>> = Rc::new(
+                raw.iter()
+                    .enumerate()
+                    .map(|(i, &(packet, half_ms, offset, sel))| Op {
+                        packet: packet == 1,
+                        delay: SimDuration::from_nanos(half_ms * 500_000 + OFFSETS_NS[offset]),
+                        // A third of the ops start armed; the rest hang
+                        // off an earlier op.
+                        parent: (i > 0 && sel % 3 != 0).then(|| sel / 3 % i),
+                    })
+                    .collect(),
+            );
+            let model = Model::run(&script);
+
+            let (mut sim, log) = scripted_sim(&script);
+            let mut got = Vec::new();
+            loop {
+                let next = sim.next_event_time();
+                let seen_before = log.borrow().len();
+                if !sim.step() {
+                    proptest::prop_assert_eq!(next, None);
+                    break;
+                }
+                proptest::prop_assert_eq!(next, Some(sim.now()));
+                let seen = log.borrow().get(seen_before).copied();
+                got.push(seen.unwrap_or((sim.now(), Seen::Internal)));
+            }
+            proptest::prop_assert_eq!(&got, &model);
+
+            let n = cut % (model.len() + 1);
+            let (mut sim, log) = scripted_sim(&script);
+            let outcome = sim.run_with_budget(n as u64);
+            proptest::prop_assert_eq!(sim.processed_events(), n as u64);
+            proptest::prop_assert_eq!(outcome.is_ok(), n == model.len());
+            let mut prefix = model[..n].to_vec();
+            prefix.retain(|&(_, seen)| seen != Seen::Internal);
+            proptest::prop_assert_eq!(&*log.borrow(), &prefix);
         }
     }
 }

@@ -51,7 +51,6 @@ pub mod packet;
 pub mod queue;
 pub mod shaper;
 pub mod time;
-mod timerwheel;
 pub mod topology;
 pub mod trace;
 pub mod units;
@@ -63,7 +62,7 @@ pub use fq::{DrrConfig, DrrQueue};
 pub use link::{Link, LinkConfig, TxStart};
 pub use monitor::QueueMonitor;
 pub use packet::{FlowId, LinkId, NodeId, Packet, PacketId, PacketRef, PacketStore, Payload};
-pub use queue::{Dequeue, Discipline, DropTailQueue, EnqueueResult, Queue, QueueStats, TrainStop};
+pub use queue::{Dequeue, Discipline, DropTailQueue, EnqueueResult, Queue, QueueStats};
 pub use shaper::{TokenBucketConfig, TokenBucketQueue};
 pub use time::{SimDuration, SimTime};
 pub use topology::{Dumbbell, DumbbellConfig, SharedTopology, SharedTopologyConfig};

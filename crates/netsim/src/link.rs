@@ -6,7 +6,7 @@
 //! bidirectional cable is two `Link`s.
 
 use crate::packet::{NodeId, PacketRef};
-use crate::queue::{Dequeue, Discipline, EnqueueResult, Queue, TrainStop};
+use crate::queue::{Dequeue, Discipline, EnqueueResult, Queue};
 use crate::time::{SimDuration, SimTime};
 use crate::units::Rate;
 
@@ -100,12 +100,6 @@ pub struct Link {
     pub bytes_sent: u64,
     /// Total packets that finished serialization.
     pub packets_sent: u64,
-    /// Reusable buffer for [`Link::start_train`] queue pulls.
-    train_scratch: Vec<PacketRef>,
-    /// Consecutive train pulls that failed to fuse (engine heuristic: a
-    /// link whose delay undercuts its serialization time can never fuse,
-    /// so the engine stops paying for the attempt and re-probes rarely).
-    pub(crate) fuse_misses: u32,
 }
 
 impl Link {
@@ -121,8 +115,6 @@ impl Link {
             wake_at: None,
             bytes_sent: 0,
             packets_sent: 0,
-            train_scratch: Vec::new(),
-            fuse_misses: 0,
         }
     }
 
@@ -147,49 +139,6 @@ impl Link {
             Dequeue::Wait(at) => TxStart::Wait(at),
             Dequeue::Empty => TxStart::Idle,
         }
-    }
-
-    /// Begin serializing a back-to-back train of up to `max_packets`
-    /// packets whose cumulative bytes stay within `max_bytes` (the head
-    /// packet is always eligible — see [`Queue::dequeue_train`]). Each
-    /// pulled packet is appended to `out` with its serialization-complete
-    /// time, accumulated with the exact per-packet rounding repeated
-    /// [`Link::start_transmission`] calls would produce. The link is busy
-    /// until the last packet's `done` when any packet was pulled.
-    pub fn start_train(
-        &mut self,
-        now: SimTime,
-        max_packets: usize,
-        max_bytes: u64,
-        out: &mut Vec<(PacketRef, SimTime)>,
-        dropped: &mut Vec<PacketRef>,
-    ) -> TrainStop {
-        debug_assert!(!self.busy, "start_train on a busy link");
-        let stop = self.queue.dequeue_train(
-            now,
-            max_packets,
-            max_bytes,
-            &mut self.train_scratch,
-            dropped,
-        );
-        let mut t = now;
-        for &pkt in &self.train_scratch {
-            t += self.rate.time_to_send(pkt.size);
-            out.push((pkt, t));
-        }
-        if !self.train_scratch.is_empty() {
-            self.busy = true;
-        }
-        self.train_scratch.clear();
-        stop
-    }
-
-    /// Re-mark the link busy for the next packet of a pre-pulled train
-    /// (the engine fuses the intermediate completion events, so
-    /// [`Link::finish_transmission`] has just cleared `busy`).
-    pub(crate) fn resume_train(&mut self) {
-        debug_assert!(!self.busy, "resume_train on a busy link");
-        self.busy = true;
     }
 
     /// Record that the in-flight packet finished serialization.

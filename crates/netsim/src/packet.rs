@@ -9,7 +9,6 @@
 use crate::time::SimTime;
 use crate::units::HEADER_BYTES;
 use serde::{Deserialize, Serialize};
-use std::cell::RefCell;
 
 /// Identifies a node (host or router) in the topology.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
@@ -208,36 +207,6 @@ struct ColdSlot {
     payload: Payload,
 }
 
-/// Retired column buffers parked for reuse by the next [`PacketStore`] on
-/// this thread. Lengths are zeroed at adoption; only capacity survives.
-struct RetiredColumns {
-    hot: Vec<HotSlot>,
-    cold: Vec<ColdSlot>,
-    free: Vec<u32>,
-}
-
-/// Keep at most this many retired buffer sets per thread (bounds resident
-/// memory to a few MB even when stores of wildly different sizes churn).
-const STORE_POOL_MAX: usize = 4;
-
-/// Only park buffers that actually carried traffic; tiny stores are cheap
-/// to reallocate and would evict useful large buffers from the pool.
-const STORE_POOL_MIN_SLOTS: usize = 256;
-
-thread_local! {
-    /// Pool of retired store columns, recycled across store instances.
-    ///
-    /// Workloads like the Table 2 grid construct thousands of short-lived
-    /// `Simulator`s back to back. Each store grows its columns to ~1 MB;
-    /// freeing that on every drop makes glibc return the pages to the
-    /// kernel, so the next simulator re-faults (and re-zeroes) them all —
-    /// measured at ~37 ns/packet of pure soft-fault overhead in the
-    /// engine benchmark. Parking the buffers in a thread-local pool keeps
-    /// the pages mapped and warm. Thread-local (not global) so parallel
-    /// lab shards never contend or share state.
-    static STORE_POOL: RefCell<Vec<RetiredColumns>> = const { RefCell::new(Vec::new()) };
-}
-
 /// Struct-of-arrays storage for in-flight packets.
 ///
 /// The engine interns each injected [`Packet`] into two parallel `Vec`s
@@ -249,11 +218,7 @@ thread_local! {
 /// whole rows, so fewer, wider columns mean fewer cache lines per packet;
 /// splitting further measurably slowed interning down. Freed ids are
 /// recycled LIFO, so id assignment is fully deterministic.
-///
-/// Backing buffers are recycled through a thread-local pool across store
-/// instances (see [`STORE_POOL`]); this only affects `Vec` capacities,
-/// never id assignment, so determinism is untouched.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct PacketStore {
     /// Hot rows, indexed by id: read on every forwarding decision.
     hot: Vec<HotSlot>,
@@ -268,55 +233,10 @@ pub struct PacketStore {
     occupied: Vec<bool>,
 }
 
-impl Default for PacketStore {
-    fn default() -> Self {
-        PacketStore::new()
-    }
-}
-
-impl Drop for PacketStore {
-    fn drop(&mut self) {
-        if self.hot.capacity() < STORE_POOL_MIN_SLOTS {
-            return;
-        }
-        let retired = RetiredColumns {
-            hot: std::mem::take(&mut self.hot),
-            cold: std::mem::take(&mut self.cold),
-            free: std::mem::take(&mut self.free),
-        };
-        // `try_with`: TLS may already be torn down during thread exit, in
-        // which case the buffers just drop normally.
-        let _ = STORE_POOL.try_with(|pool| {
-            let mut pool = pool.borrow_mut();
-            if pool.len() < STORE_POOL_MAX {
-                pool.push(retired);
-            }
-        });
-    }
-}
-
 impl PacketStore {
-    /// An empty store, adopting pooled column buffers when available.
+    /// An empty store.
     pub fn new() -> Self {
-        let recycled = STORE_POOL
-            .try_with(|pool| pool.borrow_mut().pop())
-            .ok()
-            .flatten();
-        let (mut hot, mut cold, mut free) = match recycled {
-            Some(r) => (r.hot, r.cold, r.free),
-            None => (Vec::new(), Vec::new(), Vec::new()),
-        };
-        hot.clear();
-        cold.clear();
-        free.clear();
-        PacketStore {
-            hot,
-            cold,
-            free,
-            live: 0,
-            #[cfg(feature = "validate")]
-            occupied: Vec::new(),
-        }
+        PacketStore::default()
     }
 
     /// Intern `pkt`, returning the hot-path handle. The id is recycled from
@@ -542,55 +462,6 @@ mod tests {
         // Recycled slots carry the new packet's rows, not the old ones.
         assert_eq!(store.make_ref(d.id).size, 400);
         assert_eq!(store.take(e.id).payload, Payload::Datagram { seq: 4 });
-    }
-
-    #[test]
-    fn store_pool_recycles_column_buffers() {
-        // Grow a store past the pooling threshold, note its capacity, drop
-        // it, and check the next store on this thread adopts the buffers.
-        let grown_cap = {
-            let mut store = PacketStore::new();
-            let refs: Vec<PacketRef> = (0..2 * STORE_POOL_MIN_SLOTS as u64)
-                .map(|i| store.insert(dgram(i, 1000)))
-                .collect();
-            for r in refs {
-                store.discard(r.id);
-            }
-            store.hot.capacity()
-        };
-        assert!(grown_cap >= 2 * STORE_POOL_MIN_SLOTS);
-        let adopted = PacketStore::new();
-        assert!(
-            adopted.hot.capacity() >= grown_cap,
-            "pooled capacity {} not adopted (got {})",
-            grown_cap,
-            adopted.hot.capacity()
-        );
-        // Adoption resets contents: the store starts logically empty.
-        assert_eq!(adopted.live(), 0);
-        assert_eq!(adopted.slots(), 0);
-        assert!(adopted.free.is_empty());
-    }
-
-    #[test]
-    fn store_pool_ignores_small_stores_and_stays_bounded() {
-        // A store below the pooling threshold must not evict anything.
-        {
-            let mut small = PacketStore::new();
-            let r = small.insert(dgram(0, 64));
-            small.discard(r.id);
-            assert!(small.hot.capacity() < STORE_POOL_MIN_SLOTS || small.slots() == 1);
-        }
-        // Churn more stores than the pool holds; the pool must stay bounded.
-        for _ in 0..3 * STORE_POOL_MAX {
-            let mut s = PacketStore::new();
-            for i in 0..STORE_POOL_MIN_SLOTS as u64 {
-                s.insert(dgram(i, 500));
-            }
-            drop(s);
-        }
-        let pooled = STORE_POOL.with(|pool| pool.borrow().len());
-        assert!(pooled <= STORE_POOL_MAX, "pool grew to {pooled}");
     }
 
     proptest::proptest! {

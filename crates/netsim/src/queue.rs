@@ -50,18 +50,6 @@ pub enum Dequeue {
     Empty,
 }
 
-/// Why [`Queue::dequeue_train`] stopped pulling packets.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TrainStop {
-    /// The queue ran out of packets (after any head drops).
-    Empty,
-    /// The head packet may not be sent before the given time
-    /// (non-work-conserving shaping). Nothing was pulled this call.
-    Wait(SimTime),
-    /// A packet or byte budget was reached; more packets may be eligible.
-    Budget,
-}
-
 /// Counters every queue discipline maintains, plus the `validate`-feature
 /// byte ledger proving conservation (enqueued = dequeued + dropped +
 /// resident) at every hop.
@@ -170,43 +158,6 @@ pub trait Queue: std::fmt::Debug + Send {
     /// Ask for the next packet to serialize at time `now`. Head-dropped
     /// packets (AQM) are pushed into `dropped` for per-flow accounting.
     fn dequeue(&mut self, now: SimTime, dropped: &mut Vec<PacketRef>) -> Dequeue;
-
-    /// Pull a back-to-back train of up to `max_packets` packets whose
-    /// *cumulative* size stays within `max_bytes`, appending them to `out`
-    /// in dequeue order. The head packet is always eligible regardless of
-    /// `max_bytes` (a train of one is just [`Queue::dequeue`]); each
-    /// further packet is pulled only while the running byte total stays
-    /// within budget.
-    ///
-    /// Must behave exactly like repeated [`Queue::dequeue`] calls at the
-    /// same `now` — same packets, same order, same head drops, same stats.
-    /// The default implementation pulls at most one packet per call, which
-    /// is the right conservative choice for disciplines whose dequeue
-    /// decision depends on the clock (RED idle aging, CoDel sojourn,
-    /// token-bucket refill) or mutates round-robin state (DRR): the engine
-    /// re-calls them at each packet's true serialization time. Pure FIFOs
-    /// can override with a real multi-pop.
-    fn dequeue_train(
-        &mut self,
-        now: SimTime,
-        max_packets: usize,
-        max_bytes: u64,
-        out: &mut Vec<PacketRef>,
-        dropped: &mut Vec<PacketRef>,
-    ) -> TrainStop {
-        let _ = max_bytes;
-        if max_packets == 0 {
-            return TrainStop::Budget;
-        }
-        match self.dequeue(now, dropped) {
-            Dequeue::Packet(p) => {
-                out.push(p);
-                TrainStop::Budget
-            }
-            Dequeue::Wait(at) => TrainStop::Wait(at),
-            Dequeue::Empty => TrainStop::Empty,
-        }
-    }
 
     /// Current occupancy in bytes.
     fn occupied_bytes(&self) -> u64;
@@ -318,35 +269,6 @@ impl Queue for DropTailQueue {
         Dequeue::Packet(pkt)
     }
 
-    /// True multi-pop: a FIFO's dequeue ignores the clock, so pulling the
-    /// whole train at once is byte-identical to repeated single dequeues.
-    fn dequeue_train(
-        &mut self,
-        _now: SimTime,
-        max_packets: usize,
-        max_bytes: u64,
-        out: &mut Vec<PacketRef>,
-        _dropped: &mut Vec<PacketRef>,
-    ) -> TrainStop {
-        let mut popped = 0usize;
-        let mut bytes = 0u64;
-        while popped < max_packets {
-            let Some(&head) = self.packets.front() else {
-                return TrainStop::Empty;
-            };
-            if popped > 0 && bytes.saturating_add(head.size) > max_bytes {
-                return TrainStop::Budget;
-            }
-            self.packets.pop_front();
-            bytes += head.size;
-            self.occupied_bytes -= head.size;
-            self.stats.on_dequeue(head.size, self.occupied_bytes);
-            out.push(head);
-            popped += 1;
-        }
-        TrainStop::Budget
-    }
-
     fn occupied_bytes(&self) -> u64 {
         self.occupied_bytes
     }
@@ -374,11 +296,7 @@ mod tests {
     use crate::packet::{FlowId, PacketId};
 
     fn pkt(size: u64) -> PacketRef {
-        PacketRef {
-            id: PacketId(0),
-            size,
-            flow: FlowId(0),
-        }
+        pkt_id(0, size)
     }
 
     fn pkt_id(id: u32, size: u64) -> PacketRef {
@@ -411,55 +329,6 @@ mod tests {
             assert_eq!(p.id, PacketId(id));
         }
         assert!(deq(&mut q).is_none());
-    }
-
-    #[test]
-    fn train_matches_repeated_dequeues() {
-        let mut qa = DropTailQueue::new(100_000);
-        let mut qb = DropTailQueue::new(100_000);
-        for id in 0..10u32 {
-            qa.enqueue(SimTime::ZERO, pkt_id(id, 100 + id as u64));
-            qb.enqueue(SimTime::ZERO, pkt_id(id, 100 + id as u64));
-        }
-        let mut train = Vec::new();
-        let mut dropped = Vec::new();
-        // Budget admits the first four packets (100+101+102+103 = 406).
-        let stop = qa.dequeue_train(SimTime::ZERO, 64, 406, &mut train, &mut dropped);
-        assert_eq!(stop, TrainStop::Budget);
-        assert_eq!(train.len(), 4);
-        for want in &train {
-            let got = deq(&mut qb).unwrap();
-            assert_eq!(got, *want);
-        }
-        assert_eq!(qa.occupied_bytes(), qb.occupied_bytes());
-        assert_eq!(qa.len(), qb.len());
-    }
-
-    #[test]
-    fn train_head_is_budget_exempt() {
-        let mut q = DropTailQueue::new(100_000);
-        q.enqueue(SimTime::ZERO, pkt(1_500));
-        q.enqueue(SimTime::ZERO, pkt(1_500));
-        let mut train = Vec::new();
-        let mut dropped = Vec::new();
-        // A zero-byte budget still releases the head packet — a train of
-        // one is exactly a plain dequeue.
-        let stop = q.dequeue_train(SimTime::ZERO, 64, 0, &mut train, &mut dropped);
-        assert_eq!(stop, TrainStop::Budget);
-        assert_eq!(train.len(), 1);
-        assert_eq!(q.len(), 1);
-    }
-
-    #[test]
-    fn train_reports_empty_on_drain() {
-        let mut q = DropTailQueue::new(100_000);
-        q.enqueue(SimTime::ZERO, pkt(100));
-        let mut train = Vec::new();
-        let mut dropped = Vec::new();
-        let stop = q.dequeue_train(SimTime::ZERO, 64, u64::MAX, &mut train, &mut dropped);
-        assert_eq!(stop, TrainStop::Empty);
-        assert_eq!(train.len(), 1);
-        assert!(q.is_empty());
     }
 
     #[test]
@@ -503,162 +372,5 @@ mod tests {
         let q = Discipline::default().build(10_000);
         assert_eq!(q.capacity_bytes(), 10_000);
         assert!(q.is_empty());
-    }
-
-    /// One of every discipline, for train/dequeue equivalence sweeps.
-    fn all_disciplines() -> Vec<Discipline> {
-        use crate::units::Rate;
-        vec![
-            Discipline::DropTail,
-            Discipline::Red(crate::aqm::RedConfig::default()),
-            Discipline::CoDel(crate::aqm::CoDelConfig::default()),
-            Discipline::Drr(crate::fq::DrrConfig::default()),
-            Discipline::TokenBucket(crate::shaper::TokenBucketConfig::new(
-                Rate::from_mbps(8.0),
-                4_000,
-            )),
-        ]
-    }
-
-    /// Pull up to `want` packets via repeated `dequeue_train` calls (how
-    /// the engine consumes the API), stopping on Wait/Empty.
-    fn drain_by_train(
-        q: &mut dyn Queue,
-        now: SimTime,
-        want: usize,
-        out: &mut Vec<PacketRef>,
-        dropped: &mut Vec<PacketRef>,
-    ) {
-        while out.len() < want {
-            let before = out.len();
-            let stop = q.dequeue_train(now, want - out.len(), u64::MAX, out, dropped);
-            match stop {
-                TrainStop::Empty | TrainStop::Wait(_) => break,
-                TrainStop::Budget => {
-                    // With an unlimited byte budget, Budget means the
-                    // packet budget bound the call; progress is mandatory.
-                    assert!(out.len() > before, "Budget stop without progress");
-                }
-            }
-        }
-    }
-
-    /// Pull up to `want` packets via repeated single `dequeue` calls (the
-    /// reference semantics `dequeue_train` must reproduce).
-    fn drain_by_dequeue(
-        q: &mut dyn Queue,
-        now: SimTime,
-        want: usize,
-        out: &mut Vec<PacketRef>,
-        dropped: &mut Vec<PacketRef>,
-    ) {
-        while out.len() < want {
-            match q.dequeue(now, dropped) {
-                Dequeue::Packet(p) => out.push(p),
-                Dequeue::Wait(_) | Dequeue::Empty => break,
-            }
-        }
-    }
-
-    proptest::proptest! {
-        #![proptest_config(proptest::test_runner::Config::with_cases(24))]
-
-        /// For every discipline, an interleaved enqueue/drain schedule
-        /// consumed through `dequeue_train` must be packet-for-packet
-        /// identical to the same schedule consumed through repeated
-        /// `dequeue` calls: same packets, same order, same head drops,
-        /// same occupancy afterwards.
-        #[test]
-        fn train_equals_repeated_dequeue_for_every_discipline(
-            ops in proptest::collection::vec(
-                // (enqueue?, size, flow, time step µs, drain budget)
-                (0u8..2, 64u64..1500, 0u64..4, 0u64..2_000, 1usize..6),
-                4..80usize,
-            )
-        ) {
-            for d in all_disciplines() {
-                let mut qa = d.build(20_000);
-                let mut qb = d.build(20_000);
-                let mut now = SimTime::ZERO;
-                let mut next_id = 0u32;
-                for &(kind, size, flow, dt_us, want) in &ops {
-                    now += crate::time::SimDuration::from_micros(dt_us);
-                    if kind == 0 {
-                        let p = PacketRef {
-                            id: PacketId(next_id),
-                            size,
-                            flow: FlowId(flow),
-                        };
-                        next_id += 1;
-                        let ra = qa.enqueue(now, p);
-                        let rb = qb.enqueue(now, p);
-                        proptest::prop_assert_eq!(ra, rb, "{:?}", d);
-                    } else {
-                        let (mut outa, mut da) = (Vec::new(), Vec::new());
-                        let (mut outb, mut db) = (Vec::new(), Vec::new());
-                        drain_by_train(&mut *qa, now, want, &mut outa, &mut da);
-                        drain_by_dequeue(&mut *qb, now, want, &mut outb, &mut db);
-                        proptest::prop_assert_eq!(&outa, &outb, "{:?}", d);
-                        proptest::prop_assert_eq!(&da, &db, "{:?}", d);
-                    }
-                    proptest::prop_assert_eq!(qa.len(), qb.len(), "{:?}", d);
-                    proptest::prop_assert_eq!(
-                        qa.occupied_bytes(),
-                        qb.occupied_bytes(),
-                        "{:?}",
-                        d
-                    );
-                }
-            }
-        }
-
-        /// The drop-tail multi-pop honors the byte budget exactly: the head
-        /// is always eligible, every further packet keeps the cumulative
-        /// size within budget, and the train is the *maximal* such prefix.
-        #[test]
-        fn drop_tail_train_byte_budget_is_maximal_prefix(
-            sizes in proptest::collection::vec(64u64..1500, 1..40usize),
-            max_packets in 1usize..48,
-            max_bytes in 0u64..20_000,
-        ) {
-            let mut q = DropTailQueue::new(1_000_000);
-            for (i, &s) in sizes.iter().enumerate() {
-                q.enqueue(
-                    SimTime::ZERO,
-                    PacketRef { id: PacketId(i as u32), size: s, flow: FlowId(0) },
-                );
-            }
-            let (mut out, mut dropped) = (Vec::new(), Vec::new());
-            let stop = q.dequeue_train(
-                SimTime::ZERO, max_packets, max_bytes, &mut out, &mut dropped,
-            );
-            proptest::prop_assert!(dropped.is_empty());
-            proptest::prop_assert!(!out.is_empty(), "head must always be eligible");
-            proptest::prop_assert!(out.len() <= max_packets);
-            // In-order prefix of the enqueued sequence.
-            for (i, p) in out.iter().enumerate() {
-                proptest::prop_assert_eq!(p.id, PacketId(i as u32));
-                proptest::prop_assert_eq!(p.size, sizes[i]);
-            }
-            let pulled: u64 = out.iter().map(|p| p.size).sum();
-            if out.len() > 1 {
-                proptest::prop_assert!(pulled <= max_bytes);
-            }
-            match stop {
-                TrainStop::Empty => proptest::prop_assert_eq!(out.len(), sizes.len()),
-                TrainStop::Budget => {
-                    // Maximal: either the packet budget bound, or pulling
-                    // the next packet would have burst the byte budget.
-                    if out.len() < max_packets {
-                        proptest::prop_assert!(out.len() < sizes.len());
-                        proptest::prop_assert!(
-                            pulled + sizes[out.len()] > max_bytes,
-                            "stopped early with budget headroom"
-                        );
-                    }
-                }
-                TrainStop::Wait(_) => proptest::prop_assert!(false, "FIFO cannot wait"),
-            }
-        }
     }
 }

@@ -401,18 +401,32 @@ impl<'a> Parser<'a> {
         Ok(cp)
     }
 
+    /// Skip a run of ASCII digits; returns how many there were.
+    fn digits(&mut self) -> usize {
+        let start = self.pos;
+        while matches!(self.peek(), Some(b'0'..=b'9')) {
+            self.pos += 1;
+        }
+        self.pos - start
+    }
+
+    /// RFC 8259 `number`: `[-] (0 | 1-9 digits) [. digits] [e [+-] digits]`,
+    /// and its value must be finite — `str::parse` answers `inf` on
+    /// overflow, which would render back as `null`.
     fn number(&mut self) -> Result<Value, SimError> {
         let start = self.pos;
         if self.peek() == Some(b'-') {
             self.pos += 1;
         }
-        while matches!(self.peek(), Some(b'0'..=b'9')) {
-            self.pos += 1;
+        let int_start = self.pos;
+        let int_digits = self.digits();
+        if int_digits == 0 || (int_digits > 1 && self.bytes[int_start] == b'0') {
+            return Err(self.err("number needs an integer part with no leading zero"));
         }
         if self.peek() == Some(b'.') {
             self.pos += 1;
-            while matches!(self.peek(), Some(b'0'..=b'9')) {
-                self.pos += 1;
+            if self.digits() == 0 {
+                return Err(self.err("number has no digits after '.'"));
             }
         }
         if matches!(self.peek(), Some(b'e' | b'E')) {
@@ -420,14 +434,18 @@ impl<'a> Parser<'a> {
             if matches!(self.peek(), Some(b'+' | b'-')) {
                 self.pos += 1;
             }
-            while matches!(self.peek(), Some(b'0'..=b'9')) {
-                self.pos += 1;
+            if self.digits() == 0 {
+                return Err(self.err("number has no exponent digits"));
             }
         }
         let text = std::str::from_utf8(&self.bytes[start..self.pos]).expect("ascii");
-        text.parse::<f64>()
-            .map(Value::Num)
-            .map_err(|_| self.err("invalid number"))
+        match text.parse::<f64>() {
+            Ok(n) if n.is_finite() => Ok(Value::Num(n)),
+            _ => {
+                self.pos = start;
+                Err(self.err("number out of range"))
+            }
+        }
     }
 }
 
@@ -506,11 +524,33 @@ mod tests {
             "{\"a\":1,\"a\":2}",
             "\"\\q\"",
             "\"\\ud800x\"",
+            // RFC 8259 numbers: no leading zero, no empty integer part or
+            // fraction, and nothing `f64` cannot hold (it would render as
+            // `null` and fail to re-parse as a number).
+            "01",
+            "1.",
+            "-.5",
+            "1e999",
+            "{\"c0\":-1e999}",
         ] {
             let e = parse(bad);
             assert!(e.is_err(), "should reject {bad:?}");
             let msg = e.unwrap_err().to_string();
             assert!(msg.contains("json"), "error names the format: {msg}");
+        }
+        // The accepted neighbours of those number forms still parse, and
+        // what parses re-parses from its own rendering.
+        for ok in [
+            "0",
+            "-0",
+            "10",
+            "0.5",
+            "-0.5e-7",
+            "1E308",
+            "[1e308,-1e-999]",
+        ] {
+            let v = parse(ok).unwrap();
+            assert_eq!(parse(&v.to_string()).unwrap(), v, "{ok}");
         }
         let nest = |depth: usize| "[".repeat(depth) + &"]".repeat(depth);
         assert!(parse(&nest(MAX_DEPTH)).is_ok());

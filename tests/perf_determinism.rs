@@ -2,8 +2,9 @@
 //!
 //! These fixtures were captured on the tree immediately before the engine
 //! and A/B hot paths were rewritten (scratch buffers, Vec-indexed tables,
-//! timer wheel, prefix-sum MPC). Any divergence means an optimization
-//! changed observable behavior — event order, per-flow accounting, or the
+//! a timer queue of its own, prefix-sum MPC) and have held through every
+//! engine mechanism added or deleted since. Any divergence means a change
+//! moved observable behavior — event order, per-flow accounting, or the
 //! A/B record stream — and must be treated as a bug, not re-baselined.
 
 use sammy_repro::abtest::{draw_population, Arm, Experiment, ExperimentConfig, PopulationConfig};
@@ -133,7 +134,7 @@ fn golden_tcp_transfer_unpaced() {
 }
 
 /// Same transfer with a 12 Mbps application pace: exercises the pacing
-/// timer path (timer-wheel traffic) heavily.
+/// timer path (the timer heap and its merge with packet events) heavily.
 #[test]
 fn golden_tcp_transfer_paced() {
     assert_eq!(tcp_transfer(Some(12e6)), (44_480, 5_274_040, 6_851, 0));

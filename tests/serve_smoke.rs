@@ -2,8 +2,8 @@
 //!
 //! Plain `cargo test` runs only this root package, so the daemon gets one
 //! submit → poll → result round trip over a real socket here, plus the
-//! hostile body that used to abort it; the kill/resume battery lives in
-//! `crates/serve/tests/daemon.rs`.
+//! hostile bodies it used to abort on or mis-accept; the kill/resume
+//! battery lives in `crates/serve/tests/daemon.rs`.
 
 use std::time::{Duration, Instant};
 
@@ -90,6 +90,12 @@ fn run_round_trip_matches_in_process_and_survives_deep_nesting() {
     let (code, body) = http_request(addr, "POST", "/runs", Some(&"[".repeat(MAX_BODY))).unwrap();
     assert_eq!(code, 400, "{body}");
     assert!(body.contains("nesting"), "{body}");
+    // A number `f64` cannot hold would be stored as `null` and the stored
+    // spec would not re-read: refused at the door, not accepted as `inf`.
+    let overflow = r#"{"treatment":{"kind":"sammy","c0":1e999,"c1":2.8}}"#;
+    let (code, body) = http_request(addr, "POST", "/runs", Some(overflow)).unwrap();
+    assert_eq!(code, 400, "{body}");
+    assert!(body.contains("out of range"), "{body}");
     let (code, body) = http_request(addr, "GET", "/healthz", None).unwrap();
     assert_eq!((code, body.as_str()), (200, r#"{"ok":true}"#));
 
