@@ -190,6 +190,12 @@ impl ExperimentConfig {
         if self.bootstrap_reps == 0 {
             return invalid("bootstrap_reps", "must be at least 1");
         }
+        if self.bootstrap_reps > spec::MAX_BOOTSTRAP_REPS {
+            return invalid(
+                "bootstrap_reps",
+                &format!("must be at most {}", spec::MAX_BOOTSTRAP_REPS),
+            );
+        }
         Ok(())
     }
 }
@@ -1036,6 +1042,29 @@ mod tests {
         assert!(err.to_string().contains("users_per_arm"), "{err}");
         assert!(Experiment::builder().sessions_per_user(0).run().is_err());
         assert!(Experiment::builder().bootstrap_reps(0).run().is_err());
+        // Both runners refuse a replicate count they would have to
+        // allocate 128 bytes a replicate for, per shard state.
+        for err in [
+            Experiment::builder()
+                .bootstrap_reps(spec::MAX_BOOTSTRAP_REPS + 1)
+                .run()
+                .unwrap_err(),
+            Experiment::builder()
+                .bootstrap_reps(usize::MAX)
+                .run_streaming()
+                .unwrap_err(),
+        ] {
+            assert!(
+                matches!(
+                    err,
+                    SimError::InvalidConfig {
+                        field: "bootstrap_reps",
+                        ..
+                    }
+                ),
+                "{err}"
+            );
+        }
     }
 
     #[test]

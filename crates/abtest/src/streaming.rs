@@ -49,8 +49,11 @@ use tdigest::wire::{self, Fnv, Reader};
 
 /// First 8 bytes of every checkpoint file ("SMYCKPT1", little-endian).
 const CKPT_MAGIC: u64 = u64::from_le_bytes(*b"SMYCKPT1");
-/// Bumped whenever the payload layout changes; old files are rejected.
-const CKPT_VERSION: u32 = 1;
+/// Bumped whenever the payload layout *or the meaning of its bytes*
+/// changes; old files are rejected. Version 1 filled the replicate arrays
+/// under per-metric bootstrap weights; resuming one would splice two
+/// keyings into one set of replicates.
+const CKPT_VERSION: u32 = 2;
 /// Failure samples retained in the merged state (counts are exact; the
 /// samples are the first few in population order, for error messages).
 const MAX_FAILURE_SAMPLES: usize = 32;
@@ -116,8 +119,8 @@ pub(crate) fn mix2(a: u64, b: u64) -> u64 {
 /// Poisson(1) variate derived from a 64-bit key (Knuth's product method
 /// over a SplitMix64 uniform stream). Deterministic and order-free, which
 /// is what makes the streaming bootstrap mergeable: the weight of user `u`
-/// in replicate `r` depends only on `(seed, metric, u, r)`, never on which
-/// shard or thread folded it.
+/// in replicate `r` depends only on `(seed, u, r)`, never on which shard
+/// or thread folded it.
 fn poisson1(key: u64) -> u64 {
     const L: f64 = 0.367_879_441_171_442_33; // e^{-1}
     let mut state = key;
@@ -133,13 +136,26 @@ fn poisson1(key: u64) -> u64 {
     }
 }
 
+/// Draw one user's bootstrap weights, one per replicate: replicate `r` is
+/// one resampled *population* — a resampled user brings every metric
+/// along — so all eight rows fold the same vector. Weights fit a byte
+/// ([`poisson1`] stops at 64).
+fn draw_weights(seed: u64, user_id: u64, weights: &mut [u8]) {
+    let key = mix2(mix2(seed, 0xB007_5EED), user_id);
+    for (rep, w) in weights.iter_mut().enumerate() {
+        *w = poisson1(mix2(key, rep as u64)) as u8;
+    }
+}
+
 /// Mergeable accumulator for one metric of the 8-row table.
 ///
 /// Per arm: a [`StreamingStat`] (t-digest quantiles + exact count/mean).
 /// For the paired comparison: the exact sum/count of per-session
 /// `(t − c)/c × 100` deltas, plus `R` Poisson-bootstrap replicates of that
 /// same (sum, count) pair — a cluster bootstrap over users that needs
-/// `O(R)` memory instead of `O(users)` resampling.
+/// `O(R)` memory instead of `O(users)` resampling. Replicate `r` weighs a
+/// user the same in every row, so replicates are jointly usable across
+/// rows.
 #[derive(Debug, Clone)]
 pub struct MetricAcc {
     control: StreamingStat,
@@ -161,10 +177,10 @@ impl MetricAcc {
         }
     }
 
-    /// Fold one user's per-session values for this metric. `key` must be
-    /// unique per (seed, metric, user) — it seeds the user's bootstrap
-    /// weights.
-    fn fold_user(&mut self, key: u64, c_vals: &[f64], t_vals: &[f64]) {
+    /// Fold one user's per-session values for this metric under the
+    /// user's bootstrap `weights` (one per replicate; [`draw_weights`]).
+    fn fold_user(&mut self, weights: &[u8], c_vals: &[f64], t_vals: &[f64]) {
+        debug_assert_eq!(weights.len(), self.boot.len(), "one weight per replicate");
         for &v in c_vals {
             self.control.add(v);
         }
@@ -186,11 +202,12 @@ impl MetricAcc {
         }
         self.delta_sum += sum;
         self.delta_count += n;
-        for (rep, slot) in self.boot.iter_mut().enumerate() {
-            let w = poisson1(mix2(key, rep as u64));
+        // `w == 0` is skipped, not multiplied: a non-finite `sum` must not
+        // reach a replicate the user was not drawn into.
+        for (slot, &w) in self.boot.iter_mut().zip(weights) {
             if w > 0 {
-                slot.0 += w as f64 * sum;
-                slot.1 += w * n;
+                slot.0 += f64::from(w) * sum;
+                slot.1 += u64::from(w) * n;
             }
         }
     }
@@ -323,6 +340,28 @@ pub struct ShardState {
     /// Telemetry merged in population order (empty without the `obs`
     /// feature).
     pub registry: obs::Registry,
+    scratch: FoldScratch,
+}
+
+/// Buffers [`ShardState::fold_user`] reuses from one user to the next.
+/// Working memory only: never encoded, merged or fingerprinted.
+#[derive(Debug)]
+struct FoldScratch {
+    /// The user's bootstrap weights, one per replicate.
+    weights: Vec<u8>,
+    /// The user's per-session values for the metric being folded.
+    control: Vec<f64>,
+    treatment: Vec<f64>,
+}
+
+impl FoldScratch {
+    fn new(reps: usize) -> Self {
+        FoldScratch {
+            weights: vec![0; reps],
+            control: Vec::new(),
+            treatment: Vec::new(),
+        }
+    }
 }
 
 impl ShardState {
@@ -335,6 +374,7 @@ impl ShardState {
             failures: 0,
             failure_samples: Vec::new(),
             registry: obs::Registry::new(),
+            scratch: FoldScratch::new(reps),
         }
     }
 
@@ -351,11 +391,18 @@ impl ShardState {
         treatment: &[crate::experiment::SessionRecord],
         registry: &obs::Registry,
     ) {
-        for (idx, &(_, _, f)) in METRICS.iter().enumerate() {
-            let c_vals: Vec<f64> = control.iter().filter_map(f).collect();
-            let t_vals: Vec<f64> = treatment.iter().filter_map(f).collect();
-            let key = mix2(mix2(seed, 0xB007_5EED ^ idx as u64), user_id);
-            self.metrics[idx].fold_user(key, &c_vals, &t_vals);
+        let FoldScratch {
+            weights,
+            control: c_vals,
+            treatment: t_vals,
+        } = &mut self.scratch;
+        draw_weights(seed, user_id, weights);
+        for (acc, &(_, _, f)) in self.metrics.iter_mut().zip(&METRICS) {
+            c_vals.clear();
+            c_vals.extend(control.iter().filter_map(f));
+            t_vals.clear();
+            t_vals.extend(treatment.iter().filter_map(f));
+            acc.fold_user(weights, c_vals, t_vals);
         }
         self.users += 1;
         self.control_sessions += control.len() as u64;
@@ -448,6 +495,7 @@ impl ShardState {
             failures,
             failure_samples,
             registry,
+            scratch: FoldScratch::new(expect_reps),
         })
     }
 }
@@ -1012,15 +1060,191 @@ pub(crate) fn run_stream_impl(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiment::{MetricExtractor, SessionRecord};
+    use netsim::{Rate, SimDuration};
+
+    /// A synthetic session whose validity per metric follows `mask`:
+    /// bit 0 chunk throughput, bit 1 RTT, bit 2 both VMAF rows, bit 3 play
+    /// delay, bit 4 both rebuffer rows (a control session without a
+    /// rebuffer has a zero base and forms no pair).
+    fn rec(user: u64, v: f64, mask: u8) -> SessionRecord {
+        let on = |bit: u8| mask & (1 << bit) != 0;
+        SessionRecord {
+            user,
+            pre_p95_mbps: v,
+            outcome: fluidsim::SessionOutcome {
+                qoe: video::QoeSummary {
+                    play_delay: on(3).then(|| SimDuration::from_secs_f64(v)),
+                    rebuffer_count: u64::from(on(4)),
+                    rebuffer_time: SimDuration::ZERO,
+                    mean_vmaf: on(2).then_some(v),
+                    initial_vmaf: on(2).then_some(v * 0.5),
+                    mean_bitrate: None,
+                    played: SimDuration::from_secs_f64(60.0 * v),
+                    quality_switches: 0,
+                },
+                avg_chunk_throughput: on(0).then(|| Rate::from_mbps(v)),
+                retx_fraction: v / 100.0,
+                median_rtt_ms: if on(1) { v } else { f64::NAN },
+                chunks: 1,
+                congested_byte_fraction: 0.0,
+                chunk_throughputs_mbps: Vec::new(),
+            },
+        }
+    }
+
+    /// One user's sessions under both arms: session `s` of user `u` has
+    /// validity `masks[s]` and the treatment runs 10 % below control.
+    fn user_sessions(u: u64, masks: &[u8]) -> (Vec<SessionRecord>, Vec<SessionRecord>) {
+        let value = |s: usize| 1.0 + (u * 7 + s as u64 * 3) as f64 * 0.25;
+        let arm = |scale: f64| {
+            masks
+                .iter()
+                .enumerate()
+                .map(|(s, &m)| rec(u, value(s) * scale, m))
+                .collect()
+        };
+        (arm(1.0), arm(0.9))
+    }
+
+    /// (sum, count) of one user's valid paired deltas for `f` — the
+    /// pairing rule of [`MetricAcc::fold_user`], restated.
+    fn user_delta(
+        f: MetricExtractor,
+        control: &[SessionRecord],
+        treatment: &[SessionRecord],
+    ) -> (f64, u64) {
+        let c = control.iter().filter_map(f);
+        let t = treatment.iter().filter_map(f);
+        let (mut sum, mut n) = (0.0, 0u64);
+        for (cv, tv) in c.zip(t) {
+            if cv.is_finite() && tv.is_finite() && cv != 0.0 {
+                sum += (tv - cv) / cv.abs() * 100.0;
+                n += 1;
+            }
+        }
+        (sum, n)
+    }
 
     #[test]
     fn poisson1_has_unit_mean() {
         let n = 20_000u64;
-        let total: u64 = (0..n).map(|i| poisson1(mix2(42, i))).sum();
-        let mean = total as f64 / n as f64;
+        let draws: Vec<f64> = (0..n).map(|i| poisson1(mix2(42, i)) as f64).collect();
+        let mean = draws.iter().sum::<f64>() / n as f64;
         assert!((mean - 1.0).abs() < 0.02, "Poisson(1) mean off: {mean}");
+        let var = draws.iter().map(|d| (d - mean).powi(2)).sum::<f64>() / n as f64;
+        assert!((0.9..=1.1).contains(&var), "Poisson(1) variance off: {var}");
         // Deterministic per key.
         assert_eq!(poisson1(mix2(7, 9)), poisson1(mix2(7, 9)));
+    }
+
+    #[test]
+    fn row0_replicates_match_the_per_metric_keying_bit_for_bit() {
+        // The differential anchor: the shared weight vector is keyed as
+        // metric 0 was when every row drew its own, so "Chunk Throughput"
+        // replicates are those of the per-metric scheme, to the bit.
+        const REPS: usize = 64;
+        let seed = 2023;
+        let mut st = ShardState::new(REPS);
+        let mut want = vec![(0.0f64, 0u64); REPS];
+        for u in 0..40u64 {
+            // Every fifth user has no throughput sample at all (n == 0).
+            let masks = if u % 5 == 0 {
+                [0x1E; 3]
+            } else {
+                [0x1F, 0x1E, 0x1F]
+            };
+            let (c, t) = user_sessions(u, &masks);
+            st.fold_user(seed, u, &c, &t, &obs::Registry::new());
+            let (sum, n) = user_delta(METRICS[0].2, &c, &t);
+            if n == 0 {
+                continue;
+            }
+            let metric = 0u64;
+            let key = mix2(mix2(seed, 0xB007_5EED ^ metric), u);
+            for (rep, slot) in want.iter_mut().enumerate() {
+                let w = poisson1(mix2(key, rep as u64));
+                if w > 0 {
+                    slot.0 += w as f64 * sum;
+                    slot.1 += w * n;
+                }
+            }
+        }
+        let got = &st.metrics()[0].boot;
+        assert!(got.iter().any(|&(_, n)| n > 0));
+        for (rep, (g, w)) in got.iter().zip(&want).enumerate() {
+            assert_eq!(
+                (g.0.to_bits(), g.1),
+                (w.0.to_bits(), w.1),
+                "replicate {rep}"
+            );
+        }
+    }
+
+    proptest::proptest! {
+        /// Replicate `r` is one resampled population: two rows that drew
+        /// their pairs from the same sessions of the same users see the
+        /// same weighted pair count in every replicate.
+        #[test]
+        fn replicates_are_coherent_across_rows(
+            users in proptest::collection::vec(
+                proptest::collection::vec(0u8..32, 1..4), 1..24),
+            reps in 1usize..48,
+            seed in proptest::prelude::any::<u64>(),
+        ) {
+            let mut st = ShardState::new(reps);
+            // Per metric: each user's valid-pair count.
+            let mut pairs = vec![Vec::new(); METRICS.len()];
+            for (u, masks) in users.iter().enumerate() {
+                let (c, t) = user_sessions(u as u64, masks);
+                st.fold_user(seed, u as u64, &c, &t, &obs::Registry::new());
+                for (per_user, &(_, _, f)) in pairs.iter_mut().zip(&METRICS) {
+                    per_user.push(user_delta(f, &c, &t).1);
+                }
+            }
+            let counts = |i: usize| -> Vec<u64> {
+                st.metrics()[i].boot.iter().map(|&(_, n)| n).collect()
+            };
+            // Built to pair up: the VMAF rows and the rebuffer rows.
+            proptest::prop_assert_eq!(&pairs[3], &pairs[4]);
+            proptest::prop_assert_eq!(&pairs[6], &pairs[7]);
+            for i in 0..METRICS.len() {
+                for j in i + 1..METRICS.len() {
+                    if pairs[i] == pairs[j] {
+                        proptest::prop_assert_eq!(
+                            counts(i), counts(j), "{} vs {}", METRICS[i].0, METRICS[j].0
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn bootstrap_interval_covers_a_known_mean() {
+        // 150 users, one pair each, delta = TRUTH + zero-mean noise: the
+        // nominal 95 % interval should cover TRUTH about 95 % of the time.
+        const TRUTH: f64 = -2.0;
+        const SEEDS: u64 = 400;
+        let mut weights = vec![0u8; 200];
+        let mut covered = 0;
+        for seed in 0..SEEDS {
+            let mut acc = MetricAcc::new(weights.len());
+            for u in 0..150u64 {
+                let mut noise = mix2(seed ^ 0xCA11_B8A7, u);
+                let uniform = (splitmix(&mut noise) >> 11) as f64 / (1u64 << 53) as f64;
+                let delta = TRUTH + 6.0 * (uniform - 0.5);
+                draw_weights(seed, u, &mut weights);
+                acc.fold_user(&weights, &[100.0], &[100.0 + delta]);
+            }
+            let ci = acc.paired_delta();
+            covered += u64::from(ci.ci_low <= TRUTH && TRUTH <= ci.ci_high);
+        }
+        let coverage = covered as f64 / SEEDS as f64;
+        assert!(
+            (0.90..=0.99).contains(&coverage),
+            "95 % interval covered the truth in {covered} of {SEEDS} seeds"
+        );
     }
 
     #[test]
@@ -1032,10 +1256,12 @@ mod tests {
         // equally valid — f64 summation order, which is why shard_size is
         // part of the run's identity.)
         let fold = |acc: &mut MetricAcc, users: std::ops::Range<u64>| {
+            let mut weights = vec![0u8; 50];
             for u in users {
                 let c = [10.0 + u as f64, 12.0];
                 let t = [9.0 + u as f64, 11.5];
-                acc.fold_user(mix2(1, u), &c, &t);
+                draw_weights(1, u, &mut weights);
+                acc.fold_user(&weights, &c, &t);
             }
         };
         let shards: Vec<MetricAcc> = (0..4)
@@ -1079,8 +1305,9 @@ mod tests {
         for u in 0..30u64 {
             let vals: Vec<f64> = (0..3).map(|s| (u * 3 + s) as f64 * 0.25 + 1.0).collect();
             let tvals: Vec<f64> = vals.iter().map(|v| v * 0.9).collect();
+            draw_weights(3, u, &mut st.scratch.weights);
             for m in st.metrics.iter_mut() {
-                m.fold_user(mix2(3, u), &vals, &tvals);
+                m.fold_user(&st.scratch.weights, &vals, &tvals);
             }
             st.users += 1;
         }

@@ -11,6 +11,7 @@
 use abtest::{Arm, Experiment, ExperimentConfig, PopulationConfig};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
 
 /// A [`System`] wrapper tracking live and peak heap bytes.
 struct CountingAlloc {
@@ -73,6 +74,11 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 }
 
+/// The counters are process-wide and `cargo test` runs tests on parallel
+/// threads: each test holds this while it measures, or one test's
+/// allocations land in the other's peak.
+static MEASURING: Mutex<()> = Mutex::new(());
+
 fn cfg(users: usize) -> ExperimentConfig {
     ExperimentConfig {
         users_per_arm: users,
@@ -120,6 +126,7 @@ fn collecting_peak(users: usize) -> usize {
 
 #[test]
 fn streaming_peak_memory_is_flat_in_population_size() {
+    let _alone = MEASURING.lock().unwrap_or_else(|e| e.into_inner());
     // Warm up process-wide one-time allocations (interned names, lazy
     // statics, thread stacks' heap side) so they don't bias the small run.
     let _ = streaming_peak(32);
@@ -139,6 +146,7 @@ fn streaming_peak_memory_is_flat_in_population_size() {
 
 #[test]
 fn collecting_runner_grows_with_population_proving_the_measurement() {
+    let _alone = MEASURING.lock().unwrap_or_else(|e| e.into_inner());
     // The same measurement applied to the collecting runner must show
     // clear growth — otherwise the flat-streaming assertion above would
     // be vacuous (e.g. if peaks were dominated by transients).

@@ -257,6 +257,66 @@ fn all_checkpoints_corrupt_is_a_hard_tagged_error() {
 }
 
 #[test]
+fn checkpoint_of_an_older_version_is_refused_with_a_tagged_note() {
+    // A version-1 file holds replicates filled under per-metric bootstrap
+    // weights; resuming it would mix two keyings. Forge one that is valid
+    // in every other respect: rewrite the version word, re-stamp the
+    // trailing FNV-1a.
+    let dir = ScratchDir::new("old-version");
+    builder(1)
+        .checkpoint_dir(dir.path())
+        .abort_after_checkpoints(1)
+        .run_streaming()
+        .unwrap();
+    let files = checkpoint_files(dir.path());
+    assert_eq!(files.len(), 1);
+    let mut bytes = std::fs::read(&files[0]).unwrap();
+    let body = bytes.len() - 8;
+    bytes[8..12].copy_from_slice(&1u32.to_le_bytes());
+    let mut h = tdigest::wire::Fnv::new();
+    h.write(&bytes[..body]);
+    bytes[body..].copy_from_slice(&h.finish().to_le_bytes());
+    std::fs::write(&files[0], &bytes).unwrap();
+
+    // The only candidate is unusable: a hard, tagged error.
+    let err = builder(1)
+        .checkpoint_dir(dir.path())
+        .resume(true)
+        .run_streaming()
+        .unwrap_err();
+    match &err {
+        SimError::Checkpoint { reason, .. } => {
+            assert!(reason.contains("unsupported version 1"), "{err}");
+        }
+        other => panic!("expected SimError::Checkpoint, got {other:?}"),
+    }
+
+    // With a current-version predecessor beside it, resume skips it, says
+    // why, and still finishes bit-identical.
+    let dir = ScratchDir::new("old-version-fallback");
+    builder(1)
+        .checkpoint_dir(dir.path())
+        .abort_after_checkpoints(1)
+        .run_streaming()
+        .unwrap();
+    std::fs::write(dir.path().join("ckpt-0000000002.bin"), &bytes).unwrap();
+    let resumed = builder(1)
+        .checkpoint_dir(dir.path())
+        .resume(true)
+        .run_streaming()
+        .unwrap();
+    assert_eq!(resumed.resumed_from, Some(1));
+    assert_eq!(
+        resumed.fallback_notes.len(),
+        1,
+        "{:?}",
+        resumed.fallback_notes
+    );
+    assert!(resumed.fallback_notes[0].contains("unsupported version 1"));
+    assert_eq!(resumed.fingerprint(), golden().fingerprint());
+}
+
+#[test]
 fn checkpoint_of_a_different_run_is_rejected() {
     let dir = ScratchDir::new("mismatch");
     builder(1)
@@ -346,6 +406,48 @@ fn streaming_stats_match_the_collecting_runner_exactly() {
             );
         }
     }
+}
+
+#[test]
+fn streaming_interval_is_as_wide_as_the_resampling_one() {
+    // Calibration against the collecting runner: Poisson(1) weights and
+    // with-replacement resampling of users estimate the same sampling
+    // distribution, so at equal replicate counts the two 95 % intervals have
+    // about the same width on every row that has one.
+    const CAL_USERS: usize = 48;
+    const CAL_REPS: usize = 400;
+    let pop = draw_population_indexed(&light_population(), CAL_USERS, SEED);
+    let cal = || builder(2).population(&pop).bootstrap_reps(CAL_REPS);
+    let collected = cal().run().unwrap();
+    let streamed = cal().run_streaming().unwrap();
+
+    let mut compared = 0;
+    for (acc, &(name, _, f)) in streamed.state.metrics().iter().zip(&METRICS) {
+        let reference = paired_delta(
+            &collected.control.metric_by_user(f),
+            &collected.treatment.metric_by_user(f),
+            CAL_REPS,
+            1,
+        );
+        let streaming = acc.paired_delta();
+        let want = reference.ci_high - reference.ci_low;
+        let got = streaming.ci_high - streaming.ci_low;
+        if !(want.is_finite() && got.is_finite()) {
+            continue;
+        }
+        if want == 0.0 {
+            // Every pair has the same delta (these short titles never
+            // rebuffer or change quality): no resampling spreads it.
+            assert_eq!(got, 0.0, "{name}");
+            continue;
+        }
+        compared += 1;
+        assert!(
+            (0.7..=1.3).contains(&(got / want)),
+            "{name}: streaming CI width {got} vs resampling {want}"
+        );
+    }
+    assert!(compared >= 3, "only {compared} rows had a CI of any width");
 }
 
 #[cfg(feature = "obs")]

@@ -313,6 +313,11 @@ impl ArmSpec {
     }
 }
 
+/// Ceiling on [`ExperimentSpec::bootstrap_reps`]. The streaming runner
+/// holds `8 × reps` 16-byte replicate slots per shard state (12.8 MB
+/// here); an unbounded count is an allocation abort, not an error.
+pub const MAX_BOOTSTRAP_REPS: usize = 100_000;
+
 /// A complete A/B experiment: arms, population sizing, seeds, and the
 /// network/transport substrate. The single source of truth consumed by
 /// `POST /runs`, `sammy-sim`, and `bench::{lab,matrix}`.
@@ -413,6 +418,13 @@ impl ExperimentSpec {
             return Err(e);
         }
         let d = ExperimentSpec::default();
+        let bootstrap_reps = get_usize(Self::WHAT, v, "bootstrap_reps", d.bootstrap_reps)?;
+        if bootstrap_reps > MAX_BOOTSTRAP_REPS {
+            return Err(SimError::InvalidConfig {
+                field: "bootstrap_reps",
+                reason: format!("must be at most {MAX_BOOTSTRAP_REPS}, got {bootstrap_reps}"),
+            });
+        }
         Ok(ExperimentSpec {
             name: get_string(Self::WHAT, v, "name", &d.name)?,
             control: match v.get("control") {
@@ -427,7 +439,7 @@ impl ExperimentSpec {
             pre_sessions: get_usize(Self::WHAT, v, "pre_sessions", d.pre_sessions)?,
             sessions_per_user: get_usize(Self::WHAT, v, "sessions_per_user", d.sessions_per_user)?,
             seed: get_u64(Self::WHAT, v, "seed", d.seed)?,
-            bootstrap_reps: get_usize(Self::WHAT, v, "bootstrap_reps", d.bootstrap_reps)?,
+            bootstrap_reps,
             threads: get_usize(Self::WHAT, v, "threads", d.threads)?,
             shard_size: get_usize(Self::WHAT, v, "shard_size", d.shard_size)?,
             light_population: get_bool(Self::WHAT, v, "light_population", d.light_population)?,
@@ -740,6 +752,28 @@ mod tests {
         assert_eq!(spec.network.rtt_ms, 80.0);
         assert_eq!(spec.network.rate_mbps, 40.0);
         assert_eq!(spec.users_per_arm, 400);
+    }
+
+    #[test]
+    fn bootstrap_reps_has_a_ceiling_in_runs_and_search_bases() {
+        let at = format!(r#"{{"bootstrap_reps":{MAX_BOOTSTRAP_REPS}}}"#);
+        assert!(ExperimentSpec::from_json_str(&at).is_ok());
+        let over = format!(r#"{{"bootstrap_reps":{}}}"#, MAX_BOOTSTRAP_REPS + 1);
+        for err in [
+            ExperimentSpec::from_json_str(&over).unwrap_err(),
+            SearchSpec::from_json_str(&format!(r#"{{"base":{over}}}"#)).unwrap_err(),
+        ] {
+            assert!(
+                matches!(
+                    err,
+                    SimError::InvalidConfig {
+                        field: "bootstrap_reps",
+                        ..
+                    }
+                ),
+                "{err}"
+            );
+        }
     }
 
     #[test]

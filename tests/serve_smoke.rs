@@ -96,6 +96,12 @@ fn run_round_trip_matches_in_process_and_survives_deep_nesting() {
     let (code, body) = http_request(addr, "POST", "/runs", Some(overflow)).unwrap();
     assert_eq!(code, 400, "{body}");
     assert!(body.contains("out of range"), "{body}");
+    // A replicate count the worker could only abort on (16 TB of
+    // replicate slots) never reaches the queue.
+    let greedy = r#"{"bootstrap_reps":1000000000000}"#;
+    let (code, body) = http_request(addr, "POST", "/runs", Some(greedy)).unwrap();
+    assert_eq!(code, 400, "{body}");
+    assert!(body.contains("bootstrap_reps"), "{body}");
     let (code, body) = http_request(addr, "GET", "/healthz", None).unwrap();
     assert_eq!((code, body.as_str()), (200, r#"{"ok":true}"#));
 
