@@ -155,17 +155,6 @@ impl Default for ExperimentConfig {
 }
 
 impl ExperimentConfig {
-    /// The worker count the sharded runner will actually use.
-    pub fn effective_threads(&self) -> usize {
-        if self.threads > 0 {
-            self.threads
-        } else {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-        }
-    }
-
     /// Sessions simulated for `users` user pairs: each pair runs its
     /// pre-experiment sessions once and its experiment sessions under
     /// both arms.
@@ -727,14 +716,12 @@ fn run_serial_impl(
 
 /// The sharded runner with per-user panic isolation.
 ///
-/// Workers pull user indices from a shared counter (dynamic load balance —
-/// session counts vary wildly between users), run both arms for the user,
-/// and deposit the result in that user's slot. A panic inside a user's
-/// sessions is caught at the user boundary: the worker records the payload
-/// and moves on, the pool keeps draining, and the slot `Mutex`es recover
-/// rather than poison. Slots are merged in population order afterwards, so
-/// successful users' records — and telemetry registries — are
-/// bit-identical to the serial runner's.
+/// Users are jobs on the ordered pool ([`crate::pool::ordered`]: dynamic
+/// load balance — session counts vary wildly between users). A panic
+/// inside a user's sessions is caught at the user boundary, inside the
+/// job, and reported as that user's failure. Results are folded in
+/// population order, so successful users' records — and telemetry
+/// registries — are bit-identical to the serial runner's.
 fn run_detailed_impl(
     population: &[UserProfile],
     control: Arm,
@@ -742,56 +729,38 @@ fn run_detailed_impl(
     cfg: &ExperimentConfig,
 ) -> ExperimentRun {
     use std::panic::{catch_unwind, AssertUnwindSafe};
-    use std::sync::atomic::{AtomicUsize, Ordering};
-
-    type UserSlot = Result<(UserSessions, obs::Registry), String>;
-
-    let threads = cfg.effective_threads().min(population.len().max(1));
-    let next = AtomicUsize::new(0);
-    let slots: Vec<parking_lot::Mutex<Option<UserSlot>>> = population
-        .iter()
-        .map(|_| parking_lot::Mutex::new(None))
-        .collect();
-
-    crossbeam::thread::scope(|s| {
-        for _ in 0..threads {
-            s.spawn(|_| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= population.len() {
-                    break;
-                }
-                let user = &population[i];
-                // A panic leaves the user's partial registry in the
-                // worker's thread-local; the next run_user_pair replaces
-                // it, so failed users contribute no telemetry (keeping the
-                // merged registry deterministic).
-                let result = catch_unwind(AssertUnwindSafe(|| {
-                    run_user_pair(user, control, treatment, cfg)
-                }))
-                .map_err(panic_message);
-                *slots[i].lock() = Some(result);
-            });
-        }
-    })
-    .expect("experiment worker pool");
 
     let mut run = ExperimentRun::default();
-    for (i, slot) in slots.into_iter().enumerate() {
-        match slot.into_inner().expect("worker pool drained every user") {
-            Ok(((c, t), metrics)) => {
-                run.control.sessions.extend(c);
-                run.treatment.sessions.extend(t);
-                run.metrics.merge(&metrics);
+    crate::pool::ordered(
+        0..population.len(),
+        cfg.threads,
+        |i| {
+            // A panic leaves the user's partial registry in the worker's
+            // thread-local; the next run_user_pair replaces it, so failed
+            // users contribute no telemetry (keeping the merged registry
+            // deterministic).
+            catch_unwind(AssertUnwindSafe(|| {
+                run_user_pair(&population[i], control, treatment, cfg)
+            }))
+            .map_err(panic_message)
+        },
+        |results| {
+            for (i, result) in results.enumerate() {
+                match result {
+                    Ok(((c, t), metrics)) => {
+                        run.control.sessions.extend(c);
+                        run.treatment.sessions.extend(t);
+                        run.metrics.merge(&metrics);
+                    }
+                    Err(message) => run.failures.push(UserFailure {
+                        user: population[i].id,
+                        index: i,
+                        message,
+                    }),
+                }
             }
-            Err(message) => {
-                run.failures.push(UserFailure {
-                    user: population[i].id,
-                    index: i,
-                    message,
-                });
-            }
-        }
-    }
+        },
+    );
     run
 }
 

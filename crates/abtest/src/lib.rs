@@ -15,16 +15,19 @@
 //!   that is bit-identical to an uninterrupted run.
 //! - [`stats`]: medians, percentiles, and the seeded percentile bootstrap.
 //! - [`sweep`]: the (c0, c1) grid behind Fig 5's VMAF-vs-throughput
-//!   tradeoff.
+//!   tradeoff, and the one Production-vs-Sammy(c0, c1) evaluation.
 //! - [`longitudinal`]: the Fig 6 historical-data cold-start experiment.
 //! - [`optimize`]: the §5.3 parameter-search loop (the Ax analogue):
-//!   coordinate refinement over (c0, c1) under QoE guards.
+//!   successive halving over a [`spec::SearchSpec`] under its QoE guards,
+//!   every evaluation the sweep's.
+//! - [`pool`]: the one index-ordered worker pool under all of the above.
 
 #![warn(missing_docs)]
 
 pub mod experiment;
 pub mod longitudinal;
 pub mod optimize;
+pub mod pool;
 pub mod population;
 pub mod stats;
 pub mod streaming;
@@ -36,10 +39,7 @@ pub use experiment::{
     SessionRecord, UserFailure, METRICS,
 };
 pub use longitudinal::{run_cold_start, ColdStartConfig, ColdStartResult};
-pub use optimize::{
-    halving_search, halving_search_with, search, Candidate, Evaluation, HalvingConfig,
-    HalvingOutcome, QoeGuards, SearchOutcome,
-};
+pub use optimize::{halving_search, halving_search_with, Candidate, Evaluation, HalvingOutcome};
 pub use population::{
     bucket_label, bucket_of, draw_population, draw_population_indexed, ladder_with_top, user_at,
     Population, PopulationConfig, UserProfile, THROUGHPUT_BUCKETS,

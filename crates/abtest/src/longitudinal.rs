@@ -73,50 +73,25 @@ impl ColdStartResult {
 /// isolating the effect of the missing historical data exactly as the
 /// paper's experiment does.
 pub fn run_cold_start(population: &[UserProfile], cfg: &ColdStartConfig) -> ColdStartResult {
-    // Sharded like the A/B runner: workers pull users from an atomic
-    // counter, per-user day series land in per-user slots, and slots merge
+    // Users are jobs on the ordered pool and their day series are folded
     // in population order — bit-identical output for any thread count.
-    use std::sync::atomic::{AtomicUsize, Ordering};
-
-    let requested = if cfg.threads > 0 {
-        cfg.threads
-    } else {
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-    };
-    let threads = requested.min(population.len().max(1));
-    let next = AtomicUsize::new(0);
-    type DaySeries = (Vec<Vec<f64>>, Vec<Vec<f64>>);
-    let slots: Vec<parking_lot::Mutex<Option<DaySeries>>> = population
-        .iter()
-        .map(|_| parking_lot::Mutex::new(None))
-        .collect();
-
-    crossbeam::thread::scope(|s| {
-        for _ in 0..threads {
-            s.spawn(|_| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= population.len() {
-                    break;
-                }
-                *slots[i].lock() = Some(run_cold_start_user(&population[i], cfg));
-            });
-        }
-    })
-    .expect("cold-start worker pool");
-
     let mut control_days: Vec<Vec<f64>> = vec![Vec::new(); cfg.days];
     let mut treatment_days: Vec<Vec<f64>> = vec![Vec::new(); cfg.days];
-    for slot in slots {
-        let (c, t) = slot.into_inner().expect("worker pool drained every user");
-        for (day, vals) in c.into_iter().enumerate() {
-            control_days[day].extend(vals);
-        }
-        for (day, vals) in t.into_iter().enumerate() {
-            treatment_days[day].extend(vals);
-        }
-    }
+    crate::pool::ordered(
+        0..population.len(),
+        cfg.threads,
+        |i| run_cold_start_user(&population[i], cfg),
+        |users| {
+            for (c, t) in users {
+                for (day, vals) in c.into_iter().enumerate() {
+                    control_days[day].extend(vals);
+                }
+                for (day, vals) in t.into_iter().enumerate() {
+                    treatment_days[day].extend(vals);
+                }
+            }
+        },
+    );
 
     ColdStartResult {
         // Mean, not median: initial quality is a discrete ladder value, so

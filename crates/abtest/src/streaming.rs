@@ -10,14 +10,14 @@
 //!    ranges). The shard partition depends only on `shard_size` — never on
 //!    the thread count — so the merge order below is an invariant of the
 //!    configuration.
-//! 2. Workers claim shard indices from an atomic counter and fold each
-//!    user's paired sessions (in index order) straight into a
-//!    [`ShardState`]: per-metric t-digest summaries, exact paired-delta
-//!    sums, Poisson-bootstrap replicate sums, and the telemetry registry.
-//!    Session records die with the user.
-//! 3. A merger (the calling thread) folds completed shards into the global
-//!    state in **strict shard order**. Workers that run too far ahead of
-//!    the merger block (the window is `2 × threads` shards), bounding
+//! 2. Shards are jobs on the ordered pool ([`crate::pool::ordered`]): a
+//!    worker folds each user's paired sessions (in index order) straight
+//!    into a [`ShardState`]: per-metric t-digest summaries, exact
+//!    paired-delta sums, Poisson-bootstrap replicate sums, and the
+//!    telemetry registry. Session records die with the user.
+//! 3. The pool's consumer (the calling thread) folds completed shards into
+//!    the global state in **strict shard order**. Workers that run too far
+//!    ahead of it block (the window is `2 × threads` shards), bounding
 //!    completed-but-unmerged state to O(threads).
 //!
 //! Every accumulator merge is deterministic given the merge order, and the
@@ -40,11 +40,8 @@ use crate::experiment::{panic_message, run_user_pair, Arm, ExperimentConfig, MET
 use crate::population::Population;
 use crate::stats::{pct_change, percentile, Aggregate, PairedDelta, StreamingStat};
 use netsim::SimError;
-use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Condvar, Mutex};
 use tdigest::wire::{self, Fnv, Reader};
 
 /// First 8 bytes of every checkpoint file ("SMYCKPT1", little-endian).
@@ -884,16 +881,6 @@ fn write_progress_line(
         .map_err(|e| SimError::Io(format!("append progress line: {e}")))
 }
 
-/// Shared worker/merger coordination state.
-struct Pending {
-    /// Completed shards awaiting their turn, keyed by shard index.
-    ready: BTreeMap<usize, ShardState>,
-    /// Shards `0..merged_upto` are folded into the global state.
-    merged_upto: usize,
-    /// Set on error or requested abort; workers drain and exit.
-    abort: bool,
-}
-
 /// The streaming shard-merge runner (entry:
 /// [`crate::experiment::ExperimentBuilder::run_streaming`]).
 pub(crate) fn run_stream_impl(
@@ -951,98 +938,41 @@ pub(crate) fn run_stream_impl(
         None => None,
     };
 
-    if start_shard < shards {
-        let threads = cfg.effective_threads().min(shards - start_shard).max(1);
-        let window = threads * 2;
-
-        let next = AtomicUsize::new(start_shard);
-        let pending = Mutex::new(Pending {
-            ready: BTreeMap::new(),
-            merged_upto: start_shard,
-            abort: false,
-        });
-        let cv = Condvar::new();
-
-        let merge_result: Result<(), SimError> = crossbeam::thread::scope(|s| {
-            for _ in 0..threads {
-                s.spawn(|_| loop {
-                    let shard = next.fetch_add(1, Ordering::Relaxed);
-                    if shard >= shards {
-                        break;
-                    }
-                    {
-                        // Backpressure: don't run further than `window`
-                        // shards ahead of the merger.
-                        let mut g = pending.lock().expect("stream lock");
-                        while !g.abort && shard >= g.merged_upto + window {
-                            g = cv.wait(g).expect("stream wait");
-                        }
-                        if g.abort {
+    // Shards are jobs on the ordered pool; merging them is its consumer,
+    // and a requested abort is the consumer stopping early.
+    crate::pool::ordered(
+        start_shard..shards,
+        cfg.threads,
+        |shard| compute_shard(population, shard, shard_size, control, treatment, cfg, reps),
+        |states| -> Result<(), SimError> {
+            for (k, state) in (start_shard..shards).zip(states) {
+                global.merge(&state);
+                merged_shards = k + 1;
+                if let Some(f) = progress.as_mut() {
+                    write_progress_line(f, k + 1, shards, &global)?;
+                }
+                if let Some(dir) = stream.checkpoint_dir.as_deref() {
+                    let merged_here = k + 1 - start_shard;
+                    let due = stream.checkpoint_every > 0
+                        && merged_here.is_multiple_of(stream.checkpoint_every);
+                    let last = k + 1 == shards;
+                    if due || last {
+                        write_checkpoint(dir, config_fp, k + 1, &global)?;
+                        checkpoints_written += 1;
+                        if stream
+                            .abort_after_checkpoints
+                            .is_some_and(|n| checkpoints_written >= n)
+                            && !last
+                        {
+                            aborted = true;
                             break;
                         }
                     }
-                    let state =
-                        compute_shard(population, shard, shard_size, control, treatment, cfg, reps);
-                    let mut g = pending.lock().expect("stream lock");
-                    g.ready.insert(shard, state);
-                    cv.notify_all();
-                });
-            }
-
-            // Merge, in strict shard order, on this thread.
-            let result = (|| -> Result<(), SimError> {
-                for k in start_shard..shards {
-                    let state = {
-                        let mut g = pending.lock().expect("stream lock");
-                        loop {
-                            if let Some(st) = g.ready.remove(&k) {
-                                break st;
-                            }
-                            g = cv.wait(g).expect("stream wait");
-                        }
-                    };
-                    global.merge(&state);
-                    merged_shards = k + 1;
-                    if let Some(f) = progress.as_mut() {
-                        write_progress_line(f, k + 1, shards, &global)?;
-                    }
-                    {
-                        let mut g = pending.lock().expect("stream lock");
-                        g.merged_upto = k + 1;
-                        cv.notify_all();
-                    }
-                    if let Some(dir) = stream.checkpoint_dir.as_deref() {
-                        let merged_here = k + 1 - start_shard;
-                        let due = stream.checkpoint_every > 0
-                            && merged_here.is_multiple_of(stream.checkpoint_every);
-                        let last = k + 1 == shards;
-                        if due || last {
-                            write_checkpoint(dir, config_fp, k + 1, &global)?;
-                            checkpoints_written += 1;
-                            if stream
-                                .abort_after_checkpoints
-                                .is_some_and(|n| checkpoints_written >= n)
-                                && !last
-                            {
-                                aborted = true;
-                                return Ok(());
-                            }
-                        }
-                    }
                 }
-                Ok(())
-            })();
-
-            // Wake and drain every worker, whatever happened.
-            let mut g = pending.lock().expect("stream lock");
-            g.abort = true;
-            cv.notify_all();
-            drop(g);
-            result
-        })
-        .expect("stream worker pool");
-        merge_result?;
-    }
+            }
+            Ok(())
+        },
+    )?;
 
     Ok(StreamRun {
         state: global,

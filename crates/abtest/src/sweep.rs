@@ -46,16 +46,55 @@ pub fn default_grid() -> Vec<(f64, f64)> {
     grid
 }
 
+/// The one `(c0, c1)` evaluation, under the Fig 5 sweep and every rung
+/// of the halving search alike: Production vs `Sammy { c0, c1 }` over
+/// `population`, read off as the four guarded rows. A row with no
+/// defined change reads NaN. Non-positive multipliers are rejected here,
+/// before anything is simulated for them.
+pub(crate) fn evaluate(
+    population: &[UserProfile],
+    cfg: &ExperimentConfig,
+    c0: f64,
+    c1: f64,
+) -> Result<SweepPoint, SimError> {
+    if !(c0 > 0.0 && c1 > 0.0) {
+        return Err(SimError::InvalidConfig {
+            field: "(c0, c1)",
+            reason: format!("pace multipliers must be positive, got ({c0}, {c1})"),
+        });
+    }
+    let run = Experiment::builder()
+        .population(population)
+        .control(Arm::Production)
+        .treatment(Arm::Sammy { c0, c1 })
+        .config(cfg.clone())
+        .run()?;
+    let report = run.report(cfg.bootstrap_reps, cfg.seed);
+    let get = |name: &str| {
+        report
+            .row(name)
+            .map(|r| r.change.pct_change)
+            .unwrap_or(f64::NAN)
+    };
+    Ok(SweepPoint {
+        c0,
+        c1,
+        tput_pct: get("Chunk Throughput"),
+        vmaf_pct: get("VMAF"),
+        play_delay_pct: get("Play Delay"),
+        rebuffer_pct: get("Rebuffers (/ hr)"),
+    })
+}
+
 /// Run the sweep: one experiment per `(c0, c1)` against a shared control.
 ///
-/// Rejects an empty population, an empty grid, or non-positive multipliers
-/// before any simulation runs.
+/// Rejects an empty population or an empty grid before any simulation
+/// runs, and a non-positive multiplier when its grid point comes up.
 pub fn run_sweep(
     population: &[UserProfile],
     grid: &[(f64, f64)],
     cfg: &ExperimentConfig,
 ) -> Result<Vec<SweepPoint>, SimError> {
-    cfg.validate()?;
     if population.is_empty() {
         return Err(SimError::InvalidConfig {
             field: "population",
@@ -68,36 +107,8 @@ pub fn run_sweep(
             reason: "sweep needs at least one (c0, c1) arm".into(),
         });
     }
-    if let Some(&(c0, c1)) = grid.iter().find(|(c0, c1)| *c0 <= 0.0 || *c1 <= 0.0) {
-        return Err(SimError::InvalidConfig {
-            field: "grid",
-            reason: format!("pace multipliers must be positive, got ({c0}, {c1})"),
-        });
-    }
     grid.iter()
-        .map(|&(c0, c1)| {
-            let run = Experiment::builder()
-                .population(population)
-                .control(Arm::Production)
-                .treatment(Arm::Sammy { c0, c1 })
-                .config(cfg.clone())
-                .run()?;
-            let report = run.report(cfg.bootstrap_reps, cfg.seed);
-            let get = |name: &str| {
-                report
-                    .row(name)
-                    .map(|r| r.change.pct_change)
-                    .unwrap_or(f64::NAN)
-            };
-            Ok(SweepPoint {
-                c0,
-                c1,
-                tput_pct: get("Chunk Throughput"),
-                vmaf_pct: get("VMAF"),
-                play_delay_pct: get("Play Delay"),
-                rebuffer_pct: get("Rebuffers (/ hr)"),
-            })
-        })
+        .map(|&(c0, c1)| evaluate(population, cfg, c0, c1))
         .collect()
 }
 

@@ -26,7 +26,6 @@ use netsim::{
     Discipline, FlowId, LinkConfig, QueueMonitor, Rate, SharedTopology, SharedTopologyConfig,
     SimDuration, SimTime, Simulator,
 };
-use std::sync::atomic::{AtomicUsize, Ordering};
 use transport::{MultiSenderEndpoint, TcpConfig};
 use video::{Player, PlayerConfig, VideoClientEndpoint};
 
@@ -284,48 +283,24 @@ pub fn shared_occupancy(
     (greedy, sammy)
 }
 
-/// Run every cell through a worker pool and return results in cell order.
-///
-/// Workers pull cell indices from a shared counter and deposit results
-/// into per-cell slots, which are drained in index order afterwards — the
-/// same discipline as the A/B sharded runner, so output never depends on
-/// scheduling. `threads == 0` sizes the pool to all cores. This is the
-/// generic sharding primitive behind the figures grid, the fairness
-/// curve, and the fluid-vs-packet differential oracle; each cell must be
-/// seed-derived and self-contained so results are byte-identical at every
-/// pool size.
+/// Run every cell through the ordered worker pool
+/// ([`abtest::pool::ordered`]) and return results in cell order, so output
+/// never depends on scheduling. `threads == 0` sizes the pool to all
+/// cores. This is the sharding primitive behind the figures grid, the
+/// fairness curve, and the fluid-vs-packet differential oracle; each cell
+/// must be seed-derived and self-contained so results are byte-identical
+/// at every pool size.
 pub fn run_cells<C: Sync, T: Send>(
     cells: &[C],
     threads: usize,
     f: impl Fn(&C) -> T + Sync,
 ) -> Vec<T> {
-    let threads = if threads == 0 {
-        std::thread::available_parallelism().map_or(1, |n| n.get())
-    } else {
-        threads
-    }
-    .min(cells.len().max(1));
-    let next = AtomicUsize::new(0);
-    let slots: Vec<parking_lot::Mutex<Option<T>>> = cells
-        .iter()
-        .map(|_| parking_lot::Mutex::new(None))
-        .collect();
-    crossbeam::thread::scope(|s| {
-        for _ in 0..threads {
-            s.spawn(|_| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= cells.len() {
-                    break;
-                }
-                *slots[i].lock() = Some(f(&cells[i]));
-            });
-        }
-    })
-    .expect("shared lab worker pool");
-    slots
-        .into_iter()
-        .map(|m| m.into_inner().expect("worker pool drained every cell"))
-        .collect()
+    abtest::pool::ordered(
+        0..cells.len(),
+        threads,
+        |i| f(&cells[i]),
+        |results| results.collect(),
+    )
 }
 
 #[cfg(test)]

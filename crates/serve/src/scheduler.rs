@@ -22,7 +22,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 
-use abtest::{halving_search_with, Candidate, Evaluation, Experiment, HalvingConfig, StreamRun};
+use abtest::{halving_search_with, Candidate, Evaluation, Experiment, StreamRun};
 use netsim::SimError;
 use spec::json::{self, Value};
 use spec::{ExperimentSpec, SearchSpec};
@@ -127,17 +127,12 @@ impl Scheduler {
         let mut recovered = 0;
         for kind in [JobKind::Run, JobKind::Search] {
             for id in store.job_ids(kind) {
-                let state = store.state(kind, &id);
-                match state {
-                    Some(JobState::Done) | Some(JobState::Failed) => {}
-                    Some(_) => {
-                        store.write_status(kind, &id, JobState::Queued, None)?;
-                        self.enqueue(kind, id);
-                        recovered += 1;
-                    }
-                    // No/unreadable status: a kill between mkdir and the
-                    // first status write. The spec is there; queue it.
-                    None => {
+                match store.state(kind, &id) {
+                    Some(JobState::Done | JobState::Failed) => {}
+                    // Non-terminal, or no/unreadable status: a kill between
+                    // mkdir and the first status write. The spec is there
+                    // (and is validated again when the job runs); queue it.
+                    _ => {
                         store.write_status(kind, &id, JobState::Queued, None)?;
                         self.enqueue(kind, id);
                         recovered += 1;
@@ -274,6 +269,16 @@ fn candidate_doc(c: &Candidate) -> Value {
     ])
 }
 
+/// Evaluation → JSON: one `evals.jsonl` line, one element of
+/// `result.json`'s `evaluations`.
+fn evaluation_doc(e: &Evaluation) -> Value {
+    json::obj(vec![
+        ("rung", Value::Num(e.rung as f64)),
+        ("users", Value::Num(e.users as f64)),
+        ("candidate", candidate_doc(&e.candidate)),
+    ])
+}
+
 fn candidate_from_doc(v: &Value) -> Option<Candidate> {
     Some(Candidate {
         c0: v.get("c0")?.as_f64()?,
@@ -316,10 +321,9 @@ fn load_evals(path: &std::path::Path) -> HashMap<(usize, u64, u64), Candidate> {
 /// Execute one successive-halving search end to end.
 fn execute_search(store: &Store, id: &str, cfg: &ServeConfig) -> Result<(), SimError> {
     store.write_status(JobKind::Search, id, JobState::Running, None)?;
-    let s = SearchSpec::from_json(&store.read_spec(JobKind::Search, id)?)?;
-    let mut halving = HalvingConfig::from_spec(&s);
+    let mut s = SearchSpec::from_json(&store.read_spec(JobKind::Search, id)?)?;
     if let Some(t) = cfg.threads {
-        halving.base.threads = t;
+        s.base.threads = t;
     }
 
     let dir = store.job_dir(JobKind::Search, id);
@@ -334,18 +338,14 @@ fn execute_search(store: &Store, id: &str, cfg: &ServeConfig) -> Result<(), SimE
     let mut fresh = 0usize;
     let mut aborted = false;
     let outcome = halving_search_with(
-        &halving,
+        &s,
         |rung, c0, c1| cache.borrow().get(&eval_key(rung, c0, c1)).cloned(),
         |ev: &Evaluation| {
             let key = eval_key(ev.rung, ev.candidate.c0, ev.candidate.c1);
             if cache.borrow().contains_key(&key) {
                 return true; // replayed from the persisted log
             }
-            let line = json::obj(vec![
-                ("rung", Value::Num(ev.rung as f64)),
-                ("users", Value::Num(ev.users as f64)),
-                ("candidate", candidate_doc(&ev.candidate)),
-            ]);
+            let line = evaluation_doc(ev);
             // Append + flush before continuing: a kill after this point
             // never repeats the evaluation.
             let ok = writeln!(log, "{line}").and_then(|_| log.flush()).is_ok();
@@ -366,17 +366,7 @@ fn execute_search(store: &Store, id: &str, cfg: &ServeConfig) -> Result<(), SimE
 
     match outcome {
         Ok(out) => {
-            let evaluations: Vec<Value> = out
-                .evaluations
-                .iter()
-                .map(|e| {
-                    json::obj(vec![
-                        ("rung", Value::Num(e.rung as f64)),
-                        ("users", Value::Num(e.users as f64)),
-                        ("candidate", candidate_doc(&e.candidate)),
-                    ])
-                })
-                .collect();
+            let evaluations: Vec<Value> = out.evaluations.iter().map(evaluation_doc).collect();
             let doc = json::obj(vec![
                 ("id", Value::Str(id.to_string())),
                 ("best", candidate_doc(&out.best)),

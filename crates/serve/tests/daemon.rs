@@ -243,3 +243,79 @@ fn killed_search_resumes_bit_identical() {
         Some(true)
     );
 }
+
+/// The search that used to be accepted and then abort the whole daemon:
+/// a final rung of 4 × (10^11)^2 users was a 41 TB allocation in
+/// `draw_population`.
+const OVERFLOWING_SEARCH: &str = r#"{"arms":[{"c0":2,"c1":2},{"c0":3,"c1":3}],"initial_users":4,"eta":100000000000,"rungs":3,"base":{"pre_sessions":1,"sessions_per_user":1,"bootstrap_reps":40,"light_population":true}}"#;
+
+#[test]
+fn semantically_invalid_submissions_are_400s() {
+    let dir = tmp_dir("invalid");
+    let daemon = Daemon::start("127.0.0.1:0", ServeConfig::new(&dir)).unwrap();
+
+    let arm = r#"{"c0":2,"c1":2}"#;
+    for (body, named) in [
+        (r#"{"arms":[]}"#.to_string(), "arms"),
+        (
+            format!(r#"{{"arms":[{arm}],"initial_users":0}}"#),
+            "initial_users",
+        ),
+        (format!(r#"{{"arms":[{arm}],"eta":1}}"#), "eta"),
+        (format!(r#"{{"arms":[{arm}],"rungs":0}}"#), "rungs"),
+        (format!(r#"{{"arms":[{arm}],"rungs":21}}"#), "rungs"),
+        (OVERFLOWING_SEARCH.to_string(), "MAX_SEARCH_USERS"),
+        (r#"{"arms":[{"c0":-1,"c1":2}]}"#.to_string(), "c0"),
+        (r#"{"arms":[{"c0":2,"c1":0}]}"#.to_string(), "c1"),
+    ] {
+        let (code, reply) = post(&daemon, "/searches", &body);
+        assert_eq!(code, 400, "{body}: {reply}");
+        assert!(reply.contains(named), "{body}: {reply}");
+    }
+    // These used to report `done` with `users: 0, failures: 4` and a
+    // table of nulls: every user pair panicked in `PaceSelector::new`.
+    for (body, named) in [
+        (r#"{"treatment":{"kind":"sammy","c0":-1,"c1":0}}"#, "c0"),
+        (r#"{"treatment":{"kind":"sammy","c1":0}}"#, "c1"),
+        (
+            r#"{"control":{"kind":"naive-paced","multiplier":-4}}"#,
+            "multiplier",
+        ),
+    ] {
+        let (code, reply) = post(&daemon, "/runs", body);
+        assert_eq!(code, 400, "{body}: {reply}");
+        assert!(reply.contains(named), "{body}: {reply}");
+    }
+
+    // Nothing was persisted or queued, and the daemon is still serving.
+    let (code, body) = get(&daemon, "/searches");
+    assert_eq!((code, body.as_str()), (200, r#"{"searches":[]}"#));
+    let (code, body) = get(&daemon, "/runs");
+    assert_eq!((code, body.as_str()), (200, r#"{"runs":[]}"#));
+    assert_eq!(get(&daemon, "/healthz").0, 200);
+    daemon.stop();
+}
+
+#[test]
+fn bad_spec_already_on_disk_fails_its_job_not_the_daemon() {
+    // A runs directory left behind by a daemon that accepted the
+    // overflowing search: `spec.json` is there, nothing has run. The
+    // restart used to resume the search into the same allocation abort.
+    let dir = tmp_dir("bad-on-disk");
+    let job = dir.join("searches/s0001");
+    std::fs::create_dir_all(&job).unwrap();
+    std::fs::write(job.join("spec.json"), OVERFLOWING_SEARCH).unwrap();
+
+    let daemon = Daemon::start("127.0.0.1:0", ServeConfig::new(&dir)).unwrap();
+    assert_eq!(daemon.recovered(), 1);
+    wait_for(&daemon, "/searches/s0001", JobState::Failed);
+    let (_, status) = get(&daemon, "/searches/s0001");
+    assert!(status.contains("MAX_SEARCH_USERS"), "{status}");
+    assert_eq!(get(&daemon, "/healthz").0, 200);
+
+    // And it still takes work.
+    let (code, body) = post(&daemon, "/searches", SEARCH_SPEC);
+    assert_eq!(code, 201, "{body}");
+    wait_for(&daemon, "/searches/s0002", JobState::Done);
+    daemon.stop();
+}

@@ -63,6 +63,26 @@ fn get_f64(what: &'static str, v: &Value, key: &str, default: f64) -> Result<f64
     }
 }
 
+/// A pace multiplier: like [`get_f64`], and positive. The runner's
+/// `PaceSelector::new` / `NaivePacedAbr::new` assert exactly this, so a
+/// zero or negative one that got past here would be a panic per user.
+fn get_multiplier(
+    what: &'static str,
+    v: &Value,
+    key: &'static str,
+    default: f64,
+) -> Result<f64, SimError> {
+    let m = get_f64(what, v, key, default)?;
+    if m > 0.0 {
+        Ok(m)
+    } else {
+        Err(SimError::InvalidConfig {
+            field: key,
+            reason: format!("pace multipliers must be positive, got {m}"),
+        })
+    }
+}
+
 fn get_u64(what: &'static str, v: &Value, key: &str, default: u64) -> Result<u64, SimError> {
     match v.get(key) {
         None => Ok(default),
@@ -303,11 +323,11 @@ impl ArmSpec {
             "production" => ArmSpec::Production,
             "initial-only" => ArmSpec::InitialOnly,
             "sammy" => ArmSpec::Sammy {
-                c0: get_f64(Self::WHAT, v, "c0", 3.2)?,
-                c1: get_f64(Self::WHAT, v, "c1", 2.8)?,
+                c0: get_multiplier(Self::WHAT, v, "c0", 3.2)?,
+                c1: get_multiplier(Self::WHAT, v, "c1", 2.8)?,
             },
             _ => ArmSpec::NaivePaced {
-                multiplier: get_f64(Self::WHAT, v, "multiplier", 4.0)?,
+                multiplier: get_multiplier(Self::WHAT, v, "multiplier", 4.0)?,
             },
         })
     }
@@ -317,6 +337,14 @@ impl ArmSpec {
 /// holds `8 × reps` 16-byte replicate slots per shard state (12.8 MB
 /// here); an unbounded count is an allocation abort, not an error.
 pub const MAX_BOOTSTRAP_REPS: usize = 100_000;
+
+/// Ceiling on the users per arm of a search's final rung
+/// (`initial_users × eta^(rungs−1)`). An evaluation runs on the collecting
+/// runner, which holds every `SessionRecord` of the rung: `2 ×
+/// sessions_per_user` a user, about 3 kB each with the full population's
+/// ~340 chunk throughputs — 2.4 GB here at the default four sessions. An
+/// unbounded rung is an allocation abort, not an error.
+pub const MAX_SEARCH_USERS: usize = 100_000;
 
 /// A complete A/B experiment: arms, population sizing, seeds, and the
 /// network/transport substrate. The single source of truth consumed by
@@ -461,7 +489,7 @@ impl ExperimentSpec {
 }
 
 /// QoE guardrails a candidate arm must satisfy (percent-change bounds vs
-/// control) — the spec-level mirror of `abtest::optimize::QoeGuards`.
+/// control, from the median statistic).
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct GuardSpec {
     /// Lowest acceptable VMAF change (%).
@@ -532,20 +560,20 @@ impl ArmPoint {
         ])
     }
 
-    /// Parse from a JSON value. Both coordinates are required.
+    /// Parse from a JSON value. Both coordinates are required, and
+    /// positive.
     pub fn from_json(v: &Value) -> Result<Self, SimError> {
         let fields = want_obj(Self::WHAT, v)?;
         if let Some(e) = unknown_field(Self::WHAT, Self::FIELDS, fields) {
             return Err(e);
         }
-        let need = |key: &'static str| {
-            v.get(key)
-                .and_then(Value::as_f64)
-                .ok_or_else(|| SimError::Parse {
-                    what: Self::WHAT,
-                    input: v.to_string(),
-                    reason: format!("field `{key}` is required and must be a number"),
-                })
+        let need = |key: &'static str| match v.get(key) {
+            Some(_) => get_multiplier(Self::WHAT, v, key, f64::NAN),
+            None => Err(SimError::Parse {
+                what: Self::WHAT,
+                input: v.to_string(),
+                reason: format!("field `{key}` is required and must be a number"),
+            }),
         };
         Ok(ArmPoint {
             c0: need("c0")?,
@@ -633,7 +661,7 @@ impl SearchSpec {
                 .map(ArmPoint::from_json)
                 .collect::<Result<Vec<_>, _>>()?,
         };
-        Ok(SearchSpec {
+        let spec = SearchSpec {
             name: get_string(Self::WHAT, v, "name", &d.name)?,
             arms,
             initial_users: get_usize(Self::WHAT, v, "initial_users", d.initial_users)?,
@@ -647,7 +675,55 @@ impl SearchSpec {
                 None => d.base,
                 Some(f) => ExperimentSpec::from_json(f)?,
             },
-        })
+        };
+        spec.validate()?;
+        Ok(spec)
+    }
+
+    /// Reject a search that cannot run: no arms, an empty rung 0, a
+    /// halving factor that does not halve, a rung count outside 1..=20, or
+    /// a final rung past [`MAX_SEARCH_USERS`]. [`from_json`](Self::from_json)
+    /// ends with this and the search itself starts with it, so the HTTP
+    /// submit path, the daemon's worker re-reading `spec.json`, and a spec
+    /// built in code all meet the same check.
+    pub fn validate(&self) -> Result<(), SimError> {
+        let invalid =
+            |field: &'static str, reason: String| Err(SimError::InvalidConfig { field, reason });
+        if self.arms.is_empty() {
+            return invalid("arms", "need at least one candidate arm".into());
+        }
+        if self.initial_users == 0 {
+            return invalid("initial_users", "need at least one user in rung 0".into());
+        }
+        if self.eta < 2 {
+            return invalid("eta", "halving needs eta >= 2".into());
+        }
+        if self.rungs == 0 || self.rungs > 20 {
+            return invalid("rungs", "need 1..=20 rungs".into());
+        }
+        let final_rung = u32::try_from(self.rungs - 1)
+            .ok()
+            .and_then(|r| self.eta.checked_pow(r))
+            .and_then(|growth| self.initial_users.checked_mul(growth));
+        match final_rung {
+            Some(users) if users <= MAX_SEARCH_USERS => Ok(()),
+            _ => invalid(
+                "initial_users",
+                format!(
+                    "final rung needs initial_users x eta^(rungs-1) = {} x {}^{} users per arm, \
+                     over MAX_SEARCH_USERS = {MAX_SEARCH_USERS}",
+                    self.initial_users,
+                    self.eta,
+                    self.rungs - 1
+                ),
+            ),
+        }
+    }
+
+    /// Users per arm at `rung` (0-based) of a [validated](Self::validate)
+    /// search.
+    pub fn rung_users(&self, rung: usize) -> usize {
+        self.initial_users * self.eta.pow(rung as u32)
     }
 
     /// Parse from a JSON string.
@@ -744,8 +820,16 @@ mod tests {
     fn minimal_object_takes_defaults() {
         let spec = ExperimentSpec::from_json_str("{}").unwrap();
         assert_eq!(spec, ExperimentSpec::default());
-        let search = SearchSpec::from_json_str("{}").unwrap();
-        assert_eq!(search, SearchSpec::default());
+        // A search needs its arms; everything else defaults.
+        let arms = vec![ArmPoint { c0: 2.0, c1: 1.75 }];
+        let search = SearchSpec::from_json_str(r#"{"arms":[{"c0":2.0,"c1":1.75}]}"#).unwrap();
+        assert_eq!(
+            search,
+            SearchSpec {
+                arms,
+                ..SearchSpec::default()
+            }
+        );
         // Partial objects override only what they name.
         let spec = ExperimentSpec::from_json_str(r#"{"seed":9,"network":{"rtt_ms":80}}"#).unwrap();
         assert_eq!(spec.seed, 9);
@@ -808,6 +892,84 @@ mod tests {
             .unwrap_err()
             .to_string();
         assert!(e.contains("sammy2"), "{e}");
+    }
+
+    /// What `field` an `InvalidConfig` rejection names.
+    fn invalid_field<T: std::fmt::Debug>(r: Result<T, SimError>) -> &'static str {
+        match r {
+            Err(SimError::InvalidConfig { field, .. }) => field,
+            other => panic!("expected InvalidConfig, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn search_spec_rejects_bad_setups() {
+        let ok = SearchSpec {
+            arms: vec![ArmPoint { c0: 2.0, c1: 2.0 }, ArmPoint { c0: 3.0, c1: 3.0 }],
+            initial_users: 4,
+            ..Default::default()
+        };
+        assert!(ok.validate().is_ok());
+        type Breakage = (fn(&mut SearchSpec), &'static str);
+        let breakages: [Breakage; 8] = [
+            (|s| s.arms.clear(), "arms"),
+            (|s| s.initial_users = 0, "initial_users"),
+            (|s| s.eta = 1, "eta"),
+            (|s| s.rungs = 0, "rungs"),
+            (|s| s.rungs = 99, "rungs"),
+            // The reproducer: 4 × (10^11)^2 overflows a usize.
+            (|s| s.eta = 100_000_000_000, "initial_users"),
+            // No overflow, but a final rung of 4 × 2^19 users.
+            (|s| s.rungs = 20, "initial_users"),
+            (
+                |s| s.initial_users = MAX_SEARCH_USERS / 4 + 1,
+                "initial_users",
+            ),
+        ];
+        for (breakage, field) in breakages {
+            let mut bad = ok.clone();
+            breakage(&mut bad);
+            assert_eq!(invalid_field(bad.validate()), field, "{bad:?}");
+            // Parsing ends with the same check, so neither the HTTP API
+            // nor a `spec.json` already on disk can carry one in.
+            let text = bad.to_json().to_string();
+            assert_eq!(invalid_field(SearchSpec::from_json_str(&text)), field);
+        }
+        // At the ceiling is fine, and the rung sizes are what it bounded.
+        let at = SearchSpec {
+            initial_users: MAX_SEARCH_USERS / 4,
+            ..ok
+        };
+        assert!(at.validate().is_ok());
+        assert_eq!(at.rung_users(0), MAX_SEARCH_USERS / 4);
+        assert_eq!(at.rung_users(2), MAX_SEARCH_USERS);
+        let msg = SearchSpec::from_json_str(
+            r#"{"arms":[{"c0":2,"c1":2}],"initial_users":4,"eta":100000000000,"rungs":3}"#,
+        )
+        .unwrap_err()
+        .to_string();
+        assert!(msg.contains("MAX_SEARCH_USERS"), "{msg}");
+    }
+
+    #[test]
+    fn pace_multipliers_must_be_positive() {
+        for text in [
+            r#"{"treatment":{"kind":"sammy","c0":-1,"c1":0}}"#,
+            r#"{"treatment":{"kind":"sammy","c0":0}}"#,
+            r#"{"control":{"kind":"sammy","c1":-0.5}}"#,
+            r#"{"treatment":{"kind":"naive-paced","multiplier":0}}"#,
+            r#"{"treatment":{"kind":"naive-paced","multiplier":-4}}"#,
+        ] {
+            let field = invalid_field(ExperimentSpec::from_json_str(text));
+            assert!(["c0", "c1", "multiplier"].contains(&field), "{text}");
+        }
+        for text in [
+            r#"{"arms":[{"c0":2,"c1":2},{"c0":-1,"c1":2}]}"#,
+            r#"{"arms":[{"c0":2,"c1":0}]}"#,
+        ] {
+            let field = invalid_field(SearchSpec::from_json_str(text));
+            assert!(["c0", "c1"].contains(&field), "{text}");
+        }
     }
 
     #[test]

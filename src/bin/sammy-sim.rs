@@ -1,15 +1,9 @@
 //! `sammy-sim` — command-line front end for the Sammy reproduction.
 //!
-//! ```text
-//! sammy-sim single-flow [--sammy] [--transport tcp|quic] [--cc reno|cubic|bbr|ledbat]
-//!                       [--rate-mbps 40] [--rtt-ms 5] [--secs 60]
-//! sammy-sim matrix      [--secs 60] [--threads 0]
-//! sammy-sim neighbors   [--secs 60]
-//! sammy-sim abtest      [--users 150] [--c0 3.2] [--c1 2.8] [--threads 0]
-//! sammy-sim stream      [--users 100000] [--checkpoint-dir DIR] [--resume] ...
-//! sammy-sim tune        [--users 40] [--rounds 2]
-//! sammy-sim quickstart  [--users 20]
-//! ```
+//! `sammy-sim <single-flow|matrix|neighbors|abtest|stream|tune|quickstart>
+//! [flags]`; run it without arguments for every flag of every subcommand.
+//! That text is [`COMMANDS`], which is also what the parser checks flag
+//! names against: a name a subcommand does not read exits 2.
 //!
 //! `single-flow` selects the wire protocol and congestion controller per
 //! arm; `matrix` runs the full CC × pacing grid ({Reno, CUBIC, BBR} on
@@ -20,66 +14,125 @@
 //! checkpoint/resume (kill the process, rerun with `--resume`, get the
 //! byte-identical result — the printed state fingerprint proves it).
 //!
+//! `tune` is the successive-halving `(c0, c1)` search over the default
+//! arm grid — the same [`SearchSpec`] `POST /searches` takes.
+//!
 //! Every subcommand accepts `--metrics <path>`: with the `obs` feature
 //! enabled, the run's telemetry registry is written to `<path>` as JSON
 //! lines (`-` renders the pretty table to stdout instead).
 
-use sammy_repro::abtest::{
-    draw_population, halving_search, population_config_from_spec, search, Experiment,
-    ExperimentConfig, HalvingConfig, QoeGuards,
-};
-use sammy_repro::netsim::SimDuration;
+use sammy_repro::abtest::{halving_search, Experiment, ExperimentConfig};
+use sammy_repro::netsim::{SimDuration, SimError};
 use sammy_repro::obs;
 use sammy_repro::sammy_bench::lab::{self, LabArm, LabConfig};
 use sammy_repro::sammy_bench::matrix as cc_matrix;
 use sammy_repro::spec::{ArmPoint, ArmSpec, ExperimentSpec, SearchSpec};
-use sammy_repro::transport::{CcAlgorithm, Protocol};
+
+/// A subcommand: name, entry point, and every flag the entry point
+/// reads, written as its usage line — `[--name]` is a switch,
+/// `[--name VALUE]` takes a value. The parser accepts a flag only if it
+/// is here (or is [`METRICS`]) and the usage text is this text, so a flag
+/// cannot be accepted and then ignored, or read and left undocumented.
+type Command = (&'static str, fn(&Opts), &'static str);
+
+const COMMANDS: &[Command] = &[
+    (
+        "single-flow",
+        single_flow,
+        "[--sammy] [--transport tcp|quic] [--cc reno|cubic|bbr|ledbat] [--rate-mbps N] \
+         [--rtt-ms N] [--secs N] [--seed N]",
+    ),
+    (
+        "matrix",
+        matrix,
+        "[--secs N] [--threads N] [--rate-mbps N] [--rtt-ms N] [--seed N]",
+    ),
+    ("neighbors", neighbors, "[--secs N]"),
+    (
+        "abtest",
+        abtest,
+        "[--users N] [--c0 X] [--c1 X] [--seed N] [--threads N] [--sessions N] \
+         [--pre-sessions N] [--reps N] [--light]",
+    ),
+    (
+        "stream",
+        stream,
+        "[--users N] [--c0 X] [--c1 X] [--seed N] [--threads N] [--shard-size N] \
+         [--sessions N] [--pre-sessions N] [--reps N] [--light] [--checkpoint-dir DIR] \
+         [--checkpoint-every N] [--resume] [--abort-after N]",
+    ),
+    (
+        "tune",
+        tune,
+        "[--users N] [--initial-users N] [--eta N] [--rungs N] [--seed N] [--threads N] \
+         [--sessions N] [--pre-sessions N] [--reps N] [--light]",
+    ),
+    (
+        "quickstart",
+        quickstart,
+        "[--users N] [--c0 X] [--c1 X] [--seed N] [--threads N] [--sessions N] \
+         [--pre-sessions N] [--reps N] [--light] [--transport tcp|quic] \
+         [--cc reno|cubic|bbr|ledbat] [--rate-mbps N] [--rtt-ms N] [--secs N]",
+    ),
+];
+
+/// Read by `main` itself, after any subcommand.
+const METRICS: &str = "[--metrics PATH]";
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let Some(cmd) = args.first() else {
+    let Some(name) = args.first() else {
         usage();
         return;
     };
-    let opts = parse_flags(&args[1..]);
+    let Some(&(_, run, flags)) = COMMANDS.iter().find(|(n, ..)| n == name) else {
+        eprintln!("unknown subcommand '{name}'");
+        usage();
+        std::process::exit(2);
+    };
+    let opts = parse_flags(name, flags, &args[1..]);
     // Start from a clean registry so `--metrics` reflects this run only.
     let _ = obs::take();
-    match cmd.as_str() {
-        "single-flow" => single_flow(&opts),
-        "matrix" => matrix(&opts),
-        "neighbors" => neighbors(&opts),
-        "abtest" => abtest(&opts),
-        "stream" => stream(&opts),
-        "tune" => tune(&opts),
-        "quickstart" => quickstart(&opts),
-        _ => {
-            usage();
-            return;
-        }
-    }
+    run(&opts);
     emit_metrics(&opts, obs::take());
 }
 
 fn usage() {
-    eprintln!(
-        "usage: sammy-sim <single-flow|matrix|neighbors|abtest|stream|tune|quickstart> [flags]"
-    );
-    eprintln!("  single-flow  [--sammy] [--transport tcp|quic] [--cc reno|cubic|bbr|ledbat]");
-    eprintln!("               [--rate-mbps N] [--rtt-ms N] [--secs N]");
-    eprintln!("  matrix       [--secs N] [--threads N]");
-    eprintln!("  neighbors    [--secs N]");
-    eprintln!("  abtest       [--users N] [--c0 X] [--c1 X] [--seed N] [--threads N]");
-    eprintln!("  stream       [--users N] [--c0 X] [--c1 X] [--seed N] [--threads N]");
-    eprintln!("               [--shard-size N] [--sessions N] [--pre-sessions N] [--reps N]");
-    eprintln!("               [--light] [--checkpoint-dir DIR] [--checkpoint-every N]");
-    eprintln!("               [--resume] [--abort-after N]");
-    eprintln!("  tune         [--users N] [--rounds N] [--seed N] [--threads N]");
-    eprintln!("               [--halving] [--initial-users N] [--eta N] [--rungs N]");
-    eprintln!("  quickstart   [--users N] [--seed N]");
-    eprintln!("  all commands: [--metrics PATH]  (JSON lines; '-' = table on stdout)");
+    let names: Vec<&str> = COMMANDS.iter().map(|(n, ..)| *n).collect();
+    eprintln!("usage: sammy-sim <{}> [flags]", names.join("|"));
+    for (name, _, flags) in COMMANDS {
+        usage_of(name, flags);
+    }
+    eprintln!("  --metrics writes the run's telemetry as JSON lines ('-': a table on stdout)");
 }
 
-struct Opts(Vec<(String, String)>);
+/// The `(name, value placeholder)` of each `[--name VALUE]` in a usage
+/// line, the placeholder empty for a switch.
+fn declared(flags: &'static str) -> impl Iterator<Item = (&'static str, &'static str)> {
+    flags
+        .split(['[', ']'])
+        .filter_map(|item| item.strip_prefix("--"))
+        .map(|item| item.split_once(' ').unwrap_or((item, "")))
+}
+
+fn usage_of(name: &str, flags: &str) {
+    // Greedy wrap at 78 columns under a 15-column gutter.
+    let mut line = format!("  {name:<12}");
+    for item in flags.split_inclusive(']').chain([METRICS]).map(str::trim) {
+        if line.len() + 1 + item.len() > 78 {
+            eprintln!("{line}");
+            line = format!("  {:<12}", "");
+        }
+        line.push(' ');
+        line.push_str(item);
+    }
+    eprintln!("{line}");
+}
+
+/// The flags given on the command line, every one of them declared by
+/// the subcommand (or [`METRICS`]). Looking up one the subcommand does not
+/// declare finds nothing: it cannot have been given.
+struct Opts(Vec<(&'static str, String)>);
 
 impl Opts {
     /// The parsed value of `--key`, or `default` when the flag is absent.
@@ -88,38 +141,56 @@ impl Opts {
     fn get<T: std::str::FromStr>(&self, key: &str, default: T) -> T {
         match self.get_str(key) {
             None => default,
-            Some(v) => v.parse().unwrap_or_else(|_| {
-                eprintln!("invalid value for --{key}: '{v}'");
-                std::process::exit(2);
-            }),
+            Some(v) => v.parse().unwrap_or_else(|_| invalid_value(key, v)),
         }
     }
 
     fn get_str(&self, key: &str) -> Option<&str> {
         self.0
             .iter()
-            .find(|(k, _)| k == key)
+            .find(|(k, _)| *k == key)
             .map(|(_, v)| v.as_str())
     }
 
     fn flag(&self, key: &str) -> bool {
-        self.0.iter().any(|(k, _)| k == key)
+        self.get_str(key).is_some()
     }
 }
 
-fn parse_flags(args: &[String]) -> Opts {
-    let mut out = Vec::new();
+fn invalid_value(key: &str, value: &str) -> ! {
+    eprintln!("invalid value for --{key}: '{value}'");
+    std::process::exit(2);
+}
+
+/// Match the arguments after the subcommand against its declared flags.
+/// Anything else — a misspelt name, a flag of another subcommand, a stray
+/// word, a valued flag with its value missing — exits with status 2
+/// before anything is simulated: `abtest --user 4` must not report a
+/// 150-user experiment.
+fn parse_flags(name: &str, flags: &'static str, args: &[String]) -> Opts {
+    let mut given = Vec::new();
     let mut it = args.iter().peekable();
     while let Some(a) = it.next() {
-        if let Some(key) = a.strip_prefix("--") {
-            let value = match it.peek() {
-                Some(v) if *v == "-" || !v.starts_with("--") => it.next().unwrap().clone(),
-                _ => String::new(),
-            };
-            out.push((key.to_string(), value));
-        }
+        let found = a.strip_prefix("--").and_then(|key| {
+            declared(flags)
+                .chain(declared(METRICS))
+                .find(|(flag, _)| *flag == key)
+        });
+        let Some((key, value)) = found else {
+            eprintln!("`{name}` does not take '{a}'; it takes");
+            usage_of(name, flags);
+            std::process::exit(2);
+        };
+        let value = match value {
+            "" => String::new(),
+            _ => match it.next_if(|v| *v == "-" || !v.starts_with("--")) {
+                Some(v) => v.clone(),
+                None => invalid_value(key, ""),
+            },
+        };
+        given.push((key, value));
     }
-    Opts(out)
+    Opts(given)
 }
 
 /// Write the accumulated telemetry to the `--metrics` sink, if requested.
@@ -127,10 +198,6 @@ fn emit_metrics(opts: &Opts, registry: obs::Registry) {
     let Some(path) = opts.get_str("metrics") else {
         return;
     };
-    if path.is_empty() {
-        eprintln!("--metrics needs a path (or '-' for a table on stdout)");
-        std::process::exit(2);
-    }
     if registry.is_empty() {
         eprintln!(
             "note: no metrics were recorded; rebuild with `--features obs` to enable telemetry"
@@ -152,34 +219,21 @@ fn emit_metrics(opts: &Opts, registry: obs::Registry) {
     }
 }
 
-/// Parse `--transport` / `--cc` via the enums' `FromStr` (the one
-/// spelling shared with the JSON API and CSV headers), exiting with the
-/// parse error's own message on junk values.
-fn transport_cc(opts: &Opts) -> (Protocol, CcAlgorithm) {
-    let transport = match opts.get_str("transport") {
-        None => Protocol::default(),
-        Some(s) => s.parse().unwrap_or_else(|e| {
-            eprintln!("--transport: {e}");
-            std::process::exit(2);
-        }),
-    };
-    let cc = match opts.get_str("cc") {
-        None => CcAlgorithm::default(),
-        Some(s) => s.parse().unwrap_or_else(|e| {
-            eprintln!("--cc: {e}");
-            std::process::exit(2);
-        }),
-    };
-    (transport, cc)
+/// The value, or exit with status 2 and the reason it was refused.
+fn accepted<T>(what: &str, r: Result<T, SimError>) -> T {
+    r.unwrap_or_else(|e| {
+        eprintln!("{what} rejected: {e}");
+        std::process::exit(2);
+    })
 }
 
 /// Resolve the command-line flags into one [`ExperimentSpec`] — the same
 /// schema `sammy-serve` accepts over HTTP, so the CLI and the API cannot
 /// drift. `defaults` carries the per-subcommand sizing; every flag
-/// overrides its spec field.
+/// overrides its spec field, and the arm is shown to the spec's own
+/// parser, so what `POST /runs` would refuse (`--c0 0`) is refused here.
 fn spec_from_flags(opts: &Opts, defaults: ExperimentSpec) -> ExperimentSpec {
-    let (protocol, cc) = transport_cc(opts);
-    ExperimentSpec {
+    let spec = ExperimentSpec {
         treatment: ArmSpec::Sammy {
             c0: opts.get("c0", 3.2),
             c1: opts.get("c1", 2.8),
@@ -199,12 +253,14 @@ fn spec_from_flags(opts: &Opts, defaults: ExperimentSpec) -> ExperimentSpec {
             ..defaults.network
         },
         transport: sammy_repro::spec::TransportSpec {
-            protocol,
-            cc,
+            protocol: opts.get("transport", defaults.transport.protocol),
+            cc: opts.get("cc", defaults.transport.cc),
             ..defaults.transport
         },
         ..defaults
-    }
+    };
+    accepted("flags", ArmSpec::from_json(&spec.treatment.to_json()));
+    spec
 }
 
 fn single_flow(opts: &Opts) {
@@ -303,13 +359,7 @@ fn abtest(opts: &Opts) {
             ..Default::default()
         },
     );
-    let run = match Experiment::builder().spec(&spec).run() {
-        Ok(run) => run,
-        Err(e) => {
-            eprintln!("abtest setup rejected: {e}");
-            std::process::exit(2);
-        }
-    };
+    let run = accepted("abtest setup", Experiment::builder().spec(&spec).run());
     let report = run.report(spec.bootstrap_reps, spec.seed);
     println!(
         "Paired A/B: production vs {}, {} users\n",
@@ -352,13 +402,7 @@ fn stream(opts: &Opts) {
     if abort_after > 0 {
         b = b.abort_after_checkpoints(abort_after);
     }
-    let run = match b.run_streaming() {
-        Ok(run) => run,
-        Err(e) => {
-            eprintln!("stream setup rejected: {e}");
-            std::process::exit(2);
-        }
-    };
+    let run = accepted("stream setup", b.run_streaming());
     for note in &run.fallback_notes {
         eprintln!("note: {note}");
     }
@@ -392,66 +436,9 @@ fn stream(opts: &Opts) {
     obs::with(|r| r.merge(&run.state.registry));
 }
 
-fn tune(opts: &Opts) {
-    let spec = spec_from_flags(
-        opts,
-        ExperimentSpec {
-            users_per_arm: 40,
-            pre_sessions: 2,
-            sessions_per_user: 2,
-            seed: 7,
-            bootstrap_reps: 150,
-            ..Default::default()
-        },
-    );
-    if opts.flag("halving") {
-        tune_halving(opts, &spec);
-        return;
-    }
-    let cfg: ExperimentConfig = (&spec).into();
-    let rounds = opts.get("rounds", 2);
-    let pop = draw_population(
-        &population_config_from_spec(&spec),
-        cfg.users_per_arm,
-        cfg.seed,
-    );
-    println!(
-        "Searching (c0, c1) over {rounds} fixed-grid rounds, {} users...\n",
-        cfg.users_per_arm
-    );
-    let out = match search(&pop, &cfg, QoeGuards::default(), rounds) {
-        Ok(out) => out,
-        Err(e) => {
-            eprintln!("tune setup rejected: {e}");
-            std::process::exit(2);
-        }
-    };
-    println!(
-        "{:>6} {:>6} {:>10} {:>9} {:>10} {:>9}",
-        "c0", "c1", "tput %", "vmaf %", "delay %", "feasible"
-    );
-    for c in &out.trace {
-        println!(
-            "{:>6.2} {:>6.2} {:>10.1} {:>9.3} {:>10.2} {:>9}",
-            c.c0, c.c1, c.tput_pct, c.vmaf_pct, c.play_delay_pct, c.feasible
-        );
-    }
-    let b = &out.best;
-    println!(
-        "\nchosen: c0={}, c1={} -> throughput {:.1}%, VMAF {:.3}%, play delay {:.2}%",
-        b.c0, b.c1, b.tput_pct, b.vmaf_pct, b.play_delay_pct
-    );
-    println!("(the paper's production choice was c0=3.2, c1=2.8 at -61% throughput)");
-    let spent = out.trace.len() as u64 * cfg.sessions_simulated(cfg.users_per_arm);
-    println!(
-        "budget: {spent} simulated user-sessions over {} evaluations",
-        out.trace.len()
-    );
-}
-
-/// The default candidate grid for halving searches: eight arms along the
-/// production ratio (c1 = 0.875 × c0, the paper's 3.2/2.8 shape), from
-/// barely-paced 1.2× to conservative 4.0×.
+/// The default candidate grid: eight arms along the production ratio
+/// (c1 = 0.875 × c0, the paper's 3.2/2.8 shape), from barely-paced 1.2×
+/// to conservative 4.0×.
 fn default_arm_points() -> Vec<ArmPoint> {
     (0..8)
         .map(|i| {
@@ -464,33 +451,37 @@ fn default_arm_points() -> Vec<ArmPoint> {
         .collect()
 }
 
-/// `tune --halving`: the successive-halving scheduler over the default
-/// arm grid — same schema as `POST /searches` on `sammy-serve`.
-fn tune_halving(opts: &Opts, base: &ExperimentSpec) {
-    let search_spec = SearchSpec {
+/// The successive-halving search over the default arm grid — same schema
+/// as `POST /searches` on `sammy-serve`.
+fn tune(opts: &Opts) {
+    let base = spec_from_flags(
+        opts,
+        ExperimentSpec {
+            users_per_arm: 40,
+            pre_sessions: 2,
+            sessions_per_user: 2,
+            seed: 7,
+            bootstrap_reps: 150,
+            ..Default::default()
+        },
+    );
+    let search = SearchSpec {
         name: "tune".into(),
         arms: default_arm_points(),
         initial_users: opts.get("initial-users", base.users_per_arm.div_ceil(4).max(1)),
         eta: opts.get("eta", 2),
         rungs: opts.get("rungs", 3),
         guards: Default::default(),
-        base: base.clone(),
+        base,
     };
-    let cfg = HalvingConfig::from_spec(&search_spec);
     println!(
         "Halving search over {} arms: {} rungs, eta {}, rung-0 users {}...\n",
-        cfg.arms.len(),
-        cfg.rungs,
-        cfg.eta,
-        cfg.initial_users
+        search.arms.len(),
+        search.rungs,
+        search.eta,
+        search.initial_users
     );
-    let out = match halving_search(&cfg) {
-        Ok(out) => out,
-        Err(e) => {
-            eprintln!("tune setup rejected: {e}");
-            std::process::exit(2);
-        }
-    };
+    let out = accepted("tune setup", halving_search(&search));
     println!(
         "{:>5} {:>6} {:>6} {:>6} {:>10} {:>9} {:>10} {:>9}",
         "rung", "users", "c0", "c1", "tput %", "vmaf %", "delay %", "feasible"
@@ -507,16 +498,17 @@ fn tune_halving(opts: &Opts, base: &ExperimentSpec) {
         "\nchosen: c0={}, c1={} -> throughput {:.1}%, VMAF {:.3}%, play delay {:.2}%",
         b.c0, b.c1, b.tput_pct, b.vmaf_pct, b.play_delay_pct
     );
-    // The budget comparison EXPERIMENTS.md tabulates: the fixed grid
+    // The budget comparison EXPERIMENTS.md tabulates: a full grid
     // evaluates every arm at the final-rung population.
-    let full_users = cfg.initial_users * cfg.eta.pow(out.rungs_run.saturating_sub(1) as u32);
-    let grid_equiv = cfg.arms.len() as u64 * cfg.base.sessions_simulated(full_users);
+    let full_users = search.rung_users(out.rungs_run.saturating_sub(1));
+    let grid_equiv = search.arms.len() as u64
+        * ExperimentConfig::from(&search.base).sessions_simulated(full_users);
     println!(
         "budget: {} simulated user-sessions over {} evaluations \
          (grid over the same {} arms at {} users/arm: {})",
         out.user_sessions,
         out.evaluations.len(),
-        cfg.arms.len(),
+        search.arms.len(),
         full_users,
         grid_equiv
     );
@@ -553,13 +545,7 @@ fn quickstart(opts: &Opts) {
         "[2/2] fluid A/B experiment ({} users per arm)...",
         spec.users_per_arm
     );
-    let run = match Experiment::builder().spec(&spec).run() {
-        Ok(run) => run,
-        Err(e) => {
-            eprintln!("quickstart setup rejected: {e}");
-            std::process::exit(2);
-        }
-    };
+    let run = accepted("quickstart setup", Experiment::builder().spec(&spec).run());
     let report = run.report(spec.bootstrap_reps, spec.seed);
     print!("{}", report.render());
     obs::with(|r| r.merge(&run.metrics));
