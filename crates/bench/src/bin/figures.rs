@@ -378,10 +378,12 @@ fn fig7() {
     save_csv("fig7_throughput.csv", "t_s,control_mbps,sammy_mbps", &rows);
 
     let mut rtt_rows = Vec::new();
-    for &(t, ms) in &control.rtt_series {
+    for &(t, ms) in control.rtt_series.points() {
+        let t = t.as_secs_f64();
         rtt_rows.push(format!("{t:.3},control,{ms:.3}"));
     }
-    for &(t, ms) in &sammy.rtt_series {
+    for &(t, ms) in sammy.rtt_series.points() {
+        let t = t.as_secs_f64();
         rtt_rows.push(format!("{t:.3},sammy,{ms:.3}"));
     }
     save_csv("fig7_rtt.csv", "t_s,arm,srtt_ms", &rtt_rows);

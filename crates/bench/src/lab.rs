@@ -9,7 +9,9 @@
 //! (Fig 1).
 
 use abr::{shared_history, HistoryPolicy, Mpc, ProductionAbr, SharedHistory};
-use netsim::{Dumbbell, DumbbellConfig, FlowId, Rate, SimDuration, SimTime, Simulator};
+use netsim::{
+    Dumbbell, DumbbellConfig, FlowId, GaugeSeries, Rate, SimDuration, SimTime, Simulator,
+};
 use sammy_core::{Sammy, SammyConfig};
 use std::sync::Arc;
 use traffic::{BulkReceiver, BulkSender, HttpClient};
@@ -188,8 +190,8 @@ pub fn install_video(
 pub struct SingleFlowResult {
     /// Client goodput per 100 ms bin: `(bin start s, Mbps)`.
     pub throughput_series: Vec<(f64, f64)>,
-    /// Smoothed RTT samples at the sender: `(s, ms)`.
-    pub rtt_series: Vec<(f64, f64)>,
+    /// Smoothed RTT samples at the sender, in ms (the endpoint's own trace).
+    pub rtt_series: GaugeSeries,
     /// Mean chunk throughput after playback starts (Mbps).
     pub chunk_throughput_mbps: f64,
     /// Median per-packet RTT (ms).
@@ -223,12 +225,9 @@ pub fn single_flow(arm: LabArm, cfg: &LabConfig) -> SingleFlowResult {
     let stats = server.sender().stats().clone();
     let rtt_digest = server.sender().rtt_digest().clone();
     let completed = server.completed.clone();
-    let rtt_series: Vec<(f64, f64)> = server
-        .rtt_trace
-        .points()
-        .iter()
-        .map(|&(t, ms)| (t.as_secs_f64(), ms))
-        .collect();
+    // Moved out, not copied: at one sample per ACK this is the largest
+    // allocation of the run.
+    let rtt_series = std::mem::take(&mut server.rtt_trace);
 
     let client: &mut VideoClientEndpoint = sim.endpoint_mut(db.right[0]).expect("client endpoint");
     let qoe = client.player().qoe();

@@ -7,11 +7,13 @@
 //!
 //! Event flow for a packet: an endpoint emits it via [`NodeCtx::send`]; the
 //! engine looks up the next-hop link in the node's routing table and enqueues
-//! it. When the link is idle it serializes the head-of-line packet
-//! (`LinkTxDone` event), then delivers it to the far end after the
-//! propagation delay (`PacketArrive` event). Arriving packets at their
-//! destination are handed to that node's endpoint; at intermediate nodes they
-//! are forwarded onward.
+//! it. A link is busy until a *time* (`Link::free_at`), not until an event:
+//! when the wire is free the head-of-line packet starts serializing at once
+//! and its `PacketArrive` at the far end (serialization plus propagation
+//! delay) is armed then and there. Only a link with a backlog arms a
+//! `LinkTxDone` at `free_at`, to start the next packet; an idle hop costs one
+//! event. Arriving packets at their destination are handed to that node's
+//! endpoint; at intermediate nodes they are forwarded onward.
 //!
 //! ## Hot-path layout
 //!
@@ -24,9 +26,9 @@
 //! events draw `seq` from one global counter, so the merged dispatch order
 //! is exactly the single-heap `(at, seq)` order.
 
-use crate::link::{Link, LinkConfig, TxStart};
+use crate::link::{Link, LinkConfig};
 use crate::packet::{FlowId, LinkId, NodeId, Packet, PacketId, PacketRef, PacketStore};
-use crate::queue::EnqueueResult;
+use crate::queue::{Dequeue, EnqueueResult};
 use crate::time::{SimDuration, SimTime};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
@@ -78,7 +80,8 @@ impl NodeCtx<'_> {
 
 #[derive(Debug, Clone, Copy)]
 enum EventKind {
-    /// The link finished serializing its in-flight packet.
+    /// The wire frees (`Link::free_at`) with packets waiting behind it.
+    /// Armed only behind a backlog, at most one per link at a time.
     LinkTxDone(LinkId),
     /// A non-work-conserving queue (token-bucket shaper) asked to be
     /// re-polled at this time: enough tokens will have accrued to release
@@ -179,15 +182,13 @@ impl std::error::Error for BudgetExceeded {}
 pub struct Simulator {
     now: SimTime,
     seq: u64,
-    /// Packet events (`LinkTxDone`, `PacketArrive`).
+    /// Packet events (`LinkTxDone`, `LinkWake`, `PacketArrive`).
     events: BinaryHeap<Reverse<Due<EventKind>>>,
     /// Endpoint timers; shares the `seq` counter with `events` so the merged
     /// dispatch order equals the historical single-heap order.
     timers: BinaryHeap<Reverse<Due<(NodeId, u64)>>>,
     nodes: Vec<Node>,
     links: Vec<Link>,
-    /// Packet currently being serialized on each link, indexed by `LinkId`.
-    in_flight: Vec<Option<PacketRef>>,
     /// Struct-of-arrays storage for every packet currently inside the
     /// network (queued, serializing, or propagating). The hot loop moves
     /// 16-byte [`PacketRef`]s; full packets are materialized only at final
@@ -272,7 +273,6 @@ impl Simulator {
         );
         let id = LinkId(self.links.len());
         self.links.push(Link::new(src, dst, cfg));
-        self.in_flight.push(None);
         id
     }
 
@@ -310,7 +310,8 @@ impl Simulator {
 
     /// Change a link's line rate mid-run (failure injection, diurnal
     /// capacity models). The packet currently being serialized finishes at
-    /// the old rate; queued packets serialize at the new rate.
+    /// the old rate (its `free_at` and arrival are already fixed); queued
+    /// packets serialize at the new rate.
     pub fn set_link_rate(&mut self, id: LinkId, rate: crate::units::Rate) {
         self.links[id.0].rate = rate;
     }
@@ -395,9 +396,7 @@ impl Simulator {
                     "netsim.link.queue_depth_bytes",
                     link.queue.occupied_bytes() as f64
                 );
-                if !link.busy {
-                    self.kick_link(via);
-                }
+                self.kick_link(via);
             }
             EnqueueResult::Dropped => {
                 obs::counter!("netsim.link.drops", 1);
@@ -410,18 +409,26 @@ impl Simulator {
         }
     }
 
-    /// Start serializing the next eligible packet on an idle link. AQM
-    /// head-drops are accounted here; a shaper's `Wait` schedules a
+    /// Offer a link its next packet: the one place a packet starts
+    /// serializing, a `LinkTxDone` is armed or a wake is scheduled. On a
+    /// free wire the head-of-line packet starts now and its arrival is armed
+    /// now. AQM head-drops are accounted here; a shaper's `Wait` schedules a
     /// deduplicated `LinkWake`.
     fn kick_link(&mut self, id: LinkId) {
         let now = self.now;
+        if self.links[id.0].wire_busy(now) {
+            self.arm_tx_done(id);
+            return;
+        }
         let mut dropped = std::mem::take(&mut self.scratch_dropped);
-        match self.links[id.0].start_transmission(now, &mut dropped) {
-            TxStart::Started { pkt, done } => {
-                self.in_flight[id.0] = Some(pkt);
-                self.push_event(done, EventKind::LinkTxDone(id));
+        match self.links[id.0].transmit_next(now, &mut dropped) {
+            Dequeue::Packet(pkt) => {
+                let link = &self.links[id.0];
+                let (arrive, dst) = (link.free_at + link.delay, link.dst);
+                self.push_event(arrive, EventKind::PacketArrive(dst, pkt.id));
+                self.arm_tx_done(id);
             }
-            TxStart::Wait(at) => {
+            Dequeue::Wait(at) => {
                 // Never wake in the past/present (a stale Wait would spin),
                 // and skip if an earlier-or-equal wake is already pending.
                 let at = at.max(now + SimDuration::from_nanos(1));
@@ -431,7 +438,7 @@ impl Simulator {
                     self.push_event(at, EventKind::LinkWake(id));
                 }
             }
-            TxStart::Idle => {}
+            Dequeue::Empty => {}
         }
         for pkt in dropped.drain(..) {
             obs::counter!("netsim.link.drops", 1);
@@ -442,6 +449,17 @@ impl Simulator {
             self.store.discard(pkt.id);
         }
         self.scratch_dropped = dropped;
+    }
+
+    /// A busy wire with a backlog re-polls its queue when it frees: arm the
+    /// link's `LinkTxDone` at `free_at` unless one is already pending.
+    fn arm_tx_done(&mut self, id: LinkId) {
+        let link = &mut self.links[id.0];
+        if !link.done_pending && !link.queue.is_empty() {
+            link.done_pending = true;
+            let at = link.free_at;
+            self.push_event(at, EventKind::LinkTxDone(id));
+        }
     }
 
     /// Run one event. Returns `false` if the queue is empty.
@@ -471,7 +489,10 @@ impl Simulator {
         } else {
             let Reverse(ev) = self.events.pop().expect("peeked event vanished");
             match ev.what {
-                EventKind::LinkTxDone(id) => self.handle_tx_done(id),
+                EventKind::LinkTxDone(id) => {
+                    self.links[id.0].done_pending = false;
+                    self.kick_link(id);
+                }
                 EventKind::PacketArrive(node, pid) => self.deliver(node, pid),
                 EventKind::LinkWake(id) => {
                     let link = &mut self.links[id.0];
@@ -483,19 +504,6 @@ impl Simulator {
             }
         }
         true
-    }
-
-    /// The link finished serializing its in-flight packet: send it down the
-    /// wire and offer the link its next one.
-    fn handle_tx_done(&mut self, id: LinkId) {
-        let pkt = self.in_flight[id.0]
-            .take()
-            .expect("LinkTxDone with no packet in flight");
-        let link = &mut self.links[id.0];
-        link.finish_transmission(&pkt);
-        let (arrive, dst) = (self.now + link.delay, link.dst);
-        self.push_event(arrive, EventKind::PacketArrive(dst, pkt.id));
-        self.kick_link(id);
     }
 
     /// Dispatch-order invariant: the clock never runs backwards and the
@@ -570,9 +578,8 @@ impl Simulator {
 
     /// Shared-queue conservation across the whole topology: every packet a
     /// source injected is delivered, dropped, or still live in the packet
-    /// store (queued on some hop, serializing on some wire, or propagating
-    /// toward its arrival). Checked at run boundaries — O(links + flows),
-    /// off the per-event path.
+    /// store (queued on some hop, or on a wire toward its armed arrival).
+    /// Checked at run boundaries — O(links + flows), off the per-event path.
     #[cfg(feature = "validate")]
     pub fn check_topology_conservation(&self) {
         let mut injected = 0u64;
@@ -587,29 +594,26 @@ impl Simulator {
             delivered += st.delivered_packets;
             dropped += st.dropped_packets;
         }
-        // Cross-check the store's live count against the queue/wire census:
-        // every live id must be queued, in flight, or parked in the heap.
+        // Cross-check the store's live count against the queue census:
+        // every live id is queued or parked in the heap as an arrival.
         let queued: u64 = self.links.iter().map(|l| l.queue.len() as u64).sum();
-        let flying = self.in_flight.iter().filter(|p| p.is_some()).count() as u64;
         let live = self.store.live() as u64;
         crate::invariant!(
             "topology-packet-conservation",
-            queued + flying <= live,
-            "queued {} + flying {} exceeds live store count {}",
+            queued <= live,
+            "queued {} exceeds live store count {}",
             queued,
-            flying,
             live
         );
         crate::invariant!(
             "topology-packet-conservation",
             injected == delivered + dropped + live,
-            "injected {} != delivered {} + dropped {} + live {} (queued {}, flying {})",
+            "injected {} != delivered {} + dropped {} + live {} (queued {})",
             injected,
             delivered,
             dropped,
             live,
-            queued,
-            flying
+            queued
         );
     }
 
@@ -976,8 +980,9 @@ mod tests {
         assert_eq!(sim.next_event_time(), Some(SimTime::from_millis(50)));
         let pkt = Packet::new(a, b, FlowId(1), Payload::Datagram { seq: 0 }).with_size(1500);
         sim.inject(a, pkt);
-        // The LinkTxDone at 1 ms now precedes the timer.
-        assert_eq!(sim.next_event_time(), Some(SimTime::from_millis(1)));
+        // A lone packet arms only its arrival (1 ms to serialize + 5 ms to
+        // propagate), which now precedes the timer.
+        assert_eq!(sim.next_event_time(), Some(SimTime::from_millis(6)));
     }
 
     #[test]
@@ -1027,6 +1032,211 @@ mod tests {
             );
         }
         assert_eq!(sim.flow_stats(FlowId(3)).delivered_packets, 4);
+    }
+
+    // ---- a link is busy until a time: what that costs in events ----
+
+    /// A 1500 B datagram of flow 1 (1 ms on a 12 Mbps wire).
+    fn dgram(from: NodeId, to: NodeId, seq: u64) -> Packet {
+        Packet::new(from, to, FlowId(1), Payload::Datagram { seq }).with_size(1500)
+    }
+
+    /// Attach a [`Recorder`] to `node` and return its arrival log.
+    fn record_arrivals(sim: &mut Simulator, node: NodeId) -> Rc<RefCell<Vec<(SimTime, Packet)>>> {
+        let arrivals = Rc::new(RefCell::new(Vec::new()));
+        let timers = Rc::new(RefCell::new(Vec::new()));
+        let recorder = Recorder {
+            arrivals: arrivals.clone(),
+            timers,
+        };
+        sim.set_endpoint(node, Box::new(recorder));
+        arrivals
+    }
+
+    fn arrival_times(log: &RefCell<Vec<(SimTime, Packet)>>) -> Vec<SimTime> {
+        log.borrow().iter().map(|&(at, _)| at).collect()
+    }
+
+    /// On each timer, sends one datagram to `to` with the token as its seq.
+    struct SendOnTimer {
+        to: NodeId,
+    }
+
+    impl Endpoint for SendOnTimer {
+        fn on_packet(&mut self, _now: SimTime, _pkt: Packet, _ctx: &mut NodeCtx) {}
+        fn on_timer(&mut self, _now: SimTime, token: u64, ctx: &mut NodeCtx) {
+            ctx.send(dgram(ctx.node(), self.to, token));
+        }
+        fn as_any(&mut self) -> &mut dyn std::any::Any {
+            self
+        }
+    }
+
+    #[test]
+    fn idle_path_costs_one_event_per_hop() {
+        for k in [1u64, 2, 5] {
+            // a -> r1 -> r2 -> b over three equal 12 Mbps / 2 ms hops.
+            let mut sim = Simulator::new();
+            let nodes: Vec<NodeId> = (0..4).map(|_| sim.add_node()).collect();
+            let (a, b) = (nodes[0], nodes[3]);
+            let cfg = LinkConfig::new(Rate::from_mbps(12.0), SimDuration::from_millis(2), 100_000);
+            for hop in nodes.windows(2) {
+                let id = sim.add_link(hop[0], hop[1], cfg);
+                sim.add_route(hop[0], b, id);
+            }
+            for seq in 0..k {
+                sim.inject(a, dgram(a, b, seq));
+            }
+            sim.run_to_completion();
+            assert_eq!(sim.flow_stats(FlowId(1)).delivered_packets, k);
+            // One PacketArrive per hop. Only the first hop ever has a
+            // backlog (it re-spaces the burst to the rate of the next two,
+            // where each packet arrives as the wire frees): one LinkTxDone
+            // per packet that waited there.
+            assert_eq!(sim.processed_events(), 3 * k + (k - 1), "k = {k}");
+        }
+    }
+
+    #[test]
+    fn tx_done_is_armed_only_behind_a_backlog() {
+        let (mut sim, a, b, ab, _) = two_node_sim(12.0, SimDuration::from_millis(5));
+        let arrivals = record_arrivals(&mut sim, b);
+        // A lone packet: its arrival, nothing else.
+        sim.inject(a, dgram(a, b, 0));
+        assert_eq!(sim.events.len(), 1);
+        assert!(!sim.link(ab).done_pending);
+        // The first packet to queue behind it arms the one LinkTxDone; the
+        // second finds it pending.
+        sim.inject(a, dgram(a, b, 1));
+        assert_eq!(sim.events.len(), 2);
+        assert!(sim.link(ab).done_pending);
+        sim.inject(a, dgram(a, b, 2));
+        assert_eq!(sim.events.len(), 2);
+
+        // 1 ms: packet 1 starts with packet 2 still behind it -> re-armed.
+        assert!(sim.step());
+        assert_eq!(sim.now(), SimTime::from_millis(1));
+        assert!(sim.link(ab).done_pending);
+        // 2 ms: packet 2 starts and leaves the queue empty -> not re-armed.
+        assert!(sim.step());
+        assert_eq!(sim.now(), SimTime::from_millis(2));
+        assert!(!sim.link(ab).done_pending);
+        assert_eq!(sim.events.len(), 3);
+
+        // A packet that finds the wire long free arms only its arrival.
+        sim.run_until(SimTime::from_millis(20));
+        sim.inject(a, dgram(a, b, 3));
+        assert!(!sim.link(ab).done_pending);
+        sim.run_to_completion();
+        let at_ms = [6, 7, 8, 26].map(SimTime::from_millis);
+        assert_eq!(arrival_times(&arrivals), at_ms);
+        // Four arrivals and the two LinkTxDones.
+        assert_eq!(sim.processed_events(), 6);
+    }
+
+    #[test]
+    fn packet_reaching_the_wire_as_it_frees_starts_at_once() {
+        // Packet 0 holds the wire until exactly 1 ms; a timer at 1 ms sends
+        // packet 1. Whether that timer was armed before packet 0 started or
+        // during its serialization, packet 1 starts at 1 ms.
+        let run = |timer_first: bool| {
+            let (mut sim, a, b, ab, _) = two_node_sim(12.0, SimDuration::from_millis(5));
+            let arrivals = record_arrivals(&mut sim, b);
+            sim.set_endpoint(a, Box::new(SendOnTimer { to: b }));
+            if timer_first {
+                sim.start_timer(a, SimTime::from_millis(1), 1);
+            }
+            sim.inject(a, dgram(a, b, 0));
+            if !timer_first {
+                sim.start_timer(a, SimTime::from_millis(1), 1);
+            }
+            sim.run_to_completion();
+            let stats = *sim.link(ab).queue.stats();
+            (
+                arrival_times(&arrivals),
+                sim.processed_events(),
+                (stats.drops, stats.max_occupied_bytes),
+                sim.link(ab).packets_sent,
+            )
+        };
+        let (arrivals, events, queue, sent) = run(true);
+        assert_eq!(arrivals, [6, 7].map(SimTime::from_millis));
+        // The timer and two arrivals: no LinkTxDone on either side.
+        assert_eq!(events, 3);
+        assert_eq!(queue, (0, 1500));
+        assert_eq!(sent, 2);
+        assert_eq!(run(false), (arrivals, events, queue, sent));
+    }
+
+    #[test]
+    fn packet_reaching_the_wire_as_it_frees_waits_behind_a_backlog() {
+        // Packets 0 and 1 at t = 0: 1 waits for the LinkTxDone at 1 ms. The
+        // timer armed before them dispatches first at 1 ms (lower seq) and
+        // sends packet 2 onto a wire that is free by the clock, but a
+        // backlogged link starts its next packet at its LinkTxDone's place
+        // in the dispatch order, not at whichever event ties with it.
+        let (mut sim, a, b, ab, _) = two_node_sim(12.0, SimDuration::from_millis(5));
+        let arrivals = record_arrivals(&mut sim, b);
+        sim.set_endpoint(a, Box::new(SendOnTimer { to: b }));
+        sim.start_timer(a, SimTime::from_millis(1), 2);
+        sim.inject(a, dgram(a, b, 0));
+        sim.inject(a, dgram(a, b, 1));
+        assert!(sim.step());
+        assert_eq!(sim.now(), SimTime::from_millis(1));
+        assert_eq!(sim.link(ab).queue.len(), 2);
+        assert_eq!(sim.link(ab).packets_sent, 1);
+        sim.run_to_completion();
+        let seqs: Vec<(SimTime, Payload)> = arrivals
+            .borrow()
+            .iter()
+            .map(|(at, pkt)| (*at, pkt.payload))
+            .collect();
+        let expect =
+            [0, 1, 2].map(|seq| (SimTime::from_millis(6 + seq), Payload::Datagram { seq }));
+        assert_eq!(seqs, expect);
+        assert_eq!(sim.link(ab).queue.stats().max_occupied_bytes, 3000);
+    }
+
+    #[test]
+    fn link_wake_on_a_busy_wire_starts_nothing() {
+        // A shaper with tokens to spare on a 12 Mbps wire. A wake made stale
+        // by an earlier one fires at 0.5 ms, mid-serialization: it must not
+        // start a second packet, and arms a LinkTxDone only for a backlog.
+        let run = |packets: u64| {
+            let mut sim = Simulator::new();
+            let (a, b) = (sim.add_node(), sim.add_node());
+            let shaper = crate::shaper::TokenBucketConfig::new(Rate::from_mbps(100.0), 10_000);
+            let cfg = LinkConfig::new(Rate::from_mbps(12.0), SimDuration::from_millis(5), 100_000)
+                .with_discipline(crate::queue::Discipline::TokenBucket(shaper));
+            let ab = sim.add_link(a, b, cfg);
+            sim.add_route(a, b, ab);
+            let arrivals = record_arrivals(&mut sim, b);
+            for seq in 0..packets {
+                sim.inject(a, dgram(a, b, seq));
+            }
+            sim.push_event(SimTime::from_micros(500), EventKind::LinkWake(ab));
+            sim.run_to_completion();
+            (arrival_times(&arrivals), sim.processed_events())
+        };
+        // Alone on the wire: the wake and the arrival, no LinkTxDone.
+        assert_eq!(run(1), (vec![SimTime::from_millis(6)], 2));
+        // With one queued: the LinkTxDone armed at t = 0 is the only one.
+        let at_ms = [6, 7].map(SimTime::from_millis).to_vec();
+        assert_eq!(run(2), (at_ms, 4));
+    }
+
+    #[test]
+    fn set_link_rate_mid_serialization_spares_the_wire_packet() {
+        let (mut sim, a, b, ab, _) = two_node_sim(12.0, SimDuration::from_millis(5));
+        let arrivals = record_arrivals(&mut sim, b);
+        sim.inject(a, dgram(a, b, 0));
+        sim.inject(a, dgram(a, b, 1));
+        sim.run_until(SimTime::from_micros(500));
+        sim.set_link_rate(ab, Rate::from_mbps(6.0));
+        sim.run_to_completion();
+        // Packet 0 finishes at the old rate (1 ms + 5 ms); packet 1 starts
+        // at 1 ms and takes 2 ms at the new one.
+        assert_eq!(arrival_times(&arrivals), [6, 8].map(SimTime::from_millis));
     }
 
     #[test]
@@ -1184,7 +1394,7 @@ mod tests {
 
     enum ModelEvent {
         Timer(NodeId, u64),
-        /// Link `n` (node `n` to node `n + 1`) finished serializing.
+        /// Link `n` (node `n` to node `n + 1`) frees with a backlog.
         TxDone(usize),
         Arrive(NodeId, Packet),
     }
@@ -1194,8 +1404,10 @@ mod tests {
         now: SimTime,
         armed: u64,
         pending: Vec<(SimTime, u64, ModelEvent)>,
-        /// Per link: the packet on the wire, and those waiting behind it.
-        sending: [Option<Packet>; 4],
+        /// Per link: when the wire frees, whether a `TxDone` is armed for
+        /// that instant, and the packets waiting.
+        free_at: [SimTime; 4],
+        done_pending: [bool; 4],
         queued: [std::collections::VecDeque<Packet>; 4],
     }
 
@@ -1208,17 +1420,27 @@ mod tests {
         /// Node `from` forwards `pkt` onto its one outgoing link.
         fn send(&mut self, from: NodeId, pkt: Packet) {
             self.queued[from.0].push_back(pkt);
-            if self.sending[from.0].is_none() {
-                self.start(from.0);
-            }
+            self.start(from.0);
         }
 
+        /// A free wire takes the head packet and arms its arrival at once;
+        /// a `TxDone` is armed only behind a backlog, one at a time.
         fn start(&mut self, link: usize) {
-            self.sending[link] = self.queued[link].pop_front();
-            if let Some(pkt) = self.sending[link] {
+            if !self.done_pending[link] && self.now >= self.free_at[link] {
+                let Some(pkt) = self.queued[link].pop_front() else {
+                    return;
+                };
                 // 12 Mbps: 1500 B in 1 ms, 750 B in 0.5 ms.
-                let done = self.now + SimDuration::from_micros(pkt.size * 2 / 3);
-                self.arm(done, ModelEvent::TxDone(link));
+                self.free_at[link] = self.now + SimDuration::from_micros(pkt.size * 2 / 3);
+                let far_end = NodeId((link + 1) % 4);
+                self.arm(
+                    self.free_at[link] + PROP_DELAY,
+                    ModelEvent::Arrive(far_end, pkt),
+                );
+            }
+            if !self.done_pending[link] && !self.queued[link].is_empty() {
+                self.done_pending[link] = true;
+                self.arm(self.free_at[link], ModelEvent::TxDone(link));
             }
         }
 
@@ -1278,9 +1500,7 @@ mod tests {
                     }
                     ModelEvent::Arrive(node, pkt) => m.send(node, pkt),
                     ModelEvent::TxDone(link) => {
-                        let pkt = m.sending[link].take().expect("link was sending");
-                        let far_end = NodeId((link + 1) % 4);
-                        m.arm(now + PROP_DELAY, ModelEvent::Arrive(far_end, pkt));
+                        m.done_pending[link] = false;
                         m.start(link);
                     }
                 }

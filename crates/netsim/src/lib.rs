@@ -59,7 +59,7 @@ pub use aqm::{CoDelConfig, CoDelQueue, RedConfig, RedQueue};
 pub use engine::{BudgetExceeded, Endpoint, FlowStats, NodeCtx, Simulator};
 pub use error::SimError;
 pub use fq::{DrrConfig, DrrQueue};
-pub use link::{Link, LinkConfig, TxStart};
+pub use link::{Link, LinkConfig};
 pub use monitor::QueueMonitor;
 pub use packet::{FlowId, LinkId, NodeId, Packet, PacketId, PacketRef, PacketStore, Payload};
 pub use queue::{Dequeue, Discipline, DropTailQueue, EnqueueResult, Queue, QueueStats};

@@ -61,23 +61,6 @@ impl LinkConfig {
     }
 }
 
-/// Outcome of offering an idle link a chance to transmit.
-#[derive(Debug)]
-pub enum TxStart {
-    /// Serialization of `pkt` began; it completes at `done`.
-    Started {
-        /// The packet now on the wire.
-        pkt: PacketRef,
-        /// Absolute time serialization finishes.
-        done: SimTime,
-    },
-    /// The queue holds packets but none may be released before this time
-    /// (non-work-conserving discipline); the engine schedules a wakeup.
-    Wait(SimTime),
-    /// Nothing to send (busy link or empty queue).
-    Idle,
-}
-
 /// A unidirectional link between two nodes.
 #[derive(Debug)]
 pub struct Link {
@@ -91,14 +74,21 @@ pub struct Link {
     pub delay: SimDuration,
     /// Waiting packets, behind the configured discipline.
     pub queue: Box<dyn Queue>,
-    /// True while a packet is being serialized onto the wire.
-    pub busy: bool,
+    /// The wire is serializing a packet until this instant; from it on the
+    /// link may start its next one.
+    pub(crate) free_at: SimTime,
+    /// A `LinkTxDone` is armed at `free_at` to start the next queued packet.
+    /// Until it dispatches nothing else starts one, so a packet that reaches
+    /// the link at exactly `free_at` cannot move that start in the dispatch
+    /// order.
+    pub(crate) done_pending: bool,
     /// Pending shaper wakeup already scheduled with the engine, if any
     /// (deduplicates `LinkWake` events).
     pub(crate) wake_at: Option<SimTime>,
-    /// Total bytes that finished serialization (carried traffic).
+    /// Total bytes put on the wire (carried traffic), counted when
+    /// serialization starts.
     pub bytes_sent: u64,
-    /// Total packets that finished serialization.
+    /// Total packets put on the wire.
     pub packets_sent: u64,
 }
 
@@ -111,7 +101,8 @@ impl Link {
             rate: cfg.rate,
             delay: cfg.delay,
             queue: cfg.discipline.build(cfg.queue_bytes),
-            busy: false,
+            free_at: SimTime::ZERO,
+            done_pending: false,
             wake_at: None,
             bytes_sent: 0,
             packets_sent: 0,
@@ -123,30 +114,24 @@ impl Link {
         self.queue.enqueue(now, pkt)
     }
 
-    /// Begin serializing the next eligible packet, if the link is idle and
-    /// the discipline releases one. Head-dropped packets (AQM) are pushed
-    /// into `dropped` for the caller to account.
-    pub fn start_transmission(&mut self, now: SimTime, dropped: &mut Vec<PacketRef>) -> TxStart {
-        if self.busy {
-            return TxStart::Idle;
-        }
-        match self.queue.dequeue(now, dropped) {
-            Dequeue::Packet(pkt) => {
-                self.busy = true;
-                let done = now + self.rate.time_to_send(pkt.size);
-                TxStart::Started { pkt, done }
-            }
-            Dequeue::Wait(at) => TxStart::Wait(at),
-            Dequeue::Empty => TxStart::Idle,
-        }
+    /// True while the wire cannot take a packet at `now`: one is still being
+    /// serialized, or the `LinkTxDone` that re-polls the queue is yet to run.
+    pub(crate) fn wire_busy(&self, now: SimTime) -> bool {
+        self.done_pending || now < self.free_at
     }
 
-    /// Record that the in-flight packet finished serialization.
-    pub fn finish_transmission(&mut self, pkt: &PacketRef) {
-        debug_assert!(self.busy, "finish_transmission on idle link");
-        self.busy = false;
-        self.bytes_sent += pkt.size;
-        self.packets_sent += 1;
+    /// Ask the discipline for its next packet and, if it releases one, put
+    /// it on the wire: the link is busy until `free_at`. Head-dropped
+    /// packets (AQM) are pushed into `dropped` for the caller to account.
+    pub(crate) fn transmit_next(&mut self, now: SimTime, dropped: &mut Vec<PacketRef>) -> Dequeue {
+        debug_assert!(!self.wire_busy(now), "transmit_next on a busy wire");
+        let next = self.queue.dequeue(now, dropped);
+        if let Dequeue::Packet(pkt) = &next {
+            self.free_at = now + self.rate.time_to_send(pkt.size);
+            self.bytes_sent += pkt.size;
+            self.packets_sent += 1;
+        }
+        next
     }
 
     /// Queueing delay a newly arriving packet would experience right now,
@@ -192,10 +177,9 @@ mod tests {
         }
     }
 
-    fn start(link: &mut Link, now: SimTime) -> Option<(PacketRef, SimTime)> {
-        let mut dropped = Vec::new();
-        match link.start_transmission(now, &mut dropped) {
-            TxStart::Started { pkt, done } => Some((pkt, done)),
+    fn start(link: &mut Link, now: SimTime) -> Option<PacketRef> {
+        match link.transmit_next(now, &mut Vec::new()) {
+            Dequeue::Packet(pkt) => Some(pkt),
             _ => None,
         }
     }
@@ -204,17 +188,17 @@ mod tests {
     fn serialization_time() {
         let mut link = test_link();
         link.enqueue(SimTime::ZERO, pkt(1500));
-        let (p, done) = start(&mut link, SimTime::ZERO).unwrap();
+        let p = start(&mut link, SimTime::ZERO).unwrap();
         assert_eq!(p.size, 1500);
-        assert_eq!(done, SimTime::from_millis(1));
-        assert!(link.busy);
-        // Cannot start another while busy.
-        link.enqueue(SimTime::ZERO, pkt(1500));
-        assert!(start(&mut link, SimTime::from_micros(500)).is_none());
-        link.finish_transmission(&p);
-        assert!(!link.busy);
+        assert_eq!(link.free_at, SimTime::from_millis(1));
+        // Busy until the last bit is out, free from that instant on.
+        assert!(link.wire_busy(SimTime::from_micros(999)));
+        assert!(!link.wire_busy(SimTime::from_millis(1)));
         assert_eq!(link.bytes_sent, 1500);
         assert_eq!(link.packets_sent, 1);
+        // A pending LinkTxDone holds the wire even at `free_at`.
+        link.done_pending = true;
+        assert!(link.wire_busy(SimTime::from_millis(1)));
     }
 
     #[test]
@@ -244,8 +228,7 @@ mod tests {
     fn utilization() {
         let mut link = test_link();
         link.enqueue(SimTime::ZERO, pkt(1500));
-        let (p, _) = start(&mut link, SimTime::ZERO).unwrap();
-        link.finish_transmission(&p);
+        start(&mut link, SimTime::ZERO).unwrap();
         // 1500 bytes in 1 ms at 12 Mbps is exactly full utilization.
         let u = link.utilization(SimDuration::from_millis(1));
         assert!((u - 1.0).abs() < 1e-9);
@@ -266,11 +249,11 @@ mod tests {
         let mut link = Link::new(NodeId(0), NodeId(1), cfg);
         link.enqueue(SimTime::ZERO, pkt(1_000));
         link.enqueue(SimTime::ZERO, pkt(1_000));
-        let (p, _) = start(&mut link, SimTime::ZERO).unwrap();
-        link.finish_transmission(&p);
-        let mut dropped = Vec::new();
-        match link.start_transmission(SimTime::ZERO, &mut dropped) {
-            TxStart::Wait(at) => assert!(at > SimTime::ZERO),
+        start(&mut link, SimTime::ZERO).unwrap();
+        // 80 us of serialization refill 80 B of the 1000 B the head needs.
+        let now = link.free_at;
+        match link.transmit_next(now, &mut Vec::new()) {
+            Dequeue::Wait(at) => assert!(at > now),
             other => panic!("expected Wait from empty bucket, got {other:?}"),
         }
     }

@@ -56,6 +56,9 @@ pub struct BbrLite {
     phase: Phase,
     /// Windowed max-filter of delivery-rate samples: (sample bps, epoch no).
     bw_samples: VecDeque<(f64, u64)>,
+    /// Max of `bw_samples` (0 when empty), refreshed wherever the window
+    /// changes: `cwnd()` and `pacing_rate()` read it on every packet.
+    btlbw_bps: f64,
     /// Epoch counter for the max filter window.
     epoch: u64,
     /// Bytes cumulatively acked during the current epoch (excludes the
@@ -98,6 +101,7 @@ impl BbrLite {
         BbrLite {
             phase: Phase::Startup,
             bw_samples: VecDeque::new(),
+            btlbw_bps: 0.0,
             epoch: 0,
             epoch_bytes: 0,
             epoch_start: None,
@@ -116,10 +120,13 @@ impl BbrLite {
 
     /// Current bottleneck-bandwidth estimate in bits/sec (the max filter).
     pub fn btlbw_bps(&self) -> f64 {
-        self.bw_samples
-            .iter()
-            .map(|&(bw, _)| bw)
-            .fold(0.0, f64::max)
+        self.btlbw_bps
+    }
+
+    /// Recompute the max filter after its window changed.
+    fn refresh_btlbw(&mut self) {
+        let samples = self.bw_samples.iter().map(|&(bw, _)| bw);
+        self.btlbw_bps = samples.fold(0.0, f64::max);
     }
 
     /// True while the controller is in its PROBE_RTT phase.
@@ -193,6 +200,7 @@ impl BbrLite {
                     break;
                 }
             }
+            self.refresh_btlbw();
         }
 
         match self.phase {
@@ -307,6 +315,7 @@ impl CongestionControl for BbrLite {
     fn on_rto(&mut self, _now: SimTime) {
         // Timeout: the model is stale. Restart the search.
         self.bw_samples.clear();
+        self.refresh_btlbw();
         self.phase = Phase::Startup;
         self.plateau = 0;
         self.last_growth_bw = 0.0;

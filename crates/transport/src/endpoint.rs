@@ -40,6 +40,9 @@ pub struct SenderEndpoint {
     /// cancellable, so without this every ACK would arm a fresh immortal
     /// timer chain and event counts would grow quadratically.
     next_timer: SimTime,
+    /// Packets the sender emitted during the current event; drained into
+    /// the [`NodeCtx`] by `after_event`, so its capacity is reused.
+    out: Vec<Packet>,
 }
 
 impl SenderEndpoint {
@@ -52,6 +55,7 @@ impl SenderEndpoint {
             requests_served: 0,
             token: TICK,
             next_timer: SimTime::MAX,
+            out: Vec::new(),
         }
     }
 
@@ -73,15 +77,14 @@ impl SenderEndpoint {
     /// Serve a transfer of `size` bytes paced at `pace`, as if a request
     /// for it had just arrived.
     pub fn serve(&mut self, now: SimTime, size: u64, pace: Option<Rate>, ctx: &mut NodeCtx) {
-        let mut out = Vec::new();
         self.sender.start_transfer(now, size, pace);
-        self.sender.pump(now, &mut out);
+        self.sender.pump(now, &mut self.out);
         self.requests_served += 1;
-        self.after_event(now, out, ctx);
+        self.after_event(now, ctx);
     }
 
-    fn after_event(&mut self, now: SimTime, out: Vec<Packet>, ctx: &mut NodeCtx) {
-        for p in out {
+    fn after_event(&mut self, now: SimTime, ctx: &mut NodeCtx) {
+        for p in self.out.drain(..) {
             ctx.send(p);
         }
         self.completed.extend(self.sender.take_completed());
@@ -104,8 +107,7 @@ impl SenderEndpoint {
 
 impl Endpoint for SenderEndpoint {
     fn on_packet(&mut self, now: SimTime, pkt: Packet, ctx: &mut NodeCtx) {
-        let mut out = Vec::new();
-        if self.sender.handle_packet(now, &pkt, &mut out) {
+        if self.sender.handle_packet(now, &pkt, &mut self.out) {
             if let Some(srtt) = self.sender.core().srtt() {
                 self.rtt_trace.record(now, srtt.as_millis_f64());
             }
@@ -114,16 +116,15 @@ impl Endpoint for SenderEndpoint {
                 return self.serve(now, size, pace_bps.map(Rate::from_bps), ctx);
             }
         }
-        self.after_event(now, out, ctx);
+        self.after_event(now, ctx);
     }
 
     fn on_timer(&mut self, now: SimTime, token: u64, ctx: &mut NodeCtx) {
         if token != self.token {
             return;
         }
-        let mut out = Vec::new();
-        self.sender.on_tick(now, &mut out);
-        self.after_event(now, out, ctx);
+        self.sender.on_tick(now, &mut self.out);
+        self.after_event(now, ctx);
     }
 
     fn as_any(&mut self) -> &mut dyn std::any::Any {
