@@ -9,7 +9,7 @@
 //! estimator. Quality is measured as the rung's VMAF, so the utility is in
 //! VMAF-seconds.
 //!
-//! ## Complexity
+//! ## The rebuffer term
 //!
 //! Committing to one rung for the whole horizon lets the per-chunk buffer
 //! walk collapse into a Lindley-style closed form: with download time
@@ -20,16 +20,9 @@
 //! R(r) = max(0, max_i [ (8/x)·P_i(r) − i·cd ] − B₀)
 //! ```
 //!
-//! where `P_i(r)` is the byte prefix-sum of the first `i+1` upcoming chunks
-//! at rung `r` — an O(1) lookup via [`video::Lookahead::prefix_bytes`].
-//! Because chunk sizes strictly ascend with rung, the difference
-//! `f_k − f_i` of any two inner terms is non-decreasing in `r`, so each pair
-//! crosses at most once and the maximizing index is non-decreasing in the
-//! rung. `select` exploits that: it builds the upper envelope of the `f_i`
-//! once with a stack and binary-searched crossings, then sweeps the rungs
-//! with a segment pointer — O(rungs + horizon·log rungs) total instead of
-//! the naive O(rungs × horizon) re-simulation, and allocation-free after
-//! the first call (the envelope stack is reused scratch).
+//! where `P_i(r)` is the byte sum of the first `i+1` upcoming chunks at
+//! rung `r`. `select` evaluates it directly: one running `u64` sum over
+//! the horizon per rung, `rungs × horizon` (≤ 45) steps a decision.
 
 use video::{Abr, AbrContext, AbrDecision, ChunkMeasurement};
 
@@ -66,9 +59,6 @@ impl Default for MpcConfig {
 #[derive(Debug, Clone)]
 pub struct Mpc {
     cfg: MpcConfig,
-    /// Reusable upper-envelope scratch: `(horizon index, first rung at
-    /// which that index is the rebuffer maximizer)`, rung-ascending.
-    env: Vec<(usize, usize)>,
 }
 
 impl Mpc {
@@ -78,10 +68,7 @@ impl Mpc {
     /// Panics on a zero horizon.
     pub fn new(cfg: MpcConfig) -> Self {
         assert!(cfg.horizon >= 1, "horizon must be at least one chunk");
-        Mpc {
-            cfg,
-            env: Vec::new(),
-        }
+        Mpc { cfg }
     }
 }
 
@@ -109,63 +96,20 @@ impl Abr for Mpc {
             0.0
         };
 
-        // Whether index `i` overtakes index `k < i` as the rebuffer
-        // maximizer at `rung`: f_i ≥ f_k ⇔ (P_i − P_k)·inv ≥ (i−k)·cd.
-        // The left side uses the exact u64 prefix difference, so it is
-        // monotone in the rung and the crossing is unique.
-        let dominates = |i: usize, k: usize, rung: usize| {
-            let gap =
-                ctx.upcoming.prefix_bytes(rung, i + 1) - ctx.upcoming.prefix_bytes(rung, k + 1);
-            gap as f64 * inv >= (i - k) as f64 * cd
-        };
-
-        self.env.clear();
-        if h > 0 {
-            self.env.push((0, 0));
-        }
-        for i in 1..h {
-            loop {
-                let Some(&(k, r_start)) = self.env.last() else {
-                    self.env.push((i, 0));
-                    break;
-                };
-                if dominates(i, k, r_start) {
-                    self.env.pop();
-                    continue;
-                }
-                // First rung where `i` overtakes the top, if any.
-                let (mut lo, mut hi) = (r_start + 1, rungs);
-                while lo < hi {
-                    let mid = (lo + hi) / 2;
-                    if dominates(i, k, mid) {
-                        hi = mid;
-                    } else {
-                        lo = mid + 1;
-                    }
-                }
-                if lo < rungs {
-                    self.env.push((i, lo));
-                }
-                break;
-            }
-        }
-
         let b0 = ctx.buffer.as_secs_f64();
         let play_s = h as f64 * cd;
         let mut best = ctx.ladder.lowest();
         let mut best_u = f64::NEG_INFINITY;
-        let mut seg = 0;
         for rung in 0..rungs {
-            let rebuffer_s = if h == 0 {
-                0.0
-            } else {
-                while seg + 1 < self.env.len() && self.env[seg + 1].1 <= rung {
-                    seg += 1;
-                }
-                let i = self.env[seg].0;
-                let peak = ctx.upcoming.prefix_bytes(rung, i + 1) as f64 * inv - i as f64 * cd;
-                (peak - b0).max(0.0)
-            };
+            // Worst shortfall over the horizon; −∞ (no rebuffer) when no
+            // chunks remain.
+            let mut bytes = 0u64;
+            let mut peak = f64::NEG_INFINITY;
+            for i in 0..h {
+                bytes += ctx.upcoming.chunk(i).size(rung);
+                peak = peak.max(bytes as f64 * inv - i as f64 * cd);
+            }
+            let rebuffer_s = (peak - b0).max(0.0);
             let vmaf = ctx.ladder.rung(rung).vmaf;
             let switch = match ctx.last_rung {
                 Some(prev) => (ctx.ladder.rung(prev).vmaf - vmaf).abs(),

@@ -12,6 +12,7 @@
 //!
 //! Text output goes to stdout; CSV files go to `results/`.
 
+use abtest::Report;
 use netsim::SimDuration;
 use sammy_bench::ablation;
 use sammy_bench::figures;
@@ -24,80 +25,110 @@ use std::path::Path;
 
 const SEED: u64 = 2023;
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut scale = 1.0f64;
-    let mut threads = 0usize;
-    let mut targets: Vec<String> = Vec::new();
-    let mut it = args.into_iter();
+/// What the experiment-backed targets read from the command line.
+struct Opts {
+    /// Population-size multiplier (`--scale`).
+    scale: f64,
+    /// Worker-pool size (`--threads`, 0 = all cores).
+    threads: usize,
+}
+
+/// Regenerates one table or figure.
+type Target = fn(&Opts);
+
+/// Every target, in the order `all` runs them.
+const TARGETS: &[(&str, Target)] = &[
+    ("fig1", |_| fig1()),
+    ("fig2", |_| fig2()),
+    ("table2", |o| {
+        report_table(
+            "Table 2: Sammy (c0=3.2, c1=2.8) vs production A/B",
+            "table2.csv",
+            figures::table2,
+            o,
+        )
+    }),
+    ("fig3", |o| fig3(o.scale, o.threads)),
+    ("fig4", |_| fig4()),
+    ("fig5", |o| fig5(o.scale, o.threads)),
+    ("table3", |o| {
+        report_table(
+            "Table 3: initial-phase changes only (no pacing) vs production A/B",
+            "table3.csv",
+            figures::table3,
+            o,
+        )
+    }),
+    ("baseline", |o| {
+        report_table(
+            "Sec 5.5 baseline: constant 4x pacing on all chunks vs production A/B",
+            "baseline_4x.csv",
+            figures::baseline_4x,
+            o,
+        )
+    }),
+    ("fig6", |o| fig6(o.scale)),
+    ("fig7", |_| fig7()),
+    ("fig8a", |_| fig8a()),
+    ("fig8b", |_| fig8b()),
+    ("fig8c", |_| fig8c()),
+    ("fig8d", |_| fig8d()),
+    ("spiral", |_| spiral()),
+    ("ablation", |_| ablations()),
+    ("fig_fairness", |o| fig_fairness(o.threads)),
+    ("fig_occupancy", |o| fig_occupancy(o.threads)),
+    ("fig_cc_matrix", |o| fig_cc_matrix(o.threads)),
+];
+
+/// The options and the targets to run, in command-line order (`all`, or no
+/// target, expands to the whole table). An unknown target or flag, or a
+/// flag whose value is missing or does not parse, is an error naming it: a
+/// typo in a hand-typed target list must not pass as a run that did less.
+fn parse_args(args: &[String]) -> Result<(Opts, Vec<Target>), String> {
+    fn value<T: std::str::FromStr>(flag: &str, v: Option<&String>) -> Result<T, String> {
+        let v = v.map_or("", String::as_str);
+        v.parse()
+            .map_err(|_| format!("invalid value for {flag}: '{v}'"))
+    }
+    let mut opts = Opts {
+        scale: 1.0,
+        threads: 0,
+    };
+    let all = || TARGETS.iter().map(|&(_, run)| run);
+    let mut runs = Vec::new();
+    let mut it = args.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
-            "--scale" => {
-                scale = it
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .expect("--scale needs a number");
-            }
-            "--threads" => {
-                threads = it
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .expect("--threads needs a non-negative integer");
-            }
-            other => targets.push(other.to_string()),
+            "--scale" => opts.scale = value(a, it.next())?,
+            "--threads" => opts.threads = value(a, it.next())?,
+            "all" => runs.extend(all()),
+            flag if flag.starts_with("--") => return Err(format!("unknown flag '{flag}'")),
+            name => match TARGETS.iter().find(|(n, _)| *n == name) {
+                Some(&(_, run)) => runs.push(run),
+                None => return Err(format!("unknown target '{name}'")),
+            },
         }
     }
-    if targets.is_empty() || targets.iter().any(|t| t == "all") {
-        targets = vec![
-            "fig1",
-            "fig2",
-            "table2",
-            "fig3",
-            "fig4",
-            "fig5",
-            "table3",
-            "baseline",
-            "fig6",
-            "fig7",
-            "fig8a",
-            "fig8b",
-            "fig8c",
-            "fig8d",
-            "spiral",
-            "ablation",
-            "fig_fairness",
-            "fig_occupancy",
-            "fig_cc_matrix",
-        ]
-        .into_iter()
-        .map(String::from)
-        .collect();
+    if runs.is_empty() {
+        runs.extend(all());
     }
+    Ok((opts, runs))
+}
 
+fn main() {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let (opts, runs) = parse_args(&args).unwrap_or_else(|e| {
+        let names: Vec<&str> = TARGETS.iter().map(|&(n, _)| n).collect();
+        eprintln!("{e}");
+        eprintln!(
+            "usage: figures [--scale X] [--threads N] [all|{}]...",
+            names.join("|")
+        );
+        std::process::exit(2);
+    });
     fs::create_dir_all("results").expect("create results dir");
-    for t in &targets {
-        match t.as_str() {
-            "fig1" => fig1(),
-            "fig2" => fig2(),
-            "table2" => table2(scale, threads),
-            "fig3" => fig3(scale, threads),
-            "fig4" => fig4(),
-            "fig5" => fig5(scale, threads),
-            "table3" => table3(scale, threads),
-            "baseline" => baseline(scale, threads),
-            "fig6" => fig6(scale),
-            "fig7" => fig7(),
-            "fig8a" => fig8a(),
-            "fig8b" => fig8b(),
-            "fig8c" => fig8c(),
-            "fig8d" => fig8d(),
-            "spiral" => spiral(),
-            "ablation" => ablations(),
-            "fig_fairness" => fig_fairness(threads),
-            "fig_occupancy" => fig_occupancy(threads),
-            "fig_cc_matrix" => fig_cc_matrix(threads),
-            other => eprintln!("unknown target: {other}"),
-        }
+    for run in runs {
+        run(&opts);
     }
 }
 
@@ -168,9 +199,11 @@ fn fig2() {
     );
 }
 
-fn table2(scale: f64, threads: usize) {
-    banner("Table 2: Sammy (c0=3.2, c1=2.8) vs production A/B");
-    let report = figures::table2(scale, SEED, threads);
+/// Run one production A/B, print its Table 2-style report and write it as
+/// `csv`.
+fn report_table(title: &str, csv: &str, run: fn(f64, u64, usize) -> Report, o: &Opts) {
+    banner(title);
+    let report = run(o.scale, SEED, o.threads);
     print!("{}", report.render());
     let rows: Vec<String> = report
         .rows
@@ -191,65 +224,7 @@ fn table2(scale: f64, threads: usize) {
         })
         .collect();
     save_csv(
-        "table2.csv",
-        "metric,control,treatment,pct_change,ci_low,ci_high,paired_mean,paired_lo,paired_hi",
-        &rows,
-    );
-}
-
-fn table3(scale: f64, threads: usize) {
-    banner("Table 3: initial-phase changes only (no pacing) vs production A/B");
-    let report = figures::table3(scale, SEED, threads);
-    print!("{}", report.render());
-    let rows: Vec<String> = report
-        .rows
-        .iter()
-        .map(|r| {
-            format!(
-                "{},{:.6},{:.6},{:.3},{:.3},{:.3},{:.4},{:.4},{:.4}",
-                r.name,
-                r.change.control,
-                r.change.treatment,
-                r.change.pct_change,
-                r.change.ci_low,
-                r.change.ci_high,
-                r.paired.mean_delta_pct,
-                r.paired.ci_low,
-                r.paired.ci_high
-            )
-        })
-        .collect();
-    save_csv(
-        "table3.csv",
-        "metric,control,treatment,pct_change,ci_low,ci_high,paired_mean,paired_lo,paired_hi",
-        &rows,
-    );
-}
-
-fn baseline(scale: f64, threads: usize) {
-    banner("Sec 5.5 baseline: constant 4x pacing on all chunks vs production A/B");
-    let report = figures::baseline_4x(scale, SEED, threads);
-    print!("{}", report.render());
-    let rows: Vec<String> = report
-        .rows
-        .iter()
-        .map(|r| {
-            format!(
-                "{},{:.6},{:.6},{:.3},{:.3},{:.3},{:.4},{:.4},{:.4}",
-                r.name,
-                r.change.control,
-                r.change.treatment,
-                r.change.pct_change,
-                r.change.ci_low,
-                r.change.ci_high,
-                r.paired.mean_delta_pct,
-                r.paired.ci_low,
-                r.paired.ci_high
-            )
-        })
-        .collect();
-    save_csv(
-        "baseline_4x.csv",
+        csv,
         "metric,control,treatment,pct_change,ci_low,ci_high,paired_mean,paired_lo,paired_hi",
         &rows,
     );

@@ -6,12 +6,16 @@
 
 use abtest::{
     bucket_label, default_grid, draw_population, run_cold_start, run_sweep, throughput_by_bucket,
-    Arm, ColdStartConfig, Experiment, ExperimentConfig, PopulationConfig, Report, SweepPoint,
+    Arm, ColdStartConfig, Experiment, ExperimentConfig, ExperimentRun, PopulationConfig, Report,
+    SweepPoint,
 };
 use sammy_core::analysis::{fig2a_selection_curve, fig2b_threshold_curve};
 
 /// The production Sammy parameters used throughout §5.
 pub const SAMMY_PROD: Arm = Arm::Sammy { c0: 3.2, c1: 2.8 };
+
+/// Bootstrap replicates behind every CI of the standard sizing.
+const BOOTSTRAP_REPS: usize = 400;
 
 /// Standard experiment sizing (scaled by `scale`). `threads` is the
 /// worker count for the parallel runner (0 = all cores); results are
@@ -22,62 +26,50 @@ pub fn experiment_config(scale: f64, seed: u64, threads: usize) -> ExperimentCon
         pre_sessions: 3,
         sessions_per_user: 3,
         seed,
-        bootstrap_reps: 400,
+        bootstrap_reps: BOOTSTRAP_REPS,
         threads,
     }
 }
 
+/// One production-vs-`treatment` A/B at the standard sizing. Each figure
+/// draws its own population: `seed + offset` keys the population and the
+/// bootstrap, `seed` the sessions.
+fn ab_run(treatment: Arm, scale: f64, seed: u64, offset: u64, threads: usize) -> ExperimentRun {
+    let cfg = experiment_config(scale, seed, threads);
+    let pop = draw_population(
+        &PopulationConfig::default(),
+        cfg.users_per_arm,
+        seed + offset,
+    );
+    Experiment::builder()
+        .population(&pop)
+        .treatment(treatment)
+        .config(cfg)
+        .run()
+        .expect("figure setup is valid")
+}
+
 /// Table 2: Sammy (c0=3.2, c1=2.8) vs production.
 pub fn table2(scale: f64, seed: u64, threads: usize) -> Report {
-    let cfg = experiment_config(scale, seed, threads);
-    let pop = draw_population(&PopulationConfig::default(), cfg.users_per_arm, seed);
-    let run = Experiment::builder()
-        .population(&pop)
-        .treatment(SAMMY_PROD)
-        .config(cfg.clone())
-        .run()
-        .expect("table2 setup is valid");
-    run.report(cfg.bootstrap_reps, seed)
+    ab_run(SAMMY_PROD, scale, seed, 0, threads).report(BOOTSTRAP_REPS, seed)
 }
 
 /// Table 3: initial-phase changes only (no pacing) vs production.
 pub fn table3(scale: f64, seed: u64, threads: usize) -> Report {
-    let cfg = experiment_config(scale, seed, threads);
-    let pop = draw_population(&PopulationConfig::default(), cfg.users_per_arm, seed + 1);
-    let run = Experiment::builder()
-        .population(&pop)
-        .treatment(Arm::InitialOnly)
-        .config(cfg.clone())
-        .run()
-        .expect("table3 setup is valid");
-    run.report(cfg.bootstrap_reps, seed + 1)
+    ab_run(Arm::InitialOnly, scale, seed, 1, threads).report(BOOTSTRAP_REPS, seed + 1)
 }
 
 /// §5.5: the naive constant-4x baseline vs production.
 pub fn baseline_4x(scale: f64, seed: u64, threads: usize) -> Report {
-    let cfg = experiment_config(scale, seed, threads);
-    let pop = draw_population(&PopulationConfig::default(), cfg.users_per_arm, seed + 2);
-    let run = Experiment::builder()
-        .population(&pop)
-        .treatment(Arm::NaivePaced { multiplier: 4.0 })
-        .config(cfg.clone())
-        .run()
-        .expect("baseline setup is valid");
-    run.report(cfg.bootstrap_reps, seed + 2)
+    ab_run(Arm::NaivePaced { multiplier: 4.0 }, scale, seed, 2, threads)
+        .report(BOOTSTRAP_REPS, seed + 2)
 }
 
 /// Fig 3: chunk-throughput change by pre-experiment throughput bucket.
 /// Returns `(bucket label, % change, ci_low, ci_high)`.
 pub fn fig3(scale: f64, seed: u64, threads: usize) -> Vec<(&'static str, f64, f64, f64)> {
-    let cfg = experiment_config(scale * 1.5, seed, threads);
-    let pop = draw_population(&PopulationConfig::default(), cfg.users_per_arm, seed + 3);
-    let run = Experiment::builder()
-        .population(&pop)
-        .treatment(SAMMY_PROD)
-        .config(cfg.clone())
-        .run()
-        .expect("fig3 setup is valid");
-    throughput_by_bucket(&run.control, &run.treatment, cfg.bootstrap_reps, seed + 3)
+    let run = ab_run(SAMMY_PROD, scale * 1.5, seed, 3, threads);
+    throughput_by_bucket(&run.control, &run.treatment, BOOTSTRAP_REPS, seed + 3)
         .into_iter()
         .map(|(b, pc)| (bucket_label(b), pc.pct_change, pc.ci_low, pc.ci_high))
         .collect()

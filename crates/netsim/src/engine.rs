@@ -189,10 +189,10 @@ pub struct Simulator {
     timers: BinaryHeap<Reverse<Due<(NodeId, u64)>>>,
     nodes: Vec<Node>,
     links: Vec<Link>,
-    /// Struct-of-arrays storage for every packet currently inside the
-    /// network (queued, serializing, or propagating). The hot loop moves
-    /// 16-byte [`PacketRef`]s; full packets are materialized only at final
-    /// delivery. Id reuse follows event order, so it is deterministic.
+    /// Every packet currently inside the network (queued, serializing, or
+    /// propagating). The hot loop moves 24-byte [`PacketRef`]s; full
+    /// packets are copied out only at final delivery. Id reuse follows
+    /// event order, so it is deterministic.
     store: PacketStore,
     /// Dense per-flow stats indexed by `FlowId` (ids < `DENSE_FLOWS`).
     flow_stats: Vec<FlowStats>,
@@ -624,8 +624,8 @@ impl Simulator {
     fn deliver(&mut self, node: NodeId, pid: PacketId) {
         let dst = self.store.dst(pid);
         if dst != node {
-            // Intermediate hop: keep forwarding without materializing the
-            // cold columns — only the hot handle moves.
+            // Intermediate hop: keep forwarding — only the handle moves,
+            // the packet stays in the store.
             let pkt = self.store.make_ref(pid);
             self.route_packet(node, dst, pkt);
             return;

@@ -178,9 +178,8 @@ pub struct PacketId(pub u32);
 /// every queueing discipline and link actually reads (wire size and flow).
 ///
 /// This is what moves through [`Queue`](crate::queue::Queue)s, links, and
-/// the event loop — 16 bytes instead of the full 88-byte [`Packet`]. The
-/// cold fields (src, payload, send timestamp) stay in the [`PacketStore`]
-/// until the packet is delivered or dropped.
+/// the event loop — 24 bytes; the full [`Packet`] stays in the
+/// [`PacketStore`] until the packet is delivered or dropped.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PacketRef {
     /// Dense store id (opaque to queues; resolved only by the engine).
@@ -191,39 +190,17 @@ pub struct PacketRef {
     pub flow: FlowId,
 }
 
-/// Hot row of the packet store: the fields forwarding decisions read.
-#[derive(Debug, Clone, Copy)]
-struct HotSlot {
-    size: u64,
-    flow: FlowId,
-    dst: NodeId,
-}
-
-/// Cold row of the packet store: read only at final delivery.
-#[derive(Debug, Clone, Copy)]
-struct ColdSlot {
-    src: NodeId,
-    sent_at: SimTime,
-    payload: Payload,
-}
-
-/// Struct-of-arrays storage for in-flight packets.
+/// Storage for in-flight packets.
 ///
-/// The engine interns each injected [`Packet`] into two parallel `Vec`s
-/// keyed by a dense [`PacketId`]: a 24-byte hot row (size, flow,
-/// destination) the forwarding path reads, and a cold row (source, send
-/// timestamp, payload) that sits untouched until final delivery. The hot
-/// loop itself moves 24-byte [`PacketRef`]s. The split is two arrays
-/// rather than one-per-field on purpose — inserts and row reads touch
-/// whole rows, so fewer, wider columns mean fewer cache lines per packet;
-/// splitting further measurably slowed interning down. Freed ids are
-/// recycled LIFO, so id assignment is fully deterministic.
+/// The engine interns each injected [`Packet`] into one `Vec` keyed by a
+/// dense [`PacketId`]; the hot loop itself moves 24-byte [`PacketRef`]s and
+/// comes back to the row for the destination at each hop and for the whole
+/// packet at final delivery. Freed ids are recycled LIFO, so id assignment
+/// is fully deterministic.
 #[derive(Debug, Default)]
 pub struct PacketStore {
-    /// Hot rows, indexed by id: read on every forwarding decision.
-    hot: Vec<HotSlot>,
-    /// Cold rows, indexed by id: read only at final delivery.
-    cold: Vec<ColdSlot>,
+    /// Packets, indexed by id.
+    rows: Vec<Packet>,
     /// LIFO free list of recycled ids.
     free: Vec<u32>,
     /// Number of live (allocated, not yet freed) packets.
@@ -244,16 +221,6 @@ impl PacketStore {
     /// a small dense id range.
     #[inline(always)]
     pub fn insert(&mut self, pkt: Packet) -> PacketRef {
-        let hot = HotSlot {
-            size: pkt.size,
-            flow: pkt.flow,
-            dst: pkt.dst,
-        };
-        let cold = ColdSlot {
-            src: pkt.src,
-            sent_at: pkt.sent_at,
-            payload: pkt.payload,
-        };
         let id = match self.free.pop() {
             Some(slot) => {
                 let i = slot as usize;
@@ -263,14 +230,12 @@ impl PacketStore {
                     !self.occupied[i],
                     "double allocation of packet id {slot}"
                 );
-                self.hot[i] = hot;
-                self.cold[i] = cold;
+                self.rows[i] = pkt;
                 slot
             }
             None => {
-                let slot = u32::try_from(self.hot.len()).expect("packet store overflow");
-                self.hot.push(hot);
-                self.cold.push(cold);
+                let slot = u32::try_from(self.rows.len()).expect("packet store overflow");
+                self.rows.push(pkt);
                 #[cfg(feature = "validate")]
                 self.occupied.push(false);
                 slot
@@ -288,25 +253,15 @@ impl PacketStore {
         }
     }
 
-    /// Reconstruct the full [`Packet`] and free the id.
+    /// Copy the [`Packet`] out and free the id.
     #[inline]
     pub fn take(&mut self, id: PacketId) -> Packet {
-        let i = id.0 as usize;
-        let hot = self.hot[i];
-        let cold = self.cold[i];
-        let pkt = Packet {
-            src: cold.src,
-            dst: hot.dst,
-            flow: hot.flow,
-            size: hot.size,
-            sent_at: cold.sent_at,
-            payload: cold.payload,
-        };
+        let pkt = self.rows[id.0 as usize];
         self.discard(id);
         pkt
     }
 
-    /// Free the id without materializing the packet (drop paths).
+    /// Free the id without reading the packet (drop paths).
     #[inline]
     pub fn discard(&mut self, id: PacketId) {
         #[cfg(feature = "validate")]
@@ -327,18 +282,18 @@ impl PacketStore {
     /// Rebuild the hot-path handle for a live id.
     #[inline]
     pub fn make_ref(&self, id: PacketId) -> PacketRef {
-        let h = &self.hot[id.0 as usize];
+        let pkt = &self.rows[id.0 as usize];
         PacketRef {
             id,
-            size: h.size,
-            flow: h.flow,
+            size: pkt.size,
+            flow: pkt.flow,
         }
     }
 
     /// Destination of a live packet (the one hot routing lookup).
     #[inline]
     pub fn dst(&self, id: PacketId) -> NodeId {
-        self.hot[id.0 as usize].dst
+        self.rows[id.0 as usize].dst
     }
 
     /// Number of live packets currently interned.
@@ -348,7 +303,7 @@ impl PacketStore {
 
     /// Total slots ever allocated (live + recycled). Diagnostic.
     pub fn slots(&self) -> usize {
-        self.hot.len()
+        self.rows.len()
     }
 
     /// Test-only: free an id twice to trip the validate-mode liveness
@@ -459,7 +414,7 @@ mod tests {
         assert_eq!(e.id, b.id);
         assert_eq!(store.slots(), 3);
         assert_eq!(store.live(), 3);
-        // Recycled slots carry the new packet's rows, not the old ones.
+        // Recycled slots carry the new packet, not the old one.
         assert_eq!(store.make_ref(d.id).size, 400);
         assert_eq!(store.take(e.id).payload, Payload::Datagram { seq: 4 });
     }

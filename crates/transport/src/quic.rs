@@ -48,7 +48,7 @@ const MAX_TRACKED_RANGES: usize = 8;
 
 /// Insert `[start, end)` into a sorted, disjoint range set. Returns the
 /// number of bytes newly covered (not previously in the set).
-fn range_insert(set: &mut Vec<(u64, u64)>, start: u64, end: u64) -> u64 {
+pub(crate) fn range_insert(set: &mut Vec<(u64, u64)>, start: u64, end: u64) -> u64 {
     if start >= end {
         return 0;
     }

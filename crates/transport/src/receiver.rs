@@ -6,6 +6,7 @@
 //! retransmit relies on. Out-of-order data is buffered as ranges and the
 //! cumulative ACK jumps forward once holes fill.
 
+use crate::quic::range_insert;
 use netsim::{FlowId, NodeId, Packet, Payload, SimTime};
 
 /// Reassembly and ACK generation for one TCP flow.
@@ -65,14 +66,15 @@ impl TcpReceiver {
         if pkt.flow != self.flow {
             return None;
         }
-        let start = offset;
         let end = offset + len as u64;
         self.bytes_received += len as u64;
 
         if end <= self.rcv_nxt {
             self.duplicate_bytes += len as u64;
         } else {
-            self.insert_range(start.max(self.rcv_nxt), end);
+            let start = offset.max(self.rcv_nxt);
+            let newly_covered = range_insert(&mut self.ooo, start, end);
+            self.duplicate_bytes += (end - start) - newly_covered;
             self.advance();
         }
 
@@ -86,39 +88,6 @@ impl TcpReceiver {
                 round,
             },
         ))
-    }
-
-    fn insert_range(&mut self, start: u64, end: u64) {
-        if start >= end {
-            return;
-        }
-        // Merge into the sorted disjoint set.
-        let mut new_start = start;
-        let mut new_end = end;
-        let mut merged = Vec::with_capacity(self.ooo.len() + 1);
-        let mut placed = false;
-        for &(s, e) in &self.ooo {
-            if e < new_start {
-                merged.push((s, e));
-            } else if s > new_end {
-                if !placed {
-                    merged.push((new_start, new_end));
-                    placed = true;
-                }
-                merged.push((s, e));
-            } else {
-                // Overlapping or adjacent: absorb.
-                if s.max(new_start) < e.min(new_end) {
-                    self.duplicate_bytes += e.min(new_end) - s.max(new_start);
-                }
-                new_start = new_start.min(s);
-                new_end = new_end.max(e);
-            }
-        }
-        if !placed {
-            merged.push((new_start, new_end));
-        }
-        self.ooo = merged;
     }
 
     fn advance(&mut self) {

@@ -6,10 +6,9 @@
 //! deterministic per title.
 //!
 //! Storage is flat: per-chunk/per-rung sizes and VMAFs live in two dense
-//! arrays (chunk-major), plus a per-rung prefix-sum table of sizes. ABR
-//! algorithms see chunks through the zero-copy [`Chunk`] view and lookahead
-//! windows through [`Lookahead`], so selecting a chunk allocates nothing and
-//! horizon byte-sums are O(1) via [`Lookahead::prefix_bytes`].
+//! arrays (chunk-major). ABR algorithms see chunks through the zero-copy
+//! [`Chunk`] view and lookahead windows through [`Lookahead`], so selecting
+//! a chunk allocates nothing.
 
 use crate::ladder::Ladder;
 use netsim::{Rate, SimDuration};
@@ -29,9 +28,6 @@ pub struct Title {
     /// plus a small scene-dependent offset (encoders hold quality only
     /// approximately constant across scenes).
     vmafs: Vec<f64>,
-    /// Inclusive prefix sums of `sizes` along chunks, rung-major:
-    /// `[rung * chunks + chunk]`. Backs O(1) horizon byte-sums.
-    cum_sizes: Vec<u64>,
 }
 
 /// A zero-copy view of one chunk of a title.
@@ -111,27 +107,6 @@ impl<'a> Lookahead<'a> {
             index: self.from + i,
         }
     }
-
-    /// Total encoded bytes of the first `k` upcoming chunks at `rung`, in
-    /// O(1) via the title's prefix-sum table.
-    ///
-    /// # Panics
-    /// Panics if `k` exceeds the window.
-    pub fn prefix_bytes(&self, rung: usize, k: usize) -> u64 {
-        assert!(k <= self.len(), "prefix past end of window");
-        if k == 0 {
-            return 0;
-        }
-        let n = self.title.len();
-        let base = rung * n;
-        let hi = self.title.cum_sizes[base + self.from + k - 1];
-        let lo = if self.from == 0 {
-            0
-        } else {
-            self.title.cum_sizes[base + self.from - 1]
-        };
-        hi - lo
-    }
 }
 
 /// Parameters for generating a synthetic title.
@@ -199,20 +174,11 @@ impl Title {
                 vmafs.push((r.vmaf + offset * (0.5 + headroom)).clamp(0.0, 100.0));
             }
         }
-        let mut cum_sizes = vec![0u64; n * rungs];
-        for rung in 0..rungs {
-            let mut acc = 0u64;
-            for chunk in 0..n {
-                acc += sizes[chunk * rungs + rung];
-                cum_sizes[rung * n + chunk] = acc;
-            }
-        }
         Title {
             ladder,
             chunk_duration: cfg.chunk_duration,
             sizes,
             vmafs,
-            cum_sizes,
         }
     }
 
@@ -397,19 +363,5 @@ mod tests {
         assert_eq!(w.chunk(0).index(), 100);
         assert_eq!(w.chunk(3).size(2), t.chunk(103).size(2));
         assert_eq!(w.chunk(3).vmaf(2), t.chunk(103).vmaf(2));
-    }
-
-    #[test]
-    fn prefix_bytes_matches_naive_sum() {
-        let t = title(5, 0.15);
-        for from in [0usize, 1, 137, 295, 300] {
-            let w = t.upcoming(from);
-            for rung in [0usize, 3, t.ladder.rungs().len() - 1] {
-                for k in 0..=w.len().min(6) {
-                    let naive: u64 = (0..k).map(|i| w.chunk(i).size(rung)).sum();
-                    assert_eq!(w.prefix_bytes(rung, k), naive, "from={from} k={k}");
-                }
-            }
-        }
     }
 }

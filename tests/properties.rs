@@ -257,13 +257,16 @@ proptest! {
         }
     }
 
-    /// MPC's closed-form (prefix-sum + upper-envelope) rebuffer term and
-    /// rung choice agree with a naive per-chunk buffer walk over the same
-    /// horizon, across random titles, lookahead offsets, and conditions.
+    /// MPC's closed-form rebuffer term and rung choice agree with a naive
+    /// per-chunk buffer walk over the same horizon, across random titles,
+    /// lookahead offsets, and conditions. Half the cases start in the last
+    /// `horizon` chunks or at the end of the title, where the window is
+    /// shorter than the horizon (`h < horizon`, down to `h == 0`).
     #[test]
-    fn mpc_envelope_matches_naive_walk(
+    fn mpc_closed_form_matches_buffer_walk(
         title_seed in 0u64..5_000,
-        from in 0usize..300,
+        offset in 0usize..=300,
+        near_end in any::<bool>(),
         buffer_s in 0u64..120,
         tput_mbps in 0.3f64..60.0,
         last in 0usize..10,
@@ -286,6 +289,7 @@ proptest! {
             });
         }
         let last_rung = if last >= title.ladder.len() { None } else { Some(last) };
+        let from = if near_end { title.len() - offset % 6 } else { offset };
         let ctx = AbrContext {
             now: SimTime::ZERO,
             phase: PlayerPhase::Playing,
@@ -329,7 +333,7 @@ proptest! {
                 best = rung;
             }
         }
-        prop_assert_eq!(got, best, "envelope chose {}, naive walk chose {}", got, best);
+        prop_assert_eq!(got, best, "closed form chose {}, buffer walk chose {}", got, best);
     }
 }
 
