@@ -159,7 +159,17 @@ pub fn download_chunk(
 /// Draw a per-chunk capacity multiplier for `profile`: log-normal jitter
 /// (mean ≈ 1) plus an occasional deep fade.
 pub fn chunk_capacity_multiplier(rng: &mut StdRng, profile: &NetworkProfile) -> f64 {
-    let mut j = capacity_jitter(rng, profile.jitter_cv);
+    chunk_multiplier(rng, profile, JitterLaw::new(profile.jitter_cv))
+}
+
+/// [`chunk_capacity_multiplier`] with the profile's [`JitterLaw`] already
+/// evaluated: a session draws one multiplier a chunk from one profile.
+pub(crate) fn chunk_multiplier(
+    rng: &mut StdRng,
+    profile: &NetworkProfile,
+    law: Option<JitterLaw>,
+) -> f64 {
+    let mut j = law.map_or(1.0, |law| law.draw(rng));
     if profile.fade_prob > 0.0 && rng.gen::<f64>() < profile.fade_prob {
         let depth = rng.gen_range(profile.fade_depth..(profile.fade_depth * 4.0).min(1.0));
         j *= depth;
@@ -170,15 +180,37 @@ pub fn chunk_capacity_multiplier(rng: &mut StdRng, profile: &NetworkProfile) -> 
 /// Draw a per-chunk capacity jitter multiplier (log-normal, mean ≈ 1,
 /// clamped to [0.3, 3.0]).
 pub fn capacity_jitter(rng: &mut StdRng, cv: f64) -> f64 {
-    if cv <= 0.0 {
-        return 1.0;
+    JitterLaw::new(cv).map_or(1.0, |law| law.draw(rng))
+}
+
+/// The log-normal behind [`capacity_jitter`] for one `cv`:
+/// `σ = √ln(1 + cv²)` and `μ = −σ²/2`, an `ln` and a root that do not
+/// change while `cv` does not.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct JitterLaw {
+    sigma: f64,
+    mu: f64,
+}
+
+impl JitterLaw {
+    /// `None` for `cv ≤ 0`: no jitter, and nothing drawn from the RNG.
+    pub(crate) fn new(cv: f64) -> Option<Self> {
+        if cv <= 0.0 {
+            return None;
+        }
+        let sigma = (1.0 + cv * cv).ln().sqrt();
+        Some(JitterLaw {
+            sigma,
+            mu: -sigma * sigma / 2.0,
+        })
     }
-    let sigma = (1.0 + cv * cv).ln().sqrt();
-    let mu = -sigma * sigma / 2.0;
-    let u1: f64 = rng.gen_range(1e-12..1.0);
-    let u2: f64 = rng.gen();
-    let z = (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos();
-    (mu + sigma * z).exp().clamp(0.3, 3.0)
+
+    fn draw(self, rng: &mut StdRng) -> f64 {
+        let u1: f64 = rng.gen_range(1e-12..1.0);
+        let u2: f64 = rng.gen();
+        let z = (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos();
+        (self.mu + self.sigma * z).exp().clamp(0.3, 3.0)
+    }
 }
 
 #[cfg(test)]

@@ -6,7 +6,7 @@
 //! chunk throughput (download-time weighted), retransmit fraction, and
 //! median RTT from a per-session t-digest (§5.1).
 
-use crate::network::{chunk_capacity_multiplier, download_chunk, FluidConfig, NetworkProfile};
+use crate::network::{chunk_multiplier, download_chunk, FluidConfig, JitterLaw, NetworkProfile};
 use netsim::{Rate, SimDuration, SimTime};
 use rand::prelude::*;
 use std::sync::Arc;
@@ -233,6 +233,7 @@ pub fn run_session(params: SessionParams<'_>) -> SessionOutcome {
         startup_latency,
     } = params;
     let mut rng = StdRng::seed_from_u64(seed);
+    let jitter_law = JitterLaw::new(profile.jitter_cv);
 
     let initial_bitrate = title.ladder.rung(predicted_initial_rung).bitrate;
     let threshold = start.threshold(history_estimate, initial_bitrate);
@@ -268,7 +269,7 @@ pub fn run_session(params: SessionParams<'_>) -> SessionOutcome {
                 None => true,
                 Some(t) => now.saturating_since(t) > fluid.idle_restart_after,
             };
-            let jitter = chunk_capacity_multiplier(&mut rng, profile);
+            let jitter = chunk_multiplier(&mut rng, profile, jitter_law);
             let out = download_chunk(profile, &fluid, req.bytes, req.pace, cold, jitter);
             now += out.download_time;
             last_download_end = Some(now);

@@ -180,8 +180,17 @@ fn write_str(s: &str, out: &mut String) {
 /// stack and aborts the process; no spec nests deeper than a handful.
 const MAX_DEPTH: usize = 128;
 
-/// Parse a JSON document. Trailing non-whitespace and nesting deeper than
-/// [`MAX_DEPTH`] are errors.
+/// Longest number token [`parse`] accepts, in bytes. [`Value`] renders an
+/// `f64` positionally, never with an exponent, so the longest thing it
+/// writes is 327 bytes (`-2.2250738585072014e-308`: a sign, `0.`, 307
+/// zeros, 17 digits); this is above that, so `parse ∘ render` loses
+/// nothing, while a body that is one endless digit run is never handed to
+/// `str::parse::<f64>`.
+const MAX_NUMBER_LEN: usize = 512;
+
+/// Parse a JSON document. Trailing non-whitespace, nesting deeper than
+/// [`MAX_DEPTH`] and number tokens longer than [`MAX_NUMBER_LEN`] are
+/// errors.
 pub fn parse(input: &str) -> Result<Value, SimError> {
     let mut p = Parser {
         bytes: input.as_bytes(),
@@ -438,6 +447,10 @@ impl<'a> Parser<'a> {
                 return Err(self.err("number has no exponent digits"));
             }
         }
+        if self.pos - start > MAX_NUMBER_LEN {
+            self.pos = start;
+            return Err(self.err(&format!("number longer than {MAX_NUMBER_LEN} bytes")));
+        }
         let text = std::str::from_utf8(&self.bytes[start..self.pos]).expect("ascii");
         match text.parse::<f64>() {
             Ok(n) if n.is_finite() => Ok(Value::Num(n)),
@@ -484,6 +497,8 @@ mod tests {
             1e-300,
             9.007_199_254_740_993e15,
             f64::MIN_POSITIVE,
+            -f64::MIN_POSITIVE,
+            5e-324,
             f64::MAX,
         ] {
             let s = Value::Num(x).to_string();
@@ -559,6 +574,19 @@ mod tests {
             msg.contains(&format!("at byte {MAX_DEPTH}")),
             "offset of the first bracket too deep: {msg}"
         );
+        // A number token may be `MAX_NUMBER_LEN` bytes and no longer; the
+        // error points at its first byte.
+        let long = |len: usize| format!("[1.{}]", "0".repeat(len - 2));
+        assert_eq!(
+            parse(&long(MAX_NUMBER_LEN)).unwrap(),
+            Value::Arr(vec![Value::Num(1.0)])
+        );
+        let msg = parse(&long(MAX_NUMBER_LEN + 1)).unwrap_err().to_string();
+        assert!(
+            msg.contains(&format!("longer than {MAX_NUMBER_LEN} bytes at byte 1")),
+            "offset of the token's first byte: {msg}"
+        );
+        assert!(parse(&format!("0.{}", "7".repeat(1 << 20))).is_err());
         // A full-size request body of openers must be an error, not a
         // stack overflow.
         assert!(parse(&"[".repeat(1 << 20)).is_err());

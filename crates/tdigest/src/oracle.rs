@@ -4,7 +4,8 @@
 //! merge with two `asin`. The kernel must reproduce its centroids bit for
 //! bit through every ingestion path.
 
-use crate::{Centroid, TDigest};
+use crate::tests::{threshold, ulps};
+use crate::{Centroid, Scale, TDigest};
 use proptest::prelude::*;
 use rand::prelude::*;
 
@@ -197,6 +198,85 @@ fn weight(mode: usize, rng: &mut StdRng) -> f64 {
     }
 }
 
+/// The value family that is not a value distribution but the stream a fluid
+/// session feeds its RTT digest: a fresh digest, one `add_weighted` a chunk
+/// of the uncongested RTT `a` or the congested one `b`, weighted by the
+/// chunk's download time, then the median (among `check_same`'s reads).
+const SESSION: usize = 5;
+const SESSION_CHUNKS: usize = 338;
+
+fn session_streams(seed: u64, compression: f64, ops: usize) -> Result<(), String> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    for session in 0..ops.div_ceil(SESSION_CHUNKS) {
+        let a = 1.0 + rng.gen::<f64>() * 200.0;
+        let b = a + 0.5 + rng.gen::<f64>() * 400.0;
+        let congested = rng.gen::<f64>();
+        let (mut new, mut old) = (TDigest::new(compression), Oracle::new(compression));
+        for chunk in 0..SESSION_CHUNKS {
+            let v = if rng.gen::<f64>() < congested { b } else { a };
+            let w = 1e-6 + rng.gen::<f64>() * (4.0 - 1e-6);
+            new.add_weighted(v, w);
+            old.add_weighted(v, w);
+            check_same(&new, &old, true).map_err(|e| {
+                format!("seed {seed} δ {compression} session {session} chunk {chunk}: {e}")
+            })?;
+        }
+    }
+    Ok(())
+}
+
+/// Not a stream either: passes built so that one pair sits where the
+/// squared merge test must hand over to the original expression — `x₂` a
+/// few ulps from the threshold, for `x₀` anywhere, at −1 exactly, next to
+/// ±1 and next to `cos θ` — half of them at δ = 10⁶, where `sin θ` is
+/// 6e-6 and `cos θ` eleven digits from 1.
+const EDGES: usize = 6;
+
+fn edge_passes(seed: u64, compression: f64, ops: usize) -> Result<(), String> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    for case in 0..ops / 4 {
+        let compression = [compression, 1e6][case % 2];
+        let scale = Scale::new(compression);
+        let q0 = match rng.gen_range(0..4) {
+            0 => 0.0,
+            1 => rng.gen::<f64>(),
+            2 => {
+                let d = 10f64.powf(-rng.gen_range(5.0f64..17.0));
+                [d, 1.0 - d][rng.gen_range(0..2usize)]
+            }
+            _ => (scale.cos_theta + 1.0) / 2.0 + (rng.gen::<f64>() - 0.5) * 8e-9,
+        };
+        // The `q₂` on the threshold (1 where the span is open-ended).
+        let on = if 2.0 * q0 - 1.0 < scale.cos_theta {
+            threshold(&scale, q0)
+        } else {
+            1.0
+        };
+        let on = ulps(on, rng.gen_range(-4i64..=4)).min(1.0);
+        // q₀ | two halves that reach `on` together | the rest, added last.
+        let half = (on - q0) / 2.0;
+        let weights: Vec<f64> = [q0, half, half, 1.0 - on]
+            .into_iter()
+            .filter(|&w| w > 0.0)
+            .collect();
+        let (&last, head) = weights.split_last().expect("q₀ < 1");
+        let mut new = TDigest::new(compression);
+        new.centroids = (head.iter().zip(1..))
+            .map(|(&weight, i)| Centroid {
+                mean: i as f64,
+                weight,
+            })
+            .collect();
+        (new.count, new.min, new.max) = (head.iter().sum(), 1.0, head.len() as f64);
+        let mut old = Oracle(new.clone());
+        new.add_weighted(9.0, last);
+        old.add_weighted(9.0, last);
+        check_same(&new, &old, true)
+            .map_err(|e| format!("seed {seed} δ {compression} case {case} q0 {q0}: {e}"))?;
+    }
+    Ok(())
+}
+
 /// Drive a kernel digest and an oracle through the same random interleaving
 /// of `add`, `add_weighted` and `merge`, comparing after every operation.
 fn differential(
@@ -206,6 +286,11 @@ fn differential(
     compression: f64,
     ops: usize,
 ) -> Result<(), String> {
+    match family {
+        SESSION => return session_streams(seed, compression, ops),
+        EDGES => return edge_passes(seed, compression, ops),
+        _ => {}
+    }
     let mut rng = StdRng::seed_from_u64(seed);
     let pair = (
         TWO_VALUED[rng.gen_range(0..TWO_VALUED.len())],
@@ -272,7 +357,7 @@ fn differential(
 /// `cargo test` covers the whole grid whatever the proptest draws.
 #[test]
 fn differential_grid() {
-    for family in 0..5 {
+    for family in 0..=EDGES {
         for weights in 0..3 {
             for (i, &compression) in COMPRESSIONS.iter().enumerate() {
                 let seed = (family * 100 + weights * 10 + i) as u64;
@@ -286,7 +371,7 @@ proptest! {
     #[test]
     fn differential_random(
         seed in any::<u64>(),
-        family in 0usize..5,
+        family in 0..=EDGES,
         weights in 0usize..3,
         compression in 0usize..4,
     ) {
