@@ -670,8 +670,7 @@ pub(crate) fn run_user_pair(
 ) -> (UserSessions, obs::Registry) {
     let outer = obs::install(obs::Registry::new());
     let pair = {
-        #[cfg(feature = "obs")]
-        let _wall = obs::WallTimer::start("abtest.user_wall");
+        let _wall = obs::ENABLED.then(|| obs::WallTimer::start("abtest.user_wall"));
         obs::counter!("abtest.users", 1);
         let warm = warm_up(user, cfg);
         let sessions = experiment_sessions(user, cfg);
@@ -1169,9 +1168,11 @@ mod tests {
         assert!(records.iter().all(|r| r.pre_p95_mbps.is_nan()));
     }
 
-    #[cfg(feature = "obs")]
     #[test]
     fn metrics_are_thread_count_invariant() {
+        if !obs::ENABLED {
+            return; // a default build records nothing to compare
+        }
         let pop = draw_population(&PopulationConfig::default(), 6, 23);
         let jsonl: Vec<String> = [1usize, 4]
             .iter()

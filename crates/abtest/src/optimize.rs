@@ -247,6 +247,22 @@ mod tests {
         assert_eq!(a.rungs_run, b.rungs_run);
     }
 
+    /// A search reads point estimates only, so its base's replicate count
+    /// changes nothing — not the outcome, and not the time: at the ceiling
+    /// the sixteen CIs an evaluation used to build took minutes a rung.
+    #[test]
+    fn search_ignores_bootstrap_reps() {
+        let mut few = tiny_halving(4, 0);
+        few.base.bootstrap_reps = 1;
+        let mut many = few.clone();
+        many.base.bootstrap_reps = spec::MAX_BOOTSTRAP_REPS;
+        let a = halving_search(&few).unwrap();
+        let b = halving_search(&many).unwrap();
+        assert_eq!(a.evaluations, b.evaluations);
+        assert_eq!(a.best, b.best);
+        assert_eq!(a.user_sessions, b.user_sessions);
+    }
+
     #[test]
     fn halving_candidates_do_not_depend_on_arm_order() {
         let mut cfg = tiny_halving(4, 0);

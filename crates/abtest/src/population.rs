@@ -166,17 +166,6 @@ pub fn draw_population(cfg: &PopulationConfig, n: usize, seed: u64) -> Vec<UserP
         .collect()
 }
 
-/// SplitMix64 finalizer — mixes (seed, index) into an independent per-user
-/// RNG seed so lazy generation is order-free.
-fn mix(seed: u64, index: u64) -> u64 {
-    let mut z = seed
-        .wrapping_add(index.wrapping_mul(0x9E37_79B9_7F4A_7C15))
-        .wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
 /// Generate user `index` of the lazy population `(cfg, seed)` in O(1).
 ///
 /// Each user gets an independent RNG derived from `(seed, index)`, so the
@@ -186,7 +175,10 @@ fn mix(seed: u64, index: u64) -> u64 {
 /// [`draw_population`] but is a *different* (order-free) realization —
 /// the two populations agree statistically, not user-for-user.
 pub fn user_at(cfg: &PopulationConfig, index: u64, seed: u64) -> UserProfile {
-    let mut rng = StdRng::seed_from_u64(mix(seed, index));
+    // One SplitMix64 step from `seed + index·φ`: an independent per-user
+    // RNG seed, so lazy generation is order-free.
+    let mut key = seed.wrapping_add(index.wrapping_mul(0x9E37_79B9_7F4A_7C15));
+    let mut rng = StdRng::seed_from_u64(crate::streaming::splitmix(&mut key));
     draw_user(cfg, index, seed, &mut rng)
 }
 

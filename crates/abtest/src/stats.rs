@@ -82,6 +82,11 @@ impl Aggregate {
     }
 }
 
+/// A finite interval that lies on one side of zero.
+fn excludes_zero(lo: f64, hi: f64) -> bool {
+    lo.is_finite() && hi.is_finite() && (lo > 0.0 || hi < 0.0)
+}
+
 /// A percent-change comparison with a bootstrap confidence interval.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct PercentChange {
@@ -100,9 +105,7 @@ pub struct PercentChange {
 impl PercentChange {
     /// True if the 95% CI excludes zero — the paper's significance rule.
     pub fn significant(&self) -> bool {
-        self.ci_low.is_finite()
-            && self.ci_high.is_finite()
-            && (self.ci_low > 0.0 || self.ci_high < 0.0)
+        excludes_zero(self.ci_low, self.ci_high)
     }
 
     /// Format as the tables do: the change when significant, "–" otherwise,
@@ -130,6 +133,61 @@ pub(crate) fn pct_change(control: f64, treatment: f64) -> f64 {
     }
 }
 
+/// The point estimate of a paired comparison, `(control, treatment,
+/// percent change)`: each arm's finite session values pooled over all
+/// users, then aggregated. It is all a `(c0, c1)` evaluation reads
+/// (`sweep::evaluate`), so that path resamples nothing.
+pub(crate) fn point_change(
+    control: &[Vec<f64>],
+    treatment: &[Vec<f64>],
+    agg: Aggregate,
+) -> (f64, f64, f64) {
+    assert_eq!(
+        control.len(),
+        treatment.len(),
+        "paired arms must align by user"
+    );
+    let pool = |arm: &[Vec<f64>]| -> Vec<f64> {
+        arm.iter()
+            .flatten()
+            .copied()
+            .filter(|x| x.is_finite())
+            .collect()
+    };
+    let c_stat = agg.apply(&pool(control));
+    let t_stat = agg.apply(&pool(treatment));
+    (c_stat, t_stat, pct_change(c_stat, t_stat))
+}
+
+/// The one cluster bootstrap: `reps` replicates, each drawing `n` users
+/// with replacement (one `gen_range(0..n)` per user per replicate — the
+/// draw order every printed CI is pinned to) and handing them to `stat`;
+/// a replicate whose statistic is not finite is dropped. Returns the 95%
+/// percentile interval, NaN when no replicate survives.
+fn cluster_bootstrap(
+    n: usize,
+    reps: usize,
+    seed: u64,
+    mut stat: impl FnMut(&[usize]) -> f64,
+) -> (f64, f64) {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut boots = Vec::with_capacity(reps);
+    let mut users = Vec::with_capacity(n);
+    for _ in 0..reps {
+        users.clear();
+        users.extend((0..n).map(|_| rng.gen_range(0..n)));
+        let s = stat(&users);
+        if s.is_finite() {
+            boots.push(s);
+        }
+    }
+    if boots.is_empty() {
+        (f64::NAN, f64::NAN)
+    } else {
+        (percentile(&boots, 0.025), percentile(&boots, 0.975))
+    }
+}
+
 /// Compare treatment vs control for a *paired* experiment: both arms ran
 /// the same users (the simulator's exact-counterfactual design; see
 /// DESIGN.md §7). `control[i]` and `treatment[i]` hold user `i`'s
@@ -143,45 +201,21 @@ pub fn compare_paired(
     reps: usize,
     seed: u64,
 ) -> PercentChange {
-    assert_eq!(
-        control.len(),
-        treatment.len(),
-        "paired arms must align by user"
-    );
-    let pool = |arm: &[Vec<f64>]| -> Vec<f64> {
-        arm.iter()
-            .flatten()
+    let (c_stat, t_stat, pct) = point_change(control, treatment, agg);
+    let finite = |arm: &[Vec<f64>], users: &[usize]| -> Vec<f64> {
+        users
+            .iter()
+            .flat_map(|&u| &arm[u])
             .copied()
             .filter(|x| x.is_finite())
             .collect()
     };
-    let c_all = pool(control);
-    let t_all = pool(treatment);
-    let c_stat = agg.apply(&c_all);
-    let t_stat = agg.apply(&t_all);
-    let pct = pct_change(c_stat, t_stat);
-
-    let n = control.len();
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut boots = Vec::with_capacity(reps);
-    for _ in 0..reps {
-        let mut c_sample = Vec::new();
-        let mut t_sample = Vec::new();
-        for _ in 0..n {
-            let u = rng.gen_range(0..n);
-            c_sample.extend(control[u].iter().copied().filter(|x| x.is_finite()));
-            t_sample.extend(treatment[u].iter().copied().filter(|x| x.is_finite()));
-        }
-        let p = pct_change(agg.apply(&c_sample), agg.apply(&t_sample));
-        if p.is_finite() {
-            boots.push(p);
-        }
-    }
-    let (lo, hi) = if boots.is_empty() {
-        (f64::NAN, f64::NAN)
-    } else {
-        (percentile(&boots, 0.025), percentile(&boots, 0.975))
-    };
+    let (lo, hi) = cluster_bootstrap(control.len(), reps, seed, |users| {
+        pct_change(
+            agg.apply(&finite(control, users)),
+            agg.apply(&finite(treatment, users)),
+        )
+    });
     PercentChange {
         control: c_stat,
         treatment: t_stat,
@@ -209,9 +243,7 @@ pub struct PairedDelta {
 impl PairedDelta {
     /// True if the CI excludes zero.
     pub fn significant(&self) -> bool {
-        self.ci_low.is_finite()
-            && self.ci_high.is_finite()
-            && (self.ci_low > 0.0 || self.ci_high < 0.0)
+        excludes_zero(self.ci_low, self.ci_high)
     }
 
     /// Compact rendering, "–" when not significant.
@@ -255,23 +287,12 @@ pub fn paired_delta(
     }
     let mean_all = all.iter().sum::<f64>() / all.len() as f64;
 
-    let n = user_deltas.len();
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut boots = Vec::with_capacity(reps);
-    for _ in 0..reps {
-        let mut sample = Vec::new();
-        for _ in 0..n {
-            sample.extend(user_deltas[rng.gen_range(0..n)].iter().copied());
-        }
-        if !sample.is_empty() {
-            boots.push(sample.iter().sum::<f64>() / sample.len() as f64);
-        }
-    }
-    let (lo, hi) = if boots.is_empty() {
-        (f64::NAN, f64::NAN)
-    } else {
-        (percentile(&boots, 0.025), percentile(&boots, 0.975))
-    };
+    // An empty resample has a NaN mean, which the kernel drops.
+    let (lo, hi) = cluster_bootstrap(user_deltas.len(), reps, seed, |users| {
+        let count: usize = users.iter().map(|&u| user_deltas[u].len()).sum();
+        let sum: f64 = users.iter().flat_map(|&u| &user_deltas[u]).sum();
+        sum / count as f64
+    });
     PairedDelta {
         mean_delta_pct: mean_all,
         ci_low: lo,
@@ -555,5 +576,61 @@ mod tests {
                 "q={q}: merged {m} vs pooled {p}"
             );
         }
+    }
+
+    /// Nine users, uneven session counts, one non-finite value and one
+    /// empty user: enough structure that a changed draw order, a changed
+    /// pooling order or a dropped filter moves an endpoint.
+    fn nine_users() -> (Vec<Vec<f64>>, Vec<Vec<f64>>) {
+        let control: Vec<Vec<f64>> = (0..9u32)
+            .map(|u| {
+                (0..(u % 4))
+                    .map(|s| 10.0 + f64::from(u * u) * 1.7 + f64::from(s) * 0.9)
+                    .collect()
+            })
+            .collect();
+        let mut treatment: Vec<Vec<f64>> = control
+            .iter()
+            .enumerate()
+            .map(|(u, c)| c.iter().map(|v| v * (0.7 + 0.05 * u as f64)).collect())
+            .collect();
+        treatment[5][0] = f64::NAN;
+        (control, treatment)
+    }
+
+    /// Every printed CI is pinned to the draw order of the one kernel: one
+    /// `gen_range(0..n)` per user per replicate. The constants are what the
+    /// two hand-written loops it replaced printed for this fixture.
+    #[test]
+    fn bootstrap_kernel_keeps_the_draw_order() {
+        let (c, t) = nine_users();
+        let r = compare_paired(&c, &t, Aggregate::Median, 200, 77);
+        assert_eq!(
+            (r.control, r.treatment, r.pct_change),
+            (39.8, 23.034999999999997, -42.12311557788945)
+        );
+        assert_eq!(
+            (r.ci_low, r.ci_high),
+            (-56.123809523809534, 19.801544727077367)
+        );
+        let r = compare_paired(&c, &t, Aggregate::Mean, 200, 77);
+        assert_eq!(
+            (r.control, r.treatment, r.pct_change),
+            (50.26666666666666, 49.38318181818181, -1.7575958524234376)
+        );
+        assert_eq!(
+            (r.ci_low, r.ci_high),
+            (-33.191330732082285, 6.012239919695328)
+        );
+        let d = paired_delta(&c, &t, 200, 177);
+        assert_eq!(
+            (d.mean_delta_pct, d.ci_low, d.ci_high),
+            (-8.636363636363637, -21.000000000000007, 2.1428571428571463)
+        );
+        // The point estimate alone is the same numbers, with no seed.
+        assert_eq!(
+            point_change(&c, &t, Aggregate::Median),
+            (39.8, 23.034999999999997, -42.12311557788945)
+        );
     }
 }

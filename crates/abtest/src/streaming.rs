@@ -99,7 +99,7 @@ impl Default for StreamConfig {
 
 /// One step of a SplitMix64 stream (also its finalizer when used once):
 /// the workspace's standard cheap, well-mixed hash.
-fn splitmix(state: &mut u64) -> u64 {
+pub(crate) fn splitmix(state: &mut u64) -> u64 {
     *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
     let mut z = *state;
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);

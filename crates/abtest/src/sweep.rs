@@ -5,8 +5,9 @@
 //! several rounds of A/B tests; the published artifact is the tradeoff
 //! curve itself, which a deterministic sweep reproduces.
 
-use crate::experiment::{Arm, Experiment, ExperimentConfig};
+use crate::experiment::{Arm, Experiment, ExperimentConfig, METRICS};
 use crate::population::UserProfile;
+use crate::stats::point_change;
 use netsim::SimError;
 use serde::{Deserialize, Serialize};
 
@@ -69,12 +70,14 @@ pub(crate) fn evaluate(
         .treatment(Arm::Sammy { c0, c1 })
         .config(cfg.clone())
         .run()?;
-    let report = run.report(cfg.bootstrap_reps, cfg.seed);
+    // Point estimates only: nothing downstream of a sweep or a search
+    // reads an interval, so none is resampled (`cfg.bootstrap_reps` is
+    // unused here).
     let get = |name: &str| {
-        report
-            .row(name)
-            .map(|r| r.change.pct_change)
-            .unwrap_or(f64::NAN)
+        let &(_, agg, f) = METRICS.iter().find(|m| m.0 == name).expect("a METRICS row");
+        let c = run.control.metric_by_user(f);
+        let t = run.treatment.metric_by_user(f);
+        point_change(&c, &t, agg).2
     };
     Ok(SweepPoint {
         c0,
@@ -142,6 +145,36 @@ mod tests {
             pts[0].tput_pct < pts[1].tput_pct,
             "aggressive pacing must cut throughput more: {pts:?}"
         );
+    }
+
+    /// The evaluation's four numbers are the report's rows, bit for bit —
+    /// without the sixteen bootstrap CIs the report builds around them.
+    #[test]
+    fn sweep_point_equals_report_rows() {
+        let cfg = ExperimentConfig {
+            users_per_arm: 12,
+            pre_sessions: 1,
+            sessions_per_user: 2,
+            seed: 9,
+            bootstrap_reps: 20,
+            threads: 0,
+        };
+        let pop = draw_population(&PopulationConfig::default(), 12, 9);
+        for (c0, c1) in [(0.8, 0.8), (1.6, 1.2), (3.2, 2.8)] {
+            let point = evaluate(&pop, &cfg, c0, c1).unwrap();
+            let report = Experiment::builder()
+                .population(&pop)
+                .treatment(Arm::Sammy { c0, c1 })
+                .config(cfg.clone())
+                .run()
+                .unwrap()
+                .report(cfg.bootstrap_reps, cfg.seed);
+            let row = |name: &str| report.row(name).unwrap().change.pct_change.to_bits();
+            assert_eq!(point.tput_pct.to_bits(), row("Chunk Throughput"));
+            assert_eq!(point.vmaf_pct.to_bits(), row("VMAF"));
+            assert_eq!(point.play_delay_pct.to_bits(), row("Play Delay"));
+            assert_eq!(point.rebuffer_pct.to_bits(), row("Rebuffers (/ hr)"));
+        }
     }
 
     #[test]

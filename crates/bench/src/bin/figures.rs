@@ -589,22 +589,7 @@ fn fig_cc_matrix(threads: usize) {
         ..Default::default()
     };
     let cells = matrix::cc_matrix(&base, threads);
-    println!(
-        "{:<10} {:>6} {:>8} {:>16} {:>14} {:>8} {:>14}",
-        "substrate", "proto", "arm", "chunk tput Mbps", "median RTT ms", "retx %", "peak queue kB"
-    );
-    for c in &cells {
-        println!(
-            "{:<10} {:>6} {:>8} {:>16.2} {:>14.2} {:>8.3} {:>14.1}",
-            c.substrate,
-            c.transport.name(),
-            c.arm.label(),
-            c.chunk_tput_mbps,
-            c.median_rtt_ms,
-            c.retx_fraction * 100.0,
-            c.peak_queue_kb
-        );
-    }
+    print!("{}", matrix::render_rows(&cells));
     save_csv(
         "fig_cc_matrix.csv",
         matrix::MATRIX_CSV_HEADER,

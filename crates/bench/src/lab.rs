@@ -129,6 +129,15 @@ pub fn lab_title(secs: u64, seed: u64) -> Arc<Title> {
     ))
 }
 
+/// The lab player: start and resume at 8 s of buffer, up to `max_buffer`.
+pub(crate) fn player_config(max_buffer: SimDuration) -> PlayerConfig {
+    PlayerConfig {
+        start_threshold: SimDuration::from_secs(8),
+        resume_threshold: SimDuration::from_secs(8),
+        max_buffer,
+    }
+}
+
 /// Build the arm's ABR with a warmed history (lab devices have seen this
 /// network before; estimate near link rate with full confidence).
 pub(crate) fn lab_abr(arm: LabArm) -> Box<dyn Abr> {
@@ -170,16 +179,7 @@ pub fn install_video(
     sim.set_endpoint(server_node, Box::new(server));
 
     let title = lab_title(cfg.title_secs, cfg.seed);
-    let player = Player::new(
-        title,
-        lab_abr(arm),
-        PlayerConfig {
-            start_threshold: SimDuration::from_secs(8),
-            resume_threshold: SimDuration::from_secs(8),
-            max_buffer: cfg.max_buffer,
-        },
-        start,
-    );
+    let player = Player::new(title, lab_abr(arm), player_config(cfg.max_buffer), start);
     let client =
         VideoClientEndpoint::with_protocol(client_node, server_node, flow, player, cfg.transport);
     client.install(sim, start);
@@ -434,11 +434,7 @@ fn run_burst_experiment(burst: Option<u32>, cfg: &LabConfig) -> f64 {
     let player = Player::new(
         title,
         Box::new(abr),
-        PlayerConfig {
-            start_threshold: SimDuration::from_secs(8),
-            resume_threshold: SimDuration::from_secs(8),
-            max_buffer: SimDuration::from_secs(240),
-        },
+        player_config(SimDuration::from_secs(240)),
         SimTime::ZERO,
     );
     VideoClientEndpoint::new(client_node, server_node, flow, player)

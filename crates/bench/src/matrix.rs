@@ -137,6 +137,28 @@ pub fn matrix_csv_rows(cells: &[MatrixCell]) -> Vec<String> {
         .collect()
 }
 
+/// The matrix as the aligned text table `figures fig_cc_matrix` and
+/// `sammy-sim matrix` print: a header line, then one line per cell.
+pub fn render_rows(cells: &[MatrixCell]) -> String {
+    let mut out = format!(
+        "{:<10} {:>6} {:>8} {:>16} {:>14} {:>8} {:>14}\n",
+        "substrate", "proto", "arm", "chunk tput Mbps", "median RTT ms", "retx %", "peak queue kB"
+    );
+    for c in cells {
+        out.push_str(&format!(
+            "{:<10} {:>6} {:>8} {:>16.2} {:>14.2} {:>8.3} {:>14.1}\n",
+            c.substrate,
+            c.transport.name(),
+            c.arm.label(),
+            c.chunk_tput_mbps,
+            c.median_rtt_ms,
+            c.retx_fraction * 100.0,
+            c.peak_queue_kb
+        ));
+    }
+    out
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

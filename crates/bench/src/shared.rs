@@ -21,13 +21,13 @@
 //! every `--threads` setting — the shared-determinism golden test pins the
 //! N=8 fairness CSV across thread counts.
 
-use crate::lab::{lab_abr, lab_title, LabArm};
+use crate::lab::{lab_abr, lab_title, player_config, LabArm};
 use netsim::{
     Discipline, FlowId, LinkConfig, QueueMonitor, Rate, SharedTopology, SharedTopologyConfig,
     SimDuration, SimTime, Simulator,
 };
 use transport::{MultiSenderEndpoint, TcpConfig};
-use video::{Player, PlayerConfig, VideoClientEndpoint};
+use video::{Player, VideoClientEndpoint};
 
 /// Configuration for a shared-bottleneck multi-session run.
 #[derive(Debug, Clone)]
@@ -140,11 +140,7 @@ pub fn shared_sessions(arm: LabArm, cfg: &SharedLabConfig) -> SharedRunResult {
         let player = Player::new(
             title,
             lab_abr(arm),
-            PlayerConfig {
-                start_threshold: SimDuration::from_secs(8),
-                resume_threshold: SimDuration::from_secs(8),
-                max_buffer: cfg.max_buffer,
-            },
+            player_config(cfg.max_buffer),
             SimTime::ZERO,
         );
         VideoClientEndpoint::new(topo.clients[i], topo.origin, flow, player)

@@ -17,8 +17,9 @@
 //!
 //! ## Hot-path layout
 //!
-//! The event loop is allocation-free in steady state: endpoint callbacks
-//! write into scratch buffers owned by the simulator (reused across events),
+//! Endpoint callbacks append what they emit to two `Vec`s that live for
+//! the one callback — empty ones allocate nothing, and lending run-long
+//! scratch buffers instead bought 3 %, under the 5 % bar (DESIGN.md §11);
 //! routing tables and per-link/per-flow state are dense vectors indexed by
 //! the id newtypes, and endpoint timers — the dominant event class under
 //! pacing — live in a binary heap of their own beside the packet event heap,
@@ -52,8 +53,7 @@ pub trait Endpoint {
 
 /// The interface an [`Endpoint`] uses to act on the network.
 ///
-/// Borrows the simulator's scratch buffers for the duration of one callback;
-/// nothing is allocated per event.
+/// Borrows the two buffers one callback's output is collected in.
 pub struct NodeCtx<'a> {
     node: NodeId,
     out: &'a mut Vec<Packet>,
@@ -199,10 +199,6 @@ pub struct Simulator {
     /// Fallback for out-of-range flow ids.
     flow_stats_overflow: HashMap<FlowId, FlowStats>,
     processed_events: u64,
-    /// Scratch buffers lent to endpoint callbacks via [`NodeCtx`]; drained
-    /// after every callback, so capacity is reused run-long.
-    scratch_out: Vec<Packet>,
-    scratch_timers: Vec<(SimTime, u64)>,
     /// Scratch buffer for AQM head-drops surfaced by `Queue::dequeue`.
     scratch_dropped: Vec<PacketRef>,
     /// `(at, seq)` of the most recently dispatched event (validate feature):
@@ -639,15 +635,15 @@ impl Simulator {
     }
 
     /// Run one callback on `node`'s endpoint (a node without one ignores
-    /// the event), lending it the scratch buffers through a [`NodeCtx`],
-    /// then apply what it emitted. The endpoint and the buffers are moved
-    /// out for the call so `apply_ctx` can borrow `self` mutably.
+    /// the event), collecting what it emits through a [`NodeCtx`], then
+    /// apply it. The endpoint is moved out for the call so `apply_ctx` can
+    /// borrow `self` mutably.
     fn with_endpoint(&mut self, node: NodeId, call: impl FnOnce(&mut dyn Endpoint, &mut NodeCtx)) {
         let Some(mut ep) = self.nodes[node.0].endpoint.take() else {
             return;
         };
-        let mut out = std::mem::take(&mut self.scratch_out);
-        let mut timers = std::mem::take(&mut self.scratch_timers);
+        let mut out = Vec::new();
+        let mut timers = Vec::new();
         let mut ctx = NodeCtx {
             node,
             out: &mut out,
@@ -656,11 +652,9 @@ impl Simulator {
         call(ep.as_mut(), &mut ctx);
         self.nodes[node.0].endpoint = Some(ep);
         self.apply_ctx(node, &mut out, &mut timers);
-        self.scratch_out = out;
-        self.scratch_timers = timers;
     }
 
-    /// Drain one callback's scratch output into the queues. Timers first,
+    /// Drain one callback's output into the queues. Timers first,
     /// then packets — the historical seq-assignment order, which golden
     /// tests pin.
     fn apply_ctx(&mut self, node: NodeId, out: &mut Vec<Packet>, timers: &mut Vec<(SimTime, u64)>) {

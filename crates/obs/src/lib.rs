@@ -6,12 +6,16 @@
 //!
 //! ## Design
 //!
-//! Instrumentation is **macro-gated** like `netsim::invariant!`: every
-//! instrumented crate declares its own `obs` cargo feature, and the
+//! Instrumentation is gated by **one switch**, this crate's `enabled`
+//! feature (the root package's `obs` feature is its alias), read as the
+//! constant [`ENABLED`]: the
 //! [`counter!`]/[`gauge!`]/[`observe!`]/[`span!`]/[`trace_event!`] macros
-//! expand to nothing when that feature is off — hot paths carry zero cost
-//! by construction. With the feature on, recording goes to a
-//! **thread-local** registry (no locks anywhere on the hot path).
+//! expand to `if obs::ENABLED { … }` in every crate, so both modes
+//! type-check in every build and the off mode is a dead branch the
+//! optimizer deletes — hot paths carry zero cost. With the feature on,
+//! recording goes to a **thread-local** registry (no locks anywhere on the
+//! hot path); it is a `BTreeMap` lookup per sample, which is why it is not
+//! always on (DESIGN.md §13 has the prices).
 //!
 //! Determinism is part of the contract: recorded values derive only from
 //! simulation state (counts, sim-time durations), never the wall clock,
@@ -38,6 +42,10 @@ pub use snapshot::intern;
 use std::cell::RefCell;
 use std::collections::{BTreeMap, VecDeque};
 use tdigest::TDigest;
+
+/// Whether telemetry is compiled in: the `enabled` feature. The recording
+/// macros branch on it; code that only prepares a recorded value can too.
+pub const ENABLED: bool = cfg!(feature = "enabled");
 
 /// Number of fixed histogram buckets: bucket 0 collects non-positive and
 /// non-finite samples; bucket `i >= 1` spans `[2^(i-32), 2^(i-31))`.
@@ -484,53 +492,54 @@ impl Drop for WallTimer {
     }
 }
 
-/// Add `delta` to a named counter (no-op unless the expanding crate's
-/// `obs` feature is enabled).
+/// Add `delta` to a named counter (no-op unless [`ENABLED`]).
 #[macro_export]
 macro_rules! counter {
     ($name:literal, $delta:expr) => {{
-        #[cfg(feature = "obs")]
-        $crate::with(|r| r.counter($name, $delta));
+        if $crate::ENABLED {
+            $crate::with(|r| r.counter($name, $delta));
+        }
     }};
 }
 
-/// Record a gauge sample (no-op unless the expanding crate's `obs`
-/// feature is enabled).
+/// Record a gauge sample (no-op unless [`ENABLED`]).
 #[macro_export]
 macro_rules! gauge {
     ($name:literal, $value:expr) => {{
-        #[cfg(feature = "obs")]
-        $crate::with(|r| r.gauge($name, $value));
+        if $crate::ENABLED {
+            $crate::with(|r| r.gauge($name, $value));
+        }
     }};
 }
 
-/// Record a histogram sample (no-op unless the expanding crate's `obs`
-/// feature is enabled).
+/// Record a histogram sample (no-op unless [`ENABLED`]).
 #[macro_export]
 macro_rules! observe {
     ($name:literal, $value:expr) => {{
-        #[cfg(feature = "obs")]
-        $crate::with(|r| r.observe($name, $value));
+        if $crate::ENABLED {
+            $crate::with(|r| r.observe($name, $value));
+        }
     }};
 }
 
-/// Record a completed sim-time span in nanoseconds (no-op unless the
-/// expanding crate's `obs` feature is enabled).
+/// Record a completed sim-time span in nanoseconds (no-op unless [`ENABLED`]).
 #[macro_export]
 macro_rules! span {
     ($name:literal, $dur_ns:expr) => {{
-        #[cfg(feature = "obs")]
-        $crate::with(|r| r.span($name, $dur_ns));
+        if $crate::ENABLED {
+            $crate::with(|r| r.span($name, $dur_ns));
+        }
     }};
 }
 
 /// Append a structured trace event: `trace_event!(RebufferStart, t_ns, a, b)`
-/// (no-op unless the expanding crate's `obs` feature is enabled).
+/// (no-op unless [`ENABLED`]).
 #[macro_export]
 macro_rules! trace_event {
     ($id:ident, $t_ns:expr, $a:expr, $b:expr) => {{
-        #[cfg(feature = "obs")]
-        $crate::with(|r| r.trace($crate::TraceId::$id, $t_ns, $a, $b));
+        if $crate::ENABLED {
+            $crate::with(|r| r.trace($crate::TraceId::$id, $t_ns, $a, $b));
+        }
     }};
 }
 

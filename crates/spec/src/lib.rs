@@ -23,19 +23,19 @@ use netsim::{DumbbellConfig, Rate, SimDuration, SimError};
 use serde::{Deserialize, Serialize};
 use transport::{CcAlgorithm, Protocol};
 
-fn unknown_field(
+fn no_unknown_field(
     what: &'static str,
     known: &[&str],
     fields: &[(String, Value)],
-) -> Option<SimError> {
-    fields
-        .iter()
-        .find(|(k, _)| !known.contains(&k.as_str()))
-        .map(|(k, _)| SimError::Parse {
+) -> Result<(), SimError> {
+    match fields.iter().find(|(k, _)| !known.contains(&k.as_str())) {
+        None => Ok(()),
+        Some((k, _)) => Err(SimError::Parse {
             what,
             input: k.clone(),
             reason: format!("unknown field `{k}` (known fields: {})", known.join(", ")),
-        })
+        }),
+    }
 }
 
 fn want_obj<'v>(what: &'static str, v: &'v Value) -> Result<&'v [(String, Value)], SimError> {
@@ -54,16 +54,162 @@ fn field_err(what: &'static str, key: &str, v: &Value, want: &str) -> SimError {
     }
 }
 
-fn get_f64(what: &'static str, v: &Value, key: &str, default: f64) -> Result<f64, SimError> {
-    match v.get(key) {
-        None => Ok(default),
-        Some(f) => f
-            .as_f64()
-            .ok_or_else(|| field_err(what, key, f, "a number")),
+/// A spec field type: how it renders to JSON and parses back. `what` and
+/// `key` name the enclosing object and field for the error message; a
+/// nested spec reports its own errors and ignores them.
+trait Field: Sized {
+    fn render(&self) -> Value;
+    fn parse(what: &'static str, key: &str, v: &Value) -> Result<Self, SimError>;
+}
+
+impl Field for f64 {
+    fn render(&self) -> Value {
+        Value::Num(*self)
+    }
+    fn parse(what: &'static str, key: &str, v: &Value) -> Result<Self, SimError> {
+        v.as_f64()
+            .ok_or_else(|| field_err(what, key, v, "a number"))
     }
 }
 
-/// A pace multiplier: like [`get_f64`], and positive. The runner's
+/// Integers travel as JSON numbers, exact up to 2^53 (`as_u64` refuses
+/// more); one that does not fit the field's type is refused, not truncated.
+macro_rules! int_field {
+    ($($ty:ty),+) => {$(
+        impl Field for $ty {
+            fn render(&self) -> Value {
+                Value::Num(*self as f64)
+            }
+            fn parse(what: &'static str, key: &str, v: &Value) -> Result<Self, SimError> {
+                v.as_u64()
+                    .and_then(|n| <$ty>::try_from(n).ok())
+                    .ok_or_else(|| field_err(what, key, v, "a non-negative integer"))
+            }
+        }
+    )+};
+}
+int_field!(u64, usize, u32);
+
+impl Field for bool {
+    fn render(&self) -> Value {
+        Value::Bool(*self)
+    }
+    fn parse(what: &'static str, key: &str, v: &Value) -> Result<Self, SimError> {
+        v.as_bool()
+            .ok_or_else(|| field_err(what, key, v, "a boolean"))
+    }
+}
+
+impl Field for String {
+    fn render(&self) -> Value {
+        Value::Str(self.clone())
+    }
+    fn parse(what: &'static str, key: &str, v: &Value) -> Result<Self, SimError> {
+        v.as_str()
+            .map(str::to_string)
+            .ok_or_else(|| field_err(what, key, v, "a string"))
+    }
+}
+
+/// The two wire enums: a string, then their own `FromStr`.
+macro_rules! enum_field {
+    ($($ty:ty),+) => {$(
+        impl Field for $ty {
+            fn render(&self) -> Value {
+                Value::Str(self.to_string())
+            }
+            fn parse(what: &'static str, key: &str, v: &Value) -> Result<Self, SimError> {
+                v.as_str()
+                    .ok_or_else(|| field_err(what, key, v, "a string"))?
+                    .parse()
+            }
+        }
+    )+};
+}
+enum_field!(Protocol, CcAlgorithm);
+
+impl Field for Vec<ArmPoint> {
+    fn render(&self) -> Value {
+        Value::Arr(self.iter().map(ArmPoint::to_json).collect())
+    }
+    fn parse(what: &'static str, key: &str, v: &Value) -> Result<Self, SimError> {
+        v.as_arr()
+            .ok_or_else(|| field_err(what, key, v, "an array"))?
+            .iter()
+            .map(ArmPoint::from_json)
+            .collect()
+    }
+}
+
+/// A nested spec is a field of its parent through its own codec.
+macro_rules! nested_field {
+    ($($ty:ty),+) => {$(
+        impl Field for $ty {
+            fn render(&self) -> Value {
+                self.to_json()
+            }
+            fn parse(_: &'static str, _: &str, v: &Value) -> Result<Self, SimError> {
+                Self::from_json(v)
+            }
+        }
+    )+};
+}
+nested_field!(ArmSpec);
+
+/// One field list per spec struct. Emits, in declaration order: the
+/// struct, its `Default`, `to_json` (fixed field order — deterministic
+/// bytes) and `from_json` (an object; unknown fields rejected naming the
+/// known ones; missing fields default), and its [`Field`] impl so it nests.
+/// `checked by f` runs `f(&spec)?` on the parsed value — the hand-written
+/// semantic checks.
+macro_rules! spec_struct {
+    (
+        $(#[$meta:meta])*
+        pub struct $name:ident $(checked by $check:path)? {
+            $(
+                $(#[$fmeta:meta])*
+                pub $field:ident: $ty:ty = $default:expr,
+            )+
+        }
+    ) => {
+        $(#[$meta])*
+        pub struct $name {
+            $( $(#[$fmeta])* pub $field: $ty, )+
+        }
+
+        impl Default for $name {
+            fn default() -> Self {
+                $name { $( $field: $default, )+ }
+            }
+        }
+
+        impl $name {
+            /// Render as a JSON value.
+            pub fn to_json(&self) -> Value {
+                obj(vec![ $( (stringify!($field), self.$field.render()), )+ ])
+            }
+
+            /// Parse from a JSON value; missing fields default, unknown fields err.
+            pub fn from_json(v: &Value) -> Result<Self, SimError> {
+                const WHAT: &str = stringify!($name);
+                let fields = want_obj(WHAT, v)?;
+                no_unknown_field(WHAT, &[$(stringify!($field)),+], fields)?;
+                let mut spec = $name::default();
+                $(
+                    if let Some(f) = v.get(stringify!($field)) {
+                        spec.$field = Field::parse(WHAT, stringify!($field), f)?;
+                    }
+                )+
+                $( $check(&spec)?; )?
+                Ok(spec)
+            }
+        }
+
+        nested_field!($name);
+    };
+}
+
+/// A pace multiplier: a number, and positive. The runner's
 /// `PaceSelector::new` / `NaivePacedAbr::new` assert exactly this, so a
 /// zero or negative one that got past here would be a panic per user.
 fn get_multiplier(
@@ -72,7 +218,10 @@ fn get_multiplier(
     key: &'static str,
     default: f64,
 ) -> Result<f64, SimError> {
-    let m = get_f64(what, v, key, default)?;
+    let m = match v.get(key) {
+        None => default,
+        Some(f) => f64::parse(what, key, f)?,
+    };
     if m > 0.0 {
         Ok(m)
     } else {
@@ -83,154 +232,57 @@ fn get_multiplier(
     }
 }
 
-fn get_u64(what: &'static str, v: &Value, key: &str, default: u64) -> Result<u64, SimError> {
-    match v.get(key) {
-        None => Ok(default),
-        Some(f) => f
-            .as_u64()
-            .ok_or_else(|| field_err(what, key, f, "a non-negative integer")),
+spec_struct! {
+    /// Wire protocol + congestion control + pacing burst for the video sender.
+    #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+    pub struct TransportSpec {
+        /// Wire protocol (`"tcp"` or `"quic"`).
+        pub protocol: Protocol = Protocol::Tcp,
+        /// Congestion control (`"reno"`, `"cubic"`, `"bbr"`, `"ledbat"`).
+        pub cc: CcAlgorithm = CcAlgorithm::Reno,
+        /// Pacer burst allowance in packets.
+        pub burst_packets: u32 = 4,
     }
 }
 
-fn get_usize(what: &'static str, v: &Value, key: &str, default: usize) -> Result<usize, SimError> {
-    get_u64(what, v, key, default as u64).map(|n| n as usize)
-}
-
-fn get_bool(what: &'static str, v: &Value, key: &str, default: bool) -> Result<bool, SimError> {
-    match v.get(key) {
-        None => Ok(default),
-        Some(f) => f
-            .as_bool()
-            .ok_or_else(|| field_err(what, key, f, "a boolean")),
-    }
-}
-
-fn get_string(what: &'static str, v: &Value, key: &str, default: &str) -> Result<String, SimError> {
-    match v.get(key) {
-        None => Ok(default.to_string()),
-        Some(f) => f
-            .as_str()
-            .map(str::to_string)
-            .ok_or_else(|| field_err(what, key, f, "a string")),
-    }
-}
-
-/// Wire protocol + congestion control + pacing burst for the video sender.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct TransportSpec {
-    /// Wire protocol (`"tcp"` or `"quic"`).
-    pub protocol: Protocol,
-    /// Congestion control (`"reno"`, `"cubic"`, `"bbr"`, `"ledbat"`).
-    pub cc: CcAlgorithm,
-    /// Pacer burst allowance in packets.
-    pub burst_packets: u32,
-}
-
-impl Default for TransportSpec {
-    fn default() -> Self {
-        TransportSpec {
-            protocol: Protocol::Tcp,
-            cc: CcAlgorithm::Reno,
-            burst_packets: 4,
-        }
-    }
-}
-
-impl TransportSpec {
-    const WHAT: &'static str = "TransportSpec";
-    const FIELDS: &'static [&'static str] = &["protocol", "cc", "burst_packets"];
-
-    /// Render as a JSON value.
-    pub fn to_json(&self) -> Value {
-        obj(vec![
-            ("protocol", Value::Str(self.protocol.to_string())),
-            ("cc", Value::Str(self.cc.to_string())),
-            ("burst_packets", Value::Num(self.burst_packets as f64)),
-        ])
-    }
-
-    /// Parse from a JSON value; missing fields default, unknown fields err.
-    pub fn from_json(v: &Value) -> Result<Self, SimError> {
-        let fields = want_obj(Self::WHAT, v)?;
-        if let Some(e) = unknown_field(Self::WHAT, Self::FIELDS, fields) {
-            return Err(e);
-        }
-        let d = TransportSpec::default();
-        let protocol = match v.get("protocol") {
-            None => d.protocol,
-            Some(f) => f
-                .as_str()
-                .ok_or_else(|| field_err(Self::WHAT, "protocol", f, "a string"))?
-                .parse()?,
-        };
-        let cc = match v.get("cc") {
-            None => d.cc,
-            Some(f) => f
-                .as_str()
-                .ok_or_else(|| field_err(Self::WHAT, "cc", f, "a string"))?
-                .parse()?,
-        };
-        let burst_packets = get_u64(Self::WHAT, v, "burst_packets", d.burst_packets as u64)? as u32;
-        Ok(TransportSpec {
-            protocol,
-            cc,
-            burst_packets,
-        })
-    }
-}
-
-/// Bottleneck network shape for lab (dumbbell) experiments.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct NetworkSpec {
-    /// Bottleneck rate in Mbps.
-    pub rate_mbps: f64,
-    /// Path round-trip propagation time in ms.
-    pub rtt_ms: f64,
-    /// Bottleneck queue size as a multiple of the BDP.
-    pub queue_bdp: f64,
-    /// Simulated run length in seconds.
-    pub run_secs: u64,
-}
-
-impl Default for NetworkSpec {
-    /// The paper's lab setup (§6): 40 Mbps, 5 ms RTT, 4x BDP queue.
-    fn default() -> Self {
-        NetworkSpec {
-            rate_mbps: 40.0,
-            rtt_ms: 5.0,
-            queue_bdp: 4.0,
-            run_secs: 120,
-        }
+spec_struct! {
+    /// Bottleneck network shape for lab (dumbbell) experiments. Defaults
+    /// to the paper's lab setup (§6): 40 Mbps, 5 ms RTT, 4x BDP queue.
+    #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+    pub struct NetworkSpec checked by NetworkSpec::check {
+        /// Bottleneck rate in Mbps.
+        pub rate_mbps: f64 = 40.0,
+        /// Path round-trip propagation time in ms.
+        pub rtt_ms: f64 = 5.0,
+        /// Bottleneck queue size as a multiple of the BDP.
+        pub queue_bdp: f64 = 4.0,
+        /// Simulated run length in seconds.
+        pub run_secs: u64 = 120,
     }
 }
 
 impl NetworkSpec {
-    const WHAT: &'static str = "NetworkSpec";
-    const FIELDS: &'static [&'static str] = &["rate_mbps", "rtt_ms", "queue_bdp", "run_secs"];
-
-    /// Render as a JSON value.
-    pub fn to_json(&self) -> Value {
-        obj(vec![
-            ("rate_mbps", Value::Num(self.rate_mbps)),
-            ("rtt_ms", Value::Num(self.rtt_ms)),
-            ("queue_bdp", Value::Num(self.queue_bdp)),
-            ("run_secs", Value::Num(self.run_secs as f64)),
-        ])
-    }
-
-    /// Parse from a JSON value; missing fields default, unknown fields err.
-    pub fn from_json(v: &Value) -> Result<Self, SimError> {
-        let fields = want_obj(Self::WHAT, v)?;
-        if let Some(e) = unknown_field(Self::WHAT, Self::FIELDS, fields) {
-            return Err(e);
+    /// A dumbbell needs a positive rate and queue and a non-negative RTT,
+    /// all finite: a zero rate divides, and its play delay prints NaN.
+    fn check(&self) -> Result<(), SimError> {
+        for (field, value, lowest_ok) in [
+            ("rate_mbps", self.rate_mbps, f64::MIN_POSITIVE),
+            ("rtt_ms", self.rtt_ms, 0.0),
+            ("queue_bdp", self.queue_bdp, f64::MIN_POSITIVE),
+        ] {
+            if !(value.is_finite() && value >= lowest_ok) {
+                let bound = if lowest_ok > 0.0 {
+                    "positive"
+                } else {
+                    "non-negative"
+                };
+                return Err(SimError::InvalidConfig {
+                    field,
+                    reason: format!("must be finite and {bound}, got {value}"),
+                });
+            }
         }
-        let d = NetworkSpec::default();
-        Ok(NetworkSpec {
-            rate_mbps: get_f64(Self::WHAT, v, "rate_mbps", d.rate_mbps)?,
-            rtt_ms: get_f64(Self::WHAT, v, "rtt_ms", d.rtt_ms)?,
-            queue_bdp: get_f64(Self::WHAT, v, "queue_bdp", d.queue_bdp)?,
-            run_secs: get_u64(Self::WHAT, v, "run_secs", d.run_secs)?,
-        })
+        Ok(())
     }
 
     /// The dumbbell this network describes, with `pairs` host pairs.
@@ -316,9 +368,7 @@ impl ArmSpec {
                 })
             }
         };
-        if let Some(e) = unknown_field(Self::WHAT, known, fields) {
-            return Err(e);
-        }
+        no_unknown_field(Self::WHAT, known, fields)?;
         Ok(match kind {
             "production" => ArmSpec::Production,
             "initial-only" => ArmSpec::InitialOnly,
@@ -346,140 +396,53 @@ pub const MAX_BOOTSTRAP_REPS: usize = 100_000;
 /// unbounded rung is an allocation abort, not an error.
 pub const MAX_SEARCH_USERS: usize = 100_000;
 
-/// A complete A/B experiment: arms, population sizing, seeds, and the
-/// network/transport substrate. The single source of truth consumed by
-/// `POST /runs`, `sammy-sim`, and `bench::{lab,matrix}`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct ExperimentSpec {
-    /// Human-readable experiment name (labels reports and run dirs).
-    pub name: String,
-    /// Control arm.
-    pub control: ArmSpec,
-    /// Treatment arm.
-    pub treatment: ArmSpec,
-    /// Users per arm.
-    pub users_per_arm: usize,
-    /// Pre-experiment sessions per user (history warm-up).
-    pub pre_sessions: usize,
-    /// Experiment sessions per user.
-    pub sessions_per_user: usize,
-    /// Seed for population and session randomness.
-    pub seed: u64,
-    /// Bootstrap replicates for CIs.
-    pub bootstrap_reps: usize,
-    /// Worker threads (0 = all cores); never affects results.
-    pub threads: usize,
-    /// Users per shard for the streaming runner.
-    pub shard_size: usize,
-    /// Use the trimmed-down population model (fast CI runs).
-    pub light_population: bool,
-    /// Bottleneck network shape (lab harnesses only).
-    pub network: NetworkSpec,
-    /// Transport substrate (lab harnesses only).
-    pub transport: TransportSpec,
-}
-
-impl Default for ExperimentSpec {
-    fn default() -> Self {
-        ExperimentSpec {
-            name: "experiment".into(),
-            control: ArmSpec::Production,
-            treatment: ArmSpec::Sammy { c0: 3.2, c1: 2.8 },
-            users_per_arm: 400,
-            pre_sessions: 3,
-            sessions_per_user: 4,
-            seed: 1,
-            bootstrap_reps: 600,
-            threads: 0,
-            shard_size: 256,
-            light_population: false,
-            network: NetworkSpec::default(),
-            transport: TransportSpec::default(),
-        }
+spec_struct! {
+    /// A complete A/B experiment: arms, population sizing, seeds, and the
+    /// network/transport substrate. The single source of truth consumed by
+    /// `POST /runs`, `sammy-sim`, and `bench::{lab,matrix}`.
+    #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+    pub struct ExperimentSpec checked by ExperimentSpec::check_reps {
+        /// Human-readable experiment name (labels reports and run dirs).
+        pub name: String = "experiment".into(),
+        /// Control arm.
+        pub control: ArmSpec = ArmSpec::Production,
+        /// Treatment arm.
+        pub treatment: ArmSpec = ArmSpec::Sammy { c0: 3.2, c1: 2.8 },
+        /// Users per arm.
+        pub users_per_arm: usize = 400,
+        /// Pre-experiment sessions per user (history warm-up).
+        pub pre_sessions: usize = 3,
+        /// Experiment sessions per user.
+        pub sessions_per_user: usize = 4,
+        /// Seed for population and session randomness.
+        pub seed: u64 = 1,
+        /// Bootstrap replicates for CIs.
+        pub bootstrap_reps: usize = 600,
+        /// Worker threads (0 = all cores); never affects results.
+        pub threads: usize = 0,
+        /// Users per shard for the streaming runner.
+        pub shard_size: usize = 256,
+        /// Use the trimmed-down population model (fast CI runs).
+        pub light_population: bool = false,
+        /// Bottleneck network shape (lab harnesses only).
+        pub network: NetworkSpec = NetworkSpec::default(),
+        /// Transport substrate (lab harnesses only).
+        pub transport: TransportSpec = TransportSpec::default(),
     }
 }
 
 impl ExperimentSpec {
-    const WHAT: &'static str = "ExperimentSpec";
-    const FIELDS: &'static [&'static str] = &[
-        "name",
-        "control",
-        "treatment",
-        "users_per_arm",
-        "pre_sessions",
-        "sessions_per_user",
-        "seed",
-        "bootstrap_reps",
-        "threads",
-        "shard_size",
-        "light_population",
-        "network",
-        "transport",
-    ];
-
-    /// Render as a JSON value (fixed field order — deterministic bytes).
-    pub fn to_json(&self) -> Value {
-        obj(vec![
-            ("name", Value::Str(self.name.clone())),
-            ("control", self.control.to_json()),
-            ("treatment", self.treatment.to_json()),
-            ("users_per_arm", Value::Num(self.users_per_arm as f64)),
-            ("pre_sessions", Value::Num(self.pre_sessions as f64)),
-            (
-                "sessions_per_user",
-                Value::Num(self.sessions_per_user as f64),
-            ),
-            ("seed", Value::Num(self.seed as f64)),
-            ("bootstrap_reps", Value::Num(self.bootstrap_reps as f64)),
-            ("threads", Value::Num(self.threads as f64)),
-            ("shard_size", Value::Num(self.shard_size as f64)),
-            ("light_population", Value::Bool(self.light_population)),
-            ("network", self.network.to_json()),
-            ("transport", self.transport.to_json()),
-        ])
-    }
-
-    /// Parse from a JSON value; missing fields default, unknown fields err.
-    pub fn from_json(v: &Value) -> Result<Self, SimError> {
-        let fields = want_obj(Self::WHAT, v)?;
-        if let Some(e) = unknown_field(Self::WHAT, Self::FIELDS, fields) {
-            return Err(e);
-        }
-        let d = ExperimentSpec::default();
-        let bootstrap_reps = get_usize(Self::WHAT, v, "bootstrap_reps", d.bootstrap_reps)?;
-        if bootstrap_reps > MAX_BOOTSTRAP_REPS {
+    fn check_reps(&self) -> Result<(), SimError> {
+        if self.bootstrap_reps > MAX_BOOTSTRAP_REPS {
             return Err(SimError::InvalidConfig {
                 field: "bootstrap_reps",
-                reason: format!("must be at most {MAX_BOOTSTRAP_REPS}, got {bootstrap_reps}"),
+                reason: format!(
+                    "must be at most {MAX_BOOTSTRAP_REPS}, got {}",
+                    self.bootstrap_reps
+                ),
             });
         }
-        Ok(ExperimentSpec {
-            name: get_string(Self::WHAT, v, "name", &d.name)?,
-            control: match v.get("control") {
-                None => d.control,
-                Some(f) => ArmSpec::from_json(f)?,
-            },
-            treatment: match v.get("treatment") {
-                None => d.treatment,
-                Some(f) => ArmSpec::from_json(f)?,
-            },
-            users_per_arm: get_usize(Self::WHAT, v, "users_per_arm", d.users_per_arm)?,
-            pre_sessions: get_usize(Self::WHAT, v, "pre_sessions", d.pre_sessions)?,
-            sessions_per_user: get_usize(Self::WHAT, v, "sessions_per_user", d.sessions_per_user)?,
-            seed: get_u64(Self::WHAT, v, "seed", d.seed)?,
-            bootstrap_reps,
-            threads: get_usize(Self::WHAT, v, "threads", d.threads)?,
-            shard_size: get_usize(Self::WHAT, v, "shard_size", d.shard_size)?,
-            light_population: get_bool(Self::WHAT, v, "light_population", d.light_population)?,
-            network: match v.get("network") {
-                None => d.network,
-                Some(f) => NetworkSpec::from_json(f)?,
-            },
-            transport: match v.get("transport") {
-                None => d.transport,
-                Some(f) => TransportSpec::from_json(f)?,
-            },
-        })
+        Ok(())
     }
 
     /// Parse from a JSON string.
@@ -488,54 +451,17 @@ impl ExperimentSpec {
     }
 }
 
-/// QoE guardrails a candidate arm must satisfy (percent-change bounds vs
-/// control, from the median statistic).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct GuardSpec {
-    /// Lowest acceptable VMAF change (%).
-    pub min_vmaf_pct: f64,
-    /// Highest acceptable play-delay change (%).
-    pub max_play_delay_pct: f64,
-    /// Highest acceptable rebuffer-rate change (%).
-    pub max_rebuffer_pct: f64,
-}
-
-impl Default for GuardSpec {
-    fn default() -> Self {
-        GuardSpec {
-            min_vmaf_pct: -0.1,
-            max_play_delay_pct: 1.0,
-            max_rebuffer_pct: 5.0,
-        }
-    }
-}
-
-impl GuardSpec {
-    const WHAT: &'static str = "GuardSpec";
-    const FIELDS: &'static [&'static str] =
-        &["min_vmaf_pct", "max_play_delay_pct", "max_rebuffer_pct"];
-
-    /// Render as a JSON value.
-    pub fn to_json(&self) -> Value {
-        obj(vec![
-            ("min_vmaf_pct", Value::Num(self.min_vmaf_pct)),
-            ("max_play_delay_pct", Value::Num(self.max_play_delay_pct)),
-            ("max_rebuffer_pct", Value::Num(self.max_rebuffer_pct)),
-        ])
-    }
-
-    /// Parse from a JSON value; missing fields default, unknown fields err.
-    pub fn from_json(v: &Value) -> Result<Self, SimError> {
-        let fields = want_obj(Self::WHAT, v)?;
-        if let Some(e) = unknown_field(Self::WHAT, Self::FIELDS, fields) {
-            return Err(e);
-        }
-        let d = GuardSpec::default();
-        Ok(GuardSpec {
-            min_vmaf_pct: get_f64(Self::WHAT, v, "min_vmaf_pct", d.min_vmaf_pct)?,
-            max_play_delay_pct: get_f64(Self::WHAT, v, "max_play_delay_pct", d.max_play_delay_pct)?,
-            max_rebuffer_pct: get_f64(Self::WHAT, v, "max_rebuffer_pct", d.max_rebuffer_pct)?,
-        })
+spec_struct! {
+    /// QoE guardrails a candidate arm must satisfy (percent-change bounds vs
+    /// control, from the median statistic).
+    #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+    pub struct GuardSpec {
+        /// Lowest acceptable VMAF change (%).
+        pub min_vmaf_pct: f64 = -0.1,
+        /// Highest acceptable play-delay change (%).
+        pub max_play_delay_pct: f64 = 1.0,
+        /// Highest acceptable rebuffer-rate change (%).
+        pub max_rebuffer_pct: f64 = 5.0,
     }
 }
 
@@ -564,9 +490,7 @@ impl ArmPoint {
     /// positive.
     pub fn from_json(v: &Value) -> Result<Self, SimError> {
         let fields = want_obj(Self::WHAT, v)?;
-        if let Some(e) = unknown_field(Self::WHAT, Self::FIELDS, fields) {
-            return Err(e);
-        }
+        no_unknown_field(Self::WHAT, Self::FIELDS, fields)?;
         let need = |key: &'static str| match v.get(key) {
             Some(_) => get_multiplier(Self::WHAT, v, key, f64::NAN),
             None => Err(SimError::Parse {
@@ -582,104 +506,30 @@ impl ArmPoint {
     }
 }
 
-/// A successive-halving `(c0, c1)` search: candidate arms, rung sizing,
-/// QoE guards, and the base experiment every evaluation derives from.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct SearchSpec {
-    /// Human-readable search name.
-    pub name: String,
-    /// Candidate `(c0, c1)` arms entering rung 0.
-    pub arms: Vec<ArmPoint>,
-    /// Users per arm in rung 0; each rung multiplies this by `eta`.
-    pub initial_users: usize,
-    /// Halving factor: survivors per rung = ceil(n / eta).
-    pub eta: usize,
-    /// Number of rungs.
-    pub rungs: usize,
-    /// QoE guardrails pruning candidates early.
-    pub guards: GuardSpec,
-    /// Base experiment each evaluation derives from (`users_per_arm` and
-    /// `treatment` are overridden per rung/arm; everything else applies).
-    pub base: ExperimentSpec,
-}
-
-impl Default for SearchSpec {
-    fn default() -> Self {
-        SearchSpec {
-            name: "search".into(),
-            arms: Vec::new(),
-            initial_users: 32,
-            eta: 2,
-            rungs: 3,
-            guards: GuardSpec::default(),
-            base: ExperimentSpec::default(),
-        }
+spec_struct! {
+    /// A successive-halving `(c0, c1)` search: candidate arms, rung sizing,
+    /// QoE guards, and the base experiment every evaluation derives from.
+    #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+    pub struct SearchSpec checked by SearchSpec::validate {
+        /// Human-readable search name.
+        pub name: String = "search".into(),
+        /// Candidate `(c0, c1)` arms entering rung 0.
+        pub arms: Vec<ArmPoint> = Vec::new(),
+        /// Users per arm in rung 0; each rung multiplies this by `eta`.
+        pub initial_users: usize = 32,
+        /// Halving factor: survivors per rung = ceil(n / eta).
+        pub eta: usize = 2,
+        /// Number of rungs.
+        pub rungs: usize = 3,
+        /// QoE guardrails pruning candidates early.
+        pub guards: GuardSpec = GuardSpec::default(),
+        /// Base experiment each evaluation derives from (`users_per_arm` and
+        /// `treatment` are overridden per rung/arm; everything else applies).
+        pub base: ExperimentSpec = ExperimentSpec::default(),
     }
 }
 
 impl SearchSpec {
-    const WHAT: &'static str = "SearchSpec";
-    const FIELDS: &'static [&'static str] = &[
-        "name",
-        "arms",
-        "initial_users",
-        "eta",
-        "rungs",
-        "guards",
-        "base",
-    ];
-
-    /// Render as a JSON value (fixed field order — deterministic bytes).
-    pub fn to_json(&self) -> Value {
-        obj(vec![
-            ("name", Value::Str(self.name.clone())),
-            (
-                "arms",
-                Value::Arr(self.arms.iter().map(ArmPoint::to_json).collect()),
-            ),
-            ("initial_users", Value::Num(self.initial_users as f64)),
-            ("eta", Value::Num(self.eta as f64)),
-            ("rungs", Value::Num(self.rungs as f64)),
-            ("guards", self.guards.to_json()),
-            ("base", self.base.to_json()),
-        ])
-    }
-
-    /// Parse from a JSON value; missing fields default, unknown fields err.
-    pub fn from_json(v: &Value) -> Result<Self, SimError> {
-        let fields = want_obj(Self::WHAT, v)?;
-        if let Some(e) = unknown_field(Self::WHAT, Self::FIELDS, fields) {
-            return Err(e);
-        }
-        let d = SearchSpec::default();
-        let arms = match v.get("arms") {
-            None => d.arms,
-            Some(f) => f
-                .as_arr()
-                .ok_or_else(|| field_err(Self::WHAT, "arms", f, "an array"))?
-                .iter()
-                .map(ArmPoint::from_json)
-                .collect::<Result<Vec<_>, _>>()?,
-        };
-        let spec = SearchSpec {
-            name: get_string(Self::WHAT, v, "name", &d.name)?,
-            arms,
-            initial_users: get_usize(Self::WHAT, v, "initial_users", d.initial_users)?,
-            eta: get_usize(Self::WHAT, v, "eta", d.eta)?,
-            rungs: get_usize(Self::WHAT, v, "rungs", d.rungs)?,
-            guards: match v.get("guards") {
-                None => d.guards,
-                Some(f) => GuardSpec::from_json(f)?,
-            },
-            base: match v.get("base") {
-                None => d.base,
-                Some(f) => ExperimentSpec::from_json(f)?,
-            },
-        };
-        spec.validate()?;
-        Ok(spec)
-    }
-
     /// Reject a search that cannot run: no arms, an empty rung 0, a
     /// halving factor that does not halve, a rung count outside 1..=20, or
     /// a final rung past [`MAX_SEARCH_USERS`]. [`from_json`](Self::from_json)
@@ -876,6 +726,74 @@ mod tests {
             .unwrap_err()
             .to_string();
         assert!(e.contains("c3"), "{e}");
+
+        // The generated codecs: `to_json` lists exactly the struct's fields
+        // in declaration order, and the same object with any one of them
+        // misspelt is rejected naming the misspelling.
+        fn misspellings(rendered: Value, declared: &[&str], parse: fn(&Value) -> Option<SimError>) {
+            let fields = rendered.as_obj().unwrap();
+            let keys: Vec<&str> = fields.iter().map(|(k, _)| k.as_str()).collect();
+            assert_eq!(keys, declared);
+            assert!(parse(&rendered).is_none(), "{rendered}");
+            for i in 0..fields.len() {
+                let mut bad = fields.to_vec();
+                bad[i].0.push('x');
+                let e = parse(&Value::Obj(bad)).expect("misspelt field accepted");
+                let typo = format!("unknown field `{}x`", declared[i]);
+                assert!(e.to_string().contains(&typo), "{e}");
+            }
+        }
+        let search = SearchSpec {
+            arms: vec![ArmPoint { c0: 2.0, c1: 2.0 }],
+            ..Default::default()
+        };
+        misspellings(
+            search.base.transport.to_json(),
+            &["protocol", "cc", "burst_packets"],
+            |v| TransportSpec::from_json(v).err(),
+        );
+        misspellings(
+            search.base.network.to_json(),
+            &["rate_mbps", "rtt_ms", "queue_bdp", "run_secs"],
+            |v| NetworkSpec::from_json(v).err(),
+        );
+        misspellings(
+            search.guards.to_json(),
+            &["min_vmaf_pct", "max_play_delay_pct", "max_rebuffer_pct"],
+            |v| GuardSpec::from_json(v).err(),
+        );
+        misspellings(
+            search.base.to_json(),
+            &[
+                "name",
+                "control",
+                "treatment",
+                "users_per_arm",
+                "pre_sessions",
+                "sessions_per_user",
+                "seed",
+                "bootstrap_reps",
+                "threads",
+                "shard_size",
+                "light_population",
+                "network",
+                "transport",
+            ],
+            |v| ExperimentSpec::from_json(v).err(),
+        );
+        misspellings(
+            search.to_json(),
+            &[
+                "name",
+                "arms",
+                "initial_users",
+                "eta",
+                "rungs",
+                "guards",
+                "base",
+            ],
+            |v| SearchSpec::from_json(v).err(),
+        );
     }
 
     #[test]
@@ -892,6 +810,20 @@ mod tests {
             .unwrap_err()
             .to_string();
         assert!(e.contains("sammy2"), "{e}");
+    }
+
+    #[test]
+    fn integers_that_do_not_fit_are_refused_not_truncated() {
+        // 2^32 + 4 used to parse as a burst of 4 packets.
+        let e = ExperimentSpec::from_json_str(r#"{"transport":{"burst_packets":4294967300}}"#)
+            .unwrap_err()
+            .to_string();
+        assert!(e.contains("burst_packets"), "{e}");
+        // Past 2^53 a JSON number is no longer an exact integer.
+        let e = ExperimentSpec::from_json_str(r#"{"seed":18446744073709551615}"#)
+            .unwrap_err()
+            .to_string();
+        assert!(e.contains("seed"), "{e}");
     }
 
     /// What `field` an `InvalidConfig` rejection names.
@@ -976,6 +908,45 @@ mod tests {
     fn arm_point_requires_both_coordinates() {
         assert!(ArmPoint::from_json(&json::parse(r#"{"c0":1.0}"#).unwrap()).is_err());
         assert!(ArmPoint::from_json(&json::parse(r#"{"c1":1.0}"#).unwrap()).is_err());
+    }
+
+    /// `{"network":{<field>:<value>}}` through the experiment parser.
+    fn network_field(field: &str, value: &str) -> Result<ExperimentSpec, SimError> {
+        ExperimentSpec::from_json_str(&format!(r#"{{"network":{{"{field}":{value}}}}}"#))
+    }
+
+    #[test]
+    fn network_rate_must_be_positive() {
+        for bad in ["0", "-5", "-0.0"] {
+            assert_eq!(invalid_field(network_field("rate_mbps", bad)), "rate_mbps");
+        }
+        assert!(network_field("rate_mbps", "0.5").is_ok());
+    }
+
+    #[test]
+    fn network_rtt_must_not_be_negative() {
+        assert_eq!(invalid_field(network_field("rtt_ms", "-1")), "rtt_ms");
+        assert!(network_field("rtt_ms", "0").is_ok());
+    }
+
+    #[test]
+    fn network_queue_must_be_positive() {
+        for bad in ["0", "-2"] {
+            assert_eq!(invalid_field(network_field("queue_bdp", bad)), "queue_bdp");
+        }
+        assert!(network_field("queue_bdp", "0.25").is_ok());
+    }
+
+    #[test]
+    fn network_numbers_must_be_finite() {
+        // JSON cannot spell one, but a spec built in code (the CLI's) can
+        // carry one into its own parser.
+        for field in ["rate_mbps", "rtt_ms", "queue_bdp"] {
+            for bad in [f64::NAN, f64::INFINITY] {
+                let v = obj(vec![(field, Value::Num(bad))]);
+                assert_eq!(invalid_field(NetworkSpec::from_json(&v)), field);
+            }
+        }
     }
 
     #[test]

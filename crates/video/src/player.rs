@@ -95,12 +95,10 @@ pub struct Player {
     /// Total content drained from the buffer (validate feature).
     #[cfg(feature = "validate")]
     played_total: SimDuration,
-    /// Session start (obs feature): anchors the play-delay span.
-    #[cfg(feature = "obs")]
-    obs_session_start: SimTime,
-    /// Open stall start (obs feature): anchors the rebuffer span.
-    #[cfg(feature = "obs")]
-    obs_rebuffer_started: Option<SimTime>,
+    /// Session start: anchors the play-delay span (telemetry).
+    session_start: SimTime,
+    /// Open stall start: anchors the rebuffer span (telemetry).
+    rebuffer_started: Option<SimTime>,
 }
 
 impl Player {
@@ -125,10 +123,8 @@ impl Player {
             committed: SimDuration::ZERO,
             #[cfg(feature = "validate")]
             played_total: SimDuration::ZERO,
-            #[cfg(feature = "obs")]
-            obs_session_start: now,
-            #[cfg(feature = "obs")]
-            obs_rebuffer_started: None,
+            session_start: now,
+            rebuffer_started: None,
         }
     }
 
@@ -209,10 +205,7 @@ impl Player {
                         self.next_index as u64,
                         0
                     );
-                    #[cfg(feature = "obs")]
-                    {
-                        self.obs_rebuffer_started = Some(stall_start);
-                    }
+                    self.rebuffer_started = Some(stall_start);
                 }
             }
             PlayerState::Startup | PlayerState::Rebuffering | PlayerState::Ended => {}
@@ -315,11 +308,8 @@ impl Player {
                 {
                     self.state = PlayerState::Playing;
                     self.qoe.on_playback_start(now);
-                    #[cfg(feature = "obs")]
-                    {
-                        let delay = now.saturating_since(self.obs_session_start);
-                        obs::span!("video.play_delay", delay.as_nanos());
-                    }
+                    let delay = now.saturating_since(self.session_start);
+                    obs::span!("video.play_delay", delay.as_nanos());
                 }
             }
             PlayerState::Rebuffering => {
@@ -328,8 +318,7 @@ impl Player {
                 {
                     self.state = PlayerState::Playing;
                     self.qoe.on_rebuffer_end(now);
-                    #[cfg(feature = "obs")]
-                    if let Some(start) = self.obs_rebuffer_started.take() {
+                    if let Some(start) = self.rebuffer_started.take() {
                         let stall = now.saturating_since(start);
                         obs::span!("video.rebuffer", stall.as_nanos());
                         obs::trace_event!(

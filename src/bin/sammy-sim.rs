@@ -230,8 +230,9 @@ fn accepted<T>(what: &str, r: Result<T, SimError>) -> T {
 /// Resolve the command-line flags into one [`ExperimentSpec`] — the same
 /// schema `sammy-serve` accepts over HTTP, so the CLI and the API cannot
 /// drift. `defaults` carries the per-subcommand sizing; every flag
-/// overrides its spec field, and the arm is shown to the spec's own
-/// parser, so what `POST /runs` would refuse (`--c0 0`) is refused here.
+/// overrides its spec field, and the whole spec is shown to its own
+/// parser, so what `POST /runs` would refuse (`--c0 0`, `--rate-mbps 0`,
+/// a seed past 2^53) is refused here, before anything is simulated.
 fn spec_from_flags(opts: &Opts, defaults: ExperimentSpec) -> ExperimentSpec {
     let spec = ExperimentSpec {
         treatment: ArmSpec::Sammy {
@@ -259,8 +260,7 @@ fn spec_from_flags(opts: &Opts, defaults: ExperimentSpec) -> ExperimentSpec {
         },
         ..defaults
     };
-    accepted("flags", ArmSpec::from_json(&spec.treatment.to_json()));
-    spec
+    accepted("flags", ExperimentSpec::from_json(&spec.to_json()))
 }
 
 fn single_flow(opts: &Opts) {
@@ -304,22 +304,7 @@ fn matrix(opts: &Opts) {
     let spec = spec_from_flags(opts, sixty_second_lab_spec());
     let base = LabConfig::from_spec(&spec);
     let cells = cc_matrix::cc_matrix(&base, spec.threads);
-    println!(
-        "{:<10} {:>6} {:>8} {:>16} {:>14} {:>8} {:>14}",
-        "substrate", "proto", "arm", "chunk tput Mbps", "median RTT ms", "retx %", "peak queue kB"
-    );
-    for c in &cells {
-        println!(
-            "{:<10} {:>6} {:>8} {:>16.2} {:>14.2} {:>8.3} {:>14.1}",
-            c.substrate,
-            c.transport.name(),
-            c.arm.label(),
-            c.chunk_tput_mbps,
-            c.median_rtt_ms,
-            c.retx_fraction * 100.0,
-            c.peak_queue_kb
-        );
-    }
+    print!("{}", cc_matrix::render_rows(&cells));
 }
 
 fn neighbors(opts: &Opts) {

@@ -64,6 +64,28 @@ fn unread_flag_name_exits_2_naming_the_flag() {
     assert!(out.stdout.is_empty());
 }
 
+/// The flags resolve into one spec, and the *whole* spec meets its own
+/// parser — not only the arm. Each of these used to exit 0: a zero or
+/// negative link rate printing `NaN` for play delay, and a seed past 2^53
+/// that `POST /runs` refuses and the spec's own `to_json()` cannot carry.
+#[test]
+fn a_spec_the_api_would_refuse_exits_2_naming_the_field() {
+    for (args, field) in [
+        (&["single-flow", "--rate-mbps", "0"][..], "rate_mbps"),
+        (&["single-flow", "--rate-mbps", "-5"][..], "rate_mbps"),
+        (&["single-flow", "--rate-mbps", "inf"][..], "rate_mbps"),
+        (&["matrix", "--rtt-ms", "-1"][..], "rtt_ms"),
+        (&["abtest", "--seed", "18446744073709551615"][..], "seed"),
+        (&["tune", "--reps", "100001"][..], "bootstrap_reps"),
+    ] {
+        let out = sammy_sim(args);
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains(field), "{args:?}: {stderr}");
+        assert!(out.stdout.is_empty(), "{args:?}: nothing was simulated");
+    }
+}
+
 /// Every `sammy-sim` invocation a file documents, as argument lists:
 /// backslash continuations joined, `$ARGS` expanded from the file's own
 /// `ARGS="…"`, everything up to the subcommand and from a redirection on
