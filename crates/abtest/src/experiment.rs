@@ -2,17 +2,17 @@
 //!
 //! Mirrors the paper's methodology (§5): users are randomly assigned to a
 //! control arm (the production algorithm) or a treatment arm; sessions run
-//! for each user; per-session metrics are aggregated as medians with
-//! bootstrap CIs on the percent change. As in §5.7, historical throughput
+//! for each user; per-session metrics are folded into per-arm medians and
+//! a paired per-session mean with a bootstrap CI
+//! ([`crate::streaming`]). As in §5.7, historical throughput
 //! is reset (or pre-seeded identically) in both arms for an
 //! apples-to-apples comparison, via a configurable pre-experiment phase
 //! that also establishes each user's pre-experiment p95 chunk throughput
 //! for the Fig 3 bucketing.
 
-use crate::population::{bucket_of, draw_population, PopulationConfig, UserProfile};
-use crate::stats::{
-    compare_paired, paired_delta, percentile, Aggregate, PairedDelta, PercentChange,
-};
+use crate::population::{bucket_label, bucket_of, PopulationConfig, UserProfile};
+use crate::stats::{percentile, Aggregate};
+use crate::streaming::StreamRun;
 use abr::{
     initial_rung_for, shared_history, HistoryPolicy, HistoryStore, InitialSelectorConfig, Mpc,
     ProductionAbr, SharedHistory,
@@ -134,7 +134,8 @@ pub struct ExperimentConfig {
     pub sessions_per_user: usize,
     /// Seed for population and session randomness.
     pub seed: u64,
-    /// Bootstrap replicates for CIs.
+    /// Bootstrap replicates for the paired-mean CI; 0 folds point
+    /// estimates only (every interval NaN).
     pub bootstrap_reps: usize,
     /// Worker threads for the sharded runner (0 = all available cores).
     /// Results are bit-identical for every value — see [`Experiment`].
@@ -176,9 +177,6 @@ impl ExperimentConfig {
         if self.sessions_per_user == 0 {
             return invalid("sessions_per_user", "must be at least 1");
         }
-        if self.bootstrap_reps == 0 {
-            return invalid("bootstrap_reps", "must be at least 1");
-        }
         if self.bootstrap_reps > spec::MAX_BOOTSTRAP_REPS {
             return invalid(
                 "bootstrap_reps",
@@ -198,46 +196,6 @@ pub struct SessionRecord {
     pub pre_p95_mbps: f64,
     /// The session's metrics.
     pub outcome: SessionOutcome,
-}
-
-/// All sessions of one arm.
-#[derive(Debug, Clone, Default)]
-pub struct ArmResult {
-    /// Session records in run order.
-    pub sessions: Vec<SessionRecord>,
-}
-
-impl ArmResult {
-    /// Absorb another shard's sessions. Callers merge shards in population
-    /// order so the merged result is independent of worker scheduling.
-    pub fn merge(&mut self, other: ArmResult) {
-        self.sessions.extend(other.sessions);
-    }
-
-    /// Extract a per-session metric as a vector.
-    pub fn metric(&self, f: impl Fn(&SessionRecord) -> Option<f64>) -> Vec<f64> {
-        self.sessions.iter().filter_map(f).collect()
-    }
-
-    /// Extract a per-session metric grouped by user (cluster structure for
-    /// the paired bootstrap). Users appear in first-seen order.
-    pub fn metric_by_user(&self, f: impl Fn(&SessionRecord) -> Option<f64>) -> Vec<Vec<f64>> {
-        let mut order: Vec<u64> = Vec::new();
-        let mut groups: std::collections::HashMap<u64, Vec<f64>> = std::collections::HashMap::new();
-        for s in &self.sessions {
-            if !groups.contains_key(&s.user) {
-                order.push(s.user);
-            }
-            let entry = groups.entry(s.user).or_default();
-            if let Some(v) = f(s) {
-                entry.push(v);
-            }
-        }
-        order
-            .into_iter()
-            .map(|u| groups.remove(&u).unwrap_or_default())
-            .collect()
-    }
 }
 
 /// Run all sessions for one user under `arm`, returning the records.
@@ -341,16 +299,15 @@ fn run_one(
 
 /// The single entry point for running experiments.
 ///
-/// One builder, one `run()`, one result type. See [`ExperimentBuilder`]
-/// for the options.
+/// One builder, one runner ([`ExperimentBuilder::run_streaming`]), one
+/// result type. See [`ExperimentBuilder`] for the options.
 ///
 /// ```ignore
 /// let run = Experiment::builder()
 ///     .treatment(Arm::Sammy { c0: 3.2, c1: 2.8 })
 ///     .threads(8)
-///     .detailed(true)
-///     .run()?;
-/// println!("{}", run.report(600, 5).render());
+///     .run_streaming()?;
+/// println!("{}", run.report().render());
 /// ```
 pub struct Experiment;
 
@@ -364,9 +321,9 @@ impl Experiment {
 /// Options for [`Experiment::builder`].
 ///
 /// Defaults: production vs. Sammy (§4.3 parameters), the default
-/// [`ExperimentConfig`], a population drawn internally from
-/// [`PopulationConfig::default`], the sharded runner over all cores, and
-/// fail-fast semantics (`detailed(false)`).
+/// [`ExperimentConfig`], a population derived lazily from
+/// [`PopulationConfig::default`], the [`METRICS`] row table, and the
+/// sharded runner over all cores.
 ///
 /// The lifetime `'p` is the borrow of an explicit population passed to
 /// [`population`](ExperimentBuilder::population); the builder never clones
@@ -378,8 +335,7 @@ pub struct ExperimentBuilder<'p> {
     treatment: Arm,
     population: Option<&'p [UserProfile]>,
     population_cfg: PopulationConfig,
-    detailed: bool,
-    serial_reference: bool,
+    rows: MetricTable,
     stream: crate::streaming::StreamConfig,
 }
 
@@ -391,8 +347,7 @@ impl Default for ExperimentBuilder<'_> {
             treatment: Arm::Sammy { c0: 3.2, c1: 2.8 },
             population: None,
             population_cfg: PopulationConfig::default(),
-            detailed: false,
-            serial_reference: false,
+            rows: &METRICS,
             stream: crate::streaming::StreamConfig::default(),
         }
     }
@@ -411,8 +366,8 @@ impl<'p> ExperimentBuilder<'p> {
         self
     }
 
-    /// Run over an explicit pre-drawn population instead of drawing one
-    /// from the population config at `run()`. Borrowed, never cloned.
+    /// Run over an explicit pre-drawn population instead of deriving one
+    /// from the population config. Borrowed, never cloned.
     pub fn population<'q>(self, population: &'q [UserProfile]) -> ExperimentBuilder<'q> {
         ExperimentBuilder {
             cfg: self.cfg,
@@ -420,8 +375,7 @@ impl<'p> ExperimentBuilder<'p> {
             treatment: self.treatment,
             population: Some(population),
             population_cfg: self.population_cfg,
-            detailed: self.detailed,
-            serial_reference: self.serial_reference,
+            rows: self.rows,
             stream: self.stream,
         }
     }
@@ -429,6 +383,14 @@ impl<'p> ExperimentBuilder<'p> {
     /// The population model used when no explicit population is given.
     pub fn population_config(mut self, cfg: PopulationConfig) -> Self {
         self.population_cfg = cfg;
+        self
+    }
+
+    /// The report's row table (default [`METRICS`]; Fig 3 folds
+    /// [`BUCKET_METRICS`]). Part of the run's identity: a checkpoint
+    /// written under one table is refused under another.
+    pub fn rows(mut self, rows: MetricTable) -> Self {
+        self.rows = rows;
         self
     }
 
@@ -476,69 +438,19 @@ impl<'p> ExperimentBuilder<'p> {
         self
     }
 
-    /// Bootstrap replicates for CIs.
+    /// Bootstrap replicates for the paired-mean CI (0: point estimates
+    /// only).
     pub fn bootstrap_reps(mut self, n: usize) -> Self {
         self.cfg.bootstrap_reps = n;
         self
     }
 
     /// Worker threads (0 = all cores). Results are bit-identical for every
-    /// value — per-user results (and telemetry registries) merge back in
+    /// value — shard states (and telemetry registries) merge back in
     /// population order.
     pub fn threads(mut self, n: usize) -> Self {
         self.cfg.threads = n;
         self
-    }
-
-    /// `true`: isolate per-user panics and report them in
-    /// [`ExperimentRun::failures`]. `false` (default): the first failure
-    /// aborts the run with [`SimError::Experiment`].
-    pub fn detailed(mut self, detailed: bool) -> Self {
-        self.detailed = detailed;
-        self
-    }
-
-    /// Use the reference single-threaded runner instead of the sharded
-    /// pool. Kept (and tested) forever so the sharded runner's
-    /// bit-identical-equivalence guarantee stays falsifiable. Panics
-    /// propagate (the reference has no isolation boundary).
-    pub fn serial_reference(mut self, serial: bool) -> Self {
-        self.serial_reference = serial;
-        self
-    }
-
-    /// Validate the configuration and run the experiment.
-    ///
-    /// The paired design: every user runs both arms with identical titles,
-    /// seeds, and pre-experiment history, removing all between-user
-    /// variance from the comparison (a simulator can run the exact
-    /// counterfactual; production tests need scale instead). CIs come from
-    /// a cluster bootstrap over users ([`compare_paired`]).
-    pub fn run(self) -> Result<ExperimentRun, SimError> {
-        self.cfg.validate()?;
-        let drawn;
-        let population: &[UserProfile] = match self.population {
-            Some(p) => p,
-            None => {
-                drawn =
-                    draw_population(&self.population_cfg, self.cfg.users_per_arm, self.cfg.seed);
-                &drawn
-            }
-        };
-        let run = if self.serial_reference {
-            run_serial_impl(population, self.control, self.treatment, &self.cfg)
-        } else {
-            run_detailed_impl(population, self.control, self.treatment, &self.cfg)
-        };
-        if !self.detailed {
-            if let Some(f) = run.failures.first() {
-                return Err(SimError::Experiment(format!(
-                    "session for user {} panicked: {}",
-                    f.user, f.message
-                )));
-            }
-        }
-        Ok(run)
     }
 
     /// Users per shard for the streaming runner (default 256). The shard
@@ -590,7 +502,13 @@ impl<'p> ExperimentBuilder<'p> {
         self
     }
 
-    /// Run the experiment through the streaming shard-merge runner.
+    /// Validate the configuration and run the experiment through the
+    /// streaming shard-merge runner.
+    ///
+    /// The paired design: every user runs both arms with identical titles,
+    /// seeds, and pre-experiment history, removing all between-user
+    /// variance from the comparison (a simulator can run the exact
+    /// counterfactual; production tests need scale instead).
     ///
     /// Workers fold each user's paired sessions directly into per-shard
     /// accumulators (t-digest summaries, exact sums, bootstrap replicate
@@ -599,8 +517,8 @@ impl<'p> ExperimentBuilder<'p> {
     /// costs the same memory as a 10-user one, and with no explicit
     /// population the users themselves are derived lazily per index
     /// ([`crate::population::user_at`]) — the population is never
-    /// materialized either. See [`StreamRun`](crate::streaming::StreamRun).
-    pub fn run_streaming(self) -> Result<crate::streaming::StreamRun, SimError> {
+    /// materialized either. See [`StreamRun`].
+    pub fn run_streaming(self) -> Result<StreamRun, SimError> {
         self.cfg.validate()?;
         let population = match self.population {
             Some(p) => crate::population::Population::Explicit(p),
@@ -616,45 +534,29 @@ impl<'p> ExperimentBuilder<'p> {
             self.treatment,
             &self.cfg,
             &self.stream,
+            self.rows,
         )
     }
-}
 
-/// A user whose sessions panicked mid-experiment (isolated by the sharded
-/// runner rather than poisoning the pool).
-#[derive(Debug, Clone)]
-pub struct UserFailure {
-    /// The user's id.
-    pub user: u64,
-    /// The user's index in the population slice.
-    pub index: usize,
-    /// The panic payload, stringified.
-    pub message: String,
-}
-
-/// Result of a run: merged arms plus any per-user failures and the merged
-/// telemetry registry.
-#[derive(Debug, Clone, Default)]
-pub struct ExperimentRun {
-    /// Control-arm sessions of every successful user, population order.
-    pub control: ArmResult,
-    /// Treatment-arm sessions of every successful user, population order.
-    pub treatment: ArmResult,
-    /// Users whose sessions panicked, population order.
-    pub failures: Vec<UserFailure>,
-    /// Telemetry of every successful user, merged in population order.
-    /// Empty unless the `obs` feature is on; its deterministic sink
-    /// ([`obs::Registry::to_jsonl`]) is byte-identical for every thread
-    /// count on a fixed seed.
-    pub metrics: obs::Registry,
-}
-
-impl ExperimentRun {
-    /// The Table 2-style report comparing treatment to control.
-    pub fn report(&self, reps: usize, seed: u64) -> Report {
-        Report::build(&self.control, &self.treatment, reps, seed)
+    /// A table-sized run — a figure, a sweep point, the CLI's A/B:
+    /// [`run_streaming`](Self::run_streaming) at a fixed 16 users a shard
+    /// (a few hundred users spread over every worker), where a user whose
+    /// sessions panicked fails the run with [`SimError::Experiment`]
+    /// instead of leaving the table short of a user.
+    pub fn run_table(self) -> Result<StreamRun, SimError> {
+        let run = self.shard_size(TABLE_SHARD_SIZE).run_streaming()?;
+        match run.state.failure_samples.first() {
+            Some(f) => Err(SimError::Experiment(format!(
+                "session for user {} panicked: {}",
+                f.user, f.message
+            ))),
+            None => Ok(run),
+        }
     }
 }
+
+/// Users per shard of [`ExperimentBuilder::run_table`].
+const TABLE_SHARD_SIZE: usize = 16;
 
 /// Paired per-user records: (control sessions, treatment sessions).
 pub(crate) type UserSessions = (Vec<SessionRecord>, Vec<SessionRecord>);
@@ -693,104 +595,16 @@ pub(crate) fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-/// The reference single-threaded runner behind
-/// [`ExperimentBuilder::serial_reference`]. Performs the identical
-/// per-user registry swap as the sharded runner so telemetry is
-/// byte-identical too.
-fn run_serial_impl(
-    population: &[UserProfile],
-    control: Arm,
-    treatment: Arm,
-    cfg: &ExperimentConfig,
-) -> ExperimentRun {
-    let mut run = ExperimentRun::default();
-    for user in population.iter() {
-        let ((c, t), metrics) = run_user_pair(user, control, treatment, cfg);
-        run.control.sessions.extend(c);
-        run.treatment.sessions.extend(t);
-        run.metrics.merge(&metrics);
-    }
-    run
-}
-
-/// The sharded runner with per-user panic isolation.
-///
-/// Users are jobs on the ordered pool ([`crate::pool::ordered`]: dynamic
-/// load balance — session counts vary wildly between users). A panic
-/// inside a user's sessions is caught at the user boundary, inside the
-/// job, and reported as that user's failure. Results are folded in
-/// population order, so successful users' records — and telemetry
-/// registries — are bit-identical to the serial runner's.
-fn run_detailed_impl(
-    population: &[UserProfile],
-    control: Arm,
-    treatment: Arm,
-    cfg: &ExperimentConfig,
-) -> ExperimentRun {
-    use std::panic::{catch_unwind, AssertUnwindSafe};
-
-    let mut run = ExperimentRun::default();
-    crate::pool::ordered(
-        0..population.len(),
-        cfg.threads,
-        |i| {
-            // A panic leaves the user's partial registry in the worker's
-            // thread-local; the next run_user_pair replaces it, so failed
-            // users contribute no telemetry (keeping the merged registry
-            // deterministic).
-            catch_unwind(AssertUnwindSafe(|| {
-                run_user_pair(&population[i], control, treatment, cfg)
-            }))
-            .map_err(panic_message)
-        },
-        |results| {
-            for (i, result) in results.enumerate() {
-                match result {
-                    Ok(((c, t), metrics)) => {
-                        run.control.sessions.extend(c);
-                        run.treatment.sessions.extend(t);
-                        run.metrics.merge(&metrics);
-                    }
-                    Err(message) => run.failures.push(UserFailure {
-                        user: population[i].id,
-                        index: i,
-                        message,
-                    }),
-                }
-            }
-        },
-    );
-    run
-}
-
-/// One row of a Table 2 / Table 3 style report.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct MetricRow {
-    /// Metric name as the table prints it.
-    pub name: String,
-    /// The median-based comparison (the paper's headline statistic).
-    pub change: PercentChange,
-    /// The paired per-session mean delta — resolves sub-percent effects
-    /// the pooled median ties away.
-    pub paired: PairedDelta,
-}
-
-/// The full Table 2-style report.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Report {
-    /// Rows in table order.
-    pub rows: Vec<MetricRow>,
-}
-
 /// A per-session metric extractor. Capture-free (`fn`, not a closure) so
-/// the collecting report and the streaming shard-merge runner share one
-/// table ([`METRICS`]) and worker threads can carry it without boxing.
+/// worker threads can carry a row table without boxing.
 pub type MetricExtractor = fn(&SessionRecord) -> Option<f64>;
 
-/// The Table 2 metric set: name, aggregation rule, extractor. Single
-/// source of truth for [`Report::build`] and the streaming runner's
-/// per-shard accumulators, so the two paths can never disagree on what a
-/// metric means.
+/// A report's rows: name, aggregation rule, extractor. The fold keeps one
+/// accumulator per row, so the table is part of a run's identity.
+pub type MetricTable = &'static [(&'static str, Aggregate, MetricExtractor)];
+
+/// The Table 2 metric set: name, aggregation rule, extractor — the
+/// default row table.
 pub const METRICS: [(&str, Aggregate, MetricExtractor); 8] = [
     ("Chunk Throughput", Aggregate::Median, |s| {
         s.outcome.avg_chunk_throughput.map(|r| r.mbps())
@@ -821,88 +635,20 @@ pub const METRICS: [(&str, Aggregate, MetricExtractor); 8] = [
     }),
 ];
 
-impl Report {
-    /// Build the report comparing `treatment` to `control`.
-    pub fn build(control: &ArmResult, treatment: &ArmResult, reps: usize, seed: u64) -> Report {
-        let rows = METRICS
-            .iter()
-            .enumerate()
-            .map(|(i, &(name, agg, f))| {
-                let c = control.metric_by_user(f);
-                let t = treatment.metric_by_user(f);
-                MetricRow {
-                    name: name.to_string(),
-                    change: compare_paired(&c, &t, agg, reps, seed.wrapping_add(i as u64)),
-                    paired: paired_delta(&c, &t, reps, seed.wrapping_add(100 + i as u64)),
-                }
-            })
-            .collect();
-        Report { rows }
-    }
+/// Fig 3's row table: chunk throughput of the sessions whose user's
+/// pre-experiment p95 falls in each bucket. Both arms of a user share that
+/// p95, so a user's sessions pair up within one row.
+pub const BUCKET_METRICS: [(&str, Aggregate, MetricExtractor); 5] = [
+    (bucket_label(0), Aggregate::Median, bucket_throughput::<0>),
+    (bucket_label(1), Aggregate::Median, bucket_throughput::<1>),
+    (bucket_label(2), Aggregate::Median, bucket_throughput::<2>),
+    (bucket_label(3), Aggregate::Median, bucket_throughput::<3>),
+    (bucket_label(4), Aggregate::Median, bucket_throughput::<4>),
+];
 
-    /// Render as an aligned text table.
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        out.push_str(&format!(
-            "{:<20} {:>12} {:>12} {:>26} {:>12}\n",
-            "Metric", "Control", "Treatment", "Median % Chg [95% CI]", "Paired mean"
-        ));
-        for r in &self.rows {
-            out.push_str(&format!(
-                "{:<20} {:>12.4} {:>12.4} {:>26} {:>12}\n",
-                r.name,
-                r.change.control,
-                r.change.treatment,
-                r.change.display(),
-                r.paired.display()
-            ));
-        }
-        out
-    }
-
-    /// Look up a row by name.
-    pub fn row(&self, name: &str) -> Option<&MetricRow> {
-        self.rows.iter().find(|r| r.name == name)
-    }
-}
-
-/// Fig 3: percent change in chunk throughput by pre-experiment p95 bucket.
-pub fn throughput_by_bucket(
-    control: &ArmResult,
-    treatment: &ArmResult,
-    reps: usize,
-    seed: u64,
-) -> Vec<(usize, PercentChange)> {
-    (0..5)
-        .filter_map(|b| {
-            let in_bucket = |s: &&SessionRecord| bucket_of(s.pre_p95_mbps) == b;
-            let cf = ArmResult {
-                sessions: control.sessions.iter().filter(in_bucket).cloned().collect(),
-            };
-            let tf = ArmResult {
-                sessions: treatment
-                    .sessions
-                    .iter()
-                    .filter(in_bucket)
-                    .cloned()
-                    .collect(),
-            };
-            if cf.sessions.len() < 10 || tf.sessions.len() < 10 {
-                return None;
-            }
-            let c = cf.metric_by_user(|s| s.outcome.avg_chunk_throughput.map(|r| r.mbps()));
-            let t = tf.metric_by_user(|s| s.outcome.avg_chunk_throughput.map(|r| r.mbps()));
-            if c.len() != t.len() {
-                // A user can land in a bucket in one arm only if sessions
-                // were dropped; skip such degenerate buckets.
-                return None;
-            }
-            Some((
-                b,
-                compare_paired(&c, &t, Aggregate::Median, reps, seed + b as u64),
-            ))
-        })
-        .collect()
+fn bucket_throughput<const B: usize>(s: &SessionRecord) -> Option<f64> {
+    let tput = s.outcome.avg_chunk_throughput.map(|r| r.mbps());
+    tput.filter(|_| bucket_of(s.pre_p95_mbps) == B)
 }
 
 #[cfg(test)]
@@ -930,26 +676,25 @@ mod tests {
 
     #[test]
     fn sammy_reduces_chunk_throughput_maintains_vmaf() {
-        let cfg = tiny_cfg();
-        let run = Experiment::builder()
+        let report = Experiment::builder()
             .treatment(Arm::Sammy { c0: 3.2, c1: 2.8 })
-            .config(cfg.clone())
-            .run()
-            .unwrap();
-        assert!(!run.control.sessions.is_empty() && !run.treatment.sessions.is_empty());
-        let report = run.report(cfg.bootstrap_reps, 5);
+            .config(tiny_cfg())
+            .run_table()
+            .unwrap()
+            .report();
+        assert_eq!(report.users, 30);
 
-        let tput = &report.row("Chunk Throughput").unwrap().change;
+        let tput = report.row("Chunk Throughput").unwrap();
         assert!(
-            tput.pct_change < -30.0,
+            tput.pct_change < -30.0 && tput.paired.significant(),
             "Sammy must cut chunk throughput substantially: {tput:?}"
         );
-        let vmaf = &report.row("VMAF").unwrap().change;
+        let vmaf = report.row("VMAF").unwrap();
         assert!(
             vmaf.pct_change.abs() < 2.0,
             "Sammy must not meaningfully change VMAF: {vmaf:?}"
         );
-        let retx = &report.row("% Retransmits").unwrap().change;
+        let retx = report.row("% Retransmits").unwrap();
         assert!(
             retx.pct_change < 0.0,
             "retransmits should improve: {retx:?}"
@@ -957,27 +702,35 @@ mod tests {
     }
 
     #[test]
-    fn report_renders() {
-        let cfg = ExperimentConfig {
-            users_per_arm: 6,
-            pre_sessions: 1,
-            sessions_per_user: 1,
-            seed: 3,
-            bootstrap_reps: 50,
-            threads: 0,
+    fn report_renders_and_zero_replicates_are_point_estimates() {
+        let pop = draw_population(&PopulationConfig::default(), 6, 3);
+        let run = |reps| {
+            Experiment::builder()
+                .population(&pop)
+                .treatment(Arm::Production)
+                .pre_sessions(1)
+                .sessions_per_user(1)
+                .bootstrap_reps(reps)
+                .run_table()
+                .unwrap()
+                .report()
         };
-        let pop = draw_population(&PopulationConfig::default(), 12, 3);
-        let run = Experiment::builder()
-            .population(&pop)
-            .treatment(Arm::Production)
-            .config(cfg)
-            .run()
-            .unwrap();
-        let report = run.report(50, 1);
-        let s = report.render();
+        let s = run(50).render();
         assert!(s.contains("Chunk Throughput"));
         assert!(s.contains("Play Delay"));
         assert!(s.contains("Rebuffers"));
+
+        // No replicates: the same point estimates, every interval NaN.
+        let (with, without) = (run(50), run(0));
+        for (w, p) in with.rows.iter().zip(&without.rows) {
+            assert_eq!(w.pct_change.to_bits(), p.pct_change.to_bits(), "{}", w.name);
+            assert_eq!(
+                w.paired.mean_delta_pct.to_bits(),
+                p.paired.mean_delta_pct.to_bits()
+            );
+            assert!(p.paired.ci_low.is_nan() && p.paired.ci_high.is_nan());
+        }
+        assert!(without.render().contains("[n/a]"));
     }
 
     #[test]
@@ -986,42 +739,41 @@ mod tests {
         // deterministic, so every metric change is exactly zero.
         let cfg = tiny_cfg();
         let pop = draw_population(&PopulationConfig::default(), cfg.users_per_arm, 21);
-        let run = Experiment::builder()
+        let report = Experiment::builder()
             .population(&pop)
             .treatment(Arm::Production)
-            .config(cfg.clone())
-            .run()
-            .unwrap();
-        let report = run.report(cfg.bootstrap_reps, 9);
+            .config(cfg)
+            .run_table()
+            .unwrap()
+            .report();
         for row in &report.rows {
             assert!(
-                row.change.pct_change == 0.0 || row.change.pct_change.is_nan(),
-                "A/A {} moved: {:?}",
-                row.name,
-                row.change
+                row.pct_change == 0.0 || row.pct_change.is_nan(),
+                "A/A {} moved: {row:?}",
+                row.name
             );
-            assert!(!row.change.significant(), "A/A {} significant", row.name);
+            assert!(!row.paired.significant(), "A/A {} significant", row.name);
         }
     }
 
     #[test]
     fn builder_validates_config() {
-        let err = Experiment::builder().users_per_arm(0).run().unwrap_err();
+        let err = Experiment::builder()
+            .users_per_arm(0)
+            .run_streaming()
+            .unwrap_err();
         assert!(err.to_string().contains("users_per_arm"), "{err}");
-        assert!(Experiment::builder().sessions_per_user(0).run().is_err());
-        assert!(Experiment::builder().bootstrap_reps(0).run().is_err());
-        // Both runners refuse a replicate count they would have to
-        // allocate 128 bytes a replicate for, per shard state.
-        for err in [
-            Experiment::builder()
-                .bootstrap_reps(spec::MAX_BOOTSTRAP_REPS + 1)
-                .run()
-                .unwrap_err(),
-            Experiment::builder()
-                .bootstrap_reps(usize::MAX)
+        assert!(Experiment::builder()
+            .sessions_per_user(0)
+            .run_streaming()
+            .is_err());
+        // A replicate count the runner would have to allocate 128 bytes a
+        // replicate for, per shard state, is refused.
+        for reps in [spec::MAX_BOOTSTRAP_REPS + 1, usize::MAX] {
+            let err = Experiment::builder()
+                .bootstrap_reps(reps)
                 .run_streaming()
-                .unwrap_err(),
-        ] {
+                .unwrap_err();
             assert!(
                 matches!(
                     err,
@@ -1035,60 +787,33 @@ mod tests {
         }
     }
 
+    /// Fig 3's rows split the throughput row by bucket: every session with
+    /// a throughput lands in exactly one of them, and both arms of a user
+    /// land in the same one.
     #[test]
-    fn builder_serial_reference_matches_sharded() {
-        let cfg = ExperimentConfig {
-            users_per_arm: 8,
-            pre_sessions: 1,
-            sessions_per_user: 1,
-            seed: 13,
-            bootstrap_reps: 50,
-            threads: 2,
+    fn bucket_rows_partition_the_throughput_row() {
+        let pop = draw_population(&PopulationConfig::default(), 40, 8);
+        let fold = |rows: MetricTable| {
+            Experiment::builder()
+                .population(&pop)
+                .config(tiny_cfg())
+                .rows(rows)
+                .run_table()
+                .unwrap()
+                .report()
         };
-        let pop = draw_population(&PopulationConfig::default(), cfg.users_per_arm, cfg.seed);
-        let treatment = Arm::Sammy { c0: 3.2, c1: 2.8 };
-        let new = Experiment::builder()
-            .population(&pop)
-            .treatment(treatment)
-            .config(cfg.clone())
-            .run()
-            .unwrap();
-
-        // The serial reference produces the identical records.
-        let serial = Experiment::builder()
-            .population(&pop)
-            .treatment(treatment)
-            .config(cfg)
-            .serial_reference(true)
-            .run()
-            .unwrap();
-        assert_eq!(serial.control.sessions, new.control.sessions);
-        assert_eq!(serial.treatment.sessions, new.treatment.sessions);
-    }
-
-    #[test]
-    fn builder_draws_population_when_none_given() {
-        let cfg = ExperimentConfig {
-            users_per_arm: 5,
-            pre_sessions: 1,
-            sessions_per_user: 1,
-            seed: 17,
-            bootstrap_reps: 50,
-            threads: 2,
+        let (all, buckets) = (fold(&METRICS), fold(&BUCKET_METRICS));
+        let tput = &all.rows[0];
+        let sum = |f: fn(&crate::streaming::StreamRow) -> u64| -> u64 {
+            buckets.rows.iter().map(f).sum()
         };
-        let explicit = draw_population(&PopulationConfig::default(), cfg.users_per_arm, cfg.seed);
-        let drawn = Experiment::builder()
-            .treatment(Arm::Production)
-            .config(cfg.clone())
-            .run()
-            .unwrap();
-        let given = Experiment::builder()
-            .population(&explicit)
-            .treatment(Arm::Production)
-            .config(cfg)
-            .run()
-            .unwrap();
-        assert_eq!(drawn.control.sessions, given.control.sessions);
+        assert_eq!(sum(|r| r.control_count), tput.control_count);
+        assert_eq!(sum(|r| r.treatment_count), tput.treatment_count);
+        for r in &buckets.rows {
+            assert_eq!(r.control_count, r.treatment_count, "{}", r.name);
+        }
+        let names: Vec<&str> = buckets.rows.iter().map(|r| r.name).collect();
+        assert_eq!(names, (0..5).map(bucket_label).collect::<Vec<_>>());
     }
 
     /// Record-for-record equality that also holds across the NaN p95 of
@@ -1188,9 +913,10 @@ mod tests {
                         bootstrap_reps: 50,
                         threads,
                     })
-                    .run()
+                    .shard_size(2)
+                    .run_streaming()
                     .unwrap();
-                run.metrics.to_jsonl()
+                run.state.registry.to_jsonl()
             })
             .collect();
         assert!(!jsonl[0].is_empty());

@@ -8,12 +8,13 @@
 //! - [`experiment`]: arms ([`Arm::Production`], [`Arm::Sammy`],
 //!   [`Arm::InitialOnly`], [`Arm::NaivePaced`]), the pre-experiment phase
 //!   that builds history and pre-experiment p95 throughput, the session
-//!   loop, and [`Report`] — the Table 2/3-style percent-change table with
-//!   bootstrap CIs.
-//! - [`streaming`]: the shard-merge runner — million-user arms at
-//!   O(threads) memory, lazy per-index populations, and checkpoint/resume
-//!   that is bit-identical to an uninterrupted run.
-//! - [`stats`]: medians, percentiles, and the seeded percentile bootstrap.
+//!   loop, and the row tables a report folds ([`METRICS`] for Tables 2/3,
+//!   [`BUCKET_METRICS`] for Fig 3).
+//! - [`streaming`]: the one runner, a shard-merge fold — million-user
+//!   arms at O(threads) memory, lazy per-index populations,
+//!   checkpoint/resume that is bit-identical to an uninterrupted run, and
+//!   [`StreamReport`]: digest medians and a paired-mean bootstrap CI.
+//! - [`stats`]: percentiles, percent changes, mergeable summaries.
 //! - [`sweep`]: the (c0, c1) grid behind Fig 5's VMAF-vs-throughput
 //!   tradeoff, and the one Production-vs-Sammy(c0, c1) evaluation.
 //! - [`longitudinal`]: the Fig 6 historical-data cold-start experiment.
@@ -34,9 +35,8 @@ pub mod streaming;
 pub mod sweep;
 
 pub use experiment::{
-    population_config_from_spec, run_user, throughput_by_bucket, Arm, ArmResult, Experiment,
-    ExperimentBuilder, ExperimentConfig, ExperimentRun, MetricExtractor, MetricRow, Report,
-    SessionRecord, UserFailure, METRICS,
+    population_config_from_spec, run_user, Arm, Experiment, ExperimentBuilder, ExperimentConfig,
+    MetricExtractor, MetricTable, SessionRecord, BUCKET_METRICS, METRICS,
 };
 pub use longitudinal::{run_cold_start, ColdStartConfig, ColdStartResult};
 pub use optimize::{halving_search, halving_search_with, Candidate, Evaluation, HalvingOutcome};
@@ -44,10 +44,7 @@ pub use population::{
     bucket_label, bucket_of, draw_population, draw_population_indexed, ladder_with_top, user_at,
     Population, PopulationConfig, UserProfile, THROUGHPUT_BUCKETS,
 };
-pub use stats::{
-    compare_paired, mean, median, paired_delta, percentile, Aggregate, PairedDelta, PercentChange,
-    StreamingStat,
-};
+pub use stats::{mean, percentile, Aggregate, PairedDelta, StreamingStat};
 pub use streaming::{
     MetricAcc, ShardState, StreamConfig, StreamFailure, StreamReport, StreamRow, StreamRun,
 };

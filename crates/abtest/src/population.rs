@@ -24,7 +24,7 @@ pub const THROUGHPUT_BUCKETS: [(f64, f64); 5] = [
 ];
 
 /// Label for a bucket index.
-pub fn bucket_label(idx: usize) -> &'static str {
+pub const fn bucket_label(idx: usize) -> &'static str {
     [
         "<6 Mbps",
         "6-15 Mbps",

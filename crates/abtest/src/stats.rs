@@ -3,29 +3,11 @@
 //! The paper reports per-arm medians (median over sessions; median of
 //! per-session medians for RTT), percent changes vs control, and 95%
 //! confidence intervals; non-significant movements are reported as "–"
-//! (Tables 2 and 3). This module implements those aggregations with a
-//! seeded percentile bootstrap.
+//! (Tables 2 and 3). The arm statistics come from mergeable summaries
+//! ([`StreamingStat`]); the one interval is the paired per-session mean's
+//! Poisson bootstrap, folded by [`crate::streaming`] (DESIGN.md §7).
 
-use rand::prelude::*;
 use serde::{Deserialize, Serialize};
-
-/// Median of a slice (NaN if empty). Does not require sorted input.
-pub fn median(values: &[f64]) -> f64 {
-    if values.is_empty() {
-        return f64::NAN;
-    }
-    let mut v: Vec<f64> = values.iter().copied().filter(|x| x.is_finite()).collect();
-    if v.is_empty() {
-        return f64::NAN;
-    }
-    v.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
-    let n = v.len();
-    if n % 2 == 1 {
-        v[n / 2]
-    } else {
-        (v[n / 2 - 1] + v[n / 2]) / 2.0
-    }
-}
 
 /// Mean of a slice (NaN if empty), ignoring non-finite values.
 pub fn mean(values: &[f64]) -> f64 {
@@ -72,59 +54,8 @@ pub enum Aggregate {
     Mean,
 }
 
-impl Aggregate {
-    /// Apply the aggregate.
-    pub fn apply(self, values: &[f64]) -> f64 {
-        match self {
-            Aggregate::Median => median(values),
-            Aggregate::Mean => mean(values),
-        }
-    }
-}
-
-/// A finite interval that lies on one side of zero.
-fn excludes_zero(lo: f64, hi: f64) -> bool {
-    lo.is_finite() && hi.is_finite() && (lo > 0.0 || hi < 0.0)
-}
-
-/// A percent-change comparison with a bootstrap confidence interval.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct PercentChange {
-    /// Control-arm statistic.
-    pub control: f64,
-    /// Treatment-arm statistic.
-    pub treatment: f64,
-    /// Percent change `(treatment − control) / control × 100`.
-    pub pct_change: f64,
-    /// 95% CI lower bound on the percent change.
-    pub ci_low: f64,
-    /// 95% CI upper bound.
-    pub ci_high: f64,
-}
-
-impl PercentChange {
-    /// True if the 95% CI excludes zero — the paper's significance rule.
-    pub fn significant(&self) -> bool {
-        excludes_zero(self.ci_low, self.ci_high)
-    }
-
-    /// Format as the tables do: the change when significant, "–" otherwise,
-    /// always with the CI.
-    pub fn display(&self) -> String {
-        if self.significant() {
-            format!(
-                "{:+.2}% [{:+.1}, {:+.1}]",
-                self.pct_change, self.ci_low, self.ci_high
-            )
-        } else {
-            format!("–      [{:+.1}, {:+.1}]", self.ci_low, self.ci_high)
-        }
-    }
-}
-
 /// Percent change of `treatment` over `control`; NaN when the control is
-/// zero or either side is non-finite. Shared by the collecting and the
-/// streaming report.
+/// zero or either side is non-finite.
 pub(crate) fn pct_change(control: f64, treatment: f64) -> f64 {
     if control == 0.0 || !control.is_finite() || !treatment.is_finite() {
         f64::NAN
@@ -133,170 +64,26 @@ pub(crate) fn pct_change(control: f64, treatment: f64) -> f64 {
     }
 }
 
-/// The point estimate of a paired comparison, `(control, treatment,
-/// percent change)`: each arm's finite session values pooled over all
-/// users, then aggregated. It is all a `(c0, c1)` evaluation reads
-/// (`sweep::evaluate`), so that path resamples nothing.
-pub(crate) fn point_change(
-    control: &[Vec<f64>],
-    treatment: &[Vec<f64>],
-    agg: Aggregate,
-) -> (f64, f64, f64) {
-    assert_eq!(
-        control.len(),
-        treatment.len(),
-        "paired arms must align by user"
-    );
-    let pool = |arm: &[Vec<f64>]| -> Vec<f64> {
-        arm.iter()
-            .flatten()
-            .copied()
-            .filter(|x| x.is_finite())
-            .collect()
-    };
-    let c_stat = agg.apply(&pool(control));
-    let t_stat = agg.apply(&pool(treatment));
-    (c_stat, t_stat, pct_change(c_stat, t_stat))
-}
-
-/// The one cluster bootstrap: `reps` replicates, each drawing `n` users
-/// with replacement (one `gen_range(0..n)` per user per replicate — the
-/// draw order every printed CI is pinned to) and handing them to `stat`;
-/// a replicate whose statistic is not finite is dropped. Returns the 95%
-/// percentile interval, NaN when no replicate survives.
-fn cluster_bootstrap(
-    n: usize,
-    reps: usize,
-    seed: u64,
-    mut stat: impl FnMut(&[usize]) -> f64,
-) -> (f64, f64) {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut boots = Vec::with_capacity(reps);
-    let mut users = Vec::with_capacity(n);
-    for _ in 0..reps {
-        users.clear();
-        users.extend((0..n).map(|_| rng.gen_range(0..n)));
-        let s = stat(&users);
-        if s.is_finite() {
-            boots.push(s);
-        }
-    }
-    if boots.is_empty() {
-        (f64::NAN, f64::NAN)
-    } else {
-        (percentile(&boots, 0.025), percentile(&boots, 0.975))
-    }
-}
-
-/// Compare treatment vs control for a *paired* experiment: both arms ran
-/// the same users (the simulator's exact-counterfactual design; see
-/// DESIGN.md §7). `control[i]` and `treatment[i]` hold user `i`'s
-/// per-session metric values under each arm. The point estimate pools all
-/// sessions; the CI is a cluster bootstrap that resamples users, which
-/// respects both within-user correlation and the pairing.
-pub fn compare_paired(
-    control: &[Vec<f64>],
-    treatment: &[Vec<f64>],
-    agg: Aggregate,
-    reps: usize,
-    seed: u64,
-) -> PercentChange {
-    let (c_stat, t_stat, pct) = point_change(control, treatment, agg);
-    let finite = |arm: &[Vec<f64>], users: &[usize]| -> Vec<f64> {
-        users
-            .iter()
-            .flat_map(|&u| &arm[u])
-            .copied()
-            .filter(|x| x.is_finite())
-            .collect()
-    };
-    let (lo, hi) = cluster_bootstrap(control.len(), reps, seed, |users| {
-        pct_change(
-            agg.apply(&finite(control, users)),
-            agg.apply(&finite(treatment, users)),
-        )
-    });
-    PercentChange {
-        control: c_stat,
-        treatment: t_stat,
-        pct_change: pct,
-        ci_low: lo,
-        ci_high: hi,
-    }
-}
-
 /// The mean per-session paired percent difference, with a cluster
-/// bootstrap CI over users. Complements [`compare_paired`]: the median of
-/// a discrete metric (e.g. VMAF, which takes ladder-rung values) ties at
-/// zero under small effects, while the paired mean resolves sub-percent
-/// shifts — the scale of the paper's QoE movements.
+/// bootstrap CI over users — the one interval a report carries. The
+/// median of a discrete metric (e.g. VMAF, which takes ladder-rung values)
+/// ties at zero under small effects, while the paired mean resolves
+/// sub-percent shifts — the scale of the paper's QoE movements.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct PairedDelta {
     /// Mean of per-session `(t − c)/c × 100` over all pairs.
     pub mean_delta_pct: f64,
-    /// 95% cluster-bootstrap CI lower bound.
+    /// 95% cluster-bootstrap CI lower bound (NaN with no replicates).
     pub ci_low: f64,
-    /// 95% CI upper bound.
+    /// 95% CI upper bound (NaN with no replicates).
     pub ci_high: f64,
 }
 
 impl PairedDelta {
-    /// True if the CI excludes zero.
+    /// True if the CI is finite and excludes zero.
     pub fn significant(&self) -> bool {
-        excludes_zero(self.ci_low, self.ci_high)
-    }
-
-    /// Compact rendering, "–" when not significant.
-    pub fn display(&self) -> String {
-        if self.significant() {
-            format!("{:+.3}%", self.mean_delta_pct)
-        } else {
-            "–".to_string()
-        }
-    }
-}
-
-/// Compute the paired per-session delta statistic. `control[u][i]` pairs
-/// with `treatment[u][i]`; pairs with a non-finite or zero control value
-/// are skipped.
-pub fn paired_delta(
-    control: &[Vec<f64>],
-    treatment: &[Vec<f64>],
-    reps: usize,
-    seed: u64,
-) -> PairedDelta {
-    assert_eq!(control.len(), treatment.len());
-    let user_deltas: Vec<Vec<f64>> = control
-        .iter()
-        .zip(treatment)
-        .map(|(c, t)| {
-            c.iter()
-                .zip(t)
-                .filter(|(cv, tv)| cv.is_finite() && tv.is_finite() && **cv != 0.0)
-                .map(|(cv, tv)| (tv - cv) / cv.abs() * 100.0)
-                .collect()
-        })
-        .collect();
-    let all: Vec<f64> = user_deltas.iter().flatten().copied().collect();
-    if all.is_empty() {
-        return PairedDelta {
-            mean_delta_pct: f64::NAN,
-            ci_low: f64::NAN,
-            ci_high: f64::NAN,
-        };
-    }
-    let mean_all = all.iter().sum::<f64>() / all.len() as f64;
-
-    // An empty resample has a NaN mean, which the kernel drops.
-    let (lo, hi) = cluster_bootstrap(user_deltas.len(), reps, seed, |users| {
-        let count: usize = users.iter().map(|&u| user_deltas[u].len()).sum();
-        let sum: f64 = users.iter().flat_map(|&u| &user_deltas[u]).sum();
-        sum / count as f64
-    });
-    PairedDelta {
-        mean_delta_pct: mean_all,
-        ci_low: lo,
-        ci_high: hi,
+        let (lo, hi) = (self.ci_low, self.ci_high);
+        lo.is_finite() && hi.is_finite() && (lo > 0.0 || hi < 0.0)
     }
 }
 
@@ -426,14 +213,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn median_basics() {
-        assert_eq!(median(&[3.0, 1.0, 2.0]), 2.0);
-        assert_eq!(median(&[4.0, 1.0, 2.0, 3.0]), 2.5);
-        assert!(median(&[]).is_nan());
-        assert_eq!(median(&[f64::NAN, 1.0]), 1.0);
-    }
-
-    #[test]
     fn percentile_basics() {
         let v: Vec<f64> = (0..101).map(|i| i as f64).collect();
         assert_eq!(percentile(&v, 0.0), 0.0);
@@ -470,68 +249,6 @@ mod tests {
         assert_eq!(percentile(&[7.0, 9.0], 1.0), 9.0);
         // q = 0.975 on a 2-element slice interpolates toward the max.
         assert_eq!(percentile(&[0.0, 40.0], 0.975), 39.0);
-    }
-
-    #[test]
-    fn paired_compare_detects_small_shift() {
-        // 100 users, 5 sessions each; treatment is a consistent -2% on a
-        // metric with large between-user spread. An unpaired split would
-        // drown this; the paired design must detect it.
-        let mut rng = StdRng::seed_from_u64(5);
-        let mut control = Vec::new();
-        let mut treatment = Vec::new();
-        for _ in 0..100 {
-            let base = 10.0 * (1.0 + 5.0 * rng.gen::<f64>()); // heavy user spread
-            let c: Vec<f64> = (0..5)
-                .map(|_| base * (1.0 + 0.05 * (rng.gen::<f64>() - 0.5)))
-                .collect();
-            let t: Vec<f64> = c.iter().map(|v| v * 0.98).collect();
-            control.push(c);
-            treatment.push(t);
-        }
-        let r = compare_paired(&control, &treatment, Aggregate::Median, 400, 9);
-        assert!(r.significant(), "{r:?}");
-        assert!((r.pct_change + 2.0).abs() < 1.0, "{r:?}");
-        assert!(r.display().contains('%'));
-    }
-
-    #[test]
-    fn paired_compare_identical_is_null() {
-        let arm: Vec<Vec<f64>> = (0..50).map(|u| vec![u as f64 + 1.0; 3]).collect();
-        let r = compare_paired(&arm, &arm, Aggregate::Median, 200, 3);
-        assert!(!r.significant());
-        assert_eq!(r.pct_change, 0.0);
-        assert!(r.display().contains('–'));
-    }
-
-    #[test]
-    fn paired_delta_resolves_tiny_shift() {
-        // A consistent -0.4% shift on a discrete-ish metric: the median
-        // ties but the paired mean delta must surface it.
-        let control: Vec<Vec<f64>> = (0..200).map(|u| vec![100.0 + (u % 7) as f64; 3]).collect();
-        let treatment: Vec<Vec<f64>> = control
-            .iter()
-            .map(|c| c.iter().map(|v| v * 0.996).collect())
-            .collect();
-        let d = paired_delta(&control, &treatment, 300, 4);
-        assert!(d.significant(), "{d:?}");
-        assert!((d.mean_delta_pct + 0.4).abs() < 0.05, "{d:?}");
-    }
-
-    #[test]
-    fn paired_delta_empty_and_null() {
-        let d = paired_delta(&[vec![]], &[vec![]], 100, 1);
-        assert!(d.mean_delta_pct.is_nan());
-        let arm: Vec<Vec<f64>> = vec![vec![5.0, 6.0]; 10];
-        let d = paired_delta(&arm, &arm, 100, 1);
-        assert_eq!(d.mean_delta_pct, 0.0);
-        assert!(!d.significant());
-    }
-
-    #[test]
-    fn mean_aggregate() {
-        assert_eq!(Aggregate::Mean.apply(&[1.0, 2.0, 3.0]), 2.0);
-        assert_eq!(Aggregate::Median.apply(&[1.0, 2.0, 30.0]), 2.0);
     }
 
     #[test]
@@ -576,61 +293,5 @@ mod tests {
                 "q={q}: merged {m} vs pooled {p}"
             );
         }
-    }
-
-    /// Nine users, uneven session counts, one non-finite value and one
-    /// empty user: enough structure that a changed draw order, a changed
-    /// pooling order or a dropped filter moves an endpoint.
-    fn nine_users() -> (Vec<Vec<f64>>, Vec<Vec<f64>>) {
-        let control: Vec<Vec<f64>> = (0..9u32)
-            .map(|u| {
-                (0..(u % 4))
-                    .map(|s| 10.0 + f64::from(u * u) * 1.7 + f64::from(s) * 0.9)
-                    .collect()
-            })
-            .collect();
-        let mut treatment: Vec<Vec<f64>> = control
-            .iter()
-            .enumerate()
-            .map(|(u, c)| c.iter().map(|v| v * (0.7 + 0.05 * u as f64)).collect())
-            .collect();
-        treatment[5][0] = f64::NAN;
-        (control, treatment)
-    }
-
-    /// Every printed CI is pinned to the draw order of the one kernel: one
-    /// `gen_range(0..n)` per user per replicate. The constants are what the
-    /// two hand-written loops it replaced printed for this fixture.
-    #[test]
-    fn bootstrap_kernel_keeps_the_draw_order() {
-        let (c, t) = nine_users();
-        let r = compare_paired(&c, &t, Aggregate::Median, 200, 77);
-        assert_eq!(
-            (r.control, r.treatment, r.pct_change),
-            (39.8, 23.034999999999997, -42.12311557788945)
-        );
-        assert_eq!(
-            (r.ci_low, r.ci_high),
-            (-56.123809523809534, 19.801544727077367)
-        );
-        let r = compare_paired(&c, &t, Aggregate::Mean, 200, 77);
-        assert_eq!(
-            (r.control, r.treatment, r.pct_change),
-            (50.26666666666666, 49.38318181818181, -1.7575958524234376)
-        );
-        assert_eq!(
-            (r.ci_low, r.ci_high),
-            (-33.191330732082285, 6.012239919695328)
-        );
-        let d = paired_delta(&c, &t, 200, 177);
-        assert_eq!(
-            (d.mean_delta_pct, d.ci_low, d.ci_high),
-            (-8.636363636363637, -21.000000000000007, 2.1428571428571463)
-        );
-        // The point estimate alone is the same numbers, with no seed.
-        assert_eq!(
-            point_change(&c, &t, Aggregate::Median),
-            (39.8, 23.034999999999997, -42.12311557788945)
-        );
     }
 }

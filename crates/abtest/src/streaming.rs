@@ -1,10 +1,7 @@
-//! The streaming shard-merge runner: million-user arms at O(threads)
-//! memory, with checkpoint/resume bit-identical to an uninterrupted run.
-//!
-//! The collecting runner ([`crate::experiment::ExperimentBuilder::run`])
-//! keeps one slot per user, which is exactly right for table-sized
-//! experiments and exactly wrong for fleet-sized ones. This runner never
-//! materializes anything per-user:
+//! The streaming shard-merge runner — the one runner, behind every A/B in
+//! the tree: million-user arms at O(threads) memory, with checkpoint/resume
+//! bit-identical to an uninterrupted run. It never materializes anything
+//! per-user:
 //!
 //! 1. The population is split into fixed-size **shards** (user index
 //!    ranges). The shard partition depends only on `shard_size` — never on
@@ -12,7 +9,7 @@
 //!    configuration.
 //! 2. Shards are jobs on the ordered pool ([`crate::pool::ordered`]): a
 //!    worker folds each user's paired sessions (in index order) straight
-//!    into a [`ShardState`]: per-metric t-digest summaries, exact
+//!    into a [`ShardState`]: per-row t-digest summaries, exact
 //!    paired-delta sums, Poisson-bootstrap replicate sums, and the
 //!    telemetry registry. Session records die with the user.
 //! 3. The pool's consumer (the calling thread) folds completed shards into
@@ -36,7 +33,9 @@
 //! an all-corrupt directory fails with [`SimError::Checkpoint`] — never a
 //! silent wrong answer.
 
-use crate::experiment::{panic_message, run_user_pair, Arm, ExperimentConfig, METRICS};
+use crate::experiment::{
+    panic_message, run_user_pair, Arm, ExperimentConfig, MetricTable, SessionRecord,
+};
 use crate::population::Population;
 use crate::stats::{pct_change, percentile, Aggregate, PairedDelta, StreamingStat};
 use netsim::SimError;
@@ -49,8 +48,10 @@ const CKPT_MAGIC: u64 = u64::from_le_bytes(*b"SMYCKPT1");
 /// Bumped whenever the payload layout *or the meaning of its bytes*
 /// changes; old files are rejected. Version 1 filled the replicate arrays
 /// under per-metric bootstrap weights; resuming one would splice two
-/// keyings into one set of replicates.
-const CKPT_VERSION: u32 = 2;
+/// keyings into one set of replicates. Version 2 had no row table in its
+/// config fingerprint; refusing it by version says why, where a config
+/// mismatch would not.
+const CKPT_VERSION: u32 = 3;
 /// Failure samples retained in the merged state (counts are exact; the
 /// samples are the first few in population order, for error messages).
 const MAX_FAILURE_SAMPLES: usize = 32;
@@ -135,7 +136,7 @@ fn poisson1(key: u64) -> u64 {
 
 /// Draw one user's bootstrap weights, one per replicate: replicate `r` is
 /// one resampled *population* — a resampled user brings every metric
-/// along — so all eight rows fold the same vector. Weights fit a byte
+/// along — so all rows fold the same vector. Weights fit a byte
 /// ([`poisson1`] stops at 64).
 fn draw_weights(seed: u64, user_id: u64, weights: &mut [u8]) {
     let key = mix2(mix2(seed, 0xB007_5EED), user_id);
@@ -144,7 +145,7 @@ fn draw_weights(seed: u64, user_id: u64, weights: &mut [u8]) {
     }
 }
 
-/// Mergeable accumulator for one metric of the 8-row table.
+/// Mergeable accumulator for one row of the report.
 ///
 /// Per arm: a [`StreamingStat`] (t-digest quantiles + exact count/mean).
 /// For the paired comparison: the exact sum/count of per-session
@@ -319,10 +320,11 @@ pub struct StreamFailure {
 }
 
 /// The mergeable per-shard (and, after merging, global) experiment state:
-/// one [`MetricAcc`] per table row, exact user/session/failure counts, a
-/// bounded failure sample, and the merged telemetry registry.
+/// one [`MetricAcc`] per row of its row table, exact user/session/failure
+/// counts, a bounded failure sample, and the merged telemetry registry.
 #[derive(Debug)]
 pub struct ShardState {
+    rows: MetricTable,
     metrics: Vec<MetricAcc>,
     /// Users folded in (successes only).
     pub users: u64,
@@ -362,9 +364,10 @@ impl FoldScratch {
 }
 
 impl ShardState {
-    fn new(reps: usize) -> Self {
+    fn new(reps: usize, rows: MetricTable) -> Self {
         ShardState {
-            metrics: (0..METRICS.len()).map(|_| MetricAcc::new(reps)).collect(),
+            rows,
+            metrics: rows.iter().map(|_| MetricAcc::new(reps)).collect(),
             users: 0,
             control_sessions: 0,
             treatment_sessions: 0,
@@ -375,7 +378,7 @@ impl ShardState {
         }
     }
 
-    /// Per-metric accumulators, in [`METRICS`] order.
+    /// Per-row accumulators, in row-table order.
     pub fn metrics(&self) -> &[MetricAcc] {
         &self.metrics
     }
@@ -384,8 +387,8 @@ impl ShardState {
         &mut self,
         seed: u64,
         user_id: u64,
-        control: &[crate::experiment::SessionRecord],
-        treatment: &[crate::experiment::SessionRecord],
+        control: &[SessionRecord],
+        treatment: &[SessionRecord],
         registry: &obs::Registry,
     ) {
         let FoldScratch {
@@ -394,7 +397,7 @@ impl ShardState {
             treatment: t_vals,
         } = &mut self.scratch;
         draw_weights(seed, user_id, weights);
-        for (acc, &(_, _, f)) in self.metrics.iter_mut().zip(&METRICS) {
+        for (acc, &(_, _, f)) in self.metrics.iter_mut().zip(self.rows) {
             c_vals.clear();
             c_vals.extend(control.iter().filter_map(f));
             t_vals.clear();
@@ -454,9 +457,13 @@ impl ShardState {
         self.registry.encode(out);
     }
 
-    fn decode(r: &mut Reader<'_>, expect_reps: usize) -> Result<ShardState, wire::WireError> {
+    fn decode(
+        r: &mut Reader<'_>,
+        expect_reps: usize,
+        rows: MetricTable,
+    ) -> Result<ShardState, wire::WireError> {
         let n_metrics = r.len("state.metrics")?;
-        if n_metrics != METRICS.len() {
+        if n_metrics != rows.len() {
             return Err(wire::WireError {
                 context: "state.metrics",
             });
@@ -485,6 +492,7 @@ impl ShardState {
         }
         let registry = obs::Registry::decode(r)?;
         Ok(ShardState {
+            rows,
             metrics,
             users,
             control_sessions,
@@ -499,13 +507,15 @@ impl ShardState {
 
 /// The fingerprint that ties a checkpoint to one exact run configuration.
 /// Any difference — population, arms, seeds, session counts, shard size,
-/// bootstrap reps — makes resume a hard error instead of a subtle lie.
+/// bootstrap reps, row table — makes resume a hard error instead of a
+/// subtle lie.
 fn config_fingerprint(
     population: &Population<'_>,
     control: Arm,
     treatment: Arm,
     cfg: &ExperimentConfig,
     shard_size: usize,
+    rows: MetricTable,
 ) -> u64 {
     let mut h = Fnv::new();
     h.u64(population.fingerprint());
@@ -516,6 +526,9 @@ fn config_fingerprint(
     h.u64(cfg.seed);
     h.u64(cfg.bootstrap_reps as u64);
     h.u64(shard_size as u64);
+    for &(name, ..) in rows {
+        h.str(name);
+    }
     h.finish()
 }
 
@@ -594,6 +607,7 @@ fn load_checkpoint(
     path: &Path,
     config_fp: u64,
     expect_reps: usize,
+    rows: MetricTable,
 ) -> Result<(ShardState, usize), CkptReject> {
     let corrupt = |what: &str| CkptReject::Corrupt(what.to_string());
     let bytes = std::fs::read(path).map_err(|e| corrupt(&format!("unreadable: {e}")))?;
@@ -623,7 +637,8 @@ fn load_checkpoint(
     let next_shard = r
         .u64("ckpt.next_shard")
         .map_err(|e| corrupt(&e.to_string()))? as usize;
-    let state = ShardState::decode(&mut r, expect_reps).map_err(|e| corrupt(&e.to_string()))?;
+    let state =
+        ShardState::decode(&mut r, expect_reps, rows).map_err(|e| corrupt(&e.to_string()))?;
     if !r.is_done() {
         return Err(corrupt("trailing bytes"));
     }
@@ -637,6 +652,7 @@ fn resume_scan(
     dir: &Path,
     config_fp: u64,
     expect_reps: usize,
+    rows: MetricTable,
 ) -> Result<Option<(ShardState, usize, Vec<String>)>, SimError> {
     if !dir.exists() {
         return Ok(None);
@@ -647,7 +663,7 @@ fn resume_scan(
     }
     let mut notes = Vec::new();
     for (path, _) in files.iter().rev() {
-        match load_checkpoint(path, config_fp, expect_reps) {
+        match load_checkpoint(path, config_fp, expect_reps, rows) {
             Ok((state, next_shard)) => return Ok(Some((state, next_shard, notes))),
             Err(CkptReject::Corrupt(reason)) => {
                 notes.push(format!("{}: {reason}", path.display()));
@@ -695,7 +711,7 @@ pub struct StreamRun {
 }
 
 impl StreamRun {
-    /// The Table 2-style report over the merged state.
+    /// The report over the merged state, one row per row-table entry.
     pub fn report(&self) -> StreamReport {
         StreamReport::build(&self.state)
     }
@@ -715,10 +731,10 @@ impl StreamRun {
     }
 }
 
-/// One row of the streaming report.
+/// One row of the report.
 #[derive(Debug, Clone)]
 pub struct StreamRow {
-    /// Metric name, as in [`METRICS`].
+    /// Row name, as in the row table.
     pub name: &'static str,
     /// How the per-arm statistic is aggregated.
     pub agg: Aggregate,
@@ -726,10 +742,11 @@ pub struct StreamRow {
     pub control: f64,
     /// Treatment-arm statistic.
     pub treatment: f64,
-    /// Percent change of the arm statistics.
+    /// Percent change of the arm statistics (the paper's point statistic).
     pub pct_change: f64,
-    /// Paired per-session mean delta with bootstrap CI (exact mean;
-    /// resolves sub-percent effects the quantile estimate can't).
+    /// Paired per-session mean delta with bootstrap CI — the report's one
+    /// interval (exact mean; resolves sub-percent effects the quantile
+    /// estimate can't).
     pub paired: PairedDelta,
     /// Control sessions with a value for this metric.
     pub control_count: u64,
@@ -737,10 +754,11 @@ pub struct StreamRow {
     pub treatment_count: u64,
 }
 
-/// The streaming analogue of [`crate::experiment::Report`].
+/// The A/B report: Table 2 / Table 3 under the default row table, Fig 3
+/// under [`crate::experiment::BUCKET_METRICS`].
 #[derive(Debug, Clone)]
 pub struct StreamReport {
-    /// Rows in [`METRICS`] order.
+    /// Rows in row-table order.
     pub rows: Vec<StreamRow>,
     /// Users folded in.
     pub users: u64,
@@ -750,7 +768,8 @@ pub struct StreamReport {
 
 impl StreamReport {
     fn build(state: &ShardState) -> StreamReport {
-        let rows = METRICS
+        let rows = state
+            .rows
             .iter()
             .zip(state.metrics())
             .map(|(&(name, agg, _), m)| {
@@ -794,6 +813,8 @@ impl StreamReport {
         for r in &self.rows {
             let paired = if r.paired.mean_delta_pct.is_nan() {
                 "n/a".to_string()
+            } else if r.paired.ci_low.is_nan() {
+                format!("{:+.3}% [n/a]", r.paired.mean_delta_pct)
             } else if r.paired.significant() {
                 format!(
                     "{:+.3}% [{:+.3}, {:+.3}]",
@@ -821,7 +842,7 @@ impl StreamReport {
 }
 
 /// Run one shard: fold users `[shard·size, (shard+1)·size)` in index
-/// order, isolating per-user panics exactly like the collecting runner.
+/// order, isolating per-user panics.
 fn compute_shard(
     population: &Population<'_>,
     shard: usize,
@@ -829,17 +850,16 @@ fn compute_shard(
     control: Arm,
     treatment: Arm,
     cfg: &ExperimentConfig,
-    reps: usize,
+    rows: MetricTable,
 ) -> ShardState {
-    let mut state = ShardState::new(reps);
+    let mut state = ShardState::new(cfg.bootstrap_reps, rows);
     let lo = shard * shard_size;
     let hi = ((shard + 1) * shard_size).min(population.len());
     for index in lo..hi {
         let user = population.get(index);
         // A panic leaves the user's partial registry in the worker's
         // thread-local; the next run_user_pair replaces it, so failed
-        // users contribute no telemetry (same policy as the collecting
-        // runner).
+        // users contribute no telemetry.
         let result = catch_unwind(AssertUnwindSafe(|| {
             run_user_pair(&user, control, treatment, cfg)
         }));
@@ -867,14 +887,9 @@ fn write_progress_line(
     global: &ShardState,
 ) -> Result<(), SimError> {
     use std::io::Write;
-    let (control_sessions, treatment_sessions) = global
-        .metrics()
-        .first()
-        .map(|m| (m.control().count(), m.treatment().count()))
-        .unwrap_or((0, 0));
     let line = format!(
-        "{{\"type\":\"progress\",\"shard\":{merged},\"shards\":{shards},\"users\":{},\"failures\":{},\"control_sessions\":{control_sessions},\"treatment_sessions\":{treatment_sessions}}}\n",
-        global.users, global.failures,
+        "{{\"type\":\"progress\",\"shard\":{merged},\"shards\":{shards},\"users\":{},\"failures\":{},\"control_sessions\":{},\"treatment_sessions\":{}}}\n",
+        global.users, global.failures, global.control_sessions, global.treatment_sessions,
     );
     f.write_all(line.as_bytes())
         .and_then(|()| f.flush())
@@ -889,6 +904,7 @@ pub(crate) fn run_stream_impl(
     treatment: Arm,
     cfg: &ExperimentConfig,
     stream: &StreamConfig,
+    rows: MetricTable,
 ) -> Result<StreamRun, SimError> {
     if stream.resume && stream.checkpoint_dir.is_none() {
         return Err(SimError::InvalidConfig {
@@ -900,15 +916,15 @@ pub(crate) fn run_stream_impl(
     let shard_size = stream.shard_size.max(1);
     let shards = users.div_ceil(shard_size);
     let reps = cfg.bootstrap_reps;
-    let config_fp = config_fingerprint(population, control, treatment, cfg, shard_size);
+    let config_fp = config_fingerprint(population, control, treatment, cfg, shard_size, rows);
 
-    let mut global = ShardState::new(reps);
+    let mut global = ShardState::new(reps, rows);
     let mut start_shard = 0usize;
     let mut resumed_from = None;
     let mut fallback_notes = Vec::new();
     if stream.resume {
         let dir = stream.checkpoint_dir.as_deref().expect("checked above");
-        if let Some((state, next_shard, notes)) = resume_scan(dir, config_fp, reps)? {
+        if let Some((state, next_shard, notes)) = resume_scan(dir, config_fp, reps, rows)? {
             if next_shard > shards {
                 return Err(SimError::Checkpoint {
                     path: dir.display().to_string(),
@@ -943,7 +959,7 @@ pub(crate) fn run_stream_impl(
     crate::pool::ordered(
         start_shard..shards,
         cfg.threads,
-        |shard| compute_shard(population, shard, shard_size, control, treatment, cfg, reps),
+        |shard| compute_shard(population, shard, shard_size, control, treatment, cfg, rows),
         |states| -> Result<(), SimError> {
             for (k, state) in (start_shard..shards).zip(states) {
                 global.merge(&state);
@@ -990,7 +1006,7 @@ pub(crate) fn run_stream_impl(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::experiment::{MetricExtractor, SessionRecord};
+    use crate::experiment::{MetricExtractor, METRICS};
     use netsim::{Rate, SimDuration};
 
     /// A synthetic session whose validity per metric follows `mask`:
@@ -1075,7 +1091,7 @@ mod tests {
         // replicates are those of the per-metric scheme, to the bit.
         const REPS: usize = 64;
         let seed = 2023;
-        let mut st = ShardState::new(REPS);
+        let mut st = ShardState::new(REPS, &METRICS);
         let mut want = vec![(0.0f64, 0u64); REPS];
         for u in 0..40u64 {
             // Every fifth user has no throughput sample at all (n == 0).
@@ -1122,7 +1138,7 @@ mod tests {
             reps in 1usize..48,
             seed in proptest::prelude::any::<u64>(),
         ) {
-            let mut st = ShardState::new(reps);
+            let mut st = ShardState::new(reps, &METRICS);
             // Per metric: each user's valid-pair count.
             let mut pairs = vec![Vec::new(); METRICS.len()];
             for (u, masks) in users.iter().enumerate() {
@@ -1231,7 +1247,7 @@ mod tests {
 
     #[test]
     fn shard_state_round_trips_bit_exact() {
-        let mut st = ShardState::new(20);
+        let mut st = ShardState::new(20, &METRICS);
         for u in 0..30u64 {
             let vals: Vec<f64> = (0..3).map(|s| (u * 3 + s) as f64 * 0.25 + 1.0).collect();
             let tvals: Vec<f64> = vals.iter().map(|v| v * 0.9).collect();
@@ -1245,7 +1261,7 @@ mod tests {
         let mut buf = Vec::new();
         st.encode(&mut buf);
         let mut r = Reader::new(&buf);
-        let back = ShardState::decode(&mut r, 20).unwrap();
+        let back = ShardState::decode(&mut r, 20, &METRICS).unwrap();
         assert!(r.is_done());
         let mut buf2 = Vec::new();
         back.encode(&mut buf2);
@@ -1257,15 +1273,15 @@ mod tests {
     fn checkpoint_write_load_and_corruption() {
         let dir = std::env::temp_dir().join(format!("sammy-ckpt-unit-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let state = ShardState::new(5);
+        let state = ShardState::new(5, &METRICS);
         write_checkpoint(&dir, 0xFEED, 3, &state).unwrap();
         let path = checkpoint_path(&dir, 3);
-        let (_, next_shard) = load_checkpoint(&path, 0xFEED, 5).unwrap();
+        let (_, next_shard) = load_checkpoint(&path, 0xFEED, 5, &METRICS).unwrap();
         assert_eq!(next_shard, 3);
 
         // Wrong config is a mismatch, not corruption.
         assert!(matches!(
-            load_checkpoint(&path, 0xBEEF, 5),
+            load_checkpoint(&path, 0xBEEF, 5, &METRICS),
             Err(CkptReject::ConfigMismatch)
         ));
 
@@ -1277,7 +1293,7 @@ mod tests {
             std::fs::write(&path, &bad).unwrap();
             assert!(
                 matches!(
-                    load_checkpoint(&path, 0xFEED, 5),
+                    load_checkpoint(&path, 0xFEED, 5, &METRICS),
                     Err(CkptReject::Corrupt(_))
                 ),
                 "flipped byte {cut} must be detected"
@@ -1286,17 +1302,39 @@ mod tests {
         // Truncation too.
         std::fs::write(&path, &bytes[..bytes.len() - 9]).unwrap();
         assert!(matches!(
-            load_checkpoint(&path, 0xFEED, 5),
+            load_checkpoint(&path, 0xFEED, 5, &METRICS),
             Err(CkptReject::Corrupt(_))
         ));
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// The progress line counts sessions, not the sessions that have a
+    /// value in the table's first row.
+    #[test]
+    fn progress_line_counts_every_session() {
+        let mut st = ShardState::new(4, &METRICS);
+        // Two sessions an arm; the second has no chunk throughput.
+        let (c, t) = user_sessions(3, &[0x1F, 0x1E]);
+        st.fold_user(9, 3, &c, &t, &obs::Registry::new());
+        assert_eq!(st.metrics()[0].control().count(), 1);
+
+        let path = std::env::temp_dir().join(format!("sammy-progress-{}", std::process::id()));
+        let _ = std::fs::remove_file(&path);
+        let mut f = std::fs::File::create(&path).unwrap();
+        write_progress_line(&mut f, 1, 1, &st).unwrap();
+        let line = std::fs::read_to_string(&path).unwrap();
+        let _ = std::fs::remove_file(&path);
+        assert!(
+            line.contains(r#""control_sessions":2,"treatment_sessions":2"#),
+            "{line}"
+        );
     }
 
     #[test]
     fn checkpoint_pruning_keeps_newest() {
         let dir = std::env::temp_dir().join(format!("sammy-ckpt-prune-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let state = ShardState::new(2);
+        let state = ShardState::new(2, &METRICS);
         for k in 1..=5 {
             write_checkpoint(&dir, 1, k, &state).unwrap();
         }

@@ -5,9 +5,8 @@
 //! several rounds of A/B tests; the published artifact is the tradeoff
 //! curve itself, which a deterministic sweep reproduces.
 
-use crate::experiment::{Arm, Experiment, ExperimentConfig, METRICS};
+use crate::experiment::{Arm, Experiment, ExperimentConfig};
 use crate::population::UserProfile;
-use crate::stats::point_change;
 use netsim::SimError;
 use serde::{Deserialize, Serialize};
 
@@ -49,9 +48,9 @@ pub fn default_grid() -> Vec<(f64, f64)> {
 
 /// The one `(c0, c1)` evaluation, under the Fig 5 sweep and every rung
 /// of the halving search alike: Production vs `Sammy { c0, c1 }` over
-/// `population`, read off as the four guarded rows. A row with no
-/// defined change reads NaN. Non-positive multipliers are rejected here,
-/// before anything is simulated for them.
+/// `population`, read off as the four guarded rows of a table-sized fold.
+/// A row with no defined change reads NaN. Non-positive multipliers are
+/// rejected here, before anything is simulated for them.
 pub(crate) fn evaluate(
     population: &[UserProfile],
     cfg: &ExperimentConfig,
@@ -64,21 +63,20 @@ pub(crate) fn evaluate(
             reason: format!("pace multipliers must be positive, got ({c0}, {c1})"),
         });
     }
-    let run = Experiment::builder()
+    // Point estimates only: nothing downstream of a sweep or a search
+    // reads an interval, so the fold carries no replicates
+    // (`cfg.bootstrap_reps` is unused here).
+    let report = Experiment::builder()
         .population(population)
         .control(Arm::Production)
         .treatment(Arm::Sammy { c0, c1 })
-        .config(cfg.clone())
-        .run()?;
-    // Point estimates only: nothing downstream of a sweep or a search
-    // reads an interval, so none is resampled (`cfg.bootstrap_reps` is
-    // unused here).
-    let get = |name: &str| {
-        let &(_, agg, f) = METRICS.iter().find(|m| m.0 == name).expect("a METRICS row");
-        let c = run.control.metric_by_user(f);
-        let t = run.treatment.metric_by_user(f);
-        point_change(&c, &t, agg).2
-    };
+        .config(ExperimentConfig {
+            bootstrap_reps: 0,
+            ..cfg.clone()
+        })
+        .run_table()?
+        .report();
+    let get = |name: &str| report.row(name).expect("a METRICS row").pct_change;
     Ok(SweepPoint {
         c0,
         c1,
@@ -148,7 +146,7 @@ mod tests {
     }
 
     /// The evaluation's four numbers are the report's rows, bit for bit —
-    /// without the sixteen bootstrap CIs the report builds around them.
+    /// without the replicates the report folds around them.
     #[test]
     fn sweep_point_equals_report_rows() {
         let cfg = ExperimentConfig {
@@ -166,15 +164,37 @@ mod tests {
                 .population(&pop)
                 .treatment(Arm::Sammy { c0, c1 })
                 .config(cfg.clone())
-                .run()
+                .run_table()
                 .unwrap()
-                .report(cfg.bootstrap_reps, cfg.seed);
-            let row = |name: &str| report.row(name).unwrap().change.pct_change.to_bits();
+                .report();
+            let row = |name: &str| report.row(name).unwrap().pct_change.to_bits();
             assert_eq!(point.tput_pct.to_bits(), row("Chunk Throughput"));
             assert_eq!(point.vmaf_pct.to_bits(), row("VMAF"));
             assert_eq!(point.play_delay_pct.to_bits(), row("Play Delay"));
             assert_eq!(point.rebuffer_pct.to_bits(), row("Rebuffers (/ hr)"));
         }
+    }
+
+    /// A user whose sessions panic fails the evaluation, naming the panic,
+    /// instead of leaving a sweep point one user short.
+    #[test]
+    fn a_failed_user_fails_the_evaluation() {
+        let cfg = ExperimentConfig {
+            users_per_arm: 6,
+            pre_sessions: 1,
+            sessions_per_user: 1,
+            seed: 3,
+            bootstrap_reps: 20,
+            threads: 2,
+        };
+        let mut pop = draw_population(&PopulationConfig::light(), 6, 3);
+        // A title shorter than one chunk trips `Title::generate`.
+        pop[4].title_duration = netsim::SimDuration::from_secs(1);
+        let err = evaluate(&pop, &cfg, 3.2, 2.8).unwrap_err();
+        assert!(
+            matches!(err, SimError::Experiment(ref m) if m.contains("chunk")),
+            "{err}"
+        );
     }
 
     #[test]

@@ -1,39 +1,10 @@
 //! Property tests for shard-merge correctness: the sharded experiment
-//! runner splits work across workers and merges per-shard results back
-//! together, so merging must be exact for session records (order-preserving
-//! concatenation) and order-invariant for the streaming summaries.
+//! runner splits work across workers and merges per-shard summaries back
+//! together, so merging must be order-invariant for the streaming
+//! summaries.
 
-use abtest::{ArmResult, SessionRecord, StreamingStat};
-use fluidsim::SessionOutcome;
-use netsim::{Rate, SimDuration};
+use abtest::StreamingStat;
 use proptest::prelude::*;
-use video::QoeSummary;
-
-/// A synthetic session record whose metrics all equal `v`.
-fn rec(user: u64, v: f64) -> SessionRecord {
-    SessionRecord {
-        user,
-        pre_p95_mbps: v,
-        outcome: SessionOutcome {
-            qoe: QoeSummary {
-                play_delay: None,
-                rebuffer_count: 0,
-                rebuffer_time: SimDuration::ZERO,
-                mean_vmaf: Some(v),
-                initial_vmaf: None,
-                mean_bitrate: None,
-                played: SimDuration::ZERO,
-                quality_switches: 0,
-            },
-            avg_chunk_throughput: Some(Rate::from_mbps(v)),
-            retx_fraction: 0.0,
-            median_rtt_ms: v,
-            chunks: 1,
-            congested_byte_fraction: 0.0,
-            chunk_throughputs_mbps: vec![v],
-        },
-    }
-}
 
 /// Split `values` into shards whose sizes are driven by `cuts`.
 fn shard<T: Clone>(values: &[T], cuts: &[usize]) -> Vec<Vec<T>> {
@@ -55,27 +26,6 @@ fn shard<T: Clone>(values: &[T], cuts: &[usize]) -> Vec<Vec<T>> {
 }
 
 proptest! {
-    /// Concatenating per-shard `ArmResult`s in shard order reproduces the
-    /// pooled session list exactly — the invariant the parallel runner's
-    /// bit-identical guarantee rests on.
-    #[test]
-    fn arm_result_merge_is_exact_concatenation(
-        values in prop::collection::vec(0.1f64..500.0, 1..120),
-        cuts in prop::collection::vec(1usize..40, 0..8),
-    ) {
-        let pooled: Vec<SessionRecord> =
-            values.iter().enumerate().map(|(i, &v)| rec(i as u64, v)).collect();
-        let mut merged = ArmResult::default();
-        for piece in shard(&pooled, &cuts) {
-            merged.merge(ArmResult { sessions: piece });
-        }
-        prop_assert_eq!(merged.sessions.len(), pooled.len());
-        prop_assert!(
-            merged.sessions == pooled,
-            "merged shards must equal the pooled session list"
-        );
-    }
-
     /// Count and mean of merged `StreamingStat` shards are exact and
     /// independent of shard boundaries and merge order; quantile estimates
     /// stay within the t-digest accuracy envelope of the pooled digest.

@@ -12,7 +12,7 @@
 //!
 //! Text output goes to stdout; CSV files go to `results/`.
 
-use abtest::Report;
+use abtest::StreamReport;
 use netsim::SimDuration;
 use sammy_bench::ablation;
 use sammy_bench::figures;
@@ -200,8 +200,8 @@ fn fig2() {
 }
 
 /// Run one production A/B, print its Table 2-style report and write it as
-/// `csv`.
-fn report_table(title: &str, csv: &str, run: fn(f64, u64, usize) -> Report, o: &Opts) {
+/// `csv`: the median change and the paired mean with its interval.
+fn report_table(title: &str, csv: &str, run: fn(f64, u64, usize) -> StreamReport, o: &Opts) {
     banner(title);
     let report = run(o.scale, SEED, o.threads);
     print!("{}", report.render());
@@ -210,13 +210,11 @@ fn report_table(title: &str, csv: &str, run: fn(f64, u64, usize) -> Report, o: &
         .iter()
         .map(|r| {
             format!(
-                "{},{:.6},{:.6},{:.3},{:.3},{:.3},{:.4},{:.4},{:.4}",
+                "{},{:.6},{:.6},{:.3},{:.4},{:.4},{:.4}",
                 r.name,
-                r.change.control,
-                r.change.treatment,
-                r.change.pct_change,
-                r.change.ci_low,
-                r.change.ci_high,
+                r.control,
+                r.treatment,
+                r.pct_change,
                 r.paired.mean_delta_pct,
                 r.paired.ci_low,
                 r.paired.ci_high
@@ -225,7 +223,7 @@ fn report_table(title: &str, csv: &str, run: fn(f64, u64, usize) -> Report, o: &
         .collect();
     save_csv(
         csv,
-        "metric,control,treatment,pct_change,ci_low,ci_high,paired_mean,paired_lo,paired_hi",
+        "metric,control,treatment,pct_change,paired_mean,paired_lo,paired_hi",
         &rows,
     );
 }
@@ -233,18 +231,24 @@ fn report_table(title: &str, csv: &str, run: fn(f64, u64, usize) -> Report, o: &
 fn fig3(scale: f64, threads: usize) {
     banner("Fig 3: chunk-throughput reduction by pre-experiment throughput bucket");
     let data = figures::fig3(scale, SEED, threads);
-    println!("{:>12} {:>12} {:>20}", "bucket", "% change", "95% CI");
+    println!(
+        "{:>12} {:>12} {:>30}",
+        "bucket", "% change", "paired mean [95% CI]"
+    );
     let mut rows = Vec::new();
-    for (label, pct, lo, hi) in &data {
+    for r in &data {
+        let (pct, p) = (r.pct_change, r.paired);
+        let (mean, lo, hi) = (p.mean_delta_pct, p.ci_low, p.ci_high);
         println!(
-            "{label:>12} {pct:>12.1} {:>20}",
-            format!("[{lo:.1}, {hi:.1}]")
+            "{:>12} {pct:>12.1} {:>30}",
+            r.name,
+            format!("{mean:+.3} [{lo:+.3}, {hi:+.3}]")
         );
-        rows.push(format!("{label},{pct:.3},{lo:.3},{hi:.3}"));
+        rows.push(format!("{},{pct:.3},{mean:.4},{lo:.4},{hi:.4}", r.name));
     }
     save_csv(
         "fig3_buckets.csv",
-        "bucket,pct_change,ci_low,ci_high",
+        "bucket,pct_change,paired_mean,paired_lo,paired_hi",
         &rows,
     );
 }

@@ -5,9 +5,9 @@
 //! a laptop; the binary accepts a `--scale` factor for larger runs.
 
 use abtest::{
-    bucket_label, default_grid, draw_population, run_cold_start, run_sweep, throughput_by_bucket,
-    Arm, ColdStartConfig, Experiment, ExperimentConfig, ExperimentRun, PopulationConfig, Report,
-    SweepPoint,
+    default_grid, draw_population, run_cold_start, run_sweep, Arm, ColdStartConfig, Experiment,
+    ExperimentConfig, MetricTable, PopulationConfig, StreamReport, StreamRow, SweepPoint,
+    BUCKET_METRICS, METRICS,
 };
 use sammy_core::analysis::{fig2a_selection_curve, fig2b_threshold_curve};
 
@@ -31,10 +31,17 @@ pub fn experiment_config(scale: f64, seed: u64, threads: usize) -> ExperimentCon
     }
 }
 
-/// One production-vs-`treatment` A/B at the standard sizing. Each figure
-/// draws its own population: `seed + offset` keys the population and the
-/// bootstrap, `seed` the sessions.
-fn ab_run(treatment: Arm, scale: f64, seed: u64, offset: u64, threads: usize) -> ExperimentRun {
+/// One production-vs-`treatment` A/B at the standard sizing, folded into
+/// `rows`. Each figure draws its own population: `seed + offset` keys the
+/// population, `seed` the sessions and the bootstrap.
+fn ab_report(
+    treatment: Arm,
+    rows: MetricTable,
+    scale: f64,
+    seed: u64,
+    offset: u64,
+    threads: usize,
+) -> StreamReport {
     let cfg = experiment_config(scale, seed, threads);
     let pop = draw_population(
         &PopulationConfig::default(),
@@ -45,33 +52,36 @@ fn ab_run(treatment: Arm, scale: f64, seed: u64, offset: u64, threads: usize) ->
         .population(&pop)
         .treatment(treatment)
         .config(cfg)
-        .run()
+        .rows(rows)
+        .run_table()
         .expect("figure setup is valid")
+        .report()
 }
 
 /// Table 2: Sammy (c0=3.2, c1=2.8) vs production.
-pub fn table2(scale: f64, seed: u64, threads: usize) -> Report {
-    ab_run(SAMMY_PROD, scale, seed, 0, threads).report(BOOTSTRAP_REPS, seed)
+pub fn table2(scale: f64, seed: u64, threads: usize) -> StreamReport {
+    ab_report(SAMMY_PROD, &METRICS, scale, seed, 0, threads)
 }
 
 /// Table 3: initial-phase changes only (no pacing) vs production.
-pub fn table3(scale: f64, seed: u64, threads: usize) -> Report {
-    ab_run(Arm::InitialOnly, scale, seed, 1, threads).report(BOOTSTRAP_REPS, seed + 1)
+pub fn table3(scale: f64, seed: u64, threads: usize) -> StreamReport {
+    ab_report(Arm::InitialOnly, &METRICS, scale, seed, 1, threads)
 }
 
 /// §5.5: the naive constant-4x baseline vs production.
-pub fn baseline_4x(scale: f64, seed: u64, threads: usize) -> Report {
-    ab_run(Arm::NaivePaced { multiplier: 4.0 }, scale, seed, 2, threads)
-        .report(BOOTSTRAP_REPS, seed + 2)
+pub fn baseline_4x(scale: f64, seed: u64, threads: usize) -> StreamReport {
+    let naive = Arm::NaivePaced { multiplier: 4.0 };
+    ab_report(naive, &METRICS, scale, seed, 2, threads)
 }
 
-/// Fig 3: chunk-throughput change by pre-experiment throughput bucket.
-/// Returns `(bucket label, % change, ci_low, ci_high)`.
-pub fn fig3(scale: f64, seed: u64, threads: usize) -> Vec<(&'static str, f64, f64, f64)> {
-    let run = ab_run(SAMMY_PROD, scale * 1.5, seed, 3, threads);
-    throughput_by_bucket(&run.control, &run.treatment, BOOTSTRAP_REPS, seed + 3)
+/// Fig 3: chunk-throughput change by pre-experiment throughput bucket —
+/// one row per bucket with at least 10 sessions an arm.
+pub fn fig3(scale: f64, seed: u64, threads: usize) -> Vec<StreamRow> {
+    let report = ab_report(SAMMY_PROD, &BUCKET_METRICS, scale * 1.5, seed, 3, threads);
+    report
+        .rows
         .into_iter()
-        .map(|(b, pc)| (bucket_label(b), pc.pct_change, pc.ci_low, pc.ci_high))
+        .filter(|r| r.control_count >= 10 && r.treatment_count >= 10)
         .collect()
 }
 
@@ -222,9 +232,9 @@ mod tests {
     #[test]
     fn tiny_table2_has_expected_directions() {
         let report = table2(0.15, 42, 0);
-        let tput = report.row("Chunk Throughput").unwrap().change.pct_change;
+        let tput = report.row("Chunk Throughput").unwrap().pct_change;
         assert!(tput < -25.0, "chunk throughput change {tput}");
-        let vmaf = report.row("VMAF").unwrap().change.pct_change;
+        let vmaf = report.row("VMAF").unwrap().pct_change;
         assert!(vmaf.abs() < 3.0, "vmaf change {vmaf}");
     }
 }

@@ -272,8 +272,10 @@ fn semantically_invalid_submissions_are_400s() {
         assert_eq!(code, 400, "{body}: {reply}");
         assert!(reply.contains(named), "{body}: {reply}");
     }
-    // These used to report `done` with `users: 0, failures: 4` and a
-    // table of nulls: every user pair panicked in `PaceSelector::new`.
+    // The first three used to report `done` with `users: 0, failures: 4`
+    // and a table of nulls: every user pair panicked in
+    // `PaceSelector::new`. The zero-sized ones were 201s whose job then
+    // read `failed: invalid config`.
     for (body, named) in [
         (r#"{"treatment":{"kind":"sammy","c0":-1,"c1":0}}"#, "c0"),
         (r#"{"treatment":{"kind":"sammy","c1":0}}"#, "c1"),
@@ -281,6 +283,9 @@ fn semantically_invalid_submissions_are_400s() {
             r#"{"control":{"kind":"naive-paced","multiplier":-4}}"#,
             "multiplier",
         ),
+        (r#"{"users_per_arm":0}"#, "users_per_arm"),
+        (r#"{"sessions_per_user":0}"#, "sessions_per_user"),
+        (r#"{"bootstrap_reps":0}"#, "bootstrap_reps"),
     ] {
         let (code, reply) = post(&daemon, "/runs", body);
         assert_eq!(code, 400, "{body}: {reply}");

@@ -389,11 +389,10 @@ impl ArmSpec {
 pub const MAX_BOOTSTRAP_REPS: usize = 100_000;
 
 /// Ceiling on the users per arm of a search's final rung
-/// (`initial_users × eta^(rungs−1)`). An evaluation runs on the collecting
-/// runner, which holds every `SessionRecord` of the rung: `2 ×
-/// sessions_per_user` a user, about 3 kB each with the full population's
-/// ~340 chunk throughputs — 2.4 GB here at the default four sessions. An
-/// unbounded rung is an allocation abort, not an error.
+/// (`initial_users × eta^(rungs−1)`). An evaluation folds its rung at
+/// O(threads) memory; what grows with the rung is the population it draws,
+/// about 100 bytes a user (10 MB here), and its run time.
+/// [`SearchSpec::validate`] computes the product with checked arithmetic.
 pub const MAX_SEARCH_USERS: usize = 100_000;
 
 spec_struct! {
@@ -401,7 +400,7 @@ spec_struct! {
     /// network/transport substrate. The single source of truth consumed by
     /// `POST /runs`, `sammy-sim`, and `bench::{lab,matrix}`.
     #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-    pub struct ExperimentSpec checked by ExperimentSpec::check_reps {
+    pub struct ExperimentSpec checked by ExperimentSpec::check {
         /// Human-readable experiment name (labels reports and run dirs).
         pub name: String = "experiment".into(),
         /// Control arm.
@@ -432,7 +431,23 @@ spec_struct! {
 }
 
 impl ExperimentSpec {
-    fn check_reps(&self) -> Result<(), SimError> {
+    /// An experiment needs a user, a session and a replicate — a zero is
+    /// refused where the spec enters (`POST /runs`, a search's base, the
+    /// CLI), not by the job it would have become — and a replicate count
+    /// under [`MAX_BOOTSTRAP_REPS`].
+    fn check(&self) -> Result<(), SimError> {
+        for (field, value) in [
+            ("users_per_arm", self.users_per_arm),
+            ("sessions_per_user", self.sessions_per_user),
+            ("bootstrap_reps", self.bootstrap_reps),
+        ] {
+            if value == 0 {
+                return Err(SimError::InvalidConfig {
+                    field,
+                    reason: "must be at least 1".into(),
+                });
+            }
+        }
         if self.bootstrap_reps > MAX_BOOTSTRAP_REPS {
             return Err(SimError::InvalidConfig {
                 field: "bootstrap_reps",
@@ -707,6 +722,18 @@ mod tests {
                 ),
                 "{err}"
             );
+        }
+    }
+
+    #[test]
+    fn zero_sized_experiments_are_refused_naming_the_field() {
+        for field in ["users_per_arm", "sessions_per_user", "bootstrap_reps"] {
+            let zero = format!(r#"{{"{field}":0}}"#);
+            assert_eq!(invalid_field(ExperimentSpec::from_json_str(&zero)), field);
+            let base = format!(r#"{{"arms":[{{"c0":2,"c1":2}}],"base":{zero}}}"#);
+            assert_eq!(invalid_field(SearchSpec::from_json_str(&base)), field);
+            let one = format!(r#"{{"{field}":1}}"#);
+            assert!(ExperimentSpec::from_json_str(&one).is_ok());
         }
     }
 

@@ -1,5 +1,6 @@
 //! Production-style A/B experiment: Sammy vs the production algorithm over
-//! a simulated user population (the Table 2 methodology at example scale).
+//! a simulated user population (the Table 2 methodology at example scale),
+//! then the same population folded into Fig 3's per-bucket rows.
 //!
 //! ```text
 //! cargo run --example ab_experiment --release
@@ -8,7 +9,7 @@
 //! cargo run --example ab_experiment --release --features obs -- --metrics out.jsonl
 //! ```
 
-use sammy_repro::abtest::{bucket_label, throughput_by_bucket};
+use sammy_repro::abtest::BUCKET_METRICS;
 use sammy_repro::prelude::*;
 
 fn main() {
@@ -17,8 +18,8 @@ fn main() {
         .first()
         .and_then(|s| s.parse().ok())
         .unwrap_or(150);
-    // Worker threads for the sharded runner (0 = all cores). The report is
-    // bit-identical for every value.
+    // Worker threads for the sharded runner (0 = all cores). The reports
+    // are bit-identical for every value.
     let threads: usize = positional.get(1).and_then(|s| s.parse().ok()).unwrap_or(0);
 
     let cfg = ExperimentConfig {
@@ -34,31 +35,25 @@ fn main() {
         cfg.users_per_arm, cfg.sessions_per_user
     );
 
-    let run = Experiment::builder()
-        .treatment(Arm::Sammy { c0: 3.2, c1: 2.8 })
-        .config(cfg.clone())
-        .run()
-        .expect("valid experiment setup");
-
-    let report = run.report(cfg.bootstrap_reps, cfg.seed);
-    println!("{}", report.render());
+    let experiment = || {
+        Experiment::builder()
+            .treatment(Arm::Sammy { c0: 3.2, c1: 2.8 })
+            .config(cfg.clone())
+    };
+    let run = experiment().run_table().expect("valid experiment setup");
+    println!("{}", run.report().render());
 
     println!("Chunk-throughput change by pre-experiment throughput bucket (Fig 3):");
-    for (bucket, pc) in
-        throughput_by_bucket(&run.control, &run.treatment, cfg.bootstrap_reps, cfg.seed)
-    {
-        println!(
-            "  {:>12}: {:>7.1}%  [{:.1}, {:.1}]",
-            bucket_label(bucket),
-            pc.pct_change,
-            pc.ci_low,
-            pc.ci_high
-        );
-    }
+    let buckets = experiment()
+        .rows(&BUCKET_METRICS)
+        .run_table()
+        .expect("valid experiment setup")
+        .report();
+    print!("{}", buckets.render());
     println!("\nPaper reference (Table 2): tput -61%, retx -35.5%, RTT -13.7%,");
     println!("initial VMAF +0.14%, VMAF +0.04%, play delay -1.29%, rebuffers n.s.");
 
-    emit_metrics(metrics, &run.metrics);
+    emit_metrics(metrics, &run.state.registry);
 }
 
 /// Split argv into positional args and an optional `--metrics <path>`.

@@ -344,17 +344,19 @@ fn abtest(opts: &Opts) {
             ..Default::default()
         },
     );
-    let run = accepted("abtest setup", Experiment::builder().spec(&spec).run());
-    let report = run.report(spec.bootstrap_reps, spec.seed);
+    let run = accepted(
+        "abtest setup",
+        Experiment::builder().spec(&spec).run_table(),
+    );
     println!(
         "Paired A/B: production vs {}, {} users\n",
         sammy_repro::abtest::Arm::from(&spec.treatment).label(),
         spec.users_per_arm
     );
-    print!("{}", report.render());
+    print!("{}", run.report().render());
     // Fold the experiment's per-user telemetry into this process's registry
     // so `--metrics` sees it.
-    obs::with(|r| r.merge(&run.metrics));
+    obs::with(|r| r.merge(&run.state.registry));
 }
 
 /// Streaming shard-merge A/B run: lazily derived population, O(threads)
@@ -530,8 +532,10 @@ fn quickstart(opts: &Opts) {
         "[2/2] fluid A/B experiment ({} users per arm)...",
         spec.users_per_arm
     );
-    let run = accepted("quickstart setup", Experiment::builder().spec(&spec).run());
-    let report = run.report(spec.bootstrap_reps, spec.seed);
-    print!("{}", report.render());
-    obs::with(|r| r.merge(&run.metrics));
+    let run = accepted(
+        "quickstart setup",
+        Experiment::builder().spec(&spec).run_table(),
+    );
+    print!("{}", run.report().render());
+    obs::with(|r| r.merge(&run.state.registry));
 }

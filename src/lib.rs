@@ -23,14 +23,13 @@ pub use video;
 /// ```
 /// use sammy_repro::prelude::*;
 ///
-/// let run = Experiment::builder().users_per_arm(4).run().unwrap();
-/// assert_eq!(run.control.sessions.len(), run.treatment.sessions.len());
+/// let run = Experiment::builder().users_per_arm(4).run_streaming().unwrap();
+/// assert_eq!(run.state.control_sessions, run.state.treatment_sessions);
 /// ```
 pub mod prelude {
     pub use abtest::{
         draw_population, draw_population_indexed, Arm, Experiment, ExperimentBuilder,
-        ExperimentConfig, ExperimentRun, Population, PopulationConfig, Report, StreamReport,
-        StreamRun, UserProfile,
+        ExperimentConfig, Population, PopulationConfig, StreamReport, StreamRun, UserProfile,
     };
     pub use fluidsim::{FluidConfig, NetworkProfile, SessionBuilder, SessionOutcome};
     pub use netsim::{Rate, SimDuration, SimError, SimTime};

@@ -5,7 +5,7 @@
 //! here; the full batteries live in `crates/abtest` (the
 //! `pair_equals_unshared_arms` proptest, `tests/streaming_resume.rs`).
 
-use sammy_repro::abtest::run_user;
+use sammy_repro::abtest::{run_user, StreamingStat, METRICS};
 use sammy_repro::prelude::*;
 
 const TREATMENT: Arm = Arm::Sammy { c0: 3.2, c1: 2.8 };
@@ -21,8 +21,10 @@ fn cfg(users: usize) -> ExperimentConfig {
     }
 }
 
-/// A pair shares its warm-up and titles between the arms; each arm's
-/// records must equal what that arm produces run alone.
+/// A pair shares its warm-up and titles between the arms; each arm the
+/// fold saw must be what that arm produces run alone — every row's digest,
+/// to the bit, against one folded here from `run_user` records (one
+/// shard: the fold's per-arm summary merged once into an empty one).
 #[test]
 fn pair_equals_each_arm_run_alone() {
     let cfg = cfg(3);
@@ -31,12 +33,54 @@ fn pair_equals_each_arm_run_alone() {
         .population(&pop)
         .treatment(TREATMENT)
         .config(cfg.clone())
-        .run()
+        .run_streaming()
         .unwrap();
-    let alone = |arm| -> Vec<_> { pop.iter().flat_map(|u| run_user(u, arm, &cfg)).collect() };
-    assert_eq!(run.control.sessions, alone(Arm::Production));
-    assert_eq!(run.treatment.sessions, alone(TREATMENT));
-    assert_ne!(run.control.sessions, run.treatment.sessions);
+    assert_eq!(run.shards, 1);
+    let encode = |s: &StreamingStat| {
+        let mut buf = Vec::new();
+        s.encode(&mut buf);
+        buf
+    };
+    let alone = |arm, f: fn(&_) -> Option<f64>| {
+        let shard: StreamingStat = pop
+            .iter()
+            .flat_map(|u| run_user(u, arm, &cfg))
+            .filter_map(|r| f(&r))
+            .collect();
+        let mut merged = StreamingStat::new();
+        merged.merge(&shard);
+        encode(&merged)
+    };
+    for (acc, &(name, _, f)) in run.state.metrics().iter().zip(&METRICS) {
+        assert_eq!(encode(acc.control()), alone(Arm::Production, f), "{name}");
+        assert_eq!(encode(acc.treatment()), alone(TREATMENT, f), "{name}");
+    }
+    let tput = &run.state.metrics()[0];
+    assert_ne!(encode(tput.control()), encode(tput.treatment()));
+}
+
+/// The fold's state for a small light run, pinned: `sammy-sim stream
+/// --users 64 --light --seed 2023 --shard-size 16` printed this before the
+/// collecting runner went, and a change that moves the fold — its digests,
+/// replicates, counts or merge order — moves it.
+#[test]
+fn stream_state_fingerprint_is_pinned() {
+    if sammy_repro::obs::ENABLED {
+        return; // the fingerprint hashes the telemetry registry too
+    }
+    let spec = ExperimentSpec {
+        users_per_arm: 64,
+        pre_sessions: 1,
+        sessions_per_user: 1,
+        seed: 2023,
+        bootstrap_reps: 200,
+        threads: 2,
+        shard_size: 16,
+        light_population: true,
+        ..Default::default()
+    };
+    let run = Experiment::builder().spec(&spec).run_streaming().unwrap();
+    assert_eq!(format!("{:016x}", run.fingerprint()), "ac514e3343ee1d25");
 }
 
 /// Kill the streaming runner after its first checkpoint, resume: the final

@@ -77,6 +77,9 @@ fn a_spec_the_api_would_refuse_exits_2_naming_the_field() {
         (&["matrix", "--rtt-ms", "-1"][..], "rtt_ms"),
         (&["abtest", "--seed", "18446744073709551615"][..], "seed"),
         (&["tune", "--reps", "100001"][..], "bootstrap_reps"),
+        (&["tune", "--reps", "0"][..], "bootstrap_reps"),
+        (&["abtest", "--users", "0"][..], "users_per_arm"),
+        (&["stream", "--sessions", "0"][..], "sessions_per_user"),
     ] {
         let out = sammy_sim(args);
         assert_eq!(out.status.code(), Some(2), "{args:?}");

@@ -215,48 +215,36 @@ fn parallel_experiment_bit_identical_to_serial() {
         sessions_per_user: 2,
         seed: 77,
         bootstrap_reps: 120,
-        threads: 0,
+        threads: 1,
     };
     let treatment = Arm::Sammy { c0: 3.2, c1: 2.8 };
     let pop = draw_population(&PopulationConfig::default(), base.users_per_arm, base.seed);
-
-    let serial = Experiment::builder()
-        .population(&pop)
-        .treatment(treatment)
-        .config(base.clone())
-        .serial_reference(true)
-        .run()
-        .unwrap();
-    let serial_report = serial.report(base.bootstrap_reps, base.seed);
-    assert!(!serial.control.sessions.is_empty());
-
-    for threads in [1usize, 2, 8] {
-        let cfg = ExperimentConfig {
-            threads,
-            ..base.clone()
-        };
-        let run = Experiment::builder()
+    let run = |threads| {
+        Experiment::builder()
             .population(&pop)
             .treatment(treatment)
-            .config(cfg.clone())
-            .run()
-            .unwrap();
-        // Every session record — QoE, throughputs, RTT digests — must be
-        // bit-identical to the serial runner's, in the same order.
-        assert!(
-            run.control.sessions == serial.control.sessions,
-            "control records diverged at {threads} threads"
+            .config(ExperimentConfig {
+                threads,
+                ..base.clone()
+            })
+            .shard_size(3)
+            .run_streaming()
+            .unwrap()
+    };
+
+    let serial = run(1);
+    assert_eq!((serial.shards, serial.state.users), (4, 12));
+    for threads in [2usize, 8] {
+        let parallel = run(threads);
+        // The merged state — every digest centroid, replicate sum and
+        // count — and the report derived from it are bit-identical to the
+        // one-worker run's.
+        assert_eq!(
+            parallel.fingerprint(),
+            serial.fingerprint(),
+            "state diverged at {threads} threads"
         );
-        assert!(
-            run.treatment.sessions == serial.treatment.sessions,
-            "treatment records diverged at {threads} threads"
-        );
-        // And so must the derived report (same bootstrap draws, same rows).
-        let report = run.report(cfg.bootstrap_reps, cfg.seed);
-        assert!(
-            report == serial_report,
-            "report diverged at {threads} threads"
-        );
+        assert_eq!(parallel.report().render(), serial.report().render());
     }
 }
 

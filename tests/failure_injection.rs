@@ -204,55 +204,61 @@ fn worker_panic_is_isolated_and_reported() {
     // trips `Title::generate`'s assertion inside that user's worker.
     pop[4].title_duration = SimDuration::from_secs(1);
 
-    let run = Experiment::builder()
-        .population(&pop)
-        .treatment(treatment)
-        .config(cfg.clone())
-        .detailed(true)
-        .run()
-        .unwrap();
+    // One shard, so the healthy users fold exactly as a clean run's do.
+    let run = |pop: &[_]| {
+        Experiment::builder()
+            .population(pop)
+            .treatment(treatment)
+            .config(cfg.clone())
+            .shard_size(cfg.users_per_arm)
+            .run_streaming()
+            .unwrap()
+    };
+    let sabotaged = run(&pop);
 
     // Exactly the sabotaged user failed, with the panic payload captured.
-    assert_eq!(run.failures.len(), 1, "failures: {:?}", run.failures);
-    assert_eq!(run.failures[0].index, 4);
-    assert_eq!(run.failures[0].user, pop[4].id);
+    let state = &sabotaged.state;
+    assert_eq!((state.failures, state.users), (1, 9));
+    let sample = &state.failure_samples[0];
+    assert_eq!((sample.index, sample.user), (4, pop[4].id));
     assert!(
-        run.failures[0].message.contains("chunk"),
+        sample.message.contains("chunk"),
         "unexpected payload: {}",
-        run.failures[0].message
+        sample.message
     );
 
-    // The pool neither deadlocked nor dropped the other nine users: their
-    // records match a clean run of the population without the bad user.
+    // The pool neither deadlocked nor dropped the other nine users: every
+    // row of the state equals a clean run of the population without the
+    // bad user.
     let healthy: Vec<_> = pop
         .iter()
         .enumerate()
         .filter(|(i, _)| *i != 4)
         .map(|(_, u)| u.clone())
         .collect();
-    let clean = Experiment::builder()
-        .population(&healthy)
-        .treatment(treatment)
-        .config(cfg.clone())
-        .serial_reference(true)
-        .run()
-        .unwrap();
-    assert!(
-        run.control.sessions == clean.control.sessions,
-        "surviving control records diverged"
-    );
-    assert!(
-        run.treatment.sessions == clean.treatment.sessions,
-        "surviving treatment records diverged"
-    );
+    let clean = run(&healthy);
+    let encode = |s: &sammy_repro::abtest::StreamingStat| {
+        let mut buf = Vec::new();
+        s.encode(&mut buf);
+        buf
+    };
+    for (a, b) in state.metrics().iter().zip(clean.state.metrics()) {
+        assert_eq!(encode(a.control()), encode(b.control()));
+        assert_eq!(encode(a.treatment()), encode(b.treatment()));
+        let bits = |d: sammy_repro::abtest::PairedDelta| {
+            [d.mean_delta_pct, d.ci_low, d.ci_high].map(f64::to_bits)
+        };
+        assert_eq!(bits(a.paired_delta()), bits(b.paired_delta()));
+    }
+    assert_eq!(state.registry.to_jsonl(), clean.state.registry.to_jsonl());
 
-    // The strict (non-detailed) builder surfaces the same failure as an
-    // error instead of returning a silently incomplete experiment.
+    // A table-sized run surfaces the same failure as an error instead of
+    // returning a silently incomplete experiment.
     let err = Experiment::builder()
         .population(&pop)
         .treatment(treatment)
         .config(cfg.clone())
-        .run()
+        .run_table()
         .unwrap_err();
     assert!(
         matches!(err, SimError::Experiment(ref m) if m.contains("chunk")),

@@ -1,9 +1,8 @@
 //! Telemetry determinism and zero-overhead guarantees.
 //!
 //! With the `obs` feature on, the experiment runner's merged registry must
-//! be byte-identical for every worker count (and for the serial reference
-//! runner), and every instrumented layer must actually show up in the
-//! output. With the feature off, the same instrumented code paths must
+//! be byte-identical for every worker count, and every instrumented layer
+//! must actually show up in the output. With the feature off, the same instrumented code paths must
 //! record nothing at all — the macros compile to nothing.
 
 use sammy_repro::prelude::*;
@@ -13,7 +12,8 @@ const USERS: u64 = 8;
 const PRE_SESSIONS: u64 = 1;
 const SESSIONS_PER_USER: u64 = 2;
 
-fn experiment_metrics(threads: usize, serial: bool) -> Registry {
+/// The merged registry of a four-shard run on `threads` workers.
+fn experiment_metrics(threads: usize) -> Registry {
     let cfg = ExperimentConfig {
         users_per_arm: USERS as usize,
         pre_sessions: PRE_SESSIONS as usize,
@@ -25,14 +25,14 @@ fn experiment_metrics(threads: usize, serial: bool) -> Registry {
     let run = Experiment::builder()
         .treatment(Arm::Sammy { c0: 3.2, c1: 2.8 })
         .config(cfg)
-        .serial_reference(serial)
-        .run()
+        .shard_size(2)
+        .run_streaming()
         .unwrap();
-    run.metrics
+    run.state.registry
 }
 
-fn experiment_jsonl(threads: usize, serial: bool) -> String {
-    experiment_metrics(threads, serial).to_jsonl()
+fn experiment_jsonl(threads: usize) -> String {
+    experiment_metrics(threads).to_jsonl()
 }
 
 /// A user pair simulates its pre-experiment sessions once and its
@@ -40,7 +40,7 @@ fn experiment_jsonl(threads: usize, serial: bool) -> String {
 #[cfg(feature = "obs")]
 #[test]
 fn session_counts_are_exact() {
-    let metrics = experiment_metrics(2, false);
+    let metrics = experiment_metrics(2);
     assert_eq!(metrics.counter_value("abtest.users"), USERS);
     assert_eq!(
         metrics.counter_value("abtest.sessions"),
@@ -55,15 +55,15 @@ fn session_counts_are_exact() {
 #[cfg(feature = "obs")]
 #[test]
 fn metrics_are_shard_count_invariant() {
-    let serial = experiment_jsonl(1, true);
-    let one = experiment_jsonl(1, false);
-    let eight = experiment_jsonl(8, false);
-    assert!(!serial.is_empty(), "obs build must record telemetry");
-    assert_eq!(serial, one, "1-thread sharded run diverged from serial");
-    assert_eq!(serial, eight, "8-thread sharded run diverged from serial");
+    let one = experiment_jsonl(1);
+    let two = experiment_jsonl(2);
+    let eight = experiment_jsonl(8);
+    assert!(!one.is_empty(), "obs build must record telemetry");
+    assert_eq!(one, two, "2-thread run diverged from 1-thread");
+    assert_eq!(one, eight, "8-thread run diverged from 1-thread");
 
     // Same seed, same output — byte for byte.
-    assert_eq!(eight, experiment_jsonl(8, false));
+    assert_eq!(eight, experiment_jsonl(8));
 
     // The fluid experiment layers are all present.
     for name in [
@@ -73,7 +73,7 @@ fn metrics_are_shard_count_invariant() {
         "fluidsim.chunks",
         "fluidsim.chunk_download",
     ] {
-        assert!(serial.contains(name), "missing {name} in:\n{serial}");
+        assert!(one.contains(name), "missing {name} in:\n{one}");
     }
 }
 
@@ -120,7 +120,7 @@ fn disabled_feature_records_nothing() {
         ..Default::default()
     };
     let _ = lab::single_flow(LabArm::Sammy, &cfg);
-    let jsonl = experiment_jsonl(2, false);
+    let jsonl = experiment_jsonl(2);
     assert!(jsonl.is_empty(), "metrics recorded without obs: {jsonl}");
     let reg = sammy_repro::obs::take();
     assert!(reg.is_empty(), "registry non-empty without obs");

@@ -14,7 +14,7 @@
 //! until a time (`Link::free_at`), an idle hop stopped arming a `LinkTxDone`,
 //! and the two transfers went 41_323 → 24_454 and 44_480 → 24_016.
 
-use sammy_repro::abtest::{draw_population, Arm, Experiment, ExperimentConfig, PopulationConfig};
+use sammy_repro::abtest::{draw_population, run_user, Arm, ExperimentConfig, PopulationConfig};
 use sammy_repro::netsim::{Dumbbell, DumbbellConfig, FlowId, Packet, Payload, SimTime, Simulator};
 use sammy_repro::transport::{ReceiverEndpoint, SenderEndpoint, TcpConfig};
 
@@ -93,15 +93,9 @@ fn table2_fingerprint() -> u64 {
         threads: 0,
     };
     let pop = draw_population(&PopulationConfig::default(), cfg.users_per_arm, 2023);
-    let run = Experiment::builder()
-        .population(&pop)
-        .treatment(Arm::Sammy { c0: 3.2, c1: 2.8 })
-        .config(cfg)
-        .run()
-        .unwrap();
     let mut h = Fnv::new();
-    for arm in [&run.control, &run.treatment] {
-        for r in &arm.sessions {
+    for arm in [Arm::Production, Arm::Sammy { c0: 3.2, c1: 2.8 }] {
+        for r in pop.iter().flat_map(|u| run_user(u, arm, &cfg)) {
             h.u64(r.user);
             h.f64(r.pre_p95_mbps);
             let o = &r.outcome;
