@@ -4,13 +4,15 @@
 //! collects the per-session metrics the paper's production experiments
 //! report: QoE ([`video::QoeSummary`]) plus the congestion triple — average
 //! chunk throughput (download-time weighted), retransmit fraction, and
-//! median RTT from a per-session t-digest (§5.1).
+//! median RTT (§5.1). The paper reads that median off a t-digest because a
+//! real connection yields an unbounded stream of per-packet RTTs; a fluid
+//! session yields one sample a chunk, weighted by its download time, so the
+//! median here is the exact weighted median of those samples.
 
 use crate::network::{chunk_multiplier, download_chunk, FluidConfig, JitterLaw, NetworkProfile};
 use netsim::{Rate, SimDuration, SimTime};
 use rand::prelude::*;
 use std::sync::Arc;
-use tdigest::TDigest;
 use video::{Abr, Player, PlayerConfig, PlayerState, QoeSummary, Title};
 
 /// How the startup buffer threshold is chosen per session.
@@ -82,7 +84,9 @@ pub struct SessionOutcome {
     pub avg_chunk_throughput: Option<Rate>,
     /// Retransmitted bytes / total bytes.
     pub retx_fraction: f64,
-    /// Median per-packet RTT (ms), from the session's merged t-digest.
+    /// Median RTT (ms): the lower weighted median of the per-chunk RTTs,
+    /// each weighted by its download time (a proxy for packets sent); NaN
+    /// for a session that downloaded nothing.
     pub median_rtt_ms: f64,
     /// Chunks downloaded.
     pub chunks: usize,
@@ -248,12 +252,12 @@ pub fn run_session(params: SessionParams<'_>) -> SessionOutcome {
     // can only go out after the fixed setup latency.
     let mut now = SimTime::ZERO + startup_latency;
     let mut last_download_end: Option<SimTime> = None;
-    let mut rtt_digest = TDigest::new(100.0);
     let mut total_bytes = 0u64;
     let mut retx_bytes = 0.0f64;
     let mut congested_bytes = 0u64;
-    // One sample per chunk; size the buffer once instead of growing it.
+    // One sample per chunk; size the buffers once instead of growing them.
     let mut chunk_tputs = Vec::with_capacity(player.title().len());
+    let mut rtt_samples = Vec::with_capacity(player.title().len());
     let deadline = SimTime::ZERO + max_wall_clock;
 
     loop {
@@ -277,10 +281,10 @@ pub fn run_session(params: SessionParams<'_>) -> SessionOutcome {
 
             // Telemetry: RTT samples weighted by download duration (a
             // proxy for packets sent), retransmits, congestion exposure.
-            rtt_digest.add_weighted(
+            rtt_samples.push((
                 out.rtt.as_millis_f64(),
                 out.download_time.as_secs_f64().max(1e-6),
-            );
+            ));
             obs::counter!("fluidsim.chunks", 1);
             obs::span!("fluidsim.chunk_download", out.download_time.as_nanos());
             obs::trace_event!(
@@ -316,7 +320,7 @@ pub fn run_session(params: SessionParams<'_>) -> SessionOutcome {
         } else {
             0.0
         },
-        median_rtt_ms: rtt_digest.median(),
+        median_rtt_ms: weighted_median(&mut rtt_samples),
         chunks: player.history().len(),
         congested_byte_fraction: if total_bytes > 0 {
             congested_bytes as f64 / total_bytes as f64
@@ -327,10 +331,29 @@ pub fn run_session(params: SessionParams<'_>) -> SessionOutcome {
     }
 }
 
+/// The lower weighted median of `(value, weight)` samples: the smallest
+/// value whose cumulative weight reaches half the total. The samples are
+/// sorted by `(value, weight)` and the total is summed in that order, so
+/// the result depends only on the multiset of samples, not on their order.
+/// NaN when there are none.
+fn weighted_median(samples: &mut [(f64, f64)]) -> f64 {
+    samples.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.total_cmp(&b.1)));
+    let half = samples.iter().map(|&(_, w)| w).sum::<f64>() / 2.0;
+    let mut cumulative = 0.0;
+    samples
+        .iter()
+        .find(|&&(_, w)| {
+            cumulative += w;
+            cumulative >= half
+        })
+        .map_or(f64::NAN, |&(v, _)| v)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use abr::{shared_history, HistoryPolicy, Mpc, ProductionAbr};
+    use proptest::prelude::*;
     use video::{Ladder, TitleConfig, VmafModel};
 
     fn title(top_mbps: f64) -> Arc<Title> {
@@ -524,5 +547,74 @@ mod tests {
         let out = run_session(prm);
         // The runner must terminate and report something sane.
         assert!(out.qoe.played <= SimDuration::from_secs(120));
+    }
+
+    #[test]
+    fn weighted_median_of_nothing_is_nan() {
+        assert!(weighted_median(&mut []).is_nan());
+    }
+
+    #[test]
+    fn weighted_median_of_one_value_is_that_value() {
+        assert_eq!(weighted_median(&mut [(37.25, 0.4)]), 37.25);
+        assert_eq!(weighted_median(&mut [(37.25, 0.4), (37.25, 2.0)]), 37.25);
+    }
+
+    #[test]
+    fn weighted_median_follows_the_heavier_value() {
+        assert_eq!(weighted_median(&mut [(20.0, 0.3), (80.0, 0.7)]), 80.0);
+        assert_eq!(weighted_median(&mut [(20.0, 0.7), (80.0, 0.3)]), 20.0);
+        assert_eq!(weighted_median(&mut [(80.0, 0.7), (20.0, 0.3)]), 80.0);
+    }
+
+    #[test]
+    fn weighted_median_at_exactly_half_is_the_lower_value() {
+        assert_eq!(weighted_median(&mut [(80.0, 1.5), (20.0, 1.5)]), 20.0);
+        assert_eq!(
+            weighted_median(&mut [(30.0, 0.25), (10.0, 0.25), (90.0, 0.5)]),
+            30.0
+        );
+    }
+
+    /// Integer weights expanded into repeated samples; the lower median of
+    /// `n` sorted samples is the `⌈n/2⌉`-th.
+    fn expanded_lower_median(samples: &[(f64, f64)]) -> f64 {
+        let mut expanded: Vec<f64> = samples
+            .iter()
+            .flat_map(|&(v, w)| std::iter::repeat_n(v, w as usize))
+            .collect();
+        expanded.sort_by(f64::total_cmp);
+        expanded[expanded.len().div_ceil(2) - 1]
+    }
+
+    proptest! {
+        #[test]
+        fn weighted_median_matches_the_expanded_lower_median(
+            raw in prop::collection::vec((0u32..12, 1u32..6), 1..40),
+            spread in 0.5f64..200.0,
+        ) {
+            let mut samples: Vec<(f64, f64)> = raw
+                .iter()
+                .map(|&(v, w)| (v as f64 * spread, w as f64))
+                .collect();
+            let want = expanded_lower_median(&samples);
+            prop_assert_eq!(weighted_median(&mut samples), want);
+        }
+
+        #[test]
+        fn weighted_median_ignores_sample_order(
+            raw in prop::collection::vec((0u32..6, 1e-6f64..4.0), 1..60),
+            seed in any::<u64>(),
+        ) {
+            let samples: Vec<(f64, f64)> =
+                raw.iter().map(|&(v, w)| (10.0 + v as f64 * 7.3, w)).collect();
+            let mut shuffled = samples.clone();
+            let mut rng = StdRng::seed_from_u64(seed);
+            for i in (1..shuffled.len()).rev() {
+                shuffled.swap(i, rng.gen_range(0..=i));
+            }
+            let want = weighted_median(&mut samples.clone());
+            prop_assert_eq!(weighted_median(&mut shuffled).to_bits(), want.to_bits());
+        }
     }
 }

@@ -1,12 +1,11 @@
 //! Allocation regression test for the fluid session loop.
 //!
-//! `run_session` feeds one RTT sample per chunk into the session's
-//! t-digest. The digest's reclustering pass used to allocate a fresh
-//! centroid `Vec` on every call, so a session cost one heap allocation per
-//! chunk; the in-place kernel costs none. A counting global allocator (the
-//! one from `abtest/tests/memory_bound.rs`, counting calls instead of
-//! bytes) runs the same session over a 10-minute and a 30-minute title:
-//! the allocation count must not follow the chunk count.
+//! `run_session` records one throughput and one RTT sample per chunk, into
+//! buffers sized once from the title's chunk count, so a session must not
+//! cost a heap allocation per chunk. A counting global allocator (the one
+//! from `abtest/tests/memory_bound.rs`, counting calls instead of bytes)
+//! runs the same session over a 10-minute and a 30-minute title: the
+//! allocation count must not follow the chunk count.
 //!
 //! Keep this the only test in the file: the counter is process-wide.
 
@@ -93,8 +92,8 @@ fn session_allocations_do_not_grow_with_chunk_count() {
     let (short_chunks, short_allocs) = session_allocs(&profile, 10);
     let (long_chunks, long_allocs) = session_allocs(&profile, 30);
     assert_eq!((short_chunks, long_chunks), (150, 450));
-    // What remains is amortized `Vec` growth (throughput history, the
-    // digest's centroid array): a few doublings, not 300 more calls.
+    // What remains is amortized `Vec` growth (the player's throughput
+    // history): a few doublings, not 300 more calls.
     assert!(
         long_allocs <= short_allocs + 8,
         "{short_allocs} allocations for {short_chunks} chunks, \

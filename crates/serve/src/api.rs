@@ -50,8 +50,12 @@ fn error_doc(msg: &str) -> String {
     json::obj(vec![("error", Value::Str(msg.to_string()))]).to_string()
 }
 
-/// Serve one connection: parse, route, respond, close.
+/// Serve one connection: parse, route, respond, close. A client that stops
+/// sending mid-request is dropped after [`http::CONN_READ_TIMEOUT`] rather
+/// than holding its thread forever.
 pub(crate) fn handle_connection(mut stream: TcpStream, state: &ApiState) {
+    // Fails only on a dead socket, which the read below reports anyway.
+    let _ = stream.set_read_timeout(Some(http::CONN_READ_TIMEOUT));
     let req = match http::read_request(&mut stream) {
         Ok(req) => req,
         Err(HttpError::Bad(msg)) => {
@@ -60,6 +64,10 @@ pub(crate) fn handle_connection(mut stream: TcpStream, state: &ApiState) {
         }
         Err(HttpError::TooLarge) => {
             let _ = http::respond_json(&mut stream, 413, &error_doc("body too large"));
+            return;
+        }
+        Err(HttpError::HeadTooLarge) => {
+            let _ = http::respond_json(&mut stream, 431, &error_doc("request head too large"));
             return;
         }
         Err(HttpError::Io(_)) => return,

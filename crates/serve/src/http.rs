@@ -10,15 +10,27 @@
 //!   * chunked responses via [`ChunkedWriter`] for `GET .../metrics`.
 //!
 //! Bodies are capped at [`MAX_BODY`] bytes; larger submissions get 413
-//! before the server reads them.
+//! before the server reads them. The request line and headers together are
+//! capped at [`MAX_HEAD`] bytes; a longer head gets 431 before the server
+//! reads on. A connection that sends nothing for [`CONN_READ_TIMEOUT`] is
+//! closed.
 
-use std::io::{BufRead, BufReader, Read, Write};
+use std::io::{BufRead, BufReader, Read, Take, Write};
 use std::net::TcpStream;
+use std::time::Duration;
 
 /// Largest request body the server will buffer (1 MiB). An
 /// [`ExperimentSpec`](spec::ExperimentSpec) is a few hundred bytes; a
 /// search over hundreds of arms is a few KiB.
 pub const MAX_BODY: usize = 1 << 20;
+
+/// Largest request head — request line plus headers — the server will
+/// buffer (16 KiB). The daemon's clients send a handful of short headers.
+pub const MAX_HEAD: usize = 16 << 10;
+
+/// How long a connection may leave the server waiting on a read before it
+/// is closed. A live metrics tail only writes, so it is unaffected.
+pub const CONN_READ_TIMEOUT: Duration = Duration::from_secs(5);
 
 /// A parsed request: method, path, and the (possibly empty) body.
 #[derive(Debug, Clone)]
@@ -38,15 +50,28 @@ pub enum HttpError {
     Bad(String),
     /// Body exceeds [`MAX_BODY`] → 413.
     TooLarge,
-    /// Socket error mid-read; no response is possible.
+    /// Request line and headers exceed [`MAX_HEAD`] → 431.
+    HeadTooLarge,
+    /// Socket error mid-read (a read timeout included); no response is
+    /// possible.
     Io(std::io::Error),
+}
+
+/// Read one line of the request head, counted against [`MAX_HEAD`].
+fn read_head_line<R: BufRead>(head: &mut Take<R>, line: &mut String) -> Result<(), HttpError> {
+    head.read_line(line).map_err(HttpError::Io)?;
+    if head.limit() == 0 && !line.ends_with('\n') {
+        return Err(HttpError::HeadTooLarge);
+    }
+    Ok(())
 }
 
 /// Read and parse one request from the stream.
 pub fn read_request(stream: &mut TcpStream) -> Result<Request, HttpError> {
     let mut reader = BufReader::new(stream);
+    let mut head = (&mut reader).take(MAX_HEAD as u64);
     let mut line = String::new();
-    reader.read_line(&mut line).map_err(HttpError::Io)?;
+    read_head_line(&mut head, &mut line)?;
     let mut parts = line.split_whitespace();
     let method = parts
         .next()
@@ -60,7 +85,7 @@ pub fn read_request(stream: &mut TcpStream) -> Result<Request, HttpError> {
     let mut content_length = 0usize;
     loop {
         let mut header = String::new();
-        reader.read_line(&mut header).map_err(HttpError::Io)?;
+        read_head_line(&mut head, &mut header)?;
         let header = header.trim_end();
         if header.is_empty() {
             break;
@@ -93,6 +118,7 @@ fn reason(status: u16) -> &'static str {
         405 => "Method Not Allowed",
         409 => "Conflict",
         413 => "Payload Too Large",
+        431 => "Request Header Fields Too Large",
         _ => "Internal Server Error",
     }
 }

@@ -9,11 +9,13 @@
 //! the battery exercises the same resume paths as a real `kill -9`
 //! without the flakiness of killing a process at a random instruction.
 
+use std::io::{Read, Write};
+use std::net::TcpStream;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
-use sammy_serve::http::http_request;
+use sammy_serve::http::{http_request, CONN_READ_TIMEOUT, MAX_HEAD};
 use sammy_serve::{Daemon, JobState, ServeConfig};
 use spec::json::{self, Value};
 
@@ -298,6 +300,66 @@ fn semantically_invalid_submissions_are_400s() {
     let (code, body) = get(&daemon, "/runs");
     assert_eq!((code, body.as_str()), (200, r#"{"runs":[]}"#));
     assert_eq!(get(&daemon, "/healthz").0, 200);
+    daemon.stop();
+}
+
+/// Everything the server sends on `stream` until it closes, or until
+/// `patience` passes (then the read error is returned). A reset after the
+/// response ends the read like a close does.
+fn read_reply(stream: &mut TcpStream, patience: Duration) -> std::io::Result<String> {
+    stream.set_read_timeout(Some(patience))?;
+    let mut reply = Vec::new();
+    let mut buf = [0u8; 4096];
+    loop {
+        match stream.read(&mut buf) {
+            Ok(0) => break,
+            Ok(n) => reply.extend_from_slice(&buf[..n]),
+            Err(e) if e.kind() == std::io::ErrorKind::ConnectionReset && !reply.is_empty() => break,
+            Err(e) => return Err(e),
+        }
+    }
+    Ok(String::from_utf8_lossy(&reply).into_owned())
+}
+
+#[test]
+fn oversized_request_head_is_431_before_the_server_reads_on() {
+    let dir = tmp_dir("head");
+    let daemon = Daemon::start("127.0.0.1:0", ServeConfig::new(&dir)).unwrap();
+
+    // A request line one byte past the cap, with no end in sight.
+    let mut stream = TcpStream::connect(daemon.local_addr()).unwrap();
+    let mut flood = b"POST /runs".to_vec();
+    flood.resize(MAX_HEAD + 1, b'a');
+    stream.write_all(&flood).unwrap();
+    let reply = read_reply(&mut stream, Duration::from_secs(10)).expect("a reply, not a hang");
+    assert!(
+        reply.starts_with("HTTP/1.1 431 Request Header Fields Too Large\r\n"),
+        "{reply:?}"
+    );
+
+    let (code, body) = get(&daemon, "/runs");
+    assert_eq!((code, body.as_str()), (200, r#"{"runs":[]}"#));
+    assert_eq!(get(&daemon, "/healthz").0, 200);
+    daemon.stop();
+}
+
+#[test]
+fn silent_client_is_dropped_after_the_read_timeout() {
+    let dir = tmp_dir("silent");
+    let daemon = Daemon::start("127.0.0.1:0", ServeConfig::new(&dir)).unwrap();
+
+    let start = Instant::now();
+    let mut idle = TcpStream::connect(daemon.local_addr()).unwrap();
+    let slack = Duration::from_secs(5);
+    let reply = read_reply(&mut idle, CONN_READ_TIMEOUT + slack)
+        .expect("the server closes an idle connection");
+    assert_eq!(reply, "", "no request, no response");
+    assert!(start.elapsed() < CONN_READ_TIMEOUT + slack);
+
+    // The daemon still takes and finishes work.
+    let (code, body) = post(&daemon, "/runs", RUN_SPEC);
+    assert_eq!(code, 201, "{body}");
+    wait_for(&daemon, "/runs/r0001", JobState::Done);
     daemon.stop();
 }
 

@@ -198,10 +198,11 @@ fn weight(mode: usize, rng: &mut StdRng) -> f64 {
     }
 }
 
-/// The value family that is not a value distribution but the stream a fluid
-/// session feeds its RTT digest: a fresh digest, one `add_weighted` a chunk
-/// of the uncongested RTT `a` or the congested one `b`, weighted by the
-/// chunk's download time, then the median (among `check_same`'s reads).
+/// The value family that is not a value distribution but a session-shaped
+/// stream through the generic `add_weighted` path: a fresh digest, one
+/// `add_weighted` a chunk of an uncongested RTT `a` or a congested one `b`,
+/// weighted like a chunk's download time, then the median (among
+/// `check_same`'s reads).
 const SESSION: usize = 5;
 const SESSION_CHUNKS: usize = 338;
 

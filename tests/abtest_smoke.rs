@@ -63,6 +63,10 @@ fn pair_equals_each_arm_run_alone() {
 /// --users 64 --light --seed 2023 --shard-size 16` printed this before the
 /// collecting runner went, and a change that moves the fold — its digests,
 /// replicates, counts or merge order — moves it.
+///
+/// Re-baselined once (from `ac514e3343ee1d25`) when a session's median RTT
+/// became the exact weighted median of its chunks instead of a t-digest's
+/// estimate: the RTT row's inputs moved, nothing else did.
 #[test]
 fn stream_state_fingerprint_is_pinned() {
     if sammy_repro::obs::ENABLED {
@@ -80,7 +84,7 @@ fn stream_state_fingerprint_is_pinned() {
         ..Default::default()
     };
     let run = Experiment::builder().spec(&spec).run_streaming().unwrap();
-    assert_eq!(format!("{:016x}", run.fingerprint()), "ac514e3343ee1d25");
+    assert_eq!(format!("{:016x}", run.fingerprint()), "312028acf82dd169");
 }
 
 /// Kill the streaming runner after its first checkpoint, resume: the final
