@@ -51,11 +51,6 @@ impl Hyb {
         assert!(cfg.lookahead >= 1, "lookahead must be at least one chunk");
         Hyb { cfg }
     }
-
-    /// The β parameter.
-    pub fn beta(&self) -> f64 {
-        self.cfg.beta
-    }
 }
 
 impl Default for Hyb {

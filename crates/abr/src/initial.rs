@@ -37,6 +37,9 @@ pub enum HistoryPolicy {
     InitialOnly,
 }
 
+/// Completed sessions at which history confidence reaches 1/2 (`n₀`).
+const CONFIDENCE_N0: f64 = 4.0;
+
 /// A per-device store of historical throughput: per-session medians,
 /// EWMA-smoothed across sessions, with a session-count confidence ramp.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -44,8 +47,6 @@ pub struct HistoryStore {
     estimate_bps: Option<f64>,
     /// Cross-session EWMA weight on the newest session.
     alpha: f64,
-    /// Sessions at which confidence reaches 1/2 (`n₀`).
-    confidence_n0: f64,
     /// Completed sessions that contributed data.
     sessions: u64,
     /// Current session's samples (bps), folded at `end_session`.
@@ -62,24 +63,16 @@ impl Default for HistoryStore {
 
 impl HistoryStore {
     /// Create a store with cross-session EWMA factor `alpha` and the
-    /// default confidence half-life of 4 sessions.
+    /// confidence half-life of 4 sessions.
     pub fn new(alpha: f64) -> Self {
         assert!((0.0..=1.0).contains(&alpha), "alpha must be in [0,1]");
         HistoryStore {
             estimate_bps: None,
             alpha,
-            confidence_n0: 4.0,
             sessions: 0,
             pending: Vec::new(),
             samples: 0,
         }
-    }
-
-    /// Override the confidence half-life (0 disables the ramp).
-    pub fn with_confidence_n0(mut self, n0: f64) -> Self {
-        assert!(n0 >= 0.0);
-        self.confidence_n0 = n0;
-        self
     }
 
     /// Record a throughput sample from the current session.
@@ -114,11 +107,8 @@ impl HistoryStore {
     }
 
     /// Confidence in `[0, 1)`: `n / (n + n₀)` over completed sessions.
-    pub fn confidence(&self) -> f64 {
-        if self.confidence_n0 == 0.0 {
-            return if self.sessions > 0 { 1.0 } else { 0.0 };
-        }
-        self.sessions as f64 / (self.sessions as f64 + self.confidence_n0)
+    fn confidence(&self) -> f64 {
+        self.sessions as f64 / (self.sessions as f64 + CONFIDENCE_N0)
     }
 
     /// The confidence-discounted estimate used for initial-phase
@@ -135,15 +125,6 @@ impl HistoryStore {
     /// Total samples offered (including pending ones).
     pub fn samples(&self) -> u64 {
         self.samples
-    }
-
-    /// Clear the store (used by experiments that reset history in both
-    /// arms for an apples-to-apples comparison, §5.7).
-    pub fn reset(&mut self) {
-        self.estimate_bps = None;
-        self.sessions = 0;
-        self.pending.clear();
-        self.samples = 0;
     }
 }
 
@@ -189,11 +170,6 @@ impl SharedHistory {
         self.store.lock().estimate()
     }
 
-    /// Confidence in `[0, 1)` over completed sessions.
-    pub fn confidence(&self) -> f64 {
-        self.store.lock().confidence()
-    }
-
     /// The confidence-discounted estimate for initial-phase decisions.
     pub fn discounted_estimate(&self) -> Option<Rate> {
         self.store.lock().discounted_estimate()
@@ -207,11 +183,6 @@ impl SharedHistory {
     /// Total samples offered (including pending ones).
     pub fn samples(&self) -> u64 {
         self.store.lock().samples()
-    }
-
-    /// Clear the store.
-    pub fn reset(&self) {
-        self.store.lock().reset();
     }
 
     /// A point-in-time copy of the underlying store.
@@ -275,7 +246,6 @@ pub struct ProductionAbr<P> {
     playing: P,
     history: SharedHistory,
     policy: HistoryPolicy,
-    init_cfg: InitialSelectorConfig,
     /// Phase of the most recent selection; measurements completing while
     /// the last decision was initial-phase count as initial samples.
     last_phase: PlayerPhase,
@@ -289,15 +259,8 @@ impl<P: Abr> ProductionAbr<P> {
             playing,
             history,
             policy,
-            init_cfg: InitialSelectorConfig::default(),
             last_phase: PlayerPhase::Initial,
         }
-    }
-
-    /// Override the initial-phase selector configuration.
-    pub fn with_initial_config(mut self, cfg: InitialSelectorConfig) -> Self {
-        self.init_cfg = cfg;
-        self
     }
 
     /// The initial-phase rung for a given ladder and historical estimate.
@@ -305,7 +268,7 @@ impl<P: Abr> ProductionAbr<P> {
         initial_rung_for(
             self.history.discounted_estimate(),
             ctx.ladder,
-            &self.init_cfg,
+            &InitialSelectorConfig::default(),
         )
     }
 }
@@ -432,18 +395,6 @@ mod tests {
     }
 
     #[test]
-    fn reset_clears_everything() {
-        let mut s = HistoryStore::default();
-        s.update(Rate::from_mbps(5.0));
-        s.end_session();
-        s.reset();
-        assert_eq!(s.estimate(), None);
-        assert_eq!(s.sessions(), 0);
-        assert_eq!(s.samples(), 0);
-        assert_eq!(s.confidence(), 0.0);
-    }
-
-    #[test]
     fn store_rejects_garbage() {
         let mut s = HistoryStore::default();
         s.update(Rate::ZERO);
@@ -530,18 +481,17 @@ mod tests {
     #[test]
     fn max_initial_rung_caps() {
         let t = title();
-        let h = ThroughputHistory::new();
         let store = shared_history();
         for _ in 0..50 {
             feed_session(&store, 200.0);
         }
-        let mut abr = ProductionAbr::new(Mpc::default(), store, HistoryPolicy::AllSamples)
-            .with_initial_config(InitialSelectorConfig {
-                max_initial_rung: Some(5),
-                ..Default::default()
-            });
-        let d = abr.select(&ctx(&t, &h, PlayerPhase::Initial));
-        assert_eq!(d.rung, 5);
+        let estimate = store.discounted_estimate();
+        let capped = InitialSelectorConfig {
+            max_initial_rung: Some(5),
+            ..Default::default()
+        };
+        assert!(initial_rung_for(estimate, &t.ladder, &InitialSelectorConfig::default()) > 5);
+        assert_eq!(initial_rung_for(estimate, &t.ladder, &capped), 5);
     }
 
     #[test]
@@ -550,13 +500,13 @@ mod tests {
         // has some history — floor at cold_start_rung - 2.
         let cfg = InitialSelectorConfig::default();
         let ladder = Ladder::hd(&VmafModel::standard());
-        let r = initial_rung_for(Some(Rate::from_kbps(10.0)), &ladder, &cfg);
+        let r = initial_rung_for(Some(Rate::from_bps(10_000.0)), &ladder, &cfg);
         assert_eq!(r, 0); // cold_start 2 - 2 = 0: floor is the bottom here
         let cfg2 = InitialSelectorConfig {
             cold_start_rung: 4,
             ..cfg
         };
-        let r2 = initial_rung_for(Some(Rate::from_kbps(10.0)), &ladder, &cfg2);
+        let r2 = initial_rung_for(Some(Rate::from_bps(10_000.0)), &ladder, &cfg2);
         assert_eq!(r2, 2);
     }
 }

@@ -7,10 +7,6 @@
 //!   example), plus the closed-form selection rule
 //!   ([`hyb_max_bitrate_bps`]) and minimum-throughput corollary
 //!   ([`hyb_min_throughput_bps`], Eq. 1 / Fig 2).
-//! - [`Bba`]: buffer-based selection with reservoir/cushion rate map.
-//! - [`Bola`]: Lyapunov utility-maximizing buffer-only selection —
-//!   throughput-independent in steady state, hence naturally
-//!   pacing-tolerant.
 //! - [`Mpc`]: lookahead QoE-utility maximization — the stand-in for the
 //!   proprietary MPC-style production algorithm (§4.3).
 //! - [`NaiveThroughputRule`]: the dash.js-style `bitrate ≤ c · min(x)` rule
@@ -21,15 +17,11 @@
 
 #![warn(missing_docs)]
 
-pub mod bba;
-pub mod bola;
 pub mod hyb;
 pub mod initial;
 pub mod mpc;
 pub mod naive;
 
-pub use bba::{Bba, BbaConfig};
-pub use bola::{Bola, BolaConfig};
 pub use hyb::{hyb_max_bitrate_bps, hyb_min_throughput_bps, Hyb, HybConfig};
 pub use initial::{
     initial_rung_for, shared_history, HistoryPolicy, HistoryStore, InitialSelectorConfig,

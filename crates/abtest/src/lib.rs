@@ -41,8 +41,7 @@ pub use experiment::{
 pub use longitudinal::{run_cold_start, ColdStartConfig, ColdStartResult};
 pub use optimize::{halving_search, halving_search_with, Candidate, Evaluation, HalvingOutcome};
 pub use population::{
-    bucket_label, bucket_of, draw_population, draw_population_indexed, ladder_with_top, user_at,
-    Population, PopulationConfig, UserProfile, THROUGHPUT_BUCKETS,
+    bucket_label, bucket_of, draw_population, user_at, Population, PopulationConfig, UserProfile,
 };
 pub use stats::{mean, percentile, Aggregate, PairedDelta, StreamingStat};
 pub use streaming::{

@@ -15,7 +15,7 @@ use serde::{Deserialize, Serialize};
 use video::{Ladder, Title, TitleConfig, VmafModel};
 
 /// The pre-experiment throughput buckets of Fig 3 (Mbps boundaries).
-pub const THROUGHPUT_BUCKETS: [(f64, f64); 5] = [
+const THROUGHPUT_BUCKETS: [(f64, f64); 5] = [
     (0.0, 6.0),
     (6.0, 15.0),
     (15.0, 30.0),
@@ -141,7 +141,7 @@ impl UserProfile {
 }
 
 /// Build a ladder topping out at `top_mbps`, with standard lower rungs.
-pub fn ladder_with_top(top_mbps: f64) -> Ladder {
+fn ladder_with_top(top_mbps: f64) -> Ladder {
     let vmaf = VmafModel::standard();
     let mut rates: Vec<f64> = [0.235, 0.56, 1.05, 1.75, 3.0, 4.3, 5.8, 8.1]
         .iter()
@@ -180,13 +180,6 @@ pub fn user_at(cfg: &PopulationConfig, index: u64, seed: u64) -> UserProfile {
     let mut key = seed.wrapping_add(index.wrapping_mul(0x9E37_79B9_7F4A_7C15));
     let mut rng = StdRng::seed_from_u64(crate::streaming::splitmix(&mut key));
     draw_user(cfg, index, seed, &mut rng)
-}
-
-/// Materialize the first `n` users of the lazy population — by
-/// construction identical, user for user, to what [`Population::Lazy`]
-/// streams to the runner for the same `(cfg, seed)`.
-pub fn draw_population_indexed(cfg: &PopulationConfig, n: usize, seed: u64) -> Vec<UserProfile> {
-    (0..n as u64).map(|i| user_at(cfg, i, seed)).collect()
 }
 
 /// Where an experiment's users come from: a pre-drawn slice (borrowed —
@@ -442,19 +435,18 @@ mod tests {
         // Different seeds give different populations.
         let other = user_at(&cfg, 3, 8);
         assert_ne!(other.seed, forward[3].seed);
-        // And the materialized form matches the lazy source exactly.
-        let mat = draw_population_indexed(&cfg, 40, 7);
+        // And the lazy source streams exactly these users.
         let lazy = Population::Lazy {
             cfg: cfg.clone(),
             users: 40,
             seed: 7,
         };
         assert_eq!(lazy.len(), 40);
-        for (i, m) in mat.iter().enumerate() {
+        for (i, f) in forward.iter().enumerate() {
             let l = lazy.get(i);
-            assert_eq!(l.id, m.id);
-            assert_eq!(l.seed, m.seed);
-            assert_eq!(l.network.capacity, m.network.capacity);
+            assert_eq!(l.id, f.id);
+            assert_eq!(l.seed, f.seed);
+            assert_eq!(l.network.capacity, f.network.capacity);
         }
     }
 
@@ -463,7 +455,7 @@ mod tests {
         // The per-index derivation must draw the same marginal
         // distribution as the sequential draw.
         let cfg = PopulationConfig::default();
-        let pop = draw_population_indexed(&cfg, 5000, 3);
+        let pop: Vec<_> = (0..5000).map(|i| user_at(&cfg, i, 3)).collect();
         let mut counts = [0usize; 5];
         for u in &pop {
             counts[bucket_of(u.network.capacity.mbps())] += 1;
@@ -490,7 +482,7 @@ mod tests {
         assert_eq!(lazy(100, 1).fingerprint(), lazy(100, 1).fingerprint());
         assert_ne!(lazy(100, 1).fingerprint(), lazy(100, 2).fingerprint());
         assert_ne!(lazy(100, 1).fingerprint(), lazy(101, 1).fingerprint());
-        let pop = draw_population_indexed(&cfg, 10, 1);
+        let pop: Vec<_> = (0..10).map(|i| user_at(&cfg, i, 1)).collect();
         let explicit = Population::Explicit(&pop);
         assert_ne!(explicit.fingerprint(), lazy(10, 1).fingerprint());
         assert_eq!(

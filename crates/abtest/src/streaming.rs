@@ -242,7 +242,7 @@ impl MetricAcc {
     }
 
     /// The paired mean delta with its 95% Poisson-bootstrap CI.
-    pub fn paired_delta(&self) -> PairedDelta {
+    pub(crate) fn paired_delta(&self) -> PairedDelta {
         if self.delta_count == 0 {
             return PairedDelta {
                 mean_delta_pct: f64::NAN,

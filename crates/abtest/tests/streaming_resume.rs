@@ -15,8 +15,8 @@
 //! interval width, and exact pooled medians for the digest's.
 
 use abtest::{
-    draw_population_indexed, percentile, run_user, Aggregate, Arm, Experiment, ExperimentConfig,
-    MetricExtractor, PairedDelta, PopulationConfig, StreamRun, UserProfile, METRICS,
+    percentile, run_user, user_at, Aggregate, Arm, Experiment, ExperimentConfig, MetricExtractor,
+    PairedDelta, PopulationConfig, StreamRun, UserProfile, METRICS,
 };
 use netsim::SimError;
 use proptest::prelude::*;
@@ -34,6 +34,12 @@ fn light_population() -> PopulationConfig {
         title_duration_s: (20, 45),
         ..PopulationConfig::default()
     }
+}
+
+/// The first `n` users of the lazy population `(cfg, SEED)`: the users
+/// `Population::Lazy` streams to the runner.
+fn lazy_users(cfg: &PopulationConfig, n: usize) -> Vec<UserProfile> {
+    (0..n as u64).map(|i| user_at(cfg, i, SEED)).collect()
 }
 
 fn light_cfg(threads: usize) -> ExperimentConfig {
@@ -359,7 +365,7 @@ fn explicit_and_lazy_populations_are_bit_identical() {
     // derivation up front and passing it as an explicit borrowed slice
     // must produce the identical run (the builder no longer clones the
     // slice, so this is also the zero-copy path).
-    let pop = draw_population_indexed(&light_population(), USERS, SEED);
+    let pop = lazy_users(&light_population(), USERS);
     let explicit = builder(1).population(&pop).run_streaming().unwrap();
     assert_eq!(explicit.fingerprint(), golden().fingerprint());
     assert_eq!(explicit.report().render(), golden().report().render());
@@ -430,7 +436,7 @@ fn streaming_stats_match_the_collecting_runner_exactly() {
     // every exact statistic (counts, means, paired mean deltas) must
     // agree; only the CI machinery (resampling vs Poisson replicates) and
     // quantile estimator (sort vs t-digest) are allowed to differ.
-    let pop = draw_population_indexed(&light_population(), USERS, SEED);
+    let pop = lazy_users(&light_population(), USERS);
     let cfg = light_cfg(1);
     let (control, treatment) = (
         records(&pop, Arm::Production, &cfg),
@@ -446,7 +452,8 @@ fn streaming_stats_match_the_collecting_runner_exactly() {
         sessions(&treatment)
     );
 
-    for (acc, &(name, _, f)) in streamed.state.metrics().iter().zip(&METRICS) {
+    let rows = streamed.report().rows;
+    for ((acc, row), &(name, _, f)) in streamed.state.metrics().iter().zip(&rows).zip(&METRICS) {
         let (c_by_user, t_by_user) = (by_user(&control, f), by_user(&treatment, f));
         let c_vals: Vec<f64> = c_by_user.iter().flatten().copied().collect();
         let t_count: usize = t_by_user.iter().map(Vec::len).sum();
@@ -460,7 +467,7 @@ fn streaming_stats_match_the_collecting_runner_exactly() {
         );
 
         let reference = resampled_paired_delta(&c_by_user, &t_by_user, 40, 1);
-        let streaming = acc.paired_delta();
+        let streaming = row.paired;
         if reference.mean_delta_pct.is_nan() {
             assert!(streaming.mean_delta_pct.is_nan(), "{name}");
         } else {
@@ -483,7 +490,7 @@ fn streaming_interval_is_as_wide_as_the_resampling_one() {
     // about the same width on every row that has one.
     const CAL_USERS: usize = 48;
     const CAL_REPS: usize = 400;
-    let pop = draw_population_indexed(&light_population(), CAL_USERS, SEED);
+    let pop = lazy_users(&light_population(), CAL_USERS);
     let cfg = light_cfg(2);
     let (control, treatment) = (
         records(&pop, Arm::Production, &cfg),
@@ -496,10 +503,10 @@ fn streaming_interval_is_as_wide_as_the_resampling_one() {
         .unwrap();
 
     let mut compared = 0;
-    for (acc, &(name, _, f)) in streamed.state.metrics().iter().zip(&METRICS) {
+    for (row, &(name, _, f)) in streamed.report().rows.iter().zip(&METRICS) {
         let reference =
             resampled_paired_delta(&by_user(&control, f), &by_user(&treatment, f), CAL_REPS, 1);
-        let streaming = acc.paired_delta();
+        let streaming = row.paired;
         let want = reference.ci_high - reference.ci_low;
         let got = streaming.ci_high - streaming.ci_low;
         if !(want.is_finite() && got.is_finite()) {
@@ -528,7 +535,7 @@ fn streaming_interval_is_as_wide_as_the_resampling_one() {
 #[test]
 fn digest_median_change_tracks_the_exact_one() {
     const N: usize = 64;
-    let pop = draw_population_indexed(&PopulationConfig::default(), N, SEED);
+    let pop = lazy_users(&PopulationConfig::default(), N);
     let cfg = ExperimentConfig {
         users_per_arm: N,
         pre_sessions: 2,

@@ -12,7 +12,7 @@ use abtest::{
 use sammy_core::analysis::{fig2a_selection_curve, fig2b_threshold_curve};
 
 /// The production Sammy parameters used throughout §5.
-pub const SAMMY_PROD: Arm = Arm::Sammy { c0: 3.2, c1: 2.8 };
+const SAMMY_PROD: Arm = Arm::Sammy { c0: 3.2, c1: 2.8 };
 
 /// Bootstrap replicates behind every CI of the standard sizing.
 const BOOTSTRAP_REPS: usize = 400;
@@ -20,7 +20,7 @@ const BOOTSTRAP_REPS: usize = 400;
 /// Standard experiment sizing (scaled by `scale`). `threads` is the
 /// worker count for the parallel runner (0 = all cores); results are
 /// bit-identical for every value.
-pub fn experiment_config(scale: f64, seed: u64, threads: usize) -> ExperimentConfig {
+fn experiment_config(scale: f64, seed: u64, threads: usize) -> ExperimentConfig {
     ExperimentConfig {
         users_per_arm: ((200.0 * scale) as usize).max(20),
         pre_sessions: 3,

@@ -158,7 +158,7 @@ pub(crate) fn lab_abr(arm: LabArm) -> Box<dyn Abr> {
 
 /// Install a video session on host pair `pair` of the dumbbell, returning
 /// the flow id. The client is on the right side, the server on the left.
-pub fn install_video(
+fn install_video(
     sim: &mut Simulator,
     db: &Dumbbell,
     pair: usize,
@@ -490,7 +490,7 @@ pub struct ChaosProfile {
 
 impl ChaosProfile {
     /// Capacity left for the transfer after cross traffic.
-    pub fn available_mbps(&self) -> f64 {
+    fn available_mbps(&self) -> f64 {
         match self.cross {
             CrossTraffic::None => self.capacity_mbps,
             CrossTraffic::Udp { mbps } => self.capacity_mbps - mbps,

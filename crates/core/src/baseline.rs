@@ -20,9 +20,6 @@ use video::{Abr, AbrContext, AbrDecision, ChunkMeasurement};
 pub struct NaivePacedAbr<P: Abr> {
     inner: P,
     multiplier: f64,
-    /// Apply pacing during the initial phase too (the §5.5 baseline does;
-    /// set false for an ablation between the baseline and Sammy).
-    pace_initial: bool,
 }
 
 impl<P: Abr> NaivePacedAbr<P> {
@@ -32,30 +29,14 @@ impl<P: Abr> NaivePacedAbr<P> {
     /// Panics on a non-positive multiplier.
     pub fn new(inner: P, multiplier: f64) -> Self {
         assert!(multiplier > 0.0, "multiplier must be positive");
-        NaivePacedAbr {
-            inner,
-            multiplier,
-            pace_initial: true,
-        }
-    }
-
-    /// Leave the initial phase unpaced (partial ablation).
-    pub fn without_initial_pacing(mut self) -> Self {
-        self.pace_initial = false;
-        self
+        NaivePacedAbr { inner, multiplier }
     }
 }
 
 impl<P: Abr> Abr for NaivePacedAbr<P> {
     fn select(&mut self, ctx: &AbrContext<'_>) -> AbrDecision {
         let mut d = self.inner.select(ctx);
-        let pace_this = match ctx.phase {
-            video::PlayerPhase::Initial => self.pace_initial,
-            video::PlayerPhase::Playing => true,
-        };
-        if pace_this {
-            d.pace = Some(ctx.ladder.top_bitrate() * self.multiplier);
-        }
+        d.pace = Some(ctx.ladder.top_bitrate() * self.multiplier);
         d
     }
 
@@ -151,15 +132,6 @@ mod tests {
         let d_play = b.select(&ctx(&t, &h, PlayerPhase::Playing));
         assert!((d_init.pace.unwrap().mbps() - 4.0 * 3.3).abs() < 1e-9);
         assert!((d_play.pace.unwrap().mbps() - 4.0 * 3.3).abs() < 1e-9);
-    }
-
-    #[test]
-    fn initial_pacing_can_be_disabled() {
-        let t = title();
-        let h = ThroughputHistory::new();
-        let mut b = NaivePacedAbr::new(Mpc::default(), 4.0).without_initial_pacing();
-        assert_eq!(b.select(&ctx(&t, &h, PlayerPhase::Initial)).pace, None);
-        assert!(b.select(&ctx(&t, &h, PlayerPhase::Playing)).pace.is_some());
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //!    QoE goal and the initial phase is a tiny fraction of traffic.
 //! 2. **Playing phase** bitrate: any pacing-aware ABR (one whose selection
 //!    depends on a threshold decision rather than an exact bandwidth
-//!    estimate — MPC/HYB/BBA all qualify per §4.2).
+//!    estimate — MPC and HYB qualify per §4.2).
 //! 3. **Playing phase** pace rate: the buffer-interpolated multiplier of
 //!    the top ladder bitrate ([`PaceSelector`]).
 

@@ -27,8 +27,5 @@
 pub mod network;
 pub mod session;
 
-pub use network::{
-    capacity_jitter, chunk_capacity_multiplier, download_chunk, ChunkOutcome, FluidConfig,
-    NetworkProfile,
-};
+pub use network::{download_chunk, ChunkOutcome, FluidConfig, NetworkProfile};
 pub use session::{run_session, SessionBuilder, SessionOutcome, SessionParams, StartPolicy};

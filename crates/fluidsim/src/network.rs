@@ -46,7 +46,8 @@ pub struct NetworkProfile {
 
 impl NetworkProfile {
     /// A sanity-check profile: a fast, clean cable connection.
-    pub fn fast_cable() -> Self {
+    #[cfg(test)]
+    pub(crate) fn fast_cable() -> Self {
         NetworkProfile {
             capacity: Rate::from_mbps(100.0),
             base_rtt: SimDuration::from_millis(20),
@@ -95,8 +96,7 @@ pub struct ChunkOutcome {
 ///
 /// `pace` is the application-informed pace rate (`None` = unpaced);
 /// `cold` indicates the connection idled long enough to slow-start
-/// restart. `jitter` is the per-chunk capacity multiplier (draw it with
-/// [`capacity_jitter`]).
+/// restart. `jitter` is the per-chunk capacity multiplier (1.0 for none).
 pub fn download_chunk(
     profile: &NetworkProfile,
     cfg: &FluidConfig,
@@ -156,14 +156,9 @@ pub fn download_chunk(
     outcome
 }
 
-/// Draw a per-chunk capacity multiplier for `profile`: log-normal jitter
-/// (mean ≈ 1) plus an occasional deep fade.
-pub fn chunk_capacity_multiplier(rng: &mut StdRng, profile: &NetworkProfile) -> f64 {
-    chunk_multiplier(rng, profile, JitterLaw::new(profile.jitter_cv))
-}
-
-/// [`chunk_capacity_multiplier`] with the profile's [`JitterLaw`] already
-/// evaluated: a session draws one multiplier a chunk from one profile.
+/// Draw a per-chunk capacity multiplier for `profile` from its evaluated
+/// [`JitterLaw`]: log-normal jitter (mean ≈ 1) plus an occasional deep
+/// fade. A session draws one multiplier a chunk from one profile.
 pub(crate) fn chunk_multiplier(
     rng: &mut StdRng,
     profile: &NetworkProfile,
@@ -177,15 +172,9 @@ pub(crate) fn chunk_multiplier(
     j
 }
 
-/// Draw a per-chunk capacity jitter multiplier (log-normal, mean ≈ 1,
-/// clamped to [0.3, 3.0]).
-pub fn capacity_jitter(rng: &mut StdRng, cv: f64) -> f64 {
-    JitterLaw::new(cv).map_or(1.0, |law| law.draw(rng))
-}
-
-/// The log-normal behind [`capacity_jitter`] for one `cv`:
-/// `σ = √ln(1 + cv²)` and `μ = −σ²/2`, an `ln` and a root that do not
-/// change while `cv` does not.
+/// The per-chunk capacity jitter for one `cv`: a log-normal with
+/// `σ = √ln(1 + cv²)` and `μ = −σ²/2` (mean ≈ 1), clamped to [0.3, 3.0] —
+/// an `ln` and a root that do not change while `cv` does not.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct JitterLaw {
     sigma: f64,
@@ -303,18 +292,20 @@ mod tests {
 
     #[test]
     fn jitter_is_deterministic_per_seed() {
+        let law = JitterLaw::new(0.2).unwrap();
         let mut a = StdRng::seed_from_u64(9);
         let mut b = StdRng::seed_from_u64(9);
         for _ in 0..100 {
-            assert_eq!(capacity_jitter(&mut a, 0.2), capacity_jitter(&mut b, 0.2));
+            assert_eq!(law.draw(&mut a), law.draw(&mut b));
         }
     }
 
     #[test]
     fn jitter_mean_near_one() {
+        let law = JitterLaw::new(0.2).unwrap();
         let mut rng = StdRng::seed_from_u64(3);
         let n = 20_000;
-        let mean: f64 = (0..n).map(|_| capacity_jitter(&mut rng, 0.2)).sum::<f64>() / n as f64;
+        let mean: f64 = (0..n).map(|_| law.draw(&mut rng)).sum::<f64>() / n as f64;
         assert!((mean - 1.0).abs() < 0.02, "mean {mean}");
     }
 }

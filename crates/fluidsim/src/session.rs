@@ -55,7 +55,7 @@ impl Default for StartPolicy {
 impl StartPolicy {
     /// Resolve the threshold given the historical estimate and the bitrate
     /// the initial phase will pick.
-    pub fn threshold(&self, estimate: Option<Rate>, initial_bitrate: Rate) -> SimDuration {
+    fn threshold(&self, estimate: Option<Rate>, initial_bitrate: Rate) -> SimDuration {
         match *self {
             StartPolicy::Fixed(d) => d,
             StartPolicy::Adaptive {
@@ -207,12 +207,6 @@ impl<'a> SessionBuilder<'a> {
     pub fn startup_latency(mut self, d: SimDuration) -> Self {
         self.params.startup_latency = d;
         self
-    }
-
-    /// The assembled [`SessionParams`], for drivers that run sessions
-    /// through their own loop.
-    pub fn into_params(self) -> SessionParams<'a> {
-        self.params
     }
 
     /// Run the session to completion (or abandonment).
@@ -538,7 +532,7 @@ mod tests {
     fn abandoned_sessions_terminate() {
         // Hopeless network: capacity below the lowest rung.
         let p = NetworkProfile {
-            capacity: Rate::from_kbps(100.0),
+            capacity: Rate::from_bps(100_000.0),
             ..NetworkProfile::fast_cable()
         };
         let t = title(4.0);

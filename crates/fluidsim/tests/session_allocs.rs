@@ -88,7 +88,17 @@ fn session_allocs(profile: &NetworkProfile, minutes: u64) -> (usize, usize) {
 
 #[test]
 fn session_allocations_do_not_grow_with_chunk_count() {
-    let profile = NetworkProfile::fast_cable();
+    // A fast, clean cable connection.
+    let profile = NetworkProfile {
+        capacity: Rate::from_mbps(100.0),
+        base_rtt: SimDuration::from_millis(20),
+        bufferbloat: SimDuration::from_millis(30),
+        ambient_loss: 0.002,
+        self_loss: 0.008,
+        jitter_cv: 0.1,
+        fade_prob: 0.0,
+        fade_depth: 0.1,
+    };
     let (short_chunks, short_allocs) = session_allocs(&profile, 10);
     let (long_chunks, long_allocs) = session_allocs(&profile, 30);
     assert_eq!((short_chunks, long_chunks), (150, 450));

@@ -57,9 +57,8 @@ impl Default for RedConfig {
 }
 
 /// The marking probability `p_b` of gentle RED as a pure function of the
-/// average occupancy (bytes). Exposed separately so tests can verify the
-/// curve (monotone, continuous at `max_th`) without driving a queue.
-pub fn red_drop_probability(avg_bytes: f64, min_th: f64, max_th: f64, max_p: f64) -> f64 {
+/// average occupancy (bytes).
+fn red_drop_probability(avg_bytes: f64, min_th: f64, max_th: f64, max_p: f64) -> f64 {
     if avg_bytes < min_th {
         0.0
     } else if avg_bytes < max_th {
@@ -124,13 +123,8 @@ impl RedQueue {
         }
     }
 
-    /// The current average-occupancy estimate in bytes.
-    pub fn avg_bytes(&self) -> f64 {
-        self.avg
-    }
-
     /// The marking probability at a hypothetical average occupancy.
-    pub fn drop_probability(&self, avg_bytes: f64) -> f64 {
+    fn drop_probability(&self, avg_bytes: f64) -> f64 {
         red_drop_probability(avg_bytes, self.min_th, self.max_th, self.max_p)
     }
 
@@ -482,11 +476,7 @@ mod tests {
                 q.dequeue(now, &mut d);
             }
         }
-        assert!(
-            q.avg_bytes() > 15_000.0,
-            "avg {} never left the accept band",
-            q.avg_bytes()
-        );
+        assert!(q.avg > 15_000.0, "avg {} never left the accept band", q.avg);
     }
 
     /// CoDel against a hand-computed reference trace.

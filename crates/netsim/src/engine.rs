@@ -243,13 +243,6 @@ impl Simulator {
         *slot = Some(ep);
     }
 
-    /// Take a node's endpoint out of the simulator (e.g. to inspect its
-    /// state after a run). Timers and packets for the node are silently
-    /// dropped while the endpoint is absent.
-    pub fn take_endpoint(&mut self, node: NodeId) -> Option<Box<dyn Endpoint>> {
-        self.nodes[node.0].endpoint.take()
-    }
-
     /// Borrow a node's endpoint downcast to its concrete type.
     ///
     /// Returns `None` if the node has no endpoint or it is of a different
@@ -310,11 +303,6 @@ impl Simulator {
     /// packets serialize at the new rate.
     pub fn set_link_rate(&mut self, id: LinkId, rate: crate::units::Rate) {
         self.links[id.0].rate = rate;
-    }
-
-    /// Number of links in the topology.
-    pub fn link_count(&self) -> usize {
-        self.links.len()
     }
 
     /// Delivery statistics for a flow (zeros if the flow never delivered).
@@ -712,7 +700,7 @@ impl Simulator {
     }
 
     /// Time of the next pending event, if any.
-    pub fn next_event_time(&self) -> Option<SimTime> {
+    fn next_event_time(&self) -> Option<SimTime> {
         let packet_t = self.events.peek().map(|Reverse(e)| e.at);
         let timer_t = self.timers.peek().map(|Reverse(e)| e.at);
         packet_t.into_iter().chain(timer_t).min()

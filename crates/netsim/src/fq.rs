@@ -80,11 +80,6 @@ impl DrrQueue {
         }
     }
 
-    /// Number of distinct flows ever seen.
-    pub fn flow_count(&self) -> usize {
-        self.flows.len()
-    }
-
     fn slot_of(&mut self, flow: FlowId) -> usize {
         if let Some(&i) = self.index.get(&flow) {
             return i;
@@ -300,7 +295,7 @@ mod tests {
         );
         assert_eq!(q.stats().drops, 1);
         assert_eq!(q.len(), 2);
-        assert_eq!(q.flow_count(), 2);
+        assert_eq!(q.flows.len(), 2);
     }
 
     /// A flow that drains and comes back re-enters the round with zero
@@ -320,6 +315,6 @@ mod tests {
         q.enqueue(SimTime::ZERO, pkt(2, 0, 100));
         let order = drain(&mut q);
         assert_eq!(order, vec![(1, 1), (2, 0)]);
-        assert_eq!(q.flow_count(), 2);
+        assert_eq!(q.flows.len(), 2);
     }
 }

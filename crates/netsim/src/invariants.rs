@@ -31,7 +31,7 @@
 //! | `fluid-chunk-sane` | fluidsim | chunk model outputs finite/positive times, loss in `[0, 1]` |
 
 /// The prefix every violation message carries (see module docs).
-pub const VIOLATION_PREFIX: &str = "invariant violated";
+const VIOLATION_PREFIX: &str = "invariant violated";
 
 /// Format the stable violation tag for `name`, e.g. for matching panic
 /// payloads in harnesses: `violation_tag("dispatch-order")` returns

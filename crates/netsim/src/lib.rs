@@ -62,7 +62,7 @@ pub use fq::{DrrConfig, DrrQueue};
 pub use link::{Link, LinkConfig};
 pub use monitor::QueueMonitor;
 pub use packet::{FlowId, LinkId, NodeId, Packet, PacketId, PacketRef, PacketStore, Payload};
-pub use queue::{Dequeue, Discipline, DropTailQueue, EnqueueResult, Queue, QueueStats};
+pub use queue::{Dequeue, Discipline, EnqueueResult, Queue, QueueStats};
 pub use shaper::{TokenBucketConfig, TokenBucketQueue};
 pub use time::{SimDuration, SimTime};
 pub use topology::{Dumbbell, DumbbellConfig, SharedTopology, SharedTopologyConfig};

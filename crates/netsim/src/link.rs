@@ -133,20 +133,6 @@ impl Link {
         }
         next
     }
-
-    /// Queueing delay a newly arriving packet would experience right now,
-    /// ignoring the packet currently on the wire.
-    pub fn queueing_delay(&self) -> SimDuration {
-        self.rate.time_to_send(self.queue.occupied_bytes())
-    }
-
-    /// Long-run utilization of the link over `elapsed` time.
-    pub fn utilization(&self, elapsed: SimDuration) -> f64 {
-        if elapsed.is_zero() {
-            return 0.0;
-        }
-        (self.bytes_sent as f64 * 8.0) / (self.rate.bps() * elapsed.as_secs_f64())
-    }
 }
 
 #[cfg(test)]
@@ -202,16 +188,6 @@ mod tests {
     }
 
     #[test]
-    fn queueing_delay_tracks_backlog() {
-        let mut link = test_link();
-        assert_eq!(link.queueing_delay(), SimDuration::ZERO);
-        link.enqueue(SimTime::ZERO, pkt(1500));
-        link.enqueue(SimTime::ZERO, pkt(1500));
-        // 3000 bytes at 12 Mbps = 2 ms.
-        assert_eq!(link.queueing_delay(), SimDuration::from_millis(2));
-    }
-
-    #[test]
     fn bdp_queue_sizing() {
         let cfg = LinkConfig::with_bdp_queue(
             Rate::from_mbps(40.0),
@@ -222,16 +198,6 @@ mod tests {
         // BDP = 40e6 * 0.005 / 8 = 25 kB; 4x = 100 kB.
         assert_eq!(cfg.queue_bytes, 100_000);
         assert_eq!(cfg.discipline, Discipline::DropTail);
-    }
-
-    #[test]
-    fn utilization() {
-        let mut link = test_link();
-        link.enqueue(SimTime::ZERO, pkt(1500));
-        start(&mut link, SimTime::ZERO).unwrap();
-        // 1500 bytes in 1 ms at 12 Mbps is exactly full utilization.
-        let u = link.utilization(SimDuration::from_millis(1));
-        assert!((u - 1.0).abs() < 1e-9);
     }
 
     #[test]

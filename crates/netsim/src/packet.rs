@@ -112,7 +112,7 @@ pub enum Payload {
 
 impl Payload {
     /// Payload bytes on the wire (excluding header overhead).
-    pub fn wire_bytes(&self) -> u64 {
+    fn wire_bytes(&self) -> u64 {
         match *self {
             Payload::Data { len, .. } => len as u64,
             Payload::Ack { .. } => 0,

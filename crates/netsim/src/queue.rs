@@ -222,7 +222,7 @@ impl Discipline {
 
 /// A drop-tail FIFO queue with a byte-capacity limit.
 #[derive(Debug, Clone)]
-pub struct DropTailQueue {
+pub(crate) struct DropTailQueue {
     capacity_bytes: u64,
     occupied_bytes: u64,
     packets: VecDeque<PacketRef>,
@@ -235,7 +235,7 @@ impl DropTailQueue {
     /// # Panics
     /// Panics if `capacity_bytes` is zero: a zero-capacity queue would drop
     /// every packet and almost certainly indicates a misconfigured topology.
-    pub fn new(capacity_bytes: u64) -> Self {
+    fn new(capacity_bytes: u64) -> Self {
         assert!(capacity_bytes > 0, "queue capacity must be positive");
         DropTailQueue {
             capacity_bytes,

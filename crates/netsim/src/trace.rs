@@ -38,11 +38,6 @@ impl BinnedThroughput {
         self.bytes[idx] += bytes;
     }
 
-    /// Bin width.
-    pub fn bin(&self) -> SimDuration {
-        self.bin
-    }
-
     /// Throughput per bin in bits/sec, as `(bin_start_seconds, bps)` pairs.
     pub fn series_bps(&self) -> Vec<(f64, f64)> {
         let bin_s = self.bin.as_secs_f64();

@@ -23,11 +23,6 @@ impl Rate {
         Rate(bps)
     }
 
-    /// Construct from kilobits per second.
-    pub fn from_kbps(kbps: f64) -> Self {
-        Rate::from_bps(kbps * 1e3)
-    }
-
     /// Construct from megabits per second.
     pub fn from_mbps(mbps: f64) -> Self {
         Rate::from_bps(mbps * 1e6)
@@ -36,11 +31,6 @@ impl Rate {
     /// Construct from gigabits per second.
     pub fn from_gbps(gbps: f64) -> Self {
         Rate::from_bps(gbps * 1e9)
-    }
-
-    /// Construct from bytes per second.
-    pub fn from_bytes_per_sec(bytes: f64) -> Self {
-        Rate::from_bps(bytes * 8.0)
     }
 
     /// Rate in bits per second.
@@ -67,11 +57,6 @@ impl Rate {
             return SimDuration::MAX;
         }
         SimDuration::from_secs_f64((bytes as f64 * 8.0) / self.0)
-    }
-
-    /// Bytes transferable in `dur` at this rate.
-    pub fn bytes_in(self, dur: SimDuration) -> u64 {
-        (self.0 * dur.as_secs_f64() / 8.0).floor() as u64
     }
 
     /// The smaller of two rates.
@@ -160,23 +145,19 @@ mod tests {
         let r = Rate::from_mbps(8.0);
         assert_eq!(r.bps(), 8e6);
         assert_eq!(r.bytes_per_sec(), 1e6);
-        assert_eq!(Rate::from_kbps(1000.0), Rate::from_mbps(1.0));
         assert_eq!(Rate::from_gbps(1.0), Rate::from_mbps(1000.0));
-        assert_eq!(Rate::from_bytes_per_sec(125000.0), Rate::from_mbps(1.0));
     }
 
     #[test]
-    fn time_to_send_and_back() {
+    fn time_to_send_one_packet() {
         let r = Rate::from_mbps(12.0);
         // 1500 bytes at 12 Mbps = 1 ms.
         assert_eq!(r.time_to_send(1500), SimDuration::from_millis(1));
-        assert_eq!(r.bytes_in(SimDuration::from_millis(1)), 1500);
     }
 
     #[test]
     fn zero_rate_never_finishes() {
         assert_eq!(Rate::ZERO.time_to_send(1), SimDuration::MAX);
-        assert_eq!(Rate::ZERO.bytes_in(SimDuration::from_secs(100)), 0);
     }
 
     #[test]

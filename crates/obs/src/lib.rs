@@ -37,7 +37,6 @@ mod sink;
 mod snapshot;
 
 pub use ids::TraceId;
-pub use snapshot::intern;
 
 use std::cell::RefCell;
 use std::collections::{BTreeMap, VecDeque};
@@ -52,7 +51,7 @@ pub const ENABLED: bool = cfg!(feature = "enabled");
 pub const HIST_BUCKETS: usize = 64;
 
 /// Default capacity of the structured trace ring.
-pub const DEFAULT_TRACE_CAP: usize = 256;
+const DEFAULT_TRACE_CAP: usize = 256;
 
 /// Compression parameter of every histogram's embedded t-digest.
 const DIGEST_COMPRESSION: f64 = 100.0;
@@ -136,7 +135,7 @@ impl Default for Histogram {
 }
 
 /// The fixed bucket index for a sample (see [`HIST_BUCKETS`]).
-pub fn bucket_index(v: f64) -> usize {
+fn bucket_index(v: f64) -> usize {
     if !v.is_finite() || v <= 0.0 {
         return 0;
     }
@@ -325,7 +324,7 @@ impl Registry {
     }
 
     /// Record a completed wall-clock span (nondeterministic section).
-    pub fn wall_span(&mut self, name: &'static str, dur: std::time::Duration) {
+    fn wall_span(&mut self, name: &'static str, dur: std::time::Duration) {
         self.wall_spans
             .entry(name)
             .or_default()
@@ -373,26 +372,6 @@ impl Registry {
     /// A counter's value (0 if never recorded).
     pub fn counter_value(&self, name: &str) -> u64 {
         self.counters.get(name).copied().unwrap_or(0)
-    }
-
-    /// A gauge by name.
-    pub fn gauge_stat(&self, name: &str) -> Option<&Gauge> {
-        self.gauges.get(name)
-    }
-
-    /// A histogram by name.
-    pub fn histogram(&self, name: &str) -> Option<&Histogram> {
-        self.hists.get(name)
-    }
-
-    /// A sim-time span by name.
-    pub fn span_stat(&self, name: &str) -> Option<&SpanStat> {
-        self.spans.get(name)
-    }
-
-    /// A wall-clock span by name.
-    pub fn wall_span_stat(&self, name: &str) -> Option<&SpanStat> {
-        self.wall_spans.get(name)
     }
 
     /// Drop the wall-clock section. Wall spans are nondeterministic by
@@ -564,15 +543,15 @@ mod tests {
     fn records_and_reads_back() {
         let r = filled();
         assert_eq!(r.counter_value("a.count"), 5);
-        let g = r.gauge_stat("b.gauge").unwrap();
+        let g = &r.gauges["b.gauge"];
         assert_eq!(g.count, 2);
         assert_eq!(g.min, -2.0);
         assert_eq!(g.max, 1.5);
         assert_eq!(g.last, -2.0);
-        let h = r.histogram("c.hist").unwrap();
+        let h = &r.hists["c.hist"];
         assert_eq!(h.count, 2);
         assert_eq!(h.sum, 1010.0);
-        let s = r.span_stat("d.span").unwrap();
+        let s = &r.spans["d.span"];
         assert_eq!((s.count, s.total_ns, s.max_ns), (1, 5_000, 5_000));
         assert_eq!(r.trace_ring().len(), 1);
     }
@@ -596,9 +575,9 @@ mod tests {
         let b = filled();
         a.merge(&b);
         assert_eq!(a.counter_value("a.count"), 10);
-        assert_eq!(a.gauge_stat("b.gauge").unwrap().count, 4);
-        assert_eq!(a.histogram("c.hist").unwrap().count, 4);
-        assert_eq!(a.span_stat("d.span").unwrap().total_ns, 10_000);
+        assert_eq!(a.gauges["b.gauge"].count, 4);
+        assert_eq!(a.hists["c.hist"].count, 4);
+        assert_eq!(a.spans["d.span"].total_ns, 10_000);
         assert_eq!(a.trace_ring().len(), 2);
 
         // Merging the same parts in the same order gives identical output.
@@ -639,7 +618,7 @@ mod tests {
             let _t = WallTimer::start("w.timer");
         }
         let got = take();
-        let s = got.wall_span_stat("w.timer").unwrap();
+        let s = &got.wall_spans["w.timer"];
         assert_eq!(s.count, 1);
         // Wall spans never appear in the deterministic sink.
         assert!(!got.to_jsonl().contains("w.timer"));

@@ -3,7 +3,7 @@
 //! A [`Registry`] serializes to a self-contained byte blob via the
 //! [`tdigest::wire`] codec (DESIGN.md §16): every section is written in
 //! its deterministic BTreeMap order, floats as raw bits, so
-//! `from_bytes(to_bytes(r))` reproduces the registry **bit-exactly** —
+//! decoding an encoded registry reproduces it **bit-exactly** —
 //! including digest centroid state, gauge extrema, and the trace ring.
 //! The streaming A/B runner embeds these blobs in experiment checkpoints;
 //! a resumed run's merged registry (and therefore its JSONL sink output)
@@ -28,7 +28,7 @@ static INTERNED: Mutex<BTreeSet<&'static str>> = Mutex::new(BTreeSet::new());
 /// Intern a metric name: returns a `&'static str` equal to `name`,
 /// leaking each distinct name at most once per process. Restore paths use
 /// this to rebuild `&'static str`-keyed maps from decoded strings.
-pub fn intern(name: &str) -> &'static str {
+fn intern(name: &str) -> &'static str {
     let mut set = INTERNED.lock().expect("intern table");
     if let Some(&existing) = set.get(name) {
         return existing;
@@ -96,16 +96,9 @@ fn get_span(r: &mut Reader<'_>) -> Result<SpanStat, WireError> {
 }
 
 impl Registry {
-    /// Serialize the registry to a self-contained byte blob (see the
-    /// module docs for the exactness contract).
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        self.encode(&mut out);
-        out
-    }
-
-    /// Append the serialized registry to `out` ([`Registry::to_bytes`]
-    /// without the allocation; embeddable in larger checkpoint files).
+    /// Append the registry, serialized, to `out` — a self-contained blob
+    /// embeddable in larger checkpoint files (see the module docs for the
+    /// exactness contract).
     pub fn encode(&self, out: &mut Vec<u8>) {
         let (counters, gauges, hists, spans, wall) = self.sections();
         wire::put_u32(out, MAGIC);
@@ -145,20 +138,9 @@ impl Registry {
         }
     }
 
-    /// Restore a registry written by [`Registry::to_bytes`].
-    pub fn from_bytes(bytes: &[u8]) -> Result<Registry, WireError> {
-        let mut r = Reader::new(bytes);
-        let reg = Self::decode(&mut r)?;
-        if !r.is_done() {
-            return Err(WireError {
-                context: "registry.trailing",
-            });
-        }
-        Ok(reg)
-    }
-
-    /// Decode a registry from `r`, leaving the reader positioned after it
-    /// (the checkpoint format embeds registries mid-stream).
+    /// Decode a registry written by [`Registry::encode`] from `r`, leaving
+    /// the reader positioned after it (the checkpoint format embeds
+    /// registries mid-stream).
     pub fn decode(r: &mut Reader<'_>) -> Result<Registry, WireError> {
         if r.u32("registry.magic")? != MAGIC {
             return Err(WireError {
@@ -226,6 +208,20 @@ impl Registry {
 mod tests {
     use super::*;
 
+    fn to_bytes(r: &Registry) -> Vec<u8> {
+        let mut out = Vec::new();
+        r.encode(&mut out);
+        out
+    }
+
+    /// Decode a blob holding exactly one registry.
+    fn from_bytes(bytes: &[u8]) -> Result<Registry, WireError> {
+        let mut r = Reader::new(bytes);
+        let reg = Registry::decode(&mut r)?;
+        assert!(r.is_done(), "bytes left after the registry");
+        Ok(reg)
+    }
+
     fn filled() -> Registry {
         let mut r = Registry::new();
         r.counter("s.count", 41);
@@ -253,55 +249,56 @@ mod tests {
     #[test]
     fn round_trip_is_bit_exact() {
         let r = filled();
-        let bytes = r.to_bytes();
-        let back = Registry::from_bytes(&bytes).unwrap();
+        let bytes = to_bytes(&r);
+        let back = from_bytes(&bytes).unwrap();
         // The JSONL sink is the deterministic contract: byte-identical.
         assert_eq!(back.to_jsonl(), r.to_jsonl());
         // Wall spans and trace survive too (sink excludes them).
-        assert_eq!(back.wall_span_stat("s.wall").unwrap().count, 1);
+        assert_eq!(back.wall_spans["s.wall"].count, 1);
         assert_eq!(back.trace_ring().len(), 10);
         // Re-encoding is canonical.
-        assert_eq!(back.to_bytes(), bytes);
+        assert_eq!(to_bytes(&back), bytes);
         // Merge histories stay identical: merging the same shard into the
         // original and the restored copy gives byte-identical snapshots.
         let (mut a, mut b) = (r, back);
         a.merge(&filled());
         b.merge(&filled());
-        assert_eq!(a.to_bytes(), b.to_bytes());
+        assert_eq!(to_bytes(&a), to_bytes(&b));
     }
 
     #[test]
     fn empty_registry_round_trips() {
         let r = Registry::new();
-        let back = Registry::from_bytes(&r.to_bytes()).unwrap();
+        let back = from_bytes(&to_bytes(&r)).unwrap();
         assert!(back.is_empty());
     }
 
     #[test]
     fn corrupt_bytes_are_rejected() {
-        let bytes = filled().to_bytes();
+        let bytes = to_bytes(&filled());
         for cut in [0, 3, 4, 20, bytes.len() - 1] {
-            assert!(
-                Registry::from_bytes(&bytes[..cut]).is_err(),
-                "cut at {cut} must fail"
-            );
+            assert!(from_bytes(&bytes[..cut]).is_err(), "cut at {cut} must fail");
         }
         let mut wrong_magic = bytes.clone();
         wrong_magic[0] ^= 0xFF;
-        assert!(Registry::from_bytes(&wrong_magic).is_err());
+        assert!(from_bytes(&wrong_magic).is_err());
+        // Decoding stops at the registry's end: what follows is the
+        // embedding file's.
         let mut trailing = bytes;
         trailing.push(0);
-        assert!(Registry::from_bytes(&trailing).is_err());
+        let mut reader = Reader::new(&trailing);
+        Registry::decode(&mut reader).unwrap();
+        assert!(!reader.is_done());
     }
 
     #[test]
     fn unknown_trace_id_is_rejected() {
         let mut r = Registry::new();
         r.trace(TraceId::LinkDrop, 1, 2, 3);
-        let mut bytes = r.to_bytes();
+        let mut bytes = to_bytes(&r);
         // The trace id u32 sits 12 bytes before the end (a + b follow it).
         let idx = bytes.len() - 20;
         bytes[idx..idx + 4].copy_from_slice(&999u32.to_le_bytes());
-        assert!(Registry::from_bytes(&bytes).is_err());
+        assert!(from_bytes(&bytes).is_err());
     }
 }

@@ -16,7 +16,7 @@
 //! ```
 //!
 //! Everything the daemon writes except the two `.jsonl` append logs goes
-//! through [`write_atomic`] (tmp + rename), so a kill mid-write leaves
+//! through `write_atomic` (tmp + rename), so a kill mid-write leaves
 //! either the old file or the new one, never a torn half. IDs are
 //! sequential (`r0001`, `s0001`, …) and allocation is serialized by the
 //! daemon's state lock, so a runs-dir replays in submission order after a
@@ -218,7 +218,7 @@ impl Store {
 }
 
 /// Write a file via tmp + rename so readers never observe a torn write.
-pub fn write_atomic(path: &Path, bytes: &[u8]) -> Result<(), SimError> {
+fn write_atomic(path: &Path, bytes: &[u8]) -> Result<(), SimError> {
     let tmp = path.with_extension("tmp");
     fs::write(&tmp, bytes).map_err(|e| SimError::Io(format!("write {}: {e}", tmp.display())))?;
     fs::rename(&tmp, path).map_err(|e| SimError::Io(format!("rename {}: {e}", path.display())))?;

@@ -35,7 +35,7 @@ pub mod wire;
 /// A single centroid: a weighted point summarizing `weight` samples whose
 /// mean is `mean`.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct Centroid {
+pub(crate) struct Centroid {
     /// Mean of the samples merged into this centroid.
     pub mean: f64,
     /// Number of samples merged into this centroid.
@@ -179,11 +179,6 @@ impl TDigest {
         }
     }
 
-    /// The compression parameter δ this digest was created with.
-    pub fn compression(&self) -> f64 {
-        self.scale.compression
-    }
-
     /// Total number of samples added (including buffered ones).
     pub fn count(&self) -> u64 {
         (self.count + self.buffer.len() as f64) as u64
@@ -293,11 +288,6 @@ impl TDigest {
         self.quantile(0.5)
     }
 
-    /// Estimate the fraction of samples `<= value` (the CDF).
-    pub fn cdf(&self, value: f64) -> f64 {
-        self.flushed().cdf_inner(value)
-    }
-
     /// Mean of all samples.
     pub fn mean(&self) -> f64 {
         let snapshot = self.flushed();
@@ -306,11 +296,6 @@ impl TDigest {
         }
         let sum: f64 = snapshot.centroids.iter().map(|c| c.mean * c.weight).sum();
         sum / snapshot.count
-    }
-
-    /// The current centroids (after compressing any buffered samples).
-    pub fn centroids(&self) -> Vec<Centroid> {
-        self.flushed().into_owned().centroids
     }
 
     /// Serialize into `out` via the [`wire`] codec.
@@ -531,56 +516,6 @@ impl TDigest {
         };
         last.mean + frac * (self.max - last.mean)
     }
-
-    fn cdf_inner(&self, value: f64) -> f64 {
-        if self.count == 0.0 {
-            return f64::NAN;
-        }
-        if value < self.min {
-            return 0.0;
-        }
-        if value >= self.max {
-            return 1.0;
-        }
-        if self.centroids.len() == 1 {
-            // Single centroid: linear ramp between min and max.
-            let span = self.max - self.min;
-            return if span > 0.0 {
-                (value - self.min) / span
-            } else {
-                0.5
-            };
-        }
-        let mut cum = 0.0;
-        for (i, c) in self.centroids.iter().enumerate() {
-            if value < c.mean {
-                let (lo_val, lo_cum) = if i == 0 {
-                    (self.min, 0.0)
-                } else {
-                    let prev = &self.centroids[i - 1];
-                    (prev.mean, cum - prev.weight / 2.0)
-                };
-                let hi_cum = cum + c.weight / 2.0;
-                let span = c.mean - lo_val;
-                let frac = if span > 0.0 {
-                    (value - lo_val) / span
-                } else {
-                    0.5
-                };
-                return ((lo_cum + frac * (hi_cum - lo_cum)) / self.count).clamp(0.0, 1.0);
-            }
-            cum += c.weight;
-        }
-        let last = self.centroids.last().expect("non-empty");
-        let lo_cum = self.count - last.weight / 2.0;
-        let span = self.max - last.mean;
-        let frac = if span > 0.0 {
-            (value - last.mean) / span
-        } else {
-            1.0
-        };
-        ((lo_cum + frac * (self.count - lo_cum)) / self.count).clamp(0.0, 1.0)
-    }
 }
 
 /// Extend a digest from an iterator of samples.
@@ -628,7 +563,6 @@ mod tests {
         assert!(d.is_empty());
         assert_eq!(d.count(), 0);
         assert!(d.quantile(0.5).is_nan());
-        assert!(d.cdf(1.0).is_nan());
         assert!(d.mean().is_nan());
         assert_eq!(d.min(), None);
         assert_eq!(d.max(), None);
@@ -751,24 +685,10 @@ mod tests {
     }
 
     #[test]
-    fn cdf_is_monotone_and_bounded() {
-        let d: TDigest = (0..10_000).map(|i| (i % 173) as f64).collect();
-        let mut prev = 0.0;
-        for i in -10..200 {
-            let c = d.cdf(i as f64);
-            assert!((0.0..=1.0).contains(&c));
-            assert!(c >= prev - 1e-12, "cdf not monotone at {i}");
-            prev = c;
-        }
-        assert_eq!(d.cdf(-1.0), 0.0);
-        assert_eq!(d.cdf(1000.0), 1.0);
-    }
-
-    #[test]
     fn centroid_count_bounded() {
         let mut rng = StdRng::seed_from_u64(3);
         let d: TDigest = (0..200_000).map(|_| rng.gen::<f64>()).collect();
-        let n = d.centroids().len();
+        let n = d.flushed().centroids.len();
         // k1 scale function bounds centroids to ~2δ.
         assert!(n <= 2 * 100 + 10, "too many centroids: {n}");
     }

@@ -157,7 +157,7 @@ pub(crate) fn check_same(new: &TDigest, old: &Oracle, reads: bool) -> Result<(),
         return Ok(());
     }
     let old = old.flushed();
-    let same = new.centroids() == old.centroids
+    let same = new.flushed().centroids == old.centroids
         && new.min() == Some(old.min).filter(|_| old.count > 0.0)
         && new.max() == Some(old.max).filter(|_| old.count > 0.0)
         && new.count() == old.count as u64

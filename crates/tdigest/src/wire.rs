@@ -46,7 +46,7 @@ pub fn put_f64(out: &mut Vec<u8>, v: f64) {
 }
 
 /// Append a length-prefixed byte string.
-pub fn put_bytes(out: &mut Vec<u8>, bytes: &[u8]) {
+fn put_bytes(out: &mut Vec<u8>, bytes: &[u8]) {
     put_u64(out, bytes.len() as u64);
     out.extend_from_slice(bytes);
 }

@@ -21,19 +21,6 @@ proptest! {
         prop_assert_eq!(d.count(), vals.len() as u64);
     }
 
-    /// cdf(quantile(q)) is close to q for continuous-ish data.
-    #[test]
-    fn cdf_quantile_roundtrip(seed in 0u64..1000) {
-        use rand::prelude::*;
-        let mut rng = StdRng::seed_from_u64(seed);
-        let d: TDigest = (0..5000).map(|_| rng.gen::<f64>() * 100.0).collect();
-        for q in [0.1, 0.3, 0.5, 0.7, 0.9] {
-            let v = d.quantile(q);
-            let back = d.cdf(v);
-            prop_assert!((back - q).abs() < 0.05, "q={q} back={back}");
-        }
-    }
-
     /// Merging two digests yields the sum of counts and bounds within the union.
     #[test]
     fn merge_counts_and_bounds(

@@ -129,11 +129,6 @@ impl BbrLite {
         self.btlbw_bps = samples.fold(0.0, f64::max);
     }
 
-    /// True while the controller is in its PROBE_RTT phase.
-    pub fn in_probe_rtt(&self) -> bool {
-        self.phase == Phase::ProbeRtt
-    }
-
     /// Estimated bandwidth-delay product in bytes (0 before any sample,
     /// so the cwnd floor applies).
     fn bdp_bytes(&self) -> u64 {
@@ -509,7 +504,7 @@ mod tests {
         // Feed constant-RTT ACKs one at a time so we observe the exact
         // entry instant (the probe only lasts 200 ms).
         let mut guard = 0;
-        while !cc.in_probe_rtt() {
+        while cc.phase != Phase::ProbeRtt {
             now += SimDuration::from_millis(10);
             cc.on_ack(now, 50_000, Some(SimDuration::from_millis(20)), false);
             guard += 1;

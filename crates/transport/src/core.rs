@@ -238,7 +238,8 @@ impl SenderCore {
     }
 
     /// The rate the pacer currently enforces, if any.
-    pub fn pacing_rate(&self) -> Option<Rate> {
+    #[cfg(test)]
+    pub(crate) fn pacing_rate(&self) -> Option<Rate> {
         self.pacer.rate()
     }
 

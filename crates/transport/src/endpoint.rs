@@ -32,7 +32,6 @@ pub struct SenderEndpoint {
     pub completed: Vec<CompletedTransfer>,
     /// Smoothed-RTT samples over time (ms), recorded on each ACK.
     pub rtt_trace: GaugeSeries,
-    requests_served: u64,
     /// Token of this endpoint's wakeup timer (distinct per slot when
     /// several share a node).
     pub(crate) token: u64,
@@ -52,7 +51,6 @@ impl SenderEndpoint {
             sender: TransportSender::new(local, remote, flow, cfg),
             completed: Vec::new(),
             rtt_trace: GaugeSeries::new(),
-            requests_served: 0,
             token: TICK,
             next_timer: SimTime::MAX,
             out: Vec::new(),
@@ -69,17 +67,11 @@ impl SenderEndpoint {
         &mut self.sender
     }
 
-    /// Number of requests this endpoint has started serving.
-    pub fn requests_served(&self) -> u64 {
-        self.requests_served
-    }
-
     /// Serve a transfer of `size` bytes paced at `pace`, as if a request
     /// for it had just arrived.
     pub fn serve(&mut self, now: SimTime, size: u64, pace: Option<Rate>, ctx: &mut NodeCtx) {
         self.sender.start_transfer(now, size, pace);
         self.sender.pump(now, &mut self.out);
-        self.requests_served += 1;
         self.after_event(now, ctx);
     }
 

@@ -227,7 +227,7 @@ mod tests {
 
     #[test]
     fn clearing_rate_unblocks_immediately() {
-        let mut p = Pacer::new(Some(Rate::from_kbps(10.0)), 1);
+        let mut p = Pacer::new(Some(Rate::from_bps(10_000.0)), 1);
         let t0 = SimTime::ZERO;
         p.on_send(t0, 1500);
         assert!(!p.can_send(t0, 1500));

@@ -37,9 +37,9 @@ pub type QuicSender = Sender<QuicWire>;
 const PACKET_THRESHOLD: u64 = 3;
 /// Connection flow-control credit assumed before the first ACK arrives
 /// (stands in for QUIC's `initial_max_data` transport parameter).
-pub const INITIAL_MAX_DATA: u64 = 8 << 20;
+const INITIAL_MAX_DATA: u64 = 8 << 20;
 /// Flow-control window the receiver keeps open beyond delivered bytes.
-pub const FLOW_WINDOW: u64 = 8 << 20;
+const FLOW_WINDOW: u64 = 8 << 20;
 /// ACK ranges carried per ACK packet (the wire format holds three).
 const ACK_RANGES: usize = 3;
 /// Received packet-number ranges remembered by the receiver. Older ranges
@@ -862,7 +862,7 @@ mod tests {
         // advertised credit.
         s.start_transfer(SimTime::ZERO, 4 * INITIAL_MAX_DATA, None);
         s.pump(SimTime::ZERO, &mut out);
-        let sent: u64 = out.iter().map(|p| p.payload.wire_bytes()).sum();
+        let sent: u64 = out.iter().map(|p| p.size - netsim::HEADER_BYTES).sum();
         assert!(sent <= INITIAL_MAX_DATA);
         // Simulate a receiver that never raises max_data beyond the
         // initial credit: echo ACKs with the same credit.

@@ -9,7 +9,6 @@ pub struct RttEstimator {
     srtt: Option<SimDuration>,
     rttvar: SimDuration,
     min_rtt: SimDuration,
-    latest: SimDuration,
     min_rto: SimDuration,
     max_rto: SimDuration,
 }
@@ -29,7 +28,6 @@ impl RttEstimator {
             srtt: None,
             rttvar: SimDuration::ZERO,
             min_rtt: SimDuration::MAX,
-            latest: SimDuration::ZERO,
             min_rto: SimDuration::from_millis(200),
             max_rto: SimDuration::from_secs(60),
         }
@@ -37,7 +35,6 @@ impl RttEstimator {
 
     /// Record an RTT sample.
     pub fn on_sample(&mut self, rtt: SimDuration) {
-        self.latest = rtt;
         self.min_rtt = self.min_rtt.min(rtt);
         match self.srtt {
             None => {
@@ -69,15 +66,6 @@ impl RttEstimator {
             None
         } else {
             Some(self.min_rtt)
-        }
-    }
-
-    /// Most recent sample.
-    pub fn latest(&self) -> Option<SimDuration> {
-        if self.latest.is_zero() && self.srtt.is_none() {
-            None
-        } else {
-            Some(self.latest)
         }
     }
 
@@ -147,6 +135,5 @@ mod tests {
         e.on_sample(SimDuration::from_millis(5));
         e.on_sample(SimDuration::from_millis(40));
         assert_eq!(e.min_rtt(), Some(SimDuration::from_millis(5)));
-        assert_eq!(e.latest(), Some(SimDuration::from_millis(40)));
     }
 }

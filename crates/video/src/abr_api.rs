@@ -74,21 +74,6 @@ pub trait Abr: Send {
     fn name(&self) -> &'static str;
 }
 
-/// The simplest possible ABR: always the lowest rung, never paced. Useful
-/// as a fixture and a worst-quality baseline.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct LowestRung;
-
-impl Abr for LowestRung {
-    fn select(&mut self, ctx: &AbrContext<'_>) -> AbrDecision {
-        AbrDecision::unpaced(ctx.ladder.lowest())
-    }
-
-    fn name(&self) -> &'static str {
-        "lowest-rung"
-    }
-}
-
 /// A fixed-rung ABR for tests and calibration runs.
 #[derive(Debug, Clone, Copy)]
 pub struct FixedRung(

@@ -74,20 +74,6 @@ impl ThroughputHistory {
         self.samples.last()
     }
 
-    /// Exponentially weighted moving average of throughput with smoothing
-    /// factor `alpha` (weight on the newest sample).
-    pub fn ewma(&self, alpha: f64) -> Option<Rate> {
-        let mut est: Option<f64> = None;
-        for m in &self.samples {
-            let x = m.throughput().bps();
-            est = Some(match est {
-                None => x,
-                Some(e) => alpha * x + (1.0 - alpha) * e,
-            });
-        }
-        est.map(Rate::from_bps)
-    }
-
     /// Harmonic mean of the last `k` throughputs — robust to outliers, used
     /// by MPC-style algorithms.
     pub fn harmonic_mean_last(&self, k: usize) -> Option<Rate> {
@@ -171,7 +157,6 @@ mod tests {
     fn empty_history() {
         let h = ThroughputHistory::new();
         assert!(h.is_empty());
-        assert!(h.ewma(0.3).is_none());
         assert!(h.harmonic_mean_last(3).is_none());
         assert!(h.min_last(3).is_none());
         assert!(h.percentile(0.95).is_none());
@@ -199,19 +184,6 @@ mod tests {
         let hm = h.harmonic_mean_last(2).unwrap().mbps();
         // Harmonic mean of 8 and 2 = 3.2, below arithmetic mean 5.
         assert!((hm - 3.2).abs() < 1e-9);
-    }
-
-    #[test]
-    fn ewma_tracks_recent() {
-        let mut h = ThroughputHistory::new();
-        for _ in 0..50 {
-            h.record(m(1_000_000, 1.0)); // 8 Mbps
-        }
-        for _ in 0..50 {
-            h.record(m(1_000_000, 4.0)); // 2 Mbps
-        }
-        let e = h.ewma(0.3).unwrap().mbps();
-        assert!(e < 2.1, "ewma should converge to recent level, got {e}");
     }
 
     #[test]

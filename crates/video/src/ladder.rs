@@ -38,7 +38,7 @@ impl Ladder {
 
     /// Fallible [`Ladder::from_bitrates`]: rejects empty, non-finite,
     /// non-positive, or non-ascending bitrate lists.
-    pub fn try_from_bitrates(bitrates_bps: &[f64], vmaf: &VmafModel) -> Result<Self, SimError> {
+    fn try_from_bitrates(bitrates_bps: &[f64], vmaf: &VmafModel) -> Result<Self, SimError> {
         let invalid = |reason: String| SimError::InvalidConfig {
             field: "ladder.bitrates",
             reason,
@@ -91,16 +91,6 @@ impl Ladder {
         Ladder::from_bitrates(
             &[
                 235e3, 375e3, 560e3, 750e3, 1_050e3, 1_750e3, 3_000e3, 5_800e3, 16_000e3,
-            ],
-            vmaf,
-        )
-    }
-
-    /// A 4K ladder topping out near 16 Mbps (typical for premium plans).
-    pub fn uhd(vmaf: &VmafModel) -> Self {
-        Ladder::from_bitrates(
-            &[
-                235e3, 560e3, 1_050e3, 1_750e3, 3_000e3, 5_800e3, 8_100e3, 11_600e3, 16_000e3,
             ],
             vmaf,
         )
@@ -189,11 +179,11 @@ mod tests {
     #[test]
     fn highest_at_most() {
         let l = Ladder::hd(&VmafModel::standard());
-        assert_eq!(l.highest_at_most(Rate::from_kbps(100.0)), 0);
-        assert_eq!(l.highest_at_most(Rate::from_kbps(600.0)), 2);
+        assert_eq!(l.highest_at_most(Rate::from_bps(100_000.0)), 0);
+        assert_eq!(l.highest_at_most(Rate::from_bps(600_000.0)), 2);
         assert_eq!(l.highest_at_most(Rate::from_mbps(100.0)), l.top());
         // Exactly at a rung.
-        assert_eq!(l.highest_at_most(Rate::from_kbps(560.0)), 2);
+        assert_eq!(l.highest_at_most(Rate::from_bps(560_000.0)), 2);
     }
 
     #[test]

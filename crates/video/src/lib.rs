@@ -8,12 +8,9 @@
 //! - [`Ladder`] / [`Rung`]: encoding ladders, including the paper's lab
 //!   ladder with a 3.3 Mbps top bitrate (§6).
 //! - [`Title`] / [`Chunk`] / [`Lookahead`]: chunked titles with seeded VBR
-//!   size wobble, stored flat with per-rung prefix sums for O(1) lookahead
-//!   byte-sums.
+//!   size wobble.
 //! - [`PlaybackBuffer`]: the client buffer obeying the update equation of
 //!   Appendix A.
-//! - [`CmcdRequest`]: the CMCD (CTA-5004) request payload carrying the
-//!   `rtp` pace-rate hint — the paper's deployability mechanism (§3.2).
 //! - [`Abr`] + [`AbrContext`] / [`AbrDecision`]: the joint bitrate +
 //!   pace-rate interface Sammy plugs into.
 //! - [`Player`]: a sans-IO player state machine (startup → playing →
@@ -30,7 +27,6 @@
 
 pub mod abr_api;
 pub mod buffer;
-pub mod cmcd;
 pub mod history;
 pub mod ladder;
 pub mod netclient;
@@ -39,13 +35,12 @@ pub mod qoe;
 pub mod title;
 pub mod vmaf;
 
-pub use abr_api::{Abr, AbrContext, AbrDecision, FixedRung, LowestRung, PlayerPhase};
+pub use abr_api::{Abr, AbrContext, AbrDecision, FixedRung, PlayerPhase};
 pub use buffer::PlaybackBuffer;
-pub use cmcd::CmcdRequest;
 pub use history::{ChunkMeasurement, ThroughputHistory};
 pub use ladder::{Ladder, Rung};
 pub use netclient::VideoClientEndpoint;
 pub use player::{ChunkRequest, Player, PlayerConfig, PlayerState};
-pub use qoe::{QoeAccumulator, QoeSummary, INITIAL_VMAF_WINDOW};
+pub use qoe::{QoeAccumulator, QoeSummary};
 pub use title::{Chunk, Lookahead, Title, TitleConfig};
 pub use vmaf::VmafModel;

@@ -10,7 +10,7 @@ use serde::{Deserialize, Serialize};
 
 /// Duration of the "initial" window for initial-VMAF accounting (§5.2:
 /// "the VMAF during the first twenty seconds of video playback").
-pub const INITIAL_VMAF_WINDOW: SimDuration = SimDuration::from_secs(20);
+const INITIAL_VMAF_WINDOW: SimDuration = SimDuration::from_secs(20);
 
 /// Accumulates QoE events over a session and produces a [`QoeSummary`].
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -105,7 +105,7 @@ impl QoeAccumulator {
 
     /// Produce the session summary, counting only closed stalls (prefer
     /// [`QoeAccumulator::summary_at`] when the session may still be open).
-    pub fn summary(&self) -> QoeSummary {
+    fn summary(&self) -> QoeSummary {
         let play_delay = self
             .playback_started
             .map(|t| t.saturating_since(self.session_start));
@@ -174,16 +174,6 @@ pub struct QoeSummary {
 }
 
 impl QoeSummary {
-    /// Quality switches per hour of playback.
-    pub fn switches_per_hour(&self) -> f64 {
-        let hours = self.played.as_secs_f64() / 3600.0;
-        if hours <= 0.0 {
-            0.0
-        } else {
-            self.quality_switches as f64 / hours
-        }
-    }
-
     /// Rebuffers per hour of playback — one of Table 2's QoE rows.
     pub fn rebuffers_per_hour(&self) -> f64 {
         let hours = self.played.as_secs_f64() / 3600.0;
@@ -300,7 +290,6 @@ mod tests {
         q.on_played(SimDuration::from_secs(1800));
         let s = q.summary();
         assert_eq!(s.quality_switches, 2);
-        assert!((s.switches_per_hour() - 4.0).abs() < 1e-9);
     }
 
     #[test]

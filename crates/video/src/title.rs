@@ -70,7 +70,7 @@ impl<'a> Chunk<'a> {
     }
 
     /// Per-rung VMAF scores.
-    pub fn vmafs(&self) -> &'a [f64] {
+    fn vmafs(&self) -> &'a [f64] {
         let r = self.title.rungs();
         &self.title.vmafs[self.index * r..(self.index + 1) * r]
     }

@@ -37,25 +37,6 @@ impl VmafModel {
         }
     }
 
-    /// Easily-compressed content (animation): reaches high quality at low
-    /// bitrates.
-    pub fn animation() -> Self {
-        VmafModel {
-            v_max: 98.0,
-            r_half: 150e3,
-            shape: 0.95,
-        }
-    }
-
-    /// Hard-to-compress content (sports, grain): needs more bits.
-    pub fn complex() -> Self {
-        VmafModel {
-            v_max: 95.0,
-            r_half: 900e3,
-            shape: 0.85,
-        }
-    }
-
     /// Score for an encoding bitrate in bits/sec.
     pub fn score(&self, bitrate_bps: f64) -> f64 {
         if bitrate_bps <= 0.0 {
@@ -108,13 +89,5 @@ mod tests {
             shape: 1.0,
         };
         assert!((m.score(1e6) - 45.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn content_classes_ordered() {
-        // At a mid bitrate, animation > standard > complex.
-        let r = 1.5e6;
-        assert!(VmafModel::animation().score(r) > VmafModel::standard().score(r));
-        assert!(VmafModel::standard().score(r) > VmafModel::complex().score(r));
     }
 }

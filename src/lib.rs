@@ -28,8 +28,8 @@ pub use video;
 /// ```
 pub mod prelude {
     pub use abtest::{
-        draw_population, draw_population_indexed, Arm, Experiment, ExperimentBuilder,
-        ExperimentConfig, Population, PopulationConfig, StreamReport, StreamRun, UserProfile,
+        draw_population, Arm, Experiment, ExperimentBuilder, ExperimentConfig, Population,
+        PopulationConfig, StreamReport, StreamRun, UserProfile,
     };
     pub use fluidsim::{FluidConfig, NetworkProfile, SessionBuilder, SessionOutcome};
     pub use netsim::{Rate, SimDuration, SimError, SimTime};

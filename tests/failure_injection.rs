@@ -245,10 +245,12 @@ fn worker_panic_is_isolated_and_reported() {
     for (a, b) in state.metrics().iter().zip(clean.state.metrics()) {
         assert_eq!(encode(a.control()), encode(b.control()));
         assert_eq!(encode(a.treatment()), encode(b.treatment()));
-        let bits = |d: sammy_repro::abtest::PairedDelta| {
-            [d.mean_delta_pct, d.ci_low, d.ci_high].map(f64::to_bits)
-        };
-        assert_eq!(bits(a.paired_delta()), bits(b.paired_delta()));
+    }
+    let bits = |d: sammy_repro::abtest::PairedDelta| {
+        [d.mean_delta_pct, d.ci_low, d.ci_high].map(f64::to_bits)
+    };
+    for (a, b) in sabotaged.report().rows.iter().zip(&clean.report().rows) {
+        assert_eq!(bits(a.paired), bits(b.paired));
     }
     assert_eq!(state.registry.to_jsonl(), clean.state.registry.to_jsonl());
 
