@@ -14,12 +14,10 @@
 
 use abtest::StreamReport;
 use netsim::SimDuration;
-use sammy_bench::ablation;
 use sammy_bench::figures;
 use sammy_bench::lab::{self, LabArm, LabConfig};
 use sammy_bench::matrix;
 use sammy_bench::shared::{self, SharedLabConfig};
-use std::fmt::Write as _;
 use std::fs;
 use std::path::Path;
 
@@ -38,7 +36,6 @@ type Target = fn(&Opts);
 
 /// Every target, in the order `all` runs them.
 const TARGETS: &[(&str, Target)] = &[
-    ("fig1", |_| fig1()),
     ("fig2", |_| fig2()),
     ("table2", |o| {
         report_table(
@@ -74,7 +71,7 @@ const TARGETS: &[(&str, Target)] = &[
     ("fig8c", |_| fig8c()),
     ("fig8d", |_| fig8d()),
     ("spiral", |_| spiral()),
-    ("ablation", |_| ablations()),
+    ("ablation", |_| ablation_scavenger()),
     ("fig_fairness", |o| fig_fairness(o.threads)),
     ("fig_occupancy", |o| fig_occupancy(o.threads)),
     ("fig_cc_matrix", |o| fig_cc_matrix(o.threads)),
@@ -146,36 +143,6 @@ fn save_csv(name: &str, header: &str, rows: &[String]) {
 
 fn banner(title: &str) {
     println!("\n=== {title} ===");
-}
-
-fn fig1() {
-    banner("Fig 1: video traffic today (a) vs smoothed (b) — same session, same QoE");
-    let cfg = LabConfig {
-        run_for: SimDuration::from_secs(60),
-        ..Default::default()
-    };
-    let control = lab::single_flow(LabArm::Control, &cfg);
-    let sammy = lab::single_flow(LabArm::Sammy, &cfg);
-    println!(
-        "control: chunk tput {:.1} Mbps, play delay {:.2} s, rebuffers {}",
-        control.chunk_throughput_mbps, control.play_delay_s, control.rebuffers
-    );
-    println!(
-        "sammy:   chunk tput {:.1} Mbps, play delay {:.2} s, rebuffers {}",
-        sammy.chunk_throughput_mbps, sammy.play_delay_s, sammy.rebuffers
-    );
-    let rows: Vec<String> = control
-        .throughput_series
-        .iter()
-        .zip(
-            sammy
-                .throughput_series
-                .iter()
-                .chain(std::iter::repeat(&(0.0, 0.0))),
-        )
-        .map(|(&(t, c), &(_, s))| format!("{t:.1},{c:.3},{s:.3}"))
-        .collect();
-    save_csv("fig1_trace.csv", "t_s,control_mbps,sammy_mbps", &rows);
 }
 
 fn fig2() {
@@ -259,12 +226,12 @@ fn fig4() {
         run_for: SimDuration::from_secs(90),
         ..Default::default()
     };
-    let unpaced = lab::burst_sweep_unpaced(&cfg);
+    let unpaced = lab::burst_sweep(None, &cfg);
     println!("unpaced retransmit fraction: {:.4}%", unpaced * 100.0);
     println!("{:>8} {:>12} {:>16}", "burst", "retx %", "% chg vs unpaced");
     let mut rows = Vec::new();
     for burst in [4u32, 8, 16, 24, 32, 40] {
-        let r = lab::burst_sweep_point(burst, &cfg);
+        let r = lab::burst_sweep(Some(burst), &cfg);
         let chg = (r - unpaced) / unpaced * 100.0;
         println!("{burst:>8} {:>12.4} {chg:>16.1}", r * 100.0);
         rows.push(format!("{burst},{r:.6},{chg:.2}"));
@@ -375,13 +342,11 @@ fn neighbor_pair(name: &str, unit: &str, paper: &str, f: impl Fn(LabArm) -> f64)
     println!(
         "control {control:.2} {unit}, sammy {sammy:.2} {unit}, change {chg:+.0}% (paper: {paper})"
     );
-    let mut s = String::new();
-    let _ = writeln!(s, "arm,value_{unit}");
-    let _ = writeln!(s, "control,{control:.4}");
-    let _ = writeln!(s, "sammy,{sammy:.4}");
-    let path = Path::new("results").join(format!("{name}.csv"));
-    fs::write(&path, s).expect("write csv");
-    println!("  -> {}", path.display());
+    save_csv(
+        &format!("{name}.csv"),
+        &format!("arm,value_{unit}"),
+        &[format!("control,{control:.4}"), format!("sammy,{sammy:.4}")],
+    );
 }
 
 fn fig8a() {
@@ -419,102 +384,14 @@ fn fig8d() {
     });
 }
 
-fn ablations() {
-    banner("Ablation: smoothing mechanisms (Table 1 rows as burst profiles)");
-    let cfg = LabConfig {
-        run_for: SimDuration::from_secs(90),
-        ..Default::default()
-    };
-    let (unpaced, rows) = ablation::mechanism_ablation(&cfg);
-    println!("unpaced retransmit fraction: {:.4}%", unpaced * 100.0);
-    println!(
-        "{:>18} {:>8} {:>10} {:>16}",
-        "mechanism", "burst", "retx %", "% chg vs unpaced"
-    );
-    let mut csv = Vec::new();
-    for r in &rows {
-        let chg = (r.retx_fraction - unpaced) / unpaced * 100.0;
-        println!(
-            "{:>18} {:>8} {:>10.4} {:>16.1}",
-            r.mechanism,
-            r.burst,
-            r.retx_fraction * 100.0,
-            chg
-        );
-        csv.push(format!(
-            "{},{},{:.6},{:.2}",
-            r.mechanism, r.burst, r.retx_fraction, chg
-        ));
-    }
-    save_csv(
-        "ablation_mechanisms.csv",
-        "mechanism,burst,retx_fraction,pct_vs_unpaced",
-        &csv,
-    );
-
-    banner("Ablation: congestion-control substrate (Reno vs CUBIC)");
-    let rows = ablation::cc_sensitivity(&LabConfig {
-        run_for: SimDuration::from_secs(60),
-        ..Default::default()
-    });
-    println!(
-        "{:>8} {:>10} {:>16} {:>14} {:>10}",
-        "cc", "arm", "chunk tput Mbps", "median RTT ms", "rebuffers"
-    );
-    let mut csv = Vec::new();
-    for r in &rows {
-        println!(
-            "{:>8} {:>10} {:>16.1} {:>14.2} {:>10}",
-            r.cc, r.arm, r.chunk_tput_mbps, r.median_rtt_ms, r.rebuffers
-        );
-        csv.push(format!(
-            "{},{},{:.3},{:.3},{}",
-            r.cc, r.arm, r.chunk_tput_mbps, r.median_rtt_ms, r.rebuffers
-        ));
-    }
-    save_csv(
-        "ablation_cc.csv",
-        "cc,arm,chunk_tput_mbps,median_rtt_ms,rebuffers",
-        &csv,
-    );
-
-    banner("Ablation: pacing philosophies (Sec 2.2: Reno vs BBR vs Sammy)");
-    let rows = ablation::pacing_philosophies(&LabConfig {
-        run_for: SimDuration::from_secs(60),
-        ..Default::default()
-    });
-    println!(
-        "{:>14} {:>16} {:>14} {:>10}",
-        "strategy", "chunk tput Mbps", "median RTT ms", "retx %"
-    );
-    let mut csv = Vec::new();
-    for r in &rows {
-        println!(
-            "{:>14} {:>16.1} {:>14.2} {:>10.3}",
-            r.strategy,
-            r.chunk_tput_mbps,
-            r.median_rtt_ms,
-            r.retx_fraction * 100.0
-        );
-        csv.push(format!(
-            "{},{:.3},{:.3},{:.6}",
-            r.strategy, r.chunk_tput_mbps, r.median_rtt_ms, r.retx_fraction
-        ));
-    }
-    println!("BBR paces at the bottleneck estimate; only Sammy cuts chunk throughput.");
-    save_csv(
-        "ablation_philosophies.csv",
-        "strategy,chunk_tput_mbps,median_rtt_ms,retx_fraction",
-        &csv,
-    );
-
+fn ablation_scavenger() {
     banner("Ablation: LEDBAT scavenger vs Sammy (Sec 2.2 contrast)");
     let base = LabConfig {
         run_for: SimDuration::from_secs(60),
         ..Default::default()
     };
-    let scav = ablation::scavenger_contrast(true, &base);
-    let sammy = ablation::scavenger_contrast(false, &base);
+    let scav = lab::scavenger_contrast(true, &base);
+    let sammy = lab::scavenger_contrast(false, &base);
     println!(
         "{:>12} {:>16} {:>14} {:>18}",
         "strategy", "solo tput Mbps", "solo RTT ms", "neighbor TCP Mbps"

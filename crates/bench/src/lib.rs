@@ -3,18 +3,15 @@
 //! Two families of experiments reproduce the paper's evaluation:
 //!
 //! - [`lab`]: packet-level lab experiments on the 40 Mbps / 5 ms / 4x BDP
-//!   dumbbell — the single-flow trace (Figs 1 and 7), the burst-size sweep
-//!   (Fig 4), and the neighboring UDP / TCP / HTTP / video experiments
-//!   (Fig 8).
+//!   dumbbell — the single-flow trace (Fig 7, which is also the paper's
+//!   Fig 1), the burst-size sweep (Fig 4, whose bursts are also Table 1's
+//!   mechanisms), the neighboring UDP / TCP / HTTP / video experiments
+//!   (Fig 8), and the LEDBAT-scavenger contrast of §2.2.
 //! - [`figures`]: fluid-simulation production experiments — the A/B tables
 //!   (Tables 2 and 3), the throughput-bucket breakdown (Fig 3), the
 //!   parameter-sweep tradeoff (Fig 5), the cold-start series (Fig 6), the
 //!   §5.5 naive baseline, the §2.3.1 downward spiral, and the Fig 2
 //!   analysis curves.
-//!
-//! [`ablation`] adds the DESIGN.md design-choice ablations: smoothing
-//! mechanisms (Table 1 rows as burst profiles), Reno-vs-CUBIC substrate
-//! sensitivity, and the scavenger-vs-Sammy contrast of §2.2.
 //!
 //! [`shared`] scales the lab out: N concurrent sessions served from one
 //! CDN origin over a shared ISP-core bottleneck (with pluggable AQM/FQ
@@ -24,7 +21,8 @@
 //! [`matrix`] runs the CC × pacing A/B matrix: the single-flow lab over
 //! every transport substrate ({Reno, CUBIC, BBR} on TCP, CUBIC on the
 //! QUIC-style transport) × {unpaced control, Sammy}, backing the
-//! `fig_cc_matrix` figure.
+//! `fig_cc_matrix` figure — whose rows are also the Reno-vs-CUBIC
+//! substrate ablation and §2.2's Reno vs BBR vs Sammy contrast.
 //!
 //! The `figures` binary (`cargo run -p sammy-bench --bin figures --release`)
 //! regenerates all of them as aligned text tables and CSV files.
@@ -35,7 +33,6 @@
 
 #![warn(missing_docs)]
 
-pub mod ablation;
 pub mod figures;
 pub mod lab;
 pub mod matrix;

@@ -1,4 +1,4 @@
-//! Baseline smoothers the paper compares against.
+//! The baseline smoother the paper compares against.
 //!
 //! [`NaivePacedAbr`] is the §5.5 baseline: "just pick a pace rate a bit
 //! higher than the maximum bitrate and call it a day" — a constant
@@ -7,12 +7,9 @@
 //! reduced chunk throughput by 53% but degraded play delay by 6% and VMAF
 //! by 0.2%, tripping the automatic safety stop.
 //!
-//! [`SmoothingMechanism`] enumerates the Table 1 mechanism ablations:
-//! pacing with a small burst, pacing with a large burst (≈ a congestion-
-//! window cap, as in Trickle), and a token bucket. In the packet simulator
-//! these map onto pacer burst sizes; the enum lets experiments sweep them
-//! uniformly (§5.6 shows smaller bursts improve retransmissions with no
-//! QoE difference).
+//! Table 1's other mechanisms need no type of their own: in the packet
+//! simulator each is a pacer burst size, so they are read off Fig 4's
+//! burst sweep (a cwnd cap ≈ burst 40, a 16-packet token bucket = 16).
 
 use video::{Abr, AbrContext, AbrDecision, ChunkMeasurement};
 
@@ -46,50 +43,6 @@ impl<P: Abr> Abr for NaivePacedAbr<P> {
 
     fn name(&self) -> &'static str {
         "naive-paced"
-    }
-}
-
-/// Mechanisms for limiting server throughput (Table 1), expressed as the
-/// burst profile they induce at the packet level.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SmoothingMechanism {
-    /// TCP pacing with a small burst (Sammy's choice; §5.6 uses 4 packets).
-    PacingSmallBurst,
-    /// TCP pacing with the stack's default 40-packet burst cap.
-    PacingDefaultBurst,
-    /// A congestion-window cap (Trickle [25]): rate-limits per RTT, so
-    /// bursts are up to a full window — modeled as a large burst allowance.
-    CwndCap,
-    /// A server-side token bucket ([3]): line-rate bursts up to the bucket
-    /// depth.
-    TokenBucket {
-        /// Bucket depth in packets.
-        depth_packets: u32,
-    },
-}
-
-impl SmoothingMechanism {
-    /// The pacer burst size (packets) this mechanism corresponds to in the
-    /// packet simulator.
-    pub fn burst_packets(self) -> u32 {
-        match self {
-            SmoothingMechanism::PacingSmallBurst => 4,
-            SmoothingMechanism::PacingDefaultBurst => 40,
-            // A cwnd cap releases up to a window at line rate each RTT;
-            // with the windows in our experiments that is ≈ 40+ packets.
-            SmoothingMechanism::CwndCap => 40,
-            SmoothingMechanism::TokenBucket { depth_packets } => depth_packets,
-        }
-    }
-
-    /// Human-readable label for reports.
-    pub fn label(self) -> &'static str {
-        match self {
-            SmoothingMechanism::PacingSmallBurst => "pacing(burst=4)",
-            SmoothingMechanism::PacingDefaultBurst => "pacing(burst=40)",
-            SmoothingMechanism::CwndCap => "cwnd-cap",
-            SmoothingMechanism::TokenBucket { .. } => "token-bucket",
-        }
     }
 }
 
@@ -132,17 +85,6 @@ mod tests {
         let d_play = b.select(&ctx(&t, &h, PlayerPhase::Playing));
         assert!((d_init.pace.unwrap().mbps() - 4.0 * 3.3).abs() < 1e-9);
         assert!((d_play.pace.unwrap().mbps() - 4.0 * 3.3).abs() < 1e-9);
-    }
-
-    #[test]
-    fn mechanism_burst_mapping() {
-        assert_eq!(SmoothingMechanism::PacingSmallBurst.burst_packets(), 4);
-        assert_eq!(SmoothingMechanism::PacingDefaultBurst.burst_packets(), 40);
-        assert_eq!(SmoothingMechanism::CwndCap.burst_packets(), 40);
-        assert_eq!(
-            SmoothingMechanism::TokenBucket { depth_packets: 16 }.burst_packets(),
-            16
-        );
     }
 
     #[test]

@@ -12,9 +12,8 @@
 //! - [`analysis`]: the Appendix A buffer-evolution identity (Theorem A.1),
 //!   its corollaries, and the Fig 2 threshold curves.
 //! - [`NaivePacedAbr`]: the §5.5 "constant 4x on everything" baseline that
-//!   degrades QoE, and [`SmoothingMechanism`], the Table 1 mechanism
-//!   ablations (pacing vs cwnd-cap vs token bucket, expressed as burst
-//!   profiles).
+//!   degrades QoE. (Table 1's other mechanisms — cwnd cap, token bucket —
+//!   are pacer burst sizes, read off the Fig 4 sweep in `sammy-bench`.)
 
 #![warn(missing_docs)]
 
@@ -23,6 +22,6 @@ pub mod baseline;
 pub mod pace;
 pub mod sammy;
 
-pub use baseline::{NaivePacedAbr, SmoothingMechanism};
+pub use baseline::NaivePacedAbr;
 pub use pace::PaceSelector;
 pub use sammy::{Sammy, SammyConfig};

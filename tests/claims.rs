@@ -2,7 +2,10 @@
 //! claims gate (ROADMAP 1b/1c): Table 2, Table 3, the §5.5 naive-4×
 //! baseline and Fig 3, the four the fluid A/B produces
 //! (`figures --scale 3 table2 table3 baseline fig3`, 600 users an arm),
-//! and the Fig 5 tradeoff (`figures fig5`, 80 users an arm a point).
+//! the Fig 5 tradeoff (`figures fig5`, 80 users an arm a point), and two
+//! packet-lab figures: Fig 4's burst sweep (which also holds Table 1's
+//! mechanisms) and the CC × pacing matrix (which also holds §2.2's Reno vs
+//! BBR vs Sammy contrast), `figures fig4 fig_cc_matrix`.
 //!
 //! The goldens pin what the tree printed last; these say what the paper
 //! needs those numbers to *mean*. One test per claim, named for the
@@ -33,9 +36,12 @@
 //! −0.04 % effect [−0.145, +0.001] that the median CI could not.
 //!
 //! A band that cannot fail is not a check: the Table 2 throughput
-//! predicate is also run, red, on an arm with pacing effectively off.
+//! predicate is also run, red, on an arm with pacing effectively off; so is
+//! Fig 4's on a burst the pacer never binds, and the matrix's with the
+//! control arm in Sammy's place.
 
 use sammy_repro::prelude::*;
+use sammy_repro::sammy_bench::lab::{burst_sweep, LabConfig};
 
 /// One row of a `figures` table: the median change and the paired
 /// per-session mean with its interval.
@@ -303,4 +309,123 @@ fn table2_throughput_predicate_is_red_with_pacing_off() {
     assert!(throughput_well_below_control(paced), "{paced:?}");
     let unpaced = tput(Arm::Sammy { c0: 1e6, c1: 1e6 });
     assert!(!throughput_well_below_control(unpaced), "{unpaced:?}");
+}
+
+/// Fig 4's claim for one burst size: pacing at 2× the top bitrate cuts the
+/// retransmit fraction by at least half against not pacing (paper −60 %
+/// at burst 4 and −40 % at 40; here −82 % and −74 %, on a clean drop-tail).
+fn cuts_retransmits(pct_change_vs_unpaced: f64) -> bool {
+    pct_change_vs_unpaced <= -50.0
+}
+
+/// Fig 4 (§5.6): every burst cuts retransmits, and smaller bursts cut
+/// more. Table 1's mechanisms are rows of this sweep — a cwnd cap releases
+/// about a 40-packet window at line rate, a 16-packet token bucket is
+/// burst 16 — so this is also their claim: pacing with a small burst beats
+/// both.
+#[test]
+fn fig4_smaller_bursts_cut_more_retransmits() {
+    let sweep: Vec<(f64, f64)> = csv("fig4_burst.csv")
+        .iter()
+        .map(|l| (num(l, "burst_packets"), num(l, "pct_change_vs_unpaced")))
+        .collect();
+    let bursts: Vec<f64> = sweep.iter().map(|&(b, _)| b).collect();
+    assert_eq!(bursts, [4.0, 8.0, 16.0, 24.0, 32.0, 40.0]);
+    for &(burst, pct) in &sweep {
+        assert!(cuts_retransmits(pct), "burst {burst}: {pct}");
+    }
+    for pair in sweep.windows(2) {
+        assert!(
+            pair[0].1 < pair[1].1,
+            "the cut must shrink as the burst grows: {pair:?}"
+        );
+    }
+
+    // Sabotage: a burst so large the pacer never binds (a 1.5 GB bucket,
+    // more than the link carries in the run) must turn the predicate red —
+    // and the real burst-4 arm at the same short run length green, or its
+    // failing would prove nothing.
+    let cfg = LabConfig {
+        run_for: SimDuration::from_secs(20),
+        ..Default::default()
+    };
+    let unpaced = burst_sweep(None, &cfg);
+    let pct = |burst| (burst_sweep(Some(burst), &cfg) - unpaced) / unpaced * 100.0;
+    let (small, unbound) = (pct(4), pct(1_000_000));
+    assert!(cuts_retransmits(small), "burst 4: {small}");
+    assert!(!cuts_retransmits(unbound), "unbound burst: {unbound}");
+}
+
+/// One `fig_cc_matrix.csv` cell.
+#[derive(Debug, Clone, Copy)]
+struct Cell {
+    chunk_tput_mbps: f64,
+    median_rtt_ms: f64,
+    peak_queue_kb: f64,
+    rebuffers: f64,
+}
+
+/// The lab dumbbell's propagation RTT, the floor an empty queue leaves.
+const FLOOR_RTT_MS: f64 = 5.0;
+
+/// The matrix claim on one substrate (Fig 7's, on every transport): Sammy's
+/// chunk throughput at most half the unpaced control's, its RTT no higher
+/// and within 10 % of the propagation floor, its peak queue no deeper, and
+/// neither arm rebuffers.
+fn smooths_on_substrate(control: Cell, sammy: Cell) -> bool {
+    sammy.chunk_tput_mbps <= 0.5 * control.chunk_tput_mbps
+        && sammy.median_rtt_ms <= control.median_rtt_ms
+        && sammy.median_rtt_ms <= 1.1 * FLOOR_RTT_MS
+        && sammy.peak_queue_kb <= control.peak_queue_kb
+        && sammy.rebuffers == 0.0
+        && control.rebuffers == 0.0
+}
+
+/// The CC × pacing matrix: Sammy smooths on every substrate — Reno, CUBIC,
+/// BBR and QUIC — so the effect is the application's, not the loss
+/// algorithm's. Its rows also carry §2.2's contrast: BBR paces at its
+/// bottleneck estimate, trimming the queue but not the chunk throughput;
+/// only Sammy brings that down to what the video needs.
+#[test]
+fn cc_matrix_sammy_smooths_on_every_substrate() {
+    let lines = csv("fig_cc_matrix.csv");
+    let cell = |substrate: &str, arm: &str| {
+        let l = lines
+            .iter()
+            .find(|l| l["substrate"] == substrate && l["arm"] == arm)
+            .unwrap_or_else(|| panic!("no cell {substrate}.{arm}"));
+        Cell {
+            chunk_tput_mbps: num(l, "chunk_tput_mbps"),
+            median_rtt_ms: num(l, "median_rtt_ms"),
+            peak_queue_kb: num(l, "peak_queue_kb"),
+            rebuffers: num(l, "rebuffers"),
+        }
+    };
+    let substrates = ["reno", "cubic", "bbr", "quic"];
+    assert_eq!(lines.len(), 2 * substrates.len());
+    for s in substrates {
+        let (control, sammy) = (cell(s, "control"), cell(s, "sammy"));
+        assert!(
+            smooths_on_substrate(control, sammy),
+            "{s}: control {control:?} sammy {sammy:?}"
+        );
+        // Sabotage: the control arm in Sammy's place — what Sammy with
+        // pacing off would measure — must turn the predicate red.
+        assert!(!smooths_on_substrate(control, control), "{s}: {control:?}");
+    }
+
+    let (reno, bbr, sammy) = (
+        cell("reno", "control"),
+        cell("bbr", "control"),
+        cell("reno", "sammy"),
+    );
+    assert!(
+        bbr.chunk_tput_mbps >= 0.6 * reno.chunk_tput_mbps
+            && bbr.median_rtt_ms <= reno.median_rtt_ms,
+        "bbr {bbr:?} vs reno {reno:?}"
+    );
+    assert!(
+        sammy.chunk_tput_mbps <= 0.4 * bbr.chunk_tput_mbps,
+        "sammy {sammy:?} vs bbr {bbr:?}"
+    );
 }
