@@ -17,7 +17,7 @@ use abr::{
     initial_rung_for, shared_history, HistoryPolicy, HistoryStore, InitialSelectorConfig, Mpc,
     ProductionAbr, SharedHistory,
 };
-use fluidsim::{FluidConfig, SessionBuilder, SessionOutcome};
+use fluidsim::{SessionBuilder, SessionOutcome};
 use netsim::{SimDuration, SimError};
 use sammy_core::{NaivePacedAbr, PaceSelector, Sammy, SammyConfig};
 use serde::{Deserialize, Serialize};
@@ -268,7 +268,12 @@ fn run_arm(
         .collect()
 }
 
-fn run_one(
+/// One session of `title` for `user` under `arm`, from the device's
+/// `history` store, which then folds in the session's samples. The one
+/// session recipe: the A/B runner's warm-up and arms, and the cold start
+/// (Fig 6), all play their sessions through it. The session seed depends
+/// on `(user, session_idx, seed)` only.
+pub(crate) fn run_one(
     user: &UserProfile,
     arm: Arm,
     history: &SharedHistory,
@@ -289,7 +294,6 @@ fn run_one(
                 .wrapping_add(session_idx.wrapping_mul(0xA24B_AED4_963E_E407))
                 .wrapping_add(seed),
         )
-        .fluid(FluidConfig::default())
         .startup_latency(user.startup_latency)
         .run();
     // Fold this session's samples into the device's historical store.
@@ -305,7 +309,7 @@ fn run_one(
 /// ```ignore
 /// let run = Experiment::builder()
 ///     .treatment(Arm::Sammy { c0: 3.2, c1: 2.8 })
-///     .threads(8)
+///     .config(ExperimentConfig { threads: 8, ..Default::default() })
 ///     .run_streaming()?;
 /// println!("{}", run.report().render());
 /// ```
@@ -313,7 +317,7 @@ pub struct Experiment;
 
 impl Experiment {
     /// Start configuring an experiment.
-    pub fn builder() -> ExperimentBuilder<'static> {
+    pub fn builder() -> ExperimentBuilder {
         ExperimentBuilder::default()
     }
 }
@@ -321,31 +325,27 @@ impl Experiment {
 /// Options for [`Experiment::builder`].
 ///
 /// Defaults: production vs. Sammy (§4.3 parameters), the default
-/// [`ExperimentConfig`], a population derived lazily from
-/// [`PopulationConfig::default`], the [`METRICS`] row table, and the
-/// sharded runner over all cores.
+/// [`ExperimentConfig`], users derived from [`PopulationConfig::default`],
+/// the [`METRICS`] row table, and the sharded runner over all cores.
 ///
-/// The lifetime `'p` is the borrow of an explicit population passed to
-/// [`population`](ExperimentBuilder::population); the builder never clones
-/// the slice, so handing a million-user population to several builders
-/// costs nothing.
-pub struct ExperimentBuilder<'p> {
+/// A run's users are always `user_at(population config, i, cfg.seed)` for
+/// `i < cfg.users_per_arm` ([`crate::population::user_at`]): the
+/// population is named by its config, users and seed, never handed over.
+pub struct ExperimentBuilder {
     cfg: ExperimentConfig,
     control: Arm,
     treatment: Arm,
-    population: Option<&'p [UserProfile]>,
     population_cfg: PopulationConfig,
     rows: MetricTable,
     stream: crate::streaming::StreamConfig,
 }
 
-impl Default for ExperimentBuilder<'_> {
+impl Default for ExperimentBuilder {
     fn default() -> Self {
         ExperimentBuilder {
             cfg: ExperimentConfig::default(),
             control: Arm::Production,
             treatment: Arm::Sammy { c0: 3.2, c1: 2.8 },
-            population: None,
             population_cfg: PopulationConfig::default(),
             rows: &METRICS,
             stream: crate::streaming::StreamConfig::default(),
@@ -353,7 +353,7 @@ impl Default for ExperimentBuilder<'_> {
     }
 }
 
-impl<'p> ExperimentBuilder<'p> {
+impl ExperimentBuilder {
     /// The control arm (default: [`Arm::Production`]).
     pub fn control(mut self, arm: Arm) -> Self {
         self.control = arm;
@@ -366,21 +366,8 @@ impl<'p> ExperimentBuilder<'p> {
         self
     }
 
-    /// Run over an explicit pre-drawn population instead of deriving one
-    /// from the population config. Borrowed, never cloned.
-    pub fn population<'q>(self, population: &'q [UserProfile]) -> ExperimentBuilder<'q> {
-        ExperimentBuilder {
-            cfg: self.cfg,
-            control: self.control,
-            treatment: self.treatment,
-            population: Some(population),
-            population_cfg: self.population_cfg,
-            rows: self.rows,
-            stream: self.stream,
-        }
-    }
-
-    /// The population model used when no explicit population is given.
+    /// The population model users are drawn from (default:
+    /// [`PopulationConfig::default`]).
     pub fn population_config(mut self, cfg: PopulationConfig) -> Self {
         self.population_cfg = cfg;
         self
@@ -394,7 +381,10 @@ impl<'p> ExperimentBuilder<'p> {
         self
     }
 
-    /// Replace the whole [`ExperimentConfig`] at once.
+    /// The run's sizing, seed and worker count: the whole
+    /// [`ExperimentConfig`] at once. Results are bit-identical for every
+    /// `threads` value — shard states (and telemetry registries) merge back
+    /// in population order.
     pub fn config(mut self, cfg: ExperimentConfig) -> Self {
         self.cfg = cfg;
         self
@@ -411,45 +401,6 @@ impl<'p> ExperimentBuilder<'p> {
         self.cfg = s.into();
         self.population_cfg = population_config_from_spec(s);
         self.stream.shard_size = s.shard_size;
-        self
-    }
-
-    /// Users per arm (ignored when an explicit population is set).
-    pub fn users_per_arm(mut self, n: usize) -> Self {
-        self.cfg.users_per_arm = n;
-        self
-    }
-
-    /// Pre-experiment sessions per user.
-    pub fn pre_sessions(mut self, n: usize) -> Self {
-        self.cfg.pre_sessions = n;
-        self
-    }
-
-    /// Experiment sessions per user.
-    pub fn sessions_per_user(mut self, n: usize) -> Self {
-        self.cfg.sessions_per_user = n;
-        self
-    }
-
-    /// Seed for population and session randomness.
-    pub fn seed(mut self, seed: u64) -> Self {
-        self.cfg.seed = seed;
-        self
-    }
-
-    /// Bootstrap replicates for the paired-mean CI (0: point estimates
-    /// only).
-    pub fn bootstrap_reps(mut self, n: usize) -> Self {
-        self.cfg.bootstrap_reps = n;
-        self
-    }
-
-    /// Worker threads (0 = all cores). Results are bit-identical for every
-    /// value — shard states (and telemetry registries) merge back in
-    /// population order.
-    pub fn threads(mut self, n: usize) -> Self {
-        self.cfg.threads = n;
         self
     }
 
@@ -514,22 +465,13 @@ impl<'p> ExperimentBuilder<'p> {
     /// accumulators (t-digest summaries, exact sums, bootstrap replicate
     /// sums, telemetry registries); shards merge into the global state in
     /// strict shard order. Nothing per-user is retained, so a 10M-user arm
-    /// costs the same memory as a 10-user one, and with no explicit
-    /// population the users themselves are derived lazily per index
-    /// ([`crate::population::user_at`]) — the population is never
-    /// materialized either. See [`StreamRun`].
+    /// costs the same memory as a 10-user one, and the users themselves
+    /// are derived per index ([`crate::population::user_at`]) — the
+    /// population is never materialized either. See [`StreamRun`].
     pub fn run_streaming(self) -> Result<StreamRun, SimError> {
         self.cfg.validate()?;
-        let population = match self.population {
-            Some(p) => crate::population::Population::Explicit(p),
-            None => crate::population::Population::Lazy {
-                cfg: self.population_cfg.clone(),
-                users: self.cfg.users_per_arm,
-                seed: self.cfg.seed,
-            },
-        };
         crate::streaming::run_stream_impl(
-            &population,
+            &self.population_cfg,
             self.control,
             self.treatment,
             &self.cfg,
@@ -654,7 +596,7 @@ fn bucket_throughput<const B: usize>(s: &SessionRecord) -> Option<f64> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::population::{draw_population, PopulationConfig};
+    use crate::population::{user_at, PopulationConfig};
 
     fn tiny_cfg() -> ExperimentConfig {
         ExperimentConfig {
@@ -703,14 +645,17 @@ mod tests {
 
     #[test]
     fn report_renders_and_zero_replicates_are_point_estimates() {
-        let pop = draw_population(&PopulationConfig::default(), 6, 3);
         let run = |reps| {
             Experiment::builder()
-                .population(&pop)
                 .treatment(Arm::Production)
-                .pre_sessions(1)
-                .sessions_per_user(1)
-                .bootstrap_reps(reps)
+                .config(ExperimentConfig {
+                    users_per_arm: 6,
+                    pre_sessions: 1,
+                    sessions_per_user: 1,
+                    seed: 3,
+                    bootstrap_reps: reps,
+                    threads: 0,
+                })
                 .run_table()
                 .unwrap()
                 .report()
@@ -737,12 +682,12 @@ mod tests {
     fn identical_arms_are_exactly_null() {
         // A/A test: in the paired design the same arm on the same users is
         // deterministic, so every metric change is exactly zero.
-        let cfg = tiny_cfg();
-        let pop = draw_population(&PopulationConfig::default(), cfg.users_per_arm, 21);
         let report = Experiment::builder()
-            .population(&pop)
             .treatment(Arm::Production)
-            .config(cfg)
+            .config(ExperimentConfig {
+                seed: 21,
+                ..tiny_cfg()
+            })
             .run_table()
             .unwrap()
             .report();
@@ -758,22 +703,26 @@ mod tests {
 
     #[test]
     fn builder_validates_config() {
-        let err = Experiment::builder()
-            .users_per_arm(0)
-            .run_streaming()
-            .unwrap_err();
+        let run = |cfg| Experiment::builder().config(cfg).run_streaming();
+        let err = run(ExperimentConfig {
+            users_per_arm: 0,
+            ..Default::default()
+        })
+        .unwrap_err();
         assert!(err.to_string().contains("users_per_arm"), "{err}");
-        assert!(Experiment::builder()
-            .sessions_per_user(0)
-            .run_streaming()
-            .is_err());
+        assert!(run(ExperimentConfig {
+            sessions_per_user: 0,
+            ..Default::default()
+        })
+        .is_err());
         // A replicate count the runner would have to allocate 128 bytes a
         // replicate for, per shard state, is refused.
         for reps in [spec::MAX_BOOTSTRAP_REPS + 1, usize::MAX] {
-            let err = Experiment::builder()
-                .bootstrap_reps(reps)
-                .run_streaming()
-                .unwrap_err();
+            let err = run(ExperimentConfig {
+                bootstrap_reps: reps,
+                ..Default::default()
+            })
+            .unwrap_err();
             assert!(
                 matches!(
                     err,
@@ -792,11 +741,13 @@ mod tests {
     /// land in the same one.
     #[test]
     fn bucket_rows_partition_the_throughput_row() {
-        let pop = draw_population(&PopulationConfig::default(), 40, 8);
         let fold = |rows: MetricTable| {
             Experiment::builder()
-                .population(&pop)
-                .config(tiny_cfg())
+                .config(ExperimentConfig {
+                    users_per_arm: 40,
+                    seed: 8,
+                    ..tiny_cfg()
+                })
                 .rows(rows)
                 .run_table()
                 .unwrap()
@@ -851,7 +802,7 @@ mod tests {
         ) {
             let population =
                 [PopulationConfig::default(), PopulationConfig::light()][light].clone();
-            let user = crate::population::user_at(&population, index, seed);
+            let user = user_at(&population, index, seed);
             let (control, treatment) = (ARMS[control], ARMS[treatment]);
             let cfg = ExperimentConfig {
                 pre_sessions: [0, 1, 3][pre],
@@ -873,7 +824,7 @@ mod tests {
 
     #[test]
     fn no_pre_sessions_is_a_cold_start() {
-        let user = &draw_population(&PopulationConfig::default(), 1, 5)[0];
+        let user = &user_at(&PopulationConfig::default(), 0, 5);
         let cfg = ExperimentConfig {
             pre_sessions: 0,
             ..tiny_cfg()
@@ -898,12 +849,10 @@ mod tests {
         if !obs::ENABLED {
             return; // a default build records nothing to compare
         }
-        let pop = draw_population(&PopulationConfig::default(), 6, 23);
         let jsonl: Vec<String> = [1usize, 4]
             .iter()
             .map(|&threads| {
                 let run = Experiment::builder()
-                    .population(&pop)
                     .treatment(Arm::Sammy { c0: 3.2, c1: 2.8 })
                     .config(ExperimentConfig {
                         users_per_arm: 6,

@@ -4,20 +4,22 @@
 //! simulator:
 //!
 //! - [`population`]: heavy-tailed user network profiles spanning the Fig 3
-//!   throughput buckets, per-title ladders, deterministic per-seed draws.
+//!   throughput buckets, per-title ladders — one generator, [`user_at`],
+//!   user `i` of `(config, seed)` in O(1).
 //! - [`experiment`]: arms ([`Arm::Production`], [`Arm::Sammy`],
 //!   [`Arm::InitialOnly`], [`Arm::NaivePaced`]), the pre-experiment phase
 //!   that builds history and pre-experiment p95 throughput, the session
 //!   loop, and the row tables a report folds ([`METRICS`] for Tables 2/3,
 //!   [`BUCKET_METRICS`] for Fig 3).
 //! - [`streaming`]: the one runner, a shard-merge fold — million-user
-//!   arms at O(threads) memory, lazy per-index populations,
+//!   arms at O(threads) memory, users derived per index,
 //!   checkpoint/resume that is bit-identical to an uninterrupted run, and
 //!   [`StreamReport`]: digest medians and a paired-mean bootstrap CI.
 //! - [`stats`]: percentiles, percent changes, mergeable summaries.
 //! - [`sweep`]: the (c0, c1) grid behind Fig 5's VMAF-vs-throughput
 //!   tradeoff, and the one Production-vs-Sammy(c0, c1) evaluation.
-//! - [`longitudinal`]: the Fig 6 historical-data cold-start experiment.
+//! - [`longitudinal`]: the Fig 6 historical-data cold-start experiment,
+//!   on the runner's own session recipe.
 //! - [`optimize`]: the §5.3 parameter-search loop (the Ax analogue):
 //!   successive halving over a [`spec::SearchSpec`] under its QoE guards,
 //!   every evaluation the sweep's.
@@ -40,9 +42,7 @@ pub use experiment::{
 };
 pub use longitudinal::{run_cold_start, ColdStartConfig, ColdStartResult};
 pub use optimize::{halving_search, halving_search_with, Candidate, Evaluation, HalvingOutcome};
-pub use population::{
-    bucket_label, bucket_of, draw_population, user_at, Population, PopulationConfig, UserProfile,
-};
+pub use population::{bucket_label, bucket_of, user_at, PopulationConfig, UserProfile};
 pub use stats::{mean, percentile, Aggregate, PairedDelta, StreamingStat};
 pub use streaming::{
     MetricAcc, ShardState, StreamConfig, StreamFailure, StreamReport, StreamRow, StreamRun,

@@ -7,16 +7,11 @@
 //! treatment group starts far lower and converges toward control over
 //! about a week.
 
-use crate::population::UserProfile;
+use crate::experiment::{run_one, Arm};
+use crate::population::{user_at, PopulationConfig, UserProfile};
 use crate::stats::mean;
-use abr::{
-    initial_rung_for, shared_history, HistoryPolicy, InitialSelectorConfig, Mpc, ProductionAbr,
-    SharedHistory,
-};
-use fluidsim::{run_session, FluidConfig, SessionParams, StartPolicy};
-use netsim::SimDuration;
+use abr::shared_history;
 use std::sync::Arc;
-use video::Title;
 
 /// Configuration for the cold-start experiment.
 #[derive(Debug, Clone, Copy)]
@@ -27,7 +22,7 @@ pub struct ColdStartConfig {
     pub sessions_per_day: usize,
     /// Warmup sessions that build the control group's history before day 0.
     pub warmup_sessions: usize,
-    /// Seed.
+    /// Seed for population and session randomness.
     pub seed: u64,
     /// Worker threads (0 = all available cores). Like the A/B runner, the
     /// result is bit-identical for every value.
@@ -66,21 +61,27 @@ impl ColdStartResult {
     }
 }
 
-/// Run the cold-start experiment over a population.
+/// Run the cold-start experiment over `users` users of the population
+/// `(population, cfg.seed)` ([`user_at`]).
 ///
 /// Each user is simulated twice with identical traffic: once with warmed
 /// history (control) and once with history cleared at day 0 (treatment),
 /// isolating the effect of the missing historical data exactly as the
-/// paper's experiment does.
-pub fn run_cold_start(population: &[UserProfile], cfg: &ColdStartConfig) -> ColdStartResult {
+/// paper's experiment does. Every session is the A/B runner's, under
+/// [`Arm::Production`].
+pub fn run_cold_start(
+    population: &PopulationConfig,
+    users: usize,
+    cfg: &ColdStartConfig,
+) -> ColdStartResult {
     // Users are jobs on the ordered pool and their day series are folded
     // in population order — bit-identical output for any thread count.
     let mut control_days: Vec<Vec<f64>> = vec![Vec::new(); cfg.days];
     let mut treatment_days: Vec<Vec<f64>> = vec![Vec::new(); cfg.days];
     crate::pool::ordered(
-        0..population.len(),
+        0..users,
         cfg.threads,
-        |i| run_cold_start_user(&population[i], cfg),
+        |i| run_cold_start_user(&user_at(population, i as u64, cfg.seed), cfg),
         |users| {
             for (c, t) in users {
                 for (day, vals) in c.into_iter().enumerate() {
@@ -113,84 +114,42 @@ fn run_cold_start_user(
     let mut control_days: Vec<Vec<f64>> = vec![Vec::new(); cfg.days];
     let mut treatment_days: Vec<Vec<f64>> = vec![Vec::new(); cfg.days];
 
-    // Warm a history store.
-    let warmed = shared_history();
+    let play = |history, title, idx| run_one(user, Arm::Production, history, title, idx, cfg.seed);
+    // Control: a history store warmed before day 0. Treatment: the same
+    // user with a fresh store (reset at day 0).
+    let (control, treatment) = (shared_history(), shared_history());
     for s in 0..cfg.warmup_sessions as u64 {
-        run_one(user, &warmed, Arc::new(user.title(s)), s, cfg.seed);
+        play(&control, Arc::new(user.title(s)), s);
     }
-    // Control: continue with the warmed history.
-    // Treatment: same user, fresh store (reset at day 0).
-    let control = warmed;
-    let treatment = shared_history();
 
     for day in 0..cfg.days {
         for s in 0..cfg.sessions_per_day {
             let idx = (cfg.warmup_sessions + day * cfg.sessions_per_day + s) as u64;
             // Identical traffic: both stores play the same title.
             let title = Arc::new(user.title(idx));
-            let c = run_one(user, &control, title.clone(), idx, cfg.seed);
-            let t = run_one(user, &treatment, title, idx, cfg.seed);
-            if let Some(v) = c {
-                control_days[day].push(v);
-            }
-            if let Some(v) = t {
-                treatment_days[day].push(v);
-            }
+            let c = play(&control, title.clone(), idx);
+            let t = play(&treatment, title, idx);
+            control_days[day].extend(c.qoe.initial_vmaf);
+            treatment_days[day].extend(t.qoe.initial_vmaf);
         }
     }
     (control_days, treatment_days)
 }
 
-/// Run one session of `title` with production ABR and the given history
-/// store; returns the session's initial VMAF.
-fn run_one(
-    user: &UserProfile,
-    history: &SharedHistory,
-    title: Arc<Title>,
-    session_idx: u64,
-    seed: u64,
-) -> Option<f64> {
-    let init_cfg = InitialSelectorConfig::default();
-    let estimate = history.discounted_estimate();
-    let predicted = initial_rung_for(estimate, &title.ladder, &init_cfg);
-    let abr = Box::new(ProductionAbr::new(
-        Mpc::default(),
-        history.clone(),
-        HistoryPolicy::AllSamples,
-    ));
-    let out = run_session(SessionParams {
-        profile: &user.network,
-        title,
-        abr,
-        start: StartPolicy::default(),
-        history_estimate: estimate,
-        predicted_initial_rung: predicted,
-        max_wall_clock: user.title_duration * 3 + SimDuration::from_secs(120),
-        seed: user.seed ^ session_idx.wrapping_mul(0x2545_F491_4F6C_DD1D) ^ seed,
-        fluid: FluidConfig::default(),
-        max_buffer: SimDuration::from_secs(240),
-        startup_latency: user.startup_latency,
-    });
-    history.end_session();
-    out.qoe.initial_vmaf
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::population::{draw_population, PopulationConfig};
 
     #[test]
     fn treatment_starts_lower_and_converges() {
-        let pop = draw_population(&PopulationConfig::default(), 40, 17);
         let cfg = ColdStartConfig {
             days: 8,
             sessions_per_day: 2,
             warmup_sessions: 4,
-            seed: 2,
+            seed: 17,
             threads: 0,
         };
-        let res = run_cold_start(&pop, &cfg);
+        let res = run_cold_start(&PopulationConfig::default(), 40, &cfg);
         let diffs = res.pct_diff_by_day();
         assert_eq!(diffs.len(), 8);
         // Day 0: treatment (no history) meaningfully below control.
@@ -204,18 +163,18 @@ mod tests {
 
     #[test]
     fn cold_start_bit_identical_across_thread_counts() {
-        let pop = draw_population(&PopulationConfig::default(), 6, 9);
+        let pop = PopulationConfig::default();
         let base = ColdStartConfig {
             days: 3,
             sessions_per_day: 1,
             warmup_sessions: 2,
-            seed: 4,
+            seed: 9,
             threads: 1,
         };
-        let serial = run_cold_start(&pop, &base);
+        let serial = run_cold_start(&pop, 6, &base);
         for threads in [2usize, 4] {
             let cfg = ColdStartConfig { threads, ..base };
-            let res = run_cold_start(&pop, &cfg);
+            let res = run_cold_start(&pop, 6, &cfg);
             assert_eq!(
                 res.control_by_day, serial.control_by_day,
                 "control series diverged at {threads} threads"

@@ -126,7 +126,7 @@ pub fn halving_search_with(
 ) -> Result<HalvingOutcome, SimError> {
     spec.validate()?;
     let base = ExperimentConfig::from(&spec.base);
-    let population_cfg = population_config_from_spec(&spec.base);
+    let population = population_config_from_spec(&spec.base);
     let mut survivors: Vec<(f64, f64)> = spec.arms.iter().map(|p| (p.c0, p.c1)).collect();
     let mut evaluations: Vec<Evaluation> = Vec::new();
     let mut user_sessions = 0u64;
@@ -144,8 +144,6 @@ pub fn halving_search_with(
             seed: rung_seed,
             ..base.clone()
         };
-        let population = crate::population::draw_population(&population_cfg, users, rung_seed);
-
         let mut rung_cands: Vec<Candidate> = Vec::new();
         for &(c0, c1) in &survivors {
             let candidate = match cached(rung, c0, c1) {
@@ -199,7 +197,7 @@ pub fn halving_search_with(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::population::{draw_population, PopulationConfig};
+    use crate::population::PopulationConfig;
     use spec::{ArmPoint, ExperimentSpec};
 
     /// Small halving setup on the light population; guards permissive so
@@ -394,9 +392,8 @@ mod tests {
             seed: rung_seed,
             ..ExperimentConfig::from(&cfg.base)
         };
-        let pop = draw_population(&PopulationConfig::light(), 9, rung_seed);
         let grid: Vec<(f64, f64)> = cfg.arms.iter().map(|p| (p.c0, p.c1)).collect();
-        let sweep = crate::sweep::run_sweep(&pop, &grid, &rung_cfg).unwrap();
+        let sweep = crate::sweep::run_sweep(&PopulationConfig::light(), &grid, &rung_cfg).unwrap();
 
         assert_eq!(sweep.len(), out.evaluations.len());
         let mut finite = 0;

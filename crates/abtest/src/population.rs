@@ -152,119 +152,46 @@ fn ladder_with_top(top_mbps: f64) -> Ladder {
     Ladder::from_bitrates(&rates, &vmaf)
 }
 
-/// Draw a user population of `n` users, deterministically from `seed`.
-///
-/// Uses one sequential RNG across the whole draw, so user `i` depends on
-/// every user before it. This is the historical definition and is pinned
-/// by golden fixtures; for populations too large to materialize, use
-/// [`user_at`] / [`Population::Lazy`], whose per-index derivation yields
-/// any user in O(1) without generating its predecessors.
-pub fn draw_population(cfg: &PopulationConfig, n: usize, seed: u64) -> Vec<UserProfile> {
-    let mut rng = StdRng::seed_from_u64(seed);
-    (0..n)
-        .map(|i| draw_user(cfg, i as u64, seed, &mut rng))
-        .collect()
-}
-
-/// Generate user `index` of the lazy population `(cfg, seed)` in O(1).
+/// Generate user `index` of the population `(cfg, seed)` in O(1) — the one
+/// way this tree draws a simulated user.
 ///
 /// Each user gets an independent RNG derived from `(seed, index)`, so the
 /// population never needs materializing: the streaming runner derives
 /// users shard by shard and a 10M-user arm costs no more memory than a
-/// 10-user one. Draws the same marginal distributions as
-/// [`draw_population`] but is a *different* (order-free) realization —
-/// the two populations agree statistically, not user-for-user.
+/// 10-user one, and any user can be rebuilt outside the runner (a test's
+/// reference, the benchmark) without generating its predecessors.
 pub fn user_at(cfg: &PopulationConfig, index: u64, seed: u64) -> UserProfile {
     // One SplitMix64 step from `seed + index·φ`: an independent per-user
-    // RNG seed, so lazy generation is order-free.
+    // RNG seed, so generation is order-free.
     let mut key = seed.wrapping_add(index.wrapping_mul(0x9E37_79B9_7F4A_7C15));
     let mut rng = StdRng::seed_from_u64(crate::streaming::splitmix(&mut key));
     draw_user(cfg, index, seed, &mut rng)
 }
 
-/// Where an experiment's users come from: a pre-drawn slice (borrowed —
-/// the builder never clones it) or a lazy per-index generator that never
-/// materializes the population.
-#[derive(Debug, Clone)]
-pub enum Population<'a> {
-    /// An explicit, already-materialized population.
-    Explicit(&'a [UserProfile]),
-    /// Users derived on demand via [`user_at`].
-    Lazy {
-        /// Distribution parameters.
-        cfg: PopulationConfig,
-        /// Number of users.
-        users: usize,
-        /// Derivation seed.
-        seed: u64,
-    },
-}
-
-impl Population<'_> {
-    /// Number of users in the population.
-    pub fn len(&self) -> usize {
-        match self {
-            Population::Explicit(p) => p.len(),
-            Population::Lazy { users, .. } => *users,
-        }
+/// A stable fingerprint of the population `(cfg, users, seed)`, folded
+/// into checkpoint headers so a resume against different users is
+/// rejected instead of silently merging incompatible shard streams. The
+/// leading tag `0x1` keeps the bytes of checkpoints written when a second
+/// (explicit) population kind existed, so those still resume.
+pub(crate) fn fingerprint(cfg: &PopulationConfig, users: usize, seed: u64) -> u64 {
+    let mut h = tdigest::wire::Fnv::new();
+    h.u64(0x1);
+    h.u64(users as u64);
+    h.u64(seed);
+    for w in cfg.bucket_weights {
+        h.f64(w);
     }
-
-    /// True for a zero-user population.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
+    h.f64(cfg.rtt_median_ms);
+    h.f64(cfg.bloat_median_ms);
+    h.f64(cfg.ambient_loss_median);
+    h.f64(cfg.self_loss_median);
+    for &(v, w) in &cfg.top_bitrates_mbps {
+        h.f64(v);
+        h.f64(w);
     }
-
-    /// User `index`, borrowing from an explicit slice or deriving lazily.
-    ///
-    /// # Panics
-    /// Panics if `index >= len()`.
-    pub fn get(&self, index: usize) -> std::borrow::Cow<'_, UserProfile> {
-        match self {
-            Population::Explicit(p) => std::borrow::Cow::Borrowed(&p[index]),
-            Population::Lazy { cfg, users, seed } => {
-                assert!(index < *users, "user index out of range");
-                std::borrow::Cow::Owned(user_at(cfg, index as u64, *seed))
-            }
-        }
-    }
-
-    /// A stable fingerprint of the population's identity, folded into
-    /// checkpoint headers so a resume against different users is rejected
-    /// instead of silently merging incompatible shard streams.
-    pub fn fingerprint(&self) -> u64 {
-        let mut h = tdigest::wire::Fnv::new();
-        match self {
-            Population::Explicit(p) => {
-                h.u64(0xE);
-                h.u64(p.len() as u64);
-                for u in p.iter() {
-                    h.u64(u.id);
-                    h.u64(u.seed);
-                    h.f64(u.network.capacity.bps());
-                    h.f64(u.top_bitrate_mbps);
-                }
-            }
-            Population::Lazy { cfg, users, seed } => {
-                h.u64(0x1);
-                h.u64(*users as u64);
-                h.u64(*seed);
-                for w in cfg.bucket_weights {
-                    h.f64(w);
-                }
-                h.f64(cfg.rtt_median_ms);
-                h.f64(cfg.bloat_median_ms);
-                h.f64(cfg.ambient_loss_median);
-                h.f64(cfg.self_loss_median);
-                for &(v, w) in &cfg.top_bitrates_mbps {
-                    h.f64(v);
-                    h.f64(w);
-                }
-                h.u64(cfg.title_duration_s.0);
-                h.u64(cfg.title_duration_s.1);
-            }
-        }
-        h.finish()
-    }
+    h.u64(cfg.title_duration_s.0);
+    h.u64(cfg.title_duration_s.1);
+    h.finish()
 }
 
 fn draw_user(cfg: &PopulationConfig, id: u64, seed: u64, rng: &mut StdRng) -> UserProfile {
@@ -359,37 +286,15 @@ mod tests {
 
     #[test]
     fn population_deterministic() {
-        let cfg = PopulationConfig::default();
-        let a = draw_population(&cfg, 50, 9);
-        let b = draw_population(&cfg, 50, 9);
-        for (x, y) in a.iter().zip(b.iter()) {
+        let cfg = &PopulationConfig::default();
+        let draw = |seed| (0..50).map(move |i| user_at(cfg, i, seed));
+        for (x, y) in draw(9).zip(draw(9)) {
             assert_eq!(x.network.capacity, y.network.capacity);
             assert_eq!(x.top_bitrate_mbps, y.top_bitrate_mbps);
         }
-        let c = draw_population(&cfg, 50, 10);
-        assert!(a
-            .iter()
-            .zip(c.iter())
+        assert!(draw(9)
+            .zip(draw(10))
             .any(|(x, y)| x.network.capacity != y.network.capacity));
-    }
-
-    #[test]
-    fn capacity_distribution_matches_weights() {
-        let cfg = PopulationConfig::default();
-        let pop = draw_population(&cfg, 5000, 3);
-        let mut counts = [0usize; 5];
-        for u in &pop {
-            counts[bucket_of(u.network.capacity.mbps())] += 1;
-        }
-        let total: f64 = cfg.bucket_weights.iter().sum();
-        for (i, &c) in counts.iter().enumerate() {
-            let expect = cfg.bucket_weights[i] / total;
-            let got = c as f64 / pop.len() as f64;
-            assert!(
-                (got - expect).abs() < 0.02,
-                "bucket {i}: got {got:.3}, expect {expect:.3}"
-            );
-        }
     }
 
     #[test]
@@ -408,9 +313,8 @@ mod tests {
         // The paper's footnote: median session throughput ≈ 13x bitrate.
         // Our population should have capacity >> top bitrate at the median.
         let cfg = PopulationConfig::default();
-        let pop = draw_population(&cfg, 2000, 5);
-        let mut ratios: Vec<f64> = pop
-            .iter()
+        let mut ratios: Vec<f64> = (0..2000)
+            .map(|i| user_at(&cfg, i, 5))
             .map(|u| u.network.capacity.mbps() / u.top_bitrate_mbps)
             .collect();
         ratios.sort_by(|a, b| a.partial_cmp(b).unwrap());
@@ -419,7 +323,7 @@ mod tests {
     }
 
     #[test]
-    fn lazy_population_is_order_free_and_deterministic() {
+    fn population_is_order_free_and_deterministic() {
         let cfg = PopulationConfig::default();
         // Deriving user i never depends on other users: any access order
         // gives the same profiles.
@@ -435,25 +339,10 @@ mod tests {
         // Different seeds give different populations.
         let other = user_at(&cfg, 3, 8);
         assert_ne!(other.seed, forward[3].seed);
-        // And the lazy source streams exactly these users.
-        let lazy = Population::Lazy {
-            cfg: cfg.clone(),
-            users: 40,
-            seed: 7,
-        };
-        assert_eq!(lazy.len(), 40);
-        for (i, f) in forward.iter().enumerate() {
-            let l = lazy.get(i);
-            assert_eq!(l.id, f.id);
-            assert_eq!(l.seed, f.seed);
-            assert_eq!(l.network.capacity, f.network.capacity);
-        }
     }
 
     #[test]
-    fn lazy_capacity_distribution_matches_weights() {
-        // The per-index derivation must draw the same marginal
-        // distribution as the sequential draw.
+    fn capacity_distribution_matches_weights() {
         let cfg = PopulationConfig::default();
         let pop: Vec<_> = (0..5000).map(|i| user_at(&cfg, i, 3)).collect();
         let mut counts = [0usize; 5];
@@ -474,30 +363,34 @@ mod tests {
     #[test]
     fn population_fingerprints_detect_changes() {
         let cfg = PopulationConfig::default();
-        let lazy = |users, seed| Population::Lazy {
-            cfg: cfg.clone(),
-            users,
-            seed,
-        };
-        assert_eq!(lazy(100, 1).fingerprint(), lazy(100, 1).fingerprint());
-        assert_ne!(lazy(100, 1).fingerprint(), lazy(100, 2).fingerprint());
-        assert_ne!(lazy(100, 1).fingerprint(), lazy(101, 1).fingerprint());
-        let pop: Vec<_> = (0..10).map(|i| user_at(&cfg, i, 1)).collect();
-        let explicit = Population::Explicit(&pop);
-        assert_ne!(explicit.fingerprint(), lazy(10, 1).fingerprint());
+        assert_eq!(fingerprint(&cfg, 100, 1), fingerprint(&cfg, 100, 1));
+        assert_ne!(fingerprint(&cfg, 100, 1), fingerprint(&cfg, 100, 2));
+        assert_ne!(fingerprint(&cfg, 100, 1), fingerprint(&cfg, 101, 1));
+        assert_ne!(
+            fingerprint(&cfg, 100, 1),
+            fingerprint(&PopulationConfig::light(), 100, 1)
+        );
+        // Pinned: a checkpoint header carries these bytes, so a change
+        // here strands every checkpoint directory on disk.
         assert_eq!(
-            explicit.fingerprint(),
-            Population::Explicit(&pop).fingerprint()
+            fingerprint(&cfg, 100, 1),
+            0x2f84_f15f_10d1_6e55,
+            "default population"
+        );
+        assert_eq!(
+            fingerprint(&PopulationConfig::light(), 4096, 2023),
+            0xa388_4bde_e850_0f85,
+            "light population"
         );
     }
 
     #[test]
     fn titles_are_deterministic_per_session() {
         let cfg = PopulationConfig::default();
-        let pop = draw_population(&cfg, 2, 1);
-        let t1 = pop[0].title(3);
-        let t2 = pop[0].title(3);
-        let t3 = pop[0].title(4);
+        let user = user_at(&cfg, 0, 1);
+        let t1 = user.title(3);
+        let t2 = user.title(3);
+        let t3 = user.title(4);
         assert_eq!(t1.chunk(0).sizes(), t2.chunk(0).sizes());
         assert_ne!(t1.chunk(0).sizes(), t3.chunk(0).sizes());
     }

@@ -36,7 +36,7 @@
 use crate::experiment::{
     panic_message, run_user_pair, Arm, ExperimentConfig, MetricTable, SessionRecord,
 };
-use crate::population::Population;
+use crate::population::{user_at, PopulationConfig};
 use crate::stats::{pct_change, percentile, Aggregate, PairedDelta, StreamingStat};
 use netsim::SimError;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -510,7 +510,7 @@ impl ShardState {
 /// bootstrap reps, row table — makes resume a hard error instead of a
 /// subtle lie.
 fn config_fingerprint(
-    population: &Population<'_>,
+    population: &PopulationConfig,
     control: Arm,
     treatment: Arm,
     cfg: &ExperimentConfig,
@@ -518,7 +518,11 @@ fn config_fingerprint(
     rows: MetricTable,
 ) -> u64 {
     let mut h = Fnv::new();
-    h.u64(population.fingerprint());
+    h.u64(crate::population::fingerprint(
+        population,
+        cfg.users_per_arm,
+        cfg.seed,
+    ));
     h.str(&control.label());
     h.str(&treatment.label());
     h.u64(cfg.pre_sessions as u64);
@@ -841,10 +845,11 @@ impl StreamReport {
     }
 }
 
-/// Run one shard: fold users `[shard·size, (shard+1)·size)` in index
-/// order, isolating per-user panics.
+/// Run one shard: fold users `[shard·size, (shard+1)·size)` of the
+/// population `(population, cfg.users_per_arm, cfg.seed)` in index order,
+/// isolating per-user panics.
 fn compute_shard(
-    population: &Population<'_>,
+    population: &PopulationConfig,
     shard: usize,
     shard_size: usize,
     control: Arm,
@@ -854,9 +859,9 @@ fn compute_shard(
 ) -> ShardState {
     let mut state = ShardState::new(cfg.bootstrap_reps, rows);
     let lo = shard * shard_size;
-    let hi = ((shard + 1) * shard_size).min(population.len());
+    let hi = ((shard + 1) * shard_size).min(cfg.users_per_arm);
     for index in lo..hi {
-        let user = population.get(index);
+        let user = user_at(population, index as u64, cfg.seed);
         // A panic leaves the user's partial registry in the worker's
         // thread-local; the next run_user_pair replaces it, so failed
         // users contribute no telemetry.
@@ -899,7 +904,7 @@ fn write_progress_line(
 /// The streaming shard-merge runner (entry:
 /// [`crate::experiment::ExperimentBuilder::run_streaming`]).
 pub(crate) fn run_stream_impl(
-    population: &Population<'_>,
+    population: &PopulationConfig,
     control: Arm,
     treatment: Arm,
     cfg: &ExperimentConfig,
@@ -912,7 +917,7 @@ pub(crate) fn run_stream_impl(
             reason: "resume requires a checkpoint dir".into(),
         });
     }
-    let users = population.len();
+    let users = cfg.users_per_arm;
     let shard_size = stream.shard_size.max(1);
     let shards = users.div_ceil(shard_size);
     let reps = cfg.bootstrap_reps;

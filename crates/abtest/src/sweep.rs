@@ -6,7 +6,7 @@
 //! curve itself, which a deterministic sweep reproduces.
 
 use crate::experiment::{Arm, Experiment, ExperimentConfig};
-use crate::population::UserProfile;
+use crate::population::PopulationConfig;
 use netsim::SimError;
 use serde::{Deserialize, Serialize};
 
@@ -48,11 +48,12 @@ pub fn default_grid() -> Vec<(f64, f64)> {
 
 /// The one `(c0, c1)` evaluation, under the Fig 5 sweep and every rung
 /// of the halving search alike: Production vs `Sammy { c0, c1 }` over
-/// `population`, read off as the four guarded rows of a table-sized fold.
-/// A row with no defined change reads NaN. Non-positive multipliers are
-/// rejected here, before anything is simulated for them.
+/// `cfg.users_per_arm` users of the population `(population, cfg.seed)`,
+/// read off as the four guarded rows of a table-sized fold. A row with no
+/// defined change reads NaN. Non-positive multipliers are rejected here,
+/// before anything is simulated for them.
 pub(crate) fn evaluate(
-    population: &[UserProfile],
+    population: &PopulationConfig,
     cfg: &ExperimentConfig,
     c0: f64,
     c1: f64,
@@ -67,7 +68,7 @@ pub(crate) fn evaluate(
     // reads an interval, so the fold carries no replicates
     // (`cfg.bootstrap_reps` is unused here).
     let report = Experiment::builder()
-        .population(population)
+        .population_config(population.clone())
         .control(Arm::Production)
         .treatment(Arm::Sammy { c0, c1 })
         .config(ExperimentConfig {
@@ -87,21 +88,18 @@ pub(crate) fn evaluate(
     })
 }
 
-/// Run the sweep: one experiment per `(c0, c1)` against a shared control.
+/// Run the sweep: one experiment per `(c0, c1)` against a shared control,
+/// every point over the same `cfg.users_per_arm` users of `population`.
 ///
-/// Rejects an empty population or an empty grid before any simulation
-/// runs, and a non-positive multiplier when its grid point comes up.
+/// Rejects an invalid config (no users, say) or an empty grid before any
+/// simulation runs, and a non-positive multiplier when its grid point
+/// comes up.
 pub fn run_sweep(
-    population: &[UserProfile],
+    population: &PopulationConfig,
     grid: &[(f64, f64)],
     cfg: &ExperimentConfig,
 ) -> Result<Vec<SweepPoint>, SimError> {
-    if population.is_empty() {
-        return Err(SimError::InvalidConfig {
-            field: "population",
-            reason: "sweep needs at least one user".into(),
-        });
-    }
+    cfg.validate()?;
     if grid.is_empty() {
         return Err(SimError::InvalidConfig {
             field: "grid",
@@ -116,7 +114,7 @@ pub fn run_sweep(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::population::{draw_population, PopulationConfig};
+    use crate::population::user_at;
 
     #[test]
     fn grid_has_about_twenty_arms() {
@@ -130,15 +128,19 @@ mod tests {
     #[test]
     fn lower_multipliers_reduce_throughput_more() {
         let cfg = ExperimentConfig {
-            users_per_arm: 25,
+            users_per_arm: 50,
             pre_sessions: 2,
             sessions_per_user: 2,
             seed: 4,
             bootstrap_reps: 100,
             threads: 0,
         };
-        let pop = draw_population(&PopulationConfig::default(), 50, 4);
-        let pts = run_sweep(&pop, &[(1.6, 1.2), (5.0, 5.0)], &cfg).unwrap();
+        let pts = run_sweep(
+            &PopulationConfig::default(),
+            &[(1.6, 1.2), (5.0, 5.0)],
+            &cfg,
+        )
+        .unwrap();
         assert!(
             pts[0].tput_pct < pts[1].tput_pct,
             "aggressive pacing must cut throughput more: {pts:?}"
@@ -157,11 +159,10 @@ mod tests {
             bootstrap_reps: 20,
             threads: 0,
         };
-        let pop = draw_population(&PopulationConfig::default(), 12, 9);
+        let pop = PopulationConfig::default();
         for (c0, c1) in [(0.8, 0.8), (1.6, 1.2), (3.2, 2.8)] {
             let point = evaluate(&pop, &cfg, c0, c1).unwrap();
             let report = Experiment::builder()
-                .population(&pop)
                 .treatment(Arm::Sammy { c0, c1 })
                 .config(cfg.clone())
                 .run_table()
@@ -187,12 +188,20 @@ mod tests {
             bootstrap_reps: 20,
             threads: 2,
         };
-        let mut pop = draw_population(&PopulationConfig::light(), 6, 3);
-        // A title shorter than one chunk trips `Title::generate`.
-        pop[4].title_duration = netsim::SimDuration::from_secs(1);
+        // Titles of 1–30 s: a user drawn under one 4 s chunk trips
+        // `Title::generate`.
+        let pop = PopulationConfig {
+            title_duration_s: (1, 30),
+            ..PopulationConfig::light()
+        };
+        let chunk = netsim::SimDuration::from_secs(4);
+        let first = (0..cfg.users_per_arm as u64)
+            .find(|&i| user_at(&pop, i, cfg.seed).title_duration < chunk)
+            .expect("some user draws a title under one chunk");
         let err = evaluate(&pop, &cfg, 3.2, 2.8).unwrap_err();
+        let named = format!("user {first} panicked");
         assert!(
-            matches!(err, SimError::Experiment(ref m) if m.contains("chunk")),
+            matches!(err, SimError::Experiment(ref m) if m.contains(&named) && m.contains("chunk")),
             "{err}"
         );
     }
@@ -200,8 +209,7 @@ mod tests {
     #[test]
     fn sweep_rejects_bad_setups() {
         let cfg = ExperimentConfig::default();
-        let pop = draw_population(&PopulationConfig::default(), 3, 4);
-        assert!(run_sweep(&[], &[(3.2, 2.8)], &cfg).is_err());
+        let pop = PopulationConfig::default();
         assert!(run_sweep(&pop, &[], &cfg).is_err());
         assert!(run_sweep(&pop, &[(0.0, 2.8)], &cfg).is_err());
         assert!(run_sweep(&pop, &[(3.2, -1.0)], &cfg).is_err());

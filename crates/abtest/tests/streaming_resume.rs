@@ -36,9 +36,9 @@ fn light_population() -> PopulationConfig {
     }
 }
 
-/// The first `n` users of the lazy population `(cfg, SEED)`: the users
-/// `Population::Lazy` streams to the runner.
-fn lazy_users(cfg: &PopulationConfig, n: usize) -> Vec<UserProfile> {
+/// The first `n` users of the population `(cfg, SEED)`: the users the
+/// runner derives.
+fn first_users(cfg: &PopulationConfig, n: usize) -> Vec<UserProfile> {
     (0..n as u64).map(|i| user_at(cfg, i, SEED)).collect()
 }
 
@@ -55,7 +55,7 @@ fn light_cfg(threads: usize) -> ExperimentConfig {
 
 const TREATMENT: Arm = Arm::Sammy { c0: 3.2, c1: 2.8 };
 
-fn builder(threads: usize) -> abtest::ExperimentBuilder<'static> {
+fn builder(threads: usize) -> abtest::ExperimentBuilder {
     Experiment::builder()
         .treatment(TREATMENT)
         .config(light_cfg(threads))
@@ -340,7 +340,10 @@ fn checkpoint_of_a_different_run_is_rejected() {
         .unwrap();
     // Same directory, different seed → different config fingerprint.
     let err = builder(1)
-        .seed(SEED + 1)
+        .config(ExperimentConfig {
+            seed: SEED + 1,
+            ..light_cfg(1)
+        })
         .checkpoint_dir(dir.path())
         .resume(true)
         .run_streaming()
@@ -357,18 +360,6 @@ fn checkpoint_of_a_different_run_is_rejected() {
 fn resume_without_checkpoint_dir_is_invalid_config() {
     let err = builder(1).resume(true).run_streaming().unwrap_err();
     assert!(matches!(err, SimError::InvalidConfig { .. }), "{err}");
-}
-
-#[test]
-fn explicit_and_lazy_populations_are_bit_identical() {
-    // The lazy path derives user `i` on demand; materializing the same
-    // derivation up front and passing it as an explicit borrowed slice
-    // must produce the identical run (the builder no longer clones the
-    // slice, so this is also the zero-copy path).
-    let pop = lazy_users(&light_population(), USERS);
-    let explicit = builder(1).population(&pop).run_streaming().unwrap();
-    assert_eq!(explicit.fingerprint(), golden().fingerprint());
-    assert_eq!(explicit.report().render(), golden().report().render());
 }
 
 /// One arm's records, grouped by user in population order — what the
@@ -432,17 +423,17 @@ fn resampled_paired_delta(
 
 #[test]
 fn streaming_stats_match_the_collecting_runner_exactly() {
-    // Same explicit population through the fold and through `run_user`:
+    // The same users through the fold and through `run_user`:
     // every exact statistic (counts, means, paired mean deltas) must
     // agree; only the CI machinery (resampling vs Poisson replicates) and
     // quantile estimator (sort vs t-digest) are allowed to differ.
-    let pop = lazy_users(&light_population(), USERS);
+    let pop = first_users(&light_population(), USERS);
     let cfg = light_cfg(1);
     let (control, treatment) = (
         records(&pop, Arm::Production, &cfg),
         records(&pop, TREATMENT, &cfg),
     );
-    let streamed = builder(1).population(&pop).run_streaming().unwrap();
+    let streamed = golden();
 
     assert_eq!(streamed.state.users as usize, USERS);
     let sessions = |arm: &[Vec<abtest::SessionRecord>]| arm.iter().map(Vec::len).sum::<usize>();
@@ -490,15 +481,18 @@ fn streaming_interval_is_as_wide_as_the_resampling_one() {
     // about the same width on every row that has one.
     const CAL_USERS: usize = 48;
     const CAL_REPS: usize = 400;
-    let pop = lazy_users(&light_population(), CAL_USERS);
+    let pop = first_users(&light_population(), CAL_USERS);
     let cfg = light_cfg(2);
     let (control, treatment) = (
         records(&pop, Arm::Production, &cfg),
         records(&pop, TREATMENT, &cfg),
     );
     let streamed = builder(2)
-        .population(&pop)
-        .bootstrap_reps(CAL_REPS)
+        .config(ExperimentConfig {
+            users_per_arm: CAL_USERS,
+            bootstrap_reps: CAL_REPS,
+            ..cfg.clone()
+        })
         .run_streaming()
         .unwrap();
 
@@ -535,7 +529,7 @@ fn streaming_interval_is_as_wide_as_the_resampling_one() {
 #[test]
 fn digest_median_change_tracks_the_exact_one() {
     const N: usize = 64;
-    let pop = lazy_users(&PopulationConfig::default(), N);
+    let pop = first_users(&PopulationConfig::default(), N);
     let cfg = ExperimentConfig {
         users_per_arm: N,
         pre_sessions: 2,
@@ -549,7 +543,6 @@ fn digest_median_change_tracks_the_exact_one() {
         records(&pop, TREATMENT, &cfg),
     );
     let report = Experiment::builder()
-        .population(&pop)
         .treatment(TREATMENT)
         .config(cfg)
         .run_table()

@@ -5,9 +5,8 @@
 //! a laptop; the binary accepts a `--scale` factor for larger runs.
 
 use abtest::{
-    default_grid, draw_population, run_cold_start, run_sweep, Arm, ColdStartConfig, Experiment,
-    ExperimentConfig, MetricTable, PopulationConfig, StreamReport, StreamRow, SweepPoint,
-    BUCKET_METRICS, METRICS,
+    default_grid, run_cold_start, run_sweep, Arm, ColdStartConfig, Experiment, ExperimentConfig,
+    MetricTable, PopulationConfig, StreamReport, StreamRow, SweepPoint, BUCKET_METRICS, METRICS,
 };
 use sammy_core::analysis::{fig2a_selection_curve, fig2b_threshold_curve};
 
@@ -32,8 +31,9 @@ fn experiment_config(scale: f64, seed: u64, threads: usize) -> ExperimentConfig 
 }
 
 /// One production-vs-`treatment` A/B at the standard sizing, folded into
-/// `rows`. Each figure draws its own population: `seed + offset` keys the
-/// population, `seed` the sessions and the bootstrap.
+/// `rows`. Each figure keys its whole experiment — population, sessions
+/// and bootstrap — by `seed + offset`, so figures draw distinct
+/// populations.
 fn ab_report(
     treatment: Arm,
     rows: MetricTable,
@@ -42,16 +42,9 @@ fn ab_report(
     offset: u64,
     threads: usize,
 ) -> StreamReport {
-    let cfg = experiment_config(scale, seed, threads);
-    let pop = draw_population(
-        &PopulationConfig::default(),
-        cfg.users_per_arm,
-        seed + offset,
-    );
     Experiment::builder()
-        .population(&pop)
         .treatment(treatment)
-        .config(cfg)
+        .config(experiment_config(scale, seed + offset, threads))
         .rows(rows)
         .run_table()
         .expect("figure setup is valid")
@@ -96,18 +89,13 @@ pub fn fig5(scale: f64, seed: u64, threads: usize) -> Vec<SweepPoint> {
         bootstrap_reps: 200,
         threads,
     };
-    let pop = draw_population(&PopulationConfig::default(), cfg.users_per_arm, seed + 4);
-    run_sweep(&pop, &default_grid(), &cfg).expect("fig5 setup is valid")
+    run_sweep(&PopulationConfig::default(), &default_grid(), &cfg).expect("fig5 setup is valid")
 }
 
 /// Fig 6: initial-quality difference over days after a history reset.
 /// Returns per-day percent difference, treatment vs control.
 pub fn fig6(scale: f64, seed: u64) -> Vec<f64> {
-    let pop = draw_population(
-        &PopulationConfig::default(),
-        ((120.0 * scale) as usize).max(20),
-        seed + 5,
-    );
+    let users = ((120.0 * scale) as usize).max(20);
     let cfg = ColdStartConfig {
         days: 14,
         sessions_per_day: 2,
@@ -115,7 +103,7 @@ pub fn fig6(scale: f64, seed: u64) -> Vec<f64> {
         seed: seed + 5,
         threads: 0,
     };
-    run_cold_start(&pop, &cfg).pct_diff_by_day()
+    run_cold_start(&PopulationConfig::default(), users, &cfg).pct_diff_by_day()
 }
 
 /// Fig 2a/2b: the HYB analysis curves (pure functions of β and the

@@ -499,7 +499,7 @@ pub fn scavenger_contrast(scavenger: bool, base: &LabConfig) -> ScavengerContras
 // stress: every packet run executes with all runtime checks armed.
 // ---------------------------------------------------------------------------
 
-use fluidsim::{download_chunk, FluidConfig, NetworkProfile};
+use fluidsim::{download_chunk, NetworkProfile};
 use netsim::{Packet, Payload};
 use rand::prelude::*;
 use transport::ReceiverEndpoint;
@@ -663,7 +663,6 @@ pub fn chaos_fluid_download(p: &ChaosProfile) -> f64 {
     };
     download_chunk(
         &profile,
-        &FluidConfig::default(),
         p.chunk_bytes,
         p.pace_mbps.map(Rate::from_mbps),
         true,

@@ -11,12 +11,12 @@
 //!   ambient and self-inflicted loss.
 //! - [`download_chunk`]: effective-rate + slow-start-ramp download-time
 //!   model with congestion side effects.
-//! - [`run_session`]: drives a [`video::Player`] end-to-end and reports
+//! - [`SessionBuilder`]: drives a [`video::Player`] end-to-end and reports
 //!   [`SessionOutcome`] — QoE plus the congestion triple (chunk
-//!   throughput, retransmit fraction, median RTT) of §5.1.
-//! - [`StartPolicy`]: the adaptive startup-buffer policy through which
-//!   accurate initial throughput estimates improve both initial quality
-//!   and play delay (§5.4).
+//!   throughput, retransmit fraction, median RTT) of §5.1. Its startup
+//!   buffer threshold adapts to the session's throughput estimate, so an
+//!   accurate initial estimate improves both initial quality and play
+//!   delay (§5.4).
 //!
 //! Lab experiments (Figs 1, 4, 7, 8) use the packet-level `netsim` +
 //! `transport` stack instead; this crate is calibrated against it (see
@@ -27,5 +27,5 @@
 pub mod network;
 pub mod session;
 
-pub use network::{download_chunk, ChunkOutcome, FluidConfig, NetworkProfile};
-pub use session::{run_session, SessionBuilder, SessionOutcome, SessionParams, StartPolicy};
+pub use network::{download_chunk, ChunkOutcome, NetworkProfile};
+pub use session::{SessionBuilder, SessionOutcome};

@@ -61,23 +61,11 @@ impl NetworkProfile {
     }
 }
 
-/// Tunables of the download-time model.
-#[derive(Debug, Clone, Copy)]
-pub struct FluidConfig {
-    /// Initial congestion window in bytes (10 segments).
-    pub initial_window_bytes: f64,
-    /// Idle gap after which the connection slow-start restarts.
-    pub idle_restart_after: SimDuration,
-}
+/// Initial congestion window of the slow-start ramp, in bytes (10 segments).
+const INITIAL_WINDOW_BYTES: f64 = 10.0 * 1460.0;
 
-impl Default for FluidConfig {
-    fn default() -> Self {
-        FluidConfig {
-            initial_window_bytes: 10.0 * 1460.0,
-            idle_restart_after: SimDuration::from_millis(250),
-        }
-    }
-}
+/// Idle gap after which the connection slow-start restarts.
+pub(crate) const IDLE_RESTART_AFTER: SimDuration = SimDuration::from_millis(250);
 
 /// The outcome of one chunk download under the model.
 #[derive(Debug, Clone, Copy)]
@@ -99,7 +87,6 @@ pub struct ChunkOutcome {
 /// restart. `jitter` is the per-chunk capacity multiplier (1.0 for none).
 pub fn download_chunk(
     profile: &NetworkProfile,
-    cfg: &FluidConfig,
     bytes: u64,
     pace: Option<Rate>,
     cold: bool,
@@ -124,7 +111,7 @@ pub fn download_chunk(
     if cold {
         // Slow start: the window doubles per RTT until the delivery rate
         // reaches the target; each RTT delivers one window.
-        let mut w = cfg.initial_window_bytes;
+        let mut w = INITIAL_WINDOW_BYTES;
         let target_window = target * rtt_s / 8.0;
         while w < target_window && remaining > 0.0 {
             let sent = w.min(remaining);
@@ -212,14 +199,7 @@ mod tests {
 
     #[test]
     fn warm_unpaced_runs_at_capacity() {
-        let out = download_chunk(
-            &profile(),
-            &FluidConfig::default(),
-            5_000_000,
-            None,
-            false,
-            1.0,
-        );
+        let out = download_chunk(&profile(), 5_000_000, None, false, 1.0);
         // 5 MB at 100 Mbps = 0.4 s plus one congested RTT (20 + 30 ms).
         let t = out.download_time.as_secs_f64();
         assert!((t - 0.45).abs() < 0.01, "t={t}");
@@ -232,7 +212,6 @@ mod tests {
     fn paced_below_capacity_is_clean() {
         let out = download_chunk(
             &profile(),
-            &FluidConfig::default(),
             5_000_000,
             Some(Rate::from_mbps(10.0)),
             false,
@@ -249,7 +228,6 @@ mod tests {
     fn pace_above_capacity_still_congests() {
         let out = download_chunk(
             &profile(),
-            &FluidConfig::default(),
             1_000_000,
             Some(Rate::from_mbps(200.0)),
             false,
@@ -260,13 +238,12 @@ mod tests {
 
     #[test]
     fn cold_start_slower_than_warm() {
-        let cfg = FluidConfig::default();
-        let warm = download_chunk(&profile(), &cfg, 1_000_000, None, false, 1.0);
-        let cold = download_chunk(&profile(), &cfg, 1_000_000, None, true, 1.0);
+        let warm = download_chunk(&profile(), 1_000_000, None, false, 1.0);
+        let cold = download_chunk(&profile(), 1_000_000, None, true, 1.0);
         assert!(cold.download_time > warm.download_time);
         // The ramp penalty matters more for small chunks.
-        let small_warm = download_chunk(&profile(), &cfg, 100_000, None, false, 1.0);
-        let small_cold = download_chunk(&profile(), &cfg, 100_000, None, true, 1.0);
+        let small_warm = download_chunk(&profile(), 100_000, None, false, 1.0);
+        let small_cold = download_chunk(&profile(), 100_000, None, true, 1.0);
         let small_ratio =
             small_cold.download_time.as_secs_f64() / small_warm.download_time.as_secs_f64();
         let big_ratio = cold.download_time.as_secs_f64() / warm.download_time.as_secs_f64();
@@ -276,13 +253,11 @@ mod tests {
     #[test]
     fn cold_start_penalty_smaller_when_paced_low() {
         // Ramping to a low pace takes fewer RTTs than ramping to capacity.
-        let cfg = FluidConfig::default();
         let p = profile();
-        let paced = download_chunk(&p, &cfg, 1_000_000, Some(Rate::from_mbps(10.0)), true, 1.0);
-        let unpaced = download_chunk(&p, &cfg, 1_000_000, None, true, 1.0);
-        let paced_warm =
-            download_chunk(&p, &cfg, 1_000_000, Some(Rate::from_mbps(10.0)), false, 1.0);
-        let unpaced_warm = download_chunk(&p, &cfg, 1_000_000, None, false, 1.0);
+        let paced = download_chunk(&p, 1_000_000, Some(Rate::from_mbps(10.0)), true, 1.0);
+        let unpaced = download_chunk(&p, 1_000_000, None, true, 1.0);
+        let paced_warm = download_chunk(&p, 1_000_000, Some(Rate::from_mbps(10.0)), false, 1.0);
+        let unpaced_warm = download_chunk(&p, 1_000_000, None, false, 1.0);
         let paced_penalty =
             paced.download_time.as_secs_f64() - paced_warm.download_time.as_secs_f64();
         let unpaced_penalty =

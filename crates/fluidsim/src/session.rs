@@ -9,13 +9,29 @@
 //! session yields one sample a chunk, weighted by its download time, so the
 //! median here is the exact weighted median of those samples.
 
-use crate::network::{chunk_multiplier, download_chunk, FluidConfig, JitterLaw, NetworkProfile};
+use crate::network::{
+    chunk_multiplier, download_chunk, JitterLaw, NetworkProfile, IDLE_RESTART_AFTER,
+};
 use netsim::{Rate, SimDuration, SimTime};
 use rand::prelude::*;
 use std::sync::Arc;
 use video::{Abr, Player, PlayerConfig, PlayerState, QoeSummary, Title};
 
-/// How the startup buffer threshold is chosen per session.
+/// Startup threshold at a predicted fill ratio of [`START_SCALE`].
+const START_BASE: SimDuration = SimDuration::from_secs(8);
+/// Fill ratio `φ = estimate / initial bitrate` at which the startup
+/// threshold is [`START_BASE`].
+const START_SCALE: f64 = 4.0;
+/// Lower clamp on the startup threshold's multiplier.
+const START_LO: f64 = 0.8;
+/// Upper clamp on the startup threshold's multiplier.
+const START_HI: f64 = 2.0;
+/// Player buffer capacity.
+const MAX_BUFFER: SimDuration = SimDuration::from_secs(240);
+
+/// The startup buffer threshold for one session:
+/// `START_BASE · clamp(START_SCALE / φ, START_LO, START_HI)` with
+/// `φ = estimate / initial bitrate`.
 ///
 /// Production initial-phase logic uses its throughput estimate not just for
 /// the rung but for how much buffer it must bank before starting playback:
@@ -23,56 +39,13 @@ use video::{Abr, Player, PlayerConfig, PlayerState, QoeSummary, Title};
 /// small buffer suffices; with an estimate close to the chosen bitrate a
 /// larger safety buffer is needed. An accurate estimate therefore improves
 /// both initial quality *and* play delay — the §5.4 observation.
-#[derive(Debug, Clone, Copy)]
-pub enum StartPolicy {
-    /// A fixed threshold (used by lab experiments).
-    Fixed(SimDuration),
-    /// Threshold scaled by the predicted fill ratio `φ = estimate / initial
-    /// bitrate`: `threshold = base · clamp(scale/φ, lo, hi)`.
-    Adaptive {
-        /// Base threshold at `φ = scale`.
-        base: SimDuration,
-        /// φ value at which the threshold equals `base`.
-        scale: f64,
-        /// Lower clamp on the multiplier.
-        lo: f64,
-        /// Upper clamp on the multiplier.
-        hi: f64,
-    },
-}
-
-impl Default for StartPolicy {
-    fn default() -> Self {
-        StartPolicy::Adaptive {
-            base: SimDuration::from_secs(8),
-            scale: 4.0,
-            lo: 0.8,
-            hi: 2.0,
-        }
-    }
-}
-
-impl StartPolicy {
-    /// Resolve the threshold given the historical estimate and the bitrate
-    /// the initial phase will pick.
-    fn threshold(&self, estimate: Option<Rate>, initial_bitrate: Rate) -> SimDuration {
-        match *self {
-            StartPolicy::Fixed(d) => d,
-            StartPolicy::Adaptive {
-                base,
-                scale,
-                lo,
-                hi,
-            } => {
-                let phi = match estimate {
-                    Some(e) if initial_bitrate.bps() > 0.0 => e.bps() / initial_bitrate.bps(),
-                    // No estimate: assume the worst and bank the most.
-                    _ => lo.max(1e-6),
-                };
-                base * (scale / phi).clamp(lo, hi)
-            }
-        }
-    }
+fn start_threshold(estimate: Option<Rate>, initial_bitrate: Rate) -> SimDuration {
+    let phi = match estimate {
+        Some(e) if initial_bitrate.bps() > 0.0 => e.bps() / initial_bitrate.bps(),
+        // No estimate: assume the worst and bank the most.
+        _ => START_LO.max(1e-6),
+    };
+    START_BASE * (START_SCALE / phi).clamp(START_LO, START_HI)
 }
 
 /// Everything the A/B harness needs from one simulated session.
@@ -96,232 +69,190 @@ pub struct SessionOutcome {
     pub chunk_throughputs_mbps: Vec<f64>,
 }
 
-/// Parameters of one session run.
-pub struct SessionParams<'a> {
-    /// The user's network.
-    pub profile: &'a NetworkProfile,
-    /// The title to stream.
-    pub title: Arc<Title>,
-    /// The ABR algorithm (consumed; algorithms carry per-session state).
-    pub abr: Box<dyn Abr>,
-    /// Startup-threshold policy.
-    pub start: StartPolicy,
-    /// Historical estimate at session start (for the adaptive threshold);
-    /// pass the device store's estimate.
-    pub history_estimate: Option<Rate>,
-    /// Initial-phase rung the ABR will pick (for the adaptive threshold).
-    pub predicted_initial_rung: usize,
-    /// Maximum wall-clock session time (sessions that stall forever are
-    /// abandoned, like real users).
-    pub max_wall_clock: SimDuration,
-    /// RNG seed for capacity jitter.
-    pub seed: u64,
-    /// Fluid model tunables.
-    pub fluid: FluidConfig,
-    /// Player buffer capacity.
-    pub max_buffer: SimDuration,
-    /// Fixed session-setup latency before the first chunk request
-    /// (manifest fetch, DRM license, player init). Real play delays are
-    /// dominated by this constant, which is why even large download-rate
-    /// changes move play delay by only a few percent (§5.5).
-    pub startup_latency: SimDuration,
-}
-
-/// Builder for one fluid session: takes the three required inputs (network
-/// profile, title, ABR) and defaults everything else to the lab setup, so
-/// call sites only state what they vary.
+/// One fluid session: takes the three required inputs (network profile,
+/// title, ABR) and defaults everything else, so call sites only state
+/// what they vary.
 ///
 /// ```ignore
 /// let outcome = SessionBuilder::new(&profile, title, abr)
 ///     .seed(42)
-///     .start(StartPolicy::Fixed(SimDuration::from_secs(4)))
 ///     .run();
 /// ```
 pub struct SessionBuilder<'a> {
-    params: SessionParams<'a>,
+    /// The user's network.
+    profile: &'a NetworkProfile,
+    /// The title to stream.
+    title: Arc<Title>,
+    /// The ABR algorithm (consumed; algorithms carry per-session state).
+    abr: Box<dyn Abr>,
+    /// Historical estimate at session start (for the startup threshold).
+    history_estimate: Option<Rate>,
+    /// Initial-phase rung the ABR will pick (for the startup threshold).
+    predicted_initial_rung: usize,
+    /// Maximum wall-clock session time (sessions that stall forever are
+    /// abandoned, like real users).
+    max_wall_clock: SimDuration,
+    /// RNG seed for capacity jitter.
+    seed: u64,
+    /// Fixed session-setup latency before the first chunk request
+    /// (manifest fetch, DRM license, player init). Real play delays are
+    /// dominated by this constant, which is why even large download-rate
+    /// changes move play delay by only a few percent (§5.5).
+    startup_latency: SimDuration,
 }
 
 impl<'a> SessionBuilder<'a> {
     /// Start a session on `profile` streaming `title` with `abr`.
     pub fn new(profile: &'a NetworkProfile, title: Arc<Title>, abr: Box<dyn Abr>) -> Self {
         SessionBuilder {
-            params: SessionParams {
-                profile,
-                title,
-                abr,
-                start: StartPolicy::default(),
-                history_estimate: None,
-                predicted_initial_rung: 2,
-                max_wall_clock: SimDuration::from_secs(3600),
-                seed: 0,
-                fluid: FluidConfig::default(),
-                max_buffer: SimDuration::from_secs(240),
-                startup_latency: SimDuration::ZERO,
-            },
+            profile,
+            title,
+            abr,
+            history_estimate: None,
+            predicted_initial_rung: 2,
+            max_wall_clock: SimDuration::from_secs(3600),
+            seed: 0,
+            startup_latency: SimDuration::ZERO,
         }
     }
 
-    /// Startup-threshold policy (default: [`StartPolicy::default`]).
-    pub fn start(mut self, start: StartPolicy) -> Self {
-        self.params.start = start;
-        self
-    }
-
-    /// Historical throughput estimate at session start (default: none).
+    /// Historical throughput estimate at session start (default: none);
+    /// pass the device store's estimate.
     pub fn history_estimate(mut self, estimate: Option<Rate>) -> Self {
-        self.params.history_estimate = estimate;
+        self.history_estimate = estimate;
         self
     }
 
     /// Initial-phase rung the ABR will pick (default: 2).
     pub fn predicted_initial_rung(mut self, rung: usize) -> Self {
-        self.params.predicted_initial_rung = rung;
+        self.predicted_initial_rung = rung;
         self
     }
 
     /// Maximum wall-clock session time before abandonment (default: 1 h).
     pub fn max_wall_clock(mut self, d: SimDuration) -> Self {
-        self.params.max_wall_clock = d;
+        self.max_wall_clock = d;
         self
     }
 
     /// RNG seed for capacity jitter (default: 0).
     pub fn seed(mut self, seed: u64) -> Self {
-        self.params.seed = seed;
-        self
-    }
-
-    /// Fluid model tunables (default: [`FluidConfig::default`]).
-    pub fn fluid(mut self, fluid: FluidConfig) -> Self {
-        self.params.fluid = fluid;
-        self
-    }
-
-    /// Player buffer capacity (default: 240 s).
-    pub fn max_buffer(mut self, d: SimDuration) -> Self {
-        self.params.max_buffer = d;
+        self.seed = seed;
         self
     }
 
     /// Fixed session-setup latency before the first chunk (default: zero).
     pub fn startup_latency(mut self, d: SimDuration) -> Self {
-        self.params.startup_latency = d;
+        self.startup_latency = d;
         self
     }
 
-    /// Run the session to completion (or abandonment).
+    /// Run the session to completion (or abandonment) and report its
+    /// metrics.
     pub fn run(self) -> SessionOutcome {
-        run_session(self.params)
-    }
-}
+        let SessionBuilder {
+            profile,
+            title,
+            abr,
+            history_estimate,
+            predicted_initial_rung,
+            max_wall_clock,
+            seed,
+            startup_latency,
+        } = self;
+        let mut rng = StdRng::seed_from_u64(seed);
+        let jitter_law = JitterLaw::new(profile.jitter_cv);
 
-/// Run one session to completion (or abandonment) and report its metrics.
-pub fn run_session(params: SessionParams<'_>) -> SessionOutcome {
-    let SessionParams {
-        profile,
-        title,
-        abr,
-        start,
-        history_estimate,
-        predicted_initial_rung,
-        max_wall_clock,
-        seed,
-        fluid,
-        max_buffer,
-        startup_latency,
-    } = params;
-    let mut rng = StdRng::seed_from_u64(seed);
-    let jitter_law = JitterLaw::new(profile.jitter_cv);
+        let initial_bitrate = title.ladder.rung(predicted_initial_rung).bitrate;
+        let threshold = start_threshold(history_estimate, initial_bitrate);
+        let cfg = PlayerConfig {
+            start_threshold: threshold.min(MAX_BUFFER),
+            resume_threshold: SimDuration::from_secs(4).min(MAX_BUFFER),
+            max_buffer: MAX_BUFFER,
+        };
+        let mut player = Player::new(title, abr, cfg, SimTime::ZERO);
 
-    let initial_bitrate = title.ladder.rung(predicted_initial_rung).bitrate;
-    let threshold = start.threshold(history_estimate, initial_bitrate);
-    let cfg = PlayerConfig {
-        start_threshold: threshold.min(max_buffer),
-        resume_threshold: SimDuration::from_secs(4).min(max_buffer),
-        max_buffer,
-    };
-    let mut player = Player::new(title, abr, cfg, SimTime::ZERO);
+        // The player was created at t=0 (the user's click); the first request
+        // can only go out after the fixed setup latency.
+        let mut now = SimTime::ZERO + startup_latency;
+        let mut last_download_end: Option<SimTime> = None;
+        let mut total_bytes = 0u64;
+        let mut retx_bytes = 0.0f64;
+        let mut congested_bytes = 0u64;
+        // One sample per chunk; size the buffers once instead of growing them.
+        let mut chunk_tputs = Vec::with_capacity(player.title().len());
+        let mut rtt_samples = Vec::with_capacity(player.title().len());
+        let deadline = SimTime::ZERO + max_wall_clock;
 
-    // The player was created at t=0 (the user's click); the first request
-    // can only go out after the fixed setup latency.
-    let mut now = SimTime::ZERO + startup_latency;
-    let mut last_download_end: Option<SimTime> = None;
-    let mut total_bytes = 0u64;
-    let mut retx_bytes = 0.0f64;
-    let mut congested_bytes = 0u64;
-    // One sample per chunk; size the buffers once instead of growing them.
-    let mut chunk_tputs = Vec::with_capacity(player.title().len());
-    let mut rtt_samples = Vec::with_capacity(player.title().len());
-    let deadline = SimTime::ZERO + max_wall_clock;
-
-    loop {
-        if player.state() == PlayerState::Ended {
-            break;
-        }
-        if now >= deadline {
-            player.abandon(now);
-            break;
-        }
-        if let Some(req) = player.poll_request(now) {
-            let cold = match last_download_end {
-                None => true,
-                Some(t) => now.saturating_since(t) > fluid.idle_restart_after,
-            };
-            let jitter = chunk_multiplier(&mut rng, profile, jitter_law);
-            let out = download_chunk(profile, &fluid, req.bytes, req.pace, cold, jitter);
-            now += out.download_time;
-            last_download_end = Some(now);
-            player.on_chunk_complete(now, out.download_time);
-
-            // Telemetry: RTT samples weighted by download duration (a
-            // proxy for packets sent), retransmits, congestion exposure.
-            rtt_samples.push((
-                out.rtt.as_millis_f64(),
-                out.download_time.as_secs_f64().max(1e-6),
-            ));
-            obs::counter!("fluidsim.chunks", 1);
-            obs::span!("fluidsim.chunk_download", out.download_time.as_nanos());
-            obs::trace_event!(
-                ChunkDone,
-                now.as_nanos(),
-                req.index as u64,
-                out.download_time.as_nanos() / 1_000_000
-            );
-            total_bytes += req.bytes;
-            retx_bytes += req.bytes as f64 * out.loss;
-            if out.congested {
-                congested_bytes += req.bytes;
+        loop {
+            if player.state() == PlayerState::Ended {
+                break;
             }
-            chunk_tputs.push(req.bytes as f64 * 8.0 / out.download_time.as_secs_f64() / 1e6);
-        } else if let Some(d) = player.next_deadline(now) {
-            // Off period or rebuffering: jump to the player's next event.
-            now = d.max(now + SimDuration::from_millis(1)).min(deadline);
-            player.advance_to(now);
-        } else {
-            // Waiting with no deadline (e.g. rebuffering with a request
-            // outstanding cannot happen here; defensive step).
-            now += SimDuration::from_millis(100);
-            player.advance_to(now);
-        }
-    }
+            if now >= deadline {
+                player.abandon(now);
+                break;
+            }
+            if let Some(req) = player.poll_request(now) {
+                let cold = match last_download_end {
+                    None => true,
+                    Some(t) => now.saturating_since(t) > IDLE_RESTART_AFTER,
+                };
+                let jitter = chunk_multiplier(&mut rng, profile, jitter_law);
+                let out = download_chunk(profile, req.bytes, req.pace, cold, jitter);
+                now += out.download_time;
+                last_download_end = Some(now);
+                player.on_chunk_complete(now, out.download_time);
 
-    obs::counter!("fluidsim.sessions", 1);
-    SessionOutcome {
-        qoe: player.qoe(),
-        avg_chunk_throughput: player.history().weighted_average(),
-        retx_fraction: if total_bytes > 0 {
-            retx_bytes / total_bytes as f64
-        } else {
-            0.0
-        },
-        median_rtt_ms: weighted_median(&mut rtt_samples),
-        chunks: player.history().len(),
-        congested_byte_fraction: if total_bytes > 0 {
-            congested_bytes as f64 / total_bytes as f64
-        } else {
-            0.0
-        },
-        chunk_throughputs_mbps: chunk_tputs,
+                // Telemetry: RTT samples weighted by download duration (a
+                // proxy for packets sent), retransmits, congestion exposure.
+                rtt_samples.push((
+                    out.rtt.as_millis_f64(),
+                    out.download_time.as_secs_f64().max(1e-6),
+                ));
+                obs::counter!("fluidsim.chunks", 1);
+                obs::span!("fluidsim.chunk_download", out.download_time.as_nanos());
+                obs::trace_event!(
+                    ChunkDone,
+                    now.as_nanos(),
+                    req.index as u64,
+                    out.download_time.as_nanos() / 1_000_000
+                );
+                total_bytes += req.bytes;
+                retx_bytes += req.bytes as f64 * out.loss;
+                if out.congested {
+                    congested_bytes += req.bytes;
+                }
+                chunk_tputs.push(req.bytes as f64 * 8.0 / out.download_time.as_secs_f64() / 1e6);
+            } else if let Some(d) = player.next_deadline(now) {
+                // Off period or rebuffering: jump to the player's next event.
+                now = d.max(now + SimDuration::from_millis(1)).min(deadline);
+                player.advance_to(now);
+            } else {
+                // Waiting with no deadline (e.g. rebuffering with a request
+                // outstanding cannot happen here; defensive step).
+                now += SimDuration::from_millis(100);
+                player.advance_to(now);
+            }
+        }
+
+        obs::counter!("fluidsim.sessions", 1);
+        SessionOutcome {
+            qoe: player.qoe(),
+            avg_chunk_throughput: player.history().weighted_average(),
+            retx_fraction: if total_bytes > 0 {
+                retx_bytes / total_bytes as f64
+            } else {
+                0.0
+            },
+            median_rtt_ms: weighted_median(&mut rtt_samples),
+            chunks: player.history().len(),
+            congested_byte_fraction: if total_bytes > 0 {
+                congested_bytes as f64 / total_bytes as f64
+            } else {
+                0.0
+            },
+            chunk_throughputs_mbps: chunk_tputs,
+        }
     }
 }
 
@@ -366,24 +297,13 @@ mod tests {
         ))
     }
 
-    fn params<'a>(
+    /// A session as the tests run it: seed 42, everything else default.
+    fn session<'a>(
         profile: &'a NetworkProfile,
         t: Arc<Title>,
         abr: Box<dyn Abr>,
-    ) -> SessionParams<'a> {
-        SessionParams {
-            profile,
-            title: t,
-            abr,
-            start: StartPolicy::Fixed(SimDuration::from_secs(4)),
-            history_estimate: None,
-            predicted_initial_rung: 2,
-            max_wall_clock: SimDuration::from_secs(3600),
-            seed: 42,
-            fluid: FluidConfig::default(),
-            max_buffer: SimDuration::from_secs(240),
-            startup_latency: SimDuration::ZERO,
-        }
+    ) -> SessionBuilder<'a> {
+        SessionBuilder::new(profile, t, abr).seed(42)
     }
 
     fn production(history_mbps: Option<f64>) -> Box<dyn Abr> {
@@ -402,7 +322,7 @@ mod tests {
     fn fast_network_full_quality_no_rebuffers() {
         let p = NetworkProfile::fast_cable();
         let t = title(4.0);
-        let out = run_session(params(&p, t, production(Some(50.0))));
+        let out = session(&p, t, production(Some(50.0))).run();
         assert_eq!(out.qoe.rebuffer_count, 0);
         assert_eq!(out.qoe.played, SimDuration::from_secs(600));
         // MPC should converge to the top rung: mean bitrate near 4 Mbps.
@@ -414,7 +334,7 @@ mod tests {
     fn control_self_congests_sammy_does_not() {
         let p = NetworkProfile::fast_cable();
         let t = title(4.0);
-        let control = run_session(params(&p, t.clone(), production(Some(50.0))));
+        let control = session(&p, t.clone(), production(Some(50.0))).run();
         // Sammy-like pacing at 3x top bitrate = 12 Mbps << 100 Mbps capacity.
         let store = shared_history();
         store.update(Rate::from_mbps(50.0));
@@ -423,7 +343,7 @@ mod tests {
             store,
             sammy_core::SammyConfig::default(),
         ));
-        let paced = run_session(params(&p, t, sammy));
+        let paced = session(&p, t, sammy).run();
 
         // Both play everything at full quality.
         assert_eq!(paced.qoe.rebuffer_count, 0);
@@ -455,45 +375,27 @@ mod tests {
             ..NetworkProfile::fast_cable()
         };
         let t = title(4.0);
-        let out = run_session(params(&p, t, production(None)));
+        let out = session(&p, t, production(None)).run();
         assert!(out.qoe.mean_bitrate.unwrap().mbps() < 1.0);
-    }
-
-    #[test]
-    fn builder_matches_explicit_params() {
-        let p = NetworkProfile::fast_cable();
-        let t = title(4.0);
-        let mut prm = params(&p, t.clone(), production(Some(30.0)));
-        prm.start = StartPolicy::default();
-        let explicit = run_session(prm);
-        let built = SessionBuilder::new(&p, t, production(Some(30.0)))
-            .seed(42)
-            .run();
-        assert_eq!(explicit.qoe.mean_vmaf, built.qoe.mean_vmaf);
-        assert_eq!(
-            explicit.chunk_throughputs_mbps,
-            built.chunk_throughputs_mbps
-        );
     }
 
     #[test]
     fn deterministic_given_seed() {
         let p = NetworkProfile::fast_cable();
         let t = title(4.0);
-        let a = run_session(params(&p, t.clone(), production(Some(30.0))));
-        let b = run_session(params(&p, t, production(Some(30.0))));
+        let a = session(&p, t.clone(), production(Some(30.0))).run();
+        let b = session(&p, t, production(Some(30.0))).run();
         assert_eq!(a.qoe.mean_vmaf, b.qoe.mean_vmaf);
         assert_eq!(a.median_rtt_ms, b.median_rtt_ms);
         assert_eq!(a.chunk_throughputs_mbps, b.chunk_throughputs_mbps);
     }
 
     #[test]
-    fn adaptive_start_policy_shrinks_with_confidence() {
-        let pol = StartPolicy::default();
+    fn start_threshold_shrinks_with_confidence() {
         let bitrate = Rate::from_mbps(4.0);
-        let low = pol.threshold(Some(Rate::from_mbps(5.0)), bitrate);
-        let high = pol.threshold(Some(Rate::from_mbps(80.0)), bitrate);
-        let none = pol.threshold(None, bitrate);
+        let low = start_threshold(Some(Rate::from_mbps(5.0)), bitrate);
+        let high = start_threshold(Some(Rate::from_mbps(80.0)), bitrate);
+        let none = start_threshold(None, bitrate);
         assert!(high < low, "confident estimate must start sooner");
         assert!(none >= low, "no estimate must be most conservative");
     }
@@ -502,29 +404,18 @@ mod tests {
     fn startup_latency_adds_to_play_delay() {
         let p = NetworkProfile::fast_cable();
         let t = title(4.0);
-        let mut base = params(&p, t.clone(), production(Some(50.0)));
-        base.seed = 77;
-        let without = run_session(base);
-        let mut with = params(&p, t, production(Some(50.0)));
-        with.seed = 77;
-        with.startup_latency = SimDuration::from_secs(2);
-        let with = run_session(with);
+        let without = session(&p, t.clone(), production(Some(50.0)))
+            .seed(77)
+            .run();
+        let with = session(&p, t, production(Some(50.0)))
+            .seed(77)
+            .startup_latency(SimDuration::from_secs(2))
+            .run();
         let d_without = without.qoe.play_delay.unwrap().as_secs_f64();
         let d_with = with.qoe.play_delay.unwrap().as_secs_f64();
         assert!(
             (d_with - d_without - 2.0).abs() < 0.2,
             "latency must shift play delay by ~2 s: {d_without} -> {d_with}"
-        );
-    }
-
-    #[test]
-    fn fixed_start_policy_ignores_estimate() {
-        let pol = StartPolicy::Fixed(SimDuration::from_secs(6));
-        let b = Rate::from_mbps(4.0);
-        assert_eq!(pol.threshold(None, b), SimDuration::from_secs(6));
-        assert_eq!(
-            pol.threshold(Some(Rate::from_mbps(100.0)), b),
-            SimDuration::from_secs(6)
         );
     }
 
@@ -536,9 +427,9 @@ mod tests {
             ..NetworkProfile::fast_cable()
         };
         let t = title(4.0);
-        let mut prm = params(&p, t, production(None));
-        prm.max_wall_clock = SimDuration::from_secs(120);
-        let out = run_session(prm);
+        let out = session(&p, t, production(None))
+            .max_wall_clock(SimDuration::from_secs(120))
+            .run();
         // The runner must terminate and report something sane.
         assert!(out.qoe.played <= SimDuration::from_secs(120));
     }

@@ -1,6 +1,6 @@
 //! Allocation regression test for the fluid session loop.
 //!
-//! `run_session` records one throughput and one RTT sample per chunk, into
+//! A fluid session records one throughput and one RTT sample per chunk, into
 //! buffers sized once from the title's chunk count, so a session must not
 //! cost a heap allocation per chunk. A counting global allocator (the one
 //! from `abtest/tests/memory_bound.rs`, counting calls instead of bytes)
@@ -10,7 +10,7 @@
 //! Keep this the only test in the file: the counter is process-wide.
 
 use abr::{shared_history, HistoryPolicy, Mpc, ProductionAbr};
-use fluidsim::{run_session, FluidConfig, NetworkProfile, SessionParams, StartPolicy};
+use fluidsim::{NetworkProfile, SessionBuilder};
 use netsim::{Rate, SimDuration};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -63,25 +63,16 @@ fn session_allocs(profile: &NetworkProfile, minutes: u64) -> (usize, usize) {
     ));
     let history = shared_history();
     history.update(Rate::from_mbps(50.0));
-    let params = SessionParams {
-        profile,
-        title,
-        abr: Box::new(ProductionAbr::new(
-            Mpc::default(),
-            history,
-            HistoryPolicy::AllSamples,
-        )),
-        start: StartPolicy::Fixed(SimDuration::from_secs(4)),
-        history_estimate: None,
-        predicted_initial_rung: 2,
-        max_wall_clock: SimDuration::from_secs(3 * 3600),
-        seed: 42,
-        fluid: FluidConfig::default(),
-        max_buffer: SimDuration::from_secs(240),
-        startup_latency: SimDuration::ZERO,
-    };
+    let abr = Box::new(ProductionAbr::new(
+        Mpc::default(),
+        history,
+        HistoryPolicy::AllSamples,
+    ));
+    let session = SessionBuilder::new(profile, title, abr)
+        .max_wall_clock(SimDuration::from_secs(3 * 3600))
+        .seed(42);
     let before = ALLOC.allocs.load(Ordering::Relaxed);
-    let out = run_session(params);
+    let out = session.run();
     let allocs = ALLOC.allocs.load(Ordering::Relaxed) - before;
     (out.chunks, allocs)
 }

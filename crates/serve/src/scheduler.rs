@@ -184,7 +184,10 @@ fn worker_loop(inner: Arc<SchedInner>, store: Store, cfg: ServeConfig) {
 /// Execute one experiment run end to end.
 fn execute_run(store: &Store, id: &str, cfg: &ServeConfig) -> Result<(), SimError> {
     store.write_status(JobKind::Run, id, JobState::Running, None)?;
-    let s = ExperimentSpec::from_json(&store.read_spec(JobKind::Run, id)?)?;
+    let mut s = ExperimentSpec::from_json(&store.read_spec(JobKind::Run, id)?)?;
+    if let Some(t) = cfg.threads {
+        s.threads = t;
+    }
     let dir = store.job_dir(JobKind::Run, id);
 
     let mut builder = Experiment::builder()
@@ -193,9 +196,6 @@ fn execute_run(store: &Store, id: &str, cfg: &ServeConfig) -> Result<(), SimErro
         .checkpoint_every(cfg.checkpoint_every)
         .resume(true)
         .progress_jsonl(dir.join("metrics.jsonl"));
-    if let Some(t) = cfg.threads {
-        builder = builder.threads(t);
-    }
     if let Some(n) = cfg.abort_runs_after_checkpoints {
         builder = builder.abort_after_checkpoints(n);
     }

@@ -247,8 +247,8 @@ fn killed_search_resumes_bit_identical() {
 }
 
 /// The search that used to be accepted and then abort the whole daemon:
-/// a final rung of 4 × (10^11)^2 users was a 41 TB allocation in
-/// `draw_population`.
+/// a final rung of 4 × (10^11)^2 users was a 41 TB allocation when a
+/// rung drew its population whole.
 const OVERFLOWING_SEARCH: &str = r#"{"arms":[{"c0":2,"c1":2},{"c0":3,"c1":3}],"initial_users":4,"eta":100000000000,"rungs":3,"base":{"pre_sessions":1,"sessions_per_user":1,"bootstrap_reps":40,"light_population":true}}"#;
 
 #[test]

@@ -389,9 +389,9 @@ impl ArmSpec {
 pub const MAX_BOOTSTRAP_REPS: usize = 100_000;
 
 /// Ceiling on the users per arm of a search's final rung
-/// (`initial_users × eta^(rungs−1)`). An evaluation folds its rung at
-/// O(threads) memory; what grows with the rung is the population it draws,
-/// about 100 bytes a user (10 MB here), and its run time.
+/// (`initial_users × eta^(rungs−1)`). An evaluation derives its users one
+/// at a time and folds them at O(threads) memory, so the cap bounds run
+/// time — every arm of the final rung is that many user pairs — not memory.
 /// [`SearchSpec::validate`] computes the product with checked arithmetic.
 pub const MAX_SEARCH_USERS: usize = 100_000;
 

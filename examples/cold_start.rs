@@ -26,8 +26,7 @@ fn main() {
         "Cold-start experiment: {users} users, {} sessions/day, history wiped at day 0\n",
         cfg.sessions_per_day
     );
-    let pop = draw_population(&PopulationConfig::default(), users, cfg.seed);
-    let result = run_cold_start(&pop, &cfg);
+    let result = run_cold_start(&PopulationConfig::default(), users, &cfg);
 
     println!(
         "{:>5} {:>12}   bar (each # = 0.5% below control)",

@@ -23,15 +23,19 @@ pub use video;
 /// ```
 /// use sammy_repro::prelude::*;
 ///
-/// let run = Experiment::builder().users_per_arm(4).run_streaming().unwrap();
+/// let cfg = ExperimentConfig {
+///     users_per_arm: 4,
+///     ..Default::default()
+/// };
+/// let run = Experiment::builder().config(cfg).run_streaming().unwrap();
 /// assert_eq!(run.state.control_sessions, run.state.treatment_sessions);
 /// ```
 pub mod prelude {
     pub use abtest::{
-        draw_population, Arm, Experiment, ExperimentBuilder, ExperimentConfig, Population,
-        PopulationConfig, StreamReport, StreamRun, UserProfile,
+        user_at, Arm, Experiment, ExperimentBuilder, ExperimentConfig, PopulationConfig,
+        StreamReport, StreamRun, UserProfile,
     };
-    pub use fluidsim::{FluidConfig, NetworkProfile, SessionBuilder, SessionOutcome};
+    pub use fluidsim::{NetworkProfile, SessionBuilder, SessionOutcome};
     pub use netsim::{Rate, SimDuration, SimError, SimTime};
     pub use obs::Registry;
     pub use spec::{ArmSpec, ExperimentSpec, GuardSpec, NetworkSpec, SearchSpec, TransportSpec};

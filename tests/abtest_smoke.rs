@@ -28,9 +28,10 @@ fn cfg(users: usize) -> ExperimentConfig {
 #[test]
 fn pair_equals_each_arm_run_alone() {
     let cfg = cfg(3);
-    let pop = draw_population(&PopulationConfig::default(), cfg.users_per_arm, cfg.seed);
+    let pop: Vec<UserProfile> = (0..cfg.users_per_arm as u64)
+        .map(|i| user_at(&PopulationConfig::default(), i, cfg.seed))
+        .collect();
     let run = Experiment::builder()
-        .population(&pop)
         .treatment(TREATMENT)
         .config(cfg.clone())
         .run_streaming()

@@ -205,9 +205,7 @@ fn deterministic_replay() {
 
 #[test]
 fn parallel_experiment_bit_identical_to_serial() {
-    use sammy_repro::abtest::{
-        draw_population, Arm, Experiment, ExperimentConfig, PopulationConfig,
-    };
+    use sammy_repro::abtest::{Arm, Experiment, ExperimentConfig};
 
     let base = ExperimentConfig {
         users_per_arm: 12,
@@ -218,10 +216,8 @@ fn parallel_experiment_bit_identical_to_serial() {
         threads: 1,
     };
     let treatment = Arm::Sammy { c0: 3.2, c1: 2.8 };
-    let pop = draw_population(&PopulationConfig::default(), base.users_per_arm, base.seed);
     let run = |threads| {
         Experiment::builder()
-            .population(&pop)
             .treatment(treatment)
             .config(ExperimentConfig {
                 threads,

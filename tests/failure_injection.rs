@@ -183,10 +183,39 @@ fn abr_by_name(name: &str) -> Box<dyn Abr> {
     }
 }
 
+/// One step of SplitMix64 — the fold's replicate weights, restated here so
+/// the reference below owes nothing to the runner's code.
+fn splitmix(state: &mut u64) -> u64 {
+    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    let mut z = *state;
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
+fn mix2(a: u64, b: u64) -> u64 {
+    let mut s = a ^ b.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    splitmix(&mut s)
+}
+
+/// User `user`'s Poisson(1) weight in bootstrap replicate `rep`.
+fn replicate_weight(seed: u64, user: u64, rep: u64) -> u64 {
+    let mut state = mix2(mix2(mix2(seed, 0xB007_5EED), user), rep);
+    let (mut p, mut k) = (1.0f64, 0u64);
+    loop {
+        p *= (splitmix(&mut state) >> 11) as f64 * (1.0 / (1u64 << 53) as f64);
+        if p <= 0.367_879_441_171_442_33 || k >= 64 {
+            return k;
+        }
+        k += 1;
+    }
+}
+
 #[test]
 fn worker_panic_is_isolated_and_reported() {
     use sammy_repro::abtest::{
-        draw_population, Arm, Experiment, ExperimentConfig, PopulationConfig,
+        percentile, run_user, user_at, Arm, Experiment, ExperimentConfig, PopulationConfig,
+        StreamingStat, METRICS,
     };
     use sammy_repro::netsim::SimError;
 
@@ -194,76 +223,147 @@ fn worker_panic_is_isolated_and_reported() {
         users_per_arm: 10,
         pre_sessions: 1,
         sessions_per_user: 2,
-        seed: 13,
+        seed: 3,
         bootstrap_reps: 50,
         threads: 4,
     };
     let treatment = Arm::Sammy { c0: 3.2, c1: 2.8 };
-    let mut pop = draw_population(&PopulationConfig::default(), cfg.users_per_arm, cfg.seed);
-    // Sabotage one user mid-population: a title shorter than one chunk
-    // trips `Title::generate`'s assertion inside that user's worker.
-    pop[4].title_duration = SimDuration::from_secs(1);
-
-    // One shard, so the healthy users fold exactly as a clean run's do.
-    let run = |pop: &[_]| {
-        Experiment::builder()
-            .population(pop)
-            .treatment(treatment)
-            .config(cfg.clone())
-            .shard_size(cfg.users_per_arm)
-            .run_streaming()
-            .unwrap()
+    // Titles of 1–30 s: a user drawn under one 4 s chunk trips
+    // `Title::generate`'s assertion inside that user's worker.
+    let population = PopulationConfig {
+        title_duration_s: (1, 30),
+        ..PopulationConfig::light()
     };
-    let sabotaged = run(&pop);
-
-    // Exactly the sabotaged user failed, with the panic payload captured.
-    let state = &sabotaged.state;
-    assert_eq!((state.failures, state.users), (1, 9));
-    let sample = &state.failure_samples[0];
-    assert_eq!((sample.index, sample.user), (4, pop[4].id));
+    let users: Vec<_> = (0..cfg.users_per_arm as u64)
+        .map(|i| user_at(&population, i, cfg.seed))
+        .collect();
+    let chunk = SimDuration::from_secs(4);
+    let failing: Vec<u64> = users
+        .iter()
+        .filter(|u| u.title_duration < chunk)
+        .map(|u| u.id)
+        .collect();
+    let healthy: Vec<_> = users.iter().filter(|u| u.title_duration >= chunk).collect();
     assert!(
-        sample.message.contains("chunk"),
-        "unexpected payload: {}",
-        sample.message
+        !failing.is_empty() && healthy.len() > 1,
+        "the population must mix both: failing {failing:?}"
     );
 
-    // The pool neither deadlocked nor dropped the other nine users: every
-    // row of the state equals a clean run of the population without the
-    // bad user.
-    let healthy: Vec<_> = pop
-        .iter()
-        .enumerate()
-        .filter(|(i, _)| *i != 4)
-        .map(|(_, u)| u.clone())
-        .collect();
-    let clean = run(&healthy);
-    let encode = |s: &sammy_repro::abtest::StreamingStat| {
+    let builder = || {
+        Experiment::builder()
+            .population_config(population.clone())
+            .treatment(treatment)
+            .config(cfg.clone())
+    };
+    // One shard, so the healthy users fold as the reference below does.
+    let run = builder()
+        .shard_size(cfg.users_per_arm)
+        .run_streaming()
+        .unwrap();
+
+    // Exactly the short-title users failed, with the panic payload captured.
+    let state = &run.state;
+    assert_eq!(state.failures, failing.len() as u64);
+    assert_eq!(state.users, healthy.len() as u64);
+    let failed: Vec<u64> = state.failure_samples.iter().map(|f| f.index).collect();
+    assert_eq!(failed, failing);
+    for f in &state.failure_samples {
+        assert_eq!(f.user, f.index);
+        assert!(
+            f.message.contains("chunk"),
+            "unexpected payload: {}",
+            f.message
+        );
+    }
+
+    // The pool neither deadlocked nor dropped a healthy user: the state
+    // equals a reference folded here from the healthy users' `run_user`
+    // records — session counts, each arm's digest to the bit, and the
+    // paired mean and its replicate interval to the bit.
+    let records = |arm| -> Vec<_> { healthy.iter().map(|u| run_user(u, arm, &cfg)).collect() };
+    let (control, treated) = (records(Arm::Production), records(treatment));
+    let sessions = |arm: &[Vec<_>]| arm.iter().map(Vec::len).sum::<usize>() as u64;
+    assert_eq!(state.control_sessions, sessions(&control));
+    assert_eq!(state.treatment_sessions, sessions(&treated));
+    let encode = |s: &StreamingStat| {
         let mut buf = Vec::new();
         s.encode(&mut buf);
         buf
     };
-    for (a, b) in state.metrics().iter().zip(clean.state.metrics()) {
-        assert_eq!(encode(a.control()), encode(b.control()));
-        assert_eq!(encode(a.treatment()), encode(b.treatment()));
-    }
-    let bits = |d: sammy_repro::abtest::PairedDelta| {
-        [d.mean_delta_pct, d.ci_low, d.ci_high].map(f64::to_bits)
-    };
-    for (a, b) in sabotaged.report().rows.iter().zip(&clean.report().rows) {
-        assert_eq!(bits(a.paired), bits(b.paired));
-    }
-    assert_eq!(state.registry.to_jsonl(), clean.state.registry.to_jsonl());
+    let report = run.report();
+    let mut intervals = 0;
+    for ((acc, row), &(name, _, f)) in state.metrics().iter().zip(&report.rows).zip(&METRICS) {
+        let digest = |arm: &[Vec<_>]| {
+            let shard: StreamingStat = arm.iter().flatten().filter_map(f).collect();
+            let mut merged = StreamingStat::new();
+            merged.merge(&shard);
+            encode(&merged)
+        };
+        assert_eq!(encode(acc.control()), digest(&control), "{name}");
+        assert_eq!(encode(acc.treatment()), digest(&treated), "{name}");
 
-    // A table-sized run surfaces the same failure as an error instead of
-    // returning a silently incomplete experiment.
-    let err = Experiment::builder()
-        .population(&pop)
-        .treatment(treatment)
-        .config(cfg.clone())
-        .run_table()
-        .unwrap_err();
+        let (mut sum, mut n) = (0.0, 0u64);
+        let mut boot = vec![(0.0f64, 0u64); cfg.bootstrap_reps];
+        for ((user, c), t) in healthy.iter().zip(&control).zip(&treated) {
+            let (mut user_sum, mut user_n) = (0.0, 0u64);
+            for (cv, tv) in c.iter().filter_map(f).zip(t.iter().filter_map(f)) {
+                if cv.is_finite() && tv.is_finite() && cv != 0.0 {
+                    user_sum += (tv - cv) / cv.abs() * 100.0;
+                    user_n += 1;
+                }
+            }
+            if user_n == 0 {
+                continue;
+            }
+            sum += user_sum;
+            n += user_n;
+            for (rep, slot) in boot.iter_mut().enumerate() {
+                let w = replicate_weight(cfg.seed, user.id, rep as u64);
+                if w > 0 {
+                    slot.0 += w as f64 * user_sum;
+                    slot.1 += w * user_n;
+                }
+            }
+        }
+        let boots: Vec<f64> = boot
+            .iter()
+            .filter(|&&(_, n)| n > 0)
+            .map(|&(s, n)| s / n as f64)
+            .collect();
+        // No pair at all (a rebuffer row whose control never rebuffers)
+        // reads NaN throughout.
+        let (mean, lo, hi) = if n == 0 {
+            (f64::NAN, f64::NAN, f64::NAN)
+        } else {
+            let ci = |q| percentile(&boots, q);
+            (sum / n as f64, ci(0.025), ci(0.975))
+        };
+        let bits = |v: f64| v.to_bits();
+        assert_eq!(bits(row.paired.mean_delta_pct), bits(mean), "{name}");
+        assert_eq!(bits(row.paired.ci_low), bits(lo), "{name}");
+        assert_eq!(bits(row.paired.ci_high), bits(hi), "{name}");
+        intervals += usize::from(lo < hi);
+    }
     assert!(
-        matches!(err, SimError::Experiment(ref m) if m.contains("chunk")),
+        intervals >= 3,
+        "only {intervals} rows had an interval to compare"
+    );
+    // A failed user's partial telemetry is dropped with it.
+    if sammy_repro::obs::ENABLED {
+        let healthy_users = healthy.len() as u64;
+        assert_eq!(state.registry.counter_value("abtest.users"), healthy_users);
+        assert_eq!(
+            state.registry.counter_value("abtest.sessions"),
+            sessions(&control) + sessions(&treated)
+        );
+    }
+
+    // A table-sized run surfaces the first failure as an error naming it,
+    // instead of returning a silently incomplete experiment.
+    let err = builder().run_table().unwrap_err();
+    let first = format!("user {} panicked", failing[0]);
+    assert!(
+        matches!(err, SimError::Experiment(ref m) if m.contains(&first) && m.contains("chunk")),
         "unexpected error: {err}"
     );
 }

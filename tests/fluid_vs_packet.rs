@@ -3,7 +3,7 @@
 //! depend on — download times, the paced/unpaced throughput split, and the
 //! presence/absence of queueing.
 
-use sammy_repro::fluidsim::{download_chunk, FluidConfig, NetworkProfile};
+use sammy_repro::fluidsim::{download_chunk, NetworkProfile};
 use sammy_repro::netsim::{
     Dumbbell, DumbbellConfig, FlowId, Packet, Payload, Rate, SimDuration, SimTime, Simulator,
 };
@@ -77,7 +77,6 @@ fn paced_download_times_agree() {
     let pkt = packet_download(2_000_000, Some(10e6), 40.0, 5);
     let fluid = download_chunk(
         &fluid_profile(40.0, 5),
-        &FluidConfig::default(),
         2_000_000,
         Some(Rate::from_mbps(10.0)),
         true,
@@ -96,16 +95,9 @@ fn paced_download_times_agree() {
 fn unpaced_download_times_agree_within_slow_start_error() {
     // 4 MB unpaced over 40 Mbps / 5 ms: ideal 0.8 s plus slow-start ramp.
     let pkt = packet_download(4_000_000, None, 40.0, 5);
-    let fluid = download_chunk(
-        &fluid_profile(40.0, 5),
-        &FluidConfig::default(),
-        4_000_000,
-        None,
-        true,
-        1.0,
-    )
-    .download_time
-    .as_secs_f64();
+    let fluid = download_chunk(&fluid_profile(40.0, 5), 4_000_000, None, true, 1.0)
+        .download_time
+        .as_secs_f64();
     let rel = (pkt - fluid).abs() / pkt;
     // The packet simulator additionally pays NewReno's hole-at-a-time fast
     // recovery after the slow-start overshoot drops a window of packets —
@@ -131,24 +123,10 @@ fn congestion_boundary_matches() {
     // Pacing below capacity: the packet sim shows zero drops, matching the
     // fluid model's "not congested" state.
     let profile = fluid_profile(40.0, 5);
-    let fluid_clean = download_chunk(
-        &profile,
-        &FluidConfig::default(),
-        2_000_000,
-        Some(Rate::from_mbps(10.0)),
-        false,
-        1.0,
-    );
+    let fluid_clean = download_chunk(&profile, 2_000_000, Some(Rate::from_mbps(10.0)), false, 1.0);
     assert!(!fluid_clean.congested);
 
-    let fluid_hot = download_chunk(
-        &profile,
-        &FluidConfig::default(),
-        2_000_000,
-        None,
-        false,
-        1.0,
-    );
+    let fluid_hot = download_chunk(&profile, 2_000_000, None, false, 1.0);
     assert!(fluid_hot.congested);
 }
 
@@ -239,14 +217,7 @@ fn small_chunk_cold_start_penalty_matches_packet_sim() {
     // Both models must show measured throughput far below link capacity.
     let pkt_time = packet_download(500_000, None, 100.0, 20);
     let pkt_tput_mbps = 500_000.0 * 8.0 / pkt_time / 1e6;
-    let fluid = download_chunk(
-        &fluid_profile(100.0, 20),
-        &FluidConfig::default(),
-        500_000,
-        None,
-        true,
-        1.0,
-    );
+    let fluid = download_chunk(&fluid_profile(100.0, 20), 500_000, None, true, 1.0);
     let fluid_tput_mbps = 500_000.0 * 8.0 / fluid.download_time.as_secs_f64() / 1e6;
     assert!(pkt_tput_mbps < 60.0, "packet tput {pkt_tput_mbps}");
     assert!(fluid_tput_mbps < 60.0, "fluid tput {fluid_tput_mbps}");

@@ -2,7 +2,7 @@
 
 use proptest::prelude::*;
 use sammy_repro::abr;
-use sammy_repro::fluidsim::{download_chunk, FluidConfig, NetworkProfile};
+use sammy_repro::fluidsim::{download_chunk, NetworkProfile};
 use sammy_repro::netsim::{Rate, SimDuration};
 use sammy_repro::sammy_core::analysis;
 use sammy_repro::sammy_core::PaceSelector;
@@ -71,13 +71,12 @@ proptest! {
     ) {
         let pace_mbps = cap * pace_ratio; // 2x pace still below capacity
         let p = profile(cap);
-        let cfg = FluidConfig::default();
-        let t1 = download_chunk(&p, &cfg, bytes, Some(Rate::from_mbps(pace_mbps)), false, 1.0)
+        let t1 = download_chunk(&p, bytes, Some(Rate::from_mbps(pace_mbps)), false, 1.0)
             .download_time;
-        let t2 = download_chunk(&p, &cfg, bytes * 2, Some(Rate::from_mbps(pace_mbps)), false, 1.0)
+        let t2 = download_chunk(&p, bytes * 2, Some(Rate::from_mbps(pace_mbps)), false, 1.0)
             .download_time;
         prop_assert!(t2 >= t1);
-        let t3 = download_chunk(&p, &cfg, bytes, Some(Rate::from_mbps(pace_mbps * 2.0)), false, 1.0)
+        let t3 = download_chunk(&p, bytes, Some(Rate::from_mbps(pace_mbps * 2.0)), false, 1.0)
             .download_time;
         prop_assert!(t3 <= t1);
     }
@@ -93,7 +92,6 @@ proptest! {
         let p = profile(cap);
         let out = download_chunk(
             &p,
-            &FluidConfig::default(),
             bytes,
             Some(Rate::from_mbps(pace_mbps)),
             cold,

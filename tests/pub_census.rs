@@ -39,7 +39,6 @@ const ALLOWED: &[(&str, &str)] = &[
     ("crates/transport/src/endpoint.rs", "sender_mut"),   // pace churn mid-transfer
     ("crates/video/src/player.rs", "buffer_level"),       // the buffer-cap property
     ("crates/video/src/abr_api.rs", "FixedRung"),         // a decision-free player
-    ("crates/abtest/src/experiment.rs", "population_config"), // flat-memory bound
     ("crates/obs/src/lib.rs", "counter_value"),           // exact session counts
     ("crates/tdigest/src/lib.rs", "add_weighted"),        // no production caller (ROADMAP 11)
     // Input validation: the caps the daemon tests probe.
