@@ -85,15 +85,17 @@ impl HistoryStore {
         self.samples += 1;
     }
 
-    /// Fold the current session's samples (their median) into the
-    /// cross-session estimate. No-op if the session produced no samples.
+    /// Fold the current session's samples (their upper median, the order
+    /// statistic at `len / 2`) into the cross-session estimate. No-op if
+    /// the session produced no samples.
     pub fn end_session(&mut self) {
         if self.pending.is_empty() {
             return;
         }
         let mut v = std::mem::take(&mut self.pending);
-        v.sort_by(|a, b| a.partial_cmp(b).expect("finite samples"));
-        let session_median = v[v.len() / 2];
+        let mid = v.len() / 2;
+        let (_, &mut session_median, _) =
+            v.select_nth_unstable_by(mid, |a, b| a.partial_cmp(b).expect("finite samples"));
         self.estimate_bps = Some(match self.estimate_bps {
             None => session_median,
             Some(e) => self.alpha * session_median + (1.0 - self.alpha) * e,
@@ -508,5 +510,51 @@ mod tests {
         };
         let r2 = initial_rung_for(Some(Rate::from_bps(10_000.0)), &ladder, &cfg2);
         assert_eq!(r2, 2);
+    }
+
+    /// A throughput in bps from a (family, value) draw: often one of five
+    /// rates (ties), else any from 1 kbps to 10 Gbps.
+    fn sample_bps((kind, x): (u8, f64)) -> f64 {
+        if kind < 2 {
+            (x * 5.0).floor() * 1e6 + 1e6
+        } else {
+            1e3 + x * 1e10
+        }
+    }
+
+    proptest::proptest! {
+        /// The session median taken by selection equals the order
+        /// statistic at `len / 2` of the fully sorted samples, to the bit,
+        /// through the cross-session EWMA, for odd and even counts and
+        /// duplicates.
+        #[test]
+        fn session_median_matches_sort_reference(
+            sessions in proptest::collection::vec(
+                proptest::collection::vec((0u8..4, 0.0f64..1.0), 1..40),
+                1..5,
+            ),
+        ) {
+            let mut s = HistoryStore::default();
+            let mut want: Option<f64> = None;
+            for session in &sessions {
+                let mut v = Vec::new();
+                for &draw in session {
+                    let r = Rate::from_bps(sample_bps(draw));
+                    s.update(r);
+                    v.push(r.bps());
+                }
+                s.end_session();
+                v.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
+                let median = v[v.len() / 2];
+                want = Some(match want {
+                    None => median,
+                    Some(e) => 0.3 * median + (1.0 - 0.3) * e,
+                });
+                proptest::prop_assert_eq!(
+                    s.estimate().map(|e| e.bps().to_bits()),
+                    want.map(|e| Rate::from_bps(e).bps().to_bits())
+                );
+            }
+        }
     }
 }

@@ -22,7 +22,8 @@
 //!
 //! where `P_i(r)` is the byte sum of the first `i+1` upcoming chunks at
 //! rung `r`. `select` evaluates it directly: one running `u64` sum over
-//! the horizon per rung, `rungs × horizon` (≤ 45) steps a decision.
+//! the horizon per rung, `rungs × horizon` (≤ 45) steps a decision, each a
+//! load from the window's one chunk-major slice ([`video::Lookahead::sizes`]).
 
 use video::{Abr, AbrContext, AbrDecision, ChunkMeasurement};
 
@@ -98,6 +99,8 @@ impl Abr for Mpc {
 
         let b0 = ctx.buffer.as_secs_f64();
         let play_s = h as f64 * cd;
+        // The horizon's sizes, one row of `rungs` entries per chunk.
+        let window = ctx.upcoming.sizes(h);
         let mut best = ctx.ladder.lowest();
         let mut best_u = f64::NEG_INFINITY;
         for rung in 0..rungs {
@@ -105,8 +108,8 @@ impl Abr for Mpc {
             // chunks remain.
             let mut bytes = 0u64;
             let mut peak = f64::NEG_INFINITY;
-            for i in 0..h {
-                bytes += ctx.upcoming.chunk(i).size(rung);
+            for (i, row) in window.chunks_exact(rungs).enumerate() {
+                bytes += row[rung];
                 peak = peak.max(bytes as f64 * inv - i as f64 * cd);
             }
             let rebuffer_s = (peak - b0).max(0.0);

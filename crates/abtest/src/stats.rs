@@ -24,7 +24,8 @@ pub fn mean(values: &[f64]) -> f64 {
 ///
 /// Non-finite samples are ignored. Returns NaN for an empty slice or a NaN
 /// `q`; `q` outside `[0,1]` clamps to the extremes, so `q = 1.0` is exactly
-/// the maximum on slices of any length.
+/// the maximum on slices of any length. The two order statistics are
+/// found by selection, not a full sort.
 pub fn percentile(values: &[f64], q: f64) -> f64 {
     if q.is_nan() {
         return f64::NAN;
@@ -33,15 +34,17 @@ pub fn percentile(values: &[f64], q: f64) -> f64 {
     if v.is_empty() {
         return f64::NAN;
     }
-    v.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
     let pos = q.clamp(0.0, 1.0) * (v.len() - 1) as f64;
     let lo = pos.floor() as usize;
     let hi = pos.ceil() as usize;
+    let (_, &mut at_lo, above) =
+        v.select_nth_unstable_by(lo, |a, b| a.partial_cmp(b).expect("finite"));
     if lo == hi {
-        v[lo]
-    } else {
-        v[lo] + (v[hi] - v[lo]) * (pos - lo as f64)
+        return at_lo;
     }
+    // `hi == lo + 1`: the next order statistic is the least value above.
+    let at_hi = above.iter().copied().fold(f64::INFINITY, f64::min);
+    at_lo + (at_hi - at_lo) * (pos - lo as f64)
 }
 
 /// How an arm-level statistic is computed from per-session values.
@@ -249,6 +252,63 @@ mod tests {
         assert_eq!(percentile(&[7.0, 9.0], 1.0), 9.0);
         // q = 0.975 on a 2-element slice interpolates toward the max.
         assert_eq!(percentile(&[0.0, 40.0], 0.975), 39.0);
+    }
+
+    /// The definition `percentile` must keep: sort, then interpolate
+    /// between the two order statistics around `q·(n−1)`.
+    fn sorted_percentile(values: &[f64], q: f64) -> f64 {
+        let mut v: Vec<f64> = values.iter().copied().filter(|x| x.is_finite()).collect();
+        if v.is_empty() {
+            return f64::NAN;
+        }
+        v.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
+        let pos = q.clamp(0.0, 1.0) * (v.len() - 1) as f64;
+        let (lo, hi) = (pos.floor() as usize, pos.ceil() as usize);
+        if lo == hi {
+            v[lo]
+        } else {
+            v[lo] + (v[hi] - v[lo]) * (pos - lo as f64)
+        }
+    }
+
+    /// A sample from a (family, value) draw: often one of five values
+    /// (ties), sometimes non-finite (ignored), else any finite value of
+    /// either sign.
+    fn sample((kind, x): (u8, f64)) -> f64 {
+        match kind {
+            0..=3 => (x.abs() % 5.0).floor() * 2.5 + 2.5,
+            4 => f64::NAN,
+            5 => f64::NEG_INFINITY,
+            _ => x,
+        }
+    }
+
+    /// `q` from a (family, value) draw: the bootstrap's and Fig 3's, or
+    /// any in [0, 1].
+    fn quantile((kind, x): (u8, f64)) -> f64 {
+        match kind {
+            0 => 0.025,
+            1 => 0.5,
+            2 => 0.95,
+            3 => 0.975,
+            _ => x,
+        }
+    }
+
+    proptest::proptest! {
+        /// Selection returns the sort-based value to the bit, for odd and
+        /// even counts, duplicates, and the bootstrap's and Fig 3's `q`s.
+        #[test]
+        fn percentile_matches_sort_reference(
+            draws in proptest::collection::vec((0u8..12, -1e6f64..1e6), 0..60),
+            q_draw in (0u8..6, 0.0f64..=1.0),
+        ) {
+            let values: Vec<f64> = draws.into_iter().map(sample).collect();
+            let q = quantile(q_draw);
+            let got = percentile(&values, q);
+            let want = sorted_percentile(&values, q);
+            proptest::prop_assert_eq!(got.to_bits(), want.to_bits(), "q={} {:?}", q, values);
+        }
     }
 
     #[test]

@@ -2,8 +2,9 @@
 //!
 //! ABR algorithms historically consume throughput measurements of completed
 //! chunk downloads (§2.1). [`ThroughputHistory`] records them; the estimator
-//! helpers implement the aggregations common across published ABR
-//! algorithms: EWMA, harmonic mean, minimum-of-recent, and percentiles.
+//! helpers implement the aggregations the ABR algorithms here use: the
+//! harmonic mean, the minimum of recent chunks, and the download-time
+//! weighted average.
 //!
 //! With pacing these measurements no longer estimate *available bandwidth* —
 //! they estimate `min(pace rate, available bandwidth)`; Sammy's design
@@ -37,10 +38,19 @@ impl ChunkMeasurement {
     }
 }
 
+/// A recorded measurement beside the reciprocal of its throughput, taken
+/// once at [`ThroughputHistory::record`] for the harmonic mean.
+#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+struct Sample {
+    m: ChunkMeasurement,
+    /// `1 / max(bps, 1)`: the 1 bps floor keeps a zero-time download finite.
+    inv_bps: f64,
+}
+
 /// A rolling record of chunk download measurements.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct ThroughputHistory {
-    samples: Vec<ChunkMeasurement>,
+    samples: Vec<Sample>,
 }
 
 impl ThroughputHistory {
@@ -51,12 +61,8 @@ impl ThroughputHistory {
 
     /// Record a completed download.
     pub fn record(&mut self, m: ChunkMeasurement) {
-        self.samples.push(m);
-    }
-
-    /// All measurements in arrival order.
-    pub fn samples(&self) -> &[ChunkMeasurement] {
-        &self.samples
+        let inv_bps = 1.0 / m.throughput().bps().max(1.0);
+        self.samples.push(Sample { m, inv_bps });
     }
 
     /// Number of measurements.
@@ -71,20 +77,17 @@ impl ThroughputHistory {
 
     /// Most recent measurement.
     pub fn last(&self) -> Option<&ChunkMeasurement> {
-        self.samples.last()
+        self.samples.last().map(|s| &s.m)
     }
 
     /// Harmonic mean of the last `k` throughputs — robust to outliers, used
-    /// by MPC-style algorithms.
+    /// by MPC-style algorithms. Each throughput is floored at 1 bps.
     pub fn harmonic_mean_last(&self, k: usize) -> Option<Rate> {
         let tail = self.tail(k);
         if tail.is_empty() {
             return None;
         }
-        let sum_inv: f64 = tail
-            .iter()
-            .map(|m| 1.0 / m.throughput().bps().max(1.0))
-            .sum();
+        let sum_inv: f64 = tail.iter().map(|s| s.inv_bps).sum();
         Some(Rate::from_bps(tail.len() as f64 / sum_inv))
     }
 
@@ -93,32 +96,20 @@ impl ThroughputHistory {
     pub fn min_last(&self, k: usize) -> Option<Rate> {
         self.tail(k)
             .iter()
-            .map(|m| m.throughput())
+            .map(|s| s.m.throughput())
             .fold(None, |acc: Option<Rate>, x| {
                 Some(acc.map_or(x, |a| a.min(x)))
             })
     }
 
-    /// Percentile (0–1) of all recorded throughputs. Used for the paper's
-    /// "pre-experiment p95 chunk throughput" user bucketing (Fig 3).
-    pub fn percentile(&self, q: f64) -> Option<Rate> {
-        if self.samples.is_empty() {
-            return None;
-        }
-        let mut v: Vec<f64> = self.samples.iter().map(|m| m.throughput().bps()).collect();
-        v.sort_by(|a, b| a.partial_cmp(b).expect("finite throughput"));
-        let idx = ((q.clamp(0.0, 1.0)) * (v.len() - 1) as f64).round() as usize;
-        Some(Rate::from_bps(v[idx]))
-    }
-
     /// Download-time-weighted average throughput over all samples — the
     /// session "average chunk throughput" of Appendix A Eq. (9) and §5.1.
     pub fn weighted_average(&self) -> Option<Rate> {
-        let total_bytes: u64 = self.samples.iter().map(|m| m.bytes).sum();
+        let total_bytes: u64 = self.samples.iter().map(|s| s.m.bytes).sum();
         let total_time: f64 = self
             .samples
             .iter()
-            .map(|m| m.download_time.as_secs_f64())
+            .map(|s| s.m.download_time.as_secs_f64())
             .sum();
         if total_time <= 0.0 {
             return None;
@@ -126,7 +117,7 @@ impl ThroughputHistory {
         Some(Rate::from_bps(total_bytes as f64 * 8.0 / total_time))
     }
 
-    fn tail(&self, k: usize) -> &[ChunkMeasurement] {
+    fn tail(&self, k: usize) -> &[Sample] {
         let n = self.samples.len();
         &self.samples[n.saturating_sub(k)..]
     }
@@ -159,21 +150,18 @@ mod tests {
         assert!(h.is_empty());
         assert!(h.harmonic_mean_last(3).is_none());
         assert!(h.min_last(3).is_none());
-        assert!(h.percentile(0.95).is_none());
         assert!(h.weighted_average().is_none());
     }
 
     #[test]
-    fn min_and_percentile() {
+    fn min_last_over_the_tail() {
         let mut h = ThroughputHistory::new();
-        for s in [1.0, 2.0, 0.5, 4.0] {
-            h.record(m(1_000_000, s)); // throughputs: 8, 4, 16, 2 Mbps
+        for s in [4.0, 1.0, 2.0, 0.5] {
+            h.record(m(1_000_000, s)); // throughputs: 2, 8, 4, 16 Mbps
         }
         assert!((h.min_last(4).unwrap().mbps() - 2.0).abs() < 1e-9);
-        assert!((h.min_last(2).unwrap().mbps() - 2.0).abs() < 1e-9);
-        assert!((h.min_last(1).unwrap().mbps() - 2.0).abs() < 1e-9);
-        assert!((h.percentile(0.0).unwrap().mbps() - 2.0).abs() < 1e-9);
-        assert!((h.percentile(1.0).unwrap().mbps() - 16.0).abs() < 1e-9);
+        assert!((h.min_last(3).unwrap().mbps() - 4.0).abs() < 1e-9);
+        assert!((h.min_last(1).unwrap().mbps() - 16.0).abs() < 1e-9);
     }
 
     #[test]
@@ -184,6 +172,71 @@ mod tests {
         let hm = h.harmonic_mean_last(2).unwrap().mbps();
         // Harmonic mean of 8 and 2 = 3.2, below arithmetic mean 5.
         assert!((hm - 3.2).abs() < 1e-9);
+    }
+
+    /// The harmonic mean as it was computed before reciprocals were cached:
+    /// one division per sample of the tail, at every call.
+    fn per_sample_harmonic_mean(ms: &[ChunkMeasurement], k: usize) -> Option<Rate> {
+        let tail = &ms[ms.len().saturating_sub(k)..];
+        if tail.is_empty() {
+            return None;
+        }
+        let sum_inv: f64 = tail
+            .iter()
+            .map(|m| 1.0 / m.throughput().bps().max(1.0))
+            .sum();
+        Some(Rate::from_bps(tail.len() as f64 / sum_inv))
+    }
+
+    /// A download from two (family, raw) draws: sizes tiny, chunk-like or
+    /// near `u64::MAX`; times zero (a throughput of 0, floored at 1 bps),
+    /// sub-microsecond, or up to ten minutes.
+    fn download(
+        (size_kind, size_raw, time_kind, time_raw): (u8, u64, u8, u64),
+    ) -> ChunkMeasurement {
+        let bytes = match size_kind {
+            0 => size_raw % 16,
+            1 => 1 + size_raw % 20_000_000,
+            _ => u64::MAX - size_raw % (u64::MAX >> 8),
+        };
+        let ns = match time_kind {
+            0 => 0,
+            1 => 1 + time_raw % 1_000,
+            _ => 1_000 + time_raw % 600_000_000_000,
+        };
+        ChunkMeasurement {
+            index: 0,
+            rung: 0,
+            bytes,
+            download_time: SimDuration::from_nanos(ns),
+            completed_at: SimTime::ZERO,
+        }
+    }
+
+    proptest::proptest! {
+        /// Summing the reciprocals cached at `record` gives the old
+        /// per-sample expression's bits, for every window `k` in 0..=10
+        /// after every record.
+        #[test]
+        fn harmonic_mean_matches_per_sample_expression(
+            draws in proptest::collection::vec(
+                (0u8..3, proptest::prelude::any::<u64>(), 0u8..3, proptest::prelude::any::<u64>()),
+                0..24,
+            ),
+        ) {
+            let stream: Vec<ChunkMeasurement> = draws.into_iter().map(download).collect();
+            let mut h = ThroughputHistory::new();
+            for (i, &m) in stream.iter().enumerate() {
+                h.record(m);
+                for k in 0..=10 {
+                    proptest::prop_assert_eq!(
+                        h.harmonic_mean_last(k).map(|r| r.bps().to_bits()),
+                        per_sample_harmonic_mean(&stream[..=i], k).map(|r| r.bps().to_bits()),
+                        "k={} after {} records", k, i + 1
+                    );
+                }
+            }
+        }
     }
 
     #[test]

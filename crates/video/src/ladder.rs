@@ -17,6 +17,10 @@ pub struct Rung {
     pub vmaf: f64,
 }
 
+/// Most rungs a ladder may have (published ladders have about ten), so
+/// that per-rung constants fit a stack array.
+pub(crate) const MAX_RUNGS: usize = 32;
+
 /// An ascending ladder of encodings.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Ladder {
@@ -36,8 +40,9 @@ impl Ladder {
         }
     }
 
-    /// Fallible [`Ladder::from_bitrates`]: rejects empty, non-finite,
-    /// non-positive, or non-ascending bitrate lists.
+    /// Fallible [`Ladder::from_bitrates`]: rejects empty, over-long
+    /// (past `MAX_RUNGS`), non-finite, non-positive, or non-ascending
+    /// bitrate lists.
     fn try_from_bitrates(bitrates_bps: &[f64], vmaf: &VmafModel) -> Result<Self, SimError> {
         let invalid = |reason: String| SimError::InvalidConfig {
             field: "ladder.bitrates",
@@ -45,6 +50,12 @@ impl Ladder {
         };
         if bitrates_bps.is_empty() {
             return Err(invalid("ladder needs at least one rung".into()));
+        }
+        if bitrates_bps.len() > MAX_RUNGS {
+            return Err(invalid(format!(
+                "ladder has {} rungs, at most {MAX_RUNGS} allowed",
+                bitrates_bps.len()
+            )));
         }
         if let Some(&b) = bitrates_bps.iter().find(|b| !b.is_finite() || **b <= 0.0) {
             return Err(invalid(format!("bitrate {b} is not positive and finite")));
@@ -205,6 +216,9 @@ mod tests {
         assert!(Ladder::try_from_bitrates(&[1e6, 1e6], &v).is_err());
         assert!(Ladder::try_from_bitrates(&[-1e6, 1e6], &v).is_err());
         assert!(Ladder::try_from_bitrates(&[f64::NAN], &v).is_err());
+        let rates: Vec<f64> = (1..=MAX_RUNGS + 1).map(|i| i as f64 * 1e5).collect();
+        assert!(Ladder::try_from_bitrates(&rates[..MAX_RUNGS], &v).is_ok());
+        assert!(Ladder::try_from_bitrates(&rates, &v).is_err());
         let ok = Ladder::try_from_bitrates(&[1e6, 2e6], &v).unwrap();
         assert_eq!(ok.len(), 2);
     }

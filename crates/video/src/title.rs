@@ -10,7 +10,7 @@
 //! [`Chunk`] view and lookahead windows through [`Lookahead`], so selecting
 //! a chunk allocates nothing.
 
-use crate::ladder::Ladder;
+use crate::ladder::{Ladder, MAX_RUNGS};
 use netsim::{Rate, SimDuration};
 use rand::prelude::*;
 use serde::{Deserialize, Serialize};
@@ -22,6 +22,9 @@ pub struct Title {
     pub ladder: Ladder,
     /// Uniform playback duration of every chunk.
     chunk_duration: SimDuration,
+    /// Number of chunks (`sizes.len() / rungs`, stored so that bounds
+    /// checks do not divide).
+    chunks: usize,
     /// Encoded size in bytes at `[chunk * rungs + rung]`.
     sizes: Vec<u64>,
     /// Per-chunk VMAF at `[chunk * rungs + rung]`: the rung's nominal score
@@ -107,6 +110,17 @@ impl<'a> Lookahead<'a> {
             index: self.from + i,
         }
     }
+
+    /// Encoded sizes of the first `h` upcoming chunks as one chunk-major
+    /// block: `h` rows of one entry per rung, so row `i` is
+    /// `self.chunk(i).sizes()`.
+    ///
+    /// # Panics
+    /// Panics if `h` exceeds the window.
+    pub fn sizes(&self, h: usize) -> &'a [u64] {
+        let r = self.title.rungs();
+        &self.title.sizes[self.from * r..(self.from + h) * r]
+    }
 }
 
 /// Parameters for generating a synthetic title.
@@ -156,27 +170,43 @@ impl Title {
         let n = (cfg.duration.as_nanos() / cfg.chunk_duration.as_nanos()) as usize;
         let chunk_secs = cfg.chunk_duration.as_secs_f64();
         let rungs = ladder.rungs().len();
+        // Per-title constants: the size wobble's log-normal parameters
+        // (mean ≈ 1, coefficient of variation `size_cv`), and per rung its
+        // ideal chunk size and the weight of the scene's VMAF offset,
+        // which shrinks toward the top of the scale (scores saturate).
+        let cv = cfg.size_cv;
+        let sigma = (1.0 + cv * cv).ln().sqrt();
+        let mu = -sigma * sigma / 2.0;
+        let mut ideal = [0.0; MAX_RUNGS];
+        let mut offset_weight = [0.0; MAX_RUNGS];
+        for (i, r) in ladder.rungs().iter().enumerate() {
+            ideal[i] = r.bitrate.bps() * chunk_secs / 8.0;
+            offset_weight[i] = 0.5 + (100.0 - r.vmaf) / 100.0;
+        }
         let mut sizes = Vec::with_capacity(n * rungs);
         let mut vmafs = Vec::with_capacity(n * rungs);
         for _ in 0..n {
             // One multiplier per chunk, shared across rungs: scene
-            // complexity moves all encodings together.
-            let mult = lognormal_around_one(&mut rng, cfg.size_cv);
-            for r in ladder.rungs() {
-                let ideal = r.bitrate.bps() * chunk_secs / 8.0;
+            // complexity moves all encodings together. Log-normal,
+            // clamped to [0.4, 2.5]; exactly 1 when CBR.
+            let mult = if cv <= 0.0 {
+                1.0
+            } else {
+                (mu + sigma * gaussian(&mut rng)).exp().clamp(0.4, 2.5)
+            };
+            for &ideal in &ideal[..rungs] {
                 sizes.push(((ideal * mult) as u64).max(1));
             }
-            // Scene-dependent quality offset, shared across rungs and
-            // shrinking toward the top of the scale (scores saturate).
+            // Scene-dependent quality offset, shared across rungs.
             let offset = gaussian(&mut rng) * cfg.vmaf_sd;
-            for r in ladder.rungs() {
-                let headroom = (100.0 - r.vmaf) / 100.0;
-                vmafs.push((r.vmaf + offset * (0.5 + headroom)).clamp(0.0, 100.0));
+            for (r, &w) in ladder.rungs().iter().zip(&offset_weight) {
+                vmafs.push((r.vmaf + offset * w).clamp(0.0, 100.0));
             }
         }
         Title {
             ladder,
             chunk_duration: cfg.chunk_duration,
+            chunks: n,
             sizes,
             vmafs,
         }
@@ -189,12 +219,12 @@ impl Title {
 
     /// Number of chunks.
     pub fn len(&self) -> usize {
-        self.sizes.len() / self.rungs()
+        self.chunks
     }
 
     /// True if the title has no chunks (never produced by `generate`).
     pub fn is_empty(&self) -> bool {
-        self.sizes.is_empty()
+        self.chunks == 0
     }
 
     /// Uniform per-chunk playback duration.
@@ -223,17 +253,6 @@ impl Title {
             from: from.min(self.len()),
         }
     }
-}
-
-/// A multiplicative wobble with mean ≈ 1 and the given coefficient of
-/// variation, log-normal shaped, clamped to [0.4, 2.5].
-fn lognormal_around_one(rng: &mut StdRng, cv: f64) -> f64 {
-    if cv <= 0.0 {
-        return 1.0;
-    }
-    let sigma = (1.0 + cv * cv).ln().sqrt();
-    let mu = -sigma * sigma / 2.0;
-    (mu + sigma * gaussian(rng)).exp().clamp(0.4, 2.5)
 }
 
 /// A standard normal draw (Box-Muller from two uniforms).
@@ -363,5 +382,46 @@ mod tests {
         assert_eq!(w.chunk(0).index(), 100);
         assert_eq!(w.chunk(3).size(2), t.chunk(103).size(2));
         assert_eq!(w.chunk(3).vmaf(2), t.chunk(103).vmaf(2));
+    }
+
+    /// The window block is chunk-major with the ladder's stride, for
+    /// ladders of one, five and nine rungs, at every short window.
+    #[test]
+    fn lookahead_sizes_rows_are_the_chunks() {
+        let vmaf = VmafModel::standard();
+        for ladder in [
+            Ladder::from_bitrates(&[1e6], &vmaf),
+            Ladder::lab(&vmaf),
+            Ladder::hd(&vmaf),
+        ] {
+            let rungs = ladder.len();
+            let t = Title::generate(
+                ladder,
+                &TitleConfig {
+                    duration: SimDuration::from_secs(40),
+                    seed: 9,
+                    ..Default::default()
+                },
+            );
+            for k in 0..=6 {
+                let w = t.upcoming(t.len() - k);
+                for h in 0..=w.len() {
+                    let block = w.sizes(h);
+                    assert_eq!(block.len(), h * rungs);
+                    for i in 0..h {
+                        for r in 0..rungs {
+                            assert_eq!(block[i * rungs + r], w.chunk(i).size(r), "k={k} h={h}");
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic]
+    fn lookahead_sizes_past_the_window_panic() {
+        let t = title(0, 0.15);
+        t.upcoming(t.len() - 2).sizes(3);
     }
 }

@@ -122,6 +122,28 @@ fn table2_fingerprint() -> u64 {
     h.0
 }
 
+/// Every size and VMAF bit of the first two titles of users 0–7 at seed
+/// 2023, in the full and the light population, chunk by chunk.
+fn title_fingerprint() -> u64 {
+    let mut h = Fnv::new();
+    for cfg in [PopulationConfig::default(), PopulationConfig::light()] {
+        for i in 0..8 {
+            let user = user_at(&cfg, i, 2023);
+            for k in 0..2 {
+                let title = user.title(k);
+                for c in 0..title.len() {
+                    let chunk = title.chunk(c);
+                    for r in 0..title.ladder.len() {
+                        h.u64(chunk.size(r));
+                        h.f64(chunk.vmaf(r));
+                    }
+                }
+            }
+        }
+    }
+    h.0
+}
+
 /// Captured on the pre-optimization tree (see module docs): the event
 /// count pins the global event order (any reordering shifts the TCP
 /// feedback loop and changes the count), and the flow stats pin the
@@ -165,4 +187,13 @@ fn golden_tcp_transfer_paced() {
 #[test]
 fn golden_table2_record_stream() {
     assert_eq!(table2_fingerprint(), 0xdf8c075ff892aa64);
+}
+
+/// The bytes of generated titles, pinned directly rather than only through
+/// the sessions that play them: title generation's per-title constants and
+/// RNG draw order must not move a size or a VMAF bit. Captured on the tree
+/// before those constants were hoisted out of the chunk loop.
+#[test]
+fn golden_title_bytes() {
+    assert_eq!(title_fingerprint(), 0xd705_68ef_333a_bfdc);
 }

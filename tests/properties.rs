@@ -257,12 +257,17 @@ proptest! {
 
     /// MPC's closed-form rebuffer term and rung choice agree with a naive
     /// per-chunk buffer walk over the same horizon, across random titles,
-    /// lookahead offsets, and conditions. Half the cases start in the last
-    /// `horizon` chunks or at the end of the title, where the window is
-    /// shorter than the horizon (`h < horizon`, down to `h == 0`).
+    /// ladders, lookahead offsets, and conditions. Ladders are drawn as the
+    /// population draws them (standard lower rungs under a top of
+    /// 1.75–16 Mbps), cut to their highest 1–9 rungs, so the window's row
+    /// stride varies. Half the cases start in the last `horizon` chunks or
+    /// at the end of the title, where the window is shorter than the
+    /// horizon (`h < horizon`, down to `h == 0`).
     #[test]
     fn mpc_closed_form_matches_buffer_walk(
         title_seed in 0u64..5_000,
+        top_mbps in 1.75f64..16.0,
+        rungs in 1usize..=9,
         offset in 0usize..=300,
         near_end in any::<bool>(),
         buffer_s in 0u64..120,
@@ -272,8 +277,15 @@ proptest! {
         use sammy_repro::video::{Abr, AbrContext, ChunkMeasurement, PlayerPhase, ThroughputHistory};
         use sammy_repro::netsim::SimTime;
 
+        let mut rates: Vec<f64> = [0.235, 0.56, 1.05, 1.75, 3.0, 4.3, 5.8, 8.1]
+            .iter()
+            .map(|m| m * 1e6)
+            .filter(|&r| r < top_mbps * 1e6 * 0.99)
+            .collect();
+        rates.push(top_mbps * 1e6);
+        let rates = &rates[rates.len().saturating_sub(rungs)..];
         let title = Title::generate(
-            Ladder::hd(&VmafModel::standard()),
+            Ladder::from_bitrates(rates, &VmafModel::standard()),
             &TitleConfig { seed: title_seed, ..Default::default() },
         );
         let mut h = ThroughputHistory::new();
