@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! cargo run -p sammy-bench --bin figures --release -- all
-//! cargo run -p sammy-bench --bin figures --release -- table2 fig7
+//! cargo run -p sammy-bench --bin figures --release -- table2 fig_cc_matrix
 //! cargo run -p sammy-bench --bin figures --release -- --scale 2.0 all
 //! cargo run -p sammy-bench --bin figures --release -- --threads 8 table2
 //! ```
@@ -15,11 +15,12 @@
 use abtest::StreamReport;
 use netsim::SimDuration;
 use sammy_bench::figures;
-use sammy_bench::lab::{self, LabArm, LabConfig};
+use sammy_bench::lab::{self, LabArm, LabConfig, SingleFlowResult};
 use sammy_bench::matrix;
 use sammy_bench::shared::{self, SharedLabConfig};
 use std::fs;
 use std::path::Path;
+use transport::CcAlgorithm;
 
 const SEED: u64 = 2023;
 
@@ -65,7 +66,6 @@ const TARGETS: &[(&str, Target)] = &[
         )
     }),
     ("fig6", |o| fig6(o.scale)),
-    ("fig7", |_| fig7()),
     ("fig8a", |_| fig8a()),
     ("fig8b", |_| fig8b()),
     ("fig8c", |_| fig8c()),
@@ -73,7 +73,6 @@ const TARGETS: &[(&str, Target)] = &[
     ("spiral", |_| spiral()),
     ("ablation", |_| ablation_scavenger()),
     ("fig_fairness", |o| fig_fairness(o.threads)),
-    ("fig_occupancy", |o| fig_occupancy(o.threads)),
     ("fig_cc_matrix", |o| fig_cc_matrix(o.threads)),
 ];
 
@@ -280,27 +279,10 @@ fn fig6(scale: f64) {
     save_csv("fig6_coldstart.csv", "day,initial_quality_pct_diff", &rows);
 }
 
-fn fig7() {
-    banner("Fig 7: single-flow throughput and RTT, control vs Sammy");
-    let cfg = LabConfig {
-        run_for: SimDuration::from_secs(60),
-        ..Default::default()
-    };
-    let control = lab::single_flow(LabArm::Control, &cfg);
-    let sammy = lab::single_flow(LabArm::Sammy, &cfg);
-    println!(
-        "{:<10} {:>16} {:>14} {:>10} {:>12}",
-        "arm", "chunk tput Mbps", "median RTT ms", "retx %", "max queue kB"
-    );
-    for (label, r) in [("control", &control), ("sammy", &sammy)] {
-        println!(
-            "{label:<10} {:>16.1} {:>14.2} {:>10.3} {:>12.1}",
-            r.chunk_throughput_mbps,
-            r.median_rtt_ms,
-            r.retx_fraction * 100.0,
-            r.max_queue_bytes as f64 / 1e3
-        );
-    }
+/// Fig 7 (and Fig 1) from the matrix's `reno` pair: the per-100 ms
+/// goodput and smoothed-RTT traces of one flow alone on the lab dumbbell.
+fn fig7(control: &SingleFlowResult, sammy: &SingleFlowResult) {
+    banner("Fig 7: single-flow throughput and RTT, control vs Sammy (the reno row)");
     let chg_tput = (sammy.chunk_throughput_mbps - control.chunk_throughput_mbps)
         / control.chunk_throughput_mbps;
     let chg_rtt = (sammy.median_rtt_ms - control.median_rtt_ms) / control.median_rtt_ms;
@@ -309,30 +291,29 @@ fn fig7() {
         chg_tput * 100.0,
         chg_rtt * 100.0
     );
+    save_csv(
+        "fig7_throughput.csv",
+        "t_s,control_mbps,sammy_mbps",
+        &side_by_side(&control.throughput_series, &sammy.throughput_series),
+    );
+    save_csv(
+        "fig7_rtt.csv",
+        "t_s,control_srtt_ms,sammy_srtt_ms",
+        &side_by_side(&control.rtt_series, &sammy.rtt_series),
+    );
+}
 
-    let mut rows = Vec::new();
+/// Two arms' `(s, value)` traces as `t,a,b` rows, one per sample; the
+/// shorter trace pads with NaN.
+fn side_by_side(a: &[(f64, f64)], b: &[(f64, f64)]) -> Vec<String> {
     let blank = (f64::NAN, f64::NAN);
-    let n = control
-        .throughput_series
-        .len()
-        .max(sammy.throughput_series.len());
-    for i in 0..n {
-        let (t, cm) = *control.throughput_series.get(i).unwrap_or(&blank);
-        let (_, sm) = *sammy.throughput_series.get(i).unwrap_or(&blank);
-        rows.push(format!("{t:.1},{cm:.3},{sm:.3}"));
-    }
-    save_csv("fig7_throughput.csv", "t_s,control_mbps,sammy_mbps", &rows);
-
-    let mut rtt_rows = Vec::new();
-    for &(t, ms) in control.rtt_series.points() {
-        let t = t.as_secs_f64();
-        rtt_rows.push(format!("{t:.3},control,{ms:.3}"));
-    }
-    for &(t, ms) in sammy.rtt_series.points() {
-        let t = t.as_secs_f64();
-        rtt_rows.push(format!("{t:.3},sammy,{ms:.3}"));
-    }
-    save_csv("fig7_rtt.csv", "t_s,arm,srtt_ms", &rtt_rows);
+    (0..a.len().max(b.len()))
+        .map(|i| {
+            let (t, x) = *a.get(i).unwrap_or(&blank);
+            let (_, y) = *b.get(i).unwrap_or(&blank);
+            format!("{t:.1},{x:.3},{y:.3}")
+        })
+        .collect()
 }
 
 fn neighbor_pair(name: &str, unit: &str, paper: &str, f: impl Fn(LabArm) -> f64) {
@@ -384,39 +365,45 @@ fn fig8d() {
     });
 }
 
+/// §2.2's LEDBAT scavenger, alone and beside Fig 8b's bulk TCP neighbor.
+/// Sammy's row of the contrast is `fig_cc_matrix`'s `reno.sammy` cell and
+/// `fig8b`'s Sammy arm.
 fn ablation_scavenger() {
-    banner("Ablation: LEDBAT scavenger vs Sammy (Sec 2.2 contrast)");
-    let base = LabConfig {
-        run_for: SimDuration::from_secs(60),
-        ..Default::default()
-    };
-    let scav = lab::scavenger_contrast(true, &base);
-    let sammy = lab::scavenger_contrast(false, &base);
+    banner("Ablation: LEDBAT scavenger (Sec 2.2 contrast; Sammy: fig_cc_matrix reno, fig8b)");
+    let solo = lab::single_flow(
+        LabArm::Control,
+        &LabConfig {
+            cc: CcAlgorithm::Ledbat,
+            run_for: SimDuration::from_secs(60),
+            ..Default::default()
+        },
+    );
+    let neighbor = lab::neighbor_tcp(
+        LabArm::Control,
+        &LabConfig {
+            cc: CcAlgorithm::Ledbat,
+            ..LabConfig::neighbors()
+        },
+    );
+    let (tput, rtt) = (solo.chunk_throughput_mbps, solo.median_rtt_ms);
     println!(
         "{:>12} {:>16} {:>14} {:>18}",
         "strategy", "solo tput Mbps", "solo RTT ms", "neighbor TCP Mbps"
     );
-    let mut csv = Vec::new();
-    for (name, r) in [("scavenger", &scav), ("sammy", &sammy)] {
-        println!(
-            "{name:>12} {:>16.1} {:>14.2} {:>18.1}",
-            r.solo_tput_mbps, r.solo_rtt_ms, r.neighbor_tcp_mbps
-        );
-        csv.push(format!(
-            "{name},{:.3},{:.3},{:.3}",
-            r.solo_tput_mbps, r.solo_rtt_ms, r.neighbor_tcp_mbps
-        ));
-    }
+    println!(
+        "{:>12} {tput:>16.1} {rtt:>14.2} {neighbor:>18.1}",
+        "scavenger"
+    );
     println!("The scavenger fully utilizes the link when alone; Sammy stays near 3x the bitrate.");
     save_csv(
         "ablation_scavenger.csv",
         "strategy,solo_tput_mbps,solo_rtt_ms,neighbor_tcp_mbps",
-        &csv,
+        &[format!("scavenger,{tput:.3},{rtt:.3},{neighbor:.3}")],
     );
 }
 
 fn fig_fairness(threads: usize) {
-    banner("Shared bottleneck: Jain's fairness, N Sammy vs N greedy sessions");
+    banner("Shared bottleneck: Jain's fairness and core queue, N Sammy vs N greedy sessions");
     let base = SharedLabConfig::default();
     let points = shared::fairness_curve(&[2, 4, 8], &base, threads);
     println!(
@@ -426,7 +413,11 @@ fn fig_fairness(threads: usize) {
     for p in &points {
         println!(
             "{:>4} {:>12.4} {:>12.4} {:>14.2} {:>14.2}",
-            p.n, p.greedy_jain, p.sammy_jain, p.greedy_mean_mbps, p.sammy_mean_mbps
+            p.n,
+            p.greedy.jain,
+            p.sammy.jain,
+            p.greedy.mean_mbps(),
+            p.sammy.mean_mbps()
         );
     }
     save_csv(
@@ -434,33 +425,26 @@ fn fig_fairness(threads: usize) {
         shared::FAIRNESS_CSV_HEADER,
         &shared::fairness_csv_rows(&points),
     );
-}
 
-fn fig_occupancy(threads: usize) {
-    banner("Shared bottleneck: core queue occupancy, N Sammy vs N greedy sessions");
-    let base = SharedLabConfig::default();
-    let (greedy, sammy) = shared::shared_occupancy(&base, threads);
+    // The occupancy trace is the default session count's pair of runs.
+    let p = points
+        .iter()
+        .find(|p| p.n == base.sessions)
+        .expect("the default N is on the curve");
+    let (greedy, sammy) = (&p.greedy, &p.sammy);
     println!(
         "greedy: peak {:.1} kB, {} drops; sammy: peak {:.1} kB, {} drops (N={})",
         greedy.core_peak_queue_bytes as f64 / 1e3,
         greedy.core_drops,
         sammy.core_peak_queue_bytes as f64 / 1e3,
         sammy.core_drops,
-        base.sessions
+        p.n
     );
-    let blank = (f64::NAN, f64::NAN);
-    let n = greedy
-        .core_occupancy_kb
-        .len()
-        .max(sammy.core_occupancy_kb.len());
-    let rows: Vec<String> = (0..n)
-        .map(|i| {
-            let (t, g) = *greedy.core_occupancy_kb.get(i).unwrap_or(&blank);
-            let (_, s) = *sammy.core_occupancy_kb.get(i).unwrap_or(&blank);
-            format!("{t:.1},{g:.3},{s:.3}")
-        })
-        .collect();
-    save_csv("fig_shared_occupancy.csv", "t_s,greedy_kb,sammy_kb", &rows);
+    save_csv(
+        "fig_shared_occupancy.csv",
+        "t_s,greedy_kb,sammy_kb",
+        &side_by_side(&greedy.core_occupancy_kb, &sammy.core_occupancy_kb),
+    );
 }
 
 fn fig_cc_matrix(threads: usize) {
@@ -469,13 +453,21 @@ fn fig_cc_matrix(threads: usize) {
         run_for: SimDuration::from_secs(60),
         ..Default::default()
     };
-    let cells = matrix::cc_matrix(&base, threads);
+    let runs = matrix::cc_matrix_runs(&base, threads);
+    let cells: Vec<_> = runs.iter().map(|(cell, _)| cell.clone()).collect();
     print!("{}", matrix::render_rows(&cells));
     save_csv(
         "fig_cc_matrix.csv",
         matrix::MATRIX_CSV_HEADER,
         &matrix::matrix_csv_rows(&cells),
     );
+    let reno = |arm| {
+        let cell = runs
+            .iter()
+            .find(|(c, _)| c.substrate == "reno" && c.arm == arm);
+        &cell.expect("the reno row").1
+    };
+    fig7(reno(LabArm::Control), reno(LabArm::Sammy));
 }
 
 fn spiral() {

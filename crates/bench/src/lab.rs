@@ -6,13 +6,11 @@
 //! the production (control) algorithm and once with Sammy and reports how
 //! the neighbor's QoE changes (Figs 7 and 8; Fig 7's traces are also the
 //! paper's Fig 1), or sweeps pacing burst sizes under cross traffic (Fig 4,
-//! whose bursts are also Table 1's mechanisms), or contrasts Sammy with the
-//! LEDBAT scavenger (§2.2).
+//! whose bursts are also Table 1's mechanisms). §2.2's LEDBAT scavenger is
+//! the same single-flow and Fig 8b runs on the LEDBAT substrate.
 
 use abr::{shared_history, HistoryPolicy, Mpc, ProductionAbr, SharedHistory};
-use netsim::{
-    Dumbbell, DumbbellConfig, FlowId, GaugeSeries, Rate, SimDuration, SimTime, Simulator,
-};
+use netsim::{Dumbbell, DumbbellConfig, FlowId, Rate, SimDuration, SimTime, Simulator};
 use sammy_core::{Sammy, SammyConfig};
 use std::sync::Arc;
 use traffic::{BulkReceiver, BulkSender, HttpClient};
@@ -192,8 +190,9 @@ fn install_video(
 pub struct SingleFlowResult {
     /// Client goodput per 100 ms bin: `(bin start s, Mbps)`.
     pub throughput_series: Vec<(f64, f64)>,
-    /// Smoothed RTT samples at the sender, in ms (the endpoint's own trace).
-    pub rtt_series: GaugeSeries,
+    /// The sender's smoothed RTT on the same 100 ms grid: `(s, ms)`, NaN
+    /// before the first ACK.
+    pub rtt_series: Vec<(f64, f64)>,
     /// Mean chunk throughput after playback starts (Mbps).
     pub chunk_throughput_mbps: f64,
     /// Median per-packet RTT (ms).
@@ -214,12 +213,30 @@ pub fn single_flow(arm: LabArm, cfg: &LabConfig) -> SingleFlowResult {
     let db = Dumbbell::build(&mut sim, cfg.dumbbell);
     let flow = FlowId(1);
     install_video(&mut sim, &db, 0, arm, cfg, SimTime::ZERO, flow);
+    // The sender's srtt is read between `run_until` steps, from outside the
+    // event loop (as `QueueMonitor::run_sampled` reads queue depth): a
+    // step boundary moves no event.
+    let mut rtt_series = Vec::new();
+    let mut at = SimTime::ZERO;
+    let mut run_sampled = |sim: &mut Simulator, deadline: SimTime| {
+        while at < deadline {
+            sim.run_until(at);
+            let server: &mut SenderEndpoint = sim.endpoint_mut(db.left[0]).expect("server");
+            let srtt = server.sender().core().srtt();
+            rtt_series.push((
+                at.as_secs_f64(),
+                srtt.map_or(f64::NAN, |d| d.as_millis_f64()),
+            ));
+            at += SimDuration::from_millis(100);
+        }
+        sim.run_until(deadline);
+    };
     // Both arms saturate the link during the (unpaced) initial phase, as
     // the paper's Fig 7 shows; the queue comparison targets steady state,
     // so reset the high-water mark once startup is over.
-    sim.run_until(SimTime::from_secs(15));
+    run_sampled(&mut sim, SimTime::from_secs(15));
     sim.link_mut(db.forward).queue.reset_max_occupancy();
-    sim.run_until(SimTime::ZERO + cfg.run_for);
+    run_sampled(&mut sim, SimTime::ZERO + cfg.run_for);
 
     let max_queue_bytes = sim.link(db.forward).queue.stats().max_occupied_bytes;
     // Sender-side stats.
@@ -227,9 +244,6 @@ pub fn single_flow(arm: LabArm, cfg: &LabConfig) -> SingleFlowResult {
     let stats = server.sender().stats().clone();
     let rtt_digest = server.sender().rtt_digest().clone();
     let completed = server.completed.clone();
-    // Moved out, not copied: at one sample per ACK this is the largest
-    // allocation of the run.
-    let rtt_series = std::mem::take(&mut server.rtt_trace);
 
     let client: &mut VideoClientEndpoint = sim.endpoint_mut(db.right[0]).expect("client endpoint");
     let qoe = client.player().qoe();
@@ -437,57 +451,6 @@ pub fn burst_sweep(burst: Option<u32>, cfg: &LabConfig) -> f64 {
     sim.run_until(SimTime::ZERO + cfg.run_for);
     let server: &mut SenderEndpoint = sim.endpoint_mut(server_node).expect("server");
     server.sender().stats().retransmit_fraction()
-}
-
-/// The scavenger-vs-Sammy contrast.
-#[derive(Debug, Clone)]
-pub struct ScavengerContrast {
-    /// Chunk throughput when the video streams alone (Mbps).
-    pub solo_tput_mbps: f64,
-    /// Median RTT when alone (ms).
-    pub solo_rtt_ms: f64,
-    /// Throughput of a competing bulk TCP neighbor (Mbps).
-    pub neighbor_tcp_mbps: f64,
-    /// Rebuffers in the competing case.
-    pub rebuffers: u64,
-}
-
-/// §2.2's scavenger contrast: one strategy measured both alone and against
-/// a bulk TCP neighbor.
-///
-/// `scavenger = true` runs an unpaced video on the LEDBAT substrate;
-/// `false` runs Sammy on Reno. The claim to reproduce: the scavenger
-/// fully utilizes the link when alone (bursty traffic persists), while
-/// Sammy stays near 3x the top bitrate in both cases.
-pub fn scavenger_contrast(scavenger: bool, base: &LabConfig) -> ScavengerContrast {
-    let (cfg, arm) = if scavenger {
-        (
-            LabConfig {
-                cc: CcAlgorithm::Ledbat,
-                ..base.clone()
-            },
-            LabArm::Control,
-        )
-    } else {
-        (base.clone(), LabArm::Sammy)
-    };
-
-    let solo = single_flow(arm, &cfg);
-
-    // Competing case: deep buffer keeps the video actively downloading.
-    let neighbor_cfg = LabConfig {
-        max_buffer: SimDuration::from_secs(3600),
-        run_for: SimDuration::from_secs(60),
-        ..cfg.clone()
-    };
-    let neighbor = neighbor_tcp(arm, &neighbor_cfg);
-
-    ScavengerContrast {
-        solo_tput_mbps: solo.chunk_throughput_mbps,
-        solo_rtt_ms: solo.median_rtt_ms,
-        neighbor_tcp_mbps: neighbor,
-        rebuffers: solo.rebuffers,
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -731,6 +694,11 @@ mod tests {
         assert!(control.play_delay_s < 5.0 && sammy.play_delay_s < 5.0);
         // Queue: Sammy never fills the 100 kB bottleneck queue.
         assert!(sammy.max_queue_bytes < control.max_queue_bytes);
+        // The srtt trace is on the goodput series' 100 ms grid; after
+        // startup Sammy's sits near the propagation floor.
+        assert_eq!(sammy.rtt_series.len(), 600);
+        assert_eq!(sammy.rtt_series[150].0, 15.0);
+        assert!(sammy.rtt_series[150..].iter().all(|&(_, ms)| ms < 6.0));
     }
 
     #[test]
@@ -781,32 +749,33 @@ mod tests {
         assert!(sammy > control * 1.1, "sammy {sammy} vs control {control}");
     }
 
+    /// §2.2: the LEDBAT scavenger runs near link rate when alone, Sammy
+    /// near 3x the top bitrate; both leave a bulk TCP neighbor at least
+    /// its fair share, and neither rebuffers.
     #[test]
     fn scavenger_fills_link_alone_sammy_does_not() {
-        let base = LabConfig {
+        let solo = LabConfig {
             run_for: SimDuration::from_secs(45),
             ..Default::default()
         };
-        let scav = scavenger_contrast(true, &base);
-        let sammy = scavenger_contrast(false, &base);
+        let ledbat = |cfg: &LabConfig| LabConfig {
+            cc: CcAlgorithm::Ledbat,
+            ..cfg.clone()
+        };
+        let scav = single_flow(LabArm::Control, &ledbat(&solo));
+        let sammy = single_flow(LabArm::Sammy, &solo);
+        let scav_neighbor = neighbor_tcp(LabArm::Control, &ledbat(&LabConfig::neighbors()));
+        let sammy_neighbor = neighbor_tcp(LabArm::Sammy, &LabConfig::neighbors());
         // Alone: the scavenger runs near link rate; Sammy near 3x bitrate.
         assert!(
-            scav.solo_tput_mbps > 2.0 * sammy.solo_tput_mbps,
+            scav.chunk_throughput_mbps > 2.0 * sammy.chunk_throughput_mbps,
             "scavenger alone {} vs sammy alone {}",
-            scav.solo_tput_mbps,
-            sammy.solo_tput_mbps
+            scav.chunk_throughput_mbps,
+            sammy.chunk_throughput_mbps
         );
         // Both are friendly to the TCP neighbor (>= fair share).
-        assert!(
-            scav.neighbor_tcp_mbps > 18.0,
-            "scav neighbor {}",
-            scav.neighbor_tcp_mbps
-        );
-        assert!(
-            sammy.neighbor_tcp_mbps > 18.0,
-            "sammy neighbor {}",
-            sammy.neighbor_tcp_mbps
-        );
+        assert!(scav_neighbor > 18.0, "scav neighbor {scav_neighbor}");
+        assert!(sammy_neighbor > 18.0, "sammy neighbor {sammy_neighbor}");
         // Neither strategy rebuffers.
         assert_eq!(scav.rebuffers, 0);
         assert_eq!(sammy.rebuffers, 0);

@@ -6,7 +6,8 @@
 //!   dumbbell — the single-flow trace (Fig 7, which is also the paper's
 //!   Fig 1), the burst-size sweep (Fig 4, whose bursts are also Table 1's
 //!   mechanisms), the neighboring UDP / TCP / HTTP / video experiments
-//!   (Fig 8), and the LEDBAT-scavenger contrast of §2.2.
+//!   (Fig 8), which on the LEDBAT substrate are also §2.2's scavenger
+//!   contrast.
 //! - [`figures`]: fluid-simulation production experiments — the A/B tables
 //!   (Tables 2 and 3), the throughput-bucket breakdown (Fig 3), the
 //!   parameter-sweep tradeoff (Fig 5), the cold-start series (Fig 6), the
@@ -22,7 +23,8 @@
 //! every transport substrate ({Reno, CUBIC, BBR} on TCP, CUBIC on the
 //! QUIC-style transport) × {unpaced control, Sammy}, backing the
 //! `fig_cc_matrix` figure — whose rows are also the Reno-vs-CUBIC
-//! substrate ablation and §2.2's Reno vs BBR vs Sammy contrast.
+//! substrate ablation and §2.2's Reno vs BBR vs Sammy contrast, and whose
+//! Reno row's traces are Fig 7.
 //!
 //! The `figures` binary (`cargo run -p sammy-bench --bin figures --release`)
 //! regenerates all of them as aligned text tables and CSV files.

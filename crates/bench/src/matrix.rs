@@ -7,14 +7,15 @@
 //! substrate in `{Reno, CUBIC, BBR} × TCP ∪ {CUBIC × QUIC}` and both
 //! pacing arms (unpaced production control vs Sammy), yielding the
 //! `fig_cc_matrix` figure: per cell, chunk throughput, median RTT,
-//! retransmit fraction, and peak bottleneck queue.
+//! retransmit fraction, and peak bottleneck queue. The `reno` row is the
+//! paper's Fig 7 setup, so its two runs' traces are Fig 7's CSVs.
 //!
 //! Cells run on the [`run_cells`] worker pool in a fixed order
 //! (substrate-major, arm-minor), so the CSV is byte-identical for every
 //! `--threads` setting — the CI determinism gate compares sha256 of the
 //! `--threads 1` and `--threads 8` outputs.
 
-use crate::lab::{single_flow, LabArm, LabConfig};
+use crate::lab::{single_flow, LabArm, LabConfig, SingleFlowResult};
 use crate::shared::run_cells;
 use transport::{CcAlgorithm, Protocol};
 
@@ -84,6 +85,15 @@ pub struct MatrixCell {
 /// substrate-major, arm-minor order (control before sammy), independent of
 /// `threads`.
 pub fn cc_matrix(base: &LabConfig, threads: usize) -> Vec<MatrixCell> {
+    cc_matrix_runs(base, threads)
+        .into_iter()
+        .map(|(cell, _)| cell)
+        .collect()
+}
+
+/// [`cc_matrix`] with each cell's single-flow run beside it: the `reno`
+/// pair's traces are Fig 7.
+pub fn cc_matrix_runs(base: &LabConfig, threads: usize) -> Vec<(MatrixCell, SingleFlowResult)> {
     let cells: Vec<(Substrate, LabArm)> = SUBSTRATES
         .iter()
         .flat_map(|&s| [(s, LabArm::Control), (s, LabArm::Sammy)])
@@ -95,7 +105,7 @@ pub fn cc_matrix(base: &LabConfig, threads: usize) -> Vec<MatrixCell> {
             ..base.clone()
         };
         let r = single_flow(arm, &cfg);
-        MatrixCell {
+        let cell = MatrixCell {
             substrate: s.label,
             transport: s.transport,
             cc: s.cc,
@@ -106,7 +116,8 @@ pub fn cc_matrix(base: &LabConfig, threads: usize) -> Vec<MatrixCell> {
             play_delay_s: r.play_delay_s,
             rebuffers: r.rebuffers,
             peak_queue_kb: r.max_queue_bytes as f64 / 1e3,
-        }
+        };
+        (cell, r)
     })
 }
 

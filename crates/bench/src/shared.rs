@@ -5,9 +5,10 @@
 //! two figures this module backs compare N Sammy sessions against N greedy
 //! (production-control) sessions:
 //!
-//! - **Shared-queue occupancy**: the core queue's depth over time. Greedy
-//!   sessions keep the shared queue standing; Sammy sessions pace near
-//!   3x the top bitrate and the queue stays shallow.
+//! - **Shared-queue occupancy**: the core queue's depth over time, read
+//!   from the fairness curve's N = 4 runs. Greedy sessions keep the shared
+//!   queue standing; Sammy sessions pace near 3x the top bitrate and the
+//!   queue stays shallow.
 //! - **Jain's-fairness curves**: Jain's index over per-session mean chunk
 //!   throughput as N grows, per arm and per core queue discipline.
 //!
@@ -182,31 +183,27 @@ pub fn shared_sessions(arm: LabArm, cfg: &SharedLabConfig) -> SharedRunResult {
     }
 }
 
-/// One N on the fairness curve: both arms at the same session count.
+impl SharedRunResult {
+    /// Mean per-session chunk throughput (Mbps).
+    pub fn mean_mbps(&self) -> f64 {
+        let xs = &self.per_session_mbps;
+        if xs.is_empty() {
+            0.0
+        } else {
+            xs.iter().sum::<f64>() / xs.len() as f64
+        }
+    }
+}
+
+/// One N on the fairness curve: both arms' runs at the same session count.
 #[derive(Debug, Clone)]
 pub struct FairnessPoint {
     /// Session count.
     pub n: usize,
-    /// Jain's index over the greedy (control) sessions.
-    pub greedy_jain: f64,
-    /// Jain's index over the Sammy sessions.
-    pub sammy_jain: f64,
-    /// Mean per-session chunk throughput, greedy arm (Mbps).
-    pub greedy_mean_mbps: f64,
-    /// Mean per-session chunk throughput, Sammy arm (Mbps).
-    pub sammy_mean_mbps: f64,
-    /// Peak shared-queue occupancy, greedy arm (kB).
-    pub greedy_peak_queue_kb: f64,
-    /// Peak shared-queue occupancy, Sammy arm (kB).
-    pub sammy_peak_queue_kb: f64,
-}
-
-fn mean(xs: &[f64]) -> f64 {
-    if xs.is_empty() {
-        0.0
-    } else {
-        xs.iter().sum::<f64>() / xs.len() as f64
-    }
+    /// The N greedy (production-control) sessions.
+    pub greedy: SharedRunResult,
+    /// The N Sammy sessions.
+    pub sammy: SharedRunResult,
 }
 
 /// Compute the N-Sammy-vs-N-greedy fairness curve over `ns` session
@@ -217,26 +214,19 @@ pub fn fairness_curve(ns: &[usize], base: &SharedLabConfig, threads: usize) -> V
         .iter()
         .flat_map(|&n| [(n, LabArm::Control), (n, LabArm::Sammy)])
         .collect();
-    let results = run_cells(&cells, threads, |&(n, arm)| {
+    let mut results = run_cells(&cells, threads, |&(n, arm)| {
         let cfg = SharedLabConfig {
             sessions: n,
             ..base.clone()
         };
         shared_sessions(arm, &cfg)
-    });
+    })
+    .into_iter();
     ns.iter()
-        .zip(results.chunks_exact(2))
-        .map(|(&n, pair)| {
-            let (greedy, sammy) = (&pair[0], &pair[1]);
-            FairnessPoint {
-                n,
-                greedy_jain: greedy.jain,
-                sammy_jain: sammy.jain,
-                greedy_mean_mbps: mean(&greedy.per_session_mbps),
-                sammy_mean_mbps: mean(&sammy.per_session_mbps),
-                greedy_peak_queue_kb: greedy.core_peak_queue_bytes as f64 / 1e3,
-                sammy_peak_queue_kb: sammy.core_peak_queue_bytes as f64 / 1e3,
-            }
+        .map(|&n| FairnessPoint {
+            n,
+            greedy: results.next().expect("greedy cell"),
+            sammy: results.next().expect("sammy cell"),
         })
         .collect()
 }
@@ -245,18 +235,19 @@ pub fn fairness_curve(ns: &[usize], base: &SharedLabConfig, threads: usize) -> V
 /// `n,greedy_jain,sammy_jain,greedy_mean_mbps,sammy_mean_mbps,greedy_peak_kb,sammy_peak_kb`.
 /// This exact formatting is pinned by the shared-determinism golden test.
 pub fn fairness_csv_rows(points: &[FairnessPoint]) -> Vec<String> {
+    let peak_kb = |r: &SharedRunResult| r.core_peak_queue_bytes as f64 / 1e3;
     points
         .iter()
         .map(|p| {
             format!(
                 "{},{:.6},{:.6},{:.4},{:.4},{:.2},{:.2}",
                 p.n,
-                p.greedy_jain,
-                p.sammy_jain,
-                p.greedy_mean_mbps,
-                p.sammy_mean_mbps,
-                p.greedy_peak_queue_kb,
-                p.sammy_peak_queue_kb
+                p.greedy.jain,
+                p.sammy.jain,
+                p.greedy.mean_mbps(),
+                p.sammy.mean_mbps(),
+                peak_kb(&p.greedy),
+                peak_kb(&p.sammy)
             )
         })
         .collect()
@@ -265,19 +256,6 @@ pub fn fairness_csv_rows(points: &[FairnessPoint]) -> Vec<String> {
 /// Header for [`fairness_csv_rows`].
 pub const FAIRNESS_CSV_HEADER: &str =
     "n,greedy_jain,sammy_jain,greedy_mean_mbps,sammy_mean_mbps,greedy_peak_kb,sammy_peak_kb";
-
-/// Shared-queue occupancy traces for N sessions: `(greedy, sammy)` runs at
-/// the same N. Both cells run on the worker pool.
-pub fn shared_occupancy(
-    base: &SharedLabConfig,
-    threads: usize,
-) -> (SharedRunResult, SharedRunResult) {
-    let cells = [LabArm::Control, LabArm::Sammy];
-    let mut results = run_cells(&cells, threads, |&arm| shared_sessions(arm, base));
-    let sammy = results.pop().expect("two cells");
-    let greedy = results.pop().expect("two cells");
-    (greedy, sammy)
-}
 
 /// Run every cell through the ordered worker pool
 /// ([`abtest::pool::ordered`]) and return results in cell order, so output
@@ -356,7 +334,7 @@ mod tests {
         assert_eq!(fairness_csv_rows(&a), fairness_csv_rows(&b));
         assert_eq!(a[0].n, 2);
         // Homogeneous sessions: both arms land in a sane fairness range.
-        assert!(a[0].sammy_jain > 0.8, "sammy jain {}", a[0].sammy_jain);
-        assert!(a[0].greedy_jain > 0.5, "greedy jain {}", a[0].greedy_jain);
+        assert!(a[0].sammy.jain > 0.8, "sammy jain {}", a[0].sammy.jain);
+        assert!(a[0].greedy.jain > 0.5, "greedy jain {}", a[0].greedy.jain);
     }
 }

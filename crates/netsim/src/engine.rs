@@ -1079,6 +1079,96 @@ mod tests {
         }
     }
 
+    /// Every `period`, sends a burst of `burst` datagrams of its flow to
+    /// `to`.
+    struct Burster {
+        to: NodeId,
+        flow: FlowId,
+        burst: u64,
+        period: SimDuration,
+    }
+
+    impl Endpoint for Burster {
+        fn on_packet(&mut self, _now: SimTime, _pkt: Packet, _ctx: &mut NodeCtx) {}
+        fn on_timer(&mut self, now: SimTime, token: u64, ctx: &mut NodeCtx) {
+            for i in 0..self.burst {
+                let seq = token * self.burst + i;
+                let pkt = Packet::new(ctx.node(), self.to, self.flow, Payload::Datagram { seq });
+                ctx.send(pkt.with_size(1500));
+            }
+            ctx.set_timer(now + self.period, token + 1);
+        }
+        fn as_any(&mut self) -> &mut dyn std::any::Any {
+            self
+        }
+    }
+
+    /// Answers every packet with a small one back to its source.
+    struct Echo;
+
+    impl Endpoint for Echo {
+        fn on_packet(&mut self, _now: SimTime, pkt: Packet, ctx: &mut NodeCtx) {
+            let reply = Packet::new(ctx.node(), pkt.src, pkt.flow, Payload::Datagram { seq: 0 });
+            ctx.send(reply.with_size(64));
+        }
+        fn on_timer(&mut self, _now: SimTime, _token: u64, _ctx: &mut NodeCtx) {}
+        fn as_any(&mut self) -> &mut dyn std::any::Any {
+            self
+        }
+    }
+
+    /// What reading state between `run_until` steps relies on (the lab's
+    /// 100 ms srtt samples, `QueueMonitor::run_sampled`): stepping to a
+    /// deadline in slices processes the same events as one `run_until`,
+    /// with timers firing on the slice boundaries and a queue that
+    /// overflows across them.
+    #[test]
+    fn run_until_in_slices_equals_one_run_until() {
+        use crate::topology::{Dumbbell, DumbbellConfig};
+        let end = SimTime::from_millis(2050);
+        let run = |slice: Option<SimDuration>| {
+            let mut sim = Simulator::new();
+            let db = Dumbbell::build(
+                &mut sim,
+                DumbbellConfig {
+                    pairs: 2,
+                    ..Default::default()
+                },
+            );
+            // 30 x 1500 B every 7 ms is ~51 Mbps into the 40 Mbps
+            // bottleneck; the 20 ms one lands on every slice boundary.
+            for (pair, burst, ms) in [(0, 30, 7), (1, 10, 20)] {
+                let burster = Burster {
+                    to: db.right[pair],
+                    flow: FlowId(1 + pair as u64),
+                    burst,
+                    period: SimDuration::from_millis(ms),
+                };
+                sim.set_endpoint(db.left[pair], Box::new(burster));
+                sim.set_endpoint(db.right[pair], Box::new(Echo));
+                sim.start_timer(db.left[pair], SimTime::ZERO, 0);
+            }
+            if let Some(slice) = slice {
+                let mut at = SimTime::ZERO;
+                while at < end {
+                    sim.run_until(at);
+                    at += slice;
+                }
+            }
+            sim.run_until(end);
+            let flows = [FlowId(1), FlowId(2)].map(|f| format!("{:?}", sim.flow_stats(f)));
+            let queues =
+                [db.forward, db.reverse].map(|l| format!("{:?}", sim.link(l).queue.stats()));
+            let drops = sim.link(db.forward).queue.stats().drops;
+            (sim.now(), sim.processed_events(), flows, queues, drops)
+        };
+        let whole = run(None);
+        assert_eq!(run(Some(SimDuration::from_millis(100))), whole);
+        assert_eq!(run(Some(SimDuration::from_micros(333))), whole);
+        // The scenario is not trivially quiet: the bottleneck dropped.
+        assert!(whole.4 > 0, "{whole:?}");
+    }
+
     #[test]
     fn tx_done_is_armed_only_behind_a_backlog() {
         let (mut sim, a, b, ab, _) = two_node_sim(12.0, SimDuration::from_millis(5));

@@ -18,8 +18,8 @@
 use crate::core::{CompletedTransfer, TcpConfig};
 use crate::mux::{self, Protocol, TransportReceiver, TransportSender};
 use netsim::{
-    BinnedThroughput, Endpoint, FlowId, GaugeSeries, NodeCtx, NodeId, Packet, Payload, Rate,
-    SimDuration, SimTime,
+    BinnedThroughput, Endpoint, FlowId, NodeCtx, NodeId, Packet, Payload, Rate, SimDuration,
+    SimTime,
 };
 
 /// Timer token a stand-alone [`SenderEndpoint`] uses for all wakeups.
@@ -30,8 +30,6 @@ pub struct SenderEndpoint {
     sender: TransportSender,
     /// Completed transfers drained from the sender after each event.
     pub completed: Vec<CompletedTransfer>,
-    /// Smoothed-RTT samples over time (ms), recorded on each ACK.
-    pub rtt_trace: GaugeSeries,
     /// Token of this endpoint's wakeup timer (distinct per slot when
     /// several share a node).
     pub(crate) token: u64,
@@ -50,7 +48,6 @@ impl SenderEndpoint {
         SenderEndpoint {
             sender: TransportSender::new(local, remote, flow, cfg),
             completed: Vec::new(),
-            rtt_trace: GaugeSeries::new(),
             token: TICK,
             next_timer: SimTime::MAX,
             out: Vec::new(),
@@ -99,13 +96,11 @@ impl SenderEndpoint {
 
 impl Endpoint for SenderEndpoint {
     fn on_packet(&mut self, now: SimTime, pkt: Packet, ctx: &mut NodeCtx) {
-        if self.sender.handle_packet(now, &pkt, &mut self.out) {
-            if let Some(srtt) = self.sender.core().srtt() {
-                self.rtt_trace.record(now, srtt.as_millis_f64());
-            }
-        } else if let Payload::Request { size, pace_bps, .. } = pkt.payload {
-            if pkt.flow == self.sender.core().flow() {
-                return self.serve(now, size, pace_bps.map(Rate::from_bps), ctx);
+        if !self.sender.handle_packet(now, &pkt, &mut self.out) {
+            if let Payload::Request { size, pace_bps, .. } = pkt.payload {
+                if pkt.flow == self.sender.core().flow() {
+                    return self.serve(now, size, pace_bps.map(Rate::from_bps), ctx);
+                }
             }
         }
         self.after_event(now, ctx);

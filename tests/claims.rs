@@ -3,10 +3,13 @@
 //! baseline and Fig 3, the four the fluid A/B produces
 //! (`figures --scale 3 table2 table3 baseline fig3`, 600 users an arm),
 //! the Fig 6 cold start (`figures --scale 3 fig6`, 360 users), the Fig 5
-//! tradeoff (`figures fig5`, 80 users an arm a point), and two
-//! packet-lab figures: Fig 4's burst sweep (which also holds Table 1's
-//! mechanisms) and the CC × pacing matrix (which also holds §2.2's Reno vs
-//! BBR vs Sammy contrast), `figures fig4 fig_cc_matrix`.
+//! tradeoff (`figures fig5`, 80 users an arm a point), and the packet
+//! lab: Fig 4's burst sweep (which also holds Table 1's mechanisms), the
+//! CC × pacing matrix (which also holds §2.2's Reno vs BBR vs Sammy
+//! contrast) with the Fig 7 traces its Reno row writes, §2.2's LEDBAT
+//! scavenger against that row and Fig 8b, and the shared-bottleneck
+//! fairness curve with its occupancy trace,
+//! `figures fig4 fig8b ablation fig_fairness fig_cc_matrix`.
 //!
 //! The goldens pin what the tree printed last; these say what the paper
 //! needs those numbers to *mean*. One test per claim, named for the
@@ -37,10 +40,18 @@
 //! median CI spans 0" (−0.052, +0.020); the paired mean is as null,
 //! +0.014 % [−0.009, +0.059].
 //!
+//! A packet-lab value carries no interval, so its margin rule is on the
+//! band: the committed value clears the bound by at least 5 % of it (each
+//! claim's doc gives both). A value on the edge — the N = 2 fairness row's
+//! 6 kB peak queue against a tenth of greedy's 60 kB — is one re-baseline
+//! from flapping, so that claim's band is a fifth.
+//!
 //! A band that cannot fail is not a check: the Table 2 throughput
 //! predicate is also run, red, on an arm with pacing effectively off; so is
-//! Fig 4's on a burst the pacer never binds, the matrix's with the
-//! control arm in Sammy's place, and Fig 6's with no history to wipe.
+//! Fig 4's on a burst the pacer never binds, the matrix's, Fig 7's and the
+//! fairness curve's with the control (greedy) arm in Sammy's place, §2.2's
+//! with Sammy's rate in the scavenger's, and Fig 6's with no history to
+//! wipe.
 
 use sammy_repro::abtest::ColdStartConfig;
 use sammy_repro::prelude::*;
@@ -473,4 +484,155 @@ fn cc_matrix_sammy_smooths_on_every_substrate() {
         sammy.chunk_tput_mbps <= 0.4 * bbr.chunk_tput_mbps,
         "sammy {sammy:?} vs bbr {bbr:?}"
     );
+}
+
+/// The post-startup samples of one column of `fig7_rtt.csv`: the paper's
+/// Fig 7 traces, the matrix's Reno row on a 100 ms grid.
+fn fig7_srtt(column: &str) -> Vec<f64> {
+    let lines = csv("fig7_rtt.csv");
+    let after = lines.iter().filter(|l| num(l, "t_s") >= FIG7_STARTUP_S);
+    after.map(|l| num(l, column)).collect()
+}
+
+/// Both arms saturate the link in the unpaced initial phase (Fig 7's
+/// first seconds); the claim is about what follows.
+const FIG7_STARTUP_S: f64 = 15.0;
+
+/// Fig 7's RTT claim over post-startup srtt samples: every Sammy sample is
+/// within 20 % of the propagation floor, and control's median is at least
+/// twice the floor — it keeps a standing queue. (Committed: Sammy's
+/// highest 5.551 ms against 6.0; control's median 17.371 against 10.)
+fn srtt_holds_the_floor(control: &[f64], sammy: &[f64]) -> bool {
+    let mut sorted = control.to_vec();
+    sorted.sort_by(f64::total_cmp);
+    !sammy.is_empty()
+        && sammy.iter().all(|&ms| ms <= 1.2 * FLOOR_RTT_MS)
+        && sorted[sorted.len() / 2] >= 2.0 * FLOOR_RTT_MS
+}
+
+/// Fig 7 (§6): alone on the lab link, Sammy's smoothed RTT stays near the
+/// propagation floor once startup is over while control's does not, at the
+/// same QoE — equal play delay, no rebuffers in either arm.
+#[test]
+fn fig7_sammy_rtt_stays_at_the_floor() {
+    let (control, sammy) = (fig7_srtt("control_srtt_ms"), fig7_srtt("sammy_srtt_ms"));
+    assert_eq!(control.len(), 450, "60 s at 100 ms from 15 s");
+    assert!(
+        srtt_holds_the_floor(&control, &sammy),
+        "{control:?} {sammy:?}"
+    );
+
+    let lines = csv("fig_cc_matrix.csv");
+    let reno = |arm: &str| {
+        let l = lines
+            .iter()
+            .find(|l| l["substrate"] == "reno" && l["arm"] == arm);
+        let l = l.unwrap_or_else(|| panic!("no cell reno.{arm}"));
+        (num(l, "play_delay_s"), num(l, "rebuffers"))
+    };
+    assert_eq!(reno("control"), reno("sammy"));
+    assert_eq!(reno("sammy").1, 0.0);
+
+    // Sabotage: control's column in Sammy's place must turn it red.
+    assert!(!srtt_holds_the_floor(&control, &control));
+}
+
+/// §2.2's scavenger contrast, from three runs: the LEDBAT scavenger alone
+/// runs at least twice Sammy's rate (it still saturates the link when
+/// nothing competes), yet both leave a bulk TCP neighbor at least the
+/// share it gets beside the control video. (Committed: 38.214 against
+/// 2 × 9.919; neighbors 28.385 and 28.767 against 19.556.)
+fn scavenger_contrast_holds(
+    scavenger_solo: f64,
+    sammy_solo: f64,
+    neighbors: [f64; 2],
+    fair: f64,
+) -> bool {
+    scavenger_solo >= 2.0 * sammy_solo && neighbors.iter().all(|&n| n >= fair)
+}
+
+/// §2.2 (`figures ablation`, with `fig_cc_matrix`'s `reno.sammy` and
+/// `fig8b`): a scavenger is friendly only under competition, while Sammy
+/// is smooth alone too.
+#[test]
+fn sec2_2_scavenger_fills_the_link_alone_sammy_does_not() {
+    let ablation = csv("ablation_scavenger.csv");
+    let scavenger = ablation
+        .iter()
+        .find(|l| l["strategy"] == "scavenger")
+        .expect("scavenger row");
+    let sammy_solo = csv("fig_cc_matrix.csv")
+        .iter()
+        .find(|l| l["substrate"] == "reno" && l["arm"] == "sammy")
+        .map(|l| num(l, "chunk_tput_mbps"))
+        .expect("reno.sammy cell");
+    let fig8b = csv("fig8b_tcp_tput.csv");
+    let arm = |a: &str| {
+        let l = fig8b.iter().find(|l| l["arm"] == a);
+        num(
+            l.unwrap_or_else(|| panic!("no fig8b arm {a}")),
+            "value_mbps",
+        )
+    };
+    let neighbors = [num(scavenger, "neighbor_tcp_mbps"), arm("sammy")];
+    let scav_solo = num(scavenger, "solo_tput_mbps");
+    assert!(
+        scavenger_contrast_holds(scav_solo, sammy_solo, neighbors, arm("control")),
+        "scavenger {scav_solo}, sammy {sammy_solo}, neighbors {neighbors:?}"
+    );
+
+    // Sabotage: Sammy's own rate in the scavenger's place must turn it red.
+    assert!(!scavenger_contrast_holds(
+        sammy_solo,
+        sammy_solo,
+        neighbors,
+        arm("control")
+    ));
+}
+
+/// One arm of a `fig_fairness.csv` row: Jain's index and peak core queue
+/// (kB).
+type FairArm = (f64, f64);
+
+/// The shared-bottleneck claim: at every N Sammy's Jain index is no lower
+/// than greedy's and its peak core queue at most a fifth of greedy's; after
+/// the 10 s startup Sammy's queue never exceeds a tenth of greedy's mean
+/// depth. (Committed: peaks 6 / 7.5 / 12 kB against 12 / 24 / 48; the
+/// trace's highest 3.0 kB against 9.0. Both indices sit within 0.004 of 1,
+/// so the ordering is read on the shortfall from 1: Sammy's is at most
+/// 0.39 of greedy's.)
+fn fairness_holds(rows: &[(FairArm, FairArm)], greedy_kb: &[f64], sammy_kb: &[f64]) -> bool {
+    let greedy_mean = greedy_kb.iter().sum::<f64>() / greedy_kb.len() as f64;
+    rows.iter()
+        .all(|&((g_jain, g_peak), (s_jain, s_peak))| s_jain >= g_jain && s_peak <= g_peak / 5.0)
+        && sammy_kb.iter().all(|&kb| kb <= greedy_mean / 10.0)
+}
+
+/// N Sammy sessions against N greedy ones on one ISP core
+/// (`figures fig_fairness`): Sammy is at least as fair and keeps the
+/// shared queue shallow.
+#[test]
+fn fairness_sammy_is_fair_and_keeps_the_core_queue_shallow() {
+    let rows: Vec<(FairArm, FairArm)> = csv("fig_fairness.csv")
+        .iter()
+        .map(|l| {
+            let arm = |a: &str| {
+                (
+                    num(l, &format!("{a}_jain")),
+                    num(l, &format!("{a}_peak_kb")),
+                )
+            };
+            (arm("greedy"), arm("sammy"))
+        })
+        .collect();
+    assert_eq!(rows.len(), 3, "N = 2, 4, 8");
+    let trace = csv("fig_shared_occupancy.csv");
+    let after: Vec<_> = trace.iter().filter(|l| num(l, "t_s") >= 10.0).collect();
+    let column = |c: &str| after.iter().map(|l| num(l, c)).collect::<Vec<f64>>();
+    let (greedy_kb, sammy_kb) = (column("greedy_kb"), column("sammy_kb"));
+    assert!(fairness_holds(&rows, &greedy_kb, &sammy_kb), "{rows:?}");
+
+    // Sabotage: greedy's columns in Sammy's place must turn it red.
+    let greedy_twice: Vec<_> = rows.iter().map(|&(g, _)| (g, g)).collect();
+    assert!(!fairness_holds(&greedy_twice, &greedy_kb, &greedy_kb));
 }

@@ -82,14 +82,14 @@ fn fairness_rows_match_golden_fingerprint() {
 fn n8_sammy_is_fair() {
     let point = &fairness_curve(&[8], &short_config(), 0)[0];
     assert!(
-        point.sammy_jain >= 0.90,
+        point.sammy.jain >= 0.90,
         "sammy jain {} too low at n=8",
-        point.sammy_jain
+        point.sammy.jain
     );
     assert!(
-        point.sammy_jain >= point.greedy_jain - 0.05,
+        point.sammy.jain >= point.greedy.jain - 0.05,
         "sammy ({}) should not be meaningfully less fair than greedy ({})",
-        point.sammy_jain,
-        point.greedy_jain
+        point.sammy.jain,
+        point.greedy.jain
     );
 }
