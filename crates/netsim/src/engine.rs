@@ -9,11 +9,11 @@
 //! engine looks up the next-hop link in the node's routing table and enqueues
 //! it. A link is busy until a *time* (`Link::free_at`), not until an event:
 //! when the wire is free the head-of-line packet starts serializing at once
-//! and its `PacketArrive` at the far end (serialization plus propagation
-//! delay) is armed then and there. Only a link with a backlog arms a
-//! `LinkTxDone` at `free_at`, to start the next packet; an idle hop costs one
-//! event. Arriving packets at their destination are handed to that node's
-//! endpoint; at intermediate nodes they are forwarded onward.
+//! and its arrival at the far end (serialization plus propagation delay) is
+//! due from then on. Only a link with a backlog arms a `LinkTxDone` at
+//! `free_at`, to start the next packet; an idle hop costs one event. Arriving
+//! packets at their destination are handed to that node's endpoint; at
+//! intermediate nodes they are forwarded onward.
 //!
 //! ## Hot-path layout
 //!
@@ -26,12 +26,20 @@
 //! so neither kind sifts through the other's population. Timers and packet
 //! events draw `seq` from one global counter, so the merged dispatch order
 //! is exactly the single-heap `(at, seq)` order.
+//!
+//! A wire is a FIFO. The packets a link has started wait for their arrival
+//! in `Link::wire`, already in `(at, seq)` order, and the packet heap holds
+//! one `PacketArrive` per link — its front's — not one per packet in flight.
+//! Each arrival still draws its `seq` when its packet starts, so dispatch
+//! order is what a heap of every arrival would give; dispatching one puts
+//! the wire's next front in its place with one sift.
 
 use crate::link::{Link, LinkConfig};
 use crate::packet::{FlowId, LinkId, NodeId, Packet, PacketId, PacketRef, PacketStore};
 use crate::queue::{Dequeue, EnqueueResult};
 use crate::time::{SimDuration, SimTime};
 use std::cmp::Reverse;
+use std::collections::binary_heap::PeekMut;
 use std::collections::{BinaryHeap, HashMap};
 
 /// Protocol logic attached to a node.
@@ -87,11 +95,10 @@ enum EventKind {
     /// re-polled at this time: enough tokens will have accrued to release
     /// the head-of-line packet.
     LinkWake(LinkId),
-    /// A packet reached the node at the far end of its last link. The
-    /// packet's fields live in the simulator's [`PacketStore`]; the event
-    /// carries only its dense id, so heap sifts move small events, never
-    /// the ~90-byte packet struct.
-    PacketArrive(NodeId, PacketId),
+    /// The packet at the front of this link's wire reached the far end.
+    /// One is scheduled per link with packets on its wire, keyed by the
+    /// front's `(at, seq)`; the rest wait in the link's FIFO (`Link::wire`).
+    PacketArrive(LinkId),
 }
 
 /// A heap entry: `what` is due at `at`. Every comparison keys on
@@ -182,17 +189,18 @@ impl std::error::Error for BudgetExceeded {}
 pub struct Simulator {
     now: SimTime,
     seq: u64,
-    /// Packet events (`LinkTxDone`, `LinkWake`, `PacketArrive`).
+    /// Packet events (`LinkTxDone`, `LinkWake`, and one `PacketArrive` per
+    /// link with packets on its wire).
     events: BinaryHeap<Reverse<Due<EventKind>>>,
     /// Endpoint timers; shares the `seq` counter with `events` so the merged
     /// dispatch order equals the historical single-heap order.
     timers: BinaryHeap<Reverse<Due<(NodeId, u64)>>>,
     nodes: Vec<Node>,
     links: Vec<Link>,
-    /// Every packet currently inside the network (queued, serializing, or
-    /// propagating). The hot loop moves 24-byte [`PacketRef`]s; full
-    /// packets are copied out only at final delivery. Id reuse follows
-    /// event order, so it is deterministic.
+    /// Every packet currently inside the network (queued, or on a link's
+    /// wire: serializing or propagating). The hot loop moves 24-byte
+    /// [`PacketRef`]s; full packets are copied out only at final delivery.
+    /// Id reuse follows event order, so it is deterministic.
     store: PacketStore,
     /// Dense per-flow stats indexed by `FlowId` (ids < `DENSE_FLOWS`).
     flow_stats: Vec<FlowStats>,
@@ -408,8 +416,13 @@ impl Simulator {
         match self.links[id.0].transmit_next(now, &mut dropped) {
             Dequeue::Packet(pkt) => {
                 let link = &self.links[id.0];
-                let (arrive, dst) = (link.free_at + link.delay, link.dst);
-                self.push_event(arrive, EventKind::PacketArrive(dst, pkt.id));
+                let arrive = link.free_at + link.delay;
+                // The arrival draws its seq now, as if it had its own heap
+                // entry; it gets one only as the front of the wire.
+                let Reverse(due) = self.due(arrive, EventKind::PacketArrive(id));
+                if self.links[id.0].push_wire(due.at, due.seq, pkt.id) {
+                    self.events.push(Reverse(due));
+                }
                 self.arm_tx_done(id);
             }
             Dequeue::Wait(at) => {
@@ -471,14 +484,32 @@ impl Simulator {
             let (node, token) = e.what;
             self.with_endpoint(node, |ep, ctx| ep.on_timer(at, token, ctx));
         } else {
-            let Reverse(ev) = self.events.pop().expect("peeked event vanished");
-            match ev.what {
+            let top = self.events.peek_mut().expect("peeked event vanished");
+            match top.0.what {
+                EventKind::PacketArrive(id) => {
+                    let link = &mut self.links[id.0];
+                    let (_, _, pid) = link.wire.pop_front().expect("arrival off an empty wire");
+                    match link.wire.front() {
+                        // The wire's next packet takes the top's place: one
+                        // sift down instead of a pop and a push.
+                        Some(&(at, seq, _)) => {
+                            let mut top = top;
+                            (top.0.at, top.0.seq) = (at, seq);
+                        }
+                        None => {
+                            PeekMut::pop(top);
+                        }
+                    }
+                    let node = link.dst;
+                    self.deliver(node, pid);
+                }
                 EventKind::LinkTxDone(id) => {
+                    PeekMut::pop(top);
                     self.links[id.0].done_pending = false;
                     self.kick_link(id);
                 }
-                EventKind::PacketArrive(node, pid) => self.deliver(node, pid),
                 EventKind::LinkWake(id) => {
+                    PeekMut::pop(top);
                     let link = &mut self.links[id.0];
                     if link.wake_at.is_some_and(|w| w <= self.now) {
                         link.wake_at = None;
@@ -560,9 +591,20 @@ impl Simulator {
         self.check_topology_conservation();
     }
 
+    /// Mutant mode: shorten every link's propagation delay mid-run, as a
+    /// write to a public `delay` field could. The next packet a link with
+    /// packets on its wire starts lands ahead of them: must trip
+    /// `wire-order`.
+    #[cfg(feature = "validate")]
+    pub fn mutant_shorten_delays(&mut self) {
+        for link in &mut self.links {
+            link.delay = SimDuration::ZERO;
+        }
+    }
+
     /// Shared-queue conservation across the whole topology: every packet a
     /// source injected is delivered, dropped, or still live in the packet
-    /// store (queued on some hop, or on a wire toward its armed arrival).
+    /// store, and every live packet is queued on some hop or on some wire.
     /// Checked at run boundaries — O(links + flows), off the per-event path.
     #[cfg(feature = "validate")]
     pub fn check_topology_conservation(&self) {
@@ -578,15 +620,16 @@ impl Simulator {
             delivered += st.delivered_packets;
             dropped += st.dropped_packets;
         }
-        // Cross-check the store's live count against the queue census:
-        // every live id is queued or parked in the heap as an arrival.
+        // Cross-check the store's live count against the link census.
         let queued: u64 = self.links.iter().map(|l| l.queue.len() as u64).sum();
+        let on_wire: u64 = self.links.iter().map(|l| l.wire.len() as u64).sum();
         let live = self.store.live() as u64;
         crate::invariant!(
             "topology-packet-conservation",
-            queued <= live,
-            "queued {} exceeds live store count {}",
+            queued + on_wire == live,
+            "queued {} + on the wire {} != live store count {}",
             queued,
+            on_wire,
             live
         );
         crate::invariant!(
@@ -1169,31 +1212,39 @@ mod tests {
         assert!(whole.4 > 0, "{whole:?}");
     }
 
+    /// What is pending: packet-heap entries, and packets on wires (each
+    /// with an arrival due; only a wire's front has a heap entry).
+    fn pending(sim: &Simulator) -> (usize, usize) {
+        let on_wire = sim.links.iter().map(|l| l.wire.len()).sum();
+        (sim.events.len(), on_wire)
+    }
+
     #[test]
     fn tx_done_is_armed_only_behind_a_backlog() {
         let (mut sim, a, b, ab, _) = two_node_sim(12.0, SimDuration::from_millis(5));
         let arrivals = record_arrivals(&mut sim, b);
         // A lone packet: its arrival, nothing else.
         sim.inject(a, dgram(a, b, 0));
-        assert_eq!(sim.events.len(), 1);
+        assert_eq!(pending(&sim), (1, 1));
         assert!(!sim.link(ab).done_pending);
         // The first packet to queue behind it arms the one LinkTxDone; the
         // second finds it pending.
         sim.inject(a, dgram(a, b, 1));
-        assert_eq!(sim.events.len(), 2);
+        assert_eq!(pending(&sim), (2, 1));
         assert!(sim.link(ab).done_pending);
         sim.inject(a, dgram(a, b, 2));
-        assert_eq!(sim.events.len(), 2);
+        assert_eq!(pending(&sim), (2, 1));
 
         // 1 ms: packet 1 starts with packet 2 still behind it -> re-armed.
         assert!(sim.step());
         assert_eq!(sim.now(), SimTime::from_millis(1));
         assert!(sim.link(ab).done_pending);
         // 2 ms: packet 2 starts and leaves the queue empty -> not re-armed.
+        // Three arrivals are due, behind the one heap entry of the wire.
         assert!(sim.step());
         assert_eq!(sim.now(), SimTime::from_millis(2));
         assert!(!sim.link(ab).done_pending);
-        assert_eq!(sim.events.len(), 3);
+        assert_eq!(pending(&sim), (1, 3));
 
         // A packet that finds the wire long free arms only its arrival.
         sim.run_until(SimTime::from_millis(20));
@@ -1204,6 +1255,37 @@ mod tests {
         assert_eq!(arrival_times(&arrivals), at_ms);
         // Four arrivals and the two LinkTxDones.
         assert_eq!(sim.processed_events(), 6);
+    }
+
+    #[test]
+    fn arrival_heap_holds_one_entry_per_link() {
+        // 1 ms to serialize, 5 ms to propagate: by 4 ms the k = 5 packets
+        // injected back to back are all on the wire, none queued.
+        let (mut sim, a, b, ab, ba) = two_node_sim(12.0, SimDuration::from_millis(5));
+        let arrivals = record_arrivals(&mut sim, b);
+        let k = 5;
+        for seq in 0..k {
+            sim.inject(a, dgram(a, b, seq));
+        }
+        sim.run_until(SimTime::from_millis(4));
+        assert_eq!(sim.link(ab).queue.len(), 0);
+        assert_eq!(pending(&sim), (1, k as usize));
+        // A packet on the other link is that link's one entry.
+        sim.inject(b, dgram(b, a, k));
+        assert_eq!(pending(&sim), (2, k as usize + 1));
+        assert_eq!(sim.link(ba).wire.len(), 1);
+
+        sim.run_to_completion();
+        assert_eq!(pending(&sim), (0, 0));
+        let got: Vec<(SimTime, Payload)> = arrivals
+            .borrow()
+            .iter()
+            .map(|(at, pkt)| (*at, pkt.payload))
+            .collect();
+        let expect = (0..k).map(|seq| (SimTime::from_millis(6 + seq), Payload::Datagram { seq }));
+        assert_eq!(got, expect.collect::<Vec<_>>());
+        // Four LinkTxDones, k + 1 arrivals.
+        assert_eq!(sim.processed_events(), 4 + k + 1);
     }
 
     #[test]

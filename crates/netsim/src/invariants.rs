@@ -22,7 +22,8 @@
 //! | tag | crate | meaning |
 //! |-----|-------|---------|
 //! | `queue-byte-conservation` | netsim | enqueued = dequeued + dropped + queued per queue |
-//! | `topology-packet-conservation` | netsim | injected = delivered + dropped + live in the store (queued ≤ live), per flow-summed topology |
+//! | `topology-packet-conservation` | netsim | injected = delivered + dropped + live in the store, and live = queued + on a wire, per flow-summed topology |
+//! | `wire-order` | netsim | a link's wire FIFO is pushed in increasing arrival `(time, seq)` |
 //! | `dispatch-order` | netsim | events dispatch in strictly increasing `(time, seq)`, never behind the clock |
 //! | `packet-store` | netsim | packet-store ids never double-allocated or double-freed |
 //! | `tcp-sender-sanity` | transport | `snd_una <= snd_nxt <= stream_end`, cwnd/inflight bounds |

@@ -98,6 +98,19 @@ fn phantom_inject_mutant_trips_topology_conservation() {
 }
 
 #[test]
+fn shortened_delay_mutant_trips_wire_order() {
+    let (mut sim, _db) = mid_transfer_sim();
+    expect_violation("wire-order", || {
+        sim.mutant_shorten_delays();
+        // Mid-transfer the bottleneck has data on its wire; its next start
+        // would now arrive ahead of them.
+        for _ in 0..100 {
+            sim.step();
+        }
+    });
+}
+
+#[test]
 fn store_double_free_mutant_trips_packet_store() {
     let (mut sim, _db) = mid_transfer_sim();
     expect_violation("packet-store", || {
