@@ -24,7 +24,7 @@
 
 use crate::lab::{lab_abr, lab_title, player_config, LabArm};
 use netsim::{
-    Discipline, FlowId, LinkConfig, QueueMonitor, Rate, SharedTopology, SharedTopologyConfig,
+    Discipline, DumbbellConfig, FlowId, QueueMonitor, Rate, SharedTopology, SharedTopologyConfig,
     SimDuration, SimTime, Simulator,
 };
 use transport::{MultiSenderEndpoint, TcpConfig};
@@ -75,21 +75,18 @@ impl Default for SharedLabConfig {
 }
 
 impl SharedLabConfig {
-    /// The topology this configuration describes: the default CDN/access
-    /// tiers with the core scaled to `sessions x core_mbps_per_session`
-    /// and carrying the configured discipline.
+    /// The topology this configuration describes: the paper's lab path
+    /// with the core scaled to `sessions x core_mbps_per_session` and
+    /// carrying the configured discipline.
     pub fn topology(&self) -> SharedTopologyConfig {
-        let rate = Rate::from_mbps(self.core_mbps_per_session * self.sessions as f64);
+        let lab = SharedTopologyConfig::from(DumbbellConfig {
+            bottleneck_rate: Rate::from_mbps(self.core_mbps_per_session * self.sessions as f64),
+            ..Default::default()
+        });
         SharedTopologyConfig {
             sessions: self.sessions,
-            core: LinkConfig::with_bdp_queue(
-                rate,
-                SimDuration::from_micros(2500),
-                SimDuration::from_millis(5),
-                4.0,
-            )
-            .with_discipline(self.discipline),
-            ..Default::default()
+            core: lab.core.with_discipline(self.discipline),
+            ..lab
         }
     }
 }

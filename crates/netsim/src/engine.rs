@@ -263,7 +263,7 @@ impl Simulator {
     }
 
     /// Add a unidirectional link and return its id.
-    pub fn add_link(&mut self, src: NodeId, dst: NodeId, cfg: LinkConfig) -> LinkId {
+    pub(crate) fn add_link(&mut self, src: NodeId, dst: NodeId, cfg: LinkConfig) -> LinkId {
         assert!(
             src.0 < self.nodes.len() && dst.0 < self.nodes.len(),
             "unknown node"

@@ -21,7 +21,8 @@
 //! - [`shaper`]: token-bucket ISP rate shaping (non-work-conserving).
 //! - [`link`]: serialization + propagation delay model.
 //! - [`engine`]: the event loop, [`Simulator`], and the [`Endpoint`] trait.
-//! - [`topology`]: dumbbell + shared CDN/ISP/access builders.
+//! - [`topology`]: the one topology builder, the shared CDN/ISP/access path;
+//!   the lab dumbbell is its one-session view.
 //! - [`monitor`]: periodic queue-depth sampling for the Fig 7 traces.
 //! - [`trace`]: throughput/gauge recorders for the figures.
 //!

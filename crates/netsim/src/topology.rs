@@ -1,13 +1,15 @@
-//! Topology builders.
+//! The topology builder.
 //!
-//! The paper's lab experiments use a dumbbell: several senders on one side,
-//! several receivers on the other, all traffic crossing one bottleneck link.
-//! [`Dumbbell`] builds that topology and installs all routes, leaving the
-//! caller to attach endpoints to the host nodes.
+//! Every packet experiment runs on one path: senders, one contended queue,
+//! receivers. [`SharedTopology::build`] builds it and installs its routes,
+//! leaving the caller to attach endpoints to the host nodes: one CDN origin
+//! serves N clients through a shared ISP core link, and cross-traffic host
+//! pairs contend on the same core queue. Every other link is fast, short
+//! and deep-queued, so the core queue is the only one that matters.
 //!
-//! [`SharedTopology`] generalizes the lab to population scale: one CDN
-//! origin serves N clients through a shared ISP core link (the contended
-//! queue), with optional cross-traffic hosts contending on the same core.
+//! [`Dumbbell`] is the paper's lab (§6) seen through that builder: one
+//! session and `pairs - 1` cross pairs, named as left hosts (senders) and
+//! right hosts (receivers) around the bottleneck.
 
 use crate::engine::Simulator;
 use crate::link::LinkConfig;
@@ -15,7 +17,7 @@ use crate::packet::{LinkId, NodeId};
 use crate::time::SimDuration;
 use crate::units::Rate;
 
-/// Configuration for a dumbbell topology.
+/// Configuration for a dumbbell: the lab's bottleneck and its host pairs.
 #[derive(Debug, Clone, Copy)]
 pub struct DumbbellConfig {
     /// Bottleneck line rate.
@@ -25,9 +27,6 @@ pub struct DumbbellConfig {
     pub rtt: SimDuration,
     /// Bottleneck queue size as a multiple of the bandwidth-delay product.
     pub queue_bdp_multiple: f64,
-    /// Edge (access) link rate. Should be much faster than the bottleneck so
-    /// that only the bottleneck queue matters.
-    pub edge_rate: Rate,
     /// Number of sender/receiver host pairs.
     pub pairs: usize,
 }
@@ -40,7 +39,6 @@ impl Default for DumbbellConfig {
             bottleneck_rate: Rate::from_mbps(40.0),
             rtt: SimDuration::from_millis(5),
             queue_bdp_multiple: 4.0,
-            edge_rate: Rate::from_gbps(1.0),
             pairs: 1,
         }
     }
@@ -48,16 +46,16 @@ impl Default for DumbbellConfig {
 
 /// A built dumbbell: left hosts (senders), right hosts (receivers), and the
 /// two bottleneck directions.
+///
+/// `left[0]` / `right[0]` are the shared topology's origin and its one
+/// client; `left[i]` / `right[i]` for `i >= 1` are its cross-traffic pairs.
+/// Host `left[i]` reaches `right[i]` and back.
 #[derive(Debug)]
 pub struct Dumbbell {
     /// Host nodes on the left (conventionally servers / senders).
     pub left: Vec<NodeId>,
     /// Host nodes on the right (conventionally clients / receivers).
     pub right: Vec<NodeId>,
-    /// Left-side aggregation router.
-    pub left_router: NodeId,
-    /// Right-side aggregation router.
-    pub right_router: NodeId,
     /// Bottleneck link carrying left-to-right traffic (the congested
     /// direction in all experiments: data flows server -> client).
     pub forward: LinkId,
@@ -67,80 +65,22 @@ pub struct Dumbbell {
 
 impl Dumbbell {
     /// Build the dumbbell inside `sim` and install all routes.
+    ///
+    /// # Panics
+    /// Panics if `pairs` is zero.
     pub fn build(sim: &mut Simulator, cfg: DumbbellConfig) -> Self {
-        assert!(cfg.pairs >= 1, "need at least one host pair");
-        let left_router = sim.add_node();
-        let right_router = sim.add_node();
-
-        // Each bottleneck direction carries half the propagation RTT. The
-        // queue is sized from the full RTT's BDP, as in the paper.
-        let one_way = SimDuration::from_nanos(cfg.rtt.as_nanos() / 2);
-        let bn_cfg = LinkConfig::with_bdp_queue(
-            cfg.bottleneck_rate,
-            one_way,
-            cfg.rtt,
-            cfg.queue_bdp_multiple,
-        );
-        let forward = sim.add_link(left_router, right_router, bn_cfg);
-        let reverse = sim.add_link(right_router, left_router, bn_cfg);
-
-        // Edge links: fast, short, deep-queued so they never interfere.
-        let edge_cfg = LinkConfig::new(
-            cfg.edge_rate,
-            SimDuration::from_micros(10),
-            64 * 1024 * 1024,
-        );
-
-        let mut left = Vec::with_capacity(cfg.pairs);
-        let mut right = Vec::with_capacity(cfg.pairs);
-        let mut edges = Vec::new();
-        for _ in 0..cfg.pairs {
-            let l = sim.add_node();
-            let r = sim.add_node();
-            let (l_up, l_down) = sim.add_duplex_link(l, left_router, edge_cfg);
-            let (r_up, r_down) = sim.add_duplex_link(r, right_router, edge_cfg);
-            edges.push((l, r, l_up, l_down, r_up, r_down));
-            left.push(l);
-            right.push(r);
-        }
-
-        // Routes. Hosts send everything toward their router; routers cross
-        // the bottleneck for the far side and fan out locally for the near
-        // side.
-        for &(l, r, l_up, l_down, r_up, r_down) in &edges {
-            // Every left host reaches every right host (and vice versa).
-            for &(ol, or, ..) in &edges {
-                sim.add_route(l, or, l_up);
-                sim.add_route(r, ol, r_up);
-                if ol != l {
-                    sim.add_route(l, ol, l_up);
-                    sim.add_route(r, or, r_up);
-                }
-            }
-            sim.add_route(left_router, r, forward);
-            sim.add_route(right_router, l, reverse);
-            // Local fan-out for same-side traffic.
-            sim.add_route(left_router, l, l_down);
-            sim.add_route(right_router, r, r_down);
-        }
-
+        let st = SharedTopology::build(sim, cfg.into());
         Dumbbell {
-            left,
-            right,
-            left_router,
-            right_router,
-            forward,
-            reverse,
+            left: [st.origin].into_iter().chain(st.cross_sources).collect(),
+            right: st.clients.into_iter().chain(st.cross_sinks).collect(),
+            forward: st.core_down,
+            reverse: st.core_up,
         }
     }
 }
 
-/// Configuration for a [`SharedTopology`]: three link tiers, all duplex.
-///
-/// The default mirrors the paper-lab dumbbell hop for hop (same rates,
-/// delays and queue sizes on every tier), so a one-session shared topology
-/// reproduces the legacy dumbbell session byte-for-byte — the differential
-/// test relies on this.
+/// Configuration for a [`SharedTopology`]: how many sessions and cross
+/// pairs share the core link, and the core link itself.
 #[derive(Debug, Clone, Copy)]
 pub struct SharedTopologyConfig {
     /// Number of video clients hanging off the access router.
@@ -149,40 +89,38 @@ pub struct SharedTopologyConfig {
     /// router, sinks at the access router, so cross flows contend on the
     /// ISP core queue and nothing else.
     pub cross_pairs: usize,
-    /// CDN egress: origin <-> core.
-    pub cdn: LinkConfig,
-    /// ISP core: core <-> access. This is the shared bottleneck; give it
-    /// an AQM/FQ/shaper discipline via `core.discipline`.
+    /// ISP core: core <-> access, both directions. This is the shared
+    /// bottleneck; give it an AQM/FQ/shaper discipline via
+    /// `core.discipline`.
     pub core: LinkConfig,
-    /// Access tier: access <-> each client.
-    pub access: LinkConfig,
-    /// Attachment links for cross-traffic hosts.
-    pub edge: LinkConfig,
 }
 
-impl Default for SharedTopologyConfig {
-    fn default() -> Self {
-        let db = DumbbellConfig::default();
-        let one_way = SimDuration::from_nanos(db.rtt.as_nanos() / 2);
-        let fast = LinkConfig {
-            rate: db.edge_rate,
-            delay: SimDuration::from_micros(10),
-            queue_bytes: 64 * 1024 * 1024,
-            discipline: Default::default(),
-        };
+impl From<DumbbellConfig> for SharedTopologyConfig {
+    /// The lab's path: one session and `pairs - 1` cross pairs on its
+    /// bottleneck. Each direction carries half the propagation RTT; the
+    /// queue is sized from the full RTT's BDP, as in the paper.
+    ///
+    /// # Panics
+    /// Panics if `pairs` is zero.
+    fn from(db: DumbbellConfig) -> Self {
+        assert!(db.pairs >= 1, "need at least one host pair");
         SharedTopologyConfig {
             sessions: 1,
-            cross_pairs: 0,
-            cdn: fast,
+            cross_pairs: db.pairs - 1,
             core: LinkConfig::with_bdp_queue(
                 db.bottleneck_rate,
-                one_way,
+                SimDuration::from_nanos(db.rtt.as_nanos() / 2),
                 db.rtt,
                 db.queue_bdp_multiple,
             ),
-            access: fast,
-            edge: fast,
         }
+    }
+}
+
+impl Default for SharedTopologyConfig {
+    /// The paper's lab at one session: [`DumbbellConfig::default`].
+    fn default() -> Self {
+        DumbbellConfig::default().into()
     }
 }
 
@@ -231,11 +169,18 @@ impl SharedTopology {
     /// Panics if `sessions` is zero.
     pub fn build(sim: &mut Simulator, cfg: SharedTopologyConfig) -> Self {
         assert!(cfg.sessions >= 1, "need at least one session");
+        // Every link but the core: fast, short, deep-queued so it never
+        // interferes.
+        let edge = LinkConfig::new(
+            Rate::from_gbps(1.0),
+            SimDuration::from_micros(10),
+            64 * 1024 * 1024,
+        );
         let origin = sim.add_node();
         let core = sim.add_node();
         let access = sim.add_node();
 
-        let (cdn_down, cdn_up) = sim.add_duplex_link(origin, core, cfg.cdn);
+        let (cdn_down, cdn_up) = sim.add_duplex_link(origin, core, edge);
         let (core_down, core_up) = sim.add_duplex_link(core, access, cfg.core);
 
         // Shared-path routes toward the origin.
@@ -247,7 +192,7 @@ impl SharedTopology {
         let mut access_up = Vec::with_capacity(cfg.sessions);
         for _ in 0..cfg.sessions {
             let c = sim.add_node();
-            let (down, up) = sim.add_duplex_link(access, c, cfg.access);
+            let (down, up) = sim.add_duplex_link(access, c, edge);
             sim.add_route(origin, c, cdn_down);
             sim.add_route(core, c, core_down);
             sim.add_route(access, c, down);
@@ -262,8 +207,8 @@ impl SharedTopology {
         for _ in 0..cfg.cross_pairs {
             let src = sim.add_node();
             let sink = sim.add_node();
-            let (src_up, src_down) = sim.add_duplex_link(src, core, cfg.edge);
-            let (sink_up, sink_down) = sim.add_duplex_link(sink, access, cfg.edge);
+            let (src_up, src_down) = sim.add_duplex_link(src, core, edge);
+            let (sink_up, sink_down) = sim.add_duplex_link(sink, access, edge);
             // Forward: src -> core -> (shared core queue) -> access -> sink.
             sim.add_route(src, sink, src_up);
             sim.add_route(core, sink, core_down);
@@ -390,7 +335,7 @@ mod tests {
     }
 
     #[test]
-    fn shared_default_mirrors_dumbbell_tiers() {
+    fn shared_default_is_the_lab_at_one_session() {
         let mut sim = Simulator::new();
         let st = SharedTopology::build(&mut sim, SharedTopologyConfig::default());
         // Core tier carries the paper-lab bottleneck: 100 kB 4x-BDP queue.
@@ -399,6 +344,25 @@ mod tests {
         assert_eq!(sim.link(st.cdn_down).rate, Rate::from_gbps(1.0));
         assert_eq!(st.clients.len(), 1);
         assert!(st.cross_sources.is_empty());
+    }
+
+    /// The dumbbell is a view, not a second builder: the same nodes and
+    /// links, named left and right.
+    #[test]
+    fn dumbbell_is_the_shared_topology_with_cross_pairs() {
+        let cfg = DumbbellConfig {
+            pairs: 3,
+            ..Default::default()
+        };
+        let (mut a, mut b) = (Simulator::new(), Simulator::new());
+        let db = Dumbbell::build(&mut a, cfg);
+        let st = SharedTopology::build(&mut b, cfg.into());
+        assert_eq!(st.cross_sources.len(), 2);
+        assert_eq!(db.left[0], st.origin);
+        assert_eq!(db.left[1..], st.cross_sources[..]);
+        assert_eq!(db.right[..1], st.clients[..]);
+        assert_eq!(db.right[1..], st.cross_sinks[..]);
+        assert_eq!((db.forward, db.reverse), (st.core_down, st.core_up));
     }
 
     #[test]

@@ -9,7 +9,7 @@ fn run_injection(n: u64, size: u64, queue_bytes: u64, rate_mbps: f64) -> (u64, u
     let mut sim = Simulator::new();
     let a = sim.add_node();
     let b = sim.add_node();
-    let link = sim.add_link(
+    let (link, _) = sim.add_duplex_link(
         a,
         b,
         LinkConfig::new(
@@ -68,7 +68,7 @@ proptest! {
         let mut sim = Simulator::new();
         let a = sim.add_node();
         let b = sim.add_node();
-        let l = sim.add_link(a, b, LinkConfig::new(
+        let (l, _) = sim.add_duplex_link(a, b, LinkConfig::new(
             Rate::from_mbps(10.0),
             SimDuration::from_millis(1),
             100_000,

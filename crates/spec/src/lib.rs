@@ -263,7 +263,8 @@ spec_struct! {
 
 impl NetworkSpec {
     /// A dumbbell needs a positive rate and queue and a non-negative RTT,
-    /// all finite: a zero rate divides, and its play delay prints NaN.
+    /// all finite: a zero rate divides, and its play delay prints NaN. The
+    /// run length and the RTT must fit the simulation clock.
     fn check(&self) -> Result<(), SimError> {
         for (field, value, lowest_ok) in [
             ("rate_mbps", self.rate_mbps, f64::MIN_POSITIVE),
@@ -282,6 +283,18 @@ impl NetworkSpec {
                 });
             }
         }
+        // Both become `u64` nanoseconds: past that a run length wraps and
+        // an RTT saturates, and the run is silently another one.
+        let clock = |field, value: String| SimError::InvalidConfig {
+            field,
+            reason: format!("must fit in u64 nanoseconds, got {value}"),
+        };
+        if self.run_secs.checked_mul(1_000_000_000).is_none() {
+            return Err(clock("run_secs", self.run_secs.to_string()));
+        }
+        if (self.rtt_ms / 1000.0 * 1e9).round() >= u64::MAX as f64 {
+            return Err(clock("rtt_ms", self.rtt_ms.to_string()));
+        }
         Ok(())
     }
 
@@ -292,7 +305,6 @@ impl NetworkSpec {
             rtt: SimDuration::from_secs_f64(self.rtt_ms / 1000.0),
             queue_bdp_multiple: self.queue_bdp,
             pairs,
-            ..DumbbellConfig::default()
         }
     }
 
@@ -972,6 +984,28 @@ mod tests {
             for bad in [f64::NAN, f64::INFINITY] {
                 let v = obj(vec![(field, Value::Num(bad))]);
                 assert_eq!(invalid_field(NetworkSpec::from_json(&v)), field);
+            }
+        }
+    }
+
+    /// The run length and the RTT are `u64` nanoseconds in the simulator:
+    /// one past the largest that fits is refused, not wrapped.
+    #[test]
+    fn network_lengths_must_fit_the_clock() {
+        let max_secs = u64::MAX / 1_000_000_000;
+        for (field, value, ok) in [
+            ("run_secs", max_secs.to_string(), true),
+            ("run_secs", (max_secs + 1).to_string(), false),
+            ("run_secs", (1u64 << 53).to_string(), false),
+            ("rtt_ms", "1.8e13".to_string(), true),
+            ("rtt_ms", "1.9e13".to_string(), false),
+            ("rtt_ms", "1e300".to_string(), false),
+        ] {
+            let spec = network_field(field, &value);
+            if ok {
+                assert!(spec.is_ok(), "{field} = {value}: {spec:?}");
+            } else {
+                assert_eq!(invalid_field(spec), field, "{field} = {value}");
             }
         }
     }

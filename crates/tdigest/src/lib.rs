@@ -50,11 +50,10 @@ pub(crate) struct Centroid {
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct TDigest {
     scale: Scale,
-    centroids: Vec<Centroid>,
-    /// Whether `centroids` is non-decreasing in `mean`. A reclustering pass
+    /// In mean order, up to the rounding of a merge: a reclustering pass
     /// can leave neighbours an ulp out of order (a merged mean rounds past
-    /// the next centroid's); the next pass then has to restore it first.
-    sorted: bool,
+    /// the next centroid's), and the next pass sorts first.
+    centroids: Vec<Centroid>,
     buffer: Vec<f64>,
     count: f64,
     min: f64,
@@ -171,7 +170,6 @@ impl TDigest {
         TDigest {
             scale: Scale::new(compression),
             centroids: Vec::new(),
-            sorted: true,
             buffer: Vec::new(),
             count: 0.0,
             min: f64::INFINITY,
@@ -227,33 +225,6 @@ impl TDigest {
         }
     }
 
-    /// Add a sample with a positive weight (e.g. a pre-aggregated bucket).
-    ///
-    /// Like [`TDigest::add`], non-finite inputs are ignored — including an
-    /// infinite *weight*, which would otherwise poison `count` and every
-    /// later quantile. NaN and non-positive weights are ignored too, so a
-    /// digest can never hold a poisoned centroid by construction.
-    pub fn add_weighted(&mut self, value: f64, weight: f64) {
-        if !value.is_finite() || !weight.is_finite() || weight <= 0.0 {
-            return;
-        }
-        self.flush_buffer();
-        self.min = self.min.min(value);
-        self.max = self.max.max(value);
-        let new = Centroid {
-            mean: value,
-            weight,
-        };
-        if !self.sorted {
-            self.repair_order();
-        }
-        // Where a stable sort would put a centroid pushed at the end.
-        let at = self.centroids.partition_point(|c| c.mean <= value);
-        self.centroids.insert(at, new);
-        self.count += weight;
-        self.recluster();
-    }
-
     /// Merge another digest into this one.
     ///
     /// Merging is how the paper combines per-connection RTT digests into a
@@ -267,7 +238,6 @@ impl TDigest {
         self.min = self.min.min(other.min);
         self.max = self.max.max(other.max);
         self.centroids.extend_from_slice(&other.centroids);
-        self.sorted = false;
         self.count += other.count;
         self.recluster();
     }
@@ -339,7 +309,6 @@ impl TDigest {
         let max = r.f64("tdigest.max")?;
         let n = r.len("tdigest.centroids")?;
         let mut centroids = Vec::with_capacity(n.min(1 << 20));
-        let mut sorted = true;
         let mut prev = f64::NEG_INFINITY;
         for _ in 0..n {
             let mean = r.f64("tdigest.centroid.mean")?;
@@ -351,7 +320,6 @@ impl TDigest {
             if !mean.is_finite() || !weight.is_finite() || weight <= 0.0 || disorder {
                 return Err(bad("tdigest.centroid"));
             }
-            sorted &= prev <= mean;
             prev = mean;
             centroids.push(Centroid { mean, weight });
         }
@@ -361,7 +329,6 @@ impl TDigest {
         Ok(TDigest {
             scale: Scale::new(compression),
             centroids,
-            sorted,
             buffer: Vec::new(),
             count,
             min,
@@ -394,22 +361,7 @@ impl TDigest {
                 mean: v,
                 weight: 1.0,
             }));
-        self.sorted = false;
         self.recluster();
-    }
-
-    /// Put back in order the neighbours a pass left an ulp out of it: a
-    /// stable insertion pass, O(n + inversions) with no scratch, ending in
-    /// the order any stable sort yields.
-    fn repair_order(&mut self) {
-        for i in 1..self.centroids.len() {
-            let mut j = i;
-            while j > 0 && self.centroids[j - 1].mean > self.centroids[j].mean {
-                self.centroids.swap(j - 1, j);
-                j -= 1;
-            }
-        }
-        self.sorted = true;
     }
 
     /// Re-cluster `self.centroids`, in place, so each centroid's quantile
@@ -417,13 +369,10 @@ impl TDigest {
     /// order and merge each into its predecessor while the pair stays
     /// within one unit of k-space.
     fn recluster(&mut self) {
-        if !self.sorted {
-            // Stable, so equal means keep their insertion order and the
-            // merge arithmetic below sees them in one defined sequence.
-            self.centroids
-                .sort_by(|a, b| a.mean.partial_cmp(&b.mean).expect("finite means"));
-            self.sorted = true;
-        }
+        // Stable, so equal means keep their insertion order and the merge
+        // arithmetic below sees them in one defined sequence.
+        self.centroids
+            .sort_by(|a, b| a.mean.partial_cmp(&b.mean).expect("finite means"));
         let n = self.centroids.len();
         let (scale, total) = (self.scale, self.count);
         // Decisions multiply by this; `so_far`, means and weights never do.
@@ -458,20 +407,13 @@ impl TDigest {
                 current.weight = proposed;
             } else {
                 so_far += current.weight;
-                self.keep(kept, current);
+                self.centroids[kept] = current;
                 kept += 1;
                 current = c;
             }
         }
-        self.keep(kept, current);
+        self.centroids[kept] = current;
         self.centroids.truncate(kept + 1);
-    }
-
-    fn keep(&mut self, at: usize, c: Centroid) {
-        if at > 0 && self.centroids[at - 1].mean > c.mean {
-            self.sorted = false;
-        }
-        self.centroids[at] = c;
     }
 
     fn quantile_inner(&self, q: f64) -> f64 {
@@ -537,7 +479,7 @@ impl FromIterator<f64> for TDigest {
 
 #[cfg(test)]
 mod tests {
-    use super::oracle::{check_same, Oracle};
+    use super::oracle::{check_same, merge_point, point, Oracle};
     use super::*;
     use rand::prelude::*;
     use std::cell::Cell;
@@ -590,33 +532,6 @@ mod tests {
         d.add(1.0);
         assert_eq!(d.count(), 1);
         assert_eq!(d.median(), 1.0);
-    }
-
-    /// Regression: `add_weighted` with an infinite weight used to pass the
-    /// `weight > 0` check, setting `count = inf` and making every subsequent
-    /// quantile garbage. All non-finite or non-positive weights (and NaN
-    /// values) must be ignored, keeping the digest unpoisoned.
-    #[test]
-    fn weighted_non_finite_inputs_cannot_poison() {
-        let mut d = TDigest::default();
-        d.add_weighted(1.0, f64::INFINITY);
-        d.add_weighted(1.0, f64::NAN);
-        d.add_weighted(1.0, -3.0);
-        d.add_weighted(1.0, 0.0);
-        d.add_weighted(f64::NAN, 1.0);
-        d.add_weighted(f64::INFINITY, 1.0);
-        assert!(d.is_empty());
-        assert!(d.quantile(0.5).is_nan());
-
-        d.add_weighted(10.0, 3.0);
-        d.add_weighted(20.0, 1.0);
-        assert_eq!(d.count(), 4);
-        assert_eq!(d.quantile(0.0), 10.0);
-        assert_eq!(d.quantile(1.0), 20.0);
-        // A later poisoned insert must leave the healthy digest untouched.
-        d.add_weighted(5.0, f64::INFINITY);
-        assert_eq!(d.count(), 4);
-        assert!(d.median().is_finite());
         // NaN q reports NaN instead of an arbitrary centroid.
         assert!(d.quantile(f64::NAN).is_nan());
     }
@@ -691,16 +606,6 @@ mod tests {
         let n = d.flushed().centroids.len();
         // k1 scale function bounds centroids to ~2δ.
         assert!(n <= 2 * 100 + 10, "too many centroids: {n}");
-    }
-
-    #[test]
-    fn weighted_add() {
-        let mut d = TDigest::default();
-        d.add_weighted(1.0, 100.0);
-        d.add_weighted(3.0, 100.0);
-        assert_eq!(d.count(), 200);
-        let m = d.mean();
-        assert!((m - 2.0).abs() < 1e-9);
     }
 
     #[test]
@@ -802,7 +707,7 @@ mod tests {
     #[test]
     fn sub_unit_weight_is_not_empty() {
         let mut d = TDigest::default();
-        d.add_weighted(41.5, 0.3);
+        d.merge(&point(41.5, 0.3));
         assert_eq!(d.count(), 0);
         assert!(!d.is_empty());
         assert_eq!(d.min(), Some(41.5));
@@ -820,6 +725,11 @@ mod tests {
         Ok(back)
     }
 
+    /// Whether some neighbouring centroids are out of mean order.
+    fn out_of_order(d: &TDigest) -> bool {
+        d.centroids.windows(2).any(|p| p[0].mean > p[1].mean)
+    }
+
     /// Regression: merged means round an ulp past their
     /// neighbour on two-valued streams, and `decode` used to refuse the
     /// bytes `encode` had just written for such a digest.
@@ -832,13 +742,13 @@ mod tests {
                 d.add(if i % 2 == 0 { 0.1 } else { other });
             }
             let back = round_trip(&d).expect("decode(encode(d))");
-            unsorted_seen += usize::from(!back.sorted);
+            unsorted_seen += usize::from(out_of_order(&back));
             assert_eq!(back.median().to_bits(), d.median().to_bits());
         }
         let mut d = TDigest::default();
         for i in 0..5000 {
-            d.add_weighted(if i % 2 == 0 { 52.7 } else { 82.7 }, 1.0);
-            unsorted_seen += usize::from(!d.sorted);
+            d.merge(&point(if i % 2 == 0 { 52.7 } else { 82.7 }, 1.0));
+            unsorted_seen += usize::from(out_of_order(&d));
             round_trip(&d).expect("decode(encode(d))");
         }
         assert!(unsorted_seen > 0, "the streams no longer reproduce the bug");
@@ -864,23 +774,21 @@ mod tests {
         // An ulp of disorder is a merge's rounding; more is corruption.
         let ulp_down = f64::from_bits(5.0f64.to_bits() - 1);
         let ulp_off = decode(&encode(&[(5.0, 2.0), (ulp_down, 1.0), (9.0, 2.0)], 5.0)).unwrap();
-        assert!(!ulp_off.sorted);
+        assert!(out_of_order(&ulp_off));
         assert!(decode(&encode(&[(5.0, 2.0), (4.999, 1.0), (9.0, 2.0)], 5.0)).is_err());
         assert!(decode(&encode(&[(5.0, 2.0), (-5.0, 1.0), (9.0, 2.0)], 5.0)).is_err());
     }
 
-    /// The pass's own output can be an ulp out of order; the next
-    /// `add_weighted` must then restore the order the old pass's stable
-    /// sort gave before inserting at a partition point.
+    /// The pass's own output can be an ulp out of order; the next pass
+    /// must then sort it as the old pass's stable sort did.
     #[test]
-    fn unsorted_array_is_repaired_and_matches() {
+    fn unsorted_array_is_sorted_and_matches() {
         let (mut new, mut old) = (TDigest::default(), Oracle::new(100.0));
         let mut entered_unsorted = 0;
         for i in 0..5000 {
             let v = if i % 2 == 0 { 52.7 } else { 82.7 };
-            entered_unsorted += usize::from(!new.sorted);
-            new.add_weighted(v, 1.0);
-            old.add_weighted(v, 1.0);
+            entered_unsorted += usize::from(out_of_order(&new));
+            merge_point(&mut new, &mut old, v, 1.0);
             check_same(&new, &old, true).unwrap();
         }
         assert!(
@@ -976,8 +884,7 @@ mod tests {
         let before = verbatim_decisions();
         for i in 0..200 {
             let (v, w) = ((i * 37 % 101) as f64, 1e-320 * (1 + i % 3) as f64);
-            new.add_weighted(v, w);
-            old.add_weighted(v, w);
+            merge_point(&mut new, &mut old, v, w);
             check_same(&new, &old, true).unwrap();
         }
         assert!(new.centroids.len() > 20);
@@ -1033,14 +940,17 @@ mod tests {
     }
 
     /// The point of the kernel: in steady state (a compressed digest taking
-    /// one weighted sample at a time) the fallback is the rare case.
+    /// one weighted point at a time) the fallback is the rare case.
     #[test]
     fn steady_state_rarely_needs_the_original_expression() {
         let mut rng = StdRng::seed_from_u64(9);
         let mut d = TDigest::default();
         let before = verbatim_decisions();
         for _ in 0..4000 {
-            d.add_weighted(20.0 + rng.gen::<f64>() * 60.0, 0.5 + rng.gen::<f64>() * 4.0);
+            d.merge(&point(
+                20.0 + rng.gen::<f64>() * 60.0,
+                0.5 + rng.gen::<f64>() * 4.0,
+            ));
         }
         let verbatim = verbatim_decisions() - before;
         assert!(d.centroids.len() > 40);

@@ -31,22 +31,6 @@ impl Oracle {
         }
     }
 
-    pub(crate) fn add_weighted(&mut self, value: f64, weight: f64) {
-        if !value.is_finite() || !weight.is_finite() || weight <= 0.0 {
-            return;
-        }
-        self.flush_buffer();
-        let d = &mut self.0;
-        d.min = d.min.min(value);
-        d.max = d.max.max(value);
-        d.centroids.push(Centroid {
-            mean: value,
-            weight,
-        });
-        d.count += weight;
-        self.compress_centroids();
-    }
-
     pub(crate) fn merge(&mut self, other: &Oracle) {
         let mut other = other.clone();
         other.flush_buffer();
@@ -129,8 +113,26 @@ fn k(compression: f64, q: f64) -> f64 {
     compression / (2.0 * std::f64::consts::PI) * (2.0 * q - 1.0).asin()
 }
 
-/// Everything a digest holds, as bits (`sorted` is the kernel's own
-/// bookkeeping and has no counterpart in the oracle).
+/// A digest holding one centroid: `weight` samples at `value`.
+pub(crate) fn point(value: f64, weight: f64) -> TDigest {
+    let mut d = TDigest::default();
+    d.centroids.push(Centroid {
+        mean: value,
+        weight,
+    });
+    (d.count, d.min, d.max) = (weight, value, value);
+    d
+}
+
+/// Feed both digests `weight` samples at `value`: a weighted sample is the
+/// merge of a one-centroid digest.
+pub(crate) fn merge_point(new: &mut TDigest, old: &mut Oracle, value: f64, weight: f64) {
+    let p = point(value, weight);
+    new.merge(&p);
+    old.merge(&Oracle(p));
+}
+
+/// Everything a digest holds, as bits.
 fn state_bits(d: &TDigest) -> (Vec<(u64, u64)>, Vec<u64>, [u64; 3]) {
     (
         d.centroids
@@ -199,10 +201,9 @@ fn weight(mode: usize, rng: &mut StdRng) -> f64 {
 }
 
 /// The value family that is not a value distribution but a session-shaped
-/// stream through the generic `add_weighted` path: a fresh digest, one
-/// `add_weighted` a chunk of an uncongested RTT `a` or a congested one `b`,
-/// weighted like a chunk's download time, then the median (among
-/// `check_same`'s reads).
+/// stream of weighted points: a fresh digest, one point merged a chunk, at
+/// an uncongested RTT `a` or a congested one `b` and weighted like a
+/// chunk's download time, then the median (among `check_same`'s reads).
 const SESSION: usize = 5;
 const SESSION_CHUNKS: usize = 338;
 
@@ -216,8 +217,7 @@ fn session_streams(seed: u64, compression: f64, ops: usize) -> Result<(), String
         for chunk in 0..SESSION_CHUNKS {
             let v = if rng.gen::<f64>() < congested { b } else { a };
             let w = 1e-6 + rng.gen::<f64>() * (4.0 - 1e-6);
-            new.add_weighted(v, w);
-            old.add_weighted(v, w);
+            merge_point(&mut new, &mut old, v, w);
             check_same(&new, &old, true).map_err(|e| {
                 format!("seed {seed} δ {compression} session {session} chunk {chunk}: {e}")
             })?;
@@ -270,8 +270,7 @@ fn edge_passes(seed: u64, compression: f64, ops: usize) -> Result<(), String> {
             .collect();
         (new.count, new.min, new.max) = (head.iter().sum(), 1.0, head.len() as f64);
         let mut old = Oracle(new.clone());
-        new.add_weighted(9.0, last);
-        old.add_weighted(9.0, last);
+        merge_point(&mut new, &mut old, 9.0, last);
         check_same(&new, &old, true)
             .map_err(|e| format!("seed {seed} δ {compression} case {case} q0 {q0}: {e}"))?;
     }
@@ -279,7 +278,8 @@ fn edge_passes(seed: u64, compression: f64, ops: usize) -> Result<(), String> {
 }
 
 /// Drive a kernel digest and an oracle through the same random interleaving
-/// of `add`, `add_weighted` and `merge`, comparing after every operation.
+/// of `add`, weighted points and `merge`s of a side digest, comparing after
+/// every operation.
 fn differential(
     seed: u64,
     family: usize,
@@ -320,8 +320,7 @@ fn differential(
             }
             40..=84 => {
                 let w = weight(weights, &mut rng);
-                new.add_weighted(v, w);
-                old.add_weighted(v, w);
+                merge_point(&mut new, &mut old, v, w);
             }
             85..=94 => {
                 if rng.gen::<bool>() {
@@ -329,8 +328,7 @@ fn differential(
                     side_old.add(v);
                 } else {
                     let w = weight(weights, &mut rng);
-                    side_new.add_weighted(v, w);
-                    side_old.add_weighted(v, w);
+                    merge_point(&mut side_new, &mut side_old, v, w);
                 }
                 check_same(&side_new, &side_old, false)?;
             }

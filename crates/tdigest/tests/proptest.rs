@@ -55,13 +55,13 @@ proptest! {
     fn tie_heavy_streams_round_trip(
         values in prop::collection::vec(0.05f64..100.0, 2..5),
         picks in prop::collection::vec(0usize..4, 1..6000),
-        weighted in any::<bool>(),
+        merged in any::<bool>(),
     ) {
         let mut d = TDigest::default();
         for pick in picks {
             let v = values[pick % values.len()];
-            if weighted {
-                d.add_weighted(v, 1.0 + (pick % 3) as f64);
+            if merged {
+                d.merge(&std::iter::repeat_n(v, 1 + pick % 3).collect());
             } else {
                 d.add(v);
             }

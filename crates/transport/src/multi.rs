@@ -99,7 +99,9 @@ impl Endpoint for MultiSenderEndpoint {
 mod tests {
     use super::*;
     use crate::endpoint::ReceiverEndpoint;
-    use netsim::{Dumbbell, DumbbellConfig, Payload, Simulator};
+    use netsim::{
+        Dumbbell, DumbbellConfig, Payload, SharedTopology, SharedTopologyConfig, Simulator,
+    };
 
     fn run_single(bytes: u64, pace: Option<f64>, multi: bool) -> (u64, u64, u64) {
         let mut sim = Simulator::new();
@@ -154,29 +156,31 @@ mod tests {
     #[test]
     fn two_flows_complete_independently() {
         let mut sim = Simulator::new();
-        let db = Dumbbell::build(
+        let topo = SharedTopology::build(
             &mut sim,
-            DumbbellConfig {
-                pairs: 2,
-                ..DumbbellConfig::default()
+            SharedTopologyConfig {
+                sessions: 2,
+                ..Default::default()
             },
         );
         let mut ep = MultiSenderEndpoint::new();
-        // Both senders live on left[0]; receivers on right[0] and right[1].
+        // Both senders live on the origin; one receiver per client.
         for (i, flow) in [FlowId(1), FlowId(2)].into_iter().enumerate() {
-            ep.add_flow(db.left[0], db.right[i], flow, TcpConfig::default());
+            let client = topo.clients[i];
+            ep.add_flow(topo.origin, client, flow, TcpConfig::default());
             sim.set_endpoint(
-                db.right[i],
-                Box::new(ReceiverEndpoint::new(db.right[i], db.left[0], flow)),
+                client,
+                Box::new(ReceiverEndpoint::new(client, topo.origin, flow)),
             );
         }
         assert_eq!(ep.slots.len(), 2);
         assert_eq!(ep.slot_of(FlowId(2)), Some(1));
-        sim.set_endpoint(db.left[0], Box::new(ep));
+        sim.set_endpoint(topo.origin, Box::new(ep));
         for (i, flow) in [FlowId(1), FlowId(2)].into_iter().enumerate() {
+            let client = topo.clients[i];
             let req = Packet::new(
-                db.right[i],
-                db.left[0],
+                client,
+                topo.origin,
                 flow,
                 Payload::Request {
                     id: 0,
@@ -184,10 +188,10 @@ mod tests {
                     pace_bps: Some(8e6),
                 },
             );
-            sim.inject(db.right[i], req);
+            sim.inject(client, req);
         }
         sim.run_until(SimTime::from_secs(30));
-        let ep: &mut MultiSenderEndpoint = sim.endpoint_mut(db.left[0]).unwrap();
+        let ep: &mut MultiSenderEndpoint = sim.endpoint_mut(topo.origin).unwrap();
         for slot in 0..2 {
             assert_eq!(ep.completed(slot).len(), 1, "slot {slot}");
             assert_eq!(ep.completed(slot)[0].bytes, 1_000_000);

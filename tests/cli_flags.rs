@@ -75,6 +75,9 @@ fn a_spec_the_api_would_refuse_exits_2_naming_the_field() {
         (&["single-flow", "--rate-mbps", "-5"][..], "rate_mbps"),
         (&["single-flow", "--rate-mbps", "inf"][..], "rate_mbps"),
         (&["matrix", "--rtt-ms", "-1"][..], "rtt_ms"),
+        (&["matrix", "--rtt-ms", "1e20"][..], "rtt_ms"),
+        // 18446744074 s is past `u64` nanoseconds: it used to wrap to 0.29 s.
+        (&["single-flow", "--secs", "18446744074"][..], "run_secs"),
         (&["abtest", "--seed", "18446744073709551615"][..], "seed"),
         (&["tune", "--reps", "100001"][..], "bootstrap_reps"),
         (&["tune", "--reps", "0"][..], "bootstrap_reps"),

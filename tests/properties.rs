@@ -356,7 +356,7 @@ proptest! {
     #[test]
     fn drr_gives_reno_flows_jain_fairness(n in 2usize..6, rate_step in 0u64..3) {
         use sammy_repro::netsim::{
-            Discipline, DrrConfig, FlowId, LinkConfig, Rate, SharedTopology,
+            Discipline, DrrConfig, DumbbellConfig, FlowId, Rate, SharedTopology,
             SharedTopologyConfig, SimTime, Simulator,
         };
         use sammy_repro::sammy_bench::shared::jain_index;
@@ -364,16 +364,14 @@ proptest! {
         use sammy_repro::transport::TcpConfig;
 
         let core_rate = Rate::from_mbps(16.0 + 8.0 * rate_step as f64);
+        let lab = SharedTopologyConfig::from(DumbbellConfig {
+            bottleneck_rate: core_rate,
+            ..Default::default()
+        });
         let topo_cfg = SharedTopologyConfig {
             cross_pairs: n,
-            core: LinkConfig::with_bdp_queue(
-                core_rate,
-                SimDuration::from_micros(2500),
-                SimDuration::from_millis(5),
-                4.0,
-            )
-            .with_discipline(Discipline::Drr(DrrConfig::default())),
-            ..Default::default()
+            core: lab.core.with_discipline(Discipline::Drr(DrrConfig::default())),
+            ..lab
         };
         let mut sim = Simulator::new();
         let topo = SharedTopology::build(&mut sim, topo_cfg);

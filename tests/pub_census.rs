@@ -40,7 +40,6 @@ const ALLOWED: &[(&str, &str)] = &[
     ("crates/video/src/player.rs", "buffer_level"),       // the buffer-cap property
     ("crates/video/src/abr_api.rs", "FixedRung"),         // a decision-free player
     ("crates/obs/src/lib.rs", "counter_value"),           // exact session counts
-    ("crates/tdigest/src/lib.rs", "add_weighted"),        // no production caller (ROADMAP 11)
     // Input validation: the caps the daemon tests probe.
     ("crates/serve/src/http.rs", "MAX_BODY"),
     ("crates/serve/src/http.rs", "MAX_HEAD"),

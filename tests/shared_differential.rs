@@ -1,16 +1,15 @@
-//! Differential test: the shared CDN → ISP-core → access topology with
-//! N = 1 and drop-tail queues reproduces the legacy private-bottleneck
-//! (dumbbell) session **byte-for-byte**.
+//! Differential test: on one path, the multi-flow origin endpoint's slot 0
+//! reproduces the single-flow sender **byte-for-byte**.
 //!
-//! The default [`SharedTopologyConfig`] mirrors the dumbbell hop-for-hop
-//! (same rates, delays, and queue capacities on all three tiers), and the
-//! multi-flow origin endpoint arms the same timer token for slot 0 as the
-//! legacy single-flow endpoint. Node and link ids differ between the two
-//! builds, but ids never influence event ordering — so the full event
-//! trace fingerprint (processed-event count, final clock, per-flow
-//! delivery and drop accounting, bottleneck byte counters) must match
-//! exactly. Any divergence means the topology refactor changed engine
-//! behavior on the legacy path.
+//! [`Dumbbell`] is the paper-lab view of [`SharedTopology`] at one session,
+//! so both runs below cross the same nodes and links built by the same
+//! builder. What differs is the sender: [`SenderEndpoint`] on the dumbbell's
+//! left host, [`MultiSenderEndpoint`] with one flow on the shared
+//! topology's origin. Slot 0 arms the same timer token as the single-flow
+//! endpoint, so the full event trace fingerprint (processed-event count,
+//! final clock, per-flow delivery and drop accounting, bottleneck byte
+//! counters) must match exactly, and both are pinned to the goldens of
+//! `perf_determinism.rs`.
 
 use sammy_repro::netsim::{
     Dumbbell, DumbbellConfig, FlowId, LinkId, Packet, Payload, SharedTopology,
@@ -71,7 +70,7 @@ fn request(
     )
 }
 
-/// The legacy path: private dumbbell, single-flow sender endpoint.
+/// The single-flow sender endpoint on the lab dumbbell.
 fn dumbbell_transfer(pace_bps: Option<f64>) -> Trace {
     let mut sim = Simulator::new();
     let db = Dumbbell::build(&mut sim, DumbbellConfig::default());
@@ -97,7 +96,7 @@ fn dumbbell_transfer(pace_bps: Option<f64>) -> Trace {
     trace_of(&sim, flow, db.forward)
 }
 
-/// The new path: shared topology at N = 1, multi-flow origin endpoint.
+/// The multi-flow origin endpoint, one flow, on the shared topology at N = 1.
 fn shared_transfer(pace_bps: Option<f64>) -> Trace {
     let mut sim = Simulator::new();
     let topo = SharedTopology::build(&mut sim, SharedTopologyConfig::default());
@@ -118,17 +117,18 @@ fn shared_transfer(pace_bps: Option<f64>) -> Trace {
 }
 
 /// Unpaced 5 MB transfer: slow-start overshoot, queue overflow, fast
-/// recovery — the whole legacy feedback loop, reproduced exactly.
+/// recovery — the whole single-flow feedback loop, reproduced exactly.
 #[test]
 fn n1_droptail_matches_dumbbell_unpaced() {
-    let legacy = dumbbell_transfer(None);
+    let single = dumbbell_transfer(None);
     let shared = shared_transfer(None);
-    assert_eq!(legacy, shared);
+    assert_eq!(single, shared);
     // Cross-pin against the golden fixtures in perf_determinism.rs: the
-    // shared topology reproduces not just the dumbbell but the *frozen*
-    // dumbbell. (Re-baselined 41_317 → 41_323 with the unpaced burst-cap
-    // fix, in lockstep with golden_tcp_transfer_unpaced; the work count
-    // alone 41_323 → 24_454 when idle links stopped arming `LinkTxDone`.)
+    // multi-flow endpoint reproduces not just the single-flow one but the
+    // *frozen* single-flow run. (Re-baselined 41_317 → 41_323 with the
+    // unpaced burst-cap fix, in lockstep with golden_tcp_transfer_unpaced;
+    // the work count alone 41_323 → 24_454 when idle links stopped arming
+    // `LinkTxDone`.)
     assert_eq!(shared.processed_events, 24_454);
     assert_eq!(shared.delivered_bytes, 5_274_040);
     assert_eq!(shared.delivered_packets, 6_851);
@@ -139,9 +139,9 @@ fn n1_droptail_matches_dumbbell_unpaced() {
 /// multi-flow endpoint's per-slot timer chain.
 #[test]
 fn n1_droptail_matches_dumbbell_paced() {
-    let legacy = dumbbell_transfer(Some(12e6));
+    let single = dumbbell_transfer(Some(12e6));
     let shared = shared_transfer(Some(12e6));
-    assert_eq!(legacy, shared);
+    assert_eq!(single, shared);
     assert_eq!(shared.processed_events, 24_016);
     assert_eq!(shared.dropped_packets, 0);
 }
