@@ -40,13 +40,14 @@ pub enum HistoryPolicy {
 /// Completed sessions at which history confidence reaches 1/2 (`n₀`).
 const CONFIDENCE_N0: f64 = 4.0;
 
+/// Cross-session EWMA weight on the newest session's median.
+const ALPHA: f64 = 0.3;
+
 /// A per-device store of historical throughput: per-session medians,
 /// EWMA-smoothed across sessions, with a session-count confidence ramp.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct HistoryStore {
     estimate_bps: Option<f64>,
-    /// Cross-session EWMA weight on the newest session.
-    alpha: f64,
     /// Completed sessions that contributed data.
     sessions: u64,
     /// Current session's samples (bps), folded at `end_session`.
@@ -55,26 +56,20 @@ pub struct HistoryStore {
     samples: u64,
 }
 
+/// An empty store: cross-session EWMA factor [`ALPHA`] and the
+/// confidence half-life of 4 sessions.
 impl Default for HistoryStore {
     fn default() -> Self {
-        Self::new(0.3)
-    }
-}
-
-impl HistoryStore {
-    /// Create a store with cross-session EWMA factor `alpha` and the
-    /// confidence half-life of 4 sessions.
-    pub fn new(alpha: f64) -> Self {
-        assert!((0.0..=1.0).contains(&alpha), "alpha must be in [0,1]");
         HistoryStore {
             estimate_bps: None,
-            alpha,
             sessions: 0,
             pending: Vec::new(),
             samples: 0,
         }
     }
+}
 
+impl HistoryStore {
     /// Record a throughput sample from the current session.
     pub fn update(&mut self, sample: Rate) {
         let x = sample.bps();
@@ -98,7 +93,7 @@ impl HistoryStore {
             v.select_nth_unstable_by(mid, |a, b| a.partial_cmp(b).expect("finite samples"));
         self.estimate_bps = Some(match self.estimate_bps {
             None => session_median,
-            Some(e) => self.alpha * session_median + (1.0 - self.alpha) * e,
+            Some(e) => ALPHA * session_median + (1.0 - ALPHA) * e,
         });
         self.sessions += 1;
     }

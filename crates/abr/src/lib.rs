@@ -27,5 +27,5 @@ pub use initial::{
     initial_rung_for, shared_history, HistoryPolicy, HistoryStore, InitialSelectorConfig,
     ProductionAbr, SharedHistory,
 };
-pub use mpc::{Mpc, MpcConfig};
-pub use naive::{NaiveConfig, NaiveThroughputRule};
+pub use mpc::Mpc;
+pub use naive::NaiveThroughputRule;

@@ -27,68 +27,34 @@
 
 use video::{Abr, AbrContext, AbrDecision, ChunkMeasurement};
 
-/// Configuration for [`Mpc`].
-#[derive(Debug, Clone, Copy)]
-pub struct MpcConfig {
-    /// Lookahead horizon in chunks.
-    pub horizon: usize,
-    /// Recent chunks in the throughput predictor.
-    pub window: usize,
-    /// Penalty per unit of VMAF change between adjacent chunks.
-    pub switch_penalty: f64,
-    /// Penalty per second of predicted rebuffering (VMAF-seconds scale;
-    /// large, as rebuffers dominate QoE).
-    pub rebuffer_penalty: f64,
-    /// Discount on the throughput prediction (robust-MPC style): the
-    /// prediction is divided by `1 + error_margin`.
-    pub error_margin: f64,
-}
-
-impl Default for MpcConfig {
-    fn default() -> Self {
-        MpcConfig {
-            horizon: 5,
-            window: 5,
-            switch_penalty: 1.0,
-            rebuffer_penalty: 500.0,
-            error_margin: 0.25,
-        }
-    }
-}
+/// Lookahead horizon in chunks.
+const HORIZON: usize = 5;
+/// Recent chunks in the throughput predictor.
+const WINDOW: usize = 5;
+/// Penalty per unit of VMAF change between adjacent chunks.
+const SWITCH_PENALTY: f64 = 1.0;
+/// Penalty per second of predicted rebuffering (VMAF-seconds scale;
+/// large, as rebuffers dominate QoE).
+const REBUFFER_PENALTY: f64 = 500.0;
+/// Discount on the throughput prediction (robust-MPC style): the
+/// prediction is divided by `1 + ERROR_MARGIN`.
+const ERROR_MARGIN: f64 = 0.25;
 
 /// Lookahead QoE-utility maximization.
-#[derive(Debug, Clone)]
-pub struct Mpc {
-    cfg: MpcConfig,
-}
-
-impl Mpc {
-    /// Create an MPC instance.
-    ///
-    /// # Panics
-    /// Panics on a zero horizon.
-    pub fn new(cfg: MpcConfig) -> Self {
-        assert!(cfg.horizon >= 1, "horizon must be at least one chunk");
-        Mpc { cfg }
-    }
-}
-
-impl Default for Mpc {
-    fn default() -> Self {
-        Mpc::new(MpcConfig::default())
-    }
-}
+#[derive(Debug, Clone, Default)]
+#[non_exhaustive]
+pub struct Mpc;
 
 impl Abr for Mpc {
     fn select(&mut self, ctx: &AbrContext<'_>) -> AbrDecision {
-        let Some(est) = ctx.history.harmonic_mean_last(self.cfg.window) else {
+        let Some(est) = ctx.history.harmonic_mean_last(WINDOW) else {
             return AbrDecision::unpaced(ctx.ladder.lowest());
         };
-        let predicted = est.bps() / (1.0 + self.cfg.error_margin);
+        let predicted = est.bps() / (1.0 + ERROR_MARGIN);
         if predicted <= 0.0 {
             return AbrDecision::unpaced(ctx.ladder.lowest());
         }
-        let h = self.cfg.horizon.min(ctx.upcoming.len());
+        let h = HORIZON.min(ctx.upcoming.len());
         let rungs = ctx.ladder.len();
         let inv = 8.0 / predicted; // seconds per byte
         let cd = if h > 0 {
@@ -118,9 +84,7 @@ impl Abr for Mpc {
                 Some(prev) => (ctx.ladder.rung(prev).vmaf - vmaf).abs(),
                 None => 0.0,
             };
-            let u = vmaf * play_s
-                - self.cfg.switch_penalty * switch
-                - self.cfg.rebuffer_penalty * rebuffer_s;
+            let u = vmaf * play_s - SWITCH_PENALTY * switch - REBUFFER_PENALTY * rebuffer_s;
             // Ties break upward: equal utility prefers higher quality.
             if u >= best_u {
                 best_u = u;
@@ -210,29 +174,6 @@ mod tests {
         assert!(d_low_buf.rung < d_high_buf.rung);
         // With 6 Mbps measured (4.8 predicted), never pick 16 Mbps at B=1s.
         assert!(t.ladder.rung(d_low_buf.rung).bitrate.mbps() < 4.8);
-    }
-
-    #[test]
-    fn switch_penalty_dampens_oscillation() {
-        let t = title();
-        let h = history_at(6.2);
-        // Strong switching penalty holds the previous rung when utilities
-        // are close.
-        let mut sticky = Mpc::new(MpcConfig {
-            switch_penalty: 50.0,
-            ..Default::default()
-        });
-        let mut loose = Mpc::new(MpcConfig {
-            switch_penalty: 0.0,
-            ..Default::default()
-        });
-        let prev = Some(4usize);
-        let d_sticky = sticky.select(&ctx(&t, &h, 18, prev));
-        let d_loose = loose.select(&ctx(&t, &h, 18, prev));
-        assert!(
-            d_sticky.rung.abs_diff(4) <= d_loose.rung.abs_diff(4),
-            "penalty should keep choices closer to the previous rung"
-        );
     }
 
     #[test]

@@ -10,51 +10,22 @@
 
 use video::{Abr, AbrContext, AbrDecision};
 
-/// Configuration for [`NaiveThroughputRule`].
-#[derive(Debug, Clone, Copy)]
-pub struct NaiveConfig {
-    /// Safety factor `c` applied to the throughput estimate.
-    pub c: f64,
-    /// Number of recent chunks in the min-throughput estimate.
-    pub window: usize,
-}
-
-impl Default for NaiveConfig {
-    fn default() -> Self {
-        NaiveConfig { c: 0.5, window: 3 }
-    }
-}
+/// Safety factor `c` applied to the throughput estimate.
+const C: f64 = 0.5;
+/// Number of recent chunks in the min-throughput estimate.
+const WINDOW: usize = 3;
 
 /// `bitrate ≤ c · min(recent throughput)` selection.
-#[derive(Debug, Clone)]
-pub struct NaiveThroughputRule {
-    cfg: NaiveConfig,
-}
-
-impl NaiveThroughputRule {
-    /// Create the rule.
-    ///
-    /// # Panics
-    /// Panics if `c` is non-positive or the window is empty.
-    pub fn new(cfg: NaiveConfig) -> Self {
-        assert!(cfg.c > 0.0, "c must be positive");
-        assert!(cfg.window >= 1, "window must be at least one chunk");
-        NaiveThroughputRule { cfg }
-    }
-}
-
-impl Default for NaiveThroughputRule {
-    fn default() -> Self {
-        NaiveThroughputRule::new(NaiveConfig::default())
-    }
-}
+#[derive(Debug, Clone, Default)]
+#[non_exhaustive]
+pub struct NaiveThroughputRule;
 
 impl Abr for NaiveThroughputRule {
     fn select(&mut self, ctx: &AbrContext<'_>) -> AbrDecision {
-        match ctx.history.min_last(self.cfg.window) {
+        match ctx.history.min_last(WINDOW) {
             None => AbrDecision::unpaced(ctx.ladder.lowest()),
             Some(x) => {
-                let limit = x * self.cfg.c;
+                let limit = x * C;
                 AbrDecision::unpaced(ctx.ladder.highest_at_most(limit))
             }
         }

@@ -8,7 +8,8 @@
 //! is reset (or pre-seeded identically) in both arms for an
 //! apples-to-apples comparison, via a configurable pre-experiment phase
 //! that also establishes each user's pre-experiment p95 chunk throughput
-//! for the Fig 3 bucketing.
+//! for the Fig 3 bucketing. Fig 6's treatment, [`Arm::HistoryReset`], is
+//! the one arm that does not start from that warmed history.
 
 use crate::population::{bucket_label, bucket_of, PopulationConfig, UserProfile};
 use crate::stats::{percentile, Aggregate};
@@ -46,6 +47,11 @@ pub enum Arm {
         /// Constant pace multiplier (the paper uses 4.0).
         multiplier: f64,
     },
+    /// Fig 6's treatment (§5.7): the production algorithm from an empty
+    /// history store — the device's historical throughput wiped when the
+    /// experiment begins, while the control keeps what the pre-experiment
+    /// sessions taught it.
+    HistoryReset,
 }
 
 impl Arm {
@@ -56,13 +62,14 @@ impl Arm {
             Arm::Sammy { c0, c1 } => format!("sammy(c0={c0},c1={c1})"),
             Arm::InitialOnly => "initial-only".into(),
             Arm::NaivePaced { multiplier } => format!("naive-paced({multiplier}x)"),
+            Arm::HistoryReset => "history-reset".into(),
         }
     }
 
     /// Build the ABR for one session of this arm.
     pub fn build_abr(&self, history: SharedHistory) -> Box<dyn Abr> {
         match *self {
-            Arm::Production => Box::new(ProductionAbr::new(
+            Arm::Production | Arm::HistoryReset => Box::new(ProductionAbr::new(
                 Mpc::default(),
                 history,
                 HistoryPolicy::AllSamples,
@@ -87,7 +94,8 @@ impl Arm {
     }
 }
 
-/// The spec-level arm maps 1:1 onto the runner's arm.
+/// Every spec-level arm is a runner arm. The converse does not hold:
+/// [`Arm::HistoryReset`] is Fig 6's, reached from code only.
 impl From<&spec::ArmSpec> for Arm {
     fn from(s: &spec::ArmSpec) -> Arm {
         match *s {
@@ -192,6 +200,8 @@ impl ExperimentConfig {
 pub struct SessionRecord {
     /// The owning user's id.
     pub user: u64,
+    /// The session's position in the experiment phase, counted from 0.
+    pub session: u64,
     /// The user's pre-experiment p95 chunk throughput (Mbps).
     pub pre_p95_mbps: f64,
     /// The session's metrics.
@@ -244,8 +254,9 @@ fn experiment_sessions(user: &UserProfile, cfg: &ExperimentConfig) -> Vec<(u64, 
 }
 
 /// The experiment phase under one arm. The arm starts from its own deep
-/// copy of the warmed store, so what it learns is invisible to every
-/// other arm run from the same `warm`.
+/// copy of the warmed store — [`Arm::HistoryReset`] from an empty one —
+/// so what it learns is invisible to every other arm run from the same
+/// `warm`.
 fn run_arm(
     user: &UserProfile,
     arm: Arm,
@@ -253,14 +264,19 @@ fn run_arm(
     warm: &WarmUp,
     sessions: &[(u64, Arc<Title>)],
 ) -> Vec<SessionRecord> {
-    let history = SharedHistory::from_store(warm.store.clone());
-    sessions
-        .iter()
-        .map(|(session_idx, title)| {
+    let store = match arm {
+        Arm::HistoryReset => HistoryStore::default(),
+        _ => warm.store.clone(),
+    };
+    let history = SharedHistory::from_store(store);
+    (0..)
+        .zip(sessions)
+        .map(|(session, (session_idx, title))| {
             let outcome = run_one(user, arm, &history, title.clone(), *session_idx, seed);
             obs::counter!("abtest.sessions", 1);
             SessionRecord {
                 user: user.id,
+                session,
                 pre_p95_mbps: warm.pre_p95_mbps,
                 outcome,
             }
@@ -270,9 +286,9 @@ fn run_arm(
 
 /// One session of `title` for `user` under `arm`, from the device's
 /// `history` store, which then folds in the session's samples. The one
-/// session recipe: the A/B runner's warm-up and arms, and the cold start
-/// (Fig 6), all play their sessions through it. The session seed depends
-/// on `(user, session_idx, seed)` only.
+/// session recipe: the A/B runner's warm-up and every arm play their
+/// sessions through it. The session seed depends on
+/// `(user, session_idx, seed)` only.
 pub(crate) fn run_one(
     user: &UserProfile,
     arm: Arm,
@@ -593,6 +609,33 @@ fn bucket_throughput<const B: usize>(s: &SessionRecord) -> Option<f64> {
     tput.filter(|_| bucket_of(s.pre_p95_mbps) == B)
 }
 
+/// Fig 6's row table: mean initial VMAF by day of the experiment, two
+/// sessions a day — day `d` is sessions `2d` and `2d + 1`. Mean, not
+/// median: initial quality is a discrete ladder value, so a day's median
+/// snaps to the top rung as soon as the typical user recovers, hiding the
+/// long convergence tail the paper's Fig 6 shows; the mean tracks the
+/// minority of sessions still below their warmed-history rung.
+pub const DAY_METRICS: [(&str, Aggregate, MetricExtractor); 14] = [
+    ("day 0", Aggregate::Mean, day_initial_vmaf::<0>),
+    ("day 1", Aggregate::Mean, day_initial_vmaf::<1>),
+    ("day 2", Aggregate::Mean, day_initial_vmaf::<2>),
+    ("day 3", Aggregate::Mean, day_initial_vmaf::<3>),
+    ("day 4", Aggregate::Mean, day_initial_vmaf::<4>),
+    ("day 5", Aggregate::Mean, day_initial_vmaf::<5>),
+    ("day 6", Aggregate::Mean, day_initial_vmaf::<6>),
+    ("day 7", Aggregate::Mean, day_initial_vmaf::<7>),
+    ("day 8", Aggregate::Mean, day_initial_vmaf::<8>),
+    ("day 9", Aggregate::Mean, day_initial_vmaf::<9>),
+    ("day 10", Aggregate::Mean, day_initial_vmaf::<10>),
+    ("day 11", Aggregate::Mean, day_initial_vmaf::<11>),
+    ("day 12", Aggregate::Mean, day_initial_vmaf::<12>),
+    ("day 13", Aggregate::Mean, day_initial_vmaf::<13>),
+];
+
+fn day_initial_vmaf<const D: u64>(s: &SessionRecord) -> Option<f64> {
+    s.outcome.qoe.initial_vmaf.filter(|_| s.session / 2 == D)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -614,6 +657,7 @@ mod tests {
         assert_eq!(Arm::Production.label(), "production");
         assert!(Arm::Sammy { c0: 3.2, c1: 2.8 }.label().contains("3.2"));
         assert!(Arm::NaivePaced { multiplier: 4.0 }.label().contains("4x"));
+        assert_eq!(Arm::HistoryReset.label(), "history-reset");
     }
 
     #[test]
@@ -773,16 +817,18 @@ mod tests {
         a.len() == b.len()
             && a.iter().zip(b).all(|(x, y)| {
                 x.user == y.user
+                    && x.session == y.session
                     && x.pre_p95_mbps.to_bits() == y.pre_p95_mbps.to_bits()
                     && x.outcome == y.outcome
             })
     }
 
-    const ARMS: [Arm; 4] = [
+    const ARMS: [Arm; 5] = [
         Arm::Production,
         Arm::Sammy { c0: 3.2, c1: 2.8 },
         Arm::InitialOnly,
         Arm::NaivePaced { multiplier: 4.0 },
+        Arm::HistoryReset,
     ];
 
     proptest::proptest! {
@@ -795,8 +841,8 @@ mod tests {
             index in 0u64..100_000,
             seed in 0u64..1_000,
             light in 0usize..2,
-            control in 0usize..4,
-            treatment in 0usize..4,
+            control in 0usize..ARMS.len(),
+            treatment in 0usize..ARMS.len(),
             pre in 0usize..3,
             experiment in 0usize..2,
         ) {
@@ -842,6 +888,38 @@ mod tests {
         let records = run_user(user, Arm::Production, &cfg);
         assert_eq!(records.len(), cfg.sessions_per_user);
         assert!(records.iter().all(|r| r.pre_p95_mbps.is_nan()));
+    }
+
+    /// The history-reset arm is the cold start's recipe: its sessions are
+    /// `run_one` from a fresh store, in session order, after a warm-up it
+    /// ignores. With no warm-up there is nothing to wipe, and it is
+    /// `Production` record for record.
+    #[test]
+    fn history_reset_plays_from_a_fresh_store() {
+        let user = &user_at(&PopulationConfig::default(), 3, 17);
+        let cfg = ExperimentConfig {
+            pre_sessions: 3,
+            sessions_per_user: 4,
+            ..tiny_cfg()
+        };
+        let records = run_user(user, Arm::HistoryReset, &cfg);
+        let fresh = shared_history();
+        for (i, r) in records.iter().enumerate() {
+            let idx = (cfg.pre_sessions + i) as u64;
+            let title = Arc::new(user.title(idx));
+            let outcome = run_one(user, Arm::Production, &fresh, title, idx, cfg.seed);
+            assert_eq!(r.session, i as u64);
+            assert_eq!(r.outcome, outcome, "session {i}");
+        }
+
+        let cold = ExperimentConfig {
+            pre_sessions: 0,
+            ..cfg
+        };
+        assert!(same_records(
+            &run_user(user, Arm::HistoryReset, &cold),
+            &run_user(user, Arm::Production, &cold)
+        ));
     }
 
     #[test]

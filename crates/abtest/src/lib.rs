@@ -7,10 +7,11 @@
 //!   throughput buckets, per-title ladders — one generator, [`user_at`],
 //!   user `i` of `(config, seed)` in O(1).
 //! - [`experiment`]: arms ([`Arm::Production`], [`Arm::Sammy`],
-//!   [`Arm::InitialOnly`], [`Arm::NaivePaced`]), the pre-experiment phase
-//!   that builds history and pre-experiment p95 throughput, the session
-//!   loop, and the row tables a report folds ([`METRICS`] for Tables 2/3,
-//!   [`BUCKET_METRICS`] for Fig 3).
+//!   [`Arm::InitialOnly`], [`Arm::NaivePaced`], and Fig 6's
+//!   [`Arm::HistoryReset`]), the pre-experiment phase that builds history
+//!   and pre-experiment p95 throughput, the session loop, and the row
+//!   tables a report folds ([`METRICS`] for Tables 2/3, [`BUCKET_METRICS`]
+//!   for Fig 3, [`DAY_METRICS`] for Fig 6's days).
 //! - [`streaming`]: the one runner, a shard-merge fold — million-user
 //!   arms at O(threads) memory, users derived per index,
 //!   checkpoint/resume that is bit-identical to an uninterrupted run, and
@@ -18,8 +19,6 @@
 //! - [`stats`]: percentiles, percent changes, mergeable summaries.
 //! - [`sweep`]: the (c0, c1) grid behind Fig 5's VMAF-vs-throughput
 //!   tradeoff, and the one Production-vs-Sammy(c0, c1) evaluation.
-//! - [`longitudinal`]: the Fig 6 historical-data cold-start experiment,
-//!   on the runner's own session recipe.
 //! - [`optimize`]: the §5.3 parameter-search loop (the Ax analogue):
 //!   successive halving over a [`spec::SearchSpec`] under its QoE guards,
 //!   every evaluation the sweep's.
@@ -28,7 +27,6 @@
 #![warn(missing_docs)]
 
 pub mod experiment;
-pub mod longitudinal;
 pub mod optimize;
 pub mod pool;
 pub mod population;
@@ -38,12 +36,11 @@ pub mod sweep;
 
 pub use experiment::{
     population_config_from_spec, run_user, Arm, Experiment, ExperimentBuilder, ExperimentConfig,
-    MetricExtractor, MetricTable, SessionRecord, BUCKET_METRICS, METRICS,
+    MetricExtractor, MetricTable, SessionRecord, BUCKET_METRICS, DAY_METRICS, METRICS,
 };
-pub use longitudinal::{run_cold_start, ColdStartConfig, ColdStartResult};
 pub use optimize::{halving_search, halving_search_with, Candidate, Evaluation, HalvingOutcome};
 pub use population::{bucket_label, bucket_of, user_at, PopulationConfig, UserProfile};
-pub use stats::{mean, percentile, Aggregate, PairedDelta, StreamingStat};
+pub use stats::{percentile, Aggregate, PairedDelta, StreamingStat};
 pub use streaming::{
     MetricAcc, ShardState, StreamConfig, StreamFailure, StreamReport, StreamRow, StreamRun,
 };

@@ -3,9 +3,9 @@
 //! Every parallel runner in the workspace has the same shape: jobs are
 //! numbered, any worker may run any job, and the results must be consumed
 //! in job order so that output never depends on scheduling. [`ordered`] is
-//! that shape once — the streaming shard-merge runner, the cold-start
-//! experiment and the bench crate's `run_cells` all call it — and the
-//! consumer sees a plain iterator.
+//! that shape once — the streaming shard-merge runner and the bench
+//! crate's `run_cells` both call it — and the consumer sees a plain
+//! iterator.
 
 use std::any::Any;
 use std::collections::BTreeMap;

@@ -9,15 +9,6 @@
 
 use serde::{Deserialize, Serialize};
 
-/// Mean of a slice (NaN if empty), ignoring non-finite values.
-pub fn mean(values: &[f64]) -> f64 {
-    let v: Vec<f64> = values.iter().copied().filter(|x| x.is_finite()).collect();
-    if v.is_empty() {
-        return f64::NAN;
-    }
-    v.iter().sum::<f64>() / v.len() as f64
-}
-
 /// Percentile `q ∈ [0,1]` of a slice, by linear interpolation between the
 /// two nearest order statistics (the "type 7" / numpy-default definition,
 /// which the bootstrap CIs rely on).

@@ -1022,6 +1022,7 @@ mod tests {
         let on = |bit: u8| mask & (1 << bit) != 0;
         SessionRecord {
             user,
+            session: 0,
             pre_p95_mbps: v,
             outcome: fluidsim::SessionOutcome {
                 qoe: video::QoeSummary {

@@ -65,7 +65,7 @@ const TARGETS: &[(&str, Target)] = &[
             o,
         )
     }),
-    ("fig6", |o| fig6(o.scale)),
+    ("fig6", |o| fig6(o.scale, o.threads)),
     ("fig8a", |_| fig8a()),
     ("fig8b", |_| fig8b()),
     ("fig8c", |_| fig8c()),
@@ -77,9 +77,10 @@ const TARGETS: &[(&str, Target)] = &[
 ];
 
 /// The options and the targets to run, in command-line order (`all`, or no
-/// target, expands to the whole table). An unknown target or flag, or a
-/// flag whose value is missing or does not parse, is an error naming it: a
-/// typo in a hand-typed target list must not pass as a run that did less.
+/// target, expands to the whole table). An unknown target or flag, a flag
+/// whose value is missing or does not parse, or a `--scale` that is not
+/// finite and positive, is an error naming it: a typo in a hand-typed
+/// target list must not pass as a run that did less.
 fn parse_args(args: &[String]) -> Result<(Opts, Vec<Target>), String> {
     fn value<T: std::str::FromStr>(flag: &str, v: Option<&String>) -> Result<T, String> {
         let v = v.map_or("", String::as_str);
@@ -95,7 +96,19 @@ fn parse_args(args: &[String]) -> Result<(Opts, Vec<Target>), String> {
     let mut it = args.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
-            "--scale" => opts.scale = value(a, it.next())?,
+            "--scale" => {
+                let v = it.next();
+                opts.scale = value(a, v)?;
+                // A population multiplier: NaN, zero or a negative would
+                // run floor-sized populations over the committed CSVs, and
+                // infinity sizes a population at `usize::MAX` users.
+                if !(opts.scale.is_finite() && opts.scale > 0.0) {
+                    return Err(format!(
+                        "invalid value for {a}: '{}' (must be finite and positive)",
+                        v.map_or("", String::as_str)
+                    ));
+                }
+            }
             "--threads" => opts.threads = value(a, it.next())?,
             "all" => runs.extend(all()),
             flag if flag.starts_with("--") => return Err(format!("unknown flag '{flag}'")),
@@ -267,9 +280,9 @@ fn fig5(scale: f64, threads: usize) {
     );
 }
 
-fn fig6(scale: f64) {
+fn fig6(scale: f64, threads: usize) {
     banner("Fig 6: initial-quality difference after a history reset, by day");
-    let diffs = figures::fig6(scale, SEED);
+    let diffs = figures::fig6(scale, SEED, threads);
     println!("{:>6} {:>12}", "day", "% diff");
     let mut rows = Vec::new();
     for (day, d) in diffs.iter().enumerate() {

@@ -5,8 +5,8 @@
 //! a laptop; the binary accepts a `--scale` factor for larger runs.
 
 use abtest::{
-    default_grid, run_cold_start, run_sweep, Arm, ColdStartConfig, Experiment, ExperimentConfig,
-    MetricTable, PopulationConfig, StreamReport, StreamRow, SweepPoint, BUCKET_METRICS, METRICS,
+    default_grid, run_sweep, Arm, Experiment, ExperimentConfig, MetricTable, PopulationConfig,
+    StreamReport, StreamRow, SweepPoint, BUCKET_METRICS, DAY_METRICS, METRICS,
 };
 use sammy_core::analysis::{fig2a_selection_curve, fig2b_threshold_curve};
 
@@ -92,18 +92,27 @@ pub fn fig5(scale: f64, seed: u64, threads: usize) -> Vec<SweepPoint> {
     run_sweep(&PopulationConfig::default(), &default_grid(), &cfg).expect("fig5 setup is valid")
 }
 
-/// Fig 6: initial-quality difference over days after a history reset.
-/// Returns per-day percent difference, treatment vs control.
-pub fn fig6(scale: f64, seed: u64) -> Vec<f64> {
-    let users = ((120.0 * scale) as usize).max(20);
-    let cfg = ColdStartConfig {
-        days: 14,
-        sessions_per_day: 2,
-        warmup_sessions: 6,
+/// Fig 6: initial-quality difference over days after a history reset —
+/// production vs [`Arm::HistoryReset`], folded into [`DAY_METRICS`].
+/// Returns the per-day percent change of mean initial VMAF, treatment vs
+/// control.
+pub fn fig6(scale: f64, seed: u64, threads: usize) -> Vec<f64> {
+    let cfg = ExperimentConfig {
+        users_per_arm: ((120.0 * scale) as usize).max(20),
+        pre_sessions: 6,
+        sessions_per_user: 2 * DAY_METRICS.len(),
         seed: seed + 5,
-        threads: 0,
+        bootstrap_reps: 0,
+        threads,
     };
-    run_cold_start(&PopulationConfig::default(), users, &cfg).pct_diff_by_day()
+    let report = Experiment::builder()
+        .treatment(Arm::HistoryReset)
+        .config(cfg)
+        .rows(&DAY_METRICS)
+        .run_table()
+        .expect("fig6 setup is valid")
+        .report();
+    report.rows.iter().map(|r| r.pct_change).collect()
 }
 
 /// Fig 2a/2b: the HYB analysis curves (pure functions of β and the
@@ -122,7 +131,7 @@ pub fn fig2(beta: f64, horizon_s: f64) -> Vec<(f64, f64, f64)> {
 /// selected bitrate (Mbps) per chunk for (a) the naive rule under black-box
 /// 1.5x pacing, and (b) Sammy-style pacing keyed to the ladder top.
 pub fn spiral() -> (Vec<f64>, Vec<f64>) {
-    use abr::{NaiveConfig, NaiveThroughputRule};
+    use abr::NaiveThroughputRule;
     use netsim::{Rate, SimDuration, SimTime};
     use video::{
         Abr, AbrContext, ChunkMeasurement, Ladder, PlayerPhase, ThroughputHistory, Title,
@@ -138,7 +147,7 @@ pub fn spiral() -> (Vec<f64>, Vec<f64>) {
     );
 
     let run = |pace_of: &dyn Fn(Rate) -> Rate| -> Vec<f64> {
-        let mut rule = NaiveThroughputRule::new(NaiveConfig { c: 0.5, window: 3 });
+        let mut rule = NaiveThroughputRule::default();
         let mut h = ThroughputHistory::new();
         // First chunk measured at full network speed (100 Mbps).
         h.record(ChunkMeasurement {

@@ -34,6 +34,11 @@ fn bad_arguments_exit_2_naming_them_with_nothing_written() {
         (&["fig2", "tabel2"][..], "'tabel2'"),
         (&["--bogus"][..], "'--bogus'"),
         (&["--scale", "abc", "fig2"][..], "--scale: 'abc'"),
+        // A scale that parses but sizes no sane population.
+        (&["--scale", "-1", "fig2"][..], "--scale: '-1'"),
+        (&["--scale", "0", "fig2"][..], "--scale: '0'"),
+        (&["--scale", "NaN", "fig2"][..], "--scale: 'NaN'"),
+        (&["--scale", "inf", "fig2"][..], "--scale: 'inf'"),
         (&["fig2", "--threads"][..], "--threads: ''"),
     ] {
         let out = figures(&dir, args);

@@ -314,8 +314,9 @@ impl NetworkSpec {
     }
 }
 
-/// Which algorithm variant an arm runs — the spec-level mirror of
-/// `abtest::Arm` (tagged by `kind` on the wire).
+/// Which algorithm variant an arm runs (tagged by `kind` on the wire).
+/// Each maps onto an `abtest::Arm`; the runner's Fig 6 history-reset arm
+/// has no spec form and is reached from code only.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub enum ArmSpec {
     /// Production MPC, all-samples history, no pacing.

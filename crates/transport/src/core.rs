@@ -32,9 +32,6 @@ pub struct TcpConfig {
     /// Maximum line-rate burst in packets (applies even when unpaced; the
     /// production default in the paper is 40).
     pub max_burst_packets: u32,
-    /// Restart from the initial window after an idle period longer than one
-    /// RTO (slow-start restart), as production stacks do.
-    pub idle_restart: bool,
     /// Maximum segment lifetime of the flow's send buffer in bytes — how
     /// far ahead of `snd_una` the application may queue. Effectively the
     /// socket send-buffer size.
@@ -47,7 +44,6 @@ impl Default for TcpConfig {
             transport: Protocol::Tcp,
             cc: CcAlgorithm::Reno,
             max_burst_packets: 40,
-            idle_restart: true,
             send_buffer: 64 * 1024 * 1024,
         }
     }
@@ -175,7 +171,6 @@ pub struct SenderCore {
     src: NodeId,
     dst: NodeId,
     flow: FlowId,
-    idle_restart: bool,
 
     cc: Box<dyn CongestionControl>,
     pacer: Pacer,
@@ -199,7 +194,6 @@ impl SenderCore {
             src,
             dst,
             flow,
-            idle_restart: cfg.idle_restart,
             cc: cfg.cc.build(),
             pacer: Pacer::unlimited(cfg.max_burst_packets),
             rtt: RttEstimator::new(),
@@ -321,9 +315,10 @@ impl SenderCore {
 
     /// The one emission loop; every ACK, timer and application path ends here.
     fn pump<W: Wire>(&mut self, wire: &mut W, now: SimTime, out: &mut Vec<Packet>) {
-        // Slow-start restart: nothing in flight, data pending, and the last
-        // send more than an RTO ago — the window no longer reflects the path.
-        if self.idle_restart && wire.bytes_in_flight() == 0 {
+        // Slow-start restart, as production stacks do: nothing in flight,
+        // data pending, and the last send more than an RTO ago — the window
+        // no longer reflects the path.
+        if wire.bytes_in_flight() == 0 {
             if let Some(last) = self.last_send {
                 if now.saturating_since(last) > self.rtt.rto()
                     && wire.peek(self.cc.cwnd()).is_some()
@@ -515,12 +510,8 @@ mod tests {
     /// A sender that has just finished a 1 MB unpaced transfer over an
     /// ideal 10 ms path: window grown far past the initial one, nothing in
     /// flight, nothing queued. Returns it with the time of the last ACK.
-    fn warmed_up<W: Wire>(proto: Protocol, idle_restart: bool) -> (Sender<W>, SimTime) {
-        let cfg = TcpConfig {
-            idle_restart,
-            ..Default::default()
-        };
-        let mut s = Sender::<W>::new(NodeId(0), NodeId(1), FlowId(1), cfg);
+    fn warmed_up<W: Wire>(proto: Protocol) -> (Sender<W>, SimTime) {
+        let mut s = Sender::<W>::new(NodeId(0), NodeId(1), FlowId(1), TcpConfig::default());
         let mut r = TransportReceiver::new(NodeId(1), NodeId(0), FlowId(1), proto);
         let mut now = SimTime::ZERO;
         let mut out = Vec::new();
@@ -550,7 +541,7 @@ mod tests {
     /// for both protocols.
     fn idle_restart_vectors<W: Wire>(proto: Protocol) {
         // Gap > RTO with data pending: restart from the initial window.
-        let (mut s, now) = warmed_up::<W>(proto, true);
+        let (mut s, now) = warmed_up::<W>(proto);
         let mut out = Vec::new();
         let later = now + SimDuration::from_secs(30);
         s.start_transfer(later, 100_000, None);
@@ -559,7 +550,7 @@ mod tests {
         assert_eq!(s.core().cwnd(), 10 * MSS_BYTES);
 
         // Gap < RTO: the window still describes the path; keep it.
-        let (mut s, now) = warmed_up::<W>(proto, true);
+        let (mut s, now) = warmed_up::<W>(proto);
         let grown = s.core().cwnd();
         let mut out = Vec::new();
         let soon = now + SimDuration::from_millis(1);
@@ -574,7 +565,7 @@ mod tests {
 
         // Gap > RTO but bytes in flight: the connection is not idle (an
         // application stall, not a request gap); no restart.
-        let (mut s, now) = warmed_up::<W>(proto, true);
+        let (mut s, now) = warmed_up::<W>(proto);
         let mut out = Vec::new();
         s.start_transfer(now, 1_000_000, None);
         s.pump(now, &mut out);
@@ -586,14 +577,6 @@ mod tests {
             grown,
             "{proto}: restart with data in flight"
         );
-
-        // Disabled by configuration: never restarts.
-        let (mut s, now) = warmed_up::<W>(proto, false);
-        let grown = s.core().cwnd();
-        let later = now + SimDuration::from_secs(30);
-        s.start_transfer(later, 100_000, None);
-        s.pump(later, &mut Vec::new());
-        assert_eq!(s.core().cwnd(), grown, "{proto}: idle_restart off");
     }
 
     #[test]

@@ -64,6 +64,6 @@ pub use pacing::Pacer;
 pub use quic::{QuicReceiver, QuicSender};
 pub use receiver::TcpReceiver;
 pub use rtt::RttEstimator;
-pub use scavenger::{Ledbat, LedbatConfig};
+pub use scavenger::Ledbat;
 pub use sender::TcpSender;
 pub use udp::{UdpCbrSource, UdpSink};

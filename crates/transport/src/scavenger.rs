@@ -17,54 +17,35 @@
 use crate::cc::{CongestionControl, INITIAL_CWND_SEGMENTS, MAX_CWND_BYTES};
 use netsim::{SimDuration, SimTime, MSS_BYTES};
 
-/// Configuration for [`Ledbat`].
-#[derive(Debug, Clone, Copy)]
-pub struct LedbatConfig {
-    /// Target queueing delay. LEDBAT's RFC allows up to 100 ms; scavengers
-    /// aiming to be nearly invisible use much less.
-    pub target: SimDuration,
-    /// Proportional gain on the window update.
-    pub gain: f64,
-}
-
-impl Default for LedbatConfig {
-    fn default() -> Self {
-        LedbatConfig {
-            target: SimDuration::from_millis(15),
-            gain: 1.0,
-        }
-    }
-}
+/// Target queueing delay. LEDBAT's RFC allows up to 100 ms; scavengers
+/// aiming to be nearly invisible use much less.
+const TARGET: SimDuration = SimDuration::from_millis(15);
+/// Proportional gain on the window update.
+const GAIN: f64 = 1.0;
 
 /// Delay-based scavenger congestion control.
 #[derive(Debug, Clone)]
 pub struct Ledbat {
-    cfg: LedbatConfig,
     cwnd: u64,
     ssthresh: u64,
     base_rtt: Option<SimDuration>,
 }
 
 impl Ledbat {
-    /// A fresh scavenger with the standard initial window.
-    pub fn new(cfg: LedbatConfig) -> Self {
-        Ledbat {
-            cfg,
-            cwnd: INITIAL_CWND_SEGMENTS * MSS_BYTES,
-            ssthresh: u64::MAX,
-            base_rtt: None,
-        }
-    }
-
     /// Current estimate of the path's base (uncongested) RTT.
     pub fn base_rtt(&self) -> Option<SimDuration> {
         self.base_rtt
     }
 }
 
+/// A fresh scavenger with the standard initial window.
 impl Default for Ledbat {
     fn default() -> Self {
-        Ledbat::new(LedbatConfig::default())
+        Ledbat {
+            cwnd: INITIAL_CWND_SEGMENTS * MSS_BYTES,
+            ssthresh: u64::MAX,
+            base_rtt: None,
+        }
     }
 }
 
@@ -97,12 +78,13 @@ impl CongestionControl for Ledbat {
             }
         };
         let queuing = rtt.saturating_since_duration(base);
-        let target = self.cfg.target.as_secs_f64().max(1e-6);
-        let off_target = (target - queuing.as_secs_f64()) / target; // in (-inf, 1]
-                                                                    // LEDBAT window update: proportional controller, clamped so one
-                                                                    // update never moves the window by more than one MSS per MSS acked.
-        let delta = self.cfg.gain * off_target * bytes_acked as f64 * MSS_BYTES as f64
-            / self.cwnd.max(1) as f64;
+        let target = TARGET.as_secs_f64().max(1e-6);
+        // In (-inf, 1].
+        let off_target = (target - queuing.as_secs_f64()) / target;
+        // LEDBAT window update: proportional controller, clamped so one
+        // update never moves the window by more than one MSS per MSS acked.
+        let delta =
+            GAIN * off_target * bytes_acked as f64 * MSS_BYTES as f64 / self.cwnd.max(1) as f64;
         let delta = delta.clamp(-(bytes_acked as f64), bytes_acked as f64);
         let next = self.cwnd as f64 + delta;
         self.cwnd = (next.max((2 * MSS_BYTES) as f64) as u64).min(MAX_CWND_BYTES);

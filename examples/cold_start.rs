@@ -2,12 +2,17 @@
 //! quality when a device's historical throughput estimates are wiped, and
 //! how long does recovery take?
 //!
+//! An A/B run on the one runner: the control is production with the
+//! history its warm-up sessions built, the treatment is
+//! [`Arm::HistoryReset`] — production from an empty store — and the report
+//! folds `DAY_METRICS`, mean initial VMAF by day, two sessions a day.
+//!
 //! ```text
 //! cargo run --example cold_start --release
 //! cargo run --example cold_start --release -- 100   # users
 //! ```
 
-use sammy_repro::abtest::{run_cold_start, ColdStartConfig};
+use sammy_repro::abtest::DAY_METRICS;
 use sammy_repro::prelude::*;
 
 fn main() {
@@ -15,24 +20,28 @@ fn main() {
         .nth(1)
         .and_then(|s| s.parse().ok())
         .unwrap_or(60);
-    let cfg = ColdStartConfig {
-        days: 14,
-        sessions_per_day: 2,
-        warmup_sessions: 6,
-        seed: 5,
-        threads: 0,
-    };
-    println!(
-        "Cold-start experiment: {users} users, {} sessions/day, history wiped at day 0\n",
-        cfg.sessions_per_day
-    );
-    let result = run_cold_start(&PopulationConfig::default(), users, &cfg);
+    println!("Cold-start experiment: {users} users, 2 sessions/day, history wiped at day 0\n");
+    let report = Experiment::builder()
+        .treatment(Arm::HistoryReset)
+        .config(ExperimentConfig {
+            users_per_arm: users,
+            pre_sessions: 6,
+            sessions_per_user: 2 * DAY_METRICS.len(),
+            seed: 5,
+            bootstrap_reps: 0,
+            threads: 0,
+        })
+        .rows(&DAY_METRICS)
+        .run_table()
+        .expect("valid experiment setup")
+        .report();
 
     println!(
         "{:>5} {:>12}   bar (each # = 0.5% below control)",
         "day", "% diff"
     );
-    for (day, d) in result.pct_diff_by_day().iter().enumerate() {
+    for (day, row) in report.rows.iter().enumerate() {
+        let d = row.pct_change;
         let bars = ((-d / 0.5).round().max(0.0) as usize).min(60);
         println!("{day:>5} {d:>12.2}   {}", "#".repeat(bars));
     }

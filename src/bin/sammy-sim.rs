@@ -22,7 +22,7 @@
 //! lines (`-` renders the pretty table to stdout instead).
 
 use sammy_repro::abtest::{halving_search, Experiment, ExperimentConfig};
-use sammy_repro::netsim::{SimDuration, SimError};
+use sammy_repro::netsim::SimError;
 use sammy_repro::obs;
 use sammy_repro::sammy_bench::lab::{self, LabArm, LabConfig};
 use sammy_repro::sammy_bench::matrix as cc_matrix;
@@ -308,8 +308,9 @@ fn matrix(opts: &Opts) {
 }
 
 fn neighbors(opts: &Opts) {
+    let spec = spec_from_flags(opts, sixty_second_lab_spec());
     let cfg = LabConfig {
-        run_for: SimDuration::from_secs(opts.get("secs", 60)),
+        run_for: spec.network.run_for(),
         ..LabConfig::neighbors()
     };
     println!(

@@ -53,7 +53,7 @@
 //! with Sammy's rate in the scavenger's, and Fig 6's with no history to
 //! wipe.
 
-use sammy_repro::abtest::ColdStartConfig;
+use sammy_repro::abtest::DAY_METRICS;
 use sammy_repro::prelude::*;
 use sammy_repro::sammy_bench::lab::{burst_sweep, LabConfig};
 
@@ -279,18 +279,28 @@ fn fig6_coldstart_gap_closes_within_a_week() {
 
     // Sabotage: with no warm-up sessions the control has no history
     // either, so the reset at day 0 removes nothing and the gap must read
-    // zero — red — while the figure's own config at the same tiny scale
+    // zero — red — while the figure's own warm-up at the same tiny scale
     // stays green, or its failing would prove nothing.
-    let run = |warmup_sessions: usize| {
-        let cfg = ColdStartConfig {
-            warmup_sessions,
+    let run = |pre_sessions: usize| -> Vec<f64> {
+        let cfg = ExperimentConfig {
+            users_per_arm: 20,
+            pre_sessions,
+            sessions_per_user: 2 * DAY_METRICS.len(),
             seed: 2023,
+            bootstrap_reps: 0,
             threads: 2,
-            ..Default::default()
         };
-        sammy_repro::abtest::run_cold_start(&PopulationConfig::light(), 20, &cfg).pct_diff_by_day()
+        let report = Experiment::builder()
+            .treatment(Arm::HistoryReset)
+            .population_config(PopulationConfig::light())
+            .config(cfg)
+            .rows(&DAY_METRICS)
+            .run_table()
+            .expect("valid experiment setup")
+            .report();
+        report.rows.iter().map(|r| r.pct_change).collect()
     };
-    let (wiped, nothing_to_wipe) = (run(ColdStartConfig::default().warmup_sessions), run(0));
+    let (wiped, nothing_to_wipe) = (run(6), run(0));
     assert!(gap_closes_within_a_week(&wiped), "{wiped:?}");
     assert!(
         nothing_to_wipe.iter().all(|&d| d == 0.0),

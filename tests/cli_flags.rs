@@ -78,6 +78,7 @@ fn a_spec_the_api_would_refuse_exits_2_naming_the_field() {
         (&["matrix", "--rtt-ms", "1e20"][..], "rtt_ms"),
         // 18446744074 s is past `u64` nanoseconds: it used to wrap to 0.29 s.
         (&["single-flow", "--secs", "18446744074"][..], "run_secs"),
+        (&["neighbors", "--secs", "18446744074"][..], "run_secs"),
         (&["abtest", "--seed", "18446744073709551615"][..], "seed"),
         (&["tune", "--reps", "100001"][..], "bootstrap_reps"),
         (&["tune", "--reps", "0"][..], "bootstrap_reps"),
