@@ -207,7 +207,7 @@ pub struct Simulator {
     /// Fallback for out-of-range flow ids.
     flow_stats_overflow: HashMap<FlowId, FlowStats>,
     processed_events: u64,
-    /// Scratch buffer for AQM head-drops surfaced by `Queue::dequeue`.
+    /// Scratch buffer for CoDel's head drops surfaced by `Queue::dequeue`.
     scratch_dropped: Vec<PacketRef>,
     /// `(at, seq)` of the most recently dispatched event (validate feature):
     /// dispatch keys must be strictly increasing across the two-heap merge.
@@ -381,24 +381,28 @@ impl Simulator {
             panic!("no route from {from:?} to {dst:?}");
         };
         let now = self.now;
-        let link = &mut self.links[via.0];
-        match link.enqueue(now, pkt) {
+        let queue = &mut self.links[via.0].queue;
+        match queue.enqueue(now, pkt) {
             EnqueueResult::Accepted => {
                 obs::observe!(
                     "netsim.link.queue_depth_bytes",
-                    link.queue.occupied_bytes() as f64
+                    queue.occupied_bytes() as f64
                 );
                 self.kick_link(via);
             }
-            EnqueueResult::Dropped => {
-                obs::counter!("netsim.link.drops", 1);
-                obs::trace_event!(LinkDrop, self.now.as_nanos(), pkt.flow.0, pkt.size);
-                let st = self.flow_stats_mut(pkt.flow);
-                st.dropped_packets += 1;
-                st.dropped_bytes += pkt.size;
-                self.store.discard(pkt.id);
-            }
+            EnqueueResult::Dropped => self.drop_packet(pkt),
         }
+    }
+
+    /// Account a packet a queue dropped, on arrival or from its head, to
+    /// its flow, and free its store id.
+    fn drop_packet(&mut self, pkt: PacketRef) {
+        obs::counter!("netsim.link.drops", 1);
+        obs::trace_event!(LinkDrop, self.now.as_nanos(), pkt.flow.0, pkt.size);
+        let st = self.flow_stats_mut(pkt.flow);
+        st.dropped_packets += 1;
+        st.dropped_bytes += pkt.size;
+        self.store.discard(pkt.id);
     }
 
     /// Offer a link its next packet: the one place a packet starts
@@ -438,12 +442,7 @@ impl Simulator {
             Dequeue::Empty => {}
         }
         for pkt in dropped.drain(..) {
-            obs::counter!("netsim.link.drops", 1);
-            obs::trace_event!(LinkDrop, now.as_nanos(), pkt.flow.0, pkt.size);
-            let st = self.flow_stats_mut(pkt.flow);
-            st.dropped_packets += 1;
-            st.dropped_bytes += pkt.size;
-            self.store.discard(pkt.id);
+            self.drop_packet(pkt);
         }
         self.scratch_dropped = dropped;
     }
@@ -576,10 +575,7 @@ impl Simulator {
     #[cfg(feature = "validate")]
     pub fn mutant_queue_byte_leak(&mut self) {
         let link = self.links.first_mut().expect("no links in topology");
-        let occupied = link.queue.occupied_bytes();
-        link.queue
-            .stats_mut()
-            .mutant_leak_dropped_bytes(1_500, occupied);
+        link.queue.mutant_leak_dropped_bytes(1_500);
     }
 
     /// Mutant mode: claim a packet was injected without sending anything,
@@ -1057,6 +1053,33 @@ mod tests {
             );
         }
         assert_eq!(sim.flow_stats(FlowId(3)).delivered_packets, 4);
+    }
+
+    #[test]
+    fn packet_larger_than_the_bucket_is_dropped_not_wedged() {
+        // 100 Mbps line, 8 Mbps shaper with a 1 000 B bucket: a 1 500 B
+        // datagram could never gather its tokens. It is dropped on arrival
+        // and the two 500 B datagrams behind it still go out.
+        let mut sim = Simulator::new();
+        let (a, b) = (sim.add_node(), sim.add_node());
+        let shaper = crate::shaper::TokenBucketConfig::new(Rate::from_mbps(8.0), 1_000);
+        let cfg = LinkConfig::new(
+            Rate::from_mbps(100.0),
+            SimDuration::from_millis(1),
+            1_000_000,
+        )
+        .with_discipline(crate::queue::Discipline::TokenBucket(shaper));
+        let ab = sim.add_link(a, b, cfg);
+        sim.add_route(a, b, ab);
+        for (seq, size) in [1_500, 500, 500].into_iter().enumerate() {
+            let pkt = Packet::new(a, b, FlowId(3), Payload::Datagram { seq: seq as u64 });
+            sim.inject(a, pkt.with_size(size));
+        }
+        assert!(sim.run_with_budget(1_000_000).is_ok(), "the link wedged");
+        let st = sim.flow_stats(FlowId(3));
+        assert_eq!((st.delivered_packets, st.dropped_packets), (2, 1));
+        assert_eq!(st.dropped_bytes, 1_500);
+        assert_eq!(sim.link(ab).queue.stats().drops, 1);
     }
 
     // ---- a link is busy until a time: what that costs in events ----

@@ -1,37 +1,30 @@
-//! Per-flow fair queuing: deficit round robin (DRR).
+//! Per-flow fair queuing: deficit round robin (DRR), as a
+//! [`Queue`](crate::Queue) policy.
 //!
-//! [`DrrQueue`] isolates flows sharing a bottleneck: each [`FlowId`] gets
-//! its own FIFO, and service cycles round-robin with a byte quantum so
-//! flows receive (approximately) equal byte rates regardless of how
-//! aggressively they send — the discipline behind the Jain-fairness
-//! property tests.
+//! DRR isolates flows sharing a bottleneck: each [`FlowId`] gets its own
+//! FIFO, and service cycles round-robin with a byte quantum so flows
+//! receive (approximately) equal byte rates regardless of how aggressively
+//! they send — the discipline behind the Jain-fairness property tests. The
+//! byte capacity is shared: the queue tail-drops an arrival that overflows
+//! it, whichever flow it belongs to.
 //!
 //! Determinism: flow slots are created in first-arrival order and the
 //! active list is an explicit `VecDeque` of slot indices; the `HashMap` is
 //! used only for point lookups, never iterated.
 
 use crate::packet::{FlowId, PacketRef};
-use crate::queue::{Dequeue, EnqueueResult, Queue, QueueStats};
-use crate::time::SimTime;
 use crate::units::MTU_BYTES;
 use std::collections::{HashMap, VecDeque};
 
-/// Configuration for [`DrrQueue`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct DrrConfig {
-    /// Bytes of service credit granted per round-robin visit. One MTU is
-    /// the classic choice: every backlogged flow can always send at least
-    /// one full-sized packet per round.
-    pub quantum_bytes: u64,
-}
+/// DRR's settings, all fixed: a quantum of one MTU, the classic choice —
+/// every backlogged flow can always send at least one full-sized packet
+/// per round.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+#[non_exhaustive]
+pub struct DrrConfig;
 
-impl Default for DrrConfig {
-    fn default() -> Self {
-        DrrConfig {
-            quantum_bytes: MTU_BYTES,
-        }
-    }
-}
+/// Bytes of service credit granted per round-robin visit.
+const QUANTUM: u64 = MTU_BYTES;
 
 #[derive(Debug)]
 struct FlowSlot {
@@ -44,70 +37,35 @@ struct FlowSlot {
     charged: bool,
 }
 
-/// A deficit-round-robin fair queue over per-flow FIFOs.
-#[derive(Debug)]
-pub struct DrrQueue {
-    capacity_bytes: u64,
-    occupied_bytes: u64,
-    quantum: u64,
-    stats: QueueStats,
+/// A deficit-round-robin schedule over per-flow FIFOs.
+#[derive(Debug, Default)]
+pub(crate) struct Drr {
     /// Flow slots in first-arrival order (never reordered or removed).
     flows: Vec<FlowSlot>,
     /// Point lookups only — iteration order never matters.
     index: HashMap<FlowId, usize>,
     /// Round-robin list of active slot indices.
     active: VecDeque<usize>,
-    len: usize,
 }
 
-impl DrrQueue {
-    /// Create a DRR queue with a shared byte capacity across all flows.
-    ///
-    /// # Panics
-    /// Panics on zero capacity or zero quantum.
-    pub fn new(capacity_bytes: u64, cfg: DrrConfig) -> Self {
-        assert!(capacity_bytes > 0, "queue capacity must be positive");
-        assert!(cfg.quantum_bytes > 0, "DRR quantum must be positive");
-        DrrQueue {
-            capacity_bytes,
-            occupied_bytes: 0,
-            quantum: cfg.quantum_bytes,
-            stats: QueueStats::default(),
-            flows: Vec::new(),
-            index: HashMap::new(),
-            active: VecDeque::new(),
-            len: 0,
-        }
-    }
-
-    fn slot_of(&mut self, flow: FlowId) -> usize {
-        if let Some(&i) = self.index.get(&flow) {
-            return i;
-        }
-        let i = self.flows.len();
-        self.flows.push(FlowSlot {
-            queue: VecDeque::new(),
-            deficit: 0,
-            active: false,
-            charged: false,
-        });
-        self.index.insert(flow, i);
-        i
-    }
-}
-
-impl Queue for DrrQueue {
-    fn enqueue(&mut self, _now: SimTime, pkt: PacketRef) -> EnqueueResult {
-        // Shared buffer: tail-drop the arriving packet on overflow no
-        // matter which flow it belongs to.
-        if self.occupied_bytes + pkt.size > self.capacity_bytes {
-            self.stats.on_arrival_drop(pkt.size, self.occupied_bytes);
-            return EnqueueResult::Dropped;
-        }
-        let i = self.slot_of(pkt.flow);
-        self.occupied_bytes += pkt.size;
-        self.len += 1;
-        self.stats.on_accept(pkt.size, self.occupied_bytes);
+impl Drr {
+    /// Queue an admitted packet on its flow's FIFO, entering the flow into
+    /// the round with no credit if it was idle.
+    #[inline]
+    pub(crate) fn push(&mut self, pkt: PacketRef) {
+        let i = match self.index.get(&pkt.flow) {
+            Some(&i) => i,
+            None => {
+                self.flows.push(FlowSlot {
+                    queue: VecDeque::new(),
+                    deficit: 0,
+                    active: false,
+                    charged: false,
+                });
+                self.index.insert(pkt.flow, self.flows.len() - 1);
+                self.flows.len() - 1
+            }
+        };
         let slot = &mut self.flows[i];
         slot.queue.push_back(pkt);
         if !slot.active {
@@ -116,14 +74,13 @@ impl Queue for DrrQueue {
             slot.charged = false;
             self.active.push_back(i);
         }
-        EnqueueResult::Accepted
     }
 
-    fn dequeue(&mut self, _now: SimTime, _dropped: &mut Vec<PacketRef>) -> Dequeue {
+    /// The next packet in round-robin order.
+    #[inline]
+    pub(crate) fn pop(&mut self) -> Option<PacketRef> {
         loop {
-            let Some(&i) = self.active.front() else {
-                return Dequeue::Empty;
-            };
+            let &i = self.active.front()?;
             let slot = &mut self.flows[i];
             if slot.queue.is_empty() {
                 slot.active = false;
@@ -133,7 +90,7 @@ impl Queue for DrrQueue {
                 continue;
             }
             if !slot.charged {
-                slot.deficit += self.quantum;
+                slot.deficit += QUANTUM;
                 slot.charged = true;
             }
             let head_size = slot.queue.front().expect("checked non-empty").size;
@@ -147,10 +104,7 @@ impl Queue for DrrQueue {
                     slot.charged = false;
                     self.active.pop_front();
                 }
-                self.occupied_bytes -= pkt.size;
-                self.len -= 1;
-                self.stats.on_dequeue(pkt.size, self.occupied_bytes);
-                return Dequeue::Packet(pkt);
+                return Some(pkt);
             }
             // Out of credit: carry the deficit to the next round.
             slot.charged = false;
@@ -158,32 +112,14 @@ impl Queue for DrrQueue {
             self.active.push_back(i);
         }
     }
-
-    fn occupied_bytes(&self) -> u64 {
-        self.occupied_bytes
-    }
-
-    fn len(&self) -> usize {
-        self.len
-    }
-
-    fn capacity_bytes(&self) -> u64 {
-        self.capacity_bytes
-    }
-
-    fn stats(&self) -> &QueueStats {
-        &self.stats
-    }
-
-    fn stats_mut(&mut self) -> &mut QueueStats {
-        &mut self.stats
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::packet::PacketId;
+    use crate::queue::{Dequeue, Discipline, EnqueueResult, Queue};
+    use crate::time::SimTime;
 
     fn pkt(flow: u64, seq: u64, size: u64) -> PacketRef {
         PacketRef {
@@ -193,7 +129,11 @@ mod tests {
         }
     }
 
-    fn drain(q: &mut DrrQueue) -> Vec<(u64, u64)> {
+    fn drr(capacity_bytes: u64) -> Queue {
+        Discipline::Drr(DrrConfig::default()).build(capacity_bytes)
+    }
+
+    fn drain(q: &mut Queue) -> Vec<(u64, u64)> {
         let mut out = Vec::new();
         let mut dropped = Vec::new();
         loop {
@@ -215,7 +155,7 @@ mod tests {
     /// every few rounds — still byte-fair, just not per-packet alternating.)
     #[test]
     fn two_flows_interleave() {
-        let mut q = DrrQueue::new(1_000_000, DrrConfig::default());
+        let mut q = drr(1_000_000);
         for seq in 0..3 {
             q.enqueue(SimTime::ZERO, pkt(1, seq, MTU_BYTES));
         }
@@ -230,7 +170,7 @@ mod tests {
     /// small packets: over one full cycle the byte counts stay close.
     #[test]
     fn byte_fairness_with_mixed_sizes() {
-        let mut q = DrrQueue::new(10_000_000, DrrConfig::default());
+        let mut q = drr(10_000_000);
         // Flow 1: 100 x 1500 B; flow 2: 500 x 300 B. Same total bytes.
         for seq in 0..100 {
             q.enqueue(SimTime::ZERO, pkt(1, seq, 1_500));
@@ -261,7 +201,7 @@ mod tests {
     /// Per-flow FIFO order is preserved within each flow.
     #[test]
     fn per_flow_order_preserved() {
-        let mut q = DrrQueue::new(1_000_000, DrrConfig::default());
+        let mut q = drr(1_000_000);
         for seq in 0..10 {
             q.enqueue(SimTime::ZERO, pkt(7, seq, 700));
             q.enqueue(SimTime::ZERO, pkt(8, seq, 1_400));
@@ -280,7 +220,7 @@ mod tests {
     /// The shared byte capacity tail-drops arrivals once exceeded.
     #[test]
     fn shared_capacity_tail_drops() {
-        let mut q = DrrQueue::new(2_500, DrrConfig::default());
+        let mut q = drr(2_500);
         assert_eq!(
             q.enqueue(SimTime::ZERO, pkt(1, 0, 1_000)),
             EnqueueResult::Accepted
@@ -295,26 +235,29 @@ mod tests {
         );
         assert_eq!(q.stats().drops, 1);
         assert_eq!(q.len(), 2);
-        assert_eq!(q.flows.len(), 2);
     }
 
     /// A flow that drains and comes back re-enters the round with zero
-    /// credit (no deficit hoarding across idle periods).
+    /// credit (no deficit hoarding across idle periods): flow 1 leaves
+    /// 1 000 B of its quantum unspent, and on its return its two 1 000 B
+    /// packets alternate with flow 2's, where the hoarded credit would send
+    /// them back to back. Its slot is reused.
     #[test]
     fn idle_flow_loses_credit() {
-        let mut q = DrrQueue::new(
-            1_000_000,
-            DrrConfig {
-                quantum_bytes: 10_000,
-            },
-        );
-        q.enqueue(SimTime::ZERO, pkt(1, 0, 100));
-        drain(&mut q);
-        // Re-activate: the big earlier quantum must not have been hoarded.
-        q.enqueue(SimTime::ZERO, pkt(1, 1, 100));
-        q.enqueue(SimTime::ZERO, pkt(2, 0, 100));
-        let order = drain(&mut q);
-        assert_eq!(order, vec![(1, 1), (2, 0)]);
-        assert_eq!(q.flows.len(), 2);
+        let mut drr = Drr::default();
+        drr.push(pkt(1, 0, 500));
+        assert_eq!(drr.pop().map(|p| p.id), Some(PacketId(0)));
+        assert_eq!(drr.pop(), None);
+        for seq in 1..3 {
+            drr.push(pkt(1, seq, 1_000));
+        }
+        for seq in 0..2 {
+            drr.push(pkt(2, seq, MTU_BYTES));
+        }
+        let order: Vec<_> = std::iter::from_fn(|| drr.pop())
+            .map(|p| (p.flow.0, p.id.0 as u64))
+            .collect();
+        assert_eq!(order, vec![(1, 1), (2, 0), (1, 2), (2, 1)]);
+        assert_eq!(drr.flows.len(), 2);
     }
 }

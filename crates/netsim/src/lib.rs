@@ -1,11 +1,11 @@
 //! # netsim — a deterministic discrete-event packet network simulator
 //!
 //! This crate is the network substrate for the Sammy reproduction. It models
-//! nodes, unidirectional links with drop-tail queues, MTU-sized packets, and
-//! endpoint protocol logic driven by an event loop with exact integer-
-//! nanosecond time. Runs are fully deterministic: events are ordered by
-//! `(time, insertion sequence)` and there is no wall-clock or unseeded
-//! randomness anywhere.
+//! nodes, unidirectional links whose queues run one of five disciplines
+//! (drop-tail by default), MTU-sized packets, and endpoint protocol logic
+//! driven by an event loop with exact integer-nanosecond time. Runs are
+//! fully deterministic: events are ordered by `(time, insertion sequence)`
+//! and there is no wall-clock or unseeded randomness anywhere.
 //!
 //! The design follows the event-driven, no-surprises style of embedded TCP/IP
 //! stacks: protocol state machines are plain structs that react to packets
@@ -15,7 +15,7 @@
 //! - [`time`]: [`SimTime`] / [`SimDuration`] integer-nanosecond time.
 //! - [`units`]: [`Rate`] (bits/sec) and packet-size constants.
 //! - [`packet`]: [`Packet`] and the neutral [`Payload`] wire format.
-//! - [`queue`]: the pluggable [`Queue`] discipline trait + drop-tail FIFO.
+//! - [`queue`]: the link [`Queue`]: one byte ledger under a [`Discipline`].
 //! - [`aqm`]: RED and CoDel active queue management.
 //! - [`fq`]: deficit-round-robin per-flow fair queuing.
 //! - [`shaper`]: token-bucket ISP rate shaping (non-work-conserving).
@@ -56,15 +56,15 @@ pub mod topology;
 pub mod trace;
 pub mod units;
 
-pub use aqm::{CoDelConfig, CoDelQueue, RedConfig, RedQueue};
+pub use aqm::{CoDelConfig, RedConfig};
 pub use engine::{BudgetExceeded, Endpoint, FlowStats, NodeCtx, Simulator};
 pub use error::SimError;
-pub use fq::{DrrConfig, DrrQueue};
+pub use fq::DrrConfig;
 pub use link::{Link, LinkConfig};
 pub use monitor::QueueMonitor;
 pub use packet::{FlowId, LinkId, NodeId, Packet, PacketId, PacketRef, PacketStore, Payload};
 pub use queue::{Dequeue, Discipline, EnqueueResult, Queue, QueueStats};
-pub use shaper::{TokenBucketConfig, TokenBucketQueue};
+pub use shaper::TokenBucketConfig;
 pub use time::{SimDuration, SimTime};
 pub use topology::{Dumbbell, DumbbellConfig, SharedTopology, SharedTopologyConfig};
 pub use trace::{BinnedThroughput, GaugeSeries};

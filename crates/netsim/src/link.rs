@@ -1,9 +1,9 @@
 //! Unidirectional links.
 //!
 //! A [`Link`] serializes packets at a fixed line rate, holds waiting packets
-//! in a pluggable [`Queue`] discipline (drop-tail by default), and delivers
-//! each packet after a fixed propagation delay. Links are unidirectional; a
-//! bidirectional cable is two `Link`s.
+//! in its [`Queue`] under the configured discipline (drop-tail by default),
+//! and delivers each packet after a fixed propagation delay. Links are
+//! unidirectional; a bidirectional cable is two `Link`s.
 //!
 //! The packets a link has started carry on along its wire as a FIFO in
 //! start order. Starts only move forward (`free_at` never decreases), the
@@ -12,7 +12,7 @@
 //! its front.
 
 use crate::packet::{NodeId, PacketId, PacketRef};
-use crate::queue::{Dequeue, Discipline, EnqueueResult, Queue};
+use crate::queue::{Dequeue, Discipline, Queue};
 use crate::time::{SimDuration, SimTime};
 use crate::units::Rate;
 use std::collections::VecDeque;
@@ -81,7 +81,7 @@ pub struct Link {
     /// keeps the wire in arrival order.
     pub(crate) delay: SimDuration,
     /// Waiting packets, behind the configured discipline.
-    pub queue: Box<dyn Queue>,
+    pub queue: Queue,
     /// Packets serializing or propagating, as `(arrival, seq, id)` in start
     /// order, which is also `(arrival, seq)` order. The engine's packet-event
     /// heap holds one `PacketArrive` for the front, none for the rest.
@@ -126,11 +126,6 @@ impl Link {
             bytes_sent: 0,
             packets_sent: 0,
         }
-    }
-
-    /// Offer a packet to the link's queue at simulated time `now`.
-    pub fn enqueue(&mut self, now: SimTime, pkt: PacketRef) -> EnqueueResult {
-        self.queue.enqueue(now, pkt)
     }
 
     /// True while the wire cannot take a packet at `now`: one is still being
@@ -211,7 +206,7 @@ mod tests {
     #[test]
     fn serialization_time() {
         let mut link = test_link();
-        link.enqueue(SimTime::ZERO, pkt(1500));
+        link.queue.enqueue(SimTime::ZERO, pkt(1500));
         let p = start(&mut link, SimTime::ZERO).unwrap();
         assert_eq!(p.size, 1500);
         assert_eq!(link.free_at, SimTime::from_millis(1));
@@ -251,8 +246,8 @@ mod tests {
             1_000,
         )));
         let mut link = Link::new(NodeId(0), NodeId(1), cfg);
-        link.enqueue(SimTime::ZERO, pkt(1_000));
-        link.enqueue(SimTime::ZERO, pkt(1_000));
+        link.queue.enqueue(SimTime::ZERO, pkt(1_000));
+        link.queue.enqueue(SimTime::ZERO, pkt(1_000));
         start(&mut link, SimTime::ZERO).unwrap();
         // 80 us of serialization refill 80 B of the 1000 B the head needs.
         let now = link.free_at;

@@ -1,31 +1,38 @@
-//! Link queues behind a pluggable [`Queue`] discipline trait.
+//! The link queue: one byte ledger under five disciplines.
 //!
 //! The simulator's original model is a drop-tail FIFO sized in bytes — how
 //! the paper's lab bottleneck is configured (4x the bandwidth-delay product).
-//! The shared-topology experiments add AQM ([`RedQueue`], [`CoDelQueue`]),
-//! per-flow fair queuing ([`DrrQueue`]) and a token-bucket ISP shaper
-//! ([`TokenBucketQueue`]); all of them implement [`Queue`] so links, the
-//! engine, `validate` invariants and `obs` telemetry are discipline-agnostic.
+//! The shared-topology experiments add AQM (RED and CoDel, [`aqm`]),
+//! per-flow fair queuing (DRR, [`fq`]) and a token-bucket ISP shaper
+//! ([`shaper`]). A [`Queue`] keeps what they share — the byte capacity, the
+//! occupancy and the [`QueueStats`] ledger — and a private policy holds each
+//! discipline's packets and the state it decides with, so links, the
+//! engine, `validate` invariants and `obs` telemetry are
+//! discipline-agnostic.
 //!
 //! ## Contract
 //!
 //! - [`Queue::enqueue`] offers an arriving packet; a `Dropped` result means
-//!   the *arriving* packet was rejected (tail drop or AQM early drop).
-//! - [`Queue::dequeue`] asks for the next packet to serialize. AQM
-//!   disciplines may *head-drop* packets at this point; those are pushed
-//!   into the caller's `dropped` buffer so the engine can account them per
-//!   flow. A non-work-conserving discipline (the shaper) may instead return
-//!   [`Dequeue::Wait`], telling the engine when to try again.
+//!   the *arriving* packet was rejected (tail drop, RED early drop, or a
+//!   packet larger than the token bucket, which could never be sent).
+//! - [`Queue::dequeue`] asks for the next packet to serialize. CoDel may
+//!   *head-drop* packets at this point; those are pushed into the caller's
+//!   `dropped` buffer, in order, so the engine can account them per flow.
+//!   The non-work-conserving shaper may instead return [`Dequeue::Wait`],
+//!   telling the engine when to try again.
 //! - Every byte offered is eventually accounted exactly once: dequeued,
 //!   dropped, or still resident — the `queue-byte-conservation` ledger in
-//!   [`QueueStats`] (checked under the `validate` feature).
+//!   [`QueueStats`] (checked under the `validate` feature), which only
+//!   [`Queue`] writes.
 //!
-//! [`RedQueue`]: crate::aqm::RedQueue
-//! [`CoDelQueue`]: crate::aqm::CoDelQueue
-//! [`DrrQueue`]: crate::fq::DrrQueue
-//! [`TokenBucketQueue`]: crate::shaper::TokenBucketQueue
+//! [`aqm`]: crate::aqm
+//! [`fq`]: crate::fq
+//! [`shaper`]: crate::shaper
 
+use crate::aqm::{CoDel, CoDelPass, Red};
+use crate::fq::Drr;
 use crate::packet::PacketRef;
+use crate::shaper::TokenBucket;
 use crate::time::SimTime;
 use std::collections::VecDeque;
 
@@ -50,7 +57,7 @@ pub enum Dequeue {
     Empty,
 }
 
-/// Counters every queue discipline maintains, plus the `validate`-feature
+/// Counters every [`Queue`] keeps, plus the `validate`-feature
 /// byte ledger proving conservation (enqueued = dequeued + dropped +
 /// resident) at every hop.
 #[derive(Debug, Clone, Copy, Default)]
@@ -72,7 +79,7 @@ pub struct QueueStats {
 impl QueueStats {
     /// An arriving packet was accepted; `occupied` is the occupancy after.
     #[inline]
-    pub(crate) fn on_accept(&mut self, bytes: u64, occupied: u64) {
+    fn on_accept(&mut self, bytes: u64, occupied: u64) {
         #[cfg(feature = "validate")]
         {
             self.enqueued_bytes += bytes;
@@ -82,10 +89,10 @@ impl QueueStats {
         self.check_conservation(occupied);
     }
 
-    /// An arriving packet was rejected (tail or AQM early drop); `occupied`
+    /// An arriving packet was rejected; `occupied`
     /// is the (unchanged) occupancy.
     #[inline]
-    pub(crate) fn on_arrival_drop(&mut self, bytes: u64, occupied: u64) {
+    fn on_arrival_drop(&mut self, bytes: u64, occupied: u64) {
         #[cfg(feature = "validate")]
         {
             self.enqueued_bytes += bytes;
@@ -98,7 +105,7 @@ impl QueueStats {
     /// A previously accepted packet was head-dropped at dequeue time;
     /// `occupied` is the occupancy after removal.
     #[inline]
-    pub(crate) fn on_head_drop(&mut self, bytes: u64, occupied: u64) {
+    fn on_head_drop(&mut self, bytes: u64, occupied: u64) {
         self.drops += 1;
         self.dropped_bytes += bytes;
         self.check_conservation(occupied);
@@ -107,7 +114,7 @@ impl QueueStats {
     /// A packet was dequeued for transmission; `occupied` is the occupancy
     /// after removal.
     #[inline]
-    pub(crate) fn on_dequeue(&mut self, bytes: u64, occupied: u64) {
+    fn on_dequeue(&mut self, bytes: u64, occupied: u64) {
         #[cfg(feature = "validate")]
         {
             self.dequeued_bytes += bytes;
@@ -136,60 +143,11 @@ impl QueueStats {
     #[cfg(not(feature = "validate"))]
     #[inline(always)]
     fn check_conservation(&self, _occupied: u64) {}
-
-    /// Mutant mode: pretend bytes entered the queue and then vanished —
-    /// the classic dropped-byte leak where a rejection path forgets to
-    /// credit `dropped_bytes`. Must trip `queue-byte-conservation`.
-    #[cfg(feature = "validate")]
-    pub(crate) fn mutant_leak_dropped_bytes(&mut self, bytes: u64, occupied: u64) {
-        self.enqueued_bytes += bytes;
-        self.check_conservation(occupied);
-    }
-}
-
-/// A queue discipline: what a [`Link`](crate::link::Link) holds between
-/// packet arrivals and serialization opportunities.
-///
-/// See the module docs for the enqueue/dequeue/accounting contract.
-pub trait Queue: std::fmt::Debug + Send {
-    /// Offer an arriving packet at simulated time `now`.
-    fn enqueue(&mut self, now: SimTime, pkt: PacketRef) -> EnqueueResult;
-
-    /// Ask for the next packet to serialize at time `now`. Head-dropped
-    /// packets (AQM) are pushed into `dropped` for per-flow accounting.
-    fn dequeue(&mut self, now: SimTime, dropped: &mut Vec<PacketRef>) -> Dequeue;
-
-    /// Current occupancy in bytes.
-    fn occupied_bytes(&self) -> u64;
-
-    /// Number of queued packets.
-    fn len(&self) -> usize;
-
-    /// Configured capacity in bytes.
-    fn capacity_bytes(&self) -> u64;
-
-    /// Shared drop/occupancy counters.
-    fn stats(&self) -> &QueueStats;
-
-    /// Mutable access to the shared counters.
-    fn stats_mut(&mut self) -> &mut QueueStats;
-
-    /// True if no packets are queued.
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Reset the occupancy high-water mark to the current occupancy
-    /// (used to measure phases of an experiment separately).
-    fn reset_max_occupancy(&mut self) {
-        let occ = self.occupied_bytes();
-        self.stats_mut().max_occupied_bytes = occ;
-    }
 }
 
 /// Which queue discipline a link runs, carried by
 /// [`LinkConfig`](crate::link::LinkConfig). The capacity in bytes comes from
-/// the link config's `queue_bytes`; the discipline holds everything else.
+/// the link config's `queue_bytes`.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub enum Discipline {
     /// Plain byte-bounded drop-tail FIFO (the legacy behavior).
@@ -207,86 +165,205 @@ pub enum Discipline {
 
 impl Discipline {
     /// Construct the discipline's queue with the given byte capacity.
-    pub fn build(self, capacity_bytes: u64) -> Box<dyn Queue> {
-        match self {
-            Discipline::DropTail => Box::new(DropTailQueue::new(capacity_bytes)),
-            Discipline::Red(cfg) => Box::new(crate::aqm::RedQueue::new(capacity_bytes, cfg)),
-            Discipline::CoDel(cfg) => Box::new(crate::aqm::CoDelQueue::new(capacity_bytes, cfg)),
-            Discipline::Drr(cfg) => Box::new(crate::fq::DrrQueue::new(capacity_bytes, cfg)),
-            Discipline::TokenBucket(cfg) => {
-                Box::new(crate::shaper::TokenBucketQueue::new(capacity_bytes, cfg))
-            }
-        }
-    }
-}
-
-/// A drop-tail FIFO queue with a byte-capacity limit.
-#[derive(Debug, Clone)]
-pub(crate) struct DropTailQueue {
-    capacity_bytes: u64,
-    occupied_bytes: u64,
-    packets: VecDeque<PacketRef>,
-    stats: QueueStats,
-}
-
-impl DropTailQueue {
-    /// Create a queue holding at most `capacity_bytes` of packets.
     ///
     /// # Panics
     /// Panics if `capacity_bytes` is zero: a zero-capacity queue would drop
     /// every packet and almost certainly indicates a misconfigured topology.
-    fn new(capacity_bytes: u64) -> Self {
+    pub fn build(self, capacity_bytes: u64) -> Queue {
         assert!(capacity_bytes > 0, "queue capacity must be positive");
-        DropTailQueue {
+        let policy = match self {
+            Discipline::DropTail => Policy::DropTail(VecDeque::new()),
+            Discipline::Red(_) => Policy::Red(Red::new(capacity_bytes)),
+            Discipline::CoDel(_) => Policy::CoDel(CoDel::default()),
+            Discipline::Drr(_) => Policy::Drr(Drr::default()),
+            Discipline::TokenBucket(cfg) => Policy::TokenBucket(TokenBucket::new(cfg)),
+        };
+        Queue {
             capacity_bytes,
             occupied_bytes: 0,
-            packets: VecDeque::new(),
+            len: 0,
             stats: QueueStats::default(),
+            policy,
         }
     }
 }
 
-impl Queue for DropTailQueue {
-    /// Offer a packet. Drop-tail: reject if it would exceed capacity.
-    fn enqueue(&mut self, _now: SimTime, pkt: PacketRef) -> EnqueueResult {
-        if self.occupied_bytes + pkt.size > self.capacity_bytes {
-            self.stats.on_arrival_drop(pkt.size, self.occupied_bytes);
-            EnqueueResult::Dropped
-        } else {
-            self.occupied_bytes += pkt.size;
-            self.stats.on_accept(pkt.size, self.occupied_bytes);
-            self.packets.push_back(pkt);
-            EnqueueResult::Accepted
+/// What a [`Link`](crate::link::Link) holds between packet arrivals and
+/// serialization opportunities: a byte-bounded buffer under one
+/// [`Discipline`]. See the module docs for the contract.
+#[derive(Debug)]
+pub struct Queue {
+    capacity_bytes: u64,
+    occupied_bytes: u64,
+    len: usize,
+    stats: QueueStats,
+    policy: Policy,
+}
+
+/// Each discipline's packets and the state it decides with.
+#[derive(Debug)]
+enum Policy {
+    DropTail(VecDeque<PacketRef>),
+    Red(Red),
+    CoDel(CoDel),
+    Drr(Drr),
+    TokenBucket(TokenBucket),
+}
+
+impl Queue {
+    /// Offer an arriving packet at simulated time `now`.
+    #[inline]
+    pub fn enqueue(&mut self, now: SimTime, pkt: PacketRef) -> EnqueueResult {
+        let fits = self.occupied_bytes + pkt.size <= self.capacity_bytes;
+        let Policy::DropTail(fifo) = &mut self.policy else {
+            return self.enqueue_policy(now, pkt, fits);
+        };
+        if !fits {
+            return self.refuse(pkt);
+        }
+        fifo.push_back(pkt);
+        self.accept(pkt)
+    }
+
+    /// Ask for the next packet to serialize at time `now`. Head-dropped
+    /// packets (CoDel) are pushed into `dropped` for per-flow accounting.
+    #[inline]
+    pub fn dequeue(&mut self, now: SimTime, dropped: &mut Vec<PacketRef>) -> Dequeue {
+        let Policy::DropTail(fifo) = &mut self.policy else {
+            return self.dequeue_policy(now, dropped);
+        };
+        match fifo.pop_front() {
+            Some(pkt) => self.send(pkt),
+            None => Dequeue::Empty,
         }
     }
 
-    fn dequeue(&mut self, _now: SimTime, _dropped: &mut Vec<PacketRef>) -> Dequeue {
-        let Some(pkt) = self.packets.pop_front() else {
-            return Dequeue::Empty;
+    /// [`Queue::enqueue`] for every policy but drop-tail, out of line so
+    /// that the drop-tail path stays as small as a bare FIFO's.
+    #[inline(never)]
+    fn enqueue_policy(&mut self, now: SimTime, pkt: PacketRef, fits: bool) -> EnqueueResult {
+        let accepted = match &mut self.policy {
+            Policy::Red(red) => red.admit(now, self.occupied_bytes, fits),
+            Policy::TokenBucket(bucket) => fits && bucket.holds(pkt.size),
+            Policy::DropTail(_) | Policy::CoDel(_) | Policy::Drr(_) => fits,
         };
+        if !accepted {
+            return self.refuse(pkt);
+        }
+        match &mut self.policy {
+            Policy::DropTail(fifo)
+            | Policy::Red(Red { fifo, .. })
+            | Policy::TokenBucket(TokenBucket { fifo, .. }) => fifo.push_back(pkt),
+            Policy::CoDel(codel) => codel.fifo.push_back((now, pkt)),
+            Policy::Drr(drr) => drr.push(pkt),
+        }
+        self.accept(pkt)
+    }
+
+    /// [`Queue::dequeue`] for every policy but drop-tail.
+    #[inline(never)]
+    fn dequeue_policy(&mut self, now: SimTime, dropped: &mut Vec<PacketRef>) -> Dequeue {
+        let next = match &mut self.policy {
+            Policy::DropTail(fifo) => fifo.pop_front(),
+            Policy::Red(red) => red.pop(now),
+            Policy::CoDel(_) => return self.dequeue_codel(now, dropped),
+            Policy::Drr(drr) => drr.pop(),
+            Policy::TokenBucket(bucket) => match bucket.pop(now) {
+                Ok(next) => next,
+                Err(at) => return Dequeue::Wait(at),
+            },
+        };
+        match next {
+            Some(pkt) => self.send(pkt),
+            None => Dequeue::Empty,
+        }
+    }
+
+    /// CoDel pops heads until it keeps one; each it drops on the way leaves
+    /// through `dropped`. Its verdict reads the occupancy after each pop.
+    #[inline(never)]
+    fn dequeue_codel(&mut self, now: SimTime, dropped: &mut Vec<PacketRef>) -> Dequeue {
+        let Policy::CoDel(codel) = &mut self.policy else {
+            unreachable!("dequeue_codel on a non-CoDel queue")
+        };
+        let mut pass = CoDelPass::First;
+        while let Some((enqueued_at, pkt)) = codel.fifo.pop_front() {
+            self.occupied_bytes -= pkt.size;
+            self.len -= 1;
+            if !codel.drops_head(now, enqueued_at, self.occupied_bytes, &mut pass) {
+                self.stats.on_dequeue(pkt.size, self.occupied_bytes);
+                return Dequeue::Packet(pkt);
+            }
+            self.stats.on_head_drop(pkt.size, self.occupied_bytes);
+            dropped.push(pkt);
+        }
+        codel.drained(pass);
+        Dequeue::Empty
+    }
+
+    /// Ledger: an arrival was taken in.
+    #[inline(always)]
+    fn accept(&mut self, pkt: PacketRef) -> EnqueueResult {
+        self.occupied_bytes += pkt.size;
+        self.len += 1;
+        self.stats.on_accept(pkt.size, self.occupied_bytes);
+        EnqueueResult::Accepted
+    }
+
+    /// Ledger: an arrival was refused.
+    #[inline(always)]
+    fn refuse(&mut self, pkt: PacketRef) -> EnqueueResult {
+        self.stats.on_arrival_drop(pkt.size, self.occupied_bytes);
+        EnqueueResult::Dropped
+    }
+
+    /// Ledger: a packet left for the wire.
+    #[inline(always)]
+    fn send(&mut self, pkt: PacketRef) -> Dequeue {
         self.occupied_bytes -= pkt.size;
+        self.len -= 1;
         self.stats.on_dequeue(pkt.size, self.occupied_bytes);
         Dequeue::Packet(pkt)
     }
 
-    fn occupied_bytes(&self) -> u64 {
+    /// Current occupancy in bytes.
+    pub fn occupied_bytes(&self) -> u64 {
         self.occupied_bytes
     }
 
-    fn len(&self) -> usize {
-        self.packets.len()
+    /// Number of queued packets.
+    pub fn len(&self) -> usize {
+        self.len
     }
 
-    fn capacity_bytes(&self) -> u64 {
+    /// True if no packets are queued.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// Configured capacity in bytes.
+    pub fn capacity_bytes(&self) -> u64 {
         self.capacity_bytes
     }
 
-    fn stats(&self) -> &QueueStats {
+    /// Drop and occupancy counters.
+    pub fn stats(&self) -> &QueueStats {
         &self.stats
     }
 
-    fn stats_mut(&mut self) -> &mut QueueStats {
-        &mut self.stats
+    /// Reset the occupancy high-water mark to the current occupancy
+    /// (used to measure phases of an experiment separately).
+    pub fn reset_max_occupancy(&mut self) {
+        self.stats.max_occupied_bytes = self.occupied_bytes;
+    }
+
+    /// Mutant mode: pretend `bytes` entered the queue and then vanished —
+    /// the classic dropped-byte leak where a rejection path forgets to
+    /// credit `dropped_bytes`. Must trip `queue-byte-conservation`.
+    #[cfg(feature = "validate")]
+    pub(crate) fn mutant_leak_dropped_bytes(&mut self, bytes: u64) {
+        self.stats.enqueued_bytes += bytes;
+        self.stats.check_conservation(self.occupied_bytes);
     }
 }
 
@@ -307,7 +384,7 @@ mod tests {
         }
     }
 
-    fn deq(q: &mut dyn Queue) -> Option<PacketRef> {
+    fn deq(q: &mut Queue) -> Option<PacketRef> {
         let mut dropped = Vec::new();
         match q.dequeue(SimTime::ZERO, &mut dropped) {
             Dequeue::Packet(p) => Some(p),
@@ -317,7 +394,7 @@ mod tests {
 
     #[test]
     fn fifo_order() {
-        let mut q = DropTailQueue::new(10_000);
+        let mut q = Discipline::DropTail.build(10_000);
         for id in 0..3u32 {
             assert_eq!(
                 q.enqueue(SimTime::ZERO, pkt_id(id, 100)),
@@ -333,7 +410,7 @@ mod tests {
 
     #[test]
     fn drops_when_full() {
-        let mut q = DropTailQueue::new(250);
+        let mut q = Discipline::DropTail.build(250);
         assert_eq!(q.enqueue(SimTime::ZERO, pkt(100)), EnqueueResult::Accepted);
         assert_eq!(q.enqueue(SimTime::ZERO, pkt(100)), EnqueueResult::Accepted);
         // Third packet would exceed 250 bytes.
@@ -348,7 +425,7 @@ mod tests {
 
     #[test]
     fn occupancy_accounting() {
-        let mut q = DropTailQueue::new(1_000);
+        let mut q = Discipline::DropTail.build(1_000);
         q.enqueue(SimTime::ZERO, pkt(300));
         q.enqueue(SimTime::ZERO, pkt(200));
         assert_eq!(q.occupied_bytes(), 500);
@@ -364,7 +441,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "capacity must be positive")]
     fn zero_capacity_panics() {
-        DropTailQueue::new(0);
+        Discipline::DropTail.build(0);
     }
 
     #[test]

@@ -1,25 +1,27 @@
-//! Token-bucket rate shaping.
+//! Token-bucket rate shaping, as a [`Queue`](crate::Queue) policy.
 //!
-//! [`TokenBucketQueue`] models an ISP shaper: a FIFO whose head may only be
-//! released when the bucket holds enough byte tokens. Unlike the other
-//! disciplines it is *non-work-conserving* — with packets queued and an
-//! empty bucket, [`Queue::dequeue`] returns [`Dequeue::Wait`] with the time
-//! at which enough tokens will have accumulated, and the engine schedules a
-//! link wakeup instead of serializing immediately.
+//! The shaper models an ISP's: a FIFO whose head may only be released when
+//! the bucket holds enough byte tokens. Unlike the other disciplines it is
+//! *non-work-conserving* — with packets queued and too few tokens,
+//! [`Queue::dequeue`](crate::Queue::dequeue) returns
+//! [`Dequeue::Wait`](crate::Dequeue::Wait) with the time at which enough
+//! tokens will have accumulated, and the engine schedules a link wakeup
+//! instead of serializing immediately. A packet larger than the bucket
+//! could never gather its tokens, so the queue drops it on arrival, as
+//! Linux `tbf` does.
 
 use crate::packet::PacketRef;
-use crate::queue::{Dequeue, EnqueueResult, Queue, QueueStats};
 use crate::time::{SimDuration, SimTime};
 use crate::units::Rate;
 use std::collections::VecDeque;
 
-/// Configuration for [`TokenBucketQueue`].
+/// Configuration of a token-bucket shaper.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TokenBucketConfig {
     /// Sustained shaping rate (tokens accrue at this byte rate).
     pub rate: Rate,
     /// Bucket depth in bytes: the largest back-to-back burst released at
-    /// line rate.
+    /// line rate, and the largest packet the shaper can ever send.
     pub burst_bytes: u64,
 }
 
@@ -30,13 +32,10 @@ impl TokenBucketConfig {
     }
 }
 
-/// A token-bucket shaper over a drop-tail FIFO.
+/// A token bucket over a FIFO.
 #[derive(Debug)]
-pub struct TokenBucketQueue {
-    capacity_bytes: u64,
-    occupied_bytes: u64,
-    packets: VecDeque<PacketRef>,
-    stats: QueueStats,
+pub(crate) struct TokenBucket {
+    pub(crate) fifo: VecDeque<PacketRef>,
     rate: Rate,
     burst: f64,
     /// Current token level in bytes. `f64` so sub-byte accrual between
@@ -45,20 +44,16 @@ pub struct TokenBucketQueue {
     last_refill: SimTime,
 }
 
-impl TokenBucketQueue {
-    /// Create a shaper with `capacity_bytes` of FIFO buffer.
+impl TokenBucket {
+    /// A full bucket.
     ///
     /// # Panics
-    /// Panics on zero capacity, zero burst, or a non-positive rate.
-    pub fn new(capacity_bytes: u64, cfg: TokenBucketConfig) -> Self {
-        assert!(capacity_bytes > 0, "queue capacity must be positive");
+    /// Panics on a zero burst or a non-positive rate.
+    pub(crate) fn new(cfg: TokenBucketConfig) -> Self {
         assert!(cfg.burst_bytes > 0, "token bucket burst must be positive");
         assert!(cfg.rate.bps() > 0.0, "shaping rate must be positive");
-        TokenBucketQueue {
-            capacity_bytes,
-            occupied_bytes: 0,
-            packets: VecDeque::new(),
-            stats: QueueStats::default(),
+        TokenBucket {
+            fifo: VecDeque::new(),
             rate: cfg.rate,
             burst: cfg.burst_bytes as f64,
             // Start full: the first burst goes out unshaped, like a real
@@ -68,72 +63,30 @@ impl TokenBucketQueue {
         }
     }
 
-    /// Current token level in bytes (diagnostics).
-    pub fn tokens(&self) -> f64 {
-        self.tokens
+    /// Whether a full bucket covers a packet of `size` bytes.
+    pub(crate) fn holds(&self, size: u64) -> bool {
+        size as f64 <= self.burst
     }
 
-    fn refill(&mut self, now: SimTime) {
+    /// The head if the bucket covers it, `Err` with the time it will.
+    #[inline]
+    pub(crate) fn pop(&mut self, now: SimTime) -> Result<Option<PacketRef>, SimTime> {
+        let Some(need) = self.fifo.front().map(|head| head.size as f64) else {
+            return Ok(None);
+        };
         let dt = (now - self.last_refill).as_secs_f64();
         if dt > 0.0 {
             self.tokens = (self.tokens + dt * self.rate.bps() / 8.0).min(self.burst);
             self.last_refill = now;
         }
-    }
-}
-
-impl Queue for TokenBucketQueue {
-    fn enqueue(&mut self, _now: SimTime, pkt: PacketRef) -> EnqueueResult {
-        if self.occupied_bytes + pkt.size > self.capacity_bytes {
-            self.stats.on_arrival_drop(pkt.size, self.occupied_bytes);
-            EnqueueResult::Dropped
-        } else {
-            self.occupied_bytes += pkt.size;
-            self.stats.on_accept(pkt.size, self.occupied_bytes);
-            self.packets.push_back(pkt);
-            EnqueueResult::Accepted
-        }
-    }
-
-    fn dequeue(&mut self, now: SimTime, _dropped: &mut Vec<PacketRef>) -> Dequeue {
-        let Some(need) = self.packets.front().map(|head| head.size as f64) else {
-            return Dequeue::Empty;
-        };
-        self.refill(now);
         if self.tokens >= need {
             self.tokens -= need;
-            let pkt = self.packets.pop_front().expect("checked non-empty");
-            self.occupied_bytes -= pkt.size;
-            self.stats.on_dequeue(pkt.size, self.occupied_bytes);
-            Dequeue::Packet(pkt)
-        } else {
-            // Time until the deficit accrues, padded by one nanosecond so
-            // float rounding can never wake the link a hair too early.
-            let deficit = need - self.tokens;
-            let secs = deficit * 8.0 / self.rate.bps();
-            let at = now + SimDuration::from_secs_f64(secs) + SimDuration::from_nanos(1);
-            Dequeue::Wait(at)
+            return Ok(self.fifo.pop_front());
         }
-    }
-
-    fn occupied_bytes(&self) -> u64 {
-        self.occupied_bytes
-    }
-
-    fn len(&self) -> usize {
-        self.packets.len()
-    }
-
-    fn capacity_bytes(&self) -> u64 {
-        self.capacity_bytes
-    }
-
-    fn stats(&self) -> &QueueStats {
-        &self.stats
-    }
-
-    fn stats_mut(&mut self) -> &mut QueueStats {
-        &mut self.stats
+        // Time until the deficit accrues, padded by one nanosecond so
+        // float rounding can never wake the link a hair too early.
+        let secs = (need - self.tokens) * 8.0 / self.rate.bps();
+        Err(now + SimDuration::from_secs_f64(secs) + SimDuration::from_nanos(1))
     }
 }
 
@@ -141,6 +94,7 @@ impl Queue for TokenBucketQueue {
 mod tests {
     use super::*;
     use crate::packet::{FlowId, PacketId};
+    use crate::queue::{Dequeue, Discipline, EnqueueResult, Queue};
 
     fn pkt(size: u64) -> PacketRef {
         PacketRef {
@@ -150,12 +104,13 @@ mod tests {
         }
     }
 
-    fn shaper_8mbps() -> TokenBucketQueue {
-        // 8 Mbps = 1000 bytes per millisecond; burst of one packet.
-        TokenBucketQueue::new(
-            1_000_000,
-            TokenBucketConfig::new(Rate::from_mbps(8.0), 1_000),
-        )
+    /// 8 Mbps = 1000 bytes per millisecond; burst of one packet.
+    fn bucket_8mbps() -> TokenBucketConfig {
+        TokenBucketConfig::new(Rate::from_mbps(8.0), 1_000)
+    }
+
+    fn shaper_8mbps() -> Queue {
+        Discipline::TokenBucket(bucket_8mbps()).build(1_000_000)
     }
 
     #[test]
@@ -193,16 +148,32 @@ mod tests {
 
     #[test]
     fn tokens_cap_at_burst() {
-        let mut q = shaper_8mbps();
-        q.enqueue(SimTime::ZERO, pkt(1_000));
+        let mut bucket = TokenBucket::new(bucket_8mbps());
+        bucket.fifo.push_back(pkt(1_000));
         // A long idle period cannot store more than one burst.
-        let later = SimTime::from_secs(10);
-        let mut dropped = Vec::new();
-        match q.dequeue(later, &mut dropped) {
-            Dequeue::Packet(_) => {}
+        assert_eq!(bucket.pop(SimTime::from_secs(10)), Ok(Some(pkt(1_000))));
+        assert!(
+            bucket.tokens < 1.0,
+            "tokens {} exceed burst cap",
+            bucket.tokens
+        );
+    }
+
+    #[test]
+    fn packet_larger_than_the_bucket_is_dropped_on_arrival() {
+        let mut q = shaper_8mbps();
+        assert_eq!(q.enqueue(SimTime::ZERO, pkt(1_001)), EnqueueResult::Dropped);
+        assert_eq!((q.stats().drops, q.stats().dropped_bytes), (1, 1_001));
+        assert!(q.is_empty());
+        // A packet the bucket covers still goes out on the stored burst.
+        assert_eq!(
+            q.enqueue(SimTime::ZERO, pkt(1_000)),
+            EnqueueResult::Accepted
+        );
+        match q.dequeue(SimTime::ZERO, &mut Vec::new()) {
+            Dequeue::Packet(p) => assert_eq!(p.size, 1_000),
             other => panic!("expected release, got {other:?}"),
         }
-        assert!(q.tokens() < 1.0, "tokens {} exceed burst cap", q.tokens());
     }
 
     #[test]
@@ -235,8 +206,7 @@ mod tests {
 
     #[test]
     fn overflow_tail_drops() {
-        let mut q =
-            TokenBucketQueue::new(2_000, TokenBucketConfig::new(Rate::from_mbps(8.0), 1_000));
+        let mut q = Discipline::TokenBucket(bucket_8mbps()).build(2_000);
         assert_eq!(
             q.enqueue(SimTime::ZERO, pkt(1_000)),
             EnqueueResult::Accepted

@@ -58,11 +58,6 @@ impl MultiSenderEndpoint {
         slot
     }
 
-    /// Slot index of `flow`, if registered.
-    pub fn slot_of(&self, flow: FlowId) -> Option<usize> {
-        self.index.get(&flow).copied()
-    }
-
     /// The single-flow endpoint in `slot` (sender, RTT trace, counters).
     pub fn slot(&self, slot: usize) -> &SenderEndpoint {
         &self.slots[slot]
@@ -174,7 +169,7 @@ mod tests {
             );
         }
         assert_eq!(ep.slots.len(), 2);
-        assert_eq!(ep.slot_of(FlowId(2)), Some(1));
+        assert_eq!(ep.index.get(&FlowId(2)), Some(&1));
         sim.set_endpoint(topo.origin, Box::new(ep));
         for (i, flow) in [FlowId(1), FlowId(2)].into_iter().enumerate() {
             let client = topo.clients[i];

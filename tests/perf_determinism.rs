@@ -15,7 +15,11 @@
 //! and the two transfers went 41_323 → 24_454 and 44_480 → 24_016.
 
 use sammy_repro::abtest::{run_user, user_at, Arm, ExperimentConfig, PopulationConfig};
-use sammy_repro::netsim::{Dumbbell, DumbbellConfig, FlowId, Packet, Payload, SimTime, Simulator};
+use sammy_repro::netsim::{
+    CoDelConfig, Dequeue, Discipline, DrrConfig, Dumbbell, DumbbellConfig, EnqueueResult, FlowId,
+    Packet, PacketId, PacketRef, Payload, Rate, RedConfig, SimDuration, SimTime, Simulator,
+    TokenBucketConfig,
+};
 use sammy_repro::transport::{ReceiverEndpoint, SenderEndpoint, TcpConfig};
 
 /// FNV-1a over a byte stream; stable, dependency-free fingerprint.
@@ -196,4 +200,162 @@ fn golden_table2_record_stream() {
 #[test]
 fn golden_title_bytes() {
     assert_eq!(title_fingerprint(), 0xd705_68ef_333a_bfdc);
+}
+
+/// Hashes what a queue did and counts the decisions that matter.
+#[derive(Default)]
+struct QueueLog {
+    h: u64,
+    probe_drops: u64,
+    arrival_drops: u64,
+    head_drops: u64,
+    waits: u64,
+}
+
+impl QueueLog {
+    fn enqueued(&mut self, h: &mut Fnv, result: EnqueueResult) {
+        let accepted = result == EnqueueResult::Accepted;
+        self.arrival_drops += u64::from(!accepted);
+        h.u64(u64::from(accepted));
+    }
+
+    /// Hash one dequeue and its head drops; `None` if a packet left, else
+    /// the time to poll again (`ZERO` once empty).
+    fn dequeued(
+        &mut self,
+        h: &mut Fnv,
+        d: Dequeue,
+        dropped: &mut Vec<PacketRef>,
+    ) -> Option<SimTime> {
+        let next = match d {
+            Dequeue::Packet(p) => {
+                h.u64(0);
+                h.u64(u64::from(p.id.0));
+                None
+            }
+            Dequeue::Wait(at) => {
+                self.waits += 1;
+                h.u64(1);
+                h.u64(at.as_nanos());
+                Some(at)
+            }
+            Dequeue::Empty => {
+                h.u64(2);
+                Some(SimTime::ZERO)
+            }
+        };
+        for p in dropped.drain(..) {
+            self.head_drops += 1;
+            h.u64(3);
+            h.u64(u64::from(p.id.0));
+        }
+        next
+    }
+}
+
+/// The benchmark's queue probe, then an overload, then a drain, through one
+/// discipline: 4 000 arrivals of 1 500 B from eight flows every 120 µs into
+/// 400 kB, each served at once behind a 64-packet backlog; 3 000 more every
+/// 60 µs, half of them flow 1's, served one for two; service until the
+/// queue is empty, at each `Wait`'s time or every 120 µs; then three
+/// packets served 50, 200 and 350 ms after they arrive. Hashes every
+/// enqueue result, every dequeue outcome (packet id, `Wait` time or
+/// `Empty`), every head-dropped id and the final counters; also counts the
+/// arrival drops (those of the probe apart), head drops and waits, so the
+/// pin shows each discipline's own decisions happening.
+fn discipline_log(discipline: Discipline) -> QueueLog {
+    let mut q = discipline.build(400_000);
+    let mut h = Fnv::new();
+    let mut log = QueueLog::default();
+    let mut dropped = Vec::new();
+    let mut now = SimTime::ZERO;
+    for i in 0..7_000u32 {
+        let pkt = PacketRef {
+            id: PacketId(i),
+            size: 1_500,
+            flow: FlowId(if i >= 4_000 && i % 2 == 0 {
+                1
+            } else {
+                1 + u64::from(i % 8)
+            }),
+        };
+        log.enqueued(&mut h, q.enqueue(now, pkt));
+        if i == 3_999 {
+            log.probe_drops = log.arrival_drops;
+        }
+        if (64..4_000).contains(&i) || (i >= 4_000 && i % 2 == 0) {
+            let d = q.dequeue(now, &mut dropped);
+            log.dequeued(&mut h, d, &mut dropped);
+        }
+        now += SimDuration::from_micros(if i < 4_000 { 120 } else { 60 });
+    }
+    loop {
+        let d = q.dequeue(now, &mut dropped);
+        match log.dequeued(&mut h, d, &mut dropped) {
+            None => now += SimDuration::from_micros(120),
+            Some(SimTime::ZERO) => break,
+            Some(at) => now = at,
+        }
+    }
+    // Three packets standing long past CoDel's target: it judges the last
+    // two heads by the bytes left behind each (one MTU, then none), not by
+    // the bytes before the pop.
+    for i in 7_000..7_003u32 {
+        let pkt = PacketRef {
+            id: PacketId(i),
+            size: 1_500,
+            flow: FlowId(1),
+        };
+        log.enqueued(&mut h, q.enqueue(now, pkt));
+    }
+    for wait_ms in [50, 150, 150] {
+        now += SimDuration::from_millis(wait_ms);
+        let d = q.dequeue(now, &mut dropped);
+        log.dequeued(&mut h, d, &mut dropped);
+    }
+    let stats = q.stats();
+    for v in [stats.drops, stats.dropped_bytes, stats.max_occupied_bytes] {
+        h.u64(v);
+    }
+    log.h = h.0;
+    log
+}
+
+/// Every decision of the five queue disciplines, bit for bit: RED's early
+/// drops, CoDel's head drops, DRR's rounds and the token bucket's waits, as
+/// the shared-bottleneck cells configure them (the bucket at three quarters
+/// of a six-session core). Captured on the tree where each discipline was
+/// its own `Queue` implementation behind a trait object.
+#[test]
+fn golden_queue_discipline_decisions() {
+    let tbf = TokenBucketConfig::new(Rate::from_mbps(54.0), 30_000);
+    let got: Vec<_> = [
+        ("droptail", Discipline::DropTail),
+        ("red", Discipline::Red(RedConfig::default())),
+        ("codel", Discipline::CoDel(CoDelConfig::default())),
+        ("drr", Discipline::Drr(DrrConfig::default())),
+        ("tbf", Discipline::TokenBucket(tbf)),
+    ]
+    .into_iter()
+    .map(|(name, d)| {
+        let log = discipline_log(d);
+        (
+            name,
+            log.h,
+            log.probe_drops,
+            log.arrival_drops,
+            log.head_drops,
+            log.waits,
+        )
+    })
+    .collect();
+    // (name, hash, probe drops, arrival drops, head drops, waits)
+    let pinned = vec![
+        ("droptail", 0x1e7d_bd7e_4872_4cc1, 0, 1_298, 0, 0),
+        ("red", 0xc531_18c8_fdb0_d2c1, 30, 1_409, 0, 0),
+        ("codel", 0x52a5_6954_5d18_ef70, 0, 1_286, 13, 0),
+        ("drr", 0xe0f0_5a3a_e37f_1709, 0, 1_298, 0, 0),
+        ("tbf", 0xa93b_df87_9271_82dc, 1_590, 3_780, 0, 2_747),
+    ];
+    assert_eq!(got, pinned);
 }
