@@ -606,7 +606,7 @@ pub const BUCKET_METRICS: [(&str, Aggregate, MetricExtractor); 5] = [
 
 fn bucket_throughput<const B: usize>(s: &SessionRecord) -> Option<f64> {
     let tput = s.outcome.avg_chunk_throughput.map(|r| r.mbps());
-    tput.filter(|_| bucket_of(s.pre_p95_mbps) == B)
+    tput.filter(|_| bucket_of(s.pre_p95_mbps) == Some(B))
 }
 
 /// Fig 6's row table: mean initial VMAF by day of the experiment, two
@@ -781,8 +781,8 @@ mod tests {
     }
 
     /// Fig 3's rows split the throughput row by bucket: every session with
-    /// a throughput lands in exactly one of them, and both arms of a user
-    /// land in the same one.
+    /// a throughput (and, here, a warm-up behind it) lands in exactly one
+    /// of them, and both arms of a user land in the same one.
     #[test]
     fn bucket_rows_partition_the_throughput_row() {
         let fold = |rows: MetricTable| {
@@ -809,6 +809,26 @@ mod tests {
         }
         let names: Vec<&str> = buckets.rows.iter().map(|r| r.name).collect();
         assert_eq!(names, (0..5).map(bucket_label).collect::<Vec<_>>());
+    }
+
+    /// Without a warm-up a user's pre-experiment p95 is unknown (NaN), and
+    /// their sessions belong to no Fig 3 bucket, not to ">90 Mbps".
+    #[test]
+    fn unknown_pre_experiment_p95_is_in_no_bucket() {
+        let report = Experiment::builder()
+            .config(ExperimentConfig {
+                users_per_arm: 24,
+                pre_sessions: 0,
+                ..tiny_cfg()
+            })
+            .rows(&BUCKET_METRICS)
+            .run_table()
+            .unwrap()
+            .report();
+        assert_eq!(report.users, 24);
+        for r in &report.rows {
+            assert_eq!((r.control_count, r.treatment_count), (0, 0), "{}", r.name);
+        }
     }
 
     /// Record-for-record equality that also holds across the NaN p95 of

@@ -34,12 +34,13 @@ pub const fn bucket_label(idx: usize) -> &'static str {
     ][idx]
 }
 
-/// The bucket index for a throughput in Mbps.
-pub fn bucket_of(mbps: f64) -> usize {
+/// The bucket index for a throughput in Mbps; `None` for a value that is
+/// no throughput (NaN, infinite or negative) — the pre-experiment p95 of a
+/// user whose warm-up measured nothing is NaN and belongs to no bucket.
+pub fn bucket_of(mbps: f64) -> Option<usize> {
     THROUGHPUT_BUCKETS
         .iter()
-        .position(|&(lo, hi)| mbps >= lo && mbps < hi)
-        .unwrap_or(4)
+        .position(|&(lo, hi)| (lo..hi).contains(&mbps))
 }
 
 /// Population-level distribution parameters.
@@ -274,13 +275,17 @@ mod tests {
 
     #[test]
     fn buckets_cover_all_throughputs() {
-        assert_eq!(bucket_of(0.1), 0);
-        assert_eq!(bucket_of(5.99), 0);
-        assert_eq!(bucket_of(6.0), 1);
-        assert_eq!(bucket_of(20.0), 2);
-        assert_eq!(bucket_of(45.0), 3);
-        assert_eq!(bucket_of(90.0), 4);
-        assert_eq!(bucket_of(1000.0), 4);
+        assert_eq!(bucket_of(0.0), Some(0));
+        assert_eq!(bucket_of(0.1), Some(0));
+        assert_eq!(bucket_of(5.99), Some(0));
+        assert_eq!(bucket_of(6.0), Some(1));
+        assert_eq!(bucket_of(20.0), Some(2));
+        assert_eq!(bucket_of(45.0), Some(3));
+        assert_eq!(bucket_of(90.0), Some(4));
+        assert_eq!(bucket_of(1000.0), Some(4));
+        for none in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -0.5] {
+            assert_eq!(bucket_of(none), None, "{none}");
+        }
         assert_eq!(bucket_label(0), "<6 Mbps");
     }
 
@@ -347,7 +352,7 @@ mod tests {
         let pop: Vec<_> = (0..5000).map(|i| user_at(&cfg, i, 3)).collect();
         let mut counts = [0usize; 5];
         for u in &pop {
-            counts[bucket_of(u.network.capacity.mbps())] += 1;
+            counts[bucket_of(u.network.capacity.mbps()).expect("a finite capacity")] += 1;
         }
         let total: f64 = cfg.bucket_weights.iter().sum();
         for (i, &c) in counts.iter().enumerate() {

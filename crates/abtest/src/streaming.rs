@@ -114,34 +114,67 @@ pub(crate) fn mix2(a: u64, b: u64) -> u64 {
     splitmix(&mut s)
 }
 
-/// Poisson(1) variate derived from a 64-bit key (Knuth's product method
-/// over a SplitMix64 uniform stream). Deterministic and order-free, which
-/// is what makes the streaming bootstrap mergeable: the weight of user `u`
-/// in replicate `r` depends only on `(seed, u, r)`, never on which shard
-/// or thread folded it.
-fn poisson1(key: u64) -> u64 {
-    const L: f64 = 0.367_879_441_171_442_33; // e^{-1}
+/// e⁻¹, the probability Knuth's product method compares against.
+const E_INV: f64 = 0.367_879_441_171_442_33;
+
+/// One uniform in `[0, 1)` from the next step of a SplitMix64 stream.
+fn uniform(state: &mut u64) -> f64 {
+    (splitmix(state) >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
+}
+
+/// Poisson(1) weight derived from a 64-bit key: Knuth's product method
+/// over the key's SplitMix64 uniform stream, capped at 64. Deterministic
+/// and order-free, which is what makes the streaming bootstrap mergeable:
+/// the weight of user `u` in replicate `r` depends only on `(seed, u, r)`,
+/// never on which shard or thread folded it.
+///
+/// The first three uniforms are drawn unconditionally: a product never
+/// grows when `u < 1`, so once `p3 ≤ e⁻¹` the loop's answer is the number
+/// of the earlier products still above it. Only a weight of 3 or more
+/// (≈ 8 % of draws) takes the loop.
+fn poisson1_weight(key: u64) -> u8 {
     let mut state = key;
-    let mut p = 1.0f64;
-    let mut k = 0u64;
-    loop {
-        let u = (splitmix(&mut state) >> 11) as f64 * (1.0 / (1u64 << 53) as f64);
-        p *= u;
-        if p <= L || k >= 64 {
-            return k;
+    let u = [
+        uniform(&mut state),
+        uniform(&mut state),
+        uniform(&mut state),
+    ];
+    weight_from(u, state)
+}
+
+/// The weight of three leading uniforms `u`, with `state` the stream
+/// after them.
+fn weight_from(u: [f64; 3], state: u64) -> u8 {
+    let p1 = u[0];
+    let p2 = p1 * u[1];
+    let p3 = p2 * u[2];
+    if p3 <= E_INV {
+        u8::from(p1 > E_INV) + u8::from(p2 > E_INV)
+    } else {
+        poisson1_tail(state, p3, 3)
+    }
+}
+
+/// Knuth's loop from `k` with running product `p > e⁻¹`, drawing on from
+/// `state`; stops at 64, so a weight fits a byte.
+fn poisson1_tail(mut state: u64, mut p: f64, mut k: u8) -> u8 {
+    while k < 64 {
+        p *= uniform(&mut state);
+        if p <= E_INV {
+            break;
         }
         k += 1;
     }
+    k
 }
 
 /// Draw one user's bootstrap weights, one per replicate: replicate `r` is
 /// one resampled *population* — a resampled user brings every metric
-/// along — so all rows fold the same vector. Weights fit a byte
-/// ([`poisson1`] stops at 64).
+/// along — so all rows fold the same vector.
 fn draw_weights(seed: u64, user_id: u64, weights: &mut [u8]) {
     let key = mix2(mix2(seed, 0xB007_5EED), user_id);
     for (rep, w) in weights.iter_mut().enumerate() {
-        *w = poisson1(mix2(key, rep as u64)) as u8;
+        *w = poisson1_weight(mix2(key, rep as u64));
     }
 }
 
@@ -200,12 +233,22 @@ impl MetricAcc {
         }
         self.delta_sum += sum;
         self.delta_count += n;
-        // `w == 0` is skipped, not multiplied: a non-finite `sum` must not
-        // reach a replicate the user was not drawn into.
-        for (slot, &w) in self.boot.iter_mut().zip(weights) {
-            if w > 0 {
+        if sum.is_finite() {
+            // Multiplied, not skipped: a slot starts at +0.0 and a
+            // round-to-nearest sum never makes it −0.0, so adding a zero
+            // weight's ±0.0 leaves every bit as it was.
+            for (slot, &w) in self.boot.iter_mut().zip(weights) {
                 slot.0 += f64::from(w) * sum;
                 slot.1 += u64::from(w) * n;
+            }
+        } else {
+            // `0 · ±inf` is NaN: a non-finite `sum` must not reach a
+            // replicate the user was not drawn into.
+            for (slot, &w) in self.boot.iter_mut().zip(weights) {
+                if w > 0 {
+                    slot.0 += f64::from(w) * sum;
+                    slot.1 += u64::from(w) * n;
+                }
             }
         }
     }
@@ -1078,16 +1121,88 @@ mod tests {
         (sum, n)
     }
 
+    /// Knuth's product method as the bootstrap drew it before the
+    /// three-draw head: multiply uniforms from `next` until the product
+    /// falls to e⁻¹, counting the draws before that one, capped at 64.
+    fn knuth(mut next: impl FnMut() -> f64) -> u64 {
+        let mut p = 1.0f64;
+        let mut k = 0u64;
+        loop {
+            p *= next();
+            if p <= E_INV || k >= 64 {
+                return k;
+            }
+            k += 1;
+        }
+    }
+
+    /// The reference Poisson(1) weight of a key: [`knuth`] over the key's
+    /// SplitMix64 uniform stream.
+    fn poisson1(key: u64) -> u64 {
+        let mut state = key;
+        knuth(|| uniform(&mut state))
+    }
+
     #[test]
     fn poisson1_has_unit_mean() {
         let n = 20_000u64;
-        let draws: Vec<f64> = (0..n).map(|i| poisson1(mix2(42, i)) as f64).collect();
+        let draws: Vec<f64> = (0..n)
+            .map(|i| f64::from(poisson1_weight(mix2(42, i))))
+            .collect();
         let mean = draws.iter().sum::<f64>() / n as f64;
         assert!((mean - 1.0).abs() < 0.02, "Poisson(1) mean off: {mean}");
         let var = draws.iter().map(|d| (d - mean).powi(2)).sum::<f64>() / n as f64;
         assert!((0.9..=1.1).contains(&var), "Poisson(1) variance off: {var}");
         // Deterministic per key.
-        assert_eq!(poisson1(mix2(7, 9)), poisson1(mix2(7, 9)));
+        assert_eq!(poisson1_weight(mix2(7, 9)), poisson1_weight(mix2(7, 9)));
+    }
+
+    #[test]
+    fn weight_draw_matches_knuths_loop_bit_for_bit() {
+        // 3 seeds × 200 users × 200 replicates, keyed as `draw_weights`
+        // keys them.
+        let mut weights = [0u8; 200];
+        let (mut keys, mut tail) = (0u64, 0u64);
+        for seed in [0, 1, 2023] {
+            for user in 0..200u64 {
+                draw_weights(seed, user, &mut weights);
+                let key = mix2(mix2(seed, 0xB007_5EED), user);
+                for (rep, &w) in weights.iter().enumerate() {
+                    let want = poisson1(mix2(key, rep as u64));
+                    assert_eq!(u64::from(w), want, "seed {seed} user {user} rep {rep}");
+                    keys += 1;
+                    tail += u64::from(want >= 3);
+                }
+            }
+        }
+        assert!(keys >= 100_000);
+        // P(w ≥ 3) = 1 − 2.5/e ≈ 8 %: the loop past the head runs often.
+        assert!(tail > keys / 20, "{tail} of {keys} draws reached k ≥ 3");
+
+        // Products landing exactly on e⁻¹ (each comparison's tie), a ulp
+        // either side of each, and a head whose product cannot fall to e⁻¹
+        // in 64 draws (the cap, reached through `poisson1_tail`).
+        let (half, two_thirds, l2) = (0.5, 2.0 / 3.0, 2.0 * E_INV);
+        assert_eq!(0.75 * two_thirds * l2, E_INV, "p3 lands on e⁻¹");
+        let nudge = |x: f64, d: i64| f64::from_bits(x.to_bits().wrapping_add_signed(d));
+        let mut heads = vec![[f64::MAX, 1.0, 1.0]];
+        for d in [-1, 0, 1] {
+            heads.push([nudge(E_INV, d), 0.9, 0.9]);
+            heads.push([half, nudge(l2, d), 0.9]);
+            heads.push([0.75, two_thirds, nudge(l2, d)]);
+            heads.push([0.99, 0.99, nudge(0.99, d)]);
+        }
+        for u in heads {
+            for state in [1u64, 0xDEAD_BEEF] {
+                let mut rest = state;
+                let mut stream = u
+                    .into_iter()
+                    .chain(std::iter::from_fn(|| Some(uniform(&mut rest))));
+                let want = knuth(|| stream.next().expect("an endless stream"));
+                assert_eq!(u64::from(weight_from(u, state)), want, "head {u:?}");
+            }
+        }
+        assert_eq!(weight_from([f64::MAX, 1.0, 1.0], 7), 64);
     }
 
     #[test]
@@ -1170,6 +1285,49 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn non_finite_delta_reaches_only_the_replicates_that_drew_the_user() {
+        const REPS: usize = 200;
+        let seed = 5;
+        let mut acc = MetricAcc::new(REPS);
+        let mut weights = vec![0u8; REPS];
+        // Finite users first, so most slots hold bits to keep.
+        for u in 0..20u64 {
+            draw_weights(seed, u, &mut weights);
+            acc.fold_user(&weights, &[10.0 + u as f64], &[9.5]);
+        }
+        // One delta that overflows to +inf; two that sum to NaN.
+        let users: [(u64, &[f64], &[f64]); 2] = [
+            (100, &[1e-300], &[1e300]),
+            (101, &[1e-300, 1e-300], &[1e300, -1e300]),
+        ];
+        for (user, c, t) in users {
+            let before = acc.boot.clone();
+            draw_weights(seed, user, &mut weights);
+            acc.fold_user(&weights, c, t);
+            let n = c.len() as u64;
+            let (mut drawn, mut not_drawn) = (0, 0);
+            for (rep, (&w, (got, was))) in
+                weights.iter().zip(acc.boot.iter().zip(&before)).enumerate()
+            {
+                if w == 0 {
+                    not_drawn += 1;
+                    assert_eq!(
+                        (got.0.to_bits(), got.1),
+                        (was.0.to_bits(), was.1),
+                        "rep {rep}"
+                    );
+                } else {
+                    drawn += 1;
+                    assert!(!got.0.is_finite(), "rep {rep}: {}", got.0);
+                    assert_eq!(got.1, was.1 + u64::from(w) * n, "rep {rep}");
+                }
+            }
+            assert!(drawn > 0 && not_drawn > 0, "user {user}: {drawn} drawn");
+        }
+        assert!(acc.boot.iter().any(|s| s.0.is_finite() && s.1 > 0));
     }
 
     #[test]

@@ -14,12 +14,13 @@
 //! until a time (`Link::free_at`), an idle hop stopped arming a `LinkTxDone`,
 //! and the two transfers went 41_323 → 24_454 and 44_480 → 24_016.
 
-use sammy_repro::abtest::{run_user, user_at, Arm, ExperimentConfig, PopulationConfig};
+use sammy_repro::abtest::{run_user, user_at, Arm, Experiment, ExperimentConfig, PopulationConfig};
 use sammy_repro::netsim::{
     CoDelConfig, Dequeue, Discipline, DrrConfig, Dumbbell, DumbbellConfig, EnqueueResult, FlowId,
     Packet, PacketId, PacketRef, Payload, Rate, RedConfig, SimDuration, SimTime, Simulator,
     TokenBucketConfig,
 };
+use sammy_repro::obs::Registry;
 use sammy_repro::transport::{ReceiverEndpoint, SenderEndpoint, TcpConfig};
 
 /// FNV-1a over a byte stream; stable, dependency-free fingerprint.
@@ -126,6 +127,37 @@ fn table2_fingerprint() -> u64 {
     h.0
 }
 
+/// `StreamRun::fingerprint()` of two small seed-2023 streaming runs at 600
+/// bootstrap replicates and 16 users a shard, one over the light population
+/// and one over the full one: every digest, delta sum, replicate and count
+/// of the folded state. The telemetry registry is emptied first — it is
+/// empty anyway without the `obs` feature, and `obs_determinism` pins it —
+/// so the literal holds with and without that feature.
+fn stream_fold_fingerprint() -> u64 {
+    let mut h = Fnv::new();
+    for (population, users) in [
+        (PopulationConfig::light(), 40),
+        (PopulationConfig::default(), 18),
+    ] {
+        let mut run = Experiment::builder()
+            .population_config(population)
+            .config(ExperimentConfig {
+                users_per_arm: users,
+                pre_sessions: 2,
+                sessions_per_user: 2,
+                seed: 2023,
+                bootstrap_reps: 600,
+                threads: 1,
+            })
+            .shard_size(16)
+            .run_streaming()
+            .expect("a valid config");
+        run.state.registry = Registry::new();
+        h.u64(run.fingerprint());
+    }
+    h.0
+}
+
 /// Every size and VMAF bit of the first two titles of users 0–7 at seed
 /// 2023, in the full and the light population, chunk by chunk.
 fn title_fingerprint() -> u64 {
@@ -200,6 +232,15 @@ fn golden_table2_record_stream() {
 #[test]
 fn golden_title_bytes() {
     assert_eq!(title_fingerprint(), 0xd705_68ef_333a_bfdc);
+}
+
+/// The whole streaming fold, pinned: the bootstrap weight draw, every
+/// row's replicate update, the digests and the shard merge. Captured on the
+/// tree where each weight was Knuth's loop and a replicate update skipped
+/// a zero weight by a branch.
+#[test]
+fn golden_stream_fold_state() {
+    assert_eq!(stream_fold_fingerprint(), 0x55a8_6837_aefd_ad67);
 }
 
 /// Hashes what a queue did and counts the decisions that matter.
