@@ -8,13 +8,21 @@
 //! paper's Fig 1), or sweeps pacing burst sizes under cross traffic (Fig 4,
 //! whose bursts are also Table 1's mechanisms). §2.2's LEDBAT scavenger is
 //! the same single-flow and Fig 8b runs on the LEDBAT substrate.
+//!
+//! One recipe serves every lab video session, here and in [`crate::shared`]:
+//! `install_video` adds it to its server node's multi-session host, and
+//! `run_sampled` reads a run on the 100 ms grid.
 
 use abr::{shared_history, HistoryPolicy, Mpc, ProductionAbr, SharedHistory};
-use netsim::{Dumbbell, DumbbellConfig, FlowId, Rate, SimDuration, SimTime, Simulator};
+use netsim::{
+    Dumbbell, DumbbellConfig, FlowId, LinkId, NodeId, Rate, SimDuration, SimTime, Simulator,
+};
 use sammy_core::{Sammy, SammyConfig};
 use std::sync::Arc;
 use traffic::{BulkReceiver, BulkSender, HttpClient};
-use transport::{CcAlgorithm, Protocol, SenderEndpoint, TcpConfig, UdpCbrSource, UdpSink};
+use transport::{
+    CcAlgorithm, MultiSenderEndpoint, Protocol, SenderEndpoint, TcpConfig, UdpCbrSource, UdpSink,
+};
 use video::{
     Abr, Ladder, Player, PlayerConfig, Title, TitleConfig, VideoClientEndpoint, VmafModel,
 };
@@ -38,6 +46,15 @@ impl LabArm {
     }
 }
 
+/// The video's startup transient on the lab path: both arms run unpaced
+/// until about here, as the paper's Fig 7 shows, so the steady-state
+/// readings start at it — the single flow's peak queue and Fig 8a's
+/// delay window.
+pub const STARTUP: SimDuration = SimDuration::from_secs(15);
+
+/// Title length: longer than any run keeps the session active throughout.
+const TITLE_SECS: u64 = 20 * 60;
+
 /// The shared lab scenario configuration.
 #[derive(Debug, Clone)]
 pub struct LabConfig {
@@ -45,9 +62,6 @@ pub struct LabConfig {
     pub dumbbell: DumbbellConfig,
     /// Length of the simulated run.
     pub run_for: SimDuration,
-    /// Title length (longer than the run keeps the session active
-    /// throughout).
-    pub title_secs: u64,
     /// Burst size for the video sender's pacer.
     pub burst_packets: u32,
     /// Client buffer capacity. The single-flow trace uses the production
@@ -75,7 +89,6 @@ impl Default for LabConfig {
                 ..Default::default()
             },
             run_for: SimDuration::from_secs(120),
-            title_secs: 20 * 60,
             burst_packets: 4,
             max_buffer: SimDuration::from_secs(240),
             seed: 1,
@@ -99,8 +112,8 @@ impl LabConfig {
     /// Build the lab scenario from the shared wire-format spec — the same
     /// `ExperimentSpec` the HTTP API and `sammy-sim` consume. Network
     /// shape, run length, transport substrate, and seed come from the
-    /// spec; lab-only knobs (title length, client buffer, host pairs)
-    /// keep their defaults.
+    /// spec; lab-only knobs (client buffer, host pairs) keep their
+    /// defaults.
     pub fn from_spec(s: &spec::ExperimentSpec) -> Self {
         let d = LabConfig::default();
         LabConfig {
@@ -113,28 +126,16 @@ impl LabConfig {
             ..d
         }
     }
-}
 
-/// The lab ladder: 3.3 Mbps top bitrate (§6).
-pub fn lab_title(secs: u64, seed: u64) -> Arc<Title> {
-    Arc::new(Title::generate(
-        Ladder::lab(&VmafModel::standard()),
-        &TitleConfig {
-            duration: SimDuration::from_secs(secs),
-            chunk_duration: SimDuration::from_secs(4),
-            size_cv: 0.12,
-            vmaf_sd: 0.0,
-            seed,
-        },
-    ))
-}
-
-/// The lab player: start and resume at 8 s of buffer, up to `max_buffer`.
-pub(crate) fn player_config(max_buffer: SimDuration) -> PlayerConfig {
-    PlayerConfig {
-        start_threshold: SimDuration::from_secs(8),
-        resume_threshold: SimDuration::from_secs(8),
-        max_buffer,
+    /// The video sender's transport: this configuration's substrate and
+    /// pacer burst.
+    pub(crate) fn video_tcp(&self) -> TcpConfig {
+        TcpConfig {
+            max_burst_packets: self.burst_packets,
+            cc: self.cc,
+            transport: self.transport,
+            ..Default::default()
+        }
     }
 }
 
@@ -156,33 +157,98 @@ pub(crate) fn lab_abr(arm: LabArm) -> Box<dyn Abr> {
     }
 }
 
-/// Install a video session on host pair `pair` of the dumbbell, returning
-/// the flow id. The client is on the right side, the server on the left.
-fn install_video(
-    sim: &mut Simulator,
-    db: &Dumbbell,
-    pair: usize,
-    arm: LabArm,
-    cfg: &LabConfig,
-    start: SimTime,
-    flow: FlowId,
-) {
-    let server_node = db.left[pair];
-    let client_node = db.right[pair];
-    let tcp = TcpConfig {
-        max_burst_packets: cfg.burst_packets,
-        cc: cfg.cc,
-        transport: cfg.transport,
-        ..Default::default()
-    };
-    let server = SenderEndpoint::new(server_node, client_node, flow, tcp);
-    sim.set_endpoint(server_node, Box::new(server));
+/// The video sender host at `node`: every lab video session is served
+/// from one, one session to a dumbbell host or N to the shared origin (a
+/// one-slot host is event-for-event a bare [`SenderEndpoint`]). Created on
+/// first use.
+pub(crate) fn host(sim: &mut Simulator, node: NodeId) -> &mut MultiSenderEndpoint {
+    if sim.endpoint_mut::<MultiSenderEndpoint>(node).is_none() {
+        sim.set_endpoint(node, Box::new(MultiSenderEndpoint::new()));
+    }
+    sim.endpoint_mut(node).expect("the video sender host")
+}
 
-    let title = lab_title(cfg.title_secs, cfg.seed);
-    let player = Player::new(title, lab_abr(arm), player_config(cfg.max_buffer), start);
-    let client =
-        VideoClientEndpoint::with_protocol(client_node, server_node, flow, player, cfg.transport);
-    client.install(sim, start);
+/// Install a lab video session on `(server, client, flow)`: the sender
+/// joins the server's [`host`] with transport `tcp`, and the client plays
+/// the lab title of `seed` (3.3 Mbps top rung, §6) through `abr` from
+/// `start`, starting and resuming at 8 s of buffer, up to `max_buffer`.
+pub(crate) fn install_video(
+    sim: &mut Simulator,
+    (server, client, flow): (NodeId, NodeId, FlowId),
+    abr: Box<dyn Abr>,
+    tcp: TcpConfig,
+    max_buffer: SimDuration,
+    start: SimTime,
+    seed: u64,
+) {
+    let protocol = tcp.transport;
+    host(sim, server).add_flow(server, client, flow, tcp);
+    let title = Arc::new(Title::generate(
+        Ladder::lab(&VmafModel::standard()),
+        &TitleConfig {
+            duration: SimDuration::from_secs(TITLE_SECS),
+            chunk_duration: SimDuration::from_secs(4),
+            size_cv: 0.12,
+            vmaf_sd: 0.0,
+            seed,
+        },
+    ));
+    let player_cfg = PlayerConfig {
+        start_threshold: SimDuration::from_secs(8),
+        resume_threshold: SimDuration::from_secs(8),
+        max_buffer,
+    };
+    let player = Player::new(title, abr, player_cfg, start);
+    VideoClientEndpoint::with_protocol(client, server, flow, player, protocol).install(sim, start);
+}
+
+/// Run `sim` to `run_for`, reading `read` on the 100 ms grid
+/// `[0, run_for)`, and reset `bottleneck`'s high-water mark at `startup`
+/// (or at the end of a shorter run): the peak a caller reads afterwards is
+/// the steady state's. Returns the `(s, value)` samples and the drops
+/// `bottleneck` counted before the reset. A grid step moves no event.
+pub(crate) fn run_sampled(
+    sim: &mut Simulator,
+    bottleneck: LinkId,
+    startup: SimDuration,
+    run_for: SimDuration,
+    mut read: impl FnMut(&mut Simulator) -> f64,
+) -> (Vec<(f64, f64)>, u64) {
+    let mut samples = Vec::new();
+    let mut at = SimTime::ZERO;
+    let mut run_to = |sim: &mut Simulator, deadline: SimDuration| {
+        let deadline = SimTime::ZERO + deadline;
+        while at < deadline {
+            sim.run_until(at);
+            samples.push((at.as_secs_f64(), read(sim)));
+            at += SimDuration::from_millis(100);
+        }
+        sim.run_until(deadline);
+    };
+    run_to(sim, startup.min(run_for));
+    let queue = &mut sim.link_mut(bottleneck).queue;
+    queue.reset_max_occupancy();
+    let startup_drops = queue.stats().drops;
+    run_to(sim, run_for);
+    (samples, startup_drops)
+}
+
+/// The lab dumbbell with the session under test — `arm` on host pair 0,
+/// flow 1, from t = 0 — installed: where every single-flow and Fig 8 run
+/// starts.
+fn lab_with_video(arm: LabArm, cfg: &LabConfig) -> (Simulator, Dumbbell) {
+    let mut sim = Simulator::new();
+    let db = Dumbbell::build(&mut sim, cfg.dumbbell);
+    install_video(
+        &mut sim,
+        (db.left[0], db.right[0], FlowId(1)),
+        lab_abr(arm),
+        cfg.video_tcp(),
+        cfg.max_buffer,
+        SimTime::ZERO,
+        cfg.seed,
+    );
+    (sim, db)
 }
 
 /// Results of the single-flow experiment (Fig 7, and the Fig 1 trace).
@@ -203,47 +269,25 @@ pub struct SingleFlowResult {
     pub play_delay_s: f64,
     /// Rebuffer count.
     pub rebuffers: u64,
-    /// Peak bottleneck queue occupancy (bytes).
+    /// Peak bottleneck queue occupancy after [`STARTUP`] (bytes).
     pub max_queue_bytes: u64,
 }
 
 /// Run a single video session alone on the dumbbell (Fig 7).
 pub fn single_flow(arm: LabArm, cfg: &LabConfig) -> SingleFlowResult {
-    let mut sim = Simulator::new();
-    let db = Dumbbell::build(&mut sim, cfg.dumbbell);
-    let flow = FlowId(1);
-    install_video(&mut sim, &db, 0, arm, cfg, SimTime::ZERO, flow);
-    // The sender's srtt is read between `run_until` steps, from outside the
-    // event loop (as `QueueMonitor::run_sampled` reads queue depth): a
-    // step boundary moves no event.
-    let mut rtt_series = Vec::new();
-    let mut at = SimTime::ZERO;
-    let mut run_sampled = |sim: &mut Simulator, deadline: SimTime| {
-        while at < deadline {
-            sim.run_until(at);
-            let server: &mut SenderEndpoint = sim.endpoint_mut(db.left[0]).expect("server");
-            let srtt = server.sender().core().srtt();
-            rtt_series.push((
-                at.as_secs_f64(),
-                srtt.map_or(f64::NAN, |d| d.as_millis_f64()),
-            ));
-            at += SimDuration::from_millis(100);
-        }
-        sim.run_until(deadline);
-    };
-    // Both arms saturate the link during the (unpaced) initial phase, as
-    // the paper's Fig 7 shows; the queue comparison targets steady state,
-    // so reset the high-water mark once startup is over.
-    run_sampled(&mut sim, SimTime::from_secs(15));
-    sim.link_mut(db.forward).queue.reset_max_occupancy();
-    run_sampled(&mut sim, SimTime::ZERO + cfg.run_for);
+    let (mut sim, db) = lab_with_video(arm, cfg);
+    let server = db.left[0];
+    let (rtt_series, _) = run_sampled(&mut sim, db.forward, STARTUP, cfg.run_for, |sim| {
+        let srtt = host(sim, server).slot(0).sender().core().srtt();
+        srtt.map_or(f64::NAN, |d| d.as_millis_f64())
+    });
 
     let max_queue_bytes = sim.link(db.forward).queue.stats().max_occupied_bytes;
     // Sender-side stats.
-    let server: &mut SenderEndpoint = sim.endpoint_mut(db.left[0]).expect("server endpoint");
-    let stats = server.sender().stats().clone();
-    let rtt_digest = server.sender().rtt_digest().clone();
-    let completed = server.completed.clone();
+    let sender = host(&mut sim, server).slot(0);
+    let stats = sender.sender().stats().clone();
+    let rtt_digest = sender.sender().rtt_digest().clone();
+    let completed = sender.completed.clone();
 
     let client: &mut VideoClientEndpoint = sim.endpoint_mut(db.right[0]).expect("client endpoint");
     let qoe = client.player().qoe();
@@ -283,9 +327,7 @@ pub fn single_flow(arm: LabArm, cfg: &LabConfig) -> SingleFlowResult {
 
 /// Fig 8a: one-way delay of a neighboring 5 Mbps paced UDP flow.
 pub fn neighbor_udp(arm: LabArm, cfg: &LabConfig) -> f64 {
-    let mut sim = Simulator::new();
-    let db = Dumbbell::build(&mut sim, cfg.dumbbell);
-    install_video(&mut sim, &db, 0, arm, cfg, SimTime::ZERO, FlowId(1));
+    let (mut sim, db) = lab_with_video(arm, cfg);
 
     let udp_flow = FlowId(50);
     UdpCbrSource::new(
@@ -304,15 +346,13 @@ pub fn neighbor_udp(arm: LabArm, cfg: &LabConfig) -> f64 {
     let sink: &mut UdpSink = sim.endpoint_mut(db.right[1]).expect("udp sink");
     // Mean one-way delay after the video's startup transient.
     sink.owd_ms
-        .mean_between(SimTime::from_secs(15), SimTime::ZERO + cfg.run_for)
+        .mean_between(SimTime::ZERO + STARTUP, SimTime::ZERO + cfg.run_for)
 }
 
 /// Fig 8b: throughput of a neighboring bulk TCP flow starting 10 s after
 /// video playback. Returns mean Mbps over its active period.
 pub fn neighbor_tcp(arm: LabArm, cfg: &LabConfig) -> f64 {
-    let mut sim = Simulator::new();
-    let db = Dumbbell::build(&mut sim, cfg.dumbbell);
-    install_video(&mut sim, &db, 0, arm, cfg, SimTime::ZERO, FlowId(1));
+    let (mut sim, db) = lab_with_video(arm, cfg);
 
     let flow = FlowId(60);
     BulkSender::new(
@@ -338,9 +378,7 @@ pub fn neighbor_tcp(arm: LabArm, cfg: &LabConfig) -> f64 {
 
 /// Fig 8c: mean response time (ms) of repeated 3 MB HTTP requests.
 pub fn neighbor_http(arm: LabArm, cfg: &LabConfig) -> f64 {
-    let mut sim = Simulator::new();
-    let db = Dumbbell::build(&mut sim, cfg.dumbbell);
-    install_video(&mut sim, &db, 0, arm, cfg, SimTime::ZERO, FlowId(1));
+    let (mut sim, db) = lab_with_video(arm, cfg);
 
     let flow = FlowId(70);
     let server = SenderEndpoint::new(db.left[1], db.right[1], flow, TcpConfig::default());
@@ -366,20 +404,16 @@ pub fn neighbor_http(arm: LabArm, cfg: &LabConfig) -> f64 {
 pub fn neighbor_video(arm: LabArm, cfg: &LabConfig, trials: u64) -> f64 {
     let mut delays = Vec::new();
     for trial in 0..trials {
-        let mut sim = Simulator::new();
-        let db = Dumbbell::build(&mut sim, cfg.dumbbell);
-        install_video(&mut sim, &db, 0, arm, cfg, SimTime::ZERO, FlowId(1));
+        let (mut sim, db) = lab_with_video(arm, cfg);
         // Neighbor session: control ABR, starts at t = 5 s.
-        let mut neighbor_cfg = cfg.clone();
-        neighbor_cfg.seed = cfg.seed + 1000 + trial;
         install_video(
             &mut sim,
-            &db,
-            1,
-            LabArm::Control,
-            &neighbor_cfg,
+            (db.left[1], db.right[1], FlowId(2)),
+            lab_abr(LabArm::Control),
+            cfg.video_tcp(),
+            cfg.max_buffer,
             SimTime::from_secs(5),
-            FlowId(2),
+            cfg.seed + 1000 + trial,
         );
         sim.run_until(SimTime::from_secs(40));
         let client: &mut VideoClientEndpoint =
@@ -427,30 +461,27 @@ pub fn burst_sweep(burst: Option<u32>, cfg: &LabConfig) -> f64 {
     }
 
     // Video flow paced at 2x the max bitrate (§5.6), with the given burst.
-    let flow = FlowId(1);
-    let server_node = db.left[0];
-    let client_node = db.right[0];
     let tcp = TcpConfig {
         max_burst_packets: burst.unwrap_or(40),
         ..Default::default()
     };
-    let server = SenderEndpoint::new(server_node, client_node, flow, tcp);
-    sim.set_endpoint(server_node, Box::new(server));
-    let title = lab_title(cfg.title_secs, cfg.seed);
-    let pace = burst.map(|_| title.ladder.top_bitrate() * 2.0);
-    let abr = FixedPaceAbr { pace };
-    let player = Player::new(
-        title,
+    let abr = FixedPaceAbr {
+        paced: burst.is_some(),
+    };
+    let server = db.left[0];
+    install_video(
+        &mut sim,
+        (server, db.right[0], FlowId(1)),
         Box::new(abr),
-        player_config(SimDuration::from_secs(240)),
+        tcp,
+        SimDuration::from_secs(240),
         SimTime::ZERO,
+        cfg.seed,
     );
-    VideoClientEndpoint::new(client_node, server_node, flow, player)
-        .install(&mut sim, SimTime::ZERO);
 
     sim.run_until(SimTime::ZERO + cfg.run_for);
-    let server: &mut SenderEndpoint = sim.endpoint_mut(server_node).expect("server");
-    server.sender().stats().retransmit_fraction()
+    let sender = host(&mut sim, server).slot(0).sender();
+    sender.stats().retransmit_fraction()
 }
 
 // ---------------------------------------------------------------------------
@@ -635,17 +666,18 @@ pub fn chaos_fluid_download(p: &ChaosProfile) -> f64 {
     .as_secs_f64()
 }
 
-/// A top-rung ABR with a fixed pace rate (the §5.6 experiment holds the
-/// bitrate and pace constant and varies only the burst size).
+/// A top-rung ABR paced at a fixed 2x the top bitrate, or unpaced (the
+/// §5.6 experiment holds the bitrate and pace constant and varies only the
+/// burst size).
 struct FixedPaceAbr {
-    pace: Option<Rate>,
+    paced: bool,
 }
 
 impl Abr for FixedPaceAbr {
     fn select(&mut self, ctx: &video::AbrContext<'_>) -> video::AbrDecision {
         video::AbrDecision {
             rung: ctx.ladder.top(),
-            pace: self.pace,
+            pace: self.paced.then(|| ctx.ladder.top_bitrate() * 2.0),
         }
     }
 
@@ -724,7 +756,6 @@ mod tests {
         // Lab-only knobs keep their defaults.
         let d = LabConfig::default();
         assert_eq!(cfg.dumbbell.pairs, d.dumbbell.pairs);
-        assert_eq!(cfg.title_secs, d.title_secs);
         assert_eq!(cfg.max_buffer, d.max_buffer);
     }
 

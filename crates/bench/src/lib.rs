@@ -19,6 +19,11 @@
 //! disciplines), backing the shared-queue-occupancy and Jain's-fairness
 //! figures.
 //!
+//! Every packet-lab video session, in [`lab`] and [`shared`] alike, is
+//! installed one way (a flow on its server node's
+//! `transport::MultiSenderEndpoint`, a player on the lab title) and every
+//! lab trace is read on one 100 ms grid over `[0, run_for)`.
+//!
 //! [`matrix`] runs the CC × pacing A/B matrix: the single-flow lab over
 //! every transport substrate ({Reno, CUBIC, BBR} on TCP, CUBIC on the
 //! QUIC-style transport) × {unpaced control, Sammy}, backing the

@@ -5,10 +5,10 @@
 //! two figures this module backs compare N Sammy sessions against N greedy
 //! (production-control) sessions:
 //!
-//! - **Shared-queue occupancy**: the core queue's depth over time, read
-//!   from the fairness curve's N = 4 runs. Greedy sessions keep the shared
-//!   queue standing; Sammy sessions pace near 3x the top bitrate and the
-//!   queue stays shallow.
+//! - **Shared-queue occupancy**: the core queue's depth on the lab's
+//!   100 ms grid, read from the fairness curve's N = 4 runs. Greedy
+//!   sessions keep the shared queue standing; Sammy sessions pace near 3x
+//!   the top bitrate and the queue stays shallow.
 //! - **Jain's-fairness curves**: Jain's index over per-session mean chunk
 //!   throughput as N grows, per arm and per core queue discipline.
 //!
@@ -22,13 +22,16 @@
 //! every `--threads` setting — the shared-determinism golden test pins the
 //! N=8 fairness CSV across thread counts.
 
-use crate::lab::{lab_abr, lab_title, player_config, LabArm};
+use crate::lab::{host, install_video, lab_abr, run_sampled, LabArm, LabConfig};
 use netsim::{
-    Discipline, DumbbellConfig, FlowId, QueueMonitor, Rate, SharedTopology, SharedTopologyConfig,
-    SimDuration, SimTime, Simulator,
+    Discipline, DumbbellConfig, FlowId, Rate, SharedTopology, SharedTopologyConfig, SimDuration,
+    SimTime, Simulator,
 };
-use transport::{MultiSenderEndpoint, TcpConfig};
-use video::{Player, VideoClientEndpoint};
+
+/// Startup transient excluded from the peak-queue and drop counts: both
+/// arms saturate the core during the (unpaced) initial phase, so the queue
+/// comparison targets steady state, as in the single-flow lab.
+const STARTUP: SimDuration = SimDuration::from_secs(10);
 
 /// Configuration for a shared-bottleneck multi-session run.
 #[derive(Debug, Clone)]
@@ -37,8 +40,6 @@ pub struct SharedLabConfig {
     pub sessions: usize,
     /// Length of the simulated run.
     pub run_for: SimDuration,
-    /// Title length (longer than the run keeps sessions active).
-    pub title_secs: u64,
     /// Base seed; session `i` uses `seed + i` for its title wobble.
     pub seed: u64,
     /// Core-link capacity per session (Mbps); the core runs at
@@ -46,16 +47,6 @@ pub struct SharedLabConfig {
     pub core_mbps_per_session: f64,
     /// Queue discipline on the shared core queue.
     pub discipline: Discipline,
-    /// Client buffer capacity. Deep by default so sessions keep
-    /// downloading for the whole window (the Fig 8 regime).
-    pub max_buffer: SimDuration,
-    /// Pacer burst size for the video senders.
-    pub burst_packets: u32,
-    /// Startup transient to exclude from the peak-queue and drop counts:
-    /// both arms saturate the core during the (unpaced) initial phase, so
-    /// the queue comparison targets steady state, as in the single-flow
-    /// lab.
-    pub startup: SimDuration,
 }
 
 impl Default for SharedLabConfig {
@@ -63,13 +54,9 @@ impl Default for SharedLabConfig {
         SharedLabConfig {
             sessions: 4,
             run_for: SimDuration::from_secs(30),
-            title_secs: 20 * 60,
             seed: 1,
             core_mbps_per_session: 12.0,
             discipline: Discipline::DropTail,
-            max_buffer: SimDuration::from_secs(3600),
-            burst_packets: 4,
-            startup: SimDuration::from_secs(10),
         }
     }
 }
@@ -112,8 +99,8 @@ pub struct SharedRunResult {
     pub per_session_mbps: Vec<f64>,
     /// Jain's index over `per_session_mbps`.
     pub jain: f64,
-    /// Core queue occupancy over time: `(s, kB)` at 100 ms cadence,
-    /// covering the full run including the startup transient.
+    /// Core queue occupancy over time: `(s, kB)` on the 100 ms grid
+    /// `[0, run_for)`, the startup transient included.
     pub core_occupancy_kb: Vec<(f64, f64)>,
     /// Peak core queue occupancy after the startup transient (bytes).
     pub core_peak_queue_bytes: u64,
@@ -125,41 +112,31 @@ pub struct SharedRunResult {
 pub fn shared_sessions(arm: LabArm, cfg: &SharedLabConfig) -> SharedRunResult {
     let mut sim = Simulator::new();
     let topo = SharedTopology::build(&mut sim, cfg.topology());
-
-    let mut server = MultiSenderEndpoint::new();
-    for i in 0..cfg.sessions {
-        let flow = FlowId(1 + i as u64);
-        let tcp = TcpConfig {
-            max_burst_packets: cfg.burst_packets,
-            ..Default::default()
-        };
-        server.add_flow(topo.origin, topo.clients[i], flow, tcp);
-        let title = lab_title(cfg.title_secs, cfg.seed + i as u64);
-        let player = Player::new(
-            title,
+    // Each session is a Fig 8 session (a deep buffer keeps it downloading
+    // for the whole window), scaled out.
+    let fig8 = LabConfig::neighbors();
+    for (i, &client) in topo.clients.iter().enumerate() {
+        install_video(
+            &mut sim,
+            (topo.origin, client, FlowId(1 + i as u64)),
             lab_abr(arm),
-            player_config(cfg.max_buffer),
+            fig8.video_tcp(),
+            fig8.max_buffer,
             SimTime::ZERO,
+            cfg.seed + i as u64,
         );
-        VideoClientEndpoint::new(topo.clients[i], topo.origin, flow, player)
-            .install(&mut sim, SimTime::ZERO);
     }
-    sim.set_endpoint(topo.origin, Box::new(server));
 
-    let mut mon = QueueMonitor::new(topo.core_down, SimDuration::from_millis(100));
-    // Sample through the startup transient, then reset the high-water
-    // mark (and note the drop count) so peak/drops reflect steady state.
-    let startup = (SimTime::ZERO + cfg.startup).min(SimTime::ZERO + cfg.run_for);
-    mon.run_sampled(&mut sim, startup);
-    let startup_drops = sim.link(topo.core_down).queue.stats().drops;
-    sim.link_mut(topo.core_down).queue.reset_max_occupancy();
-    mon.run_sampled(&mut sim, SimTime::ZERO + cfg.run_for);
-
-    let qstats = sim.link(topo.core_down).queue.stats();
+    let core = topo.core_down;
+    let (core_occupancy_kb, startup_drops) =
+        run_sampled(&mut sim, core, STARTUP, cfg.run_for, |sim| {
+            sim.link(core).queue.occupied_bytes() as f64 / 1e3
+        });
+    let qstats = sim.link(core).queue.stats();
     let core_peak_queue_bytes = qstats.max_occupied_bytes;
     let core_drops = qstats.drops - startup_drops;
 
-    let server: &mut MultiSenderEndpoint = sim.endpoint_mut(topo.origin).expect("origin endpoint");
+    let server = host(&mut sim, topo.origin);
     let per_session_mbps: Vec<f64> = (0..cfg.sessions)
         .map(|slot| {
             let done = server.completed(slot);
@@ -174,7 +151,7 @@ pub fn shared_sessions(arm: LabArm, cfg: &SharedLabConfig) -> SharedRunResult {
     SharedRunResult {
         jain: jain_index(&per_session_mbps),
         per_session_mbps,
-        core_occupancy_kb: mon.series_kb(),
+        core_occupancy_kb,
         core_peak_queue_bytes,
         core_drops,
     }
@@ -320,6 +297,25 @@ mod tests {
         );
         // Paced sessions don't overflow the shared queue.
         assert_eq!(sammy.core_drops, 0, "sammy dropped at the core");
+    }
+
+    /// Every lab reading sits on one 100 ms grid over `[0, run_for)`, each
+    /// time once: the shared core's occupancy and the single flow's srtt.
+    #[test]
+    fn lab_samples_sit_on_the_100ms_grid() {
+        let increasing = |s: &[(f64, f64)]| s.windows(2).all(|w| w[0].0 < w[1].0);
+        let occupancy = shared_sessions(LabArm::Sammy, &quick_cfg(2)).core_occupancy_kb;
+        assert_eq!(occupancy.len(), 200, "20 s at 100 ms");
+        assert_eq!(occupancy[0].0, 0.0);
+        assert!(increasing(&occupancy), "{occupancy:?}");
+
+        let lab = LabConfig {
+            run_for: SimDuration::from_secs(60),
+            ..Default::default()
+        };
+        let rtt = crate::lab::single_flow(LabArm::Sammy, &lab).rtt_series;
+        assert_eq!(rtt.len(), 600, "60 s at 100 ms");
+        assert!(increasing(&rtt), "{rtt:?}");
     }
 
     /// The fairness curve is bit-identical across worker-pool sizes.

@@ -10,7 +10,10 @@
 //! average throughput without draining the buffer; building buffer costs
 //! bitrate; intermediate buffer excursions don't affect average bitrate)
 //! and the minimum-throughput threshold (Eq. 1) that lower-bounds Sammy's
-//! pace rates.
+//! pace rates, whose closed forms are HYB's
+//! ([`abr::hyb_min_throughput_bps`], [`abr::hyb_max_bitrate_bps`]).
+
+use abr::{hyb_max_bitrate_bps, hyb_min_throughput_bps};
 
 /// Buffer level after streaming `total_duration_s` of content at
 /// time-average bitrate `avg_bitrate_bps` with download-time-weighted
@@ -39,34 +42,22 @@ pub fn achievable_bitrate(
     avg_throughput_bps * (1.0 - (b_end_s - b0_s) / total_duration_s)
 }
 
-/// Minimum throughput estimate an HYB-style algorithm needs to select
-/// bitrate `r` with buffer `b0_s` over horizon `d_t_s` (Eq. 1, Fig 2b):
-/// `x ≥ (r/β) · (1 + B0/D_T)^{-1}`.
-pub fn min_throughput_for_bitrate(beta: f64, bitrate_bps: f64, b0_s: f64, d_t_s: f64) -> f64 {
-    abr::hyb_min_throughput_bps(beta, bitrate_bps, b0_s, d_t_s)
-}
-
-/// Highest bitrate an HYB-style algorithm will select given throughput
-/// estimate `x` (Fig 2a): `r ≤ βx (1 + B0/D_T)`.
-pub fn max_bitrate_for_throughput(beta: f64, throughput_bps: f64, b0_s: f64, d_t_s: f64) -> f64 {
-    abr::hyb_max_bitrate_bps(beta, throughput_bps, b0_s, d_t_s)
-}
-
 /// Data for Fig 2b: for each buffer level, the minimum throughput (as a
-/// multiple of the bitrate) required to keep selecting that bitrate.
+/// multiple of the bitrate) an HYB-style ABR needs to keep selecting that
+/// bitrate (Eq. 1: `x ≥ (r/β) · (1 + B0/D_T)^{-1}`).
 pub fn fig2b_threshold_curve(beta: f64, d_t_s: f64, buffers_s: &[f64]) -> Vec<(f64, f64)> {
     buffers_s
         .iter()
-        .map(|&b| (b, min_throughput_for_bitrate(beta, 1.0, b, d_t_s)))
+        .map(|&b| (b, hyb_min_throughput_bps(beta, 1.0, b, d_t_s)))
         .collect()
 }
 
 /// Data for Fig 2a: bitrate selection cap (as a multiple of the throughput
-/// estimate) as a function of buffer level.
+/// estimate) as a function of buffer level (`r ≤ βx (1 + B0/D_T)`).
 pub fn fig2a_selection_curve(beta: f64, d_t_s: f64, buffers_s: &[f64]) -> Vec<(f64, f64)> {
     buffers_s
         .iter()
-        .map(|&b| (b, max_bitrate_for_throughput(beta, 1.0, b, d_t_s)))
+        .map(|&b| (b, hyb_max_bitrate_bps(beta, 1.0, b, d_t_s)))
         .collect()
 }
 
@@ -121,7 +112,7 @@ mod tests {
     #[test]
     fn eq1_empty_buffer_threshold_is_one_over_beta() {
         // β = 0.5, empty buffer: min throughput = 2x the bitrate.
-        let x = min_throughput_for_bitrate(0.5, 3e6, 0.0, 20.0);
+        let x = hyb_min_throughput_bps(0.5, 3e6, 0.0, 20.0);
         assert!((x - 6e6).abs() < 1e-6);
     }
 
@@ -129,7 +120,7 @@ mod tests {
     fn eq1_threshold_decreases_with_buffer() {
         let mut prev = f64::INFINITY;
         for b in [0.0, 5.0, 10.0, 20.0, 60.0, 240.0] {
-            let x = min_throughput_for_bitrate(0.5, 3e6, b, 20.0);
+            let x = hyb_min_throughput_bps(0.5, 3e6, b, 20.0);
             assert!(x < prev, "threshold must fall as the buffer grows");
             prev = x;
         }

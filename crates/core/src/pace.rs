@@ -15,7 +15,7 @@
 //! a pacing-aware ABR below the throughput threshold it needs to keep
 //! selecting the top bitrate.
 
-use crate::analysis::min_throughput_for_bitrate;
+use abr::hyb_min_throughput_bps;
 use netsim::Rate;
 use serde::{Deserialize, Serialize};
 
@@ -73,7 +73,7 @@ impl PaceSelector {
             // Normalize to a unit top bitrate: pace and threshold scale
             // identically with the bitrate.
             let pace = self.multiplier(fill);
-            let min_x = min_throughput_for_bitrate(beta, 1.0, b, d_t_s);
+            let min_x = hyb_min_throughput_bps(beta, 1.0, b, d_t_s);
             worst = worst.min(pace / min_x);
         }
         worst

@@ -1184,7 +1184,7 @@ mod tests {
     }
 
     /// What reading state between `run_until` steps relies on (the lab's
-    /// 100 ms srtt samples, `QueueMonitor::run_sampled`): stepping to a
+    /// 100 ms srtt and core-queue samples): stepping to a
     /// deadline in slices processes the same events as one `run_until`,
     /// with timers firing on the slice boundaries and a queue that
     /// overflows across them.

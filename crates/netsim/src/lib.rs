@@ -23,7 +23,6 @@
 //! - [`engine`]: the event loop, [`Simulator`], and the [`Endpoint`] trait.
 //! - [`topology`]: the one topology builder, the shared CDN/ISP/access path;
 //!   the lab dumbbell is its one-session view.
-//! - [`monitor`]: periodic queue-depth sampling for the Fig 7 traces.
 //! - [`trace`]: throughput/gauge recorders for the figures.
 //!
 //! ## Example
@@ -47,7 +46,6 @@ pub mod error;
 pub mod fq;
 pub mod invariants;
 pub mod link;
-pub mod monitor;
 pub mod packet;
 pub mod queue;
 pub mod shaper;
@@ -61,7 +59,6 @@ pub use engine::{BudgetExceeded, Endpoint, FlowStats, NodeCtx, Simulator};
 pub use error::SimError;
 pub use fq::DrrConfig;
 pub use link::{Link, LinkConfig};
-pub use monitor::QueueMonitor;
 pub use packet::{FlowId, LinkId, NodeId, Packet, PacketId, PacketRef, PacketStore, Payload};
 pub use queue::{Dequeue, Discipline, EnqueueResult, Queue, QueueStats};
 pub use shaper::TokenBucketConfig;

@@ -74,8 +74,8 @@ impl BinnedThroughput {
     }
 }
 
-/// A time-stamped series of instantaneous values (RTT samples, queue depth,
-/// buffer level).
+/// A time-stamped series of instantaneous values (a UDP sink's one-way
+/// delays), read as a mean over a time window.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct GaugeSeries {
     points: Vec<(SimTime, f64)>,
@@ -95,45 +95,6 @@ impl GaugeSeries {
             "gauge samples out of order"
         );
         self.points.push((at, value));
-    }
-
-    /// All `(time, value)` samples.
-    pub fn points(&self) -> &[(SimTime, f64)] {
-        &self.points
-    }
-
-    /// Number of samples.
-    pub fn len(&self) -> usize {
-        self.points.len()
-    }
-
-    /// True if no samples were recorded.
-    pub fn is_empty(&self) -> bool {
-        self.points.is_empty()
-    }
-
-    /// Mean of the sampled values (unweighted).
-    pub fn mean(&self) -> f64 {
-        if self.points.is_empty() {
-            return f64::NAN;
-        }
-        self.points.iter().map(|&(_, v)| v).sum::<f64>() / self.points.len() as f64
-    }
-
-    /// Minimum sampled value.
-    pub fn min(&self) -> f64 {
-        self.points
-            .iter()
-            .map(|&(_, v)| v)
-            .fold(f64::INFINITY, f64::min)
-    }
-
-    /// Maximum sampled value.
-    pub fn max(&self) -> f64 {
-        self.points
-            .iter()
-            .map(|&(_, v)| v)
-            .fold(f64::NEG_INFINITY, f64::max)
     }
 
     /// Mean of samples within `[from, to)`.
@@ -180,14 +141,12 @@ mod tests {
     }
 
     #[test]
-    fn gauge_stats() {
+    fn gauge_window_mean() {
         let mut g = GaugeSeries::new();
         g.record(SimTime::from_secs(1), 10.0);
         g.record(SimTime::from_secs(2), 20.0);
         g.record(SimTime::from_secs(3), 30.0);
-        assert_eq!(g.mean(), 20.0);
-        assert_eq!(g.min(), 10.0);
-        assert_eq!(g.max(), 30.0);
+        assert_eq!(g.mean_between(SimTime::ZERO, SimTime::MAX), 20.0);
         assert_eq!(
             g.mean_between(SimTime::from_secs(2), SimTime::from_secs(4)),
             25.0
@@ -195,12 +154,8 @@ mod tests {
         assert!(g
             .mean_between(SimTime::from_secs(10), SimTime::from_secs(20))
             .is_nan());
-    }
-
-    #[test]
-    fn empty_gauge() {
-        let g = GaugeSeries::new();
-        assert!(g.is_empty());
-        assert!(g.mean().is_nan());
+        assert!(GaugeSeries::new()
+            .mean_between(SimTime::ZERO, SimTime::MAX)
+            .is_nan());
     }
 }

@@ -32,7 +32,10 @@
 //! - [`SenderEndpoint`] / [`ReceiverEndpoint`]: plug-in [`netsim::Endpoint`]
 //!   adapters; the sender endpoint answers [`netsim::Payload::Request`]
 //!   messages whose `pace_bps` field is the application-informed pacing
-//!   header.
+//!   header. [`MultiSenderEndpoint`] hosts N of them at one node, finding a
+//!   packet's slot by a scan of flow ids; at one slot it is
+//!   event-for-event a bare [`SenderEndpoint`], so it serves every video
+//!   session of the packet lab, alone or N to a shared origin.
 //!
 //! Telemetry matches what the paper's production experiments measure:
 //! per-connection retransmitted-byte fractions and per-packet RTTs stored

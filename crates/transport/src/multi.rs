@@ -4,18 +4,19 @@
 //! QUIC per flow) at a single node — the CDN origin of a
 //! [`netsim::SharedTopology`] serves every video session from one server
 //! node, so the endpoint demultiplexes arriving ACKs/requests by [`FlowId`]
-//! and each slot keeps its own timer chain.
+//! (a scan of its slots' flow ids: the lab hosts at most eight) and each slot
+//! keeps its own timer chain.
 //!
 //! Timer tokens are `1 + slot_index`, so a single-flow instance uses token
 //! `1` — exactly the token of a stand-alone [`SenderEndpoint`] — and drives
 //! the engine through an event sequence identical to the one-sender path.
 //! That equivalence is what the shared-topology differential test pins down
-//! byte-for-byte.
+//! byte-for-byte, and why every video session of the packet lab, one to a
+//! host or N to an origin, is served from a host of this type.
 
 use crate::core::{CompletedTransfer, TcpConfig};
 use crate::endpoint::SenderEndpoint;
 use netsim::{Endpoint, FlowId, NodeCtx, NodeId, Packet, SimTime};
-use std::collections::HashMap;
 
 /// A server endpoint hosting one [`SenderEndpoint`] per flow.
 ///
@@ -25,7 +26,9 @@ use std::collections::HashMap;
 #[derive(Default)]
 pub struct MultiSenderEndpoint {
     slots: Vec<SenderEndpoint>,
-    index: HashMap<FlowId, usize>,
+    /// `flows[i]` is the flow `slots[i]` serves: the demultiplexing scan
+    /// reads this one short array, not a field deep in each sender.
+    flows: Vec<FlowId>,
 }
 
 impl MultiSenderEndpoint {
@@ -47,15 +50,20 @@ impl MultiSenderEndpoint {
         cfg: TcpConfig,
     ) -> usize {
         assert!(
-            !self.index.contains_key(&flow),
+            self.find(flow).is_none(),
             "flow {flow:?} already registered"
         );
         let slot = self.slots.len();
         let mut endpoint = SenderEndpoint::new(local, remote, flow, cfg);
         endpoint.token = 1 + slot as u64;
         self.slots.push(endpoint);
-        self.index.insert(flow, slot);
+        self.flows.push(flow);
         slot
+    }
+
+    /// The slot serving `flow`, if one does.
+    fn find(&self, flow: FlowId) -> Option<usize> {
+        self.flows.iter().position(|&f| f == flow)
     }
 
     /// The single-flow endpoint in `slot` (sender, RTT trace, counters).
@@ -71,7 +79,7 @@ impl MultiSenderEndpoint {
 
 impl Endpoint for MultiSenderEndpoint {
     fn on_packet(&mut self, now: SimTime, pkt: Packet, ctx: &mut NodeCtx) {
-        if let Some(&slot) = self.index.get(&pkt.flow) {
+        if let Some(slot) = self.find(pkt.flow) {
             self.slots[slot].on_packet(now, pkt, ctx);
         }
     }
@@ -169,7 +177,7 @@ mod tests {
             );
         }
         assert_eq!(ep.slots.len(), 2);
-        assert_eq!(ep.index.get(&FlowId(2)), Some(&1));
+        assert_eq!(ep.find(FlowId(2)), Some(1));
         sim.set_endpoint(topo.origin, Box::new(ep));
         for (i, flow) in [FlowId(1), FlowId(2)].into_iter().enumerate() {
             let client = topo.clients[i];

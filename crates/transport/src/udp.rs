@@ -165,7 +165,7 @@ mod tests {
         // No sequence number was skipped: nothing was lost.
         assert_eq!(sink.max_seq, Some(sink.packets_received - 1));
         // Empty network: OWD is close to propagation-only (2.5 ms + tx).
-        let mean = sink.owd_ms.mean();
+        let mean = sink.owd_ms.mean_between(SimTime::ZERO, SimTime::MAX);
         assert!(mean > 2.4 && mean < 3.5, "owd mean {mean}");
     }
 }

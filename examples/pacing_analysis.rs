@@ -6,10 +6,9 @@
 //! cargo run --example pacing_analysis --release
 //! ```
 
+use sammy_repro::abr::{hyb_max_bitrate_bps, hyb_min_throughput_bps};
 use sammy_repro::sammy_bench::figures;
-use sammy_repro::sammy_core::analysis::{
-    buffer_after, max_bitrate_for_throughput, min_throughput_for_bitrate,
-};
+use sammy_repro::sammy_core::analysis::buffer_after;
 use sammy_repro::sammy_core::PaceSelector;
 
 fn main() {
@@ -23,8 +22,8 @@ fn main() {
         "buffer_s", "min tput (x bitrate)", "max bitrate (x tput)"
     );
     for buffer in [0.0, 4.0, 8.0, 16.0, 32.0, 64.0, 120.0, 240.0] {
-        let min_x = min_throughput_for_bitrate(beta, 1.0, buffer, horizon_s);
-        let max_r = max_bitrate_for_throughput(beta, 1.0, buffer, horizon_s);
+        let min_x = hyb_min_throughput_bps(beta, 1.0, buffer, horizon_s);
+        let max_r = hyb_max_bitrate_bps(beta, 1.0, buffer, horizon_s);
         println!("{buffer:>10.0} {min_x:>24.3} {max_r:>24.3}");
     }
 

@@ -309,6 +309,17 @@ fn matrix(opts: &Opts) {
 
 fn neighbors(opts: &Opts) {
     let spec = spec_from_flags(opts, sixty_second_lab_spec());
+    // Fig 8a averages the neighbor's delay from the video's startup
+    // transient on: a run that ends by then has no window to average.
+    if spec.network.run_for() <= lab::STARTUP {
+        eprintln!(
+            "invalid value for --secs: '{}': the Fig 8a window opens at {} s, so a \
+             neighbors run must be longer",
+            spec.network.run_secs,
+            lab::STARTUP.as_secs_f64()
+        );
+        std::process::exit(2);
+    }
     let cfg = LabConfig {
         run_for: spec.network.run_for(),
         ..LabConfig::neighbors()

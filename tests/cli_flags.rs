@@ -93,6 +93,22 @@ fn a_spec_the_api_would_refuse_exits_2_naming_the_field() {
     }
 }
 
+/// `neighbors` averages Fig 8a's delay from the video's startup transient
+/// (15 s) on. A run that ends by then used to print NaN rows and exit 0.
+#[test]
+fn neighbors_run_inside_the_startup_transient_exits_2_naming_secs() {
+    for secs in ["10", "15"] {
+        let out = sammy_sim(&["neighbors", "--secs", secs]);
+        assert_eq!(out.status.code(), Some(2), "--secs {secs}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains("--secs"), "--secs {secs}: {stderr}");
+        assert!(
+            out.stdout.is_empty(),
+            "--secs {secs}: nothing was simulated"
+        );
+    }
+}
+
 /// Every `sammy-sim` invocation a file documents, as argument lists:
 /// backslash continuations joined, `$ARGS` expanded from the file's own
 /// `ARGS="…"`, everything up to the subcommand and from a redirection on

@@ -21,29 +21,8 @@ use sammy_repro::netsim::{
     TokenBucketConfig,
 };
 use sammy_repro::obs::Registry;
+use sammy_repro::tdigest::wire::Fnv;
 use sammy_repro::transport::{ReceiverEndpoint, SenderEndpoint, TcpConfig};
-
-/// FNV-1a over a byte stream; stable, dependency-free fingerprint.
-#[derive(Clone, Copy)]
-struct Fnv(u64);
-
-impl Fnv {
-    fn new() -> Self {
-        Fnv(0xcbf2_9ce4_8422_2325)
-    }
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= b as u64;
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-    fn u64(&mut self, v: u64) {
-        self.write(&v.to_le_bytes());
-    }
-    fn f64(&mut self, v: f64) {
-        self.u64(v.to_bits());
-    }
-}
 
 /// A 5 MB TCP transfer over the default dumbbell, identical to the
 /// `tcp_transfer` bench scenario. Returns (processed_events, delivered
@@ -124,7 +103,7 @@ fn table2_fingerprint() -> u64 {
             }
         }
     }
-    h.0
+    h.finish()
 }
 
 /// `StreamRun::fingerprint()` of two small seed-2023 streaming runs at 600
@@ -155,7 +134,7 @@ fn stream_fold_fingerprint() -> u64 {
         run.state.registry = Registry::new();
         h.u64(run.fingerprint());
     }
-    h.0
+    h.finish()
 }
 
 /// Every size and VMAF bit of the first two titles of users 0–7 at seed
@@ -177,7 +156,7 @@ fn title_fingerprint() -> u64 {
             }
         }
     }
-    h.0
+    h.finish()
 }
 
 /// Captured on the pre-optimization tree (see module docs): the event
@@ -358,7 +337,7 @@ fn discipline_log(discipline: Discipline) -> QueueLog {
     for v in [stats.drops, stats.dropped_bytes, stats.max_occupied_bytes] {
         h.u64(v);
     }
-    log.h = h.0;
+    log.h = h.finish();
     log
 }
 

@@ -51,10 +51,10 @@ proptest! {
     #[test]
     fn eq1_monotonicity(beta in 0.1f64..1.0, r in 1e5f64..2e7, b in 0.0f64..200.0) {
         let d_t = 20.0;
-        let x1 = analysis::min_throughput_for_bitrate(beta, r, b, d_t);
-        let x2 = analysis::min_throughput_for_bitrate(beta, r, b + 10.0, d_t);
+        let x1 = abr::hyb_min_throughput_bps(beta, r, b, d_t);
+        let x2 = abr::hyb_min_throughput_bps(beta, r, b + 10.0, d_t);
         prop_assert!(x2 < x1);
-        let x_double = analysis::min_throughput_for_bitrate(beta, 2.0 * r, b, d_t);
+        let x_double = abr::hyb_min_throughput_bps(beta, 2.0 * r, b, d_t);
         prop_assert!((x_double - 2.0 * x1).abs() / x1 < 1e-9);
     }
 
@@ -134,7 +134,7 @@ proptest! {
             last_rung: None,
         };
         let d = hyb.select(&ctx);
-        let cap = analysis::max_bitrate_for_throughput(0.5, tput_mbps * 1e6, buffer_s as f64, 20.0);
+        let cap = abr::hyb_max_bitrate_bps(0.5, tput_mbps * 1e6, buffer_s as f64, 20.0);
         prop_assert!(
             title.ladder.rung(d.rung).bitrate.bps() <= cap * 1.001,
             "rung {} bitrate {} exceeds cap {cap}",

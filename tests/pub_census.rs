@@ -24,7 +24,6 @@ const ALLOWED: &[(&str, &str)] = &[
     ("crates/abr/src/hyb.rs", "Hyb"), // §4.2's algorithm vs its closed form
     ("crates/core/src/analysis.rs", "buffer_after"), // Theorem A.1
     ("crates/core/src/analysis.rs", "achievable_bitrate"), // Theorem A.1
-    ("crates/core/src/analysis.rs", "max_bitrate_for_throughput"), // Fig 2a cap
     ("crates/core/src/pace.rs", "validate_against_threshold"), // Eq. 1 headroom
     ("crates/bench/src/shared.rs", "jain_index"), // DRR fairness property
     // The fluid-vs-packet differential oracle (tests/fluid_vs_packet.rs).

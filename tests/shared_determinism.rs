@@ -15,21 +15,7 @@
 
 use sammy_repro::netsim::SimDuration;
 use sammy_repro::sammy_bench::shared::{fairness_csv_rows, fairness_curve, SharedLabConfig};
-
-/// FNV-1a, same construction as `perf_determinism.rs`.
-struct Fnv(u64);
-
-impl Fnv {
-    fn new() -> Self {
-        Fnv(0xcbf2_9ce4_8422_2325)
-    }
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= b as u64;
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-}
+use sammy_repro::tdigest::wire::Fnv;
 
 fn short_config() -> SharedLabConfig {
     SharedLabConfig {
@@ -48,7 +34,7 @@ fn fingerprint(rows: &[String]) -> u64 {
         h.write(row.as_bytes());
         h.write(b"\n");
     }
-    h.0
+    h.finish()
 }
 
 /// Frozen fingerprint of the N = 8 fairness row at 20 s. Regenerate by
