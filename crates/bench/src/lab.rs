@@ -10,8 +10,8 @@
 //! the same single-flow and Fig 8b runs on the LEDBAT substrate.
 //!
 //! One recipe serves every lab video session, here and in [`crate::shared`]:
-//! `install_video` adds it to its server node's multi-session host, and
-//! `run_sampled` reads a run on the 100 ms grid.
+//! `install_video` adds it as a flow of its server node's
+//! [`SenderEndpoint`], and `run_sampled` reads a run on the 100 ms grid.
 
 use abr::{shared_history, HistoryPolicy, Mpc, ProductionAbr, SharedHistory};
 use netsim::{
@@ -19,9 +19,9 @@ use netsim::{
 };
 use sammy_core::{Sammy, SammyConfig};
 use std::sync::Arc;
-use traffic::{BulkReceiver, BulkSender, HttpClient};
+use traffic::{BulkSender, HttpClient};
 use transport::{
-    CcAlgorithm, MultiSenderEndpoint, Protocol, SenderEndpoint, TcpConfig, UdpCbrSource, UdpSink,
+    CcAlgorithm, Protocol, ReceiverEndpoint, SenderEndpoint, TcpConfig, UdpCbrSource, UdpSink,
 };
 use video::{
     Abr, Ladder, Player, PlayerConfig, Title, TitleConfig, VideoClientEndpoint, VmafModel,
@@ -157,19 +157,10 @@ pub(crate) fn lab_abr(arm: LabArm) -> Box<dyn Abr> {
     }
 }
 
-/// The video sender host at `node`: every lab video session is served
-/// from one, one session to a dumbbell host or N to the shared origin (a
-/// one-slot host is event-for-event a bare [`SenderEndpoint`]). Created on
-/// first use.
-pub(crate) fn host(sim: &mut Simulator, node: NodeId) -> &mut MultiSenderEndpoint {
-    if sim.endpoint_mut::<MultiSenderEndpoint>(node).is_none() {
-        sim.set_endpoint(node, Box::new(MultiSenderEndpoint::new()));
-    }
-    sim.endpoint_mut(node).expect("the video sender host")
-}
-
 /// Install a lab video session on `(server, client, flow)`: the sender
-/// joins the server's [`host`] with transport `tcp`, and the client plays
+/// joins the server node's [`SenderEndpoint`] (created for its first flow)
+/// with transport `tcp`, so one session to a dumbbell host and N to the
+/// shared origin are served alike; the client plays
 /// the lab title of `seed` (3.3 Mbps top rung, §6) through `abr` from
 /// `start`, starting and resuming at 8 s of buffer, up to `max_buffer`.
 pub(crate) fn install_video(
@@ -182,7 +173,15 @@ pub(crate) fn install_video(
     seed: u64,
 ) {
     let protocol = tcp.transport;
-    host(sim, server).add_flow(server, client, flow, tcp);
+    match sim.endpoint_mut::<SenderEndpoint>(server) {
+        Some(host) => {
+            host.add_flow(server, client, flow, tcp);
+        }
+        None => sim.set_endpoint(
+            server,
+            Box::new(SenderEndpoint::new(server, client, flow, tcp)),
+        ),
+    }
     let title = Arc::new(Title::generate(
         Ladder::lab(&VmafModel::standard()),
         &TitleConfig {
@@ -251,6 +250,13 @@ fn lab_with_video(arm: LabArm, cfg: &LabConfig) -> (Simulator, Dumbbell) {
     (sim, db)
 }
 
+/// The sender of the lab video session on host pair 0 (slot 0 of
+/// `server`'s [`SenderEndpoint`]).
+fn video_sender(sim: &mut Simulator, server: NodeId) -> &transport::TransportSender {
+    let host: &mut SenderEndpoint = sim.endpoint_mut(server).expect("video server");
+    host.sender(0)
+}
+
 /// Results of the single-flow experiment (Fig 7, and the Fig 1 trace).
 #[derive(Debug, Clone)]
 pub struct SingleFlowResult {
@@ -278,16 +284,16 @@ pub fn single_flow(arm: LabArm, cfg: &LabConfig) -> SingleFlowResult {
     let (mut sim, db) = lab_with_video(arm, cfg);
     let server = db.left[0];
     let (rtt_series, _) = run_sampled(&mut sim, db.forward, STARTUP, cfg.run_for, |sim| {
-        let srtt = host(sim, server).slot(0).sender().core().srtt();
+        let srtt = video_sender(sim, server).core().srtt();
         srtt.map_or(f64::NAN, |d| d.as_millis_f64())
     });
 
     let max_queue_bytes = sim.link(db.forward).queue.stats().max_occupied_bytes;
     // Sender-side stats.
-    let sender = host(&mut sim, server).slot(0);
-    let stats = sender.sender().stats().clone();
-    let rtt_digest = sender.sender().rtt_digest().clone();
-    let completed = sender.completed.clone();
+    let host: &mut SenderEndpoint = sim.endpoint_mut(server).expect("video server");
+    let stats = host.sender(0).stats().clone();
+    let rtt_digest = host.sender(0).rtt_digest().clone();
+    let completed = host.completed(0).to_vec();
 
     let client: &mut VideoClientEndpoint = sim.endpoint_mut(db.right[0]).expect("client endpoint");
     let qoe = client.player().qoe();
@@ -366,14 +372,14 @@ pub fn neighbor_tcp(arm: LabArm, cfg: &LabConfig) -> f64 {
     .install(&mut sim);
     sim.set_endpoint(
         db.right[1],
-        Box::new(BulkReceiver::new(db.right[1], db.left[1], flow)),
+        Box::new(ReceiverEndpoint::new(db.right[1], db.left[1], flow)),
     );
 
     sim.run_until(SimTime::ZERO + cfg.run_for);
-    let rx: &mut BulkReceiver = sim.endpoint_mut(db.right[1]).expect("bulk receiver");
-    let start_bin = 12; // skip the bulk flow's own slow start
-    let end_bin = cfg.run_for.as_secs_f64() as usize;
-    rx.throughput.mean_bps(start_bin, end_bin) / 1e6
+    let rx: &mut ReceiverEndpoint = sim.endpoint_mut(db.right[1]).expect("bulk receiver");
+    // 100 ms bins from 12 s on: skip the bulk flow's own slow start.
+    let end_bin = (10.0 * cfg.run_for.as_secs_f64()) as usize;
+    rx.throughput.mean_bps(120, end_bin) / 1e6
 }
 
 /// Fig 8c: mean response time (ms) of repeated 3 MB HTTP requests.
@@ -456,7 +462,7 @@ pub fn burst_sweep(burst: Option<u32>, cfg: &LabConfig) -> f64 {
         .install(&mut sim);
         sim.set_endpoint(
             db.right[*pair],
-            Box::new(BulkReceiver::new(db.right[*pair], db.left[*pair], flow)),
+            Box::new(ReceiverEndpoint::new(db.right[*pair], db.left[*pair], flow)),
         );
     }
 
@@ -480,8 +486,7 @@ pub fn burst_sweep(burst: Option<u32>, cfg: &LabConfig) -> f64 {
     );
 
     sim.run_until(SimTime::ZERO + cfg.run_for);
-    let sender = host(&mut sim, server).slot(0).sender();
-    sender.stats().retransmit_fraction()
+    video_sender(&mut sim, server).stats().retransmit_fraction()
 }
 
 // ---------------------------------------------------------------------------
@@ -496,7 +501,6 @@ pub fn burst_sweep(burst: Option<u32>, cfg: &LabConfig) -> f64 {
 use fluidsim::{download_chunk, NetworkProfile};
 use netsim::{Packet, Payload};
 use rand::prelude::*;
-use transport::ReceiverEndpoint;
 
 /// Cross traffic sharing a chaos profile's bottleneck.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -632,7 +636,7 @@ pub fn chaos_packet_download(p: &ChaosProfile) -> f64 {
     loop {
         sim.run_until(horizon);
         let server: &mut SenderEndpoint = sim.endpoint_mut(db.left[0]).expect("server endpoint");
-        if let Some(t) = server.completed.first() {
+        if let Some(t) = server.completed(0).first() {
             return t.completed_at.saturating_since(SimTime::ZERO).as_secs_f64();
         }
         assert!(horizon < limit, "chaos transfer did not complete: {p:?}");

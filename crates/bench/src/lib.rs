@@ -21,7 +21,7 @@
 //!
 //! Every packet-lab video session, in [`lab`] and [`shared`] alike, is
 //! installed one way (a flow on its server node's
-//! `transport::MultiSenderEndpoint`, a player on the lab title) and every
+//! `transport::SenderEndpoint`, a player on the lab title) and every
 //! lab trace is read on one 100 ms grid over `[0, run_for)`.
 //!
 //! [`matrix`] runs the CC × pacing A/B matrix: the single-flow lab over

@@ -22,11 +22,12 @@
 //! every `--threads` setting — the shared-determinism golden test pins the
 //! N=8 fairness CSV across thread counts.
 
-use crate::lab::{host, install_video, lab_abr, run_sampled, LabArm, LabConfig};
+use crate::lab::{install_video, lab_abr, run_sampled, LabArm, LabConfig};
 use netsim::{
     Discipline, DumbbellConfig, FlowId, Rate, SharedTopology, SharedTopologyConfig, SimDuration,
     SimTime, Simulator,
 };
+use transport::SenderEndpoint;
 
 /// Startup transient excluded from the peak-queue and drop counts: both
 /// arms saturate the core during the (unpaced) initial phase, so the queue
@@ -136,7 +137,7 @@ pub fn shared_sessions(arm: LabArm, cfg: &SharedLabConfig) -> SharedRunResult {
     let core_peak_queue_bytes = qstats.max_occupied_bytes;
     let core_drops = qstats.drops - startup_drops;
 
-    let server = host(&mut sim, topo.origin);
+    let server: &mut SenderEndpoint = sim.endpoint_mut(topo.origin).expect("origin");
     let per_session_mbps: Vec<f64> = (0..cfg.sessions)
         .map(|slot| {
             let done = server.completed(slot);

@@ -4,8 +4,9 @@
 //! bottleneck (Fig 8). This crate provides those neighbors on the packet
 //! simulator:
 //!
-//! - [`BulkSender`] / [`BulkReceiver`]: a long-lived congestion-window-
-//!   limited TCP flow (Fig 8b).
+//! - [`BulkSender`]: a long-lived congestion-window-limited flow (Fig 8b,
+//!   and Fig 4's cross traffic), received by a
+//!   [`transport::ReceiverEndpoint`].
 //! - [`HttpClient`]: back-to-back 3 MB HTTP requests with response-time
 //!   measurement (Fig 8c).
 //! - UDP CBR with one-way-delay measurement lives in
@@ -19,5 +20,5 @@
 pub mod bulk;
 pub mod http;
 
-pub use bulk::{BulkReceiver, BulkSender};
+pub use bulk::BulkSender;
 pub use http::HttpClient;

@@ -32,10 +32,9 @@
 //! - [`SenderEndpoint`] / [`ReceiverEndpoint`]: plug-in [`netsim::Endpoint`]
 //!   adapters; the sender endpoint answers [`netsim::Payload::Request`]
 //!   messages whose `pace_bps` field is the application-informed pacing
-//!   header. [`MultiSenderEndpoint`] hosts N of them at one node, finding a
-//!   packet's slot by a scan of flow ids; at one slot it is
-//!   event-for-event a bare [`SenderEndpoint`], so it serves every video
-//!   session of the packet lab, alone or N to a shared origin.
+//!   header. It is the one sender host: 1..N flows at a node, a packet's
+//!   slot found by a scan of flow ids, so one video session on a dumbbell
+//!   host and N on a shared origin run the same code.
 //!
 //! Telemetry matches what the paper's production experiments measure:
 //! per-connection retransmitted-byte fractions and per-packet RTTs stored
@@ -47,7 +46,6 @@ pub mod bbr;
 pub mod cc;
 pub mod core;
 pub mod endpoint;
-pub mod multi;
 pub mod mux;
 pub mod pacing;
 pub mod quic;
@@ -61,7 +59,6 @@ pub use bbr::BbrLite;
 pub use cc::{CcAlgorithm, CongestionControl, Cubic, Reno, INITIAL_CWND_SEGMENTS};
 pub use core::{CompletedTransfer, Frame, Sender, SenderCore, SenderStats, TcpConfig, Wire};
 pub use endpoint::{ReceiverEndpoint, SenderEndpoint};
-pub use multi::MultiSenderEndpoint;
 pub use mux::{Protocol, TransportReceiver, TransportSender};
 pub use pacing::Pacer;
 pub use quic::{QuicReceiver, QuicSender};

@@ -1,6 +1,6 @@
 //! Transport selection: one enum over the TCP and QUIC state machines.
 //!
-//! Host endpoints ([`crate::SenderEndpoint`], [`crate::MultiSenderEndpoint`],
+//! Host endpoints ([`crate::SenderEndpoint`], [`crate::ReceiverEndpoint`],
 //! the video client) hold a [`TransportSender`]/[`TransportReceiver`] and
 //! stay oblivious to which wire protocol is running; [`Protocol`] in
 //! [`TcpConfig`](crate::TcpConfig) picks the variant. This is what lets the

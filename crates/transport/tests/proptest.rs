@@ -77,12 +77,12 @@ fn run_scenario(
         now = sim.run_until(now + SimDuration::from_millis(churn_ms));
         let ep: &mut SenderEndpoint = sim.endpoint_mut(server).unwrap();
         // Transfer ids count up from 0 in request order on both protocols.
-        ep.sender_mut()
+        ep.sender_mut(0)
             .set_transfer_pace(now, i as u64, pace_kind(churn_pace, rate_mbps));
         let deadline = now + SimDuration::from_secs(600);
         loop {
             let ep: &mut SenderEndpoint = sim.endpoint_mut(server).unwrap();
-            if ep.completed.len() > i {
+            if ep.completed(0).len() > i {
                 break;
             }
             if now >= deadline {
@@ -94,10 +94,10 @@ fn run_scenario(
     }
 
     let ep: &mut SenderEndpoint = sim.endpoint_mut(server).unwrap();
-    if !ep.sender().is_idle() {
+    if !ep.sender(0).is_idle() {
         return Err("sender not idle after every transfer completed".into());
     }
-    let sent: u64 = ep.completed.iter().map(|t| t.bytes).sum();
+    let sent: u64 = ep.completed(0).iter().map(|t| t.bytes).sum();
     let rx: &mut ReceiverEndpoint = sim.endpoint_mut(client).unwrap();
     let delivered = rx.receiver().contiguous_bytes();
     if (sent, delivered) != (offered, offered) {
@@ -191,7 +191,7 @@ fn run(
     sim.run_until(SimTime::from_secs(300));
 
     let server: &mut SenderEndpoint = sim.endpoint_mut(db.left[0]).unwrap();
-    let retx = server.sender().stats().retransmit_fraction();
+    let retx = server.sender(0).stats().retransmit_fraction();
     let client: &mut ReceiverEndpoint = sim.endpoint_mut(db.right[0]).unwrap();
     (client.receiver().contiguous_bytes(), retx)
 }
@@ -274,8 +274,8 @@ proptest! {
         sim.inject(db.right[0], req);
         sim.run_until(SimTime::from_secs(600));
         let server: &mut SenderEndpoint = sim.endpoint_mut(db.left[0]).unwrap();
-        prop_assert_eq!(server.completed.len(), 1);
-        let tput = server.completed[0].throughput().mbps();
+        prop_assert_eq!(server.completed(0).len(), 1);
+        let tput = server.completed(0)[0].throughput().mbps();
         // Allow the initial burst allowance a little slack on tiny files.
         prop_assert!(tput <= pace * 1.15, "tput {tput} > pace {pace}");
     }

@@ -106,9 +106,9 @@ fn run_session(use_sammy: bool) -> (f64, f64, f64, (f64, f64, u64)) {
     sim.run_until(SimTime::from_secs(120));
 
     let server: &mut SenderEndpoint = sim.endpoint_mut(db.left[0]).expect("server");
-    let retx = server.sender().stats().retransmit_fraction();
-    let rtt = server.sender().rtt_digest().median();
-    let completed = server.completed.clone();
+    let retx = server.sender(0).stats().retransmit_fraction();
+    let rtt = server.sender(0).rtt_digest().median();
+    let completed = server.completed(0).to_vec();
     let tput = completed
         .iter()
         .skip(3) // skip startup

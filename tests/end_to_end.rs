@@ -75,9 +75,9 @@ fn run_lab_session(abr: Box<dyn Abr>, secs: u64) -> SessionResult {
 
     let dropped = sim.flow_stats(flow).dropped_packets;
     let server: &mut SenderEndpoint = sim.endpoint_mut(db.left[0]).unwrap();
-    let retx = server.sender().stats().retransmit_fraction();
-    let rtt = server.sender().rtt_digest().median();
-    let completed = server.completed.clone();
+    let retx = server.sender(0).stats().retransmit_fraction();
+    let rtt = server.sender(0).rtt_digest().median();
+    let completed = server.completed(0).to_vec();
     let tput = completed
         .iter()
         .skip(2)

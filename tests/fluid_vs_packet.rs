@@ -52,8 +52,8 @@ fn packet_download(bytes: u64, pace_bps: Option<f64>, capacity_mbps: f64, rtt_ms
     sim.inject(db.right[0], req);
     sim.run_until(SimTime::from_secs(120));
     let server: &mut SenderEndpoint = sim.endpoint_mut(db.left[0]).unwrap();
-    assert_eq!(server.completed.len(), 1, "transfer must complete");
-    let t = server.completed[0];
+    assert_eq!(server.completed(0).len(), 1, "transfer must complete");
+    let t = server.completed(0)[0];
     t.completed_at.saturating_since(SimTime::ZERO).as_secs_f64()
 }
 

@@ -360,8 +360,8 @@ proptest! {
             SharedTopologyConfig, SimTime, Simulator,
         };
         use sammy_repro::sammy_bench::shared::jain_index;
-        use sammy_repro::traffic::{BulkReceiver, BulkSender};
-        use sammy_repro::transport::TcpConfig;
+        use sammy_repro::traffic::BulkSender;
+        use sammy_repro::transport::{ReceiverEndpoint, TcpConfig};
 
         let core_rate = Rate::from_mbps(16.0 + 8.0 * rate_step as f64);
         let lab = SharedTopologyConfig::from(DumbbellConfig {
@@ -388,7 +388,7 @@ proptest! {
             .install(&mut sim);
             sim.set_endpoint(
                 topo.cross_sinks[i],
-                Box::new(BulkReceiver::new(
+                Box::new(ReceiverEndpoint::new(
                     topo.cross_sinks[i],
                     topo.cross_sources[i],
                     flow,

@@ -1,21 +1,21 @@
-//! Differential test: on one path, the multi-flow origin endpoint's slot 0
-//! reproduces the single-flow sender **byte-for-byte**.
+//! Differential test: on one path, the shared topology's origin reproduces
+//! the dumbbell's single-flow sender **byte-for-byte**.
 //!
 //! [`Dumbbell`] is the paper-lab view of [`SharedTopology`] at one session,
 //! so both runs below cross the same nodes and links built by the same
-//! builder. What differs is the sender: [`SenderEndpoint`] on the dumbbell's
-//! left host, [`MultiSenderEndpoint`] with one flow on the shared
-//! topology's origin. Slot 0 arms the same timer token as the single-flow
-//! endpoint, so the full event trace fingerprint (processed-event count,
-//! final clock, per-flow delivery and drop accounting, bottleneck byte
-//! counters) must match exactly, and both are pinned to the goldens of
+//! builder, and both serve the flow from the one sender host,
+//! [`SenderEndpoint`] — on the dumbbell's left host, and as slot 0 of the
+//! shared topology's origin, where every lab video session is served. The
+//! full event trace fingerprint (processed-event count, final clock,
+//! per-flow delivery and drop accounting, bottleneck byte counters) must
+//! match exactly, and both are pinned to the goldens of
 //! `perf_determinism.rs`.
 
 use sammy_repro::netsim::{
     Dumbbell, DumbbellConfig, FlowId, LinkId, Packet, Payload, SharedTopology,
     SharedTopologyConfig, SimTime, Simulator,
 };
-use sammy_repro::transport::{MultiSenderEndpoint, ReceiverEndpoint, SenderEndpoint, TcpConfig};
+use sammy_repro::transport::{ReceiverEndpoint, SenderEndpoint, TcpConfig};
 
 /// Everything observable about a finished run that the two topologies
 /// must agree on.
@@ -96,13 +96,12 @@ fn dumbbell_transfer(pace_bps: Option<f64>) -> Trace {
     trace_of(&sim, flow, db.forward)
 }
 
-/// The multi-flow origin endpoint, one flow, on the shared topology at N = 1.
+/// The origin's sender host, one flow, on the shared topology at N = 1.
 fn shared_transfer(pace_bps: Option<f64>) -> Trace {
     let mut sim = Simulator::new();
     let topo = SharedTopology::build(&mut sim, SharedTopologyConfig::default());
     let flow = FlowId(1);
-    let mut server = MultiSenderEndpoint::new();
-    server.add_flow(topo.origin, topo.clients[0], flow, TcpConfig::default());
+    let server = SenderEndpoint::new(topo.origin, topo.clients[0], flow, TcpConfig::default());
     sim.set_endpoint(topo.origin, Box::new(server));
     sim.set_endpoint(
         topo.clients[0],
@@ -124,8 +123,8 @@ fn n1_droptail_matches_dumbbell_unpaced() {
     let shared = shared_transfer(None);
     assert_eq!(single, shared);
     // Cross-pin against the golden fixtures in perf_determinism.rs: the
-    // multi-flow endpoint reproduces not just the single-flow one but the
-    // *frozen* single-flow run. (Re-baselined 41_317 → 41_323 with the
+    // shared origin reproduces not just the dumbbell run but the *frozen*
+    // single-flow run. (Re-baselined 41_317 → 41_323 with the
     // unpaced burst-cap fix, in lockstep with golden_tcp_transfer_unpaced;
     // the work count alone 41_323 → 24_454 when idle links stopped arming
     // `LinkTxDone`.)
@@ -135,8 +134,8 @@ fn n1_droptail_matches_dumbbell_unpaced() {
     assert_eq!(shared.dropped_packets, 101);
 }
 
-/// Paced transfer: exercises the pacing timer path through the
-/// multi-flow endpoint's per-slot timer chain.
+/// Paced transfer: exercises the pacing timer path through the sender
+/// host's per-slot timer chain.
 #[test]
 fn n1_droptail_matches_dumbbell_paced() {
     let single = dumbbell_transfer(Some(12e6));

@@ -112,10 +112,10 @@ fn request_response_completes_on_the_dumbbell() {
         sim.run_until(SimTime::from_secs(120));
 
         let ep: &mut SenderEndpoint = sim.endpoint_mut(server).unwrap();
-        assert_eq!(ep.completed.len(), 1, "{proto}: transfer must complete");
-        assert_eq!(ep.completed[0].bytes, 700_000);
-        assert!(ep.sender().is_idle(), "{proto}: sender not idle");
-        assert!(ep.sender().stats().retx_packets > 0, "{proto}: no loss");
+        assert_eq!(ep.completed(0).len(), 1, "{proto}: transfer must complete");
+        assert_eq!(ep.completed(0)[0].bytes, 700_000);
+        assert!(ep.sender(0).is_idle(), "{proto}: sender not idle");
+        assert!(ep.sender(0).stats().retx_packets > 0, "{proto}: no loss");
         let rx: &mut ReceiverEndpoint = sim.endpoint_mut(client).unwrap();
         assert_eq!(rx.receiver().contiguous_bytes(), 700_000, "{proto}");
     }
