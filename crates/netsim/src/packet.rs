@@ -98,29 +98,17 @@ pub enum Payload {
         /// cumulative stream bytes outstanding.
         max_data: u64,
     },
-    /// An opaque control message. `tag` selects the meaning; `a`/`b` are
-    /// protocol-defined operands.
-    Control {
-        /// Message kind discriminator (protocol-defined).
-        tag: u64,
-        /// First operand.
-        a: u64,
-        /// Second operand.
-        b: u64,
-    },
 }
 
 impl Payload {
     /// Payload bytes on the wire (excluding header overhead).
     fn wire_bytes(&self) -> u64 {
         match *self {
-            Payload::Data { len, .. } => len as u64,
-            Payload::Ack { .. } => 0,
-            Payload::QuicData { len, .. } => len as u64,
-            Payload::QuicAck { .. } => 0,
-            Payload::Datagram { .. } => 0,
-            Payload::Request { .. } => 0,
-            Payload::Control { .. } => 0,
+            Payload::Data { len, .. } | Payload::QuicData { len, .. } => len as u64,
+            Payload::Ack { .. }
+            | Payload::QuicAck { .. }
+            | Payload::Datagram { .. }
+            | Payload::Request { .. } => 0,
         }
     }
 }

@@ -483,34 +483,12 @@ impl QuicWire {
     }
 }
 
+#[cfg(feature = "validate")]
 impl QuicSender {
-    /// Process an ACK — largest acknowledged packet number, echoed send
-    /// timestamp, up to three `[start, end)` packet-number ranges and the
-    /// receiver's flow-control credit — then pump.
-    pub fn on_quic_ack(
-        &mut self,
-        now: SimTime,
-        largest: u64,
-        echo_ts: SimTime,
-        ranges: &[(u64, u64); 3],
-        max_data: u64,
-        out: &mut Vec<Packet>,
-    ) {
-        let ack = Payload::QuicAck {
-            largest,
-            echo_ts,
-            ranges: *ranges,
-            max_data,
-        };
-        self.wire.on_ack(&mut self.core, now, &ack);
-        self.pump(now, out);
-    }
-
     /// Mutant mode: drop the head of the retransmission queue as the
     /// pre-core sender did when it selected a frame and the pacer then
     /// said no — consumed, never emitted. Must trip
     /// `retx-queue-conservation` on the next [`pump`](Self::pump).
-    #[cfg(feature = "validate")]
     pub fn mutant_consume_before_gate(&mut self) {
         let frame = self.wire.peek(0).filter(|f| f.retx);
         let frame = frame.expect("mutant needs a queued retransmission");
@@ -873,14 +851,14 @@ mod tests {
             for pkt in pkts {
                 if let Payload::QuicData { pkt_num, .. } = pkt.payload {
                     let ranges = [(0, pkt_num + 1), (0, 0), (0, 0)];
-                    s.on_quic_ack(
-                        now,
-                        pkt_num,
-                        pkt.sent_at,
-                        &ranges,
-                        INITIAL_MAX_DATA,
-                        &mut out,
-                    );
+                    let ack = Payload::QuicAck {
+                        largest: pkt_num,
+                        echo_ts: pkt.sent_at,
+                        ranges,
+                        max_data: INITIAL_MAX_DATA,
+                    };
+                    let ack = Packet::new(NodeId(1), NodeId(0), FlowId(1), ack);
+                    assert!(s.handle_packet(now, &ack, &mut out));
                 }
             }
         }

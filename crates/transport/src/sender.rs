@@ -14,7 +14,7 @@
 //! [`TcpSender`] is the two joined.
 
 use crate::core::{CompletedTransfer, Frame, Sender, SenderCore, TcpConfig, Wire};
-use netsim::{Packet, Payload, Rate, SimTime, MSS_BYTES};
+use netsim::{Payload, Rate, SimTime, MSS_BYTES};
 use std::collections::VecDeque;
 
 /// NewReno TCP sender with application-informed pacing.
@@ -284,35 +284,33 @@ impl Wire for TcpWire {
     }
 }
 
-impl TcpSender {
-    /// Handle an arriving cumulative ACK. Newly permitted segments are
-    /// pushed into `out`.
-    pub fn on_ack(
-        &mut self,
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::core::SenderStats;
+    use netsim::{FlowId, NodeId, Packet, SimDuration, HEADER_BYTES};
+
+    fn sender() -> TcpSender {
+        TcpSender::new(NodeId(0), NodeId(1), FlowId(1), TcpConfig::default())
+    }
+
+    /// Feed a cumulative ACK to `s` through `handle_packet`, as its host
+    /// does; newly permitted segments are pushed into `out`.
+    fn ack(
+        s: &mut TcpSender,
         now: SimTime,
         cum_ack: u64,
         echo_ts: SimTime,
         round: u64,
         out: &mut Vec<Packet>,
     ) {
-        let ack = Payload::Ack {
+        let payload = Payload::Ack {
             cum_ack,
             echo_ts,
             round,
         };
-        self.wire.on_ack(&mut self.core, now, &ack);
-        self.pump(now, out);
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::core::SenderStats;
-    use netsim::{FlowId, NodeId, SimDuration, HEADER_BYTES};
-
-    fn sender() -> TcpSender {
-        TcpSender::new(NodeId(0), NodeId(1), FlowId(1), TcpConfig::default())
+        let pkt = Packet::new(NodeId(1), NodeId(0), FlowId(1), payload);
+        assert!(s.handle_packet(now, &pkt, out));
     }
 
     fn data_range(pkt: &Packet) -> (u64, u64, bool) {
@@ -368,7 +366,8 @@ mod tests {
         out.clear();
         // ACK everything: slow start doubles cwnd; roughly 2x packets flow.
         let t1 = SimTime::from_millis(10);
-        s.on_ack(t1, s.wire.bytes_in_flight(), SimTime::ZERO, 0, &mut out);
+        let flight = s.wire.bytes_in_flight();
+        ack(&mut s, t1, flight, SimTime::ZERO, 0, &mut out);
         assert!(
             out.len() >= first_burst,
             "slow start should open the window"
@@ -391,7 +390,7 @@ mod tests {
             .sum();
         assert_eq!(sent, 5000);
         let t1 = SimTime::from_millis(20);
-        s.on_ack(t1, 5000, SimTime::ZERO, 0, &mut Vec::new());
+        ack(&mut s, t1, 5000, SimTime::ZERO, 0, &mut Vec::new());
         let done = s.take_completed();
         assert_eq!(done.len(), 1);
         assert_eq!(done[0].id, id);
@@ -414,10 +413,24 @@ mod tests {
         // First segment lost: receiver keeps ACKing 0... wait, receiver
         // would ACK cum=0 on each out-of-order arrival. Simulate 3 dupacks.
         for _ in 0..2 {
-            s.on_ack(SimTime::from_millis(5), 0, SimTime::ZERO, 0, &mut out);
+            ack(
+                &mut s,
+                SimTime::from_millis(5),
+                0,
+                SimTime::ZERO,
+                0,
+                &mut out,
+            );
             assert_eq!(s.stats().loss_events, 0);
         }
-        s.on_ack(SimTime::from_millis(6), 0, SimTime::ZERO, 0, &mut out);
+        ack(
+            &mut s,
+            SimTime::from_millis(6),
+            0,
+            SimTime::ZERO,
+            0,
+            &mut out,
+        );
         assert_eq!(s.stats().loss_events, 1);
         assert!(s.core().cwnd() < w0);
         // The retransmission of the first segment must be in `out`.
@@ -434,15 +447,36 @@ mod tests {
         s.pump(SimTime::ZERO, &mut out);
         let flight = s.wire.bytes_in_flight();
         for _ in 0..3 {
-            s.on_ack(SimTime::from_millis(5), 0, SimTime::ZERO, 0, &mut out);
+            ack(
+                &mut s,
+                SimTime::from_millis(5),
+                0,
+                SimTime::ZERO,
+                0,
+                &mut out,
+            );
         }
         assert_eq!(s.stats().loss_events, 1);
         // Receiver got the retransmission: full cumulative ACK.
-        s.on_ack(SimTime::from_millis(10), flight, SimTime::ZERO, 0, &mut out);
+        ack(
+            &mut s,
+            SimTime::from_millis(10),
+            flight,
+            SimTime::ZERO,
+            0,
+            &mut out,
+        );
         // Next loss event is a fresh one.
         s.pump(SimTime::from_millis(10), &mut out);
         for _ in 0..3 {
-            s.on_ack(SimTime::from_millis(15), flight, SimTime::ZERO, 0, &mut out);
+            ack(
+                &mut s,
+                SimTime::from_millis(15),
+                flight,
+                SimTime::ZERO,
+                0,
+                &mut out,
+            );
         }
         assert_eq!(s.stats().loss_events, 2);
     }
@@ -531,7 +565,7 @@ mod tests {
                 }
             }
             acked += s.wire.bytes_in_flight();
-            s.on_ack(now, acked, now, 0, &mut out);
+            ack(&mut s, now, acked, now, 0, &mut out);
             if s.is_idle() && out.is_empty() {
                 finished_at = Some(now);
                 break;
@@ -569,7 +603,8 @@ mod tests {
         let mut now = SimTime::ZERO;
         for _ in 0..200 {
             now += SimDuration::from_millis(100);
-            s.on_ack(now, s.wire.snd_nxt, now, 0, &mut out);
+            let snd_nxt = s.wire.snd_nxt;
+            ack(&mut s, now, snd_nxt, now, 0, &mut out);
             if s.is_idle() {
                 break;
             }
@@ -614,7 +649,8 @@ mod tests {
 
         // A late cumulative ACK for all pre-reset data arrives.
         out.clear();
-        s.on_ack(
+        ack(
+            &mut s,
             deadline + SimDuration::from_millis(1),
             sent,
             SimTime::ZERO,
@@ -636,7 +672,7 @@ mod tests {
             }
             now += SimDuration::from_millis(5);
             acked += s.wire.bytes_in_flight();
-            s.on_ack(now, acked, now, 0, &mut out);
+            ack(&mut s, now, acked, now, 0, &mut out);
             s.on_tick(now, &mut out);
         }
         assert!(s.is_idle(), "transfer wedged after late ACK");

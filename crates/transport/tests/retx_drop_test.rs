@@ -1,6 +1,26 @@
-use netsim::{FlowId, NodeId, Payload, Rate, SimDuration, SimTime, MSS_BYTES};
+use netsim::{FlowId, NodeId, Packet, Payload, Rate, SimDuration, SimTime, MSS_BYTES};
 use transport::quic::QuicSender;
 use transport::TcpConfig;
+
+/// Feed a QUIC ACK (ample flow-control credit) to `s` through
+/// `handle_packet`, as its host does; what it permits is pushed into `out`.
+fn ack(
+    s: &mut QuicSender,
+    now: SimTime,
+    largest: u64,
+    echo_ts: SimTime,
+    ranges: [(u64, u64); 3],
+    out: &mut Vec<Packet>,
+) {
+    let payload = Payload::QuicAck {
+        largest,
+        echo_ts,
+        ranges,
+        max_data: 8 << 20,
+    };
+    let pkt = Packet::new(NodeId(1), NodeId(0), FlowId(1), payload);
+    assert!(s.handle_packet(now, &pkt, out));
+}
 
 #[test]
 fn paced_retx_not_dropped_when_pacer_blocked() {
@@ -21,24 +41,24 @@ fn paced_retx_not_dropped_when_pacer_blocked() {
     // bytes queued for retransmission; the pacer has ~0 tokens so the
     // retransmission cannot go out yet.
     let t1 = SimTime::from_millis(10);
-    s.on_quic_ack(
+    ack(
+        &mut s,
         t1,
         3,
         SimTime::ZERO,
-        &[(3, 4), (0, 0), (0, 0)],
-        8 << 20,
+        [(3, 4), (0, 0), (0, 0)],
         &mut out,
     );
     assert_eq!(s.stats().loss_events, 1);
 
     // Now ACK packets 1 and 2 too, and give the pacer plenty of time.
     let t2 = SimTime::from_millis(20);
-    s.on_quic_ack(
+    ack(
+        &mut s,
         t2,
         3,
         SimTime::ZERO,
-        &[(1, 4), (0, 0), (0, 0)],
-        8 << 20,
+        [(1, 4), (0, 0), (0, 0)],
         &mut out,
     );
 
@@ -62,12 +82,13 @@ fn paced_retx_not_dropped_when_pacer_blocked() {
             if let Payload::QuicData { pkt_num, .. } = p.payload {
                 largest = largest.max(pkt_num);
                 let mut o = Vec::new();
-                s.on_quic_ack(
+                let ranges = [(0, largest + 1), (0, 0), (0, 0)];
+                ack(
+                    &mut s,
                     now + SimDuration::from_millis(1),
                     largest,
                     now,
-                    &[(0, largest + 1), (0, 0), (0, 0)],
-                    8 << 20,
+                    ranges,
                     &mut o,
                 );
                 out.extend(o);

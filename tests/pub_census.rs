@@ -34,7 +34,6 @@ const ALLOWED: &[(&str, &str)] = &[
     ("crates/netsim/src/engine.rs", "check_topology_conservation"),
     ("crates/netsim/src/engine.rs", "run_to_completion"), // drain, then check
     ("crates/netsim/src/engine.rs", "set_link_rate"),     // capacity-dip injection
-    ("crates/transport/src/quic.rs", "on_quic_ack"),      // paced-retransmission reproducers
     ("crates/transport/src/endpoint.rs", "sender_mut"),   // pace churn mid-transfer
     ("crates/video/src/player.rs", "buffer_level"),       // the buffer-cap property
     ("crates/video/src/abr_api.rs", "FixedRung"),         // a decision-free player

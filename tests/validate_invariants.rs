@@ -166,8 +166,17 @@ fn consume_before_gate_mutant_trips_retx_queue_conservation() {
     // ACK only packet 3: packet 0 is declared lost, and its retransmission
     // waits in the queue because the pacer has no tokens.
     let t1 = SimTime::from_millis(10);
-    let ranges = [(3, 4), (0, 0), (0, 0)];
-    s.on_quic_ack(t1, 3, SimTime::ZERO, &ranges, 8 << 20, &mut out);
+    let ack = Payload::QuicAck {
+        largest: 3,
+        echo_ts: SimTime::ZERO,
+        ranges: [(3, 4), (0, 0), (0, 0)],
+        max_data: 8 << 20,
+    };
+    assert!(s.handle_packet(
+        t1,
+        &Packet::new(NodeId(1), NodeId(0), FlowId(1), ack),
+        &mut out
+    ));
     assert_eq!(s.stats().loss_events, 1);
     assert_eq!(out.len(), 4, "retransmission held back by the pacer");
     expect_violation("retx-queue-conservation", || {
