@@ -140,11 +140,6 @@ pub trait Wire: std::fmt::Debug + Sized {
     /// The next frame to send under a window of `cwnd`, retransmissions
     /// first — without consuming it.
     fn peek(&self, cwnd: u64) -> Option<Frame>;
-    /// The frame whose pacer release the host should wake up for:
-    /// [`peek`](Self::peek), unless the protocol clocks it some other way.
-    fn peek_paced(&self, cwnd: u64) -> Option<Frame> {
-        self.peek(cwnd)
-    }
     /// The gate opened for `frame`, the last [`peek`](Self::peek) result:
     /// consume it and build its payload.
     fn commit(&mut self, now: SimTime, frame: &Frame) -> Payload;
@@ -389,7 +384,7 @@ impl SenderCore {
     /// of the frame that is actually next.
     fn next_wakeup<W: Wire>(&mut self, wire: &W, now: SimTime) -> Option<SimTime> {
         let release = wire
-            .peek_paced(self.cc.cwnd())
+            .peek(self.cc.cwnd())
             .and_then(|f| self.pacer.next_release(now, f.len + HEADER_BYTES));
         match (self.timeout, release) {
             (Some(t), Some(r)) => Some(t.min(r)),

@@ -136,16 +136,8 @@ impl Wire for TcpWire {
                 });
             }
         }
-        self.peek_paced(cwnd)
-    }
-
-    /// New data within cwnd. A recovery retransmit the pacer held back is
-    /// not scheduled: NewReno's recovery is ACK-clocked (one hole per
-    /// partial ACK), so it is retried on the next ACK — or on this wakeup
-    /// if the window also has room — with the RTO as backstop.
-    fn peek_paced(&self, cwnd: u64) -> Option<Frame> {
-        // Always a full segment once permitted to send at all; sub-MSS
-        // nibbles would stall recovery.
+        // New data within cwnd: always a full segment once permitted to
+        // send at all; sub-MSS nibbles would stall recovery.
         if self.snd_nxt == self.stream_end || self.bytes_in_flight() >= cwnd {
             return None;
         }
