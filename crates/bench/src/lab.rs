@@ -203,9 +203,11 @@ pub(crate) fn install_video(
 
 /// Run `sim` to `run_for`, reading `read` on the 100 ms grid
 /// `[0, run_for)`, and reset `bottleneck`'s high-water mark at `startup`
-/// (or at the end of a shorter run): the peak a caller reads afterwards is
-/// the steady state's. Returns the `(s, value)` samples and the drops
-/// `bottleneck` counted before the reset. A grid step moves no event.
+/// if the run outlasts it: the peak a caller reads afterwards is the
+/// steady state's, or the whole run's for a run that never leaves the
+/// startup transient. Returns the `(s, value)` samples and the drops
+/// `bottleneck` counted before the reset (none without one). A grid step
+/// moves no event.
 pub(crate) fn run_sampled(
     sim: &mut Simulator,
     bottleneck: LinkId,
@@ -224,10 +226,13 @@ pub(crate) fn run_sampled(
         }
         sim.run_until(deadline);
     };
-    run_to(sim, startup.min(run_for));
-    let queue = &mut sim.link_mut(bottleneck).queue;
-    queue.reset_max_occupancy();
-    let startup_drops = queue.stats().drops;
+    let mut startup_drops = 0;
+    if startup < run_for {
+        run_to(sim, startup);
+        let queue = &mut sim.link_mut(bottleneck).queue;
+        queue.reset_max_occupancy();
+        startup_drops = queue.stats().drops;
+    }
     run_to(sim, run_for);
     (samples, startup_drops)
 }

@@ -319,6 +319,27 @@ mod tests {
         assert!(increasing(&rtt), "{rtt:?}");
     }
 
+    /// A run that never leaves the startup transient reports its whole
+    /// run: the peak is at least every sampled occupancy, and the drops
+    /// are all of the run's, not only those of its last instant.
+    #[test]
+    fn run_inside_startup_reports_its_whole_peak_and_drops() {
+        let cfg = SharedLabConfig {
+            run_for: STARTUP,
+            ..quick_cfg(2)
+        };
+        let r = shared_sessions(LabArm::Control, &cfg);
+        let sampled_kb = r.core_occupancy_kb.iter().map(|&(_, kb)| kb);
+        let max_sampled_kb = sampled_kb.fold(0.0, f64::max);
+        assert!(max_sampled_kb > 0.0, "the greedy start fills the core");
+        assert!(
+            r.core_peak_queue_bytes as f64 / 1e3 >= max_sampled_kb,
+            "peak {} B below a sampled {max_sampled_kb} kB",
+            r.core_peak_queue_bytes
+        );
+        assert!(r.core_drops > 0, "the greedy start overflows the core");
+    }
+
     /// The fairness curve is bit-identical across worker-pool sizes.
     #[test]
     fn fairness_curve_thread_invariant() {
