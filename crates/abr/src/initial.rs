@@ -56,7 +56,7 @@ pub struct HistoryStore {
     samples: u64,
 }
 
-/// An empty store: cross-session EWMA factor [`ALPHA`] and the
+/// An empty store: cross-session EWMA factor `ALPHA` and the
 /// confidence half-life of 4 sessions.
 impl Default for HistoryStore {
     fn default() -> Self {

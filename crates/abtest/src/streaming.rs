@@ -377,7 +377,7 @@ pub struct ShardState {
     pub treatment_sessions: u64,
     /// Users whose sessions panicked (exact count).
     pub failures: u64,
-    /// The first [`MAX_FAILURE_SAMPLES`] failures in population order.
+    /// The first `MAX_FAILURE_SAMPLES` failures in population order.
     pub failure_samples: Vec<StreamFailure>,
     /// Telemetry merged in population order (empty without the `obs`
     /// feature).

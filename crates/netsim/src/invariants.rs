@@ -1,6 +1,6 @@
 //! Runtime invariant checking, gated behind the `validate` cargo feature.
 //!
-//! The [`invariant!`] macro is the single entry point: every structural
+//! The [`invariant!`](crate::invariant) macro is the single entry point: every structural
 //! invariant in the workspace (byte conservation, dispatch order, slab
 //! occupancy, sender sanity, buffer conservation, fluid-model output
 //! sanity) asserts through it. With the feature off the macro expands to

@@ -1,5 +1,5 @@
 //! Route table and handlers — the JSON facade over [`Store`] +
-//! [`Scheduler`](crate::scheduler::Scheduler).
+//! the job scheduler (`scheduler::Scheduler`).
 //!
 //! ```text
 //! GET  /healthz                  {"ok":true}

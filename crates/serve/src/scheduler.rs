@@ -10,7 +10,7 @@
 //!
 //! Crash durability is delegated downward: runs checkpoint through the
 //! PR 8 codec under `ckpt/`, searches append every fresh evaluation to
-//! `evals.jsonl`. The startup scan ([`Scheduler::recover`]) re-enqueues
+//! `evals.jsonl`. The startup scan (`Scheduler::recover`) re-enqueues
 //! every non-terminal job, so a killed daemon restarted on the same
 //! runs-dir finishes all in-flight work with bit-identical results.
 

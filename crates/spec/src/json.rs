@@ -189,7 +189,7 @@ const MAX_DEPTH: usize = 128;
 const MAX_NUMBER_LEN: usize = 512;
 
 /// Parse a JSON document. Trailing non-whitespace, nesting deeper than
-/// [`MAX_DEPTH`] and number tokens longer than [`MAX_NUMBER_LEN`] are
+/// `MAX_DEPTH` and number tokens longer than `MAX_NUMBER_LEN` are
 /// errors.
 pub fn parse(input: &str) -> Result<Value, SimError> {
     let mut p = Parser {

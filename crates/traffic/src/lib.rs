@@ -12,7 +12,7 @@
 //! - UDP CBR with one-way-delay measurement lives in
 //!   [`transport::UdpCbrSource`] / [`transport::UdpSink`] (Fig 8a).
 //! - The neighboring *video* session of Fig 8d is just a second
-//!   [`video::VideoClientEndpoint`] + [`transport::SenderEndpoint`] pair;
+//!   `video::VideoClientEndpoint` + [`transport::SenderEndpoint`] pair;
 //!   experiments compose it directly.
 
 #![warn(missing_docs)]

@@ -3,7 +3,7 @@
 //! Host endpoints ([`crate::SenderEndpoint`], [`crate::ReceiverEndpoint`],
 //! the video client) hold a [`TransportSender`]/[`TransportReceiver`] and
 //! stay oblivious to which wire protocol is running; [`Protocol`] in
-//! [`TcpConfig`](crate::TcpConfig) picks the variant. This is what lets the
+//! [`TcpConfig`] picks the variant. This is what lets the
 //! A/B matrix vary transport and congestion control independently of the
 //! Sammy pacing policy.
 
@@ -46,7 +46,7 @@ impl std::fmt::Display for Protocol {
 }
 
 /// The one spelling of each protocol shared by the CLI, the JSON spec
-/// API, and CSV headers. Unknown names are a [`SimError::Parse`], never a
+/// API, and CSV headers. Unknown names are a [`netsim::SimError::Parse`], never a
 /// panic or a silent default.
 impl std::str::FromStr for Protocol {
     type Err = netsim::SimError;

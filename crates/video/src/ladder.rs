@@ -32,7 +32,7 @@ impl Ladder {
     ///
     /// # Panics
     /// Panics if `bitrates_bps` is empty or not strictly ascending; use
-    /// [`Ladder::try_from_bitrates`] for caller-supplied input.
+    /// `Ladder::try_from_bitrates` for caller-supplied input.
     pub fn from_bitrates(bitrates_bps: &[f64], vmaf: &VmafModel) -> Self {
         match Ladder::try_from_bitrates(bitrates_bps, vmaf) {
             Ok(l) => l,
