@@ -280,7 +280,8 @@ pub struct SingleFlowResult {
     pub play_delay_s: f64,
     /// Rebuffer count.
     pub rebuffers: u64,
-    /// Peak bottleneck queue occupancy after [`STARTUP`] (bytes).
+    /// Peak bottleneck queue occupancy after [`STARTUP`], or over the
+    /// whole run if it ends sooner (bytes).
     pub max_queue_bytes: u64,
 }
 

@@ -103,9 +103,11 @@ pub struct SharedRunResult {
     /// Core queue occupancy over time: `(s, kB)` on the 100 ms grid
     /// `[0, run_for)`, the startup transient included.
     pub core_occupancy_kb: Vec<(f64, f64)>,
-    /// Peak core queue occupancy after the startup transient (bytes).
+    /// Peak core queue occupancy after the startup transient, or over the
+    /// whole run if it ends sooner (bytes).
     pub core_peak_queue_bytes: u64,
-    /// Packets dropped at the core queue after the startup transient.
+    /// Packets dropped at the core queue after the startup transient, or
+    /// over the whole run if it ends sooner.
     pub core_drops: u64,
 }
 

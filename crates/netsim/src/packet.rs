@@ -104,11 +104,12 @@ impl Payload {
     /// Payload bytes on the wire (excluding header overhead).
     fn wire_bytes(&self) -> u64 {
         match *self {
-            Payload::Data { len, .. } | Payload::QuicData { len, .. } => len as u64,
-            Payload::Ack { .. }
-            | Payload::QuicAck { .. }
-            | Payload::Datagram { .. }
-            | Payload::Request { .. } => 0,
+            Payload::Data { len, .. } => len as u64,
+            Payload::Ack { .. } => 0,
+            Payload::QuicData { len, .. } => len as u64,
+            Payload::QuicAck { .. } => 0,
+            Payload::Datagram { .. } => 0,
+            Payload::Request { .. } => 0,
         }
     }
 }
