@@ -14,62 +14,29 @@
 
 use video::{Abr, AbrContext, AbrDecision, ChunkMeasurement};
 
-/// Configuration for [`Hyb`].
-#[derive(Debug, Clone, Copy)]
-pub struct HybConfig {
-    /// Throughput discount β.
-    pub beta: f64,
-    /// Number of recent chunks in the throughput estimate.
-    pub window: usize,
-    /// Lookahead horizon in chunks (`T`).
-    pub lookahead: usize,
-}
+/// Throughput discount β.
+const BETA: f64 = 0.5;
+/// Number of recent chunks in the throughput estimate.
+const WINDOW: usize = 5;
+/// Lookahead horizon in chunks (`T`).
+const LOOKAHEAD: usize = 5;
 
-impl Default for HybConfig {
-    fn default() -> Self {
-        HybConfig {
-            beta: 0.5,
-            window: 5,
-            lookahead: 5,
-        }
-    }
-}
-
-/// Throughput-based ABR with lookahead buffer simulation.
-#[derive(Debug, Clone)]
-pub struct Hyb {
-    cfg: HybConfig,
-}
-
-impl Hyb {
-    /// Create a HYB instance.
-    ///
-    /// # Panics
-    /// Panics on a non-positive β or an empty lookahead.
-    pub fn new(cfg: HybConfig) -> Self {
-        assert!(cfg.beta > 0.0 && cfg.beta <= 1.0, "beta must be in (0,1]");
-        assert!(cfg.lookahead >= 1, "lookahead must be at least one chunk");
-        Hyb { cfg }
-    }
-}
-
-impl Default for Hyb {
-    fn default() -> Self {
-        Hyb::new(HybConfig::default())
-    }
-}
+/// Throughput-based ABR with lookahead buffer simulation, at β = 0.5 over
+/// a five-chunk estimate and a five-chunk horizon.
+#[derive(Debug, Clone, Default)]
+pub struct Hyb;
 
 impl Abr for Hyb {
     fn select(&mut self, ctx: &AbrContext<'_>) -> AbrDecision {
-        let Some(est) = ctx.history.harmonic_mean_last(self.cfg.window) else {
+        let Some(est) = ctx.history.harmonic_mean_last(WINDOW) else {
             // No measurements yet: start at the bottom.
             return AbrDecision::unpaced(ctx.ladder.lowest());
         };
-        let bx = self.cfg.beta * est.bps();
+        let bx = BETA * est.bps();
         if bx <= 0.0 {
             return AbrDecision::unpaced(ctx.ladder.lowest());
         }
-        let horizon = self.cfg.lookahead.min(ctx.upcoming.len());
+        let horizon = LOOKAHEAD.min(ctx.upcoming.len());
 
         // Try rungs from the top down; keep the simulated buffer positive
         // over the horizon.
@@ -165,7 +132,7 @@ mod tests {
     fn no_history_picks_lowest() {
         let t = title();
         let h = ThroughputHistory::new();
-        let d = Hyb::default().select(&ctx(&t, &h, 0));
+        let d = Hyb.select(&ctx(&t, &h, 0));
         assert_eq!(d.rung, 0);
         assert_eq!(d.pace, None);
     }
@@ -174,7 +141,7 @@ mod tests {
     fn empty_buffer_needs_one_over_beta_headroom() {
         // β=0.5, empty buffer: needs throughput ≥ 2x the bitrate.
         let t = title();
-        let mut hyb = Hyb::default();
+        let mut hyb = Hyb;
         // 3 Mbps rung (index 6) requires ≥ 6 Mbps throughput at B0=0.
         let h = history_at(6.5);
         let d = hyb.select(&ctx(&t, &h, 0));
@@ -188,7 +155,7 @@ mod tests {
     #[test]
     fn larger_buffer_allows_higher_bitrate() {
         let t = title();
-        let mut hyb = Hyb::default();
+        let mut hyb = Hyb;
         let h = history_at(6.0);
         let d_empty = hyb.select(&ctx(&t, &h, 0));
         let d_full = hyb.select(&ctx(&t, &h, 60));
@@ -203,7 +170,7 @@ mod tests {
     #[test]
     fn simulation_matches_analytical_rule() {
         let t = title();
-        let mut hyb = Hyb::default();
+        let mut hyb = Hyb;
         for &mbps in &[1.0, 2.0, 4.0, 8.0, 16.0, 40.0] {
             for &buf in &[0u64, 8, 20, 60] {
                 let h = history_at(mbps);
@@ -236,14 +203,5 @@ mod tests {
         assert!((back - r).abs() / r < 1e-12);
         // Empty buffer, β=0.5: min throughput is twice the bitrate.
         assert!((hyb_min_throughput_bps(0.5, r, 0.0, 20.0) - 2.0 * r).abs() < 1e-6);
-    }
-
-    #[test]
-    #[should_panic(expected = "beta")]
-    fn invalid_beta_panics() {
-        Hyb::new(HybConfig {
-            beta: 0.0,
-            ..Default::default()
-        });
     }
 }

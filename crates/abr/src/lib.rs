@@ -22,7 +22,7 @@ pub mod initial;
 pub mod mpc;
 pub mod naive;
 
-pub use hyb::{hyb_max_bitrate_bps, hyb_min_throughput_bps, Hyb, HybConfig};
+pub use hyb::{hyb_max_bitrate_bps, hyb_min_throughput_bps, Hyb};
 pub use initial::{
     initial_rung_for, shared_history, HistoryPolicy, HistoryStore, InitialSelectorConfig,
     ProductionAbr, SharedHistory,

@@ -96,20 +96,22 @@ pub struct HalvingOutcome {
 
 /// Run a successive-halving search to completion.
 pub fn halving_search(spec: &SearchSpec) -> Result<HalvingOutcome, SimError> {
-    halving_search_with(spec, |_, _, _| None, |_| true)
+    halving_search_with(spec, &[], |_| Ok(()))
 }
 
-/// [`halving_search`] with a resume cache and a progress callback — the
-/// serve daemon's entry point.
+/// [`halving_search`] replaying a journal prefix — the serve daemon's
+/// entry point.
 ///
-/// `cached(rung, c0, c1)` may return a previously persisted candidate;
-/// the evaluation is then skipped but still *counted* (budget and
-/// outcome are properties of the logical search, so a resumed search
-/// reports byte-identical totals to an uninterrupted one). `on_eval` fires
-/// after every evaluation, cached or fresh, in deterministic order — the
-/// daemon checkpoints there. Returning `false` from `on_eval` aborts the
-/// search at that evaluation boundary (the daemon's simulated-kill hook);
-/// the search then returns [`SimError::Io`] with an "aborted" message.
+/// Evaluation `k` of the search is `journal[k]` when the journal has one:
+/// it is taken as it stands, not simulated, but still *counted* (budget
+/// and outcome are properties of the logical search, so a resumed search
+/// reports byte-identical totals to an uninterrupted one). It must name
+/// the rung, users and `(c0, c1)` the search is at, or the search fails
+/// with an error naming `k`. Past the journal each evaluation is simulated,
+/// judged and handed to `on_fresh` before the search moves on; an `Err`
+/// from `on_fresh` ends the search with that error. A journal the daemon
+/// appended one fresh evaluation at a time is, by construction, a prefix
+/// of this deterministic order.
 ///
 /// `spec.base` sizes and seeds every evaluation: its `users_per_arm` is
 /// overridden per rung and its `seed` is the root of the per-rung
@@ -121,8 +123,8 @@ pub fn halving_search(spec: &SearchSpec) -> Result<HalvingOutcome, SimError> {
 /// evaluation order, or which other arms survived.
 pub fn halving_search_with(
     spec: &SearchSpec,
-    mut cached: impl FnMut(usize, f64, f64) -> Option<Candidate>,
-    mut on_eval: impl FnMut(&Evaluation) -> bool,
+    journal: &[Evaluation],
+    mut on_fresh: impl FnMut(&Evaluation) -> Result<(), SimError>,
 ) -> Result<HalvingOutcome, SimError> {
     spec.validate()?;
     let base = ExperimentConfig::from(&spec.base);
@@ -146,22 +148,36 @@ pub fn halving_search_with(
         };
         let mut rung_cands: Vec<Candidate> = Vec::new();
         for &(c0, c1) in &survivors {
-            let candidate = match cached(rung, c0, c1) {
-                Some(c) => c,
-                None => Candidate::judge(evaluate(&population, &rung_cfg, c0, c1)?, &spec.guards),
+            let k = evaluations.len();
+            let ev = match journal.get(k) {
+                Some(j) => {
+                    let c = &j.candidate;
+                    let named = (j.rung, j.users, c.c0.to_bits(), c.c1.to_bits());
+                    if named != (rung, users, c0.to_bits(), c1.to_bits()) {
+                        return Err(SimError::Checkpoint {
+                            path: format!("journal[{k}]"),
+                            reason: format!(
+                                "names rung {} ({} users, {}, {}); the search is at rung {rung} ({users} users, {c0}, {c1})",
+                                j.rung, j.users, c.c0, c.c1
+                            ),
+                        });
+                    }
+                    j.clone()
+                }
+                None => {
+                    let point = evaluate(&population, &rung_cfg, c0, c1)?;
+                    let ev = Evaluation {
+                        rung,
+                        users,
+                        candidate: Candidate::judge(point, &spec.guards),
+                    };
+                    on_fresh(&ev)?;
+                    ev
+                }
             };
             user_sessions += rung_cfg.sessions_simulated(users);
-            let ev = Evaluation {
-                rung,
-                users,
-                candidate,
-            };
-            let keep_going = on_eval(&ev);
             rung_cands.push(ev.candidate.clone());
             evaluations.push(ev);
-            if !keep_going {
-                return Err(SimError::Io("halving search aborted by caller".to_string()));
-            }
         }
         rungs_run = rung + 1;
 
@@ -176,6 +192,12 @@ pub fn halving_search_with(
         survivors = feasible.iter().take(keep).map(|c| (c.c0, c.c1)).collect();
     }
 
+    if journal.len() > evaluations.len() {
+        return Err(SimError::Checkpoint {
+            path: format!("journal[{}]", evaluations.len()),
+            reason: "the search ended before this evaluation".into(),
+        });
+    }
     let best = best.unwrap_or_else(|| {
         // Guards rejected everything: fall back to the most conservative
         // (largest multipliers) arm evaluated, marked infeasible.
@@ -307,26 +329,58 @@ mod tests {
         assert!(last.iter().all(|c| out.best.tput_pct <= c.tput_pct));
     }
 
+    /// A resumed search replays its journal by position: for a prefix of
+    /// any length, `on_fresh` sees exactly the evaluations past it, in
+    /// order, and the outcome is the unjournaled search's.
     #[test]
-    fn halving_replays_from_cache_without_simulation() {
-        let cfg = tiny_halving(2, 0);
+    fn halving_replays_a_journal_prefix_by_position() {
+        let cfg = tiny_halving(4, 0);
         let full = halving_search(&cfg).unwrap();
-        // Replay with every evaluation cached: same outcome, same budget
-        // accounting (the budget is a property of the logical search).
-        let replay = halving_search_with(
-            &cfg,
-            |rung, c0, c1| {
-                full.evaluations
-                    .iter()
-                    .find(|e| e.rung == rung && e.candidate.c0 == c0 && e.candidate.c1 == c1)
-                    .map(|e| e.candidate.clone())
-            },
-            |_| true,
-        )
-        .unwrap();
-        assert_eq!(replay.evaluations, full.evaluations);
-        assert_eq!(replay.best, full.best);
-        assert_eq!(replay.user_sessions, full.user_sessions);
+        assert_eq!(full.evaluations.len(), 6);
+        for n in [0, 3, 6] {
+            let mut fresh = Vec::new();
+            let replay = halving_search_with(&cfg, &full.evaluations[..n], |ev| {
+                fresh.push(ev.clone());
+                Ok(())
+            })
+            .unwrap();
+            assert_eq!(fresh, full.evaluations[n..], "prefix of {n}");
+            assert_eq!(replay.evaluations, full.evaluations);
+            assert_eq!(replay.best, full.best);
+            assert_eq!(replay.rungs_run, full.rungs_run);
+            assert_eq!(replay.user_sessions, full.user_sessions);
+        }
+    }
+
+    /// A journal is trusted only where it names the arm the search is at:
+    /// a line that names another arm, or one past the search's end, is
+    /// refused by its position, and an error from `on_fresh` ends the
+    /// search with that error.
+    #[test]
+    fn halving_refuses_a_journal_that_names_another_arm() {
+        let cfg = tiny_halving(4, 0);
+        let full = halving_search(&cfg).unwrap();
+        let mut journal = full.evaluations[..3].to_vec();
+        journal.swap(1, 2);
+        let err = halving_search_with(&cfg, &journal, |_| unreachable!()).unwrap_err();
+        assert!(
+            matches!(&err, SimError::Checkpoint { path, .. } if path == "journal[1]"),
+            "{err}"
+        );
+
+        let mut long = full.evaluations.clone();
+        long.push(full.evaluations[5].clone());
+        let err = halving_search_with(&cfg, &long, |_| unreachable!()).unwrap_err();
+        assert!(
+            matches!(&err, SimError::Checkpoint { path, .. } if path == "journal[6]"),
+            "{err}"
+        );
+
+        let err = halving_search_with(&cfg, &full.evaluations[..4], |_| {
+            Err(SimError::Io("disk full".into()))
+        })
+        .unwrap_err();
+        assert_eq!(err, SimError::Io("disk full".into()));
     }
 
     #[test]
@@ -357,7 +411,7 @@ mod tests {
         // and meets it before anything is simulated.
         let mut cfg = tiny_halving(2, 0);
         cfg.eta = 1;
-        let err = halving_search_with(&cfg, |_, _, _| unreachable!(), |_| unreachable!());
+        let err = halving_search_with(&cfg, &[], |_| unreachable!());
         assert!(
             matches!(err, Err(SimError::InvalidConfig { field: "eta", .. })),
             "{err:?}"

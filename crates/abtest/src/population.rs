@@ -132,7 +132,6 @@ impl UserProfile {
             self.ladder(),
             &TitleConfig {
                 duration: self.title_duration,
-                chunk_duration: SimDuration::from_secs(4),
                 size_cv: 0.15,
                 vmaf_sd: 1.5,
                 seed: self.seed ^ (session_idx.wrapping_mul(0x9E37_79B9_7F4A_7C15)),

@@ -218,8 +218,10 @@ impl MetricAcc {
         for &v in t_vals {
             self.treatment.add(v);
         }
-        // Paired per-session deltas, with the same pairing/skip rules as
-        // `stats::paired_delta`.
+        // Paired per-session deltas: session `i` of the control arm pairs
+        // with session `i` of the treatment arm (the shorter list bounds
+        // the pairs), and a pair is skipped unless both values are finite
+        // and the control's is non-zero.
         let mut sum = 0.0;
         let mut n = 0u64;
         for (&cv, &tv) in c_vals.iter().zip(t_vals) {
@@ -934,12 +936,19 @@ fn write_progress_line(
     shards: usize,
     global: &ShardState,
 ) -> Result<(), SimError> {
+    use spec::json::{obj, Value};
     use std::io::Write;
-    let line = format!(
-        "{{\"type\":\"progress\",\"shard\":{merged},\"shards\":{shards},\"users\":{},\"failures\":{},\"control_sessions\":{},\"treatment_sessions\":{}}}\n",
-        global.users, global.failures, global.control_sessions, global.treatment_sessions,
-    );
-    f.write_all(line.as_bytes())
+    let count = |n: u64| Value::Num(n as f64);
+    let line = obj(vec![
+        ("type", Value::Str("progress".into())),
+        ("shard", count(merged as u64)),
+        ("shards", count(shards as u64)),
+        ("users", count(global.users)),
+        ("failures", count(global.failures)),
+        ("control_sessions", count(global.control_sessions)),
+        ("treatment_sessions", count(global.treatment_sessions)),
+    ]);
+    f.write_all(format!("{line}\n").as_bytes())
         .and_then(|()| f.flush())
         .map_err(|e| SimError::Io(format!("append progress line: {e}")))
 }

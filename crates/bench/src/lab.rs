@@ -186,7 +186,6 @@ pub(crate) fn install_video(
         Ladder::lab(&VmafModel::standard()),
         &TitleConfig {
             duration: SimDuration::from_secs(TITLE_SECS),
-            chunk_duration: SimDuration::from_secs(4),
             size_cv: 0.12,
             vmaf_sd: 0.0,
             seed,

@@ -79,6 +79,13 @@ impl NodeCtx<'_> {
         self.out.push(pkt);
     }
 
+    /// The packets emitted so far in this callback, for a sender that
+    /// pushes its output straight in; each is routed as [`send`](Self::send)
+    /// would route it.
+    pub fn outbox(&mut self) -> &mut Vec<Packet> {
+        self.out
+    }
+
     /// Arm a timer to fire at absolute time `at` with the given token.
     /// Timers are not cancellable; endpoints must ignore stale tokens.
     pub fn set_timer(&mut self, at: SimTime, token: u64) {
@@ -688,14 +695,8 @@ impl Simulator {
         for (at, token) in timers.drain(..) {
             self.start_timer(node, at.max(self.now), token);
         }
-        for mut pkt in out.drain(..) {
-            pkt.sent_at = self.now;
-            let st = self.flow_stats_mut(pkt.flow);
-            st.injected_packets += 1;
-            st.injected_bytes += pkt.size;
-            let dst = pkt.dst;
-            let pref = self.store.insert(pkt);
-            self.route_packet(node, dst, pref);
+        for pkt in out.drain(..) {
+            self.inject(node, pkt);
         }
     }
 

@@ -11,9 +11,9 @@
 //! * experiment runs checkpoint through the streaming runner's codec
 //!   (`ckpt/`, resume bit-identical at any thread count),
 //! * halving searches append each fresh evaluation to `evals.jsonl`
-//!   before advancing; on restart the persisted evaluations replay from
-//!   cache (still counted in the budget) and the search continues where
-//!   it stopped.
+//!   before advancing; on restart the journal's complete lines replay by
+//!   position (still counted in the budget), a torn tail is cut off and
+//!   simulated again, and the search continues where it stopped.
 //!
 //! Quick tour (see the README for a curl transcript):
 //!
@@ -71,7 +71,7 @@ impl Daemon {
         let shutdown = Arc::new(AtomicBool::new(false));
         let state = Arc::new(api::ApiState {
             store,
-            sched: sched.handle(),
+            sched: sched.handle.clone(),
             submit_lock: Mutex::new(()),
             shutdown: Arc::clone(&shutdown),
         });

@@ -11,7 +11,7 @@
 //!   searches/s0001/
 //!     spec.json      # canonical SearchSpec
 //!     status.json
-//!     evals.jsonl    # one line per *fresh* evaluation — the resume cache
+//!     evals.jsonl    # one line per evaluation — the journal a resumed search replays
 //!     result.json
 //! ```
 //!
@@ -37,8 +37,8 @@ pub enum JobState {
     Running,
     /// Finished; `result.json` exists.
     Done,
-    /// Aborted at a checkpoint/evaluation boundary (simulated kill or
-    /// daemon shutdown). Re-enqueued on the next startup scan.
+    /// Aborted at a checkpoint/evaluation boundary (a simulated kill).
+    /// Re-enqueued on the next startup scan.
     Interrupted,
     /// Failed with an error recorded in `status.json`.
     Failed,

@@ -246,6 +246,53 @@ fn killed_search_resumes_bit_identical() {
     );
 }
 
+/// A kill can land between a journal line and its newline, or halfway
+/// through a line. A restarted daemon cuts such a tail off and simulates
+/// that evaluation again: the journal and the result come out byte for
+/// byte as an uninterrupted daemon's, and every journal line parses.
+#[test]
+fn torn_journal_tail_is_cut_and_resimulated() {
+    let dir_ref = tmp_dir("torn-ref");
+    let daemon = Daemon::start("127.0.0.1:0", ServeConfig::new(&dir_ref)).unwrap();
+    assert_eq!(post(&daemon, "/searches", SEARCH_SPEC).0, 201);
+    wait_for(&daemon, "/searches/s0001", JobState::Done);
+    daemon.stop();
+    let read = |dir: &PathBuf, file: &str| std::fs::read(dir.join("searches/s0001").join(file));
+    let want_journal = read(&dir_ref, "evals.jsonl").unwrap();
+    let want_result = read(&dir_ref, "result.json").unwrap();
+
+    for case in ["no-newline", "half-line"] {
+        let dir = tmp_dir(case);
+        let mut cfg = ServeConfig::new(&dir);
+        cfg.abort_search_after_evals = Some(3);
+        let daemon = Daemon::start("127.0.0.1:0", cfg).unwrap();
+        assert_eq!(post(&daemon, "/searches", SEARCH_SPEC).0, 201);
+        wait_for(&daemon, "/searches/s0001", JobState::Interrupted);
+        daemon.stop();
+        let path = dir.join("searches/s0001/evals.jsonl");
+        let mut journal = std::fs::read(&path).unwrap();
+        if case == "no-newline" {
+            assert_eq!(journal.pop(), Some(b'\n'));
+        } else {
+            journal.extend_from_slice(br#"{"rung":0,"us"#);
+        }
+        std::fs::write(&path, journal).unwrap();
+
+        let daemon = Daemon::start("127.0.0.1:0", ServeConfig::new(&dir)).unwrap();
+        wait_for(&daemon, "/searches/s0001", JobState::Done);
+        daemon.stop();
+        let resumed = read(&dir, "evals.jsonl").unwrap();
+        for line in String::from_utf8(resumed.clone()).unwrap().lines() {
+            assert!(json::parse(line).is_ok(), "{case}: {line}");
+        }
+        assert!(resumed == want_journal, "{case}: journal differs");
+        assert!(
+            read(&dir, "result.json").unwrap() == want_result,
+            "{case}: result differs"
+        );
+    }
+}
+
 /// The search that used to be accepted and then abort the whole daemon:
 /// a final rung of 4 × (10^11)^2 users was a 41 TB allocation when a
 /// rung drew its population whole.

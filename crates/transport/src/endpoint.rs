@@ -48,9 +48,6 @@ pub struct SenderEndpoint {
     /// `flows[i]` is the flow `slots[i]` serves: the demultiplexing scan
     /// reads this one short array, not a field deep in each sender.
     flows: Vec<FlowId>,
-    /// Packets a sender emitted during the current event; drained into the
-    /// [`NodeCtx`] by `after_event`, so its capacity is reused.
-    out: Vec<Packet>,
 }
 
 impl SenderEndpoint {
@@ -60,7 +57,6 @@ impl SenderEndpoint {
         let mut host = SenderEndpoint {
             slots: Vec::new(),
             flows: Vec::new(),
-            out: Vec::new(),
         };
         host.add_flow(local, remote, flow, cfg);
         host
@@ -123,14 +119,11 @@ impl SenderEndpoint {
     ) {
         let sender = &mut self.slots[slot].sender;
         sender.start_transfer(now, size, pace);
-        sender.pump(now, &mut self.out);
+        sender.pump(now, ctx.outbox());
         self.after_event(slot, now, ctx);
     }
 
     fn after_event(&mut self, slot: usize, now: SimTime, ctx: &mut NodeCtx) {
-        for p in self.out.drain(..) {
-            ctx.send(p);
-        }
         let s = &mut self.slots[slot];
         s.completed.extend(s.sender.take_completed());
         if s.next_timer <= now {
@@ -157,7 +150,7 @@ impl Endpoint for SenderEndpoint {
         };
         if !self.slots[slot]
             .sender
-            .handle_packet(now, &pkt, &mut self.out)
+            .handle_packet(now, &pkt, ctx.outbox())
         {
             if let Payload::Request { size, pace_bps, .. } = pkt.payload {
                 return self.serve(slot, now, size, pace_bps.map(Rate::from_bps), ctx);
@@ -171,7 +164,7 @@ impl Endpoint for SenderEndpoint {
         let Some(s) = self.slots.get_mut(slot) else {
             return;
         };
-        s.sender.on_tick(now, &mut self.out);
+        s.sender.on_tick(now, ctx.outbox());
         self.after_event(slot, now, ctx);
     }
 

@@ -190,7 +190,6 @@ mod tests {
             Ladder::lab(&VmafModel::standard()),
             &TitleConfig {
                 duration: SimDuration::from_secs(secs),
-                chunk_duration: SimDuration::from_secs(4),
                 size_cv: 0.0,
                 vmaf_sd: 0.0,
                 seed: 1,

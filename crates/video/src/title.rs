@@ -20,8 +20,6 @@ use serde::{Deserialize, Serialize};
 pub struct Title {
     /// The encoding ladder.
     pub ladder: Ladder,
-    /// Uniform playback duration of every chunk.
-    chunk_duration: SimDuration,
     /// Number of chunks (`sizes.len() / rungs`, stored so that bounds
     /// checks do not divide).
     chunks: usize,
@@ -48,7 +46,7 @@ impl<'a> Chunk<'a> {
 
     /// Playback duration.
     pub fn duration(&self) -> SimDuration {
-        self.title.chunk_duration
+        CHUNK_DURATION
     }
 
     /// Encoded size of this chunk at `rung`.
@@ -123,13 +121,15 @@ impl<'a> Lookahead<'a> {
     }
 }
 
-/// Parameters for generating a synthetic title.
+/// Playback duration of every chunk of every title.
+const CHUNK_DURATION: SimDuration = SimDuration::from_secs(4);
+
+/// Parameters for generating a synthetic title, whose chunks each play
+/// for 4 s.
 #[derive(Debug, Clone)]
 pub struct TitleConfig {
     /// Total playback duration.
     pub duration: SimDuration,
-    /// Chunk duration (a few seconds; 4 s is typical).
-    pub chunk_duration: SimDuration,
     /// Coefficient of variation of chunk sizes around the rung bitrate
     /// (VBR wobble). 0 gives perfectly CBR chunks.
     pub size_cv: f64,
@@ -144,7 +144,6 @@ impl Default for TitleConfig {
     fn default() -> Self {
         TitleConfig {
             duration: SimDuration::from_secs(20 * 60),
-            chunk_duration: SimDuration::from_secs(4),
             size_cv: 0.15,
             vmaf_sd: 1.5,
             seed: 0,
@@ -156,19 +155,15 @@ impl Title {
     /// Generate a title with the given ladder and config.
     ///
     /// # Panics
-    /// Panics if the chunk duration is zero or longer than the title.
+    /// Panics if the title is shorter than one chunk.
     pub fn generate(ladder: Ladder, cfg: &TitleConfig) -> Self {
         assert!(
-            !cfg.chunk_duration.is_zero(),
-            "chunk duration must be positive"
-        );
-        assert!(
-            cfg.duration >= cfg.chunk_duration,
+            cfg.duration >= CHUNK_DURATION,
             "title shorter than one chunk"
         );
         let mut rng = StdRng::seed_from_u64(cfg.seed);
-        let n = (cfg.duration.as_nanos() / cfg.chunk_duration.as_nanos()) as usize;
-        let chunk_secs = cfg.chunk_duration.as_secs_f64();
+        let n = (cfg.duration.as_nanos() / CHUNK_DURATION.as_nanos()) as usize;
+        let chunk_secs = CHUNK_DURATION.as_secs_f64();
         let rungs = ladder.rungs().len();
         // Per-title constants: the size wobble's log-normal parameters
         // (mean ≈ 1, coefficient of variation `size_cv`), and per rung its
@@ -205,7 +200,6 @@ impl Title {
         }
         Title {
             ladder,
-            chunk_duration: cfg.chunk_duration,
             chunks: n,
             sizes,
             vmafs,
@@ -229,12 +223,12 @@ impl Title {
 
     /// Uniform per-chunk playback duration.
     pub fn chunk_duration(&self) -> SimDuration {
-        self.chunk_duration
+        CHUNK_DURATION
     }
 
     /// Total playback duration.
     pub fn duration(&self) -> SimDuration {
-        self.chunk_duration * self.len() as u64
+        CHUNK_DURATION * self.len() as u64
     }
 
     /// View of the chunk at `index`.

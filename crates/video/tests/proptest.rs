@@ -11,7 +11,6 @@ fn title(chunks: u64) -> Arc<Title> {
         Ladder::lab(&VmafModel::standard()),
         &TitleConfig {
             duration: SimDuration::from_secs(4 * chunks),
-            chunk_duration: SimDuration::from_secs(4),
             size_cv: 0.0,
             vmaf_sd: 0.0,
             seed: 0,

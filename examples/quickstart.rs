@@ -76,7 +76,6 @@ fn run_session(use_sammy: bool) -> (f64, f64, f64, (f64, f64, u64)) {
         Ladder::lab(&VmafModel::standard()),
         &TitleConfig {
             duration: SimDuration::from_secs(600),
-            chunk_duration: SimDuration::from_secs(4),
             size_cv: 0.12,
             vmaf_sd: 0.0,
             seed: 7,

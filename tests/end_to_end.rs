@@ -19,7 +19,6 @@ fn lab_title(secs: u64, seed: u64) -> Arc<Title> {
         Ladder::lab(&VmafModel::standard()),
         &TitleConfig {
             duration: SimDuration::from_secs(secs),
-            chunk_duration: SimDuration::from_secs(4),
             size_cv: 0.1,
             vmaf_sd: 0.0,
             seed,

@@ -56,7 +56,6 @@ fn run_with_dip(abr: Box<dyn Abr>, dip_mbps: f64) -> Outcome {
         Ladder::lab(&VmafModel::standard()),
         &TitleConfig {
             duration: SimDuration::from_secs(240),
-            chunk_duration: SimDuration::from_secs(4),
             size_cv: 0.1,
             vmaf_sd: 0.0,
             seed: 5,

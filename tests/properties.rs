@@ -122,7 +122,7 @@ proptest! {
                 completed_at: SimTime::ZERO,
             });
         }
-        let mut hyb = abr::Hyb::default();
+        let mut hyb = abr::Hyb;
         let ctx = AbrContext {
             now: SimTime::ZERO,
             phase: PlayerPhase::Playing,
