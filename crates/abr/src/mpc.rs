@@ -21,9 +21,12 @@
 //! ```
 //!
 //! where `P_i(r)` is the byte sum of the first `i+1` upcoming chunks at
-//! rung `r`. `select` evaluates it directly: one running `u64` sum over
-//! the horizon per rung, `rungs × horizon` (≤ 45) steps a decision, each a
-//! load from the window's one chunk-major slice ([`video::Lookahead::sizes`]).
+//! rung `r`. `select` evaluates it directly in one pass over the window's
+//! rows ([`video::Lookahead::sizes`], one chunk-major slice): each row
+//! adds every rung's chunk size to that rung's running `u64` byte sum and
+//! updates that rung's worst shortfall, `rungs × horizon` (≤ 45) steps a
+//! decision in memory order. A second pass over the rungs turns each shortfall into
+//! the rung's utility.
 
 use video::{Abr, AbrContext, AbrDecision, ChunkMeasurement};
 
@@ -39,20 +42,24 @@ const REBUFFER_PENALTY: f64 = 500.0;
 /// Discount on the throughput prediction (robust-MPC style): the
 /// prediction is divided by `1 + ERROR_MARGIN`.
 const ERROR_MARGIN: f64 = 0.25;
+/// Most rungs a ladder may have: `video`'s own bound, which that crate
+/// keeps private. A longer ladder panics here rather than being cut.
+const MAX_RUNGS: usize = 32;
 
 /// Lookahead QoE-utility maximization.
 #[derive(Debug, Clone, Default)]
 #[non_exhaustive]
 pub struct Mpc;
 
-impl Abr for Mpc {
-    fn select(&mut self, ctx: &AbrContext<'_>) -> AbrDecision {
-        let Some(est) = ctx.history.harmonic_mean_last(WINDOW) else {
-            return AbrDecision::unpaced(ctx.ladder.lowest());
-        };
+impl Mpc {
+    /// Every rung's horizon utility, `utility[r]` for rung `r`, and the
+    /// rung that maximizes it; `None`, with `utility` untouched, when the
+    /// history predicts no positive throughput.
+    fn plan(ctx: &AbrContext<'_>, utility: &mut [f64; MAX_RUNGS]) -> Option<usize> {
+        let est = ctx.history.harmonic_mean_last(WINDOW)?;
         let predicted = est.bps() / (1.0 + ERROR_MARGIN);
         if predicted <= 0.0 {
-            return AbrDecision::unpaced(ctx.ladder.lowest());
+            return None;
         }
         let h = HORIZON.min(ctx.upcoming.len());
         let rungs = ctx.ladder.len();
@@ -65,32 +72,41 @@ impl Abr for Mpc {
 
         let b0 = ctx.buffer.as_secs_f64();
         let play_s = h as f64 * cd;
-        // The horizon's sizes, one row of `rungs` entries per chunk.
+        // The horizon's sizes, one row of `rungs` entries per chunk, walked
+        // row by row: every rung's running byte sum and its worst shortfall
+        // over the horizon; −∞ (no rebuffer) when no chunks remain.
         let window = ctx.upcoming.sizes(h);
+        let mut bytes = [0u64; MAX_RUNGS];
+        let mut peak = [f64::NEG_INFINITY; MAX_RUNGS];
+        let (bytes, peak) = (&mut bytes[..rungs], &mut peak[..rungs]);
+        for (i, row) in window.chunks_exact(rungs).enumerate() {
+            let lead = i as f64 * cd;
+            for ((sum, worst), &size) in bytes.iter_mut().zip(peak.iter_mut()).zip(row) {
+                *sum += size;
+                *worst = worst.max(*sum as f64 * inv - lead);
+            }
+        }
+        let last_vmaf = ctx.last_rung.map(|prev| ctx.ladder.rung(prev).vmaf);
         let mut best = ctx.ladder.lowest();
         let mut best_u = f64::NEG_INFINITY;
-        for rung in 0..rungs {
-            // Worst shortfall over the horizon; −∞ (no rebuffer) when no
-            // chunks remain.
-            let mut bytes = 0u64;
-            let mut peak = f64::NEG_INFINITY;
-            for (i, row) in window.chunks_exact(rungs).enumerate() {
-                bytes += row[rung];
-                peak = peak.max(bytes as f64 * inv - i as f64 * cd);
-            }
-            let rebuffer_s = (peak - b0).max(0.0);
+        for (rung, (&worst, u)) in peak.iter().zip(utility.iter_mut()).enumerate() {
+            let rebuffer_s = (worst - b0).max(0.0);
             let vmaf = ctx.ladder.rung(rung).vmaf;
-            let switch = match ctx.last_rung {
-                Some(prev) => (ctx.ladder.rung(prev).vmaf - vmaf).abs(),
-                None => 0.0,
-            };
-            let u = vmaf * play_s - SWITCH_PENALTY * switch - REBUFFER_PENALTY * rebuffer_s;
+            let switch = last_vmaf.map_or(0.0, |prev| (prev - vmaf).abs());
+            *u = vmaf * play_s - SWITCH_PENALTY * switch - REBUFFER_PENALTY * rebuffer_s;
             // Ties break upward: equal utility prefers higher quality.
-            if u >= best_u {
-                best_u = u;
+            if *u >= best_u {
+                best_u = *u;
                 best = rung;
             }
         }
+        Some(best)
+    }
+}
+
+impl Abr for Mpc {
+    fn select(&mut self, ctx: &AbrContext<'_>) -> AbrDecision {
+        let best = Self::plan(ctx, &mut [0.0; MAX_RUNGS]).unwrap_or(ctx.ladder.lowest());
         AbrDecision::unpaced(best)
     }
 
@@ -105,6 +121,7 @@ impl Abr for Mpc {
 mod tests {
     use super::*;
     use netsim::{SimDuration, SimTime};
+    use proptest::prelude::*;
     use video::{Ladder, PlayerPhase, ThroughputHistory, Title, TitleConfig, VmafModel};
 
     fn title() -> Title {
@@ -174,6 +191,97 @@ mod tests {
         assert!(d_low_buf.rung < d_high_buf.rung);
         // With 6 Mbps measured (4.8 predicted), never pick 16 Mbps at B=1s.
         assert!(t.ladder.rung(d_low_buf.rung).bitrate.mbps() < 4.8);
+    }
+
+    /// The per-rung walk `select` ran before its row-major pass: each rung
+    /// walks its own column of the window, stride `rungs`. Returns the
+    /// chosen rung and every rung's utility.
+    fn per_rung_walk(ctx: &AbrContext<'_>) -> Option<(usize, Vec<f64>)> {
+        let est = ctx.history.harmonic_mean_last(WINDOW)?;
+        let predicted = est.bps() / (1.0 + ERROR_MARGIN);
+        if predicted <= 0.0 {
+            return None;
+        }
+        let h = HORIZON.min(ctx.upcoming.len());
+        let rungs = ctx.ladder.len();
+        let inv = 8.0 / predicted;
+        let cd = if h > 0 {
+            ctx.upcoming.chunk(0).duration().as_secs_f64()
+        } else {
+            0.0
+        };
+        let b0 = ctx.buffer.as_secs_f64();
+        let play_s = h as f64 * cd;
+        let window = ctx.upcoming.sizes(h);
+        let mut best = ctx.ladder.lowest();
+        let mut best_u = f64::NEG_INFINITY;
+        let mut utility = Vec::with_capacity(rungs);
+        for rung in 0..rungs {
+            let mut bytes = 0u64;
+            let mut peak = f64::NEG_INFINITY;
+            for (i, row) in window.chunks_exact(rungs).enumerate() {
+                bytes += row[rung];
+                peak = peak.max(bytes as f64 * inv - i as f64 * cd);
+            }
+            let rebuffer_s = (peak - b0).max(0.0);
+            let vmaf = ctx.ladder.rung(rung).vmaf;
+            let switch = match ctx.last_rung {
+                Some(prev) => (ctx.ladder.rung(prev).vmaf - vmaf).abs(),
+                None => 0.0,
+            };
+            let u = vmaf * play_s - SWITCH_PENALTY * switch - REBUFFER_PENALTY * rebuffer_s;
+            utility.push(u);
+            if u >= best_u {
+                best_u = u;
+                best = rung;
+            }
+        }
+        Some((best, utility))
+    }
+
+    proptest! {
+        /// The row-major pass against the per-rung walk, over the grid of
+        /// `tests/properties.rs::mpc_closed_form_matches_buffer_walk`:
+        /// ladders of 1–9 rungs, windows from the full horizon down to
+        /// empty, with and without a previous rung. The chosen rung and
+        /// every rung's utility agree to the bit.
+        #[test]
+        fn row_major_mpc_matches_the_per_rung_walk(
+            title_seed in 0u64..5_000,
+            top_mbps in 1.75f64..16.0,
+            rungs in 1usize..=9,
+            offset in 0usize..=300,
+            near_end in any::<bool>(),
+            buffer_s in 0u64..120,
+            tput_mbps in 0.3f64..60.0,
+            last in 0usize..10,
+        ) {
+            let mut rates: Vec<f64> = [0.235, 0.56, 1.05, 1.75, 3.0, 4.3, 5.8, 8.1]
+                .iter()
+                .map(|m| m * 1e6)
+                .filter(|&r| r < top_mbps * 1e6 * 0.99)
+                .collect();
+            rates.push(top_mbps * 1e6);
+            let rates = &rates[rates.len().saturating_sub(rungs)..];
+            let t = Title::generate(
+                Ladder::from_bitrates(rates, &VmafModel::standard()),
+                &TitleConfig { seed: title_seed, ..Default::default() },
+            );
+            let h = history_at(tput_mbps);
+            let last_rung = (last < t.ladder.len()).then_some(last);
+            let from = if near_end { t.len() - offset % 6 } else { offset };
+            let c = AbrContext {
+                upcoming: t.upcoming(from),
+                ..ctx(&t, &h, buffer_s, last_rung)
+            };
+            let mut utility = [f64::NAN; MAX_RUNGS];
+            let got = Mpc::plan(&c, &mut utility);
+            let (want, want_utility) = per_rung_walk(&c).expect("a positive prediction");
+            prop_assert_eq!(got, Some(want));
+            let bits = |u: &[f64]| u.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            prop_assert_eq!(bits(&utility[..t.ladder.len()]), bits(&want_utility));
+            prop_assert_eq!(Mpc::default().select(&c).rung, want);
+        }
     }
 
     #[test]

@@ -257,11 +257,72 @@ impl<'a> SessionBuilder<'a> {
 }
 
 /// The lower weighted median of `(value, weight)` samples: the smallest
-/// value whose cumulative weight reaches half the total. The samples are
-/// sorted by `(value, weight)` and the total is summed in that order, so
-/// the result depends only on the multiset of samples, not on their order.
-/// NaN when there are none.
+/// value whose cumulative weight reaches half the total, as
+/// [`sorted_weighted_median`] computes it, bit for bit. A fluid chunk's
+/// RTT is one of two values (`download_chunk`: base, or base plus
+/// bufferbloat), so [`two_valued_median`] decides almost every session
+/// without a sort; what it cannot decide exactly goes to the sorted scan.
+/// NaN when there are no samples.
 fn weighted_median(samples: &mut [(f64, f64)]) -> f64 {
+    two_valued_median(samples).unwrap_or_else(|| {
+        #[cfg(test)]
+        tests::SORTED_FALLBACKS.with(|n| n.set(n.get() + 1));
+        sorted_weighted_median(samples)
+    })
+}
+
+/// Most samples [`two_valued_median`] decides: its margin covers the
+/// rounding of a sum of up to this many weights, in any order.
+const TWO_VALUED_MAX_SAMPLES: usize = 1 << 20;
+
+/// Relative gap between two weight totals past which float rounding cannot
+/// reorder them. A sum of `n` non-negative weights, in any order, is within
+/// `γ ≈ (n − 1)·2⁻⁵³` of the exact sum, relatively. The sorted scan's test
+/// `cumulative ≥ half` sets the lower value's sum against half the total,
+/// so it comes out as the larger total says once the totals differ by more
+/// than `4γ` of their sum: ≈ 4.7e-10 at [`TWO_VALUED_MAX_SAMPLES`].
+const TWO_VALUED_MARGIN: f64 = 1e-9;
+
+/// [`sorted_weighted_median`] decided in one pass in input order, for
+/// samples that hold at most two distinct values (compared by bits): the
+/// value whose weights sum to more. `None` — undecided — on no samples, a
+/// third value, a non-finite value or weight, a negative weight, more than
+/// [`TWO_VALUED_MAX_SAMPLES`] samples, or totals within
+/// [`TWO_VALUED_MARGIN`] of each other (where the order of the sum could
+/// decide, and at an exact tie the lower value wins) or too large to sum
+/// without overflow.
+fn two_valued_median(samples: &[(f64, f64)]) -> Option<f64> {
+    let &(a, _) = samples.first()?;
+    if samples.len() > TWO_VALUED_MAX_SAMPLES {
+        return None;
+    }
+    // `b` is `a` until a second value appears.
+    let (mut b, mut wa, mut wb) = (a, 0.0, 0.0);
+    for &(v, w) in samples {
+        if !(v.is_finite() && w.is_finite() && w >= 0.0) {
+            return None;
+        }
+        if v.to_bits() == a.to_bits() {
+            wa += w;
+        } else if b.to_bits() == a.to_bits() || v.to_bits() == b.to_bits() {
+            b = v;
+            wb += w;
+        } else {
+            return None;
+        }
+    }
+    let total = wa + wb;
+    if (wa - wb).abs() <= TWO_VALUED_MARGIN * total || total >= f64::MAX / 2.0 {
+        return None;
+    }
+    Some(if wa > wb { a } else { b })
+}
+
+/// The lower weighted median by definition: the samples are sorted by
+/// `(value, weight)` and the total is summed in that order, so the result
+/// depends only on the multiset of samples, not on their order. NaN when
+/// there are none.
+fn sorted_weighted_median(samples: &mut [(f64, f64)]) -> f64 {
     samples.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.total_cmp(&b.1)));
     let half = samples.iter().map(|&(_, w)| w).sum::<f64>() / 2.0;
     let mut cumulative = 0.0;
@@ -279,7 +340,18 @@ mod tests {
     use super::*;
     use abr::{shared_history, HistoryPolicy, Mpc, ProductionAbr};
     use proptest::prelude::*;
+    use std::cell::Cell;
     use video::{Ladder, TitleConfig, VmafModel};
+
+    thread_local! {
+        /// Medians this thread computed by the sorted scan because
+        /// `two_valued_median` left them undecided.
+        pub(super) static SORTED_FALLBACKS: Cell<u64> = const { Cell::new(0) };
+    }
+
+    fn sorted_fallbacks() -> u64 {
+        SORTED_FALLBACKS.with(Cell::get)
+    }
 
     fn title(top_mbps: f64) -> Arc<Title> {
         let ladder = Ladder::from_bitrates(
@@ -461,6 +533,95 @@ mod tests {
         );
     }
 
+    /// A Fisher–Yates shuffle.
+    fn shuffle<T>(v: &mut [T], rng: &mut StdRng) {
+        for i in (1..v.len()).rev() {
+            v.swap(i, rng.gen_range(0..=i));
+        }
+    }
+
+    /// `x` moved `k` ulps up.
+    fn ulps_up(x: f64, k: u64) -> f64 {
+        f64::from_bits(x.to_bits() + k)
+    }
+
+    #[test]
+    fn near_tie_whose_sums_round_apart_is_left_to_the_sort() {
+        // The lower value's weights summed in input order lose every
+        // 2⁻⁵³ to rounding (1.0 < 1 + 2 ulp, so the higher value looks
+        // heavier); summed in sorted order, the small weights come first
+        // and add up to 5 ulp (the lower value is heavier). The sort
+        // decides.
+        let tiny = 2f64.powi(-53);
+        let mut samples = vec![(20.0, 1.0)];
+        samples.extend([(20.0, tiny); 10]);
+        samples.push((50.0, ulps_up(1.0, 2)));
+        let before = sorted_fallbacks();
+        assert_eq!(weighted_median(&mut samples), 20.0);
+        assert_eq!(sorted_fallbacks(), before + 1);
+    }
+
+    #[test]
+    fn two_clear_values_are_decided_without_the_sort() {
+        let before = sorted_fallbacks();
+        assert_eq!(weighted_median(&mut [(20.0, 0.3), (80.0, 0.7)]), 80.0);
+        assert_eq!(weighted_median(&mut [(37.25, 0.4)]), 37.25);
+        assert_eq!(sorted_fallbacks(), before);
+        assert_eq!(weighted_median(&mut [(80.0, 1.5), (20.0, 1.5)]), 20.0);
+        assert_eq!(sorted_fallbacks(), before + 1);
+    }
+
+    /// Whole sessions of the population's own users (`abtest::user_at`,
+    /// full and light titles, the production and Sammy arms): the fast
+    /// path decides their medians, and how often the sort decides instead
+    /// is printed.
+    #[test]
+    fn population_session_medians_are_decided_without_the_sort() {
+        use abtest::{Arm, PopulationConfig};
+        let arms = [Arm::Production, Arm::Sammy { c0: 3.2, c1: 2.8 }];
+        let (mut sessions, before) = (0u64, sorted_fallbacks());
+        for (cfg, users) in [
+            (PopulationConfig::default(), 12),
+            (PopulationConfig::light(), 60),
+        ] {
+            for i in 0..users {
+                let user = abtest::user_at(&cfg, i, 2023);
+                // `abtest` links the non-test build of this crate: its
+                // profile is the same fields under another type.
+                let n = &user.network;
+                let profile = NetworkProfile {
+                    capacity: n.capacity,
+                    base_rtt: n.base_rtt,
+                    bufferbloat: n.bufferbloat,
+                    ambient_loss: n.ambient_loss,
+                    self_loss: n.self_loss,
+                    jitter_cv: n.jitter_cv,
+                    fade_prob: n.fade_prob,
+                    fade_depth: n.fade_depth,
+                };
+                let title = Arc::new(user.title(0));
+                for arm in arms {
+                    let out = SessionBuilder::new(
+                        &profile,
+                        title.clone(),
+                        arm.build_abr(shared_history()),
+                    )
+                    .seed(user.seed)
+                    .startup_latency(user.startup_latency)
+                    .run();
+                    assert!(out.chunks > 0 && out.median_rtt_ms.is_finite());
+                    sessions += 1;
+                }
+            }
+        }
+        let fell_back = sorted_fallbacks() - before;
+        eprintln!("session medians: {sessions} sessions, {fell_back} left to the sort");
+        assert!(
+            fell_back * 100 <= sessions,
+            "{fell_back} of {sessions} sessions fell back"
+        );
+    }
+
     /// Integer weights expanded into repeated samples; the lower median of
     /// `n` sorted samples is the `⌈n/2⌉`-th.
     fn expanded_lower_median(samples: &[(f64, f64)]) -> f64 {
@@ -486,6 +647,84 @@ mod tests {
             prop_assert_eq!(weighted_median(&mut samples), want);
         }
 
+        /// The one-pass decision against the sorted scan, to the bit: one
+        /// value; two values in random order and in orders that make the
+        /// input-order sums round differently from the sorted ones (small
+        /// weights after a large one, one value's block before the
+        /// other's), their totals often tied exactly; three or more
+        /// values; NaN, ±∞ and negative values or weights; and near-ties
+        /// whose input-order and sorted-order sums round to different
+        /// sides of half.
+        #[test]
+        fn two_valued_median_matches_the_sorted_scan(
+            shape in 0u32..6,
+            n in 1usize..300,
+            lo in 1.0f64..200.0,
+            gap in 0.5f64..500.0,
+            seed in any::<u64>(),
+        ) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let hi = lo + gap;
+            let weight = |rng: &mut StdRng| match rng.gen_range(0..4u32) {
+                0 => rng.gen_range(1e-6..4.0),
+                1 => rng.gen_range(1..4u32) as f64 * 0.25,
+                2 => 2f64.powi(-rng.gen_range(40..60i32)),
+                _ => 1e-6,
+            };
+            let mut samples: Vec<(f64, f64)> = match shape {
+                0 => (0..n).map(|_| (lo, weight(&mut rng))).collect(),
+                1 | 2 => {
+                    // The higher value's weights, and the lower value's:
+                    // the same weights (an exact tie in the reals) or a
+                    // draw of their own.
+                    let w_hi: Vec<f64> = (0..n).map(|_| weight(&mut rng)).collect();
+                    let mut w_lo = w_hi.clone();
+                    if rng.gen::<bool>() {
+                        w_lo = (0..rng.gen_range(1..=n)).map(|_| weight(&mut rng)).collect();
+                    }
+                    w_lo.sort_by(|a, b| b.total_cmp(a));
+                    let mut s: Vec<_> = w_lo.iter().map(|&w| (lo, w)).collect();
+                    s.extend(w_hi.iter().map(|&w| (hi, w)));
+                    match (shape, rng.gen_range(0..3u32)) {
+                        (1, _) => shuffle(&mut s, &mut rng),
+                        (_, 0) => s.reverse(),
+                        (_, 1) => s.sort_by(|a, b| b.1.total_cmp(&a.1)),
+                        _ => {}
+                    }
+                    s
+                }
+                3 => {
+                    let k = rng.gen_range(3..6usize);
+                    (0..n.max(k))
+                        .map(|i| (lo + (i % k) as f64 * gap, weight(&mut rng)))
+                        .collect()
+                }
+                4 => {
+                    let mut s: Vec<_> = (0..n)
+                        .map(|_| ([lo, hi][rng.gen_range(0..2usize)], weight(&mut rng)))
+                        .collect();
+                    let bad = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -1.0][rng.gen_range(0..4usize)];
+                    let at = rng.gen_range(0..n);
+                    if rng.gen::<bool>() { s[at].0 = bad } else { s[at].1 = bad }
+                    s
+                }
+                _ => {
+                    // One value: a unit weight, then `m` weights of 2⁻⁵³,
+                    // lost to rounding in this order; the other: one
+                    // weight `k` ulps above 1. Scaled by a power of two,
+                    // which no sum rounds differently.
+                    let scale = 2f64.powi(rng.gen_range(-30..30i32));
+                    let (a, b) = if rng.gen::<bool>() { (lo, hi) } else { (hi, lo) };
+                    let mut s = vec![(a, scale)];
+                    s.extend((0..rng.gen_range(0..24usize)).map(|_| (a, 2f64.powi(-53) * scale)));
+                    s.insert(rng.gen_range(0..=s.len()), (b, ulps_up(1.0, rng.gen_range(0..8u64)) * scale));
+                    s
+                }
+            };
+            let want = sorted_weighted_median(&mut samples.clone());
+            prop_assert_eq!(weighted_median(&mut samples).to_bits(), want.to_bits());
+        }
+
         #[test]
         fn weighted_median_ignores_sample_order(
             raw in prop::collection::vec((0u32..6, 1e-6f64..4.0), 1..60),
@@ -494,10 +733,7 @@ mod tests {
             let samples: Vec<(f64, f64)> =
                 raw.iter().map(|&(v, w)| (10.0 + v as f64 * 7.3, w)).collect();
             let mut shuffled = samples.clone();
-            let mut rng = StdRng::seed_from_u64(seed);
-            for i in (1..shuffled.len()).rev() {
-                shuffled.swap(i, rng.gen_range(0..=i));
-            }
+            shuffle(&mut shuffled, &mut StdRng::seed_from_u64(seed));
             let want = weighted_median(&mut samples.clone());
             prop_assert_eq!(weighted_median(&mut shuffled).to_bits(), want.to_bits());
         }

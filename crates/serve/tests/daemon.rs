@@ -11,7 +11,7 @@
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
@@ -19,14 +19,39 @@ use sammy_serve::http::{http_request, CONN_READ_TIMEOUT, MAX_HEAD};
 use sammy_serve::{Daemon, JobState, ServeConfig};
 use spec::json::{self, Value};
 
-/// Fresh scratch directory under the system temp dir.
-fn tmp_dir(tag: &str) -> PathBuf {
+/// Fresh scratch directory under the system temp dir, removed when the
+/// guard drops — at the end of its test, passed or failed.
+fn tmp_dir(tag: &str) -> TmpDir {
     static N: AtomicUsize = AtomicUsize::new(0);
     let n = N.fetch_add(1, Ordering::SeqCst);
     let dir =
         std::env::temp_dir().join(format!("sammy-serve-test-{}-{tag}-{n}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    dir
+    TmpDir(dir)
+}
+
+/// A scratch directory that removes itself on drop.
+struct TmpDir(PathBuf);
+
+impl Drop for TmpDir {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}
+
+impl std::ops::Deref for TmpDir {
+    type Target = Path;
+
+    fn deref(&self) -> &Path {
+        &self.0
+    }
+}
+
+/// So `ServeConfig::new(&dir)` takes the guard as a path.
+impl AsRef<std::ffi::OsStr> for TmpDir {
+    fn as_ref(&self) -> &std::ffi::OsStr {
+        self.0.as_os_str()
+    }
 }
 
 fn get(daemon: &Daemon, path: &str) -> (u16, String) {
@@ -257,7 +282,7 @@ fn torn_journal_tail_is_cut_and_resimulated() {
     assert_eq!(post(&daemon, "/searches", SEARCH_SPEC).0, 201);
     wait_for(&daemon, "/searches/s0001", JobState::Done);
     daemon.stop();
-    let read = |dir: &PathBuf, file: &str| std::fs::read(dir.join("searches/s0001").join(file));
+    let read = |dir: &Path, file: &str| std::fs::read(dir.join("searches/s0001").join(file));
     let want_journal = read(&dir_ref, "evals.jsonl").unwrap();
     let want_result = read(&dir_ref, "result.json").unwrap();
 

@@ -1,6 +1,6 @@
 //! The paper's claims as executable checks over the committed CSVs — the
-//! claims gate (ROADMAP 1b/1c): Table 2, Table 3, the §5.5 naive-4×
-//! baseline and Fig 3, the four the fluid A/B produces
+//! claims gate (ROADMAP "Every paper claim a predicate"): Table 2, Table 3,
+//! the §5.5 naive-4× baseline and Fig 3, the four the fluid A/B produces
 //! (`figures --scale 3 table2 table3 baseline fig3`, 600 users an arm),
 //! the Fig 6 cold start (`figures --scale 3 fig6`, 360 users), the Fig 5
 //! tradeoff (`figures fig5`, 80 users an arm a point), and the packet
@@ -27,7 +27,8 @@
 //! below to that). One row the paper moves is left out on that ground:
 //! Table 3's **initial VMAF** (paper +0.30 %), unresolved at 600 users —
 //! median +0.007 %, paired +0.013 % [−0.011, +0.035] — is not asserted in
-//! either direction until ROADMAP 1a decides the n at which it is a claim.
+//! either direction until ROADMAP "The initial-phase claim" decides the n
+//! at which it is a claim.
 //!
 //! Table 2's **play delay** is asserted as an *improvement* (paper
 //! −1.29 %): the paired interval's upper end is −0.88 against a width of
@@ -341,7 +342,8 @@ fn directional_evidence_is_not_marginal() {
     }
 }
 
-/// Negative control (ROADMAP 1c): the same Table 2 predicate on an arm
+/// Negative control (ROADMAP "Every paper claim a predicate", one
+/// sabotage per claim): the same Table 2 predicate on an arm
 /// whose pace multipliers are so high it never paces. Throughput does not
 /// fall, and the predicate must say so — and must pass on the real arm at
 /// the same tiny scale, or its failing here would prove nothing.
