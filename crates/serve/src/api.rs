@@ -137,7 +137,11 @@ fn submit(
         Err(e) => return http::respond_json(stream, 400, &error_doc(&e.to_string())),
     };
     let id = {
-        let _guard = state.submit_lock.lock().unwrap();
+        // The lock guards no data, so a poisoned one is still good.
+        let _guard = state
+            .submit_lock
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
         match state.store.create_job(kind, &canonical) {
             Ok(id) => id,
             Err(e) => return http::respond_json(stream, 500, &error_doc(&e.to_string())),

@@ -57,21 +57,23 @@ pub enum HttpError {
     Io(std::io::Error),
 }
 
-/// Read one line of the request head, counted against [`MAX_HEAD`].
-fn read_head_line<R: BufRead>(head: &mut Take<R>, line: &mut String) -> Result<(), HttpError> {
-    head.read_line(line).map_err(HttpError::Io)?;
-    if head.limit() == 0 && !line.ends_with('\n') {
+/// Read one line of the request head, counted against [`MAX_HEAD`]. A line
+/// that is not UTF-8 is a malformed request (400), not a dead socket.
+fn read_head_line<R: BufRead>(head: &mut Take<R>) -> Result<String, HttpError> {
+    let mut line = Vec::new();
+    head.read_until(b'\n', &mut line).map_err(HttpError::Io)?;
+    if head.limit() == 0 && !line.ends_with(b"\n") {
         return Err(HttpError::HeadTooLarge);
     }
-    Ok(())
+    String::from_utf8(line).map_err(|_| HttpError::Bad("request head is not UTF-8".into()))
 }
 
-/// Read and parse one request from the stream.
-pub fn read_request(stream: &mut TcpStream) -> Result<Request, HttpError> {
+/// Read and parse one request from a byte stream (the daemon passes its
+/// `TcpStream`, read timeout set).
+pub fn read_request<R: Read>(stream: R) -> Result<Request, HttpError> {
     let mut reader = BufReader::new(stream);
     let mut head = (&mut reader).take(MAX_HEAD as u64);
-    let mut line = String::new();
-    read_head_line(&mut head, &mut line)?;
+    let line = read_head_line(&mut head)?;
     let mut parts = line.split_whitespace();
     let method = parts
         .next()
@@ -84,8 +86,7 @@ pub fn read_request(stream: &mut TcpStream) -> Result<Request, HttpError> {
 
     let mut content_length = 0usize;
     loop {
-        let mut header = String::new();
-        read_head_line(&mut head, &mut header)?;
+        let header = read_head_line(&mut head)?;
         let header = header.trim_end();
         if header.is_empty() {
             break;

@@ -125,13 +125,20 @@ impl Store {
     }
 
     /// All job ids of a kind, sorted (== submission order, ids are
-    /// zero-padded sequential).
+    /// zero-padded sequential). Only `<prefix><digits>` directories are
+    /// jobs: anything else in the runs directory is not listed, not
+    /// recovered and not written to.
     pub fn job_ids(&self, kind: JobKind) -> Vec<String> {
+        let is_id = |name: &str| {
+            name.strip_prefix(kind.prefix())
+                .is_some_and(|n| !n.is_empty() && n.bytes().all(|b| b.is_ascii_digit()))
+        };
         let mut ids: Vec<String> = fs::read_dir(self.root.join(kind.subdir()))
             .map(|rd| {
                 rd.filter_map(|e| e.ok())
                     .filter(|e| e.path().is_dir())
                     .filter_map(|e| e.file_name().into_string().ok())
+                    .filter(|name| is_id(name))
                     .collect()
             })
             .unwrap_or_default();

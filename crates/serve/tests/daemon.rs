@@ -458,3 +458,29 @@ fn bad_spec_already_on_disk_fails_its_job_not_the_daemon() {
     wait_for(&daemon, "/searches/s0002", JobState::Done);
     daemon.stop();
 }
+
+#[test]
+fn stray_directories_in_the_runs_dir_are_not_jobs() {
+    // A directory whose name is not `r<digits>` is no job: it is not
+    // recovered or written into, and a name that starts with a multi-byte
+    // character must not panic id allocation under the submit lock, which
+    // would poison it for every later `POST`.
+    let dir = tmp_dir("stray");
+    let strays = [dir.join("runs/é-notes"), dir.join("runs/notes")];
+    for stray in &strays {
+        std::fs::create_dir_all(stray).unwrap();
+    }
+
+    let daemon = Daemon::start("127.0.0.1:0", ServeConfig::new(&dir)).unwrap();
+    assert_eq!(daemon.recovered(), 0);
+    for want in ["r0001", "r0002"] {
+        let (code, body) = post(&daemon, "/runs", RUN_SPEC);
+        assert_eq!(code, 201, "{body}");
+        let doc = json::parse(&body).unwrap();
+        assert_eq!(doc.get("id").and_then(Value::as_str), Some(want));
+    }
+    daemon.stop();
+    for stray in &strays {
+        assert_eq!(std::fs::read_dir(stray).unwrap().count(), 0, "{stray:?}");
+    }
+}

@@ -53,6 +53,10 @@
 //! fairness curve's with the control (greedy) arm in Sammy's place, §2.2's
 //! with Sammy's rate in the scavenger's, and Fig 6's with no history to
 //! wipe.
+//!
+//! EXPERIMENTS.md quotes these CSVs, and its quotes are checked too
+//! (`experiments_md_quotes_its_csvs`): every cell of a marked table must
+//! be its CSV value at the precision the cell prints.
 
 use sammy_repro::abtest::DAY_METRICS;
 use sammy_repro::prelude::*;
@@ -68,23 +72,31 @@ struct Row {
     hi: f64,
 }
 
-/// The rows of `results/<file>`, one map from column name to value a line.
-fn csv(file: &str) -> Vec<std::collections::HashMap<String, String>> {
+/// One line of a CSV: column name → value.
+type CsvLine = std::collections::HashMap<String, String>;
+
+/// The rows of `results/<file>`, or why there are none.
+fn try_csv(file: &str) -> Result<Vec<CsvLine>, String> {
     let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
         .join("results")
         .join(file);
-    let text = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path:?}: {e}"));
+    let text = std::fs::read_to_string(&path).map_err(|e| format!("{path:?}: {e}"))?;
     let mut lines = text.lines();
-    let header: Vec<&str> = lines.next().expect("header").split(',').collect();
-    lines
+    let header: Vec<&str> = lines.next().unwrap_or_default().split(',').collect();
+    Ok(lines
         .map(|line| {
             let cells = line.split(',').map(str::to_string);
             header.iter().map(|h| h.to_string()).zip(cells).collect()
         })
-        .collect()
+        .collect())
 }
 
-fn num(line: &std::collections::HashMap<String, String>, col: &str) -> f64 {
+/// The rows of `results/<file>`, one map from column name to value a line.
+fn csv(file: &str) -> Vec<CsvLine> {
+    try_csv(file).unwrap_or_else(|e| panic!("{e}"))
+}
+
+fn num(line: &CsvLine, col: &str) -> f64 {
     let cell = line.get(col).unwrap_or_else(|| panic!("no column {col}"));
     cell.parse().unwrap_or_else(|_| panic!("{col}: {cell}"))
 }
@@ -647,4 +659,251 @@ fn fairness_sammy_is_fair_and_keeps_the_core_queue_shallow() {
     // Sabotage: greedy's columns in Sammy's place must turn it red.
     let greedy_twice: Vec<_> = rows.iter().map(|&(g, _)| (g, g)).collect();
     assert!(!fairness_holds(&greedy_twice, &greedy_kb, &greedy_kb));
+}
+
+/// A Markdown cell's text as numbers are read from it: `**`, `%`, `[`,
+/// `]`, `,` and backticks dropped, U+2212 read as `-`.
+fn normalized(cell: &str) -> String {
+    cell.replace("**", "")
+        .replace('\u{2212}', "-")
+        .replace(['%', '[', ']', ',', '`'], " ")
+}
+
+/// A printed number and its decimal places.
+fn printed(token: &str) -> Option<(f64, usize)> {
+    let value = token.parse().ok()?;
+    Some((value, token.split_once('.').map_or(0, |(_, d)| d.len())))
+}
+
+/// `token` is the CSV's `cell`: the CSV value rounded to the decimals the
+/// token prints, or the same text when either is not a number.
+fn quotes(token: &str, cell: &str) -> bool {
+    match (printed(token), cell.parse::<f64>()) {
+        (Some((value, places)), Ok(x)) => format!("{x:.places$}").parse() == Ok(value),
+        _ => token == cell,
+    }
+}
+
+/// `token` names the CSV key `cell`: the same number (a key is an
+/// identity, so `2` is not `1.6`, but `2.8` is `2.8000000000000003`), or
+/// the same text.
+fn names(token: &str, cell: &str) -> bool {
+    match (token.parse::<f64>(), cell.parse::<f64>()) {
+        (Ok(a), Ok(b)) => (a - b).abs() <= 1e-9 * b.abs().max(1.0),
+        _ => token == cell,
+    }
+}
+
+/// Check the numbers a document prints against one CSV line: the line of
+/// `file` whose `keys` columns read as the given texts, its `cols` printed
+/// as `numbers`, in order. One message per miss.
+fn check_quote(
+    at: &str,
+    file: &str,
+    keys: &[(&str, &str)],
+    cols: &[&str],
+    numbers: &[&str],
+    errors: &mut Vec<String>,
+) {
+    let lines = match try_csv(file) {
+        Ok(lines) => lines,
+        Err(e) => return errors.push(format!("{at}: {e}")),
+    };
+    let header = lines.first().cloned().unwrap_or_default();
+    if let Some(col) = keys
+        .iter()
+        .map(|k| k.0)
+        .chain(cols.iter().copied())
+        .find(|c| !header.contains_key(*c))
+    {
+        return errors.push(format!("{at}: {file} has no column {col}"));
+    }
+    let Some(line) = lines
+        .iter()
+        .find(|l| keys.iter().all(|(col, want)| names(want, &l[*col])))
+    else {
+        return errors.push(format!("{at}: {file} has no row {keys:?}"));
+    };
+    if numbers.len() != cols.len() {
+        return errors.push(format!(
+            "{at}: {file} row {keys:?}: {} numbers printed for columns {cols:?}",
+            numbers.len()
+        ));
+    }
+    for (col, number) in cols.iter().zip(numbers) {
+        if !quotes(number, &line[*col]) {
+            errors.push(format!(
+                "{at}: {file} row {keys:?} column {col}: printed {number}, CSV {}",
+                line[*col]
+            ));
+        }
+    }
+}
+
+/// Every quote a Markdown document makes of `results/*.csv`, checked.
+/// Returns the number of cells checked and one message per miss.
+///
+/// A table is marked by an HTML comment (invisible once rendered) before
+/// it, `<!-- csv: FILE KEY[,KEY…]; COLS; COLS … -->`: its first columns
+/// hold the CSV's key columns (text, or the number), and each further
+/// column either prints the CSV columns `COLS` names, in order, or is
+/// `-`, unchecked (the paper's value, a verdict). Such a cell holds
+/// numbers and nothing else. A single cell is marked by a comment after
+/// its numbers, `<!-- csv: FILE KEY=TEXT[,KEY=TEXT…]; COLS -->`; there the
+/// numbers are those since the cell's start or the previous marker, words
+/// between them ignored.
+fn doc_mismatches(doc: &str, text: &str) -> (usize, Vec<String>) {
+    const OPEN: &str = "<!-- csv:";
+    let (mut cells, mut errors) = (0, Vec::new());
+    let lines: Vec<&str> = text.lines().collect();
+    for (i, line) in lines.iter().enumerate() {
+        let at = format!("{doc} l.{}", i + 1);
+        let mut rest = *line;
+        while let Some(start) = rest.find(OPEN) {
+            let Some(len) = rest[start..].find("-->") else {
+                errors.push(format!("{at}: unterminated marker"));
+                break;
+            };
+            let marker = &rest[start + OPEN.len()..start + len];
+            let before = &rest[..start];
+            rest = &rest[start + len + 3..];
+            let mut parts = marker.split(';').map(str::trim);
+            let head = parts.next().unwrap_or_default();
+            let specs: Vec<Vec<&str>> = parts.map(|p| p.split_whitespace().collect()).collect();
+            let (file, keys) = head.split_once(' ').unwrap_or((head, ""));
+            let keys: Vec<&str> = keys.split(',').map(str::trim).collect();
+            if keys.iter().all(|k| k.contains('=')) {
+                // One cell: the numbers since the cell's start.
+                let cell = before.rsplit('|').next().unwrap_or_default();
+                let text = normalized(cell);
+                let numbers: Vec<&str> = text
+                    .split_whitespace()
+                    .filter(|t| printed(t).is_some())
+                    .collect();
+                let keys: Vec<(&str, &str)> = keys
+                    .iter()
+                    .filter_map(|k| k.split_once('='))
+                    .map(|(c, v)| (c.trim(), v.trim()))
+                    .collect();
+                let cols = specs.concat();
+                check_quote(&at, file, &keys, &cols, &numbers, &mut errors);
+                cells += 1;
+                continue;
+            }
+            // A table: its header follows the marker.
+            let mut rows = lines[i + 1..]
+                .iter()
+                .enumerate()
+                .skip_while(|(_, l)| l.trim().is_empty());
+            if !rows.clone().next().is_some_and(|(_, l)| l.starts_with('|')) {
+                errors.push(format!("{at}: marker not followed by a table"));
+                continue;
+            }
+            for (j, row) in rows
+                .by_ref()
+                .skip(2)
+                .take_while(|(_, l)| l.starts_with('|'))
+            {
+                let at = format!("{doc} l.{}", i + 2 + j);
+                let row: Vec<&str> = row
+                    .trim()
+                    .trim_matches('|')
+                    .split('|')
+                    .map(str::trim)
+                    .collect();
+                if row.len() != keys.len() + specs.len() {
+                    errors.push(format!(
+                        "{at}: {} cells, the marker names {}",
+                        row.len(),
+                        keys.len() + specs.len()
+                    ));
+                    continue;
+                }
+                let key_texts: Vec<String> = row
+                    .iter()
+                    .map(|c| c.replace(['*', '`'], "").replace('\u{2212}', "-"))
+                    .collect();
+                let row_keys: Vec<(&str, &str)> = keys
+                    .iter()
+                    .copied()
+                    .zip(key_texts.iter().map(String::as_str))
+                    .collect();
+                for (spec, cell) in specs.iter().zip(&row[keys.len()..]) {
+                    if spec[..] == ["-"] {
+                        continue;
+                    }
+                    let text = normalized(cell);
+                    let tokens: Vec<&str> = text.split_whitespace().collect();
+                    if let Some(word) = tokens.iter().find(|t| printed(t).is_none()) {
+                        errors.push(format!("{at}: {word:?} in a checked cell ({cell:?})"));
+                        continue;
+                    }
+                    check_quote(&at, file, &row_keys, spec, &tokens, &mut errors);
+                    cells += 1;
+                }
+            }
+        }
+    }
+    // A missing row or CSV is named once, not once per column.
+    errors.dedup();
+    (cells, errors)
+}
+
+/// EXPERIMENTS.md prints these numbers beside the paper's: each marked
+/// cell must be its CSV's value at the printed precision, so a
+/// re-baseline that moves a CSV also moves the doc, or this goes red
+/// naming the file, row and column.
+#[test]
+fn experiments_md_quotes_its_csvs() {
+    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("EXPERIMENTS.md");
+    let text = std::fs::read_to_string(&path).expect("EXPERIMENTS.md");
+    let (cells, errors) = doc_mismatches("EXPERIMENTS.md", &text);
+    assert!(errors.is_empty(), "{}", errors.join("\n"));
+    assert!(cells >= 150, "only {cells} cells checked");
+}
+
+/// The doc check can fail: a stale cell, a renamed row, a missing column,
+/// a missing CSV and a word in a checked cell are each named.
+#[test]
+fn doc_check_is_red_on_a_stale_cell_or_a_missing_row() {
+    let doc = |cell: &str, row: &str, col: &str, file: &str| {
+        let text = format!(
+            "<!-- csv: {file} metric; -; {col} -->\n\n| Metric | Paper | Median |\n|---|---|---|\n| {row} | −61.0 | {cell} |\n\nChunk throughput falls **{cell}**% <!-- csv: {file} metric={row}; {col} -->.\n"
+        );
+        doc_mismatches("doc", &text)
+    };
+    let good = doc(
+        "**−61.143**",
+        "Chunk Throughput",
+        "pct_change",
+        "table2.csv",
+    );
+    assert_eq!(good, (2, vec![]));
+    for (bad, needle) in [
+        (
+            doc("−61.142", "Chunk Throughput", "pct_change", "table2.csv"),
+            "printed -61.142, CSV -61.143",
+        ),
+        (
+            doc("−61.143", "Chunk throughput", "pct_change", "table2.csv"),
+            "no row",
+        ),
+        (
+            doc("−61.143", "Chunk Throughput", "pct_chg", "table2.csv"),
+            "no column pct_chg",
+        ),
+        (
+            doc("−61.143", "Chunk Throughput", "pct_change", "table9.csv"),
+            "table9.csv",
+        ),
+        (
+            doc("about −61", "Chunk Throughput", "pct_change", "table2.csv"),
+            "\"about\"",
+        ),
+    ] {
+        assert!(
+            bad.1.iter().any(|e| e.contains(needle)),
+            "{needle}: {bad:?}"
+        );
+    }
 }

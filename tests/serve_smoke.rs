@@ -3,13 +3,15 @@
 //! Plain `cargo test` runs only this root package, so the daemon gets one
 //! submit → poll → result round trip over a real socket here, plus the
 //! hostile bodies it used to abort on or mis-accept; the kill/resume
-//! battery lives in `crates/serve/tests/daemon.rs`.
+//! battery lives in `crates/serve/tests/daemon.rs`. The request parser is
+//! driven byte by byte, without a socket.
 
 use std::time::{Duration, Instant};
 
+use proptest::prelude::{prop, prop_assert, prop_assert_eq, proptest, ProptestConfig};
 use sammy_repro::abtest::METRICS;
 use sammy_repro::prelude::*;
-use sammy_repro::sammy_serve::http::{http_request, MAX_BODY};
+use sammy_repro::sammy_serve::http::{http_request, read_request, HttpError, MAX_BODY};
 use sammy_repro::sammy_serve::{Daemon, ServeConfig};
 use sammy_repro::spec::json::{self, Value};
 
@@ -107,4 +109,67 @@ fn run_round_trip_matches_in_process_and_survives_deep_nesting() {
 
     daemon.stop();
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Characters a rendered request path is drawn from.
+const PATH_CHARS: &[u8] = b"abcdefghijklmnopqrstuvwxyz0123456789-_./";
+
+/// A well-formed request for `method`, a path built from `path` (indices
+/// into [`PATH_CHARS`]) and `body`, as a client puts it on the wire.
+fn render(method: &str, path: &[usize], body: &[u8]) -> (String, Vec<u8>) {
+    let path: String = std::iter::once('/')
+        .chain(
+            path.iter()
+                .map(|&i| PATH_CHARS[i % PATH_CHARS.len()] as char),
+        )
+        .collect();
+    let mut wire = format!(
+        "{method} {path} HTTP/1.1\r\nHost: sammy\r\nContent-Length: {}\r\n\r\n",
+        body.len()
+    )
+    .into_bytes();
+    wire.extend_from_slice(body);
+    (path, wire)
+}
+
+const METHODS: [&str; 4] = ["GET", "POST", "PUT", "DELETE"];
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// Whatever bytes arrive, the parser answers with a request or an
+    /// error; it never panics.
+    #[test]
+    fn read_request_never_panics_on_random_bytes(bytes in prop::collection::vec(0u8..=255, 0..600)) {
+        let _ = read_request(&bytes[..]);
+    }
+
+    /// A rendered request parses back to its method, path and body.
+    #[test]
+    fn rendered_request_parses_back(
+        m in 0usize..4,
+        path in prop::collection::vec(0usize..64, 0..40),
+        body in prop::collection::vec(0u8..=255, 0..200),
+    ) {
+        let (path, wire) = render(METHODS[m], &path, &body);
+        let req = read_request(&wire[..]).map_err(|e| format!("{e:?}"))?;
+        prop_assert_eq!(req.method.as_str(), METHODS[m]);
+        prop_assert_eq!(req.path, path);
+        prop_assert_eq!(req.body, body);
+    }
+
+    /// A request line carrying a byte that is not UTF-8 is a 400 (`Bad`),
+    /// not a connection closed without an answer.
+    #[test]
+    fn non_utf8_request_line_is_bad(
+        path in prop::collection::vec(0usize..64, 1..40),
+        at in 0usize..40,
+        byte in 0x80u8..=0xff,
+    ) {
+        let (_, mut wire) = render("GET", &path, b"");
+        // Inside the path: after "GET /", before the space that ends it.
+        wire.insert(5 + at % path.len(), byte);
+        let got = read_request(&wire[..]);
+        prop_assert!(matches!(got, Err(HttpError::Bad(_))), "{got:?}");
+    }
 }
