@@ -43,11 +43,6 @@ impl<P: Abr> Sammy<P> {
             cfg,
         }
     }
-
-    /// The pace configuration.
-    pub fn config(&self) -> SammyConfig {
-        self.cfg
-    }
 }
 
 impl<P: Abr> Abr for Sammy<P> {

@@ -6,8 +6,8 @@
 //! chunk throughput (download-time weighted), retransmit fraction, and
 //! median RTT (§5.1). The paper reads that median off a t-digest because a
 //! real connection yields an unbounded stream of per-packet RTTs; a fluid
-//! session yields one sample a chunk, weighted by its download time, so the
-//! median here is the exact weighted median of those samples.
+//! chunk's RTT is one of two values, so the median here is exact: whichever
+//! got more download time.
 
 use crate::network::{
     chunk_multiplier, download_chunk, JitterLaw, NetworkProfile, IDLE_RESTART_AFTER,
@@ -58,8 +58,8 @@ pub struct SessionOutcome {
     /// Retransmitted bytes / total bytes.
     pub retx_fraction: f64,
     /// Median RTT (ms): the lower weighted median of the per-chunk RTTs,
-    /// each weighted by its download time (a proxy for packets sent); NaN
-    /// for a session that downloaded nothing.
+    /// each weighted by its download time (a proxy for packets sent) — the
+    /// base RTT unless congested chunks took longer; NaN for no chunk.
     pub median_rtt_ms: f64,
     /// Chunks downloaded.
     pub chunks: usize,
@@ -179,9 +179,10 @@ impl<'a> SessionBuilder<'a> {
         let mut total_bytes = 0u64;
         let mut retx_bytes = 0.0f64;
         let mut congested_bytes = 0u64;
-        // One sample per chunk; size the buffers once instead of growing them.
+        // Download time spent at each of the two chunk RTTs.
+        let (mut clear_time, mut congested_time) = (0.0, 0.0);
+        // One sample per chunk; size the buffer once instead of growing it.
         let mut chunk_tputs = Vec::with_capacity(player.title().len());
-        let mut rtt_samples = Vec::with_capacity(player.title().len());
         let deadline = SimTime::ZERO + max_wall_clock;
 
         loop {
@@ -203,12 +204,14 @@ impl<'a> SessionBuilder<'a> {
                 last_download_end = Some(now);
                 player.on_chunk_complete(now, out.download_time);
 
-                // Telemetry: RTT samples weighted by download duration (a
+                // Telemetry: RTT exposure weighted by download duration (a
                 // proxy for packets sent), retransmits, congestion exposure.
-                rtt_samples.push((
-                    out.rtt.as_millis_f64(),
-                    out.download_time.as_secs_f64().max(1e-6),
-                ));
+                let weight = out.download_time.as_secs_f64().max(1e-6);
+                if out.congested {
+                    congested_time += weight;
+                } else {
+                    clear_time += weight;
+                }
                 obs::counter!("fluidsim.chunks", 1);
                 obs::span!("fluidsim.chunk_download", out.download_time.as_nanos());
                 obs::trace_event!(
@@ -244,7 +247,7 @@ impl<'a> SessionBuilder<'a> {
             } else {
                 0.0
             },
-            median_rtt_ms: weighted_median(&mut rtt_samples),
+            median_rtt_ms: median_rtt_ms(profile, clear_time, congested_time),
             chunks: player.history().len(),
             congested_byte_fraction: if total_bytes > 0 {
                 congested_bytes as f64 / total_bytes as f64
@@ -256,83 +259,19 @@ impl<'a> SessionBuilder<'a> {
     }
 }
 
-/// The lower weighted median of `(value, weight)` samples: the smallest
-/// value whose cumulative weight reaches half the total, as
-/// [`sorted_weighted_median`] computes it, bit for bit. A fluid chunk's
-/// RTT is one of two values (`download_chunk`: base, or base plus
-/// bufferbloat), so [`two_valued_median`] decides almost every session
-/// without a sort; what it cannot decide exactly goes to the sorted scan.
-/// NaN when there are no samples.
-fn weighted_median(samples: &mut [(f64, f64)]) -> f64 {
-    two_valued_median(samples).unwrap_or_else(|| {
-        #[cfg(test)]
-        tests::SORTED_FALLBACKS.with(|n| n.set(n.get() + 1));
-        sorted_weighted_median(samples)
-    })
-}
-
-/// Most samples [`two_valued_median`] decides: its margin covers the
-/// rounding of a sum of up to this many weights, in any order.
-const TWO_VALUED_MAX_SAMPLES: usize = 1 << 20;
-
-/// Relative gap between two weight totals past which float rounding cannot
-/// reorder them. A sum of `n` non-negative weights, in any order, is within
-/// `γ ≈ (n − 1)·2⁻⁵³` of the exact sum, relatively. The sorted scan's test
-/// `cumulative ≥ half` sets the lower value's sum against half the total,
-/// so it comes out as the larger total says once the totals differ by more
-/// than `4γ` of their sum: ≈ 4.7e-10 at [`TWO_VALUED_MAX_SAMPLES`].
-const TWO_VALUED_MARGIN: f64 = 1e-9;
-
-/// [`sorted_weighted_median`] decided in one pass in input order, for
-/// samples that hold at most two distinct values (compared by bits): the
-/// value whose weights sum to more. `None` — undecided — on no samples, a
-/// third value, a non-finite value or weight, a negative weight, more than
-/// [`TWO_VALUED_MAX_SAMPLES`] samples, or totals within
-/// [`TWO_VALUED_MARGIN`] of each other (where the order of the sum could
-/// decide, and at an exact tie the lower value wins) or too large to sum
-/// without overflow.
-fn two_valued_median(samples: &[(f64, f64)]) -> Option<f64> {
-    let &(a, _) = samples.first()?;
-    if samples.len() > TWO_VALUED_MAX_SAMPLES {
-        return None;
+/// The lower weighted median of a session's chunk RTTs, in ms, from the
+/// download time spent at each: `download_chunk` gives a chunk the base RTT,
+/// or base plus bufferbloat when it self-congests, so the median is the
+/// congested RTT when its time is larger, else the base RTT (an exact tie
+/// goes to the lower value). NaN when no chunk was downloaded.
+fn median_rtt_ms(profile: &NetworkProfile, clear_time: f64, congested_time: f64) -> f64 {
+    if clear_time + congested_time == 0.0 {
+        f64::NAN
+    } else if congested_time > clear_time {
+        (profile.base_rtt + profile.bufferbloat).as_millis_f64()
+    } else {
+        profile.base_rtt.as_millis_f64()
     }
-    // `b` is `a` until a second value appears.
-    let (mut b, mut wa, mut wb) = (a, 0.0, 0.0);
-    for &(v, w) in samples {
-        if !(v.is_finite() && w.is_finite() && w >= 0.0) {
-            return None;
-        }
-        if v.to_bits() == a.to_bits() {
-            wa += w;
-        } else if b.to_bits() == a.to_bits() || v.to_bits() == b.to_bits() {
-            b = v;
-            wb += w;
-        } else {
-            return None;
-        }
-    }
-    let total = wa + wb;
-    if (wa - wb).abs() <= TWO_VALUED_MARGIN * total || total >= f64::MAX / 2.0 {
-        return None;
-    }
-    Some(if wa > wb { a } else { b })
-}
-
-/// The lower weighted median by definition: the samples are sorted by
-/// `(value, weight)` and the total is summed in that order, so the result
-/// depends only on the multiset of samples, not on their order. NaN when
-/// there are none.
-fn sorted_weighted_median(samples: &mut [(f64, f64)]) -> f64 {
-    samples.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.total_cmp(&b.1)));
-    let half = samples.iter().map(|&(_, w)| w).sum::<f64>() / 2.0;
-    let mut cumulative = 0.0;
-    samples
-        .iter()
-        .find(|&&(_, w)| {
-            cumulative += w;
-            cumulative >= half
-        })
-        .map_or(f64::NAN, |&(v, _)| v)
 }
 
 #[cfg(test)]
@@ -340,18 +279,7 @@ mod tests {
     use super::*;
     use abr::{shared_history, HistoryPolicy, Mpc, ProductionAbr};
     use proptest::prelude::*;
-    use std::cell::Cell;
     use video::{Ladder, TitleConfig, VmafModel};
-
-    thread_local! {
-        /// Medians this thread computed by the sorted scan because
-        /// `two_valued_median` left them undecided.
-        pub(super) static SORTED_FALLBACKS: Cell<u64> = const { Cell::new(0) };
-    }
-
-    fn sorted_fallbacks() -> u64 {
-        SORTED_FALLBACKS.with(Cell::get)
-    }
 
     fn title(top_mbps: f64) -> Arc<Title> {
         let ladder = Ladder::from_bitrates(
@@ -506,236 +434,91 @@ mod tests {
         assert!(out.qoe.played <= SimDuration::from_secs(120));
     }
 
-    #[test]
-    fn weighted_median_of_nothing_is_nan() {
-        assert!(weighted_median(&mut []).is_nan());
-    }
-
-    #[test]
-    fn weighted_median_of_one_value_is_that_value() {
-        assert_eq!(weighted_median(&mut [(37.25, 0.4)]), 37.25);
-        assert_eq!(weighted_median(&mut [(37.25, 0.4), (37.25, 2.0)]), 37.25);
-    }
-
-    #[test]
-    fn weighted_median_follows_the_heavier_value() {
-        assert_eq!(weighted_median(&mut [(20.0, 0.3), (80.0, 0.7)]), 80.0);
-        assert_eq!(weighted_median(&mut [(20.0, 0.7), (80.0, 0.3)]), 20.0);
-        assert_eq!(weighted_median(&mut [(80.0, 0.7), (20.0, 0.3)]), 80.0);
-    }
-
-    #[test]
-    fn weighted_median_at_exactly_half_is_the_lower_value() {
-        assert_eq!(weighted_median(&mut [(80.0, 1.5), (20.0, 1.5)]), 20.0);
-        assert_eq!(
-            weighted_median(&mut [(30.0, 0.25), (10.0, 0.25), (90.0, 0.5)]),
-            30.0
-        );
-    }
-
-    /// A Fisher–Yates shuffle.
-    fn shuffle<T>(v: &mut [T], rng: &mut StdRng) {
-        for i in (1..v.len()).rev() {
-            v.swap(i, rng.gen_range(0..=i));
-        }
-    }
-
-    /// `x` moved `k` ulps up.
-    fn ulps_up(x: f64, k: u64) -> f64 {
-        f64::from_bits(x.to_bits() + k)
-    }
-
-    #[test]
-    fn near_tie_whose_sums_round_apart_is_left_to_the_sort() {
-        // The lower value's weights summed in input order lose every
-        // 2⁻⁵³ to rounding (1.0 < 1 + 2 ulp, so the higher value looks
-        // heavier); summed in sorted order, the small weights come first
-        // and add up to 5 ulp (the lower value is heavier). The sort
-        // decides.
-        let tiny = 2f64.powi(-53);
-        let mut samples = vec![(20.0, 1.0)];
-        samples.extend([(20.0, tiny); 10]);
-        samples.push((50.0, ulps_up(1.0, 2)));
-        let before = sorted_fallbacks();
-        assert_eq!(weighted_median(&mut samples), 20.0);
-        assert_eq!(sorted_fallbacks(), before + 1);
-    }
-
-    #[test]
-    fn two_clear_values_are_decided_without_the_sort() {
-        let before = sorted_fallbacks();
-        assert_eq!(weighted_median(&mut [(20.0, 0.3), (80.0, 0.7)]), 80.0);
-        assert_eq!(weighted_median(&mut [(37.25, 0.4)]), 37.25);
-        assert_eq!(sorted_fallbacks(), before);
-        assert_eq!(weighted_median(&mut [(80.0, 1.5), (20.0, 1.5)]), 20.0);
-        assert_eq!(sorted_fallbacks(), before + 1);
-    }
-
-    /// Whole sessions of the population's own users (`abtest::user_at`,
-    /// full and light titles, the production and Sammy arms): the fast
-    /// path decides their medians, and how often the sort decides instead
-    /// is printed.
-    #[test]
-    fn population_session_medians_are_decided_without_the_sort() {
-        use abtest::{Arm, PopulationConfig};
-        let arms = [Arm::Production, Arm::Sammy { c0: 3.2, c1: 2.8 }];
-        let (mut sessions, before) = (0u64, sorted_fallbacks());
-        for (cfg, users) in [
-            (PopulationConfig::default(), 12),
-            (PopulationConfig::light(), 60),
-        ] {
-            for i in 0..users {
-                let user = abtest::user_at(&cfg, i, 2023);
-                // `abtest` links the non-test build of this crate: its
-                // profile is the same fields under another type.
-                let n = &user.network;
-                let profile = NetworkProfile {
-                    capacity: n.capacity,
-                    base_rtt: n.base_rtt,
-                    bufferbloat: n.bufferbloat,
-                    ambient_loss: n.ambient_loss,
-                    self_loss: n.self_loss,
-                    jitter_cv: n.jitter_cv,
-                    fade_prob: n.fade_prob,
-                    fade_depth: n.fade_depth,
-                };
-                let title = Arc::new(user.title(0));
-                for arm in arms {
-                    let out = SessionBuilder::new(
-                        &profile,
-                        title.clone(),
-                        arm.build_abr(shared_history()),
-                    )
-                    .seed(user.seed)
-                    .startup_latency(user.startup_latency)
-                    .run();
-                    assert!(out.chunks > 0 && out.median_rtt_ms.is_finite());
-                    sessions += 1;
-                }
-            }
-        }
-        let fell_back = sorted_fallbacks() - before;
-        eprintln!("session medians: {sessions} sessions, {fell_back} left to the sort");
-        assert!(
-            fell_back * 100 <= sessions,
-            "{fell_back} of {sessions} sessions fell back"
-        );
-    }
-
-    /// Integer weights expanded into repeated samples; the lower median of
-    /// `n` sorted samples is the `⌈n/2⌉`-th.
-    fn expanded_lower_median(samples: &[(f64, f64)]) -> f64 {
-        let mut expanded: Vec<f64> = samples
+    /// The lower weighted median by definition: the samples are sorted by
+    /// `(value, weight)` and the total is summed in that order, so the
+    /// result depends only on the multiset of samples, not on their order.
+    /// NaN when there are none.
+    fn sorted_weighted_median(samples: &mut [(f64, f64)]) -> f64 {
+        samples.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.total_cmp(&b.1)));
+        let half = samples.iter().map(|&(_, w)| w).sum::<f64>() / 2.0;
+        let mut cumulative = 0.0;
+        samples
             .iter()
-            .flat_map(|&(v, w)| std::iter::repeat_n(v, w as usize))
-            .collect();
-        expanded.sort_by(f64::total_cmp);
-        expanded[expanded.len().div_ceil(2) - 1]
+            .find(|&&(_, w)| {
+                cumulative += w;
+                cumulative >= half
+            })
+            .map_or(f64::NAN, |&(v, _)| v)
+    }
+
+    #[test]
+    fn median_rtt_of_no_chunk_is_nan() {
+        assert!(median_rtt_ms(&NetworkProfile::fast_cable(), 0.0, 0.0).is_nan());
+    }
+
+    #[test]
+    fn median_rtt_of_one_state_is_its_rtt() {
+        let p = NetworkProfile::fast_cable();
+        assert_eq!(median_rtt_ms(&p, 0.4, 0.0), 20.0);
+        assert_eq!(median_rtt_ms(&p, 0.0, 1e-6), 50.0);
+    }
+
+    #[test]
+    fn median_rtt_at_an_exact_tie_is_the_base_rtt() {
+        let p = NetworkProfile::fast_cable();
+        assert_eq!(median_rtt_ms(&p, 1.5, 1.5), 20.0);
+        assert_eq!(median_rtt_ms(&p, 1.5, 1.5 + 1e-12), 50.0);
     }
 
     proptest! {
+        /// The two-sum rule against the definition, the sorted scan over
+        /// the chunks' `(rtt, download time)` samples, for random chunk
+        /// sequences (congested or not; bufferbloat 0 included). Whole
+        /// seconds sum exactly, so the rule must match at every total,
+        /// exact ties included; real download times, some under the 1 µs
+        /// floor, must match whenever the totals differ by more than 1e-9
+        /// of their sum, where the order of a sum cannot decide.
         #[test]
-        fn weighted_median_matches_the_expanded_lower_median(
-            raw in prop::collection::vec((0u32..12, 1u32..6), 1..40),
-            spread in 0.5f64..200.0,
+        fn median_rtt_is_the_sorted_lower_weighted_median(
+            chunks in prop::collection::vec((any::<bool>(), 0u64..6, 0u64..4_000_000_000), 0..200),
+            whole_seconds in any::<bool>(),
+            base_ms in 1u64..400,
+            bloat_ms in 0u64..1_000,
         ) {
-            let mut samples: Vec<(f64, f64)> = raw
-                .iter()
-                .map(|&(v, w)| (v as f64 * spread, w as f64))
-                .collect();
-            let want = expanded_lower_median(&samples);
-            prop_assert_eq!(weighted_median(&mut samples), want);
-        }
-
-        /// The one-pass decision against the sorted scan, to the bit: one
-        /// value; two values in random order and in orders that make the
-        /// input-order sums round differently from the sorted ones (small
-        /// weights after a large one, one value's block before the
-        /// other's), their totals often tied exactly; three or more
-        /// values; NaN, ±∞ and negative values or weights; and near-ties
-        /// whose input-order and sorted-order sums round to different
-        /// sides of half.
-        #[test]
-        fn two_valued_median_matches_the_sorted_scan(
-            shape in 0u32..6,
-            n in 1usize..300,
-            lo in 1.0f64..200.0,
-            gap in 0.5f64..500.0,
-            seed in any::<u64>(),
-        ) {
-            let mut rng = StdRng::seed_from_u64(seed);
-            let hi = lo + gap;
-            let weight = |rng: &mut StdRng| match rng.gen_range(0..4u32) {
-                0 => rng.gen_range(1e-6..4.0),
-                1 => rng.gen_range(1..4u32) as f64 * 0.25,
-                2 => 2f64.powi(-rng.gen_range(40..60i32)),
-                _ => 1e-6,
+            let profile = NetworkProfile {
+                base_rtt: SimDuration::from_millis(base_ms),
+                // A quarter of the profiles have no bufferbloat.
+                bufferbloat: SimDuration::from_millis(if bloat_ms < 250 { 0 } else { bloat_ms }),
+                ..NetworkProfile::fast_cable()
             };
-            let mut samples: Vec<(f64, f64)> = match shape {
-                0 => (0..n).map(|_| (lo, weight(&mut rng))).collect(),
-                1 | 2 => {
-                    // The higher value's weights, and the lower value's:
-                    // the same weights (an exact tie in the reals) or a
-                    // draw of their own.
-                    let w_hi: Vec<f64> = (0..n).map(|_| weight(&mut rng)).collect();
-                    let mut w_lo = w_hi.clone();
-                    if rng.gen::<bool>() {
-                        w_lo = (0..rng.gen_range(1..=n)).map(|_| weight(&mut rng)).collect();
-                    }
-                    w_lo.sort_by(|a, b| b.total_cmp(a));
-                    let mut s: Vec<_> = w_lo.iter().map(|&w| (lo, w)).collect();
-                    s.extend(w_hi.iter().map(|&w| (hi, w)));
-                    match (shape, rng.gen_range(0..3u32)) {
-                        (1, _) => shuffle(&mut s, &mut rng),
-                        (_, 0) => s.reverse(),
-                        (_, 1) => s.sort_by(|a, b| b.1.total_cmp(&a.1)),
-                        _ => {}
-                    }
-                    s
+            let (mut clear_time, mut congested_time) = (0.0, 0.0);
+            let mut samples = Vec::new();
+            for &(congested, secs, nanos) in &chunks {
+                let download_time = if whole_seconds {
+                    SimDuration::from_secs(secs + 1)
+                } else {
+                    // One draw in six falls under the floor.
+                    SimDuration::from_nanos(if secs == 0 { nanos % 1_000 } else { nanos })
+                };
+                let weight = download_time.as_secs_f64().max(1e-6);
+                if congested {
+                    congested_time += weight;
+                } else {
+                    clear_time += weight;
                 }
-                3 => {
-                    let k = rng.gen_range(3..6usize);
-                    (0..n.max(k))
-                        .map(|i| (lo + (i % k) as f64 * gap, weight(&mut rng)))
-                        .collect()
-                }
-                4 => {
-                    let mut s: Vec<_> = (0..n)
-                        .map(|_| ([lo, hi][rng.gen_range(0..2usize)], weight(&mut rng)))
-                        .collect();
-                    let bad = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -1.0][rng.gen_range(0..4usize)];
-                    let at = rng.gen_range(0..n);
-                    if rng.gen::<bool>() { s[at].0 = bad } else { s[at].1 = bad }
-                    s
-                }
-                _ => {
-                    // One value: a unit weight, then `m` weights of 2⁻⁵³,
-                    // lost to rounding in this order; the other: one
-                    // weight `k` ulps above 1. Scaled by a power of two,
-                    // which no sum rounds differently.
-                    let scale = 2f64.powi(rng.gen_range(-30..30i32));
-                    let (a, b) = if rng.gen::<bool>() { (lo, hi) } else { (hi, lo) };
-                    let mut s = vec![(a, scale)];
-                    s.extend((0..rng.gen_range(0..24usize)).map(|_| (a, 2f64.powi(-53) * scale)));
-                    s.insert(rng.gen_range(0..=s.len()), (b, ulps_up(1.0, rng.gen_range(0..8u64)) * scale));
-                    s
-                }
-            };
-            let want = sorted_weighted_median(&mut samples.clone());
-            prop_assert_eq!(weighted_median(&mut samples).to_bits(), want.to_bits());
-        }
-
-        #[test]
-        fn weighted_median_ignores_sample_order(
-            raw in prop::collection::vec((0u32..6, 1e-6f64..4.0), 1..60),
-            seed in any::<u64>(),
-        ) {
-            let samples: Vec<(f64, f64)> =
-                raw.iter().map(|&(v, w)| (10.0 + v as f64 * 7.3, w)).collect();
-            let mut shuffled = samples.clone();
-            shuffle(&mut shuffled, &mut StdRng::seed_from_u64(seed));
-            let want = weighted_median(&mut samples.clone());
-            prop_assert_eq!(weighted_median(&mut shuffled).to_bits(), want.to_bits());
+                let rtt = if congested {
+                    profile.base_rtt + profile.bufferbloat
+                } else {
+                    profile.base_rtt
+                };
+                samples.push((rtt.as_millis_f64(), weight));
+            }
+            let got = median_rtt_ms(&profile, clear_time, congested_time);
+            let want = sorted_weighted_median(&mut samples);
+            let decided = (clear_time - congested_time).abs() > 1e-9 * (clear_time + congested_time);
+            if whole_seconds || decided {
+                prop_assert_eq!(got.to_bits(), want.to_bits());
+            }
         }
     }
 }

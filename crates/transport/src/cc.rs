@@ -309,12 +309,6 @@ impl CcAlgorithm {
         }
     }
 
-    /// Parse an algorithm name (`reno` / `cubic` / `ledbat` / `bbr`), as
-    /// used by CLI flags.
-    pub fn parse(s: &str) -> Option<CcAlgorithm> {
-        s.parse().ok()
-    }
-
     /// Lower-case label for CSV columns and CLI round-tripping.
     pub fn label(self) -> &'static str {
         match self {
@@ -367,7 +361,7 @@ mod tests {
         ] {
             assert_eq!(cc.to_string(), cc.label());
             assert_eq!(cc.to_string().parse::<CcAlgorithm>().unwrap(), cc);
-            assert_eq!(CcAlgorithm::parse(cc.label()), Some(cc));
+            assert_eq!(cc.label().parse::<CcAlgorithm>().ok(), Some(cc));
         }
         assert_eq!(
             "BBRLite".parse::<CcAlgorithm>().unwrap(),

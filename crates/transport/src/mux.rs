@@ -25,11 +25,6 @@ pub enum Protocol {
 }
 
 impl Protocol {
-    /// Parse a protocol name (`tcp` / `quic`), as used by CLI flags.
-    pub fn parse(s: &str) -> Option<Protocol> {
-        s.parse().ok()
-    }
-
     /// Lower-case name for CSV columns and CLI round-tripping.
     pub fn name(self) -> &'static str {
         match self {
@@ -204,12 +199,12 @@ mod tests {
 
     #[test]
     fn protocol_parse_roundtrip() {
-        assert_eq!(Protocol::parse("tcp"), Some(Protocol::Tcp));
-        assert_eq!(Protocol::parse("QUIC"), Some(Protocol::Quic));
-        assert_eq!(Protocol::parse("sctp"), None);
+        assert_eq!("tcp".parse::<Protocol>().ok(), Some(Protocol::Tcp));
+        assert_eq!("QUIC".parse::<Protocol>().ok(), Some(Protocol::Quic));
+        assert_eq!("sctp".parse::<Protocol>().ok(), None);
         for p in [Protocol::Tcp, Protocol::Quic] {
-            assert_eq!(Protocol::parse(p.name()), Some(p));
-            // Display and FromStr agree with name()/parse(): one spelling
+            assert_eq!(p.name().parse::<Protocol>().ok(), Some(p));
+            // Display and FromStr agree with name(): one spelling
             // for CLI flags, the JSON API, and CSV headers.
             assert_eq!(p.to_string(), p.name());
             assert_eq!(p.to_string().parse::<Protocol>().unwrap(), p);

@@ -18,11 +18,9 @@ use netsim::{Rate, SimDuration, SimTime, MTU_BYTES};
 pub struct Pacer {
     /// Current pace rate. `None` means unpaced (rate-unlimited).
     rate: Option<Rate>,
-    /// Maximum back-to-back burst in packets.
-    burst_packets: u32,
     /// Tokens currently in the bucket, in bytes.
     tokens: f64,
-    /// Bucket capacity in bytes.
+    /// Bucket capacity in bytes: the burst size in MTUs.
     capacity: f64,
     /// Last refill time.
     last_refill: SimTime,
@@ -38,7 +36,6 @@ impl Pacer {
         let capacity = (burst_packets as u64 * MTU_BYTES) as f64;
         Pacer {
             rate,
-            burst_packets,
             tokens: capacity,
             capacity,
             last_refill: SimTime::ZERO,
@@ -61,11 +58,6 @@ impl Pacer {
     /// Current pace rate, if any.
     pub fn rate(&self) -> Option<Rate> {
         self.rate
-    }
-
-    /// Configured burst size in packets.
-    pub fn burst_packets(&self) -> u32 {
-        self.burst_packets
     }
 
     fn refill(&mut self, now: SimTime) {

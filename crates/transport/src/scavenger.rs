@@ -77,7 +77,7 @@ impl CongestionControl for Ledbat {
                 }
             }
         };
-        let queuing = rtt.saturating_since_duration(base);
+        let queuing = rtt - base;
         let target = TARGET.as_secs_f64().max(1e-6);
         // In (-inf, 1].
         let off_target = (target - queuing.as_secs_f64()) / target;
@@ -114,21 +114,6 @@ impl CongestionControl for Ledbat {
 
     fn name(&self) -> &'static str {
         "ledbat"
-    }
-}
-
-/// Helper on [`SimDuration`]-like subtraction used above.
-trait SaturatingSince {
-    fn saturating_since_duration(self, earlier: SimDuration) -> SimDuration;
-}
-
-impl SaturatingSince for SimDuration {
-    fn saturating_since_duration(self, earlier: SimDuration) -> SimDuration {
-        if self > earlier {
-            self - earlier
-        } else {
-            SimDuration::ZERO
-        }
     }
 }
 

@@ -102,6 +102,53 @@ proptest! {
             "tput {tput_mbps} exceeds min(pace {pace_mbps}, cap {cap})");
     }
 
+    /// A fluid chunk's RTT is one of two values: the base RTT plus the
+    /// bufferbloat when the chunk self-congests, the base RTT otherwise —
+    /// unpaced, paced below or above the jittered capacity, cold or warm.
+    /// A session's median RTT is whichever of the two got more download
+    /// time, which is right only while no third value can be drawn.
+    #[test]
+    fn fluid_chunk_rtt_is_base_or_base_plus_bufferbloat(
+        cap in 0.5f64..200.0,
+        base_us in 100u64..300_000,
+        bloat_us in 0u64..400_000,
+        losses in (0.0f64..0.05, 0.0f64..0.1),
+        pace in 0u32..3,
+        pace_ratio in 0.05f64..0.9,
+        cold in any::<bool>(),
+        jitter in 0.09f64..3.0,
+        bytes in 1_000u64..10_000_000,
+    ) {
+        let p = NetworkProfile {
+            capacity: Rate::from_mbps(cap),
+            base_rtt: SimDuration::from_micros(base_us),
+            // A quarter of the profiles have no bufferbloat.
+            bufferbloat: SimDuration::from_micros(if bloat_us < 100_000 { 0 } else { bloat_us }),
+            ambient_loss: losses.0,
+            self_loss: losses.1,
+            jitter_cv: 0.1,
+            fade_prob: 0.0,
+            fade_depth: 0.1,
+        };
+        let avail_mbps = cap * jitter;
+        let pace = match pace {
+            0 => None,
+            1 => Some(Rate::from_mbps(avail_mbps * pace_ratio)),
+            _ => Some(Rate::from_mbps(avail_mbps / pace_ratio)),
+        };
+        let out = download_chunk(&p, bytes, pace, cold, jitter);
+        let want = if out.congested { p.base_rtt + p.bufferbloat } else { p.base_rtt };
+        prop_assert_eq!(
+            out.rtt,
+            want,
+            "rtt {:?}, want {:?} (congested {}, pace {:?})",
+            out.rtt,
+            want,
+            out.congested,
+            pace
+        );
+    }
+
     /// HYB never selects a rung whose bitrate exceeds the analytical cap.
     #[test]
     fn hyb_respects_analytic_cap(tput_mbps in 0.5f64..100.0, buffer_s in 0u64..200) {
