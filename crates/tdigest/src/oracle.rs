@@ -4,8 +4,10 @@
 //! merge with two `asin`. The kernel must reproduce its centroids bit for
 //! bit through every ingestion path.
 
-use crate::tests::{threshold, ulps};
-use crate::{Centroid, Scale, TDigest};
+use crate::golden::{
+    edge_case, point, session, stream_ops, Op, COMPRESSIONS, EDGES, QS, SESSION, SESSION_CHUNKS,
+};
+use crate::{Centroid, TDigest};
 use proptest::prelude::*;
 use rand::prelude::*;
 
@@ -113,17 +115,6 @@ fn k(compression: f64, q: f64) -> f64 {
     compression / (2.0 * std::f64::consts::PI) * (2.0 * q - 1.0).asin()
 }
 
-/// A digest holding one centroid: `weight` samples at `value`.
-pub(crate) fn point(value: f64, weight: f64) -> TDigest {
-    let mut d = TDigest::default();
-    d.centroids.push(Centroid {
-        mean: value,
-        weight,
-    });
-    (d.count, d.min, d.max) = (weight, value, value);
-    d
-}
-
 /// Feed both digests `weight` samples at `value`: a weighted sample is the
 /// merge of a one-centroid digest.
 pub(crate) fn merge_point(new: &mut TDigest, old: &mut Oracle, value: f64, weight: f64) {
@@ -143,8 +134,6 @@ fn state_bits(d: &TDigest) -> (Vec<(u64, u64)>, Vec<u64>, [u64; 3]) {
         [d.count.to_bits(), d.min.to_bits(), d.max.to_bits()],
     )
 }
-
-const QS: [f64; 7] = [0.0, 0.01, 0.25, 0.5, 0.9, 0.999, 1.0];
 
 /// The kernel digest and the oracle hold the same state, and every public
 /// read of the kernel digest equals the old clone-and-flush read.
@@ -173,102 +162,25 @@ pub(crate) fn check_same(new: &TDigest, old: &Oracle, reads: bool) -> Result<(),
     }
 }
 
-const COMPRESSIONS: [f64; 4] = [10.0, 25.0, 100.0, 333.0];
-const TWO_VALUED: [f64; 6] = [0.1, 30.1, 37.3, 1.0 / 3.0, 52.7, 82.7];
-
-fn value(family: usize, rng: &mut StdRng, pair: (f64, f64), step: usize) -> f64 {
-    match family {
-        0 => {
-            if rng.gen::<bool>() {
-                pair.0
-            } else {
-                pair.1
-            }
-        }
-        1 => rng.gen::<f64>() * 200.0 - 100.0,
-        2 => rng.gen_range(0..20) as f64,
-        3 => 1.0 / (1.0 - rng.gen::<f64>()).powf(0.7),
-        _ => step as f64 * 0.37 + 5.0,
-    }
-}
-
-fn weight(mode: usize, rng: &mut StdRng) -> f64 {
-    match mode {
-        0 => 1.0,
-        1 => 1e-3 + rng.gen::<f64>() * 10.0,
-        _ => 2f64.powi(rng.gen_range(-10..=10)),
-    }
-}
-
-/// The value family that is not a value distribution but a session-shaped
-/// stream of weighted points: a fresh digest, one point merged a chunk, at
-/// an uncongested RTT `a` or a congested one `b` and weighted like a
-/// chunk's download time, then the median (among `check_same`'s reads).
-const SESSION: usize = 5;
-const SESSION_CHUNKS: usize = 338;
-
 fn session_streams(seed: u64, compression: f64, ops: usize) -> Result<(), String> {
     let mut rng = StdRng::seed_from_u64(seed);
-    for session in 0..ops.div_ceil(SESSION_CHUNKS) {
-        let a = 1.0 + rng.gen::<f64>() * 200.0;
-        let b = a + 0.5 + rng.gen::<f64>() * 400.0;
-        let congested = rng.gen::<f64>();
+    for session_no in 0..ops.div_ceil(SESSION_CHUNKS) {
         let (mut new, mut old) = (TDigest::new(compression), Oracle::new(compression));
-        for chunk in 0..SESSION_CHUNKS {
-            let v = if rng.gen::<f64>() < congested { b } else { a };
-            let w = 1e-6 + rng.gen::<f64>() * (4.0 - 1e-6);
+        for (chunk, (v, w)) in session(&mut rng).into_iter().enumerate() {
             merge_point(&mut new, &mut old, v, w);
             check_same(&new, &old, true).map_err(|e| {
-                format!("seed {seed} δ {compression} session {session} chunk {chunk}: {e}")
+                format!("seed {seed} δ {compression} session {session_no} chunk {chunk}: {e}")
             })?;
         }
     }
     Ok(())
 }
 
-/// Not a stream either: passes built so that one pair sits where the
-/// squared merge test must hand over to the original expression — `x₂` a
-/// few ulps from the threshold, for `x₀` anywhere, at −1 exactly, next to
-/// ±1 and next to `cos θ` — half of them at δ = 10⁶, where `sin θ` is
-/// 6e-6 and `cos θ` eleven digits from 1.
-const EDGES: usize = 6;
-
 fn edge_passes(seed: u64, compression: f64, ops: usize) -> Result<(), String> {
     let mut rng = StdRng::seed_from_u64(seed);
     for case in 0..ops / 4 {
         let compression = [compression, 1e6][case % 2];
-        let scale = Scale::new(compression);
-        let q0 = match rng.gen_range(0..4) {
-            0 => 0.0,
-            1 => rng.gen::<f64>(),
-            2 => {
-                let d = 10f64.powf(-rng.gen_range(5.0f64..17.0));
-                [d, 1.0 - d][rng.gen_range(0..2usize)]
-            }
-            _ => (scale.cos_theta + 1.0) / 2.0 + (rng.gen::<f64>() - 0.5) * 8e-9,
-        };
-        // The `q₂` on the threshold (1 where the span is open-ended).
-        let on = if 2.0 * q0 - 1.0 < scale.cos_theta {
-            threshold(&scale, q0)
-        } else {
-            1.0
-        };
-        let on = ulps(on, rng.gen_range(-4i64..=4)).min(1.0);
-        // q₀ | two halves that reach `on` together | the rest, added last.
-        let half = (on - q0) / 2.0;
-        let weights: Vec<f64> = [q0, half, half, 1.0 - on]
-            .into_iter()
-            .filter(|&w| w > 0.0)
-            .collect();
-        let (&last, head) = weights.split_last().expect("q₀ < 1");
-        let mut new = TDigest::new(compression);
-        new.centroids = (head.iter().zip(1..))
-            .map(|(&weight, i)| Centroid {
-                mean: i as f64,
-                weight,
-            })
-            .collect();
-        (new.count, new.min, new.max) = (head.iter().sum(), 1.0, head.len() as f64);
+        let (mut new, last, q0) = edge_case(&mut rng, compression);
         let mut old = Oracle(new.clone());
         merge_point(&mut new, &mut old, 9.0, last);
         check_same(&new, &old, true)
@@ -292,50 +204,32 @@ fn differential(
         EDGES => return edge_passes(seed, compression, ops),
         _ => {}
     }
-    let mut rng = StdRng::seed_from_u64(seed);
-    let pair = (
-        TWO_VALUED[rng.gen_range(0..TWO_VALUED.len())],
-        TWO_VALUED[rng.gen_range(0..TWO_VALUED.len())],
-    );
     let (mut new, mut old) = (TDigest::new(compression), Oracle::new(compression));
     // A second pair, fed on the side and merged in now and then.
     let (mut side_new, mut side_old) = (TDigest::new(compression), Oracle::new(compression));
-    // `add` comes in runs long enough to fill the buffer of the largest δ.
-    let mut add_run = 0usize;
-    for step in 0..ops {
-        let v = value(family, &mut rng, pair, step);
-        let pick = if add_run > 0 {
-            0
-        } else {
-            rng.gen_range(0u32..100)
-        };
-        match pick {
-            0..=39 => {
-                if add_run == 0 {
-                    add_run = rng.gen_range(1usize..400);
-                }
-                add_run -= 1;
+    for (step, op) in stream_ops(seed, family, weights, ops)
+        .into_iter()
+        .enumerate()
+    {
+        match op {
+            Op::Add(v) => {
                 new.add(v);
                 old.add(v);
             }
-            40..=84 => {
-                let w = weight(weights, &mut rng);
-                merge_point(&mut new, &mut old, v, w);
-            }
-            85..=94 => {
-                if rng.gen::<bool>() {
-                    side_new.add(v);
-                    side_old.add(v);
-                } else {
-                    let w = weight(weights, &mut rng);
-                    merge_point(&mut side_new, &mut side_old, v, w);
-                }
+            Op::Point(v, w) => merge_point(&mut new, &mut old, v, w),
+            Op::SideAdd(v) => {
+                side_new.add(v);
+                side_old.add(v);
                 check_same(&side_new, &side_old, false)?;
             }
-            _ => {
+            Op::SidePoint(v, w) => {
+                merge_point(&mut side_new, &mut side_old, v, w);
+                check_same(&side_new, &side_old, false)?;
+            }
+            Op::MergeSide(fresh) => {
                 new.merge(&side_new);
                 old.merge(&side_old);
-                if rng.gen::<bool>() {
+                if fresh {
                     side_new = TDigest::new(compression);
                     side_old = Oracle::new(compression);
                 }
