@@ -27,6 +27,20 @@
 //! updates that rung's worst shortfall, `rungs × horizon` (≤ 45) steps a
 //! decision in memory order. A second pass over the rungs turns each shortfall into
 //! the rung's utility.
+//!
+//! ## The threshold skip
+//!
+//! A lookahead ABR's choice is a threshold decision (the paper's §4.2):
+//! once the predicted throughput carries the top rung through the horizon
+//! without a stall, no rung stalls. `select` therefore walks the top
+//! rung's column first (`horizon` steps). A title's sizes never decrease
+//! with rung within a chunk ([`video::Lookahead::sizes`]), and every step
+//! of the walk — the `u64` sum, its conversion, the product with
+//! `8/x`, the subtraction of `i·cd`, the running maximum — is monotone, so
+//! no rung's worst shortfall exceeds the top rung's. When the top rung's is
+//! at most `B₀`, every rung's rebuffer term is exactly `+0.0` and the
+//! row-major walk is skipped; the utility pass runs unchanged, so every
+//! utility keeps its bits.
 
 use video::{Abr, AbrContext, AbrDecision, ChunkMeasurement};
 
@@ -52,10 +66,11 @@ const MAX_RUNGS: usize = 32;
 pub struct Mpc;
 
 impl Mpc {
-    /// Every rung's horizon utility, `utility[r]` for rung `r`, and the
-    /// rung that maximizes it; `None`, with `utility` untouched, when the
-    /// history predicts no positive throughput.
-    fn plan(ctx: &AbrContext<'_>, utility: &mut [f64; MAX_RUNGS]) -> Option<usize> {
+    /// Every rung's horizon utility, `utility[r]` for rung `r`, from a
+    /// buffer of `b0` seconds, and the rung that maximizes it; `None`, with
+    /// `utility` untouched, when the history predicts no positive
+    /// throughput.
+    fn plan(ctx: &AbrContext<'_>, b0: f64, utility: &mut [f64; MAX_RUNGS]) -> Option<usize> {
         let est = ctx.history.harmonic_mean_last(WINDOW)?;
         let predicted = est.bps() / (1.0 + ERROR_MARGIN);
         if predicted <= 0.0 {
@@ -70,20 +85,24 @@ impl Mpc {
             0.0
         };
 
-        let b0 = ctx.buffer.as_secs_f64();
         let play_s = h as f64 * cd;
-        // The horizon's sizes, one row of `rungs` entries per chunk, walked
-        // row by row: every rung's running byte sum and its worst shortfall
-        // over the horizon; −∞ (no rebuffer) when no chunks remain.
+        // The horizon's sizes, one row of `rungs` entries per chunk. Every
+        // rung's worst shortfall over the horizon starts at −∞ (no
+        // rebuffer), which is where it stays when no chunks remain or when
+        // the top rung's column clears `b0` (the threshold skip).
         let window = ctx.upcoming.sizes(h);
-        let mut bytes = [0u64; MAX_RUNGS];
         let mut peak = [f64::NEG_INFINITY; MAX_RUNGS];
-        let (bytes, peak) = (&mut bytes[..rungs], &mut peak[..rungs]);
-        for (i, row) in window.chunks_exact(rungs).enumerate() {
-            let lead = i as f64 * cd;
-            for ((sum, worst), &size) in bytes.iter_mut().zip(peak.iter_mut()).zip(row) {
-                *sum += size;
-                *worst = worst.max(*sum as f64 * inv - lead);
+        let peak = &mut peak[..rungs];
+        if top_shortfall(window, rungs, inv, cd) > b0 {
+            // Row by row: every rung's running byte sum and worst shortfall.
+            let mut bytes = [0u64; MAX_RUNGS];
+            let bytes = &mut bytes[..rungs];
+            for (i, row) in window.chunks_exact(rungs).enumerate() {
+                let lead = i as f64 * cd;
+                for ((sum, worst), &size) in bytes.iter_mut().zip(peak.iter_mut()).zip(row) {
+                    *sum += size;
+                    *worst = worst.max(*sum as f64 * inv - lead);
+                }
             }
         }
         let last_vmaf = ctx.last_rung.map(|prev| ctx.ladder.rung(prev).vmaf);
@@ -104,9 +123,23 @@ impl Mpc {
     }
 }
 
+/// The top rung's worst shortfall over `window` (rows of `rungs` sizes):
+/// the row-major walk's value for the last column, step for step; −∞ for
+/// an empty window.
+fn top_shortfall(window: &[u64], rungs: usize, inv: f64, cd: f64) -> f64 {
+    let mut sum = 0u64;
+    let mut worst = f64::NEG_INFINITY;
+    for (i, row) in window.chunks_exact(rungs).enumerate() {
+        sum += row[rungs - 1];
+        worst = worst.max(sum as f64 * inv - i as f64 * cd);
+    }
+    worst
+}
+
 impl Abr for Mpc {
     fn select(&mut self, ctx: &AbrContext<'_>) -> AbrDecision {
-        let best = Self::plan(ctx, &mut [0.0; MAX_RUNGS]).unwrap_or(ctx.ladder.lowest());
+        let b0 = ctx.buffer.as_secs_f64();
+        let best = Self::plan(ctx, b0, &mut [0.0; MAX_RUNGS]).unwrap_or(ctx.ladder.lowest());
         AbrDecision::unpaced(best)
     }
 
@@ -122,6 +155,7 @@ mod tests {
     use super::*;
     use netsim::{SimDuration, SimTime};
     use proptest::prelude::*;
+    use std::sync::atomic::{AtomicUsize, Ordering};
     use video::{Ladder, PlayerPhase, ThroughputHistory, Title, TitleConfig, VmafModel};
 
     fn title() -> Title {
@@ -194,9 +228,10 @@ mod tests {
     }
 
     /// The per-rung walk `select` ran before its row-major pass: each rung
-    /// walks its own column of the window, stride `rungs`. Returns the
-    /// chosen rung and every rung's utility.
-    fn per_rung_walk(ctx: &AbrContext<'_>) -> Option<(usize, Vec<f64>)> {
+    /// walks its own column of the window, stride `rungs`, from a buffer of
+    /// `b0` seconds. Returns the chosen rung, every rung's utility, and the
+    /// top rung's worst shortfall.
+    fn per_rung_walk(ctx: &AbrContext<'_>, b0: f64) -> Option<(usize, Vec<f64>, f64)> {
         let est = ctx.history.harmonic_mean_last(WINDOW)?;
         let predicted = est.bps() / (1.0 + ERROR_MARGIN);
         if predicted <= 0.0 {
@@ -210,12 +245,12 @@ mod tests {
         } else {
             0.0
         };
-        let b0 = ctx.buffer.as_secs_f64();
         let play_s = h as f64 * cd;
         let window = ctx.upcoming.sizes(h);
         let mut best = ctx.ladder.lowest();
         let mut best_u = f64::NEG_INFINITY;
         let mut utility = Vec::with_capacity(rungs);
+        let mut top_peak = f64::NEG_INFINITY;
         for rung in 0..rungs {
             let mut bytes = 0u64;
             let mut peak = f64::NEG_INFINITY;
@@ -223,6 +258,7 @@ mod tests {
                 bytes += row[rung];
                 peak = peak.max(bytes as f64 * inv - i as f64 * cd);
             }
+            top_peak = peak;
             let rebuffer_s = (peak - b0).max(0.0);
             let vmaf = ctx.ladder.rung(rung).vmaf;
             let switch = match ctx.last_rung {
@@ -236,26 +272,39 @@ mod tests {
                 best = rung;
             }
         }
-        Some((best, utility))
+        Some((best, utility, top_peak))
     }
+
+    fn bits(u: &[f64]) -> Vec<u64> {
+        u.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// Cases of `row_major_cases` whose top column stalled (the row-major
+    /// walk ran) and cleared the buffer (the walk was skipped).
+    static WALKED: AtomicUsize = AtomicUsize::new(0);
+    static SKIPPED: AtomicUsize = AtomicUsize::new(0);
 
     proptest! {
         /// The row-major pass against the per-rung walk, over the grid of
         /// `tests/properties.rs::mpc_closed_form_matches_buffer_walk`:
         /// ladders of 1–9 rungs, windows from the full horizon down to
-        /// empty, with and without a previous rung. The chosen rung and
-        /// every rung's utility agree to the bit.
-        #[test]
-        fn row_major_mpc_matches_the_per_rung_walk(
+        /// empty, with and without a previous rung, and buffers of 0–240 s,
+        /// so that the threshold skip both fires and does not. The chosen
+        /// rung and every rung's utility agree to the bit.
+        fn row_major_cases(
             title_seed in 0u64..5_000,
             top_mbps in 1.75f64..16.0,
             rungs in 1usize..=9,
             offset in 0usize..=300,
             near_end in any::<bool>(),
-            buffer_s in 0u64..120,
+            buffer_s in 0u64..=240,
+            shallow in any::<bool>(),
             tput_mbps in 0.3f64..60.0,
             last in 0usize..10,
         ) {
+            // Half the cases start from under 8 s of buffer, where the top
+            // rung often stalls and the row-major walk runs.
+            let buffer_s = if shallow { buffer_s % 8 } else { buffer_s };
             let mut rates: Vec<f64> = [0.235, 0.56, 1.05, 1.75, 3.0, 4.3, 5.8, 8.1]
                 .iter()
                 .map(|m| m * 1e6)
@@ -274,14 +323,62 @@ mod tests {
                 upcoming: t.upcoming(from),
                 ..ctx(&t, &h, buffer_s, last_rung)
             };
+            let b0 = c.buffer.as_secs_f64();
             let mut utility = [f64::NAN; MAX_RUNGS];
-            let got = Mpc::plan(&c, &mut utility);
-            let (want, want_utility) = per_rung_walk(&c).expect("a positive prediction");
+            let got = Mpc::plan(&c, b0, &mut utility);
+            let (want, want_utility, top_peak) =
+                per_rung_walk(&c, b0).expect("a positive prediction");
+            let hits = if top_peak <= b0 { &SKIPPED } else { &WALKED };
+            hits.fetch_add(1, Ordering::Relaxed);
             prop_assert_eq!(got, Some(want));
-            let bits = |u: &[f64]| u.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
             prop_assert_eq!(bits(&utility[..t.ladder.len()]), bits(&want_utility));
             prop_assert_eq!(Mpc::default().select(&c).rung, want);
         }
+    }
+
+    #[test]
+    fn row_major_mpc_matches_the_per_rung_walk() {
+        row_major_cases();
+        let (walked, skipped) = (
+            WALKED.load(Ordering::Relaxed),
+            SKIPPED.load(Ordering::Relaxed),
+        );
+        assert!(
+            walked > 0 && skipped > 0,
+            "both branches must be hit: walked {walked}, skipped {skipped}"
+        );
+    }
+
+    /// The skip's boundary: a buffer equal to the top column's worst
+    /// shortfall skips the walk (every rebuffer term is `+0.0`), one ulp
+    /// below does not, one ulp above does; the utilities match the
+    /// per-rung walk to the bit at all three.
+    #[test]
+    fn skip_boundary_is_the_top_columns_worst_shortfall() {
+        let t = title();
+        let h = history_at(6.0);
+        let c = ctx(&t, &h, 0, Some(4));
+        let (_, _, worst) = per_rung_walk(&c, 0.0).expect("a positive prediction");
+        assert!(worst > 0.0, "the top rung must stall from an empty buffer");
+        let mut at = Vec::new();
+        for b0 in [worst.next_down(), worst, worst.next_up()] {
+            let mut utility = [f64::NAN; MAX_RUNGS];
+            let got = Mpc::plan(&c, b0, &mut utility);
+            let (want, want_utility, _) = per_rung_walk(&c, b0).unwrap();
+            assert_eq!(got, Some(want), "b0 = {b0}");
+            assert_eq!(
+                bits(&utility[..t.ladder.len()]),
+                bits(&want_utility),
+                "b0 = {b0}"
+            );
+            at.push(want_utility);
+        }
+        let top = t.ladder.top();
+        // One ulp of shortfall shows in the top rung's utility, so a skip
+        // one ulp early would be caught; at and above the worst no rung
+        // pays a rebuffer.
+        assert_ne!(at[0][top].to_bits(), at[1][top].to_bits());
+        assert_eq!(bits(&at[1]), bits(&at[2]));
     }
 
     #[test]

@@ -215,7 +215,7 @@ pub struct SessionRecord {
 /// from a private copy of the warmed history store.
 pub fn run_user(user: &UserProfile, arm: Arm, cfg: &ExperimentConfig) -> Vec<SessionRecord> {
     let warm = warm_up(user, cfg);
-    run_arm(user, arm, cfg.seed, &warm, &experiment_sessions(user, cfg))
+    run_arm(user, arm, &warm, &experiment_sessions(user, cfg))
 }
 
 /// A user's state when the experiment begins — shared by every arm.
@@ -234,8 +234,12 @@ fn warm_up(user: &UserProfile, cfg: &ExperimentConfig) -> WarmUp {
     let history = shared_history();
     let mut pre_tputs: Vec<f64> = Vec::new();
     for s in 0..cfg.pre_sessions as u64 {
-        let title = Arc::new(user.title(s));
-        let out = run_one(user, Arm::Production, &history, title, s, cfg.seed);
+        let out = run_one(
+            user,
+            Arm::Production,
+            &history,
+            &Session::new(user, s, cfg.seed),
+        );
         pre_tputs.extend(out.chunk_throughputs_mbps.iter().copied());
     }
     WarmUp {
@@ -244,12 +248,30 @@ fn warm_up(user: &UserProfile, cfg: &ExperimentConfig) -> WarmUp {
     }
 }
 
-/// A user's experiment sessions as (session index, title), in run order.
-/// A title depends on (user, session index) only, so every arm plays
-/// these.
-fn experiment_sessions(user: &UserProfile, cfg: &ExperimentConfig) -> Vec<(u64, Arc<Title>)> {
+/// Session `index` of a user as any arm plays it: its title and its
+/// capacity-jitter stream, each a function of `(user, index, seed)` only,
+/// so a user pair draws them once for both arms.
+struct Session {
+    title: Arc<Title>,
+    jitter: Vec<f64>,
+}
+
+impl Session {
+    fn new(user: &UserProfile, index: u64, seed: u64) -> Self {
+        let title = Arc::new(user.title(index));
+        let seed = user
+            .seed
+            .wrapping_add(index.wrapping_mul(0xA24B_AED4_963E_E407))
+            .wrapping_add(seed);
+        let jitter = fluidsim::jitter_stream(&user.network, seed, title.len());
+        Session { title, jitter }
+    }
+}
+
+/// A user's experiment sessions, in run order; every arm plays these.
+fn experiment_sessions(user: &UserProfile, cfg: &ExperimentConfig) -> Vec<Session> {
     (cfg.pre_sessions..cfg.pre_sessions + cfg.sessions_per_user)
-        .map(|s| (s as u64, Arc::new(user.title(s as u64))))
+        .map(|s| Session::new(user, s as u64, cfg.seed))
         .collect()
 }
 
@@ -260,9 +282,8 @@ fn experiment_sessions(user: &UserProfile, cfg: &ExperimentConfig) -> Vec<(u64, 
 fn run_arm(
     user: &UserProfile,
     arm: Arm,
-    seed: u64,
     warm: &WarmUp,
-    sessions: &[(u64, Arc<Title>)],
+    sessions: &[Session],
 ) -> Vec<SessionRecord> {
     let store = match arm {
         Arm::HistoryReset => HistoryStore::default(),
@@ -271,8 +292,8 @@ fn run_arm(
     let history = SharedHistory::from_store(store);
     (0..)
         .zip(sessions)
-        .map(|(session, (session_idx, title))| {
-            let outcome = run_one(user, arm, &history, title.clone(), *session_idx, seed);
+        .map(|(session, planned)| {
+            let outcome = run_one(user, arm, &history, planned);
             obs::counter!("abtest.sessions", 1);
             SessionRecord {
                 user: user.id,
@@ -284,32 +305,25 @@ fn run_arm(
         .collect()
 }
 
-/// One session of `title` for `user` under `arm`, from the device's
-/// `history` store, which then folds in the session's samples. The one
-/// session recipe: the A/B runner's warm-up and every arm play their
-/// sessions through it. The session seed depends on
-/// `(user, session_idx, seed)` only.
-pub(crate) fn run_one(
+/// One `session` for `user` under `arm`, from the device's `history`
+/// store, which then folds in the session's samples. The one session
+/// recipe: the A/B runner's warm-up and every arm play their sessions
+/// through it.
+fn run_one(
     user: &UserProfile,
     arm: Arm,
     history: &SharedHistory,
-    title: Arc<Title>,
-    session_idx: u64,
-    seed: u64,
+    session: &Session,
 ) -> SessionOutcome {
     let estimate = history.discounted_estimate();
-    let predicted_rung =
-        initial_rung_for(estimate, &title.ladder, &InitialSelectorConfig::default());
+    let ladder = &session.title.ladder;
+    let predicted_rung = initial_rung_for(estimate, ladder, &InitialSelectorConfig::default());
     let abr = arm.build_abr(history.clone());
-    let outcome = SessionBuilder::new(&user.network, title, abr)
+    let outcome = SessionBuilder::new(&user.network, session.title.clone(), abr)
         .history_estimate(estimate)
         .predicted_initial_rung(predicted_rung)
         .max_wall_clock(user.title_duration * 3 + SimDuration::from_secs(120))
-        .seed(
-            user.seed
-                .wrapping_add(session_idx.wrapping_mul(0xA24B_AED4_963E_E407))
-                .wrapping_add(seed),
-        )
+        .jitter(&session.jitter)
         .startup_latency(user.startup_latency)
         .run();
     // Fold this session's samples into the device's historical store.
@@ -535,8 +549,8 @@ pub(crate) fn run_user_pair(
         let warm = warm_up(user, cfg);
         let sessions = experiment_sessions(user, cfg);
         (
-            run_arm(user, control, cfg.seed, &warm, &sessions),
-            run_arm(user, treatment, cfg.seed, &warm, &sessions),
+            run_arm(user, control, &warm, &sessions),
+            run_arm(user, treatment, &warm, &sessions),
         )
     };
     let per_user = obs::install(outer);
@@ -902,9 +916,9 @@ mod tests {
         assert!(warm.pre_p95_mbps.is_nan());
 
         // Experiment sessions are numbered from 0 and carry the NaN p95.
-        let (first_idx, first_title) = &experiment_sessions(user, &cfg)[0];
-        assert_eq!(*first_idx, 0);
-        assert_eq!(first_title.chunk(0).sizes(), user.title(0).chunk(0).sizes());
+        let first = &experiment_sessions(user, &cfg)[0];
+        assert_eq!(first.title.chunk(0).sizes(), user.title(0).chunk(0).sizes());
+        assert_eq!(first.jitter, Session::new(user, 0, cfg.seed).jitter);
         let records = run_user(user, Arm::Production, &cfg);
         assert_eq!(records.len(), cfg.sessions_per_user);
         assert!(records.iter().all(|r| r.pre_p95_mbps.is_nan()));
@@ -926,8 +940,12 @@ mod tests {
         let fresh = shared_history();
         for (i, r) in records.iter().enumerate() {
             let idx = (cfg.pre_sessions + i) as u64;
-            let title = Arc::new(user.title(idx));
-            let outcome = run_one(user, Arm::Production, &fresh, title, idx, cfg.seed);
+            let outcome = run_one(
+                user,
+                Arm::Production,
+                &fresh,
+                &Session::new(user, idx, cfg.seed),
+            );
             assert_eq!(r.session, i as u64);
             assert_eq!(r.outcome, outcome, "session {i}");
         }

@@ -175,13 +175,23 @@ impl StreamingStat {
         tdigest::wire::put_f64(out, self.sum);
     }
 
-    /// Decode a summary written by [`StreamingStat::encode`].
+    /// Decode a summary written by [`StreamingStat::encode`], refusing
+    /// what it never writes: a count other than the digest's, or an empty
+    /// summary whose sum is not `+0.0`. A non-finite sum of finite samples
+    /// (an overflow) is legal.
     pub fn decode(
         r: &mut tdigest::wire::Reader<'_>,
     ) -> Result<StreamingStat, tdigest::wire::WireError> {
+        let bad = |context| tdigest::wire::WireError { context };
         let digest = tdigest::TDigest::decode(r)?;
         let count = r.u64("streaming_stat.count")?;
+        if count != digest.count() {
+            return Err(bad("streaming_stat.count"));
+        }
         let sum = r.f64("streaming_stat.sum")?;
+        if count == 0 && sum.to_bits() != 0.0f64.to_bits() {
+            return Err(bad("streaming_stat.sum"));
+        }
         Ok(StreamingStat { digest, count, sum })
     }
 }
@@ -321,6 +331,70 @@ mod tests {
         assert_eq!(s.count(), 0);
         assert!(s.mean().is_nan());
         assert!(s.median().is_nan());
+    }
+
+    fn encoded(s: &StreamingStat) -> Vec<u8> {
+        let mut out = Vec::new();
+        s.encode(&mut out);
+        out
+    }
+
+    fn decoded(bytes: &[u8]) -> Result<StreamingStat, tdigest::wire::WireError> {
+        let mut r = tdigest::wire::Reader::new(bytes);
+        let s = StreamingStat::decode(&mut r)?;
+        assert_eq!(r.remaining(), 0, "decode must consume the whole encoding");
+        Ok(s)
+    }
+
+    /// An encoding with its trailing `(count, sum)` replaced.
+    fn patched(bytes: &[u8], count: u64, sum: f64) -> Vec<u8> {
+        let mut out = bytes[..bytes.len() - 16].to_vec();
+        tdigest::wire::put_u64(&mut out, count);
+        tdigest::wire::put_f64(&mut out, sum);
+        out
+    }
+
+    /// Every summary `encode` can write decodes and re-encodes to the same
+    /// bytes: empty, one sample, 1 000 samples, a merge of shards, and a
+    /// sum that overflowed to +∞.
+    #[test]
+    fn streaming_stat_round_trips_valid_encodings() {
+        let mut merged: StreamingStat = (0..300).map(|i| i as f64).collect();
+        merged.merge(&(0..200).map(|i| -(i as f64)).collect());
+        let overflow: StreamingStat = [f64::MAX, f64::MAX].into_iter().collect();
+        assert_eq!(overflow.mean(), f64::INFINITY);
+        for s in [
+            StreamingStat::new(),
+            std::iter::once(-0.0).collect(),
+            (0..1000).map(|i| i as f64).collect(),
+            merged,
+            overflow,
+        ] {
+            let bytes = encoded(&s);
+            let back = decoded(&bytes).expect("a valid encoding decodes");
+            assert_eq!(encoded(&back), bytes);
+        }
+    }
+
+    /// A count that is not the digest's, or an empty summary's sum that is
+    /// not `+0.0`, is refused: a count of 0 beside a 1 000-sample digest
+    /// once decoded to a NaN mean and a median of 499.5.
+    #[test]
+    fn streaming_stat_decode_refuses_what_encode_never_writes() {
+        let full = encoded(&(0..1000).map(|i| i as f64).collect());
+        let sum = 499_500.0;
+        assert!(decoded(&patched(&full, 1000, sum)).is_ok());
+        for count in [0, 999, 1001, u64::MAX] {
+            let err = decoded(&patched(&full, count, sum)).unwrap_err();
+            assert_eq!(err.context, "streaming_stat.count", "count {count}");
+        }
+        let empty = encoded(&StreamingStat::new());
+        assert!(decoded(&patched(&empty, 0, 0.0)).is_ok());
+        assert!(decoded(&patched(&empty, 1, 0.0)).is_err());
+        for sum in [-0.0, 1.0, f64::NAN, f64::INFINITY] {
+            let err = decoded(&patched(&empty, 0, sum)).unwrap_err();
+            assert_eq!(err.context, "streaming_stat.sum", "sum {sum}");
+        }
     }
 
     #[test]

@@ -326,21 +326,36 @@ impl MetricAcc {
         }
     }
 
+    /// Decode an accumulator written by `encode`, refusing what it never
+    /// writes: more pairs than either arm has finite samples (a pair needs
+    /// one of each), and a sum beside a zero count — the paired one or a
+    /// replicate's — that is not `+0.0` (a zero count means nothing was
+    /// added but zero-weight `±0.0`s). A non-finite sum beside a non-zero
+    /// count is legal.
     fn decode(r: &mut Reader<'_>, expect_reps: usize) -> Result<MetricAcc, wire::WireError> {
+        let bad = |context| wire::WireError { context };
+        let empty_sum = |n: u64, s: f64| n == 0 && s.to_bits() != 0.0f64.to_bits();
         let control = StreamingStat::decode(r)?;
         let treatment = StreamingStat::decode(r)?;
         let delta_sum = r.f64("metric.delta_sum")?;
         let delta_count = r.u64("metric.delta_count")?;
+        if delta_count > control.count().min(treatment.count()) {
+            return Err(bad("metric.delta_count"));
+        }
+        if empty_sum(delta_count, delta_sum) {
+            return Err(bad("metric.delta_sum"));
+        }
         let reps = r.len("metric.boot_len")?;
         if reps != expect_reps {
-            return Err(wire::WireError {
-                context: "metric.boot_len",
-            });
+            return Err(bad("metric.boot_len"));
         }
         let mut boot = Vec::with_capacity(reps);
         for _ in 0..reps {
             let s = r.f64("metric.boot_sum")?;
             let n = r.u64("metric.boot_count")?;
+            if empty_sum(n, s) || (delta_count == 0 && n > 0) {
+                return Err(bad("metric.boot"));
+            }
             boot.push((s, n));
         }
         Ok(MetricAcc {
@@ -1337,6 +1352,60 @@ mod tests {
             assert!(drawn > 0 && not_drawn > 0, "user {user}: {drawn} drawn");
         }
         assert!(acc.boot.iter().any(|s| s.0.is_finite() && s.1 > 0));
+    }
+
+    /// `MetricAcc::decode` takes every accumulator `fold_user` and `merge`
+    /// can build — non-finite paired and replicate sums included — and
+    /// re-encodes it to the same bytes, but refuses one whose pairs
+    /// outnumber an arm's samples, or whose paired or replicate sum beside
+    /// a zero count is not `+0.0`.
+    #[test]
+    fn metric_acc_decode_refuses_what_encode_never_writes() {
+        const REPS: usize = 40;
+        let bytes = |acc: &MetricAcc| {
+            let mut out = Vec::new();
+            acc.encode(&mut out);
+            out
+        };
+        let decode = |acc: &MetricAcc| {
+            MetricAcc::decode(&mut Reader::new(&bytes(acc)), REPS).map_err(|e| e.context)
+        };
+        let mut weights = vec![0u8; REPS];
+        let mut acc = MetricAcc::new(REPS);
+        // Two users: some replicate draws neither.
+        for u in 0..2u64 {
+            draw_weights(2, u, &mut weights);
+            acc.fold_user(&weights, &[10.0 + u as f64, f64::NAN], &[9.5, 3.0, 4.0]);
+        }
+        let mut overflowed = acc.clone();
+        draw_weights(2, 2, &mut weights);
+        overflowed.fold_user(&weights, &[1e-300, 1e-300], &[1e300, -1e300]);
+        assert!(overflowed.delta_sum.is_nan());
+        let empty = MetricAcc::new(REPS);
+        for valid in [&empty, &acc, &overflowed] {
+            let back = decode(valid).expect("a valid encoding decodes");
+            assert_eq!(bytes(&back), bytes(valid));
+        }
+
+        let mut extra_pair = acc.clone();
+        extra_pair.delta_count = acc.control.count() + 1;
+        assert_eq!(decode(&extra_pair).unwrap_err(), "metric.delta_count");
+        for sum in [-0.0, 1.0, f64::NAN] {
+            let mut stray = empty.clone();
+            stray.delta_sum = sum;
+            assert_eq!(decode(&stray).unwrap_err(), "metric.delta_sum", "sum {sum}");
+        }
+        let empty_slot = acc
+            .boot
+            .iter()
+            .position(|&(_, n)| n == 0)
+            .expect("an undrawn slot");
+        let mut stray = acc.clone();
+        stray.boot[empty_slot].0 = -0.0;
+        assert_eq!(decode(&stray).unwrap_err(), "metric.boot");
+        let mut counted = empty.clone();
+        counted.boot[0].1 = 1;
+        assert_eq!(decode(&counted).unwrap_err(), "metric.boot");
     }
 
     #[test]

@@ -27,5 +27,5 @@
 pub mod network;
 pub mod session;
 
-pub use network::{download_chunk, ChunkOutcome, NetworkProfile};
+pub use network::{download_chunk, jitter_stream, ChunkOutcome, NetworkProfile};
 pub use session::{SessionBuilder, SessionOutcome};

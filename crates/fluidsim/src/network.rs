@@ -143,14 +143,24 @@ pub fn download_chunk(
     outcome
 }
 
+/// A session's per-chunk capacity multipliers on `profile`, one for each
+/// of a title's `chunks` chunks, drawn from one RNG seeded with `seed`:
+/// what [`SessionBuilder::seed`](crate::SessionBuilder::seed) plays. The
+/// stream depends on `(profile, seed, chunks)` only, so sessions that
+/// share a seed can share one draw through
+/// [`SessionBuilder::jitter`](crate::SessionBuilder::jitter).
+pub fn jitter_stream(profile: &NetworkProfile, seed: u64, chunks: usize) -> Vec<f64> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let law = JitterLaw::new(profile.jitter_cv);
+    (0..chunks)
+        .map(|_| chunk_multiplier(&mut rng, profile, law))
+        .collect()
+}
+
 /// Draw a per-chunk capacity multiplier for `profile` from its evaluated
 /// [`JitterLaw`]: log-normal jitter (mean ≈ 1) plus an occasional deep
 /// fade. A session draws one multiplier a chunk from one profile.
-pub(crate) fn chunk_multiplier(
-    rng: &mut StdRng,
-    profile: &NetworkProfile,
-    law: Option<JitterLaw>,
-) -> f64 {
+fn chunk_multiplier(rng: &mut StdRng, profile: &NetworkProfile, law: Option<JitterLaw>) -> f64 {
     let mut j = law.map_or(1.0, |law| law.draw(rng));
     if profile.fade_prob > 0.0 && rng.gen::<f64>() < profile.fade_prob {
         let depth = rng.gen_range(profile.fade_depth..(profile.fade_depth * 4.0).min(1.0));
@@ -163,14 +173,14 @@ pub(crate) fn chunk_multiplier(
 /// `σ = √ln(1 + cv²)` and `μ = −σ²/2` (mean ≈ 1), clamped to [0.3, 3.0] —
 /// an `ln` and a root that do not change while `cv` does not.
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct JitterLaw {
+struct JitterLaw {
     sigma: f64,
     mu: f64,
 }
 
 impl JitterLaw {
     /// `None` for `cv ≤ 0`: no jitter, and nothing drawn from the RNG.
-    pub(crate) fn new(cv: f64) -> Option<Self> {
+    fn new(cv: f64) -> Option<Self> {
         if cv <= 0.0 {
             return None;
         }

@@ -9,11 +9,8 @@
 //! chunk's RTT is one of two values, so the median here is exact: whichever
 //! got more download time.
 
-use crate::network::{
-    chunk_multiplier, download_chunk, JitterLaw, NetworkProfile, IDLE_RESTART_AFTER,
-};
+use crate::network::{download_chunk, jitter_stream, NetworkProfile, IDLE_RESTART_AFTER};
 use netsim::{Rate, SimDuration, SimTime};
-use rand::prelude::*;
 use std::sync::Arc;
 use video::{Abr, Player, PlayerConfig, PlayerState, QoeSummary, Title};
 
@@ -94,6 +91,9 @@ pub struct SessionBuilder<'a> {
     max_wall_clock: SimDuration,
     /// RNG seed for capacity jitter.
     seed: u64,
+    /// The capacity multipliers, one per chunk, when already drawn; `None`
+    /// draws them from `seed` when the session runs.
+    jitter: Option<&'a [f64]>,
     /// Fixed session-setup latency before the first chunk request
     /// (manifest fetch, DRM license, player init). Real play delays are
     /// dominated by this constant, which is why even large download-rate
@@ -112,6 +112,7 @@ impl<'a> SessionBuilder<'a> {
             predicted_initial_rung: 2,
             max_wall_clock: SimDuration::from_secs(3600),
             seed: 0,
+            jitter: None,
             startup_latency: SimDuration::ZERO,
         }
     }
@@ -135,9 +136,25 @@ impl<'a> SessionBuilder<'a> {
         self
     }
 
-    /// RNG seed for capacity jitter (default: 0).
+    /// RNG seed for capacity jitter (default: 0): the session plays
+    /// [`jitter_stream`]`(profile, seed, chunks)`,
+    /// drawn when it runs.
     pub fn seed(mut self, seed: u64) -> Self {
         self.seed = seed;
+        self
+    }
+
+    /// Play an already drawn capacity-jitter stream, one multiplier per
+    /// chunk of the title (chunk `i` downloads under `stream[i]`), instead
+    /// of drawing one from the seed: handing in
+    /// [`jitter_stream`]`(profile, s, chunks)` runs
+    /// the session `.seed(s)` runs, bit for bit, so sessions that share a
+    /// seed can share one draw.
+    ///
+    /// # Panics
+    /// [`SessionBuilder::run`] panics if `stream` is shorter than the title.
+    pub fn jitter(mut self, stream: &'a [f64]) -> Self {
+        self.jitter = Some(stream);
         self
     }
 
@@ -158,10 +175,25 @@ impl<'a> SessionBuilder<'a> {
             predicted_initial_rung,
             max_wall_clock,
             seed,
+            jitter,
             startup_latency,
         } = self;
-        let mut rng = StdRng::seed_from_u64(seed);
-        let jitter_law = JitterLaw::new(profile.jitter_cv);
+        let drawn;
+        let jitter = match jitter {
+            Some(stream) => {
+                assert!(
+                    stream.len() >= title.len(),
+                    "a jitter stream of {} multipliers for a title of {} chunks",
+                    stream.len(),
+                    title.len()
+                );
+                stream
+            }
+            None => {
+                drawn = jitter_stream(profile, seed, title.len());
+                &drawn
+            }
+        };
 
         let initial_bitrate = title.ladder.rung(predicted_initial_rung).bitrate;
         let threshold = start_threshold(history_estimate, initial_bitrate);
@@ -198,8 +230,7 @@ impl<'a> SessionBuilder<'a> {
                     None => true,
                     Some(t) => now.saturating_since(t) > IDLE_RESTART_AFTER,
                 };
-                let jitter = chunk_multiplier(&mut rng, profile, jitter_law);
-                let out = download_chunk(profile, req.bytes, req.pace, cold, jitter);
+                let out = download_chunk(profile, req.bytes, req.pace, cold, jitter[req.index]);
                 now += out.download_time;
                 last_download_end = Some(now);
                 player.on_chunk_complete(now, out.download_time);
@@ -432,6 +463,82 @@ mod tests {
             .run();
         // The runner must terminate and report something sane.
         assert!(out.qoe.played <= SimDuration::from_secs(120));
+    }
+
+    /// A session's outcome to the bit: `Debug` prints every `f64` field in
+    /// its shortest round-trip form.
+    fn bits(out: &SessionOutcome) -> String {
+        format!("{out:?}")
+    }
+
+    fn sammy(history_mbps: f64) -> Box<dyn Abr> {
+        let store = shared_history();
+        store.update(Rate::from_mbps(history_mbps));
+        Box::new(sammy_core::Sammy::new(
+            Mpc::default(),
+            store,
+            sammy_core::SammyConfig::default(),
+        ))
+    }
+
+    /// A session abandoned at `max_wall_clock` plays only a prefix of its
+    /// stream; `.seed(s)` and the stream drawn from `s` still agree.
+    #[test]
+    fn abandoned_session_plays_the_seeds_stream() {
+        let p = NetworkProfile {
+            capacity: Rate::from_bps(100_000.0),
+            fade_prob: 0.05,
+            ..NetworkProfile::fast_cable()
+        };
+        let t = title(4.0);
+        let wall = SimDuration::from_secs(120);
+        let seeded = session(&p, t.clone(), production(None))
+            .max_wall_clock(wall)
+            .run();
+        let stream = jitter_stream(&p, 42, t.len());
+        let given = SessionBuilder::new(&p, t.clone(), production(None))
+            .max_wall_clock(wall)
+            .jitter(&stream)
+            .run();
+        assert!(seeded.chunks < t.len(), "the session must be abandoned");
+        assert_eq!(bits(&seeded), bits(&given));
+    }
+
+    proptest! {
+        /// `.seed(s)` plays `jitter_stream(profile, s, chunks)`: a session
+        /// handed that stream (and a different seed, which it ignores)
+        /// reports the same outcome to the bit, paced or not, with jitter,
+        /// fades, both or neither, run to the end or abandoned.
+        #[test]
+        fn seeded_session_equals_its_drawn_stream(
+            seed in any::<u64>(),
+            capacity_mbps in 0.2f64..60.0,
+            jitter_cv in 0.0f64..0.6,
+            shape in 0u8..4,
+            paced in any::<bool>(),
+            abandon in any::<bool>(),
+        ) {
+            let p = NetworkProfile {
+                capacity: Rate::from_mbps(capacity_mbps),
+                jitter_cv: if shape & 1 == 0 { jitter_cv } else { 0.0 },
+                fade_prob: if shape & 2 == 0 { 0.05 } else { 0.0 },
+                ..NetworkProfile::fast_cable()
+            };
+            let t = title(4.0);
+            let abr = || if paced { sammy(20.0) } else { production(Some(20.0)) };
+            let wall = SimDuration::from_secs(if abandon { 60 } else { 3600 });
+            let seeded = SessionBuilder::new(&p, t.clone(), abr())
+                .max_wall_clock(wall)
+                .seed(seed)
+                .run();
+            let stream = jitter_stream(&p, seed, t.len());
+            let given = SessionBuilder::new(&p, t.clone(), abr())
+                .max_wall_clock(wall)
+                .seed(!seed)
+                .jitter(&stream)
+                .run();
+            prop_assert_eq!(bits(&seeded), bits(&given));
+        }
     }
 
     /// The lower weighted median by definition: the samples are sorted by

@@ -20,10 +20,18 @@ pub struct QoeAccumulator {
     rebuffer_count: u64,
     rebuffer_time: SimDuration,
     rebuffer_started: Option<SimTime>,
-    /// (content duration, vmaf) per downloaded chunk, in playback order.
-    chunk_vmaf: Vec<(SimDuration, f64)>,
-    /// (content duration, bitrate bps) per downloaded chunk.
-    chunk_bitrate: Vec<(SimDuration, f64)>,
+    /// Running sums over the committed chunks, in playback order, each
+    /// `f64` operation the one a sum over per-chunk lists would make: the
+    /// content duration (s), and duration × VMAF and duration × bitrate
+    /// (bps). They start at −0.0, where `Iterator::sum` starts.
+    content_s: f64,
+    vmaf_s: f64,
+    bitrate_s: f64,
+    /// The initial window: the content still missing from it (s), and the
+    /// VMAF-weighted and plain durations taken into it.
+    window_left: f64,
+    window_vmaf_s: f64,
+    window_s: f64,
     played: SimDuration,
     ended: Option<SimTime>,
     quality_switches: u64,
@@ -38,8 +46,12 @@ impl QoeAccumulator {
             rebuffer_count: 0,
             rebuffer_time: SimDuration::ZERO,
             rebuffer_started: None,
-            chunk_vmaf: Vec::new(),
-            chunk_bitrate: Vec::new(),
+            content_s: -0.0,
+            vmaf_s: -0.0,
+            bitrate_s: -0.0,
+            window_left: INITIAL_VMAF_WINDOW.as_secs_f64(),
+            window_vmaf_s: 0.0,
+            window_s: 0.0,
             played: SimDuration::ZERO,
             ended: None,
             quality_switches: 0,
@@ -68,8 +80,16 @@ impl QoeAccumulator {
 
     /// A chunk was committed to the playback queue.
     pub fn on_chunk(&mut self, duration: SimDuration, vmaf: f64, bitrate: Rate) {
-        self.chunk_vmaf.push((duration, vmaf));
-        self.chunk_bitrate.push((duration, bitrate.bps()));
+        let d = duration.as_secs_f64();
+        self.content_s += d;
+        self.vmaf_s += d * vmaf;
+        self.bitrate_s += d * bitrate.bps();
+        if self.window_left > 0.0 {
+            let take = d.min(self.window_left);
+            self.window_vmaf_s += take * vmaf;
+            self.window_s += take;
+            self.window_left -= take;
+        }
     }
 
     /// `elapsed` of content actually played.
@@ -113,41 +133,18 @@ impl QoeAccumulator {
             play_delay,
             rebuffer_count: self.rebuffer_count,
             rebuffer_time: self.rebuffer_time,
-            mean_vmaf: weighted_mean(&self.chunk_vmaf),
-            initial_vmaf: initial_window_mean(&self.chunk_vmaf, INITIAL_VMAF_WINDOW),
-            mean_bitrate: weighted_mean(&self.chunk_bitrate).map(Rate::from_bps),
+            mean_vmaf: self.content_mean(self.vmaf_s),
+            initial_vmaf: (self.window_s > 0.0).then(|| self.window_vmaf_s / self.window_s),
+            mean_bitrate: self.content_mean(self.bitrate_s).map(Rate::from_bps),
             played: self.played,
             quality_switches: self.quality_switches,
         }
     }
-}
 
-fn weighted_mean(points: &[(SimDuration, f64)]) -> Option<f64> {
-    let total: f64 = points.iter().map(|(d, _)| d.as_secs_f64()).sum();
-    if total <= 0.0 {
-        return None;
-    }
-    Some(points.iter().map(|(d, v)| d.as_secs_f64() * v).sum::<f64>() / total)
-}
-
-/// Time-weighted mean over only the first `window` of content.
-fn initial_window_mean(points: &[(SimDuration, f64)], window: SimDuration) -> Option<f64> {
-    let mut remaining = window.as_secs_f64();
-    let mut num = 0.0;
-    let mut den = 0.0;
-    for (d, v) in points {
-        if remaining <= 0.0 {
-            break;
-        }
-        let take = d.as_secs_f64().min(remaining);
-        num += take * v;
-        den += take;
-        remaining -= take;
-    }
-    if den > 0.0 {
-        Some(num / den)
-    } else {
-        None
+    /// The time-weighted mean whose numerator is `weighted_s`; `None`
+    /// before any content.
+    fn content_mean(&self, weighted_s: f64) -> Option<f64> {
+        (self.content_s > 0.0).then(|| weighted_s / self.content_s)
     }
 }
 
@@ -193,6 +190,89 @@ impl QoeSummary {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The whole-session time-weighted mean over per-chunk
+    /// `(duration, value)` lists, as the accumulator computed it before it
+    /// kept running sums.
+    fn weighted_mean(points: &[(SimDuration, f64)]) -> Option<f64> {
+        let total: f64 = points.iter().map(|(d, _)| d.as_secs_f64()).sum();
+        if total <= 0.0 {
+            return None;
+        }
+        Some(points.iter().map(|(d, v)| d.as_secs_f64() * v).sum::<f64>() / total)
+    }
+
+    /// The time-weighted mean over only the first `window` of content, as
+    /// the accumulator computed it before it kept running sums.
+    fn initial_window_mean(points: &[(SimDuration, f64)], window: SimDuration) -> Option<f64> {
+        let mut remaining = window.as_secs_f64();
+        let mut num = 0.0;
+        let mut den = 0.0;
+        for (d, v) in points {
+            if remaining <= 0.0 {
+                break;
+            }
+            let take = d.as_secs_f64().min(remaining);
+            num += take * v;
+            den += take;
+            remaining -= take;
+        }
+        if den > 0.0 {
+            Some(num / den)
+        } else {
+            None
+        }
+    }
+
+    fn bits(x: Option<f64>) -> Option<u64> {
+        x.map(f64::to_bits)
+    }
+
+    proptest! {
+        /// The running sums against the list oracle, to the bit, over
+        /// random chunk streams: empty sessions, zero-length chunks, whole
+        /// 4 s chunks (the window ends on a boundary), nanosecond
+        /// durations (it ends inside a chunk), and VMAFs of ±0.0.
+        #[test]
+        fn summary_matches_the_list_oracle(
+            chunks in prop::collection::vec(
+                (0u8..8, 0u64..8_000_000_000, 0u8..8, 0.0f64..100.0, 1e5f64..2e7),
+                0..40,
+            ),
+            empty in 0u8..8,
+        ) {
+            let n = if empty == 0 { 0 } else { chunks.len() };
+            let mut q = QoeAccumulator::new(SimTime::ZERO);
+            let (mut vmafs, mut bitrates) = (Vec::new(), Vec::new());
+            for &(d_kind, nanos, v_kind, vmaf, bps) in &chunks[..n] {
+                let d = match d_kind {
+                    0 => SimDuration::ZERO,
+                    1..=3 => SimDuration::from_secs(4),
+                    _ => SimDuration::from_nanos(nanos),
+                };
+                let v = match v_kind {
+                    0 => 0.0,
+                    1 => -0.0,
+                    _ => vmaf,
+                };
+                let rate = Rate::from_bps(bps);
+                q.on_chunk(d, v, rate);
+                vmafs.push((d, v));
+                bitrates.push((d, rate.bps()));
+            }
+            let s = q.summary();
+            prop_assert_eq!(bits(s.mean_vmaf), bits(weighted_mean(&vmafs)));
+            prop_assert_eq!(
+                bits(s.initial_vmaf),
+                bits(initial_window_mean(&vmafs, INITIAL_VMAF_WINDOW))
+            );
+            prop_assert_eq!(
+                bits(s.mean_bitrate.map(|r| r.bps())),
+                bits(weighted_mean(&bitrates).map(|b| Rate::from_bps(b).bps()))
+            );
+        }
+    }
 
     #[test]
     fn play_delay_and_rebuffers() {

@@ -113,6 +113,12 @@ impl<'a> Lookahead<'a> {
     /// block: `h` rows of one entry per rung, so row `i` is
     /// `self.chunk(i).sizes()`.
     ///
+    /// Within a row, sizes never decrease with rung: a ladder's bitrates
+    /// ascend and [`Title::generate`] scales every rung of a chunk by the
+    /// one multiplier, through a floor and a `max(1)` that both keep order.
+    /// `abr::Mpc` relies on this to skip its rebuffer walk when the top
+    /// rung cannot stall.
+    ///
     /// # Panics
     /// Panics if `h` exceeds the window.
     pub fn sizes(&self, h: usize) -> &'a [u64] {
@@ -189,14 +195,20 @@ impl Title {
             } else {
                 (mu + sigma * gaussian(&mut rng)).exp().clamp(0.4, 2.5)
             };
-            for &ideal in &ideal[..rungs] {
-                sizes.push(((ideal * mult) as u64).max(1));
-            }
+            sizes.extend(
+                ideal[..rungs]
+                    .iter()
+                    .map(|&ideal| ((ideal * mult) as u64).max(1)),
+            );
             // Scene-dependent quality offset, shared across rungs.
             let offset = gaussian(&mut rng) * cfg.vmaf_sd;
-            for (r, &w) in ladder.rungs().iter().zip(&offset_weight) {
-                vmafs.push((r.vmaf + offset * w).clamp(0.0, 100.0));
-            }
+            vmafs.extend(
+                ladder
+                    .rungs()
+                    .iter()
+                    .zip(&offset_weight)
+                    .map(|(r, &w)| (r.vmaf + offset * w).clamp(0.0, 100.0)),
+            );
         }
         Title {
             ladder,
@@ -260,6 +272,7 @@ fn gaussian(rng: &mut StdRng) -> f64 {
 mod tests {
     use super::*;
     use crate::vmaf::VmafModel;
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     fn title(seed: u64, cv: f64) -> Title {
         Title::generate(
@@ -410,6 +423,67 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// Cases of `monotone_size_cases` in which some chunk's multiplier sat
+    /// on the [0.4, 2.5] clamp.
+    static CLAMPED: AtomicUsize = AtomicUsize::new(0);
+
+    proptest::proptest! {
+        /// The order [`Lookahead::sizes`] promises: every chunk's sizes
+        /// never decrease with rung, over ladders of 1–9 rungs under tops
+        /// of 1.75–16 Mbps and size wobbles from CBR to a `size_cv` of 0.5,
+        /// whose multipliers reach the clamp.
+        fn monotone_size_cases(
+            seed in 0u64..100_000,
+            top_mbps in 1.75f64..16.0,
+            rungs in 1usize..=9,
+            cv_draw in 0u8..8,
+            cv in 0.0f64..=0.5,
+        ) {
+            let mut rates: Vec<f64> = [0.235, 0.56, 1.05, 1.75, 3.0, 4.3, 5.8, 8.1]
+                .iter()
+                .map(|m| m * 1e6)
+                .filter(|&r| r < top_mbps * 1e6 * 0.99)
+                .collect();
+            rates.push(top_mbps * 1e6);
+            let rates = &rates[rates.len().saturating_sub(rungs)..];
+            // One case in eight is CBR, one in eight at the widest wobble.
+            let size_cv = match cv_draw {
+                0 => 0.0,
+                1 => 0.5,
+                _ => cv,
+            };
+            let t = Title::generate(
+                Ladder::from_bitrates(rates, &VmafModel::standard()),
+                &TitleConfig { seed, size_cv, ..Default::default() },
+            );
+            let top = t.ladder.top();
+            let ideal = t.ladder.rung(top).bitrate.bps() * 4.0 / 8.0;
+            let mut clamped = false;
+            for i in 0..t.len() {
+                let row = t.chunk(i).sizes();
+                proptest::prop_assert!(
+                    row.windows(2).all(|w| w[0] <= w[1]),
+                    "chunk {} sizes {:?}",
+                    i,
+                    row
+                );
+                clamped |= [0.4, 2.5].iter().any(|&m| row[top] == (ideal * m) as u64);
+            }
+            if clamped {
+                CLAMPED.fetch_add(1, Ordering::Relaxed);
+            }
+        }
+    }
+
+    #[test]
+    fn generated_sizes_never_decrease_with_rung() {
+        monotone_size_cases();
+        assert!(
+            CLAMPED.load(Ordering::Relaxed) > 0,
+            "no case reached the clamp"
+        );
     }
 
     #[test]
