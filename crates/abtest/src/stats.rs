@@ -3,11 +3,11 @@
 //! The paper reports per-arm medians (median over sessions; median of
 //! per-session medians for RTT), percent changes vs control, and 95%
 //! confidence intervals; non-significant movements are reported as "–"
-//! (Tables 2 and 3). The arm statistics come from mergeable summaries
-//! ([`StreamingStat`]); the one interval is the paired per-session mean's
-//! Poisson bootstrap, folded by [`crate::streaming`] (DESIGN.md §7).
-
-use serde::{Deserialize, Serialize};
+//! (Tables 2 and 3). Each arm of a row keeps only the statistic the row
+//! reports ([`StreamingStat`]): a t-digest for a median row, an exact
+//! count and sum for a mean row. The one interval is the paired
+//! per-session mean's Poisson bootstrap, folded by [`crate::streaming`]
+//! (DESIGN.md §7).
 
 /// Percentile `q ∈ [0,1]` of a slice, by linear interpolation between the
 /// two nearest order statistics (the "type 7" / numpy-default definition,
@@ -39,7 +39,7 @@ pub fn percentile(values: &[f64], q: f64) -> f64 {
 }
 
 /// How an arm-level statistic is computed from per-session values.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Aggregate {
     /// Median over sessions (the paper's default).
     Median,
@@ -63,7 +63,7 @@ pub(crate) fn pct_change(control: f64, treatment: f64) -> f64 {
 /// median of a discrete metric (e.g. VMAF, which takes ladder-rung values)
 /// ties at zero under small effects, while the paired mean resolves
 /// sub-percent shifts — the scale of the paper's QoE movements.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PairedDelta {
     /// Mean of per-session `(t − c)/c × 100` over all pairs.
     pub mean_delta_pct: f64,
@@ -81,134 +81,121 @@ impl PairedDelta {
     }
 }
 
-/// A mergeable streaming summary of a metric: exact count/mean plus
-/// t-digest quantiles.
+/// One arm of one report row, keeping exactly the statistic its row's
+/// [`Aggregate`] reports: a `Median` row's arm is a bare t-digest (δ = 100;
+/// its count is the digest's own), a `Mean` row's arm an exact count and
+/// sum.
 ///
-/// The streaming runner keeps one `StreamingStat` per metric and arm in
-/// each shard's [`MetricAcc`](crate::streaming::MetricAcc); shard summaries
-/// are then [`merge`](StreamingStat::merge)d into the experiment-wide
-/// summary. Count and mean merge exactly (order independent); quantiles
-/// come from the underlying [`tdigest::TDigest`], whose estimates are
-/// order-*insensitive* within the digest's accuracy bound (≈1% in quantile
-/// space at the default compression) but not bit-identical across merge
-/// orders — which is why the runner merges in strict shard order.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct StreamingStat {
-    digest: tdigest::TDigest,
-    count: u64,
-    sum: f64,
-}
-
-impl Default for StreamingStat {
-    fn default() -> Self {
-        Self::new()
-    }
+/// The streaming runner keeps one per arm in each shard's
+/// [`MetricAcc`](crate::streaming::MetricAcc) and
+/// [`merge`](StreamingStat::merge)s shard summaries in strict shard order.
+/// Counts are exact; a sum rounds in the order it is added and merged, as
+/// a digest's centroids do, so neither is bit-identical across merge
+/// orders.
+#[derive(Debug, Clone)]
+pub enum StreamingStat {
+    /// A `Median` row's arm.
+    Median(tdigest::TDigest),
+    /// A `Mean` row's arm.
+    Mean {
+        /// Finite samples added.
+        count: u64,
+        /// Their sum, in the order they were added (`+0.0` while `count`
+        /// is 0: `decode` refuses any other).
+        sum: f64,
+    },
 }
 
 impl StreamingStat {
-    /// An empty summary with the default digest compression (δ = 100).
-    pub fn new() -> Self {
-        StreamingStat {
-            digest: tdigest::TDigest::new(100.0),
-            count: 0,
-            sum: 0.0,
+    /// An empty summary for a row aggregated by `agg`.
+    pub fn new(agg: Aggregate) -> Self {
+        match agg {
+            Aggregate::Median => StreamingStat::Median(tdigest::TDigest::new(100.0)),
+            Aggregate::Mean => StreamingStat::Mean { count: 0, sum: 0.0 },
         }
     }
 
     /// Add one sample. Non-finite samples are ignored, matching the
     /// digest's policy.
     pub fn add(&mut self, value: f64) {
-        if !value.is_finite() {
-            return;
+        match self {
+            StreamingStat::Median(digest) => digest.add(value),
+            StreamingStat::Mean { count, sum } => {
+                if value.is_finite() {
+                    *count += 1;
+                    *sum += value;
+                }
+            }
         }
-        self.digest.add(value);
-        self.count += 1;
-        self.sum += value;
     }
 
-    /// Fold another shard's summary into this one.
+    /// Fold another shard's summary of the same row into this one.
+    ///
+    /// # Panics
+    /// Panics if the two summaries belong to rows of different aggregates.
     pub fn merge(&mut self, other: &StreamingStat) {
-        self.digest.merge(&other.digest);
-        self.count += other.count;
-        self.sum += other.sum;
+        match (self, other) {
+            (StreamingStat::Median(a), StreamingStat::Median(b)) => a.merge(b),
+            (StreamingStat::Mean { count, sum }, StreamingStat::Mean { count: n, sum: s }) => {
+                *count += n;
+                *sum += s;
+            }
+            _ => panic!("merged summaries of a Median and a Mean row"),
+        }
     }
 
     /// Number of finite samples absorbed.
     pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Exact mean of absorbed samples (NaN if empty).
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            f64::NAN
-        } else {
-            self.sum / self.count as f64
+        match self {
+            StreamingStat::Median(digest) => digest.count(),
+            StreamingStat::Mean { count, .. } => *count,
         }
     }
 
-    /// Estimated quantile `q ∈ [0,1]` (NaN if empty).
-    pub fn percentile(&self, q: f64) -> f64 {
-        self.digest.quantile(q)
-    }
-
-    /// Estimated median.
-    pub fn median(&self) -> f64 {
-        self.digest.median()
-    }
-
-    /// Smallest absorbed sample, or `None` if empty.
-    pub fn min(&self) -> Option<f64> {
-        self.digest.min()
-    }
-
-    /// Largest absorbed sample, or `None` if empty.
-    pub fn max(&self) -> Option<f64> {
-        self.digest.max()
+    /// The row's statistic: the digest's median, or the exact mean (NaN
+    /// if empty, either way).
+    pub fn value(&self) -> f64 {
+        match self {
+            StreamingStat::Median(digest) => digest.median(),
+            StreamingStat::Mean { count: 0, .. } => f64::NAN,
+            StreamingStat::Mean { count, sum } => sum / *count as f64,
+        }
     }
 
     /// Serialize via the [`tdigest::wire`] codec (bit-exact round trip;
-    /// used by experiment checkpoints).
+    /// used by experiment checkpoints). The aggregate is not written: the
+    /// row table says which layout follows.
     pub fn encode(&self, out: &mut Vec<u8>) {
-        self.digest.encode(out);
-        tdigest::wire::put_u64(out, self.count);
-        tdigest::wire::put_f64(out, self.sum);
+        match self {
+            StreamingStat::Median(digest) => digest.encode(out),
+            StreamingStat::Mean { count, sum } => {
+                tdigest::wire::put_u64(out, *count);
+                tdigest::wire::put_f64(out, *sum);
+            }
+        }
     }
 
-    /// Decode a summary written by [`StreamingStat::encode`], refusing
-    /// what it never writes: a count other than the digest's, or an empty
-    /// summary whose sum is not `+0.0`. A non-finite sum of finite samples
-    /// (an overflow) is legal.
+    /// Decode a summary written by [`StreamingStat::encode`] for a row
+    /// aggregated by `agg`, refusing what it never writes: an empty mean
+    /// whose sum is not `+0.0`. A non-finite sum of finite samples (an
+    /// overflow) is legal.
     pub fn decode(
         r: &mut tdigest::wire::Reader<'_>,
+        agg: Aggregate,
     ) -> Result<StreamingStat, tdigest::wire::WireError> {
-        let bad = |context| tdigest::wire::WireError { context };
-        let digest = tdigest::TDigest::decode(r)?;
-        let count = r.u64("streaming_stat.count")?;
-        if count != digest.count() {
-            return Err(bad("streaming_stat.count"));
-        }
-        let sum = r.f64("streaming_stat.sum")?;
-        if count == 0 && sum.to_bits() != 0.0f64.to_bits() {
-            return Err(bad("streaming_stat.sum"));
-        }
-        Ok(StreamingStat { digest, count, sum })
-    }
-}
-
-impl FromIterator<f64> for StreamingStat {
-    fn from_iter<I: IntoIterator<Item = f64>>(iter: I) -> Self {
-        let mut s = StreamingStat::new();
-        s.extend(iter);
-        s
-    }
-}
-
-impl Extend<f64> for StreamingStat {
-    fn extend<I: IntoIterator<Item = f64>>(&mut self, iter: I) {
-        for v in iter {
-            self.add(v);
-        }
+        Ok(match agg {
+            Aggregate::Median => StreamingStat::Median(tdigest::TDigest::decode(r)?),
+            Aggregate::Mean => {
+                let count = r.u64("streaming_stat.count")?;
+                let sum = r.f64("streaming_stat.sum")?;
+                if count == 0 && sum.to_bits() != 0.0f64.to_bits() {
+                    return Err(tdigest::wire::WireError {
+                        context: "streaming_stat.sum",
+                    });
+                }
+                StreamingStat::Mean { count, sum }
+            }
+        })
     }
 }
 
@@ -312,25 +299,35 @@ mod tests {
         }
     }
 
+    /// A summary of `values` for a row aggregated by `agg`.
+    fn folded(agg: Aggregate, values: impl IntoIterator<Item = f64>) -> StreamingStat {
+        let mut s = StreamingStat::new(agg);
+        for v in values {
+            s.add(v);
+        }
+        s
+    }
+
     #[test]
-    fn streaming_stat_tracks_exact_moments() {
-        let s: StreamingStat = (0..1000).map(|i| i as f64).collect();
-        assert_eq!(s.count(), 1000);
-        assert!((s.mean() - 499.5).abs() < 1e-9);
-        assert_eq!(s.min(), Some(0.0));
-        assert_eq!(s.max(), Some(999.0));
-        let med = s.median();
+    fn streaming_stat_reports_its_rows_statistic() {
+        let values = || (0..1000).map(|i| i as f64);
+        let mean = folded(Aggregate::Mean, values());
+        assert_eq!(mean.count(), 1000);
+        assert_eq!(mean.value(), 499.5);
+        let median = folded(Aggregate::Median, values());
+        assert_eq!(median.count(), 1000);
+        let med = median.value();
         assert!((med - 499.5).abs() < 15.0, "median estimate off: {med}");
     }
 
     #[test]
     fn streaming_stat_ignores_non_finite() {
-        let mut s = StreamingStat::new();
-        s.add(f64::NAN);
-        s.add(f64::INFINITY);
-        assert_eq!(s.count(), 0);
-        assert!(s.mean().is_nan());
-        assert!(s.median().is_nan());
+        for agg in [Aggregate::Median, Aggregate::Mean] {
+            let s = folded(agg, [f64::NAN, f64::INFINITY]);
+            assert_eq!(s.count(), 0, "{agg:?}");
+            assert!(s.value().is_nan(), "{agg:?}");
+            assert_eq!(encoded(&s), encoded(&StreamingStat::new(agg)), "{agg:?}");
+        }
     }
 
     fn encoded(s: &StreamingStat) -> Vec<u8> {
@@ -339,84 +336,80 @@ mod tests {
         out
     }
 
-    fn decoded(bytes: &[u8]) -> Result<StreamingStat, tdigest::wire::WireError> {
+    fn decoded(bytes: &[u8], agg: Aggregate) -> Result<StreamingStat, tdigest::wire::WireError> {
         let mut r = tdigest::wire::Reader::new(bytes);
-        let s = StreamingStat::decode(&mut r)?;
+        let s = StreamingStat::decode(&mut r, agg)?;
         assert_eq!(r.remaining(), 0, "decode must consume the whole encoding");
         Ok(s)
     }
 
-    /// An encoding with its trailing `(count, sum)` replaced.
-    fn patched(bytes: &[u8], count: u64, sum: f64) -> Vec<u8> {
-        let mut out = bytes[..bytes.len() - 16].to_vec();
+    /// A mean arm's encoding: its `(count, sum)`, nothing else.
+    fn mean_bytes(count: u64, sum: f64) -> Vec<u8> {
+        let mut out = Vec::new();
         tdigest::wire::put_u64(&mut out, count);
         tdigest::wire::put_f64(&mut out, sum);
         out
     }
 
     /// Every summary `encode` can write decodes and re-encodes to the same
-    /// bytes: empty, one sample, 1 000 samples, a merge of shards, and a
-    /// sum that overflowed to +∞.
+    /// bytes, for either aggregate: empty, one sample, 1 000 samples, a
+    /// merge of shards, and a sum that overflowed to +∞.
     #[test]
     fn streaming_stat_round_trips_valid_encodings() {
-        let mut merged: StreamingStat = (0..300).map(|i| i as f64).collect();
-        merged.merge(&(0..200).map(|i| -(i as f64)).collect());
-        let overflow: StreamingStat = [f64::MAX, f64::MAX].into_iter().collect();
-        assert_eq!(overflow.mean(), f64::INFINITY);
-        for s in [
-            StreamingStat::new(),
-            std::iter::once(-0.0).collect(),
-            (0..1000).map(|i| i as f64).collect(),
-            merged,
-            overflow,
-        ] {
-            let bytes = encoded(&s);
-            let back = decoded(&bytes).expect("a valid encoding decodes");
-            assert_eq!(encoded(&back), bytes);
+        for agg in [Aggregate::Median, Aggregate::Mean] {
+            let mut merged = folded(agg, (0..300).map(|i| i as f64));
+            merged.merge(&folded(agg, (0..200).map(|i| -(i as f64))));
+            for s in [
+                StreamingStat::new(agg),
+                folded(agg, [-0.0]),
+                folded(agg, (0..1000).map(|i| i as f64)),
+                merged,
+                folded(agg, [f64::MAX, f64::MAX]),
+            ] {
+                let bytes = encoded(&s);
+                let back = decoded(&bytes, agg).expect("a valid encoding decodes");
+                assert_eq!(encoded(&back), bytes, "{agg:?}");
+            }
         }
+        let overflow = folded(Aggregate::Mean, [f64::MAX, f64::MAX]);
+        assert_eq!(overflow.value(), f64::INFINITY);
+        assert_eq!(encoded(&overflow), mean_bytes(2, f64::INFINITY));
     }
 
-    /// A count that is not the digest's, or an empty summary's sum that is
-    /// not `+0.0`, is refused: a count of 0 beside a 1 000-sample digest
-    /// once decoded to a NaN mean and a median of 499.5.
+    /// An empty mean whose sum is not `+0.0` is refused, and a mean arm's
+    /// bytes are not a digest.
     #[test]
     fn streaming_stat_decode_refuses_what_encode_never_writes() {
-        let full = encoded(&(0..1000).map(|i| i as f64).collect());
-        let sum = 499_500.0;
-        assert!(decoded(&patched(&full, 1000, sum)).is_ok());
-        for count in [0, 999, 1001, u64::MAX] {
-            let err = decoded(&patched(&full, count, sum)).unwrap_err();
-            assert_eq!(err.context, "streaming_stat.count", "count {count}");
-        }
-        let empty = encoded(&StreamingStat::new());
-        assert!(decoded(&patched(&empty, 0, 0.0)).is_ok());
-        assert!(decoded(&patched(&empty, 1, 0.0)).is_err());
+        assert!(decoded(&mean_bytes(0, 0.0), Aggregate::Mean).is_ok());
+        assert!(decoded(&mean_bytes(1, 0.0), Aggregate::Mean).is_ok());
         for sum in [-0.0, 1.0, f64::NAN, f64::INFINITY] {
-            let err = decoded(&patched(&empty, 0, sum)).unwrap_err();
+            let err = decoded(&mean_bytes(0, sum), Aggregate::Mean).unwrap_err();
             assert_eq!(err.context, "streaming_stat.sum", "sum {sum}");
         }
+        let full = folded(Aggregate::Mean, (0..1000).map(|i| i as f64));
+        assert!(decoded(&encoded(&full), Aggregate::Median).is_err());
     }
 
     #[test]
     fn streaming_stat_merge_matches_pooled_counts() {
-        let mut shards: Vec<StreamingStat> = Vec::new();
-        for shard in 0..8 {
-            shards.push((0..250).map(|i| (shard * 250 + i) as f64).collect());
-        }
-        let mut merged = StreamingStat::new();
-        for s in &shards {
-            merged.merge(s);
-        }
-        let pooled: StreamingStat = (0..2000).map(|i| i as f64).collect();
-        assert_eq!(merged.count(), pooled.count());
-        assert!((merged.mean() - pooled.mean()).abs() < 1e-9);
-        for q in [0.1, 0.5, 0.9, 0.99] {
-            let m = merged.percentile(q);
-            let p = pooled.percentile(q);
+        for agg in [Aggregate::Median, Aggregate::Mean] {
+            let mut merged = StreamingStat::new(agg);
+            for shard in 0..8 {
+                merged.merge(&folded(agg, (0..250).map(|i| (shard * 250 + i) as f64)));
+            }
+            let pooled = folded(agg, (0..2000).map(|i| i as f64));
+            assert_eq!(merged.count(), pooled.count(), "{agg:?}");
+            let (m, p) = (merged.value(), pooled.value());
             assert!(
                 (m - p).abs() < 2000.0 * 0.02,
-                "q={q}: merged {m} vs pooled {p}"
+                "{agg:?}: merged {m} vs pooled {p}"
             );
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "a Median and a Mean row")]
+    fn streaming_stat_merge_refuses_the_other_aggregate() {
+        StreamingStat::new(Aggregate::Median).merge(&StreamingStat::new(Aggregate::Mean));
     }
 }

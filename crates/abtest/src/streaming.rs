@@ -50,8 +50,11 @@ const CKPT_MAGIC: u64 = u64::from_le_bytes(*b"SMYCKPT1");
 /// under per-metric bootstrap weights; resuming one would splice two
 /// keyings into one set of replicates. Version 2 had no row table in its
 /// config fingerprint; refusing it by version says why, where a config
-/// mismatch would not.
-const CKPT_VERSION: u32 = 3;
+/// mismatch would not. Version 3 wrote a digest and an exact `(count,
+/// sum)` for every arm of every row; version 4 writes only the row's
+/// statistic (a digest on a `Median` row, `(count, sum)` on a `Mean` row),
+/// and hashes each row's aggregate into the config fingerprint.
+const CKPT_VERSION: u32 = 4;
 /// Failure samples retained in the merged state (counts are exact; the
 /// samples are the first few in population order, for error messages).
 const MAX_FAILURE_SAMPLES: usize = 32;
@@ -180,7 +183,9 @@ fn draw_weights(seed: u64, user_id: u64, weights: &mut [u8]) {
 
 /// Mergeable accumulator for one row of the report.
 ///
-/// Per arm: a [`StreamingStat`] (t-digest quantiles + exact count/mean).
+/// Per arm: a [`StreamingStat`] holding only what the row reports — a
+/// bare t-digest on a `Median` row, an exact `(count, sum)` on a `Mean`
+/// row — so which layout an accumulator has follows from the row table.
 /// For the paired comparison: the exact sum/count of per-session
 /// `(t − c)/c × 100` deltas, plus `R` Poisson-bootstrap replicates of that
 /// same (sum, count) pair — a cluster bootstrap over users that needs
@@ -198,10 +203,10 @@ pub struct MetricAcc {
 }
 
 impl MetricAcc {
-    fn new(reps: usize) -> Self {
+    fn new(reps: usize, agg: Aggregate) -> Self {
         MetricAcc {
-            control: StreamingStat::new(),
-            treatment: StreamingStat::new(),
+            control: StreamingStat::new(agg),
+            treatment: StreamingStat::new(agg),
             delta_sum: 0.0,
             delta_count: 0,
             boot: vec![(0.0, 0); reps],
@@ -255,9 +260,9 @@ impl MetricAcc {
         }
     }
 
-    /// Fold another shard's accumulator. Exact for every field; the digest
-    /// merge is order-sensitive in its low bits, which is why shards merge
-    /// in a fixed order.
+    /// Fold another shard's accumulator. Exact for every count; the sums
+    /// and the digest merge are order-sensitive in their low bits, which is
+    /// why shards merge in a fixed order.
     fn merge(&mut self, other: &MetricAcc) {
         assert_eq!(self.boot.len(), other.boot.len(), "bootstrap reps differ");
         self.control.merge(&other.control);
@@ -332,11 +337,15 @@ impl MetricAcc {
     /// replicate's — that is not `+0.0` (a zero count means nothing was
     /// added but zero-weight `±0.0`s). A non-finite sum beside a non-zero
     /// count is legal.
-    fn decode(r: &mut Reader<'_>, expect_reps: usize) -> Result<MetricAcc, wire::WireError> {
+    fn decode(
+        r: &mut Reader<'_>,
+        expect_reps: usize,
+        agg: Aggregate,
+    ) -> Result<MetricAcc, wire::WireError> {
         let bad = |context| wire::WireError { context };
         let empty_sum = |n: u64, s: f64| n == 0 && s.to_bits() != 0.0f64.to_bits();
-        let control = StreamingStat::decode(r)?;
-        let treatment = StreamingStat::decode(r)?;
+        let control = StreamingStat::decode(r, agg)?;
+        let treatment = StreamingStat::decode(r, agg)?;
         let delta_sum = r.f64("metric.delta_sum")?;
         let delta_count = r.u64("metric.delta_count")?;
         if delta_count > control.count().min(treatment.count()) {
@@ -427,7 +436,10 @@ impl ShardState {
     fn new(reps: usize, rows: MetricTable) -> Self {
         ShardState {
             rows,
-            metrics: rows.iter().map(|_| MetricAcc::new(reps)).collect(),
+            metrics: rows
+                .iter()
+                .map(|&(_, agg, _)| MetricAcc::new(reps, agg))
+                .collect(),
             users: 0,
             control_sessions: 0,
             treatment_sessions: 0,
@@ -529,8 +541,8 @@ impl ShardState {
             });
         }
         let mut metrics = Vec::with_capacity(n_metrics);
-        for _ in 0..n_metrics {
-            metrics.push(MetricAcc::decode(r, expect_reps)?);
+        for &(_, agg, _) in rows {
+            metrics.push(MetricAcc::decode(r, expect_reps, agg)?);
         }
         let users = r.u64("state.users")?;
         let control_sessions = r.u64("state.control_sessions")?;
@@ -568,7 +580,8 @@ impl ShardState {
 /// The fingerprint that ties a checkpoint to one exact run configuration.
 /// Any difference — population, arms, seeds, session counts, shard size,
 /// bootstrap reps, row table — makes resume a hard error instead of a
-/// subtle lie.
+/// subtle lie. A row's aggregate is hashed beside its name: it decides the
+/// row's layout in the payload.
 fn config_fingerprint(
     population: &PopulationConfig,
     control: Arm,
@@ -590,8 +603,9 @@ fn config_fingerprint(
     h.u64(cfg.seed);
     h.u64(cfg.bootstrap_reps as u64);
     h.u64(shard_size as u64);
-    for &(name, ..) in rows {
+    for &(name, agg, _) in rows {
         h.str(name);
+        h.u64(agg as u64);
     }
     h.finish()
 }
@@ -802,7 +816,7 @@ pub struct StreamRow {
     pub name: &'static str,
     /// How the per-arm statistic is aggregated.
     pub agg: Aggregate,
-    /// Control-arm statistic (t-digest median or exact mean).
+    /// Control-arm statistic (t-digest median or exact mean, by `agg`).
     pub control: f64,
     /// Treatment-arm statistic.
     pub treatment: f64,
@@ -837,12 +851,7 @@ impl StreamReport {
             .iter()
             .zip(state.metrics())
             .map(|(&(name, agg, _), m)| {
-                let stat = |s: &StreamingStat| match agg {
-                    Aggregate::Median => s.median(),
-                    Aggregate::Mean => s.mean(),
-                };
-                let control = stat(m.control());
-                let treatment = stat(m.treatment());
+                let (control, treatment) = (m.control().value(), m.treatment().value());
                 StreamRow {
                     name,
                     agg,
@@ -1315,7 +1324,7 @@ mod tests {
     fn non_finite_delta_reaches_only_the_replicates_that_drew_the_user() {
         const REPS: usize = 200;
         let seed = 5;
-        let mut acc = MetricAcc::new(REPS);
+        let mut acc = MetricAcc::new(REPS, Aggregate::Median);
         let mut weights = vec![0u8; REPS];
         // Finite users first, so most slots hold bits to keep.
         for u in 0..20u64 {
@@ -1355,10 +1364,10 @@ mod tests {
     }
 
     /// `MetricAcc::decode` takes every accumulator `fold_user` and `merge`
-    /// can build — non-finite paired and replicate sums included — and
-    /// re-encodes it to the same bytes, but refuses one whose pairs
-    /// outnumber an arm's samples, or whose paired or replicate sum beside
-    /// a zero count is not `+0.0`.
+    /// can build on either kind of row — non-finite paired and replicate
+    /// sums included — and re-encodes it to the same bytes, but refuses
+    /// one whose pairs outnumber an arm's samples, or whose paired or
+    /// replicate sum beside a zero count is not `+0.0`.
     #[test]
     fn metric_acc_decode_refuses_what_encode_never_writes() {
         const REPS: usize = 40;
@@ -1367,45 +1376,47 @@ mod tests {
             acc.encode(&mut out);
             out
         };
-        let decode = |acc: &MetricAcc| {
-            MetricAcc::decode(&mut Reader::new(&bytes(acc)), REPS).map_err(|e| e.context)
-        };
-        let mut weights = vec![0u8; REPS];
-        let mut acc = MetricAcc::new(REPS);
-        // Two users: some replicate draws neither.
-        for u in 0..2u64 {
-            draw_weights(2, u, &mut weights);
-            acc.fold_user(&weights, &[10.0 + u as f64, f64::NAN], &[9.5, 3.0, 4.0]);
-        }
-        let mut overflowed = acc.clone();
-        draw_weights(2, 2, &mut weights);
-        overflowed.fold_user(&weights, &[1e-300, 1e-300], &[1e300, -1e300]);
-        assert!(overflowed.delta_sum.is_nan());
-        let empty = MetricAcc::new(REPS);
-        for valid in [&empty, &acc, &overflowed] {
-            let back = decode(valid).expect("a valid encoding decodes");
-            assert_eq!(bytes(&back), bytes(valid));
-        }
+        for agg in [Aggregate::Median, Aggregate::Mean] {
+            let decode = |acc: &MetricAcc| {
+                MetricAcc::decode(&mut Reader::new(&bytes(acc)), REPS, agg).map_err(|e| e.context)
+            };
+            let mut weights = vec![0u8; REPS];
+            let mut acc = MetricAcc::new(REPS, agg);
+            // Two users: some replicate draws neither.
+            for u in 0..2u64 {
+                draw_weights(2, u, &mut weights);
+                acc.fold_user(&weights, &[10.0 + u as f64, f64::NAN], &[9.5, 3.0, 4.0]);
+            }
+            let mut overflowed = acc.clone();
+            draw_weights(2, 2, &mut weights);
+            overflowed.fold_user(&weights, &[1e-300, 1e-300], &[1e300, -1e300]);
+            assert!(overflowed.delta_sum.is_nan());
+            let empty = MetricAcc::new(REPS, agg);
+            for valid in [&empty, &acc, &overflowed] {
+                let back = decode(valid).expect("a valid encoding decodes");
+                assert_eq!(bytes(&back), bytes(valid), "{agg:?}");
+            }
 
-        let mut extra_pair = acc.clone();
-        extra_pair.delta_count = acc.control.count() + 1;
-        assert_eq!(decode(&extra_pair).unwrap_err(), "metric.delta_count");
-        for sum in [-0.0, 1.0, f64::NAN] {
-            let mut stray = empty.clone();
-            stray.delta_sum = sum;
-            assert_eq!(decode(&stray).unwrap_err(), "metric.delta_sum", "sum {sum}");
+            let mut extra_pair = acc.clone();
+            extra_pair.delta_count = acc.control.count() + 1;
+            assert_eq!(decode(&extra_pair).unwrap_err(), "metric.delta_count");
+            for sum in [-0.0, 1.0, f64::NAN] {
+                let mut stray = empty.clone();
+                stray.delta_sum = sum;
+                assert_eq!(decode(&stray).unwrap_err(), "metric.delta_sum", "sum {sum}");
+            }
+            let empty_slot = acc
+                .boot
+                .iter()
+                .position(|&(_, n)| n == 0)
+                .expect("an undrawn slot");
+            let mut stray = acc.clone();
+            stray.boot[empty_slot].0 = -0.0;
+            assert_eq!(decode(&stray).unwrap_err(), "metric.boot");
+            let mut counted = empty.clone();
+            counted.boot[0].1 = 1;
+            assert_eq!(decode(&counted).unwrap_err(), "metric.boot");
         }
-        let empty_slot = acc
-            .boot
-            .iter()
-            .position(|&(_, n)| n == 0)
-            .expect("an undrawn slot");
-        let mut stray = acc.clone();
-        stray.boot[empty_slot].0 = -0.0;
-        assert_eq!(decode(&stray).unwrap_err(), "metric.boot");
-        let mut counted = empty.clone();
-        counted.boot[0].1 = 1;
-        assert_eq!(decode(&counted).unwrap_err(), "metric.boot");
     }
 
     #[test]
@@ -1417,7 +1428,7 @@ mod tests {
         let mut weights = vec![0u8; 200];
         let mut covered = 0;
         for seed in 0..SEEDS {
-            let mut acc = MetricAcc::new(weights.len());
+            let mut acc = MetricAcc::new(weights.len(), Aggregate::Mean);
             for u in 0..150u64 {
                 let mut noise = mix2(seed ^ 0xCA11_B8A7, u);
                 let uniform = (splitmix(&mut noise) >> 11) as f64 / (1u64 << 53) as f64;
@@ -1454,24 +1465,24 @@ mod tests {
         };
         let shards: Vec<MetricAcc> = (0..4)
             .map(|s| {
-                let mut acc = MetricAcc::new(50);
+                let mut acc = MetricAcc::new(50, Aggregate::Median);
                 fold(&mut acc, s * 10..(s + 1) * 10);
                 acc
             })
             .collect();
 
         // Path A: uninterrupted merge of all four shards.
-        let mut a = MetricAcc::new(50);
+        let mut a = MetricAcc::new(50, Aggregate::Median);
         for s in &shards {
             a.merge(s);
         }
         // Path B: merge two, checkpoint (encode/decode), merge the rest.
-        let mut b = MetricAcc::new(50);
+        let mut b = MetricAcc::new(50, Aggregate::Median);
         b.merge(&shards[0]);
         b.merge(&shards[1]);
         let mut buf = Vec::new();
         b.encode(&mut buf);
-        let mut b = MetricAcc::decode(&mut Reader::new(&buf), 50).unwrap();
+        let mut b = MetricAcc::decode(&mut Reader::new(&buf), 50, Aggregate::Median).unwrap();
         b.merge(&shards[2]);
         b.merge(&shards[3]);
 
@@ -1548,6 +1559,123 @@ mod tests {
             Err(CkptReject::Corrupt(_))
         ));
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// [`METRICS`] with its first `Mean` row read as a median: the same
+    /// names, another payload layout.
+    const FLIPPED: [(&str, Aggregate, MetricExtractor); 8] = {
+        let mut rows = METRICS;
+        rows[6].1 = Aggregate::Median;
+        rows
+    };
+
+    /// A table that differs from another only in one row's aggregate
+    /// refuses the other's checkpoint as a config mismatch, before its
+    /// payload is read in a layout it was not written in.
+    #[test]
+    fn a_rows_aggregate_is_part_of_the_config_fingerprint() {
+        let cfg = ExperimentConfig {
+            users_per_arm: 4,
+            pre_sessions: 1,
+            sessions_per_user: 2,
+            seed: 5,
+            bootstrap_reps: 5,
+            threads: 1,
+        };
+        let population = PopulationConfig::light();
+        let fp = |rows| {
+            config_fingerprint(
+                &population,
+                Arm::Production,
+                Arm::HistoryReset,
+                &cfg,
+                2,
+                rows,
+            )
+        };
+        assert_ne!(fp(&METRICS), fp(&FLIPPED));
+        let dir = std::env::temp_dir().join(format!("sammy-ckpt-agg-{}", std::process::id()));
+        for (written, read) in [(&METRICS, &FLIPPED), (&FLIPPED, &METRICS)] {
+            let _ = std::fs::remove_dir_all(&dir);
+            let mut st = ShardState::new(cfg.bootstrap_reps, written);
+            let (c, t) = user_sessions(1, &[0x1F, 0x1F]);
+            st.fold_user(cfg.seed, 1, &c, &t, &obs::Registry::new());
+            assert!(st.metrics()[6].control().count() > 0);
+            write_checkpoint(&dir, fp(written), 1, &st).unwrap();
+            let path = checkpoint_path(&dir, 1);
+            assert!(matches!(
+                load_checkpoint(&path, fp(read), cfg.bootstrap_reps, read),
+                Err(CkptReject::ConfigMismatch)
+            ));
+            let (back, _) = load_checkpoint(&path, fp(written), cfg.bootstrap_reps, written)
+                .unwrap_or_else(|_| panic!("its own table reads it"));
+            assert_eq!(
+                back.metrics()[6].control().value(),
+                st.metrics()[6].control().value()
+            );
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// `ShardState::decode` as the checkpoint loader applies it: the whole
+    /// payload, nothing left over.
+    fn decode_payload(
+        bytes: &[u8],
+        reps: usize,
+        rows: MetricTable,
+    ) -> Result<ShardState, wire::WireError> {
+        let mut r = Reader::new(bytes);
+        let state = ShardState::decode(&mut r, reps, rows)?;
+        if !r.is_done() {
+            return Err(wire::WireError {
+                context: "trailing bytes",
+            });
+        }
+        Ok(state)
+    }
+
+    proptest::proptest! {
+        /// Any one byte of a valid payload flipped, or the payload cut
+        /// anywhere, is refused or decodes to a state that re-encodes to
+        /// exactly the mutated bytes — never a panic. Payloads carry
+        /// `Median` and `Mean` rows, no replicates or five, and arms empty
+        /// (no users, or no session with the row's value) and not.
+        #[test]
+        fn mutated_payload_is_refused_or_reencodes_exactly(
+            users in proptest::collection::vec(
+                proptest::collection::vec(0u8..32, 1..3), 0..4),
+            replicates in proptest::prelude::any::<bool>(),
+            failure in proptest::prelude::any::<bool>(),
+            at in 0.0f64..1.0,
+            flip in 1u8..=255,
+            cut in proptest::prelude::any::<bool>(),
+        ) {
+            let reps = if replicates { 5 } else { 0 };
+            let mut st = ShardState::new(reps, &METRICS);
+            for (u, masks) in users.iter().enumerate() {
+                let (c, t) = user_sessions(u as u64, masks);
+                st.fold_user(7, u as u64, &c, &t, &obs::Registry::new());
+            }
+            if failure {
+                st.record_failure(9, 9, "boom".into());
+            }
+            let mut valid = Vec::new();
+            st.encode(&mut valid);
+            proptest::prop_assert!(decode_payload(&valid, reps, &METRICS).is_ok());
+            let i = (at * valid.len() as f64) as usize;
+            let mutated = if cut {
+                valid[..i].to_vec()
+            } else {
+                let mut bytes = valid.clone();
+                bytes[i] ^= flip;
+                bytes
+            };
+            if let Ok(back) = decode_payload(&mutated, reps, &METRICS) {
+                let mut again = Vec::new();
+                back.encode(&mut again);
+                proptest::prop_assert_eq!(again, mutated, "byte {} (cut: {})", i, cut);
+            }
+        }
     }
 
     /// The progress line counts sessions, not the sessions that have a

@@ -10,19 +10,21 @@
 //! [`SimError::Checkpoint`], never a silent wrong answer.
 //!
 //! The fold's statistics are checked against a reference built here from
-//! `run_user` records — the collecting runner the fold replaced: exact
-//! counts, means and paired means, a resampling cluster bootstrap for the
-//! interval width, and exact pooled medians for the digest's.
+//! `run_user` records — the collecting runner the fold replaced: each
+//! arm's summary to the bit, exact paired means, a resampling cluster
+//! bootstrap for the interval width, and exact pooled medians for the
+//! digest's.
 
 use abtest::{
     percentile, run_user, user_at, Aggregate, Arm, Experiment, ExperimentConfig, MetricExtractor,
-    PairedDelta, PopulationConfig, StreamRun, UserProfile, METRICS,
+    PairedDelta, PopulationConfig, StreamRun, StreamingStat, UserProfile, METRICS,
 };
 use netsim::SimError;
 use proptest::prelude::*;
 use rand::prelude::*;
 use std::path::{Path, PathBuf};
 use std::sync::OnceLock;
+use tdigest::TDigest;
 
 const USERS: usize = 12;
 const SHARD_SIZE: usize = 3; // 4 shards
@@ -273,61 +275,66 @@ fn all_checkpoints_corrupt_is_a_hard_tagged_error() {
 #[test]
 fn checkpoint_of_an_older_version_is_refused_with_a_tagged_note() {
     // A version-2 file was written before the row table joined the config
-    // fingerprint; refusing it by version says why, where a fingerprint
-    // mismatch would not. Forge one that is valid in every other respect:
-    // rewrite the version word, re-stamp the trailing FNV-1a.
-    let dir = ScratchDir::new("old-version");
-    builder(1)
-        .checkpoint_dir(dir.path())
-        .abort_after_checkpoints(1)
-        .run_streaming()
-        .unwrap();
-    let files = checkpoint_files(dir.path());
-    assert_eq!(files.len(), 1);
-    let mut bytes = std::fs::read(&files[0]).unwrap();
-    let body = bytes.len() - 8;
-    bytes[8..12].copy_from_slice(&2u32.to_le_bytes());
-    let mut h = tdigest::wire::Fnv::new();
-    h.write(&bytes[..body]);
-    bytes[body..].copy_from_slice(&h.finish().to_le_bytes());
-    std::fs::write(&files[0], &bytes).unwrap();
+    // fingerprint, a version-3 one with a digest and a `(count, sum)` on
+    // every arm; refusing either by version says why, where a fingerprint
+    // mismatch or a corrupt payload would not. Forge one that is valid in
+    // every other respect: rewrite the version word, re-stamp the
+    // trailing FNV-1a.
+    for version in [2u32, 3] {
+        let note = format!("unsupported version {version}");
+        let dir = ScratchDir::new(&format!("old-version-{version}"));
+        builder(1)
+            .checkpoint_dir(dir.path())
+            .abort_after_checkpoints(1)
+            .run_streaming()
+            .unwrap();
+        let files = checkpoint_files(dir.path());
+        assert_eq!(files.len(), 1);
+        let mut bytes = std::fs::read(&files[0]).unwrap();
+        let body = bytes.len() - 8;
+        bytes[8..12].copy_from_slice(&version.to_le_bytes());
+        let mut h = tdigest::wire::Fnv::new();
+        h.write(&bytes[..body]);
+        bytes[body..].copy_from_slice(&h.finish().to_le_bytes());
+        std::fs::write(&files[0], &bytes).unwrap();
 
-    // The only candidate is unusable: a hard, tagged error.
-    let err = builder(1)
-        .checkpoint_dir(dir.path())
-        .resume(true)
-        .run_streaming()
-        .unwrap_err();
-    match &err {
-        SimError::Checkpoint { reason, .. } => {
-            assert!(reason.contains("unsupported version 2"), "{err}");
+        // The only candidate is unusable: a hard, tagged error.
+        let err = builder(1)
+            .checkpoint_dir(dir.path())
+            .resume(true)
+            .run_streaming()
+            .unwrap_err();
+        match &err {
+            SimError::Checkpoint { reason, .. } => {
+                assert!(reason.contains(&note), "{err}");
+            }
+            other => panic!("expected SimError::Checkpoint, got {other:?}"),
         }
-        other => panic!("expected SimError::Checkpoint, got {other:?}"),
-    }
 
-    // With a current-version predecessor beside it, resume skips it, says
-    // why, and still finishes bit-identical.
-    let dir = ScratchDir::new("old-version-fallback");
-    builder(1)
-        .checkpoint_dir(dir.path())
-        .abort_after_checkpoints(1)
-        .run_streaming()
-        .unwrap();
-    std::fs::write(dir.path().join("ckpt-0000000002.bin"), &bytes).unwrap();
-    let resumed = builder(1)
-        .checkpoint_dir(dir.path())
-        .resume(true)
-        .run_streaming()
-        .unwrap();
-    assert_eq!(resumed.resumed_from, Some(1));
-    assert_eq!(
-        resumed.fallback_notes.len(),
-        1,
-        "{:?}",
-        resumed.fallback_notes
-    );
-    assert!(resumed.fallback_notes[0].contains("unsupported version 2"));
-    assert_eq!(resumed.fingerprint(), golden().fingerprint());
+        // With a current-version predecessor beside it, resume skips it,
+        // says why, and still finishes bit-identical.
+        let dir = ScratchDir::new(&format!("old-version-{version}-fallback"));
+        builder(1)
+            .checkpoint_dir(dir.path())
+            .abort_after_checkpoints(1)
+            .run_streaming()
+            .unwrap();
+        std::fs::write(dir.path().join("ckpt-0000000002.bin"), &bytes).unwrap();
+        let resumed = builder(1)
+            .checkpoint_dir(dir.path())
+            .resume(true)
+            .run_streaming()
+            .unwrap();
+        assert_eq!(resumed.resumed_from, Some(1));
+        assert_eq!(
+            resumed.fallback_notes.len(),
+            1,
+            "{:?}",
+            resumed.fallback_notes
+        );
+        assert!(resumed.fallback_notes[0].contains(&note));
+        assert_eq!(resumed.fingerprint(), golden().fingerprint());
+    }
 }
 
 #[test]
@@ -379,6 +386,37 @@ fn by_user(arm: &[Vec<abtest::SessionRecord>], f: MetricExtractor) -> Vec<Vec<f6
         .collect()
 }
 
+fn encode(s: &StreamingStat) -> Vec<u8> {
+    let mut out = Vec::new();
+    s.encode(&mut out);
+    out
+}
+
+/// An arm's summary as the fold builds it from per-user finite values:
+/// each `SHARD_SIZE`-user shard folded in population order, the shards
+/// merged in shard order into an empty summary — a `Median` row's
+/// digests, a `Mean` row's counts and sums.
+fn sharded(agg: Aggregate, by_user: &[Vec<f64>]) -> Vec<u8> {
+    let shards = by_user.chunks(SHARD_SIZE).map(|users| users.concat());
+    encode(&match agg {
+        Aggregate::Median => {
+            let mut merged = TDigest::new(100.0);
+            for values in shards {
+                merged.merge(&values.into_iter().collect());
+            }
+            StreamingStat::Median(merged)
+        }
+        Aggregate::Mean => {
+            let (mut count, mut sum) = (0u64, 0.0);
+            for values in shards {
+                count += values.len() as u64;
+                sum += values.iter().fold(0.0, |s, v| s + v);
+            }
+            StreamingStat::Mean { count, sum }
+        }
+    })
+}
+
 /// The resampling reference for the fold's interval: the paired
 /// per-session mean delta, with a cluster bootstrap drawing users with
 /// replacement (`StdRng`, one `gen_range(0..n)` per user per replicate).
@@ -423,10 +461,11 @@ fn resampled_paired_delta(
 
 #[test]
 fn streaming_stats_match_the_collecting_runner_exactly() {
-    // The same users through the fold and through `run_user`:
-    // every exact statistic (counts, means, paired mean deltas) must
-    // agree; only the CI machinery (resampling vs Poisson replicates) and
-    // quantile estimator (sort vs t-digest) are allowed to differ.
+    // The same users through the fold and through `run_user`: every
+    // arm's summary (a `Median` row's digest, a `Mean` row's count and
+    // sum) equals, to the bit, one folded here shard by shard, and the
+    // paired mean deltas agree; only the CI machinery (resampling vs
+    // Poisson replicates) is allowed to differ.
     let pop = first_users(&light_population(), USERS);
     let cfg = light_cfg(1);
     let (control, treatment) = (
@@ -444,18 +483,10 @@ fn streaming_stats_match_the_collecting_runner_exactly() {
     );
 
     let rows = streamed.report().rows;
-    for ((acc, row), &(name, _, f)) in streamed.state.metrics().iter().zip(&rows).zip(&METRICS) {
+    for ((acc, row), &(name, agg, f)) in streamed.state.metrics().iter().zip(&rows).zip(&METRICS) {
         let (c_by_user, t_by_user) = (by_user(&control, f), by_user(&treatment, f));
-        let c_vals: Vec<f64> = c_by_user.iter().flatten().copied().collect();
-        let t_count: usize = t_by_user.iter().map(Vec::len).sum();
-        assert_eq!(acc.control().count() as usize, c_vals.len(), "{name}");
-        assert_eq!(acc.treatment().count() as usize, t_count, "{name}");
-        let c_mean = c_vals.iter().sum::<f64>() / c_vals.len().max(1) as f64;
-        assert!(
-            (acc.control().mean() - c_mean).abs() <= 1e-9 * c_mean.abs().max(1.0),
-            "{name}: streaming mean {} vs collected {c_mean}",
-            acc.control().mean()
-        );
+        assert_eq!(encode(acc.control()), sharded(agg, &c_by_user), "{name}");
+        assert_eq!(encode(acc.treatment()), sharded(agg, &t_by_user), "{name}");
 
         let reference = resampled_paired_delta(&c_by_user, &t_by_user, 40, 1);
         let streaming = row.paired;

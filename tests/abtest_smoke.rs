@@ -5,8 +5,9 @@
 //! here; the full batteries live in `crates/abtest` (the
 //! `pair_equals_unshared_arms` proptest, `tests/streaming_resume.rs`).
 
-use sammy_repro::abtest::{run_user, StreamingStat, METRICS};
+use sammy_repro::abtest::{run_user, Aggregate, StreamingStat, METRICS};
 use sammy_repro::prelude::*;
+use sammy_repro::tdigest::TDigest;
 
 const TREATMENT: Arm = Arm::Sammy { c0: 3.2, c1: 2.8 };
 
@@ -22,9 +23,10 @@ fn cfg(users: usize) -> ExperimentConfig {
 }
 
 /// A pair shares its warm-up and titles between the arms; each arm the
-/// fold saw must be what that arm produces run alone — every row's digest,
-/// to the bit, against one folded here from `run_user` records (one
-/// shard: the fold's per-arm summary merged once into an empty one).
+/// fold saw must be what that arm produces run alone, to the bit, against
+/// a summary folded here from `run_user` records in population order (one
+/// shard): a `Median` row's digest merged once into an empty one, a `Mean`
+/// row's finite values counted and summed.
 #[test]
 fn pair_equals_each_arm_run_alone() {
     let cfg = cfg(3);
@@ -42,19 +44,32 @@ fn pair_equals_each_arm_run_alone() {
         s.encode(&mut buf);
         buf
     };
-    let alone = |arm, f: fn(&_) -> Option<f64>| {
-        let shard: StreamingStat = pop
+    let alone = |arm, agg, f: fn(&_) -> Option<f64>| {
+        let values: Vec<f64> = pop
             .iter()
             .flat_map(|u| run_user(u, arm, &cfg))
             .filter_map(|r| f(&r))
+            .filter(|v| v.is_finite())
             .collect();
-        let mut merged = StreamingStat::new();
-        merged.merge(&shard);
-        encode(&merged)
+        encode(&match agg {
+            Aggregate::Median => {
+                let mut merged = TDigest::new(100.0);
+                merged.merge(&values.into_iter().collect());
+                StreamingStat::Median(merged)
+            }
+            Aggregate::Mean => StreamingStat::Mean {
+                count: values.len() as u64,
+                sum: values.iter().fold(0.0, |s, v| s + v),
+            },
+        })
     };
-    for (acc, &(name, _, f)) in run.state.metrics().iter().zip(&METRICS) {
-        assert_eq!(encode(acc.control()), alone(Arm::Production, f), "{name}");
-        assert_eq!(encode(acc.treatment()), alone(TREATMENT, f), "{name}");
+    for (acc, &(name, agg, f)) in run.state.metrics().iter().zip(&METRICS) {
+        assert_eq!(
+            encode(acc.control()),
+            alone(Arm::Production, agg, f),
+            "{name}"
+        );
+        assert_eq!(encode(acc.treatment()), alone(TREATMENT, agg, f), "{name}");
     }
     let tput = &run.state.metrics()[0];
     assert_ne!(encode(tput.control()), encode(tput.treatment()));
@@ -67,7 +82,11 @@ fn pair_equals_each_arm_run_alone() {
 ///
 /// Re-baselined once (from `ac514e3343ee1d25`) when a session's median RTT
 /// became the exact weighted median of its chunks instead of a t-digest's
-/// estimate: the RTT row's inputs moved, nothing else did.
+/// estimate: the RTT row's inputs moved, nothing else did. Re-baselined
+/// again (from `312028acf82dd169`) when an arm began keeping only its
+/// row's statistic: the previous tree's state, written with a `Median`
+/// arm's digest bytes and a `Mean` arm's count and sum, hashes to this
+/// value.
 #[test]
 fn stream_state_fingerprint_is_pinned() {
     if sammy_repro::obs::ENABLED {
@@ -85,7 +104,7 @@ fn stream_state_fingerprint_is_pinned() {
         ..Default::default()
     };
     let run = Experiment::builder().spec(&spec).run_streaming().unwrap();
-    assert_eq!(format!("{:016x}", run.fingerprint()), "312028acf82dd169");
+    assert_eq!(format!("{:016x}", run.fingerprint()), "d901865e55c99b90");
 }
 
 /// Kill the streaming runner after its first checkpoint, resume: the final

@@ -213,10 +213,11 @@ fn replicate_weight(seed: u64, user: u64, rep: u64) -> u64 {
 #[test]
 fn worker_panic_is_isolated_and_reported() {
     use sammy_repro::abtest::{
-        percentile, run_user, user_at, Arm, Experiment, ExperimentConfig, PopulationConfig,
-        StreamingStat, METRICS,
+        percentile, run_user, user_at, Aggregate, Arm, Experiment, ExperimentConfig,
+        PopulationConfig, StreamingStat, METRICS,
     };
     use sammy_repro::netsim::SimError;
+    use sammy_repro::tdigest::TDigest;
 
     let cfg = ExperimentConfig {
         users_per_arm: 10,
@@ -277,8 +278,10 @@ fn worker_panic_is_isolated_and_reported() {
 
     // The pool neither deadlocked nor dropped a healthy user: the state
     // equals a reference folded here from the healthy users' `run_user`
-    // records — session counts, each arm's digest to the bit, and the
-    // paired mean and its replicate interval to the bit.
+    // records — session counts, each arm's summary to the bit (a `Median`
+    // row's digest, a `Mean` row's count and sum of its values in
+    // population order), and the paired mean and its replicate interval
+    // to the bit.
     let records = |arm| -> Vec<_> { healthy.iter().map(|u| run_user(u, arm, &cfg)).collect() };
     let (control, treated) = (records(Arm::Production), records(treatment));
     let sessions = |arm: &[Vec<_>]| arm.iter().map(Vec::len).sum::<usize>() as u64;
@@ -291,15 +294,23 @@ fn worker_panic_is_isolated_and_reported() {
     };
     let report = run.report();
     let mut intervals = 0;
-    for ((acc, row), &(name, _, f)) in state.metrics().iter().zip(&report.rows).zip(&METRICS) {
-        let digest = |arm: &[Vec<_>]| {
-            let shard: StreamingStat = arm.iter().flatten().filter_map(f).collect();
-            let mut merged = StreamingStat::new();
-            merged.merge(&shard);
-            encode(&merged)
+    for ((acc, row), &(name, agg, f)) in state.metrics().iter().zip(&report.rows).zip(&METRICS) {
+        let summary = |arm: &[Vec<_>]| {
+            let values = arm.iter().flatten().filter_map(f).filter(|v| v.is_finite());
+            encode(&match agg {
+                Aggregate::Median => {
+                    let mut merged = TDigest::new(100.0);
+                    merged.merge(&values.collect());
+                    StreamingStat::Median(merged)
+                }
+                Aggregate::Mean => StreamingStat::Mean {
+                    count: values.clone().count() as u64,
+                    sum: values.fold(0.0, |s, v| s + v),
+                },
+            })
         };
-        assert_eq!(encode(acc.control()), digest(&control), "{name}");
-        assert_eq!(encode(acc.treatment()), digest(&treated), "{name}");
+        assert_eq!(encode(acc.control()), summary(&control), "{name}");
+        assert_eq!(encode(acc.treatment()), summary(&treated), "{name}");
 
         let (mut sum, mut n) = (0.0, 0u64);
         let mut boot = vec![(0.0f64, 0u64); cfg.bootstrap_reps];
