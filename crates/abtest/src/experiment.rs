@@ -543,16 +543,13 @@ pub(crate) fn run_user_pair(
     cfg: &ExperimentConfig,
 ) -> (UserSessions, obs::Registry) {
     let outer = obs::install(obs::Registry::new());
-    let pair = {
-        let _wall = obs::ENABLED.then(|| obs::WallTimer::start("abtest.user_wall"));
-        obs::counter!("abtest.users", 1);
-        let warm = warm_up(user, cfg);
-        let sessions = experiment_sessions(user, cfg);
-        (
-            run_arm(user, control, &warm, &sessions),
-            run_arm(user, treatment, &warm, &sessions),
-        )
-    };
+    obs::counter!("abtest.users", 1);
+    let warm = warm_up(user, cfg);
+    let sessions = experiment_sessions(user, cfg);
+    let pair = (
+        run_arm(user, control, &warm, &sessions),
+        run_arm(user, treatment, &warm, &sessions),
+    );
     let per_user = obs::install(outer);
     (pair, per_user)
 }

@@ -53,8 +53,11 @@ const CKPT_MAGIC: u64 = u64::from_le_bytes(*b"SMYCKPT1");
 /// mismatch would not. Version 3 wrote a digest and an exact `(count,
 /// sum)` for every arm of every row; version 4 writes only the row's
 /// statistic (a digest on a `Median` row, `(count, sum)` on a `Mean` row),
-/// and hashes each row's aggregate into the config fingerprint.
-const CKPT_VERSION: u32 = 4;
+/// and hashes each row's aggregate into the config fingerprint. Version 5
+/// writes the telemetry registry without its gauge, span, wall-clock and
+/// ring-capacity fields (an empty registry is 28 bytes, not 60), so a
+/// version-4 payload would not decode.
+const CKPT_VERSION: u32 = 5;
 /// Failure samples retained in the merged state (counts are exact; the
 /// samples are the first few in population order, for error messages).
 const MAX_FAILURE_SAMPLES: usize = 32;
@@ -617,6 +620,10 @@ enum CkptReject {
     Corrupt(String),
     /// Valid file for a *different* run — a hard error, no fallback.
     ConfigMismatch,
+    /// A sound file of another `CKPT_VERSION` (the one it carries): a build
+    /// that reads another layout wrote it, so it is no torn write — a hard
+    /// error, no fallback.
+    Version(u32),
 }
 
 fn checkpoint_path(dir: &Path, next_shard: usize) -> PathBuf {
@@ -706,7 +713,7 @@ fn load_checkpoint(
     }
     let version = r.u32("ckpt.version").map_err(|e| corrupt(&e.to_string()))?;
     if version != CKPT_VERSION {
-        return Err(corrupt(&format!("unsupported version {version}")));
+        return Err(CkptReject::Version(version));
     }
     let fp = r.u64("ckpt.config").map_err(|e| corrupt(&e.to_string()))?;
     if fp != config_fp {
@@ -724,8 +731,8 @@ fn load_checkpoint(
 }
 
 /// Find the newest usable checkpoint: scan descending, skipping corrupt
-/// files (noted), erroring hard on a config mismatch or an all-corrupt
-/// directory. `Ok(None)` = nothing to resume, start fresh.
+/// files (noted), erroring hard on a config mismatch, another checkpoint
+/// version or an all-corrupt directory. `Ok(None)` = nothing to resume, start fresh.
 fn resume_scan(
     dir: &Path,
     config_fp: u64,
@@ -751,6 +758,14 @@ fn resume_scan(
                     path: path.display().to_string(),
                     reason: "config fingerprint mismatch: checkpoint belongs to a different run"
                         .into(),
+                });
+            }
+            Err(CkptReject::Version(found)) => {
+                return Err(SimError::Checkpoint {
+                    path: path.display().to_string(),
+                    reason: format!(
+                        "unsupported version {found}: this build reads checkpoint version {CKPT_VERSION}"
+                    ),
                 });
             }
         }
@@ -938,13 +953,7 @@ fn compute_shard(
             run_user_pair(&user, control, treatment, cfg)
         }));
         match result {
-            Ok(((c, t), mut registry)) => {
-                // Wall spans are wall-clock and therefore nondeterministic
-                // by design (DESIGN.md §13); the shard state is part of the
-                // bit-identity contract, so they stop here.
-                registry.clear_wall_spans();
-                state.fold_user(cfg.seed, user.id, &c, &t, &registry)
-            }
+            Ok(((c, t), registry)) => state.fold_user(cfg.seed, user.id, &c, &t, &registry),
             Err(payload) => state.record_failure(user.id, index as u64, panic_message(payload)),
         }
     }

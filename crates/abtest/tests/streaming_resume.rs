@@ -273,15 +273,17 @@ fn all_checkpoints_corrupt_is_a_hard_tagged_error() {
 }
 
 #[test]
-fn checkpoint_of_an_older_version_is_refused_with_a_tagged_note() {
+fn checkpoint_of_another_version_is_refused_naming_both_versions() {
     // A version-2 file was written before the row table joined the config
     // fingerprint, a version-3 one with a digest and a `(count, sum)` on
-    // every arm; refusing either by version says why, where a fingerprint
-    // mismatch or a corrupt payload would not. Forge one that is valid in
-    // every other respect: rewrite the version word, re-stamp the
-    // trailing FNV-1a.
-    for version in [2u32, 3] {
-        let note = format!("unsupported version {version}");
+    // every arm, a version-4 one with the telemetry registry's gauge, span,
+    // wall-clock and ring-capacity fields. Each is a sound file in another
+    // layout, not a torn one: the refusal names its version and the one
+    // this build reads, where a fingerprint mismatch or "corrupt" would
+    // not. Forge one that is valid in every other respect: rewrite the
+    // version word, re-stamp the trailing FNV-1a.
+    for version in [2u32, 3, 4] {
+        let note = format!("unsupported version {version}: this build reads checkpoint version 5");
         let dir = ScratchDir::new(&format!("old-version-{version}"));
         builder(1)
             .checkpoint_dir(dir.path())
@@ -298,42 +300,34 @@ fn checkpoint_of_an_older_version_is_refused_with_a_tagged_note() {
         bytes[body..].copy_from_slice(&h.finish().to_le_bytes());
         std::fs::write(&files[0], &bytes).unwrap();
 
-        // The only candidate is unusable: a hard, tagged error.
-        let err = builder(1)
-            .checkpoint_dir(dir.path())
-            .resume(true)
-            .run_streaming()
-            .unwrap_err();
-        match &err {
-            SimError::Checkpoint { reason, .. } => {
-                assert!(reason.contains(&note), "{err}");
+        // The only candidate is another build's: a hard, tagged error
+        // naming the file.
+        let refused = |dir: &ScratchDir, file: &str| {
+            let err = builder(1)
+                .checkpoint_dir(dir.path())
+                .resume(true)
+                .run_streaming()
+                .unwrap_err();
+            match &err {
+                SimError::Checkpoint { path, reason } => {
+                    assert_eq!(reason, &note, "{err}");
+                    assert!(path.ends_with(file), "{err}");
+                }
+                other => panic!("expected SimError::Checkpoint, got {other:?}"),
             }
-            other => panic!("expected SimError::Checkpoint, got {other:?}"),
-        }
+        };
+        refused(&dir, "ckpt-0000000001.bin");
 
-        // With a current-version predecessor beside it, resume skips it,
-        // says why, and still finishes bit-identical.
-        let dir = ScratchDir::new(&format!("old-version-{version}-fallback"));
+        // A current-version predecessor beside it does not hide it: resume
+        // does not skip past another build's newer file as if it were torn.
+        let dir = ScratchDir::new(&format!("old-version-{version}-beside"));
         builder(1)
             .checkpoint_dir(dir.path())
             .abort_after_checkpoints(1)
             .run_streaming()
             .unwrap();
         std::fs::write(dir.path().join("ckpt-0000000002.bin"), &bytes).unwrap();
-        let resumed = builder(1)
-            .checkpoint_dir(dir.path())
-            .resume(true)
-            .run_streaming()
-            .unwrap();
-        assert_eq!(resumed.resumed_from, Some(1));
-        assert_eq!(
-            resumed.fallback_notes.len(),
-            1,
-            "{:?}",
-            resumed.fallback_notes
-        );
-        assert!(resumed.fallback_notes[0].contains(&note));
-        assert_eq!(resumed.fingerprint(), golden().fingerprint());
+        refused(&dir, "ckpt-0000000002.bin");
     }
 }
 

@@ -244,7 +244,7 @@ impl<'a> SessionBuilder<'a> {
                     clear_time += weight;
                 }
                 obs::counter!("fluidsim.chunks", 1);
-                obs::span!("fluidsim.chunk_download", out.download_time.as_nanos());
+                obs::observe!("fluidsim.chunk_download_s", out.download_time.as_secs_f64());
                 obs::trace_event!(
                     ChunkDone,
                     now.as_nanos(),

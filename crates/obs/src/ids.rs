@@ -7,7 +7,8 @@
 /// Stable id of a structured trace event.
 ///
 /// Operands `a`/`b` are event-specific (documented per variant); unused
-/// operands are 0.
+/// operands are 0. Codes 5, 7 and 8 (chunk start, session start and end)
+/// are retired: nothing emitted them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 #[repr(u16)]
 #[non_exhaustive]
@@ -20,14 +21,8 @@ pub enum TraceId {
     RebufferEnd = 3,
     /// ABR switched quality rung. `a` = previous rung, `b` = new rung.
     RungSwitch = 4,
-    /// A chunk download began. `a` = chunk index, `b` = rung.
-    ChunkStart = 5,
     /// A chunk download finished. `a` = chunk index, `b` = download ms.
     ChunkDone = 6,
-    /// A playback session began. `a` = user index.
-    SessionStart = 7,
-    /// A playback session finished. `a` = user index, `b` = chunks played.
-    SessionEnd = 8,
     /// TCP fast-retransmit loss event. `a` = cwnd bytes after reaction.
     TcpLossEvent = 9,
     /// TCP retransmission timeout fired. `a` = cwnd bytes after reaction.
@@ -42,10 +37,7 @@ impl TraceId {
             TraceId::RebufferStart => "rebuffer_start",
             TraceId::RebufferEnd => "rebuffer_end",
             TraceId::RungSwitch => "rung_switch",
-            TraceId::ChunkStart => "chunk_start",
             TraceId::ChunkDone => "chunk_done",
-            TraceId::SessionStart => "session_start",
-            TraceId::SessionEnd => "session_end",
             TraceId::TcpLossEvent => "tcp_loss_event",
             TraceId::TcpRto => "tcp_rto",
         }
@@ -64,10 +56,7 @@ impl TraceId {
             2 => TraceId::RebufferStart,
             3 => TraceId::RebufferEnd,
             4 => TraceId::RungSwitch,
-            5 => TraceId::ChunkStart,
             6 => TraceId::ChunkDone,
-            7 => TraceId::SessionStart,
-            8 => TraceId::SessionEnd,
             9 => TraceId::TcpLossEvent,
             10 => TraceId::TcpRto,
             _ => return None,
@@ -88,11 +77,13 @@ mod tests {
 
     #[test]
     fn from_code_round_trips() {
-        for code in 1..=10u16 {
+        for code in [1, 2, 3, 4, 6, 9, 10u16] {
             let id = TraceId::from_code(code).unwrap();
             assert_eq!(id.code(), code);
         }
-        assert_eq!(TraceId::from_code(0), None);
+        for retired in [0, 5, 7, 8, 11] {
+            assert_eq!(TraceId::from_code(retired), None);
+        }
         assert_eq!(TraceId::from_code(999), None);
     }
 }

@@ -1,16 +1,17 @@
 //! # obs — workspace-wide telemetry
 //!
-//! The observability layer of the Sammy reproduction: counters, gauges,
-//! fixed-bucket + t-digest histograms, span timers, and a bounded
-//! structured event trace, all recorded into a [`Registry`].
+//! The observability layer of the Sammy reproduction: counters, t-digest
+//! histograms and a bounded structured event trace, all recorded into a
+//! [`Registry`]. One summary per question: a count is a counter, a sampled
+//! value (a queue depth, a window, a stall in seconds) is a histogram, and
+//! an event is a trace entry.
 //!
 //! ## Design
 //!
 //! Instrumentation is gated by **one switch**, this crate's `enabled`
 //! feature (the root package's `obs` feature is its alias), read as the
-//! constant [`ENABLED`]: the
-//! [`counter!`]/[`gauge!`]/[`observe!`]/[`span!`]/[`trace_event!`] macros
-//! expand to `if obs::ENABLED { … }` in every crate, so both modes
+//! constant [`ENABLED`]: the [`counter!`]/[`observe!`]/[`trace_event!`]
+//! macros expand to `if obs::ENABLED { … }` in every crate, so both modes
 //! type-check in every build and the off mode is a dead branch the
 //! optimizer deletes — hot paths carry zero cost. With the feature on,
 //! recording goes to a **thread-local** registry (no locks anywhere on the
@@ -23,9 +24,7 @@
 //! (the A/B runner merges per-user registries in population order, exactly
 //! like its session-record merge). The JSON-lines sink therefore emits
 //! **byte-identical** output for every worker-thread count on a fixed
-//! seed. Wall-clock measurements do exist — scoped [`WallTimer`] spans for
-//! runner progress — but they live in a separate section that only the
-//! pretty-table sink prints; they never reach the deterministic sink.
+//! seed.
 //!
 //! The metric-name registry and sink formats are documented in
 //! DESIGN.md §13.
@@ -46,259 +45,81 @@ use tdigest::TDigest;
 /// macros branch on it; code that only prepares a recorded value can too.
 pub const ENABLED: bool = cfg!(feature = "enabled");
 
-/// Number of fixed histogram buckets: bucket 0 collects non-positive and
-/// non-finite samples; bucket `i >= 1` spans `[2^(i-32), 2^(i-31))`.
-pub const HIST_BUCKETS: usize = 64;
+/// The structured trace ring keeps the most recent `TRACE_CAP` events.
+const TRACE_CAP: usize = 256;
 
-/// Default capacity of the structured trace ring.
-const DEFAULT_TRACE_CAP: usize = 256;
-
-/// Compression parameter of every histogram's embedded t-digest.
+/// Compression parameter of every histogram's t-digest.
 const DIGEST_COMPRESSION: f64 = 100.0;
 
-/// Min/max/mean/last summary of a sampled value.
+/// A sampled value: the exact sum of its samples and a t-digest over the
+/// same samples, which holds the count, the exact min and max and the
+/// quantiles. A non-finite sample is skipped whole, as [`TDigest::add`]
+/// skips it, so the sum and the digest always see the same samples.
 #[derive(Debug, Clone)]
-pub struct Gauge {
-    /// Samples recorded.
-    pub count: u64,
-    /// Most recent sample (merge order decides across shards).
-    pub last: f64,
-    /// Smallest sample.
-    pub min: f64,
-    /// Largest sample.
-    pub max: f64,
-    /// Sum of all samples (for the mean).
-    pub sum: f64,
-}
-
-impl Gauge {
-    fn record(&mut self, v: f64) {
-        self.count += 1;
-        self.last = v;
-        self.min = self.min.min(v);
-        self.max = self.max.max(v);
-        self.sum += v;
-    }
-
-    fn merge(&mut self, other: &Gauge) {
-        self.count += other.count;
-        self.last = other.last;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-        self.sum += other.sum;
-    }
-
-    /// Mean of all samples.
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            f64::NAN
-        } else {
-            self.sum / self.count as f64
-        }
-    }
-}
-
-impl Default for Gauge {
-    fn default() -> Self {
-        Gauge {
-            count: 0,
-            last: f64::NAN,
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
-            sum: 0.0,
-        }
-    }
-}
-
-/// Fixed log2-bucket histogram with an embedded t-digest for quantiles.
-#[derive(Debug, Clone)]
-pub struct Histogram {
-    /// Samples recorded.
-    pub count: u64,
-    /// Sum of all samples.
-    pub sum: f64,
-    /// Fixed power-of-two buckets (see [`HIST_BUCKETS`]).
-    pub buckets: [u64; HIST_BUCKETS],
-    /// Mergeable quantile sketch over the same samples.
-    pub digest: TDigest,
+pub(crate) struct Histogram {
+    pub(crate) sum: f64,
+    pub(crate) digest: TDigest,
 }
 
 impl Default for Histogram {
     fn default() -> Self {
         Histogram {
-            count: 0,
             sum: 0.0,
-            buckets: [0; HIST_BUCKETS],
             digest: TDigest::new(DIGEST_COMPRESSION),
         }
     }
 }
 
-/// The fixed bucket index for a sample (see [`HIST_BUCKETS`]).
-fn bucket_index(v: f64) -> usize {
-    if !v.is_finite() || v <= 0.0 {
-        return 0;
-    }
-    (v.log2().floor() as i64 + 32).clamp(1, HIST_BUCKETS as i64 - 1) as usize
-}
-
-/// The `[lo, hi)` bounds of bucket `i`; bucket 0 is the non-positive /
-/// non-finite catch-all and reports `(0.0, 0.0)`.
-pub fn bucket_bounds(i: usize) -> (f64, f64) {
-    if i == 0 {
-        (0.0, 0.0)
-    } else {
-        (2f64.powi(i as i32 - 32), 2f64.powi(i as i32 - 31))
-    }
-}
-
 impl Histogram {
     fn record(&mut self, v: f64) {
-        self.count += 1;
-        self.sum += v;
-        self.buckets[bucket_index(v)] += 1;
-        self.digest.add(v);
+        if v.is_finite() {
+            self.sum += v;
+            self.digest.add(v);
+        }
     }
 
     fn merge(&mut self, other: &Histogram) {
-        self.count += other.count;
         self.sum += other.sum;
-        for (b, o) in self.buckets.iter_mut().zip(other.buckets.iter()) {
-            *b += o;
-        }
         self.digest.merge(&other.digest);
     }
-
-    /// Quantile estimate from the embedded digest.
-    pub fn quantile(&self, q: f64) -> f64 {
-        self.digest.quantile(q)
-    }
 }
 
-/// Accumulated durations of a named span (integer nanoseconds, so merges
-/// and sums stay exact and deterministic).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct SpanStat {
-    /// Completed spans.
-    pub count: u64,
-    /// Total duration in nanoseconds.
-    pub total_ns: u64,
-    /// Longest single span in nanoseconds.
-    pub max_ns: u64,
-}
-
-impl SpanStat {
-    fn record(&mut self, ns: u64) {
-        self.count += 1;
-        self.total_ns = self.total_ns.saturating_add(ns);
-        self.max_ns = self.max_ns.max(ns);
-    }
-
-    fn merge(&mut self, other: &SpanStat) {
-        self.count += other.count;
-        self.total_ns = self.total_ns.saturating_add(other.total_ns);
-        self.max_ns = self.max_ns.max(other.max_ns);
-    }
-
-    /// Mean span duration in milliseconds.
-    pub fn mean_ms(&self) -> f64 {
-        if self.count == 0 {
-            f64::NAN
-        } else {
-            self.total_ns as f64 / self.count as f64 / 1e6
-        }
-    }
-}
-
-/// One structured trace event (see [`TraceId`] for the stable id space).
+/// One structured trace event (see [`TraceId`] for the stable id space):
+/// its sim time in nanoseconds and two event-specific operands.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TraceEvent {
-    /// Sim time of the event in nanoseconds.
-    pub t_ns: u64,
-    /// Stable event id.
-    pub id: TraceId,
-    /// First event-specific operand.
-    pub a: u64,
-    /// Second event-specific operand.
-    pub b: u64,
+pub(crate) struct TraceEvent {
+    pub(crate) t_ns: u64,
+    pub(crate) id: TraceId,
+    pub(crate) a: u64,
+    pub(crate) b: u64,
 }
 
-/// Bounded ring of the most recent [`TraceEvent`]s.
-#[derive(Debug, Clone)]
-pub struct TraceRing {
-    events: VecDeque<TraceEvent>,
-    cap: usize,
+/// The most recent `TRACE_CAP` trace events, oldest first.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct TraceRing {
+    pub(crate) events: VecDeque<TraceEvent>,
 }
 
 impl TraceRing {
-    /// An empty ring retaining at most `cap` events.
-    pub fn with_cap(cap: usize) -> Self {
-        TraceRing {
-            events: VecDeque::new(),
-            cap,
-        }
-    }
-
-    /// The ring's retention capacity.
-    pub fn cap(&self) -> usize {
-        self.cap
-    }
-}
-
-impl Default for TraceRing {
-    fn default() -> Self {
-        TraceRing {
-            events: VecDeque::new(),
-            cap: DEFAULT_TRACE_CAP,
-        }
-    }
-}
-
-impl TraceRing {
-    pub(crate) fn push(&mut self, ev: TraceEvent) {
-        if self.events.len() == self.cap {
+    fn push(&mut self, ev: TraceEvent) {
+        if self.events.len() == TRACE_CAP {
             self.events.pop_front();
         }
         self.events.push_back(ev);
     }
-
-    fn merge(&mut self, other: &TraceRing) {
-        for &ev in &other.events {
-            self.push(ev);
-        }
-    }
-
-    /// The retained events, oldest first.
-    pub fn events(&self) -> impl Iterator<Item = &TraceEvent> {
-        self.events.iter()
-    }
-
-    /// Number of retained events.
-    pub fn len(&self) -> usize {
-        self.events.len()
-    }
-
-    /// True if no events are retained.
-    pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
-    }
 }
 
-/// A set of named metrics plus the trace ring — the unit of collection
-/// and of deterministic shard merging.
+/// Counters, histograms and the trace ring — the unit of collection and
+/// of deterministic shard merging.
 #[derive(Debug, Clone, Default)]
 pub struct Registry {
     pub(crate) counters: BTreeMap<&'static str, u64>,
-    pub(crate) gauges: BTreeMap<&'static str, Gauge>,
     pub(crate) hists: BTreeMap<&'static str, Histogram>,
-    pub(crate) spans: BTreeMap<&'static str, SpanStat>,
-    /// Wall-clock spans; excluded from the deterministic sink.
-    pub(crate) wall_spans: BTreeMap<&'static str, SpanStat>,
     pub(crate) trace: TraceRing,
 }
 
 impl Registry {
-    /// An empty registry with the default trace capacity.
+    /// An empty registry.
     pub fn new() -> Self {
         Registry::default()
     }
@@ -308,27 +129,9 @@ impl Registry {
         *self.counters.entry(name).or_insert(0) += delta;
     }
 
-    /// Record a gauge sample (last/min/max/mean summary).
-    pub fn gauge(&mut self, name: &'static str, value: f64) {
-        self.gauges.entry(name).or_default().record(value);
-    }
-
-    /// Record a histogram sample (fixed buckets + t-digest quantiles).
+    /// Record a histogram sample (a non-finite one is skipped).
     pub fn observe(&mut self, name: &'static str, value: f64) {
         self.hists.entry(name).or_default().record(value);
-    }
-
-    /// Record a completed sim-time span of `dur_ns` nanoseconds.
-    pub fn span(&mut self, name: &'static str, dur_ns: u64) {
-        self.spans.entry(name).or_default().record(dur_ns);
-    }
-
-    /// Record a completed wall-clock span (nondeterministic section).
-    fn wall_span(&mut self, name: &'static str, dur: std::time::Duration) {
-        self.wall_spans
-            .entry(name)
-            .or_default()
-            .record(dur.as_nanos().min(u64::MAX as u128) as u64);
     }
 
     /// Append a structured trace event.
@@ -338,35 +141,23 @@ impl Registry {
 
     /// Merge another registry into this one. Callers must invoke merges in
     /// a deterministic order (e.g. population order) — counter sums are
-    /// order-independent, but gauge `last`, digest compression, and trace
+    /// order-independent, but digest compression, histogram sums and trace
     /// retention are merge-order sensitive.
     pub fn merge(&mut self, other: &Registry) {
         for (name, v) in &other.counters {
             *self.counters.entry(name).or_insert(0) += v;
         }
-        for (name, g) in &other.gauges {
-            self.gauges.entry(name).or_default().merge(g);
-        }
         for (name, h) in &other.hists {
             self.hists.entry(name).or_default().merge(h);
         }
-        for (name, s) in &other.spans {
-            self.spans.entry(name).or_default().merge(s);
+        for &ev in &other.trace.events {
+            self.trace.push(ev);
         }
-        for (name, s) in &other.wall_spans {
-            self.wall_spans.entry(name).or_default().merge(s);
-        }
-        self.trace.merge(&other.trace);
     }
 
-    /// True when nothing has been recorded (including wall spans).
+    /// True when nothing has been recorded.
     pub fn is_empty(&self) -> bool {
-        self.counters.is_empty()
-            && self.gauges.is_empty()
-            && self.hists.is_empty()
-            && self.spans.is_empty()
-            && self.wall_spans.is_empty()
-            && self.trace.is_empty()
+        self.counters.is_empty() && self.hists.is_empty() && self.trace.events.is_empty()
     }
 
     /// A counter's value (0 if never recorded).
@@ -374,49 +165,13 @@ impl Registry {
         self.counters.get(name).copied().unwrap_or(0)
     }
 
-    /// Drop the wall-clock section. Wall spans are nondeterministic by
-    /// design; callers that fold registries into bit-identity-contracted
-    /// state (the streaming A/B runner's shard accumulators) clear them
-    /// at the fold boundary so the deterministic sections alone define
-    /// the bytes.
-    pub fn clear_wall_spans(&mut self) {
-        self.wall_spans.clear();
-    }
-
-    /// The trace ring.
-    pub fn trace_ring(&self) -> &TraceRing {
-        &self.trace
-    }
-
-    /// Names of all deterministic metrics, sorted, with their kind.
+    /// Names of all metrics, sorted, with their kind (`counter` or `hist`).
     pub fn metric_names(&self) -> Vec<(&'static str, &'static str)> {
         let mut out: Vec<(&'static str, &'static str)> = Vec::new();
         out.extend(self.counters.keys().map(|&n| (n, "counter")));
-        out.extend(self.gauges.keys().map(|&n| (n, "gauge")));
         out.extend(self.hists.keys().map(|&n| (n, "hist")));
-        out.extend(self.spans.keys().map(|&n| (n, "span")));
         out.sort();
         out
-    }
-
-    #[doc(hidden)]
-    #[allow(clippy::type_complexity)]
-    pub fn sections(
-        &self,
-    ) -> (
-        &BTreeMap<&'static str, u64>,
-        &BTreeMap<&'static str, Gauge>,
-        &BTreeMap<&'static str, Histogram>,
-        &BTreeMap<&'static str, SpanStat>,
-        &BTreeMap<&'static str, SpanStat>,
-    ) {
-        (
-            &self.counters,
-            &self.gauges,
-            &self.hists,
-            &self.spans,
-            &self.wall_spans,
-        )
     }
 }
 
@@ -444,33 +199,6 @@ pub fn install(r: Registry) -> Registry {
     CURRENT.with(|c| std::mem::replace(&mut *c.borrow_mut(), r))
 }
 
-/// Scoped wall-clock timer: records a wall span on drop. Wall spans are
-/// nondeterministic and never reach the JSON-lines sink; use them for
-/// runner progress (sessions/sec, shard wall time), not sim metrics.
-#[must_use = "the span is recorded when the timer drops"]
-#[derive(Debug)]
-pub struct WallTimer {
-    name: &'static str,
-    start: std::time::Instant,
-}
-
-impl WallTimer {
-    /// Start timing `name` now.
-    pub fn start(name: &'static str) -> Self {
-        WallTimer {
-            name,
-            start: std::time::Instant::now(),
-        }
-    }
-}
-
-impl Drop for WallTimer {
-    fn drop(&mut self) {
-        let dur = self.start.elapsed();
-        with(|r| r.wall_span(self.name, dur));
-    }
-}
-
 /// Add `delta` to a named counter (no-op unless [`ENABLED`]).
 #[macro_export]
 macro_rules! counter {
@@ -481,32 +209,12 @@ macro_rules! counter {
     }};
 }
 
-/// Record a gauge sample (no-op unless [`ENABLED`]).
-#[macro_export]
-macro_rules! gauge {
-    ($name:literal, $value:expr) => {{
-        if $crate::ENABLED {
-            $crate::with(|r| r.gauge($name, $value));
-        }
-    }};
-}
-
 /// Record a histogram sample (no-op unless [`ENABLED`]).
 #[macro_export]
 macro_rules! observe {
     ($name:literal, $value:expr) => {{
         if $crate::ENABLED {
             $crate::with(|r| r.observe($name, $value));
-        }
-    }};
-}
-
-/// Record a completed sim-time span in nanoseconds (no-op unless [`ENABLED`]).
-#[macro_export]
-macro_rules! span {
-    ($name:literal, $dur_ns:expr) => {{
-        if $crate::ENABLED {
-            $crate::with(|r| r.span($name, $dur_ns));
         }
     }};
 }
@@ -530,11 +238,8 @@ mod tests {
         let mut r = Registry::new();
         r.counter("a.count", 2);
         r.counter("a.count", 3);
-        r.gauge("b.gauge", 1.5);
-        r.gauge("b.gauge", -2.0);
         r.observe("c.hist", 10.0);
         r.observe("c.hist", 1000.0);
-        r.span("d.span", 5_000);
         r.trace(TraceId::RebufferStart, 1_000, 7, 0);
         r
     }
@@ -543,30 +248,42 @@ mod tests {
     fn records_and_reads_back() {
         let r = filled();
         assert_eq!(r.counter_value("a.count"), 5);
-        let g = &r.gauges["b.gauge"];
-        assert_eq!(g.count, 2);
-        assert_eq!(g.min, -2.0);
-        assert_eq!(g.max, 1.5);
-        assert_eq!(g.last, -2.0);
         let h = &r.hists["c.hist"];
-        assert_eq!(h.count, 2);
+        assert_eq!(h.digest.count(), 2);
         assert_eq!(h.sum, 1010.0);
-        let s = &r.spans["d.span"];
-        assert_eq!((s.count, s.total_ns, s.max_ns), (1, 5_000, 5_000));
-        assert_eq!(r.trace_ring().len(), 1);
+        assert_eq!(r.trace.events.len(), 1);
     }
 
     #[test]
-    fn bucket_layout() {
-        assert_eq!(bucket_index(-1.0), 0);
-        assert_eq!(bucket_index(0.0), 0);
-        assert_eq!(bucket_index(f64::NAN), 0);
-        assert_eq!(bucket_index(1.0), 32);
-        assert_eq!(bucket_index(1.5), 32);
-        assert_eq!(bucket_index(2.0), 33);
-        assert!(bucket_index(1e300) == HIST_BUCKETS - 1);
-        let (lo, hi) = bucket_bounds(32);
-        assert_eq!((lo, hi), (1.0, 2.0));
+    fn histogram_count_min_and_max_are_its_digests() {
+        let mut r = Registry::new();
+        for v in [3.5, -2.0, f64::NAN, 7.25, f64::INFINITY, 0.0] {
+            r.observe("h", v);
+        }
+        let mut other = Registry::new();
+        other.observe("h", f64::NEG_INFINITY);
+        other.observe("h", 9.0);
+        r.merge(&other);
+        let h = &r.hists["h"];
+        // The three non-finite samples are skipped whole: in neither the
+        // sum nor the digest.
+        assert_eq!(h.digest.count(), 5);
+        assert_eq!(h.sum, 3.5 - 2.0 + 7.25 + 0.0 + 9.0);
+        assert_eq!((h.digest.min(), h.digest.max()), (Some(-2.0), Some(9.0)));
+        let line = r.to_jsonl();
+        assert!(
+            line.contains(r#""count":5,"sum":17.75,"min":-2,"max":9,"#),
+            "{line}"
+        );
+
+        // A histogram that saw only non-finite samples is empty.
+        let mut r = Registry::new();
+        r.observe("h", f64::NAN);
+        let h = &r.hists["h"];
+        assert_eq!((h.digest.count(), h.sum.to_bits()), (0, 0));
+        assert!(r
+            .to_jsonl()
+            .contains(r#""count":0,"sum":0,"min":null,"max":null"#));
     }
 
     #[test]
@@ -575,10 +292,8 @@ mod tests {
         let b = filled();
         a.merge(&b);
         assert_eq!(a.counter_value("a.count"), 10);
-        assert_eq!(a.gauges["b.gauge"].count, 4);
-        assert_eq!(a.hists["c.hist"].count, 4);
-        assert_eq!(a.spans["d.span"].total_ns, 10_000);
-        assert_eq!(a.trace_ring().len(), 2);
+        assert_eq!(a.hists["c.hist"].digest.count(), 4);
+        assert_eq!(a.trace.events.len(), 2);
 
         // Merging the same parts in the same order gives identical output.
         let mut x = Registry::new();
@@ -593,12 +308,41 @@ mod tests {
     #[test]
     fn trace_ring_caps() {
         let mut r = Registry::new();
-        for i in 0..(DEFAULT_TRACE_CAP as u64 + 10) {
+        for i in 0..(TRACE_CAP as u64 + 10) {
             r.trace(TraceId::ChunkDone, i, i, 0);
         }
-        assert_eq!(r.trace_ring().len(), DEFAULT_TRACE_CAP);
-        let first = r.trace_ring().events().next().unwrap();
+        assert_eq!(r.trace.events.len(), TRACE_CAP);
+        let first = r.trace.events.front().unwrap();
         assert_eq!(first.t_ns, 10);
+    }
+
+    #[test]
+    fn ring_never_exceeds_its_capacity_across_merges() {
+        // Registries holding 0, 1, cap − 1, cap and (pushed past) cap + 9
+        // events, merged in every order of pairs and chained.
+        let sizes = [0, 1, TRACE_CAP - 1, TRACE_CAP, TRACE_CAP + 9];
+        let part = |n: usize, tag: u64| {
+            let mut r = Registry::new();
+            for i in 0..n as u64 {
+                r.trace(TraceId::LinkDrop, i, tag, i);
+            }
+            r
+        };
+        let mut chain = Registry::new();
+        for (k, &n) in sizes.iter().enumerate() {
+            for &m in &sizes {
+                let mut a = part(n, 1);
+                let b = part(m, 2);
+                a.merge(&b);
+                assert_eq!(a.trace.events.len(), (n + m).min(TRACE_CAP));
+                // The newest events survive: b's, then a's tail.
+                let newest = a.trace.events.iter().rev().take(m.min(TRACE_CAP));
+                assert!(newest.into_iter().all(|ev| ev.a == 2));
+            }
+            chain.merge(&part(n, k as u64));
+            assert!(chain.trace.events.len() <= TRACE_CAP);
+        }
+        assert_eq!(chain.trace.events.len(), TRACE_CAP);
     }
 
     #[test]
@@ -608,20 +352,6 @@ mod tests {
         let got = take();
         assert_eq!(got.counter_value("x"), 1);
         assert!(take().is_empty());
-        let _ = install(prev);
-    }
-
-    #[test]
-    fn wall_timer_records_on_drop() {
-        let prev = install(Registry::new());
-        {
-            let _t = WallTimer::start("w.timer");
-        }
-        let got = take();
-        let s = &got.wall_spans["w.timer"];
-        assert_eq!(s.count, 1);
-        // Wall spans never appear in the deterministic sink.
-        assert!(!got.to_jsonl().contains("w.timer"));
         let _ = install(prev);
     }
 

@@ -1,77 +1,45 @@
 //! Sinks: deterministic JSON-lines and a human pretty-table.
 //!
 //! The JSON-lines sink is the machine contract (DESIGN.md §13): one JSON
-//! object per line, sections in fixed order (counters, gauges, hists,
-//! spans, trace), names sorted within each section, floats printed with
-//! Rust's shortest-roundtrip formatting. Wall-clock spans are **excluded**
-//! so the output is byte-identical across seeds' runs regardless of
-//! machine speed or worker-thread count. The pretty table is for humans
-//! and additionally shows the wall section.
+//! object per line, sections in fixed order (counters, hists, trace),
+//! names sorted within each section, floats printed with Rust's
+//! shortest-roundtrip formatting. Every recorded value derives from
+//! simulation state, so the output is byte-identical for a seed regardless
+//! of machine speed or worker-thread count.
 
-use crate::{bucket_bounds, Registry};
+use crate::Registry;
 use std::fmt::Write as _;
 
-/// Format an f64 as a JSON value (`null` for non-finite).
-fn num(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "null".to_string()
+/// Format an f64 as a JSON value (`null` for non-finite or absent).
+fn num(v: Option<f64>) -> String {
+    match v {
+        Some(v) if v.is_finite() => format!("{v}"),
+        _ => "null".to_string(),
     }
 }
 
 impl Registry {
-    /// Deterministic JSON-lines rendering (excludes wall-clock spans).
+    /// Deterministic JSON-lines rendering.
     pub fn to_jsonl(&self) -> String {
-        let (counters, gauges, hists, spans, _wall) = self.sections();
         let mut out = String::new();
-        for (name, v) in counters {
+        for (name, v) in &self.counters {
             let _ = writeln!(out, r#"{{"kind":"counter","name":"{name}","value":{v}}}"#);
         }
-        for (name, g) in gauges {
+        for (name, h) in &self.hists {
+            let d = &h.digest;
             let _ = writeln!(
                 out,
-                r#"{{"kind":"gauge","name":"{name}","count":{},"last":{},"min":{},"max":{},"mean":{}}}"#,
-                g.count,
-                num(g.last),
-                num(g.min),
-                num(g.max),
-                num(g.mean()),
+                r#"{{"kind":"hist","name":"{name}","count":{},"sum":{},"min":{},"max":{},"p50":{},"p90":{},"p99":{}}}"#,
+                d.count(),
+                num(Some(h.sum)),
+                num(d.min()),
+                num(d.max()),
+                num(Some(d.quantile(0.50))),
+                num(Some(d.quantile(0.90))),
+                num(Some(d.quantile(0.99))),
             );
         }
-        for (name, h) in hists {
-            let mut buckets = String::new();
-            for (i, &c) in h.buckets.iter().enumerate() {
-                if c == 0 {
-                    continue;
-                }
-                if !buckets.is_empty() {
-                    buckets.push(',');
-                }
-                let (lo, hi) = bucket_bounds(i);
-                let _ = write!(buckets, "[{},{},{c}]", num(lo), num(hi));
-            }
-            let _ = writeln!(
-                out,
-                r#"{{"kind":"hist","name":"{name}","count":{},"sum":{},"p50":{},"p90":{},"p99":{},"buckets":[{buckets}]}}"#,
-                h.count,
-                num(h.sum),
-                num(h.quantile(0.50)),
-                num(h.quantile(0.90)),
-                num(h.quantile(0.99)),
-            );
-        }
-        for (name, s) in spans {
-            let _ = writeln!(
-                out,
-                r#"{{"kind":"span","name":"{name}","count":{},"total_ns":{},"max_ns":{},"mean_ms":{}}}"#,
-                s.count,
-                s.total_ns,
-                s.max_ns,
-                num(s.mean_ms()),
-            );
-        }
-        for ev in self.trace_ring().events() {
+        for ev in &self.trace.events {
             let _ = writeln!(
                 out,
                 r#"{{"kind":"trace","id":{},"event":"{}","t_ns":{},"a":{},"b":{}}}"#,
@@ -90,75 +58,37 @@ impl Registry {
         std::fs::write(path, self.to_jsonl())
     }
 
-    /// Human-readable aligned table (includes the nondeterministic
-    /// wall-clock section the JSON-lines sink omits).
+    /// Human-readable aligned table.
     pub fn render_table(&self) -> String {
-        let (counters, gauges, hists, spans, wall) = self.sections();
         let mut out = String::new();
         if self.is_empty() {
             out.push_str("(no metrics recorded)\n");
             return out;
         }
-        if !counters.is_empty() {
+        if !self.counters.is_empty() {
             out.push_str("counters\n");
-            for (name, v) in counters {
+            for (name, v) in &self.counters {
                 let _ = writeln!(out, "  {name:<42} {v:>14}");
             }
         }
-        if !gauges.is_empty() {
-            out.push_str("gauges (last / min / mean / max, n)\n");
-            for (name, g) in gauges {
+        if !self.hists.is_empty() {
+            out.push_str("histograms (min / p50 / p99 / max, n)\n");
+            for (name, h) in &self.hists {
+                let d = &h.digest;
                 let _ = writeln!(
                     out,
                     "  {name:<42} {:>12.4} / {:>12.4} / {:>12.4} / {:>12.4}  (n={})",
-                    g.last,
-                    g.min,
-                    g.mean(),
-                    g.max,
-                    g.count,
+                    d.min().unwrap_or(f64::NAN),
+                    d.quantile(0.50),
+                    d.quantile(0.99),
+                    d.max().unwrap_or(f64::NAN),
+                    d.count(),
                 );
             }
         }
-        if !hists.is_empty() {
-            out.push_str("histograms (p50 / p90 / p99, n)\n");
-            for (name, h) in hists {
-                let _ = writeln!(
-                    out,
-                    "  {name:<42} {:>12.4} / {:>12.4} / {:>12.4}  (n={})",
-                    h.quantile(0.50),
-                    h.quantile(0.90),
-                    h.quantile(0.99),
-                    h.count,
-                );
-            }
-        }
-        if !spans.is_empty() {
-            out.push_str("spans, sim time (mean ms / max ms, n)\n");
-            for (name, s) in spans {
-                let _ = writeln!(
-                    out,
-                    "  {name:<42} {:>12.4} / {:>12.4}  (n={})",
-                    s.mean_ms(),
-                    s.max_ns as f64 / 1e6,
-                    s.count,
-                );
-            }
-        }
-        if !wall.is_empty() {
-            out.push_str("spans, wall clock — nondeterministic (mean ms / max ms, n)\n");
-            for (name, s) in wall {
-                let _ = writeln!(
-                    out,
-                    "  {name:<42} {:>12.4} / {:>12.4}  (n={})",
-                    s.mean_ms(),
-                    s.max_ns as f64 / 1e6,
-                    s.count,
-                );
-            }
-        }
-        if !self.trace_ring().is_empty() {
-            let _ = writeln!(out, "trace (last {} events)", self.trace_ring().len());
-            for ev in self.trace_ring().events() {
+        if !self.trace.events.is_empty() {
+            let _ = writeln!(out, "trace (last {} events)", self.trace.events.len());
+            for ev in &self.trace.events {
                 let _ = writeln!(
                     out,
                     "  {:>14} ns  {:<16} a={} b={}",
@@ -180,25 +110,22 @@ mod tests {
     fn sample() -> Registry {
         let mut r = Registry::new();
         r.counter("netsim.engine.events", 42);
-        r.gauge("transport.cwnd_bytes", 14_600.0);
-        r.observe("transport.srtt_ms", 35.0);
-        r.span("video.rebuffer", 2_000_000_000);
-        r.wall_span("abtest.user_wall", std::time::Duration::from_millis(3));
+        r.observe("transport.cwnd_bytes", 14_600.0);
+        r.observe("video.rebuffer_s", 2.0);
         r.trace(TraceId::LinkDrop, 123, 1, 1500);
         r
     }
 
     #[test]
-    fn jsonl_is_sorted_and_excludes_wall() {
+    fn jsonl_is_sorted_by_section() {
         let out = sample().to_jsonl();
         let lines: Vec<&str> = out.lines().collect();
-        assert_eq!(lines.len(), 5);
+        assert_eq!(lines.len(), 4);
         assert!(lines[0].contains(r#""kind":"counter""#));
-        assert!(lines[1].contains(r#""kind":"gauge""#));
-        assert!(lines[2].contains(r#""kind":"hist""#));
-        assert!(lines[3].contains(r#""kind":"span""#));
-        assert!(lines[4].contains(r#""kind":"trace""#));
-        assert!(!out.contains("abtest.user_wall"));
+        assert!(lines[1].contains(r#""kind":"hist","name":"transport.cwnd_bytes""#));
+        assert!(lines[1].contains(r#""min":14600,"max":14600"#));
+        assert!(lines[2].contains(r#""kind":"hist","name":"video.rebuffer_s""#));
+        assert!(lines[3].contains(r#""kind":"trace""#));
         // Every line parses as a flat JSON object shape.
         for l in &lines {
             assert!(l.starts_with('{') && l.ends_with('}'), "bad line: {l}");
@@ -212,18 +139,19 @@ mod tests {
     }
 
     #[test]
-    fn table_shows_wall_section() {
+    fn table_shows_every_section() {
         let t = sample().render_table();
-        assert!(t.contains("abtest.user_wall"));
+        assert!(t.contains("netsim.engine.events"));
+        assert!(t.contains("video.rebuffer_s"));
         assert!(t.contains("link_drop"));
         assert!(Registry::new().render_table().contains("no metrics"));
     }
 
     #[test]
-    fn nonfinite_values_render_null() {
+    fn empty_histogram_renders_null() {
         let mut r = Registry::new();
-        r.gauge("g", f64::NAN);
+        r.observe("h", f64::NAN);
         let out = r.to_jsonl();
-        assert!(out.contains(r#""last":null"#), "{out}");
+        assert!(out.contains(r#""p50":null"#), "{out}");
     }
 }

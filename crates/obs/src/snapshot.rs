@@ -1,27 +1,29 @@
 //! Registry snapshot/restore — telemetry that survives checkpoint/resume.
 //!
 //! A [`Registry`] serializes to a self-contained byte blob via the
-//! [`tdigest::wire`] codec (DESIGN.md §16): every section is written in
-//! its deterministic BTreeMap order, floats as raw bits, so
-//! decoding an encoded registry reproduces it **bit-exactly** —
-//! including digest centroid state, gauge extrema, and the trace ring.
-//! The streaming A/B runner embeds these blobs in experiment checkpoints;
-//! a resumed run's merged registry (and therefore its JSONL sink output)
-//! is byte-identical to an uninterrupted run's.
+//! [`tdigest::wire`] codec (DESIGN.md §16): the magic, then the counters,
+//! the histograms (each an exact sum and its digest) and the trace ring,
+//! each section in its sorted-name order, floats as raw bits. Decoding an
+//! encoded registry reproduces it **bit-exactly**, digest centroids
+//! included, and refuses what `encode` never writes: names out of order or
+//! repeated, a ring longer than its capacity, an empty digest beside a
+//! nonzero sum. The streaming A/B runner embeds these blobs in experiment
+//! checkpoints; a resumed run's merged registry (and therefore its JSONL
+//! sink output) is byte-identical to an uninterrupted run's.
 //!
 //! Metric names are `&'static str` in the live registry (they come from
 //! macro literals). Restored names are interned through a process-wide
 //! table ([`intern`]) that leaks each *distinct* name once — bounded by
 //! the metric-name registry, not by restore count.
 
-use crate::{Gauge, Histogram, Registry, SpanStat, TraceEvent, TraceId, TraceRing, HIST_BUCKETS};
+use crate::{Histogram, Registry, TraceEvent, TraceId, TRACE_CAP};
 use std::collections::BTreeSet;
 use std::sync::Mutex;
 use tdigest::wire::{self, Reader, WireError};
 use tdigest::TDigest;
 
 /// Format tag so a registry blob is self-identifying inside larger files.
-const MAGIC: u32 = 0x0B5D_0001;
+const MAGIC: u32 = 0x0B5D_0002;
 
 static INTERNED: Mutex<BTreeSet<&'static str>> = Mutex::new(BTreeSet::new());
 
@@ -38,61 +40,35 @@ fn intern(name: &str) -> &'static str {
     leaked
 }
 
-fn put_gauge(out: &mut Vec<u8>, g: &Gauge) {
-    wire::put_u64(out, g.count);
-    wire::put_f64(out, g.last);
-    wire::put_f64(out, g.min);
-    wire::put_f64(out, g.max);
-    wire::put_f64(out, g.sum);
-}
-
-fn get_gauge(r: &mut Reader<'_>) -> Result<Gauge, WireError> {
-    Ok(Gauge {
-        count: r.u64("gauge.count")?,
-        last: r.f64("gauge.last")?,
-        min: r.f64("gauge.min")?,
-        max: r.f64("gauge.max")?,
-        sum: r.f64("gauge.sum")?,
-    })
-}
-
-fn put_hist(out: &mut Vec<u8>, h: &Histogram) {
-    wire::put_u64(out, h.count);
-    wire::put_f64(out, h.sum);
-    for &b in h.buckets.iter() {
-        wire::put_u64(out, b);
+/// Read one section's entries: a count, then each name (strictly after
+/// the one before it, as a sorted map writes them) and its value.
+fn get_section<T>(
+    r: &mut Reader<'_>,
+    context: &'static str,
+    mut value: impl FnMut(&mut Reader<'_>) -> Result<T, WireError>,
+) -> Result<Vec<(&'static str, T)>, WireError> {
+    let n = r.len(context)?;
+    let mut out: Vec<(&'static str, T)> = Vec::new();
+    for _ in 0..n {
+        let name = r.str(context)?;
+        if out.last().is_some_and(|&(prev, _)| prev >= name) {
+            return Err(WireError { context });
+        }
+        let v = value(r)?;
+        out.push((intern(name), v));
     }
-    h.digest.encode(out);
+    Ok(out)
 }
 
 fn get_hist(r: &mut Reader<'_>) -> Result<Histogram, WireError> {
-    let count = r.u64("hist.count")?;
     let sum = r.f64("hist.sum")?;
-    let mut buckets = [0u64; HIST_BUCKETS];
-    for b in buckets.iter_mut() {
-        *b = r.u64("hist.bucket")?;
-    }
     let digest = TDigest::decode(r)?;
-    Ok(Histogram {
-        count,
-        sum,
-        buckets,
-        digest,
-    })
-}
-
-fn put_span(out: &mut Vec<u8>, s: &SpanStat) {
-    wire::put_u64(out, s.count);
-    wire::put_u64(out, s.total_ns);
-    wire::put_u64(out, s.max_ns);
-}
-
-fn get_span(r: &mut Reader<'_>) -> Result<SpanStat, WireError> {
-    Ok(SpanStat {
-        count: r.u64("span.count")?,
-        total_ns: r.u64("span.total_ns")?,
-        max_ns: r.u64("span.max_ns")?,
-    })
+    if digest.is_empty() && sum.to_bits() != 0 {
+        return Err(WireError {
+            context: "hist.sum",
+        });
+    }
+    Ok(Histogram { sum, digest })
 }
 
 impl Registry {
@@ -100,37 +76,20 @@ impl Registry {
     /// embeddable in larger checkpoint files (see the module docs for the
     /// exactness contract).
     pub fn encode(&self, out: &mut Vec<u8>) {
-        let (counters, gauges, hists, spans, wall) = self.sections();
         wire::put_u32(out, MAGIC);
-        wire::put_u64(out, counters.len() as u64);
-        for (name, v) in counters {
+        wire::put_u64(out, self.counters.len() as u64);
+        for (name, v) in &self.counters {
             wire::put_str(out, name);
             wire::put_u64(out, *v);
         }
-        wire::put_u64(out, gauges.len() as u64);
-        for (name, g) in gauges {
+        wire::put_u64(out, self.hists.len() as u64);
+        for (name, h) in &self.hists {
             wire::put_str(out, name);
-            put_gauge(out, g);
+            wire::put_f64(out, h.sum);
+            h.digest.encode(out);
         }
-        wire::put_u64(out, hists.len() as u64);
-        for (name, h) in hists {
-            wire::put_str(out, name);
-            put_hist(out, h);
-        }
-        wire::put_u64(out, spans.len() as u64);
-        for (name, s) in spans {
-            wire::put_str(out, name);
-            put_span(out, s);
-        }
-        wire::put_u64(out, wall.len() as u64);
-        for (name, s) in wall {
-            wire::put_str(out, name);
-            put_span(out, s);
-        }
-        let ring = self.trace_ring();
-        wire::put_u64(out, ring.cap() as u64);
-        wire::put_u64(out, ring.len() as u64);
-        for ev in ring.events() {
+        wire::put_u64(out, self.trace.events.len() as u64);
+        for ev in &self.trace.events {
             wire::put_u64(out, ev.t_ns);
             wire::put_u32(out, ev.id.code() as u32);
             wire::put_u64(out, ev.a);
@@ -148,44 +107,18 @@ impl Registry {
             });
         }
         let mut reg = Registry::new();
-        let n = r.len("registry.counters")?;
-        for _ in 0..n {
-            let name = intern(r.str("counter.name")?);
-            let v = r.u64("counter.value")?;
-            reg.counters.insert(name, v);
-        }
-        let n = r.len("registry.gauges")?;
-        for _ in 0..n {
-            let name = intern(r.str("gauge.name")?);
-            let g = get_gauge(r)?;
-            reg.gauges.insert(name, g);
-        }
-        let n = r.len("registry.hists")?;
-        for _ in 0..n {
-            let name = intern(r.str("hist.name")?);
-            let h = get_hist(r)?;
-            reg.hists.insert(name, h);
-        }
-        let n = r.len("registry.spans")?;
-        for _ in 0..n {
-            let name = intern(r.str("span.name")?);
-            let s = get_span(r)?;
-            reg.spans.insert(name, s);
-        }
-        let n = r.len("registry.wall_spans")?;
-        for _ in 0..n {
-            let name = intern(r.str("wall_span.name")?);
-            let s = get_span(r)?;
-            reg.wall_spans.insert(name, s);
-        }
-        let cap = r.len("trace.cap")?;
+        reg.counters = get_section(r, "registry.counters", |r| r.u64("counter.value"))?
+            .into_iter()
+            .collect();
+        reg.hists = get_section(r, "registry.hists", get_hist)?
+            .into_iter()
+            .collect();
         let len = r.len("trace.len")?;
-        if len > cap {
+        if len > TRACE_CAP {
             return Err(WireError {
                 context: "trace.len",
             });
         }
-        let mut ring = TraceRing::with_cap(cap);
         for _ in 0..len {
             let t_ns = r.u64("trace.t_ns")?;
             let code = r.u32("trace.id")?;
@@ -197,9 +130,8 @@ impl Registry {
                 })?;
             let a = r.u64("trace.a")?;
             let b = r.u64("trace.b")?;
-            ring.push(TraceEvent { t_ns, id, a, b });
+            reg.trace.push(TraceEvent { t_ns, id, a, b });
         }
-        reg.trace = ring;
         Ok(reg)
     }
 }
@@ -225,13 +157,11 @@ mod tests {
     fn filled() -> Registry {
         let mut r = Registry::new();
         r.counter("s.count", 41);
-        r.gauge("s.gauge", 2.25);
-        r.gauge("s.gauge", f64::NAN);
+        r.observe("s.window", 2.25);
+        r.observe("s.window", f64::NAN);
         for i in 0..5000 {
             r.observe("s.hist", (i % 977) as f64 * 0.5);
         }
-        r.span("s.span", 12_345);
-        r.wall_span("s.wall", std::time::Duration::from_micros(7));
         for i in 0..10 {
             r.trace(TraceId::ChunkDone, i, i * 2, 1);
         }
@@ -253,9 +183,7 @@ mod tests {
         let back = from_bytes(&bytes).unwrap();
         // The JSONL sink is the deterministic contract: byte-identical.
         assert_eq!(back.to_jsonl(), r.to_jsonl());
-        // Wall spans and trace survive too (sink excludes them).
-        assert_eq!(back.wall_spans["s.wall"].count, 1);
-        assert_eq!(back.trace_ring().len(), 10);
+        assert_eq!(back.trace.events.len(), 10);
         // Re-encoding is canonical.
         assert_eq!(to_bytes(&back), bytes);
         // Merge histories stay identical: merging the same shard into the
@@ -295,10 +223,67 @@ mod tests {
     fn unknown_trace_id_is_rejected() {
         let mut r = Registry::new();
         r.trace(TraceId::LinkDrop, 1, 2, 3);
-        let mut bytes = to_bytes(&r);
-        // The trace id u32 sits 12 bytes before the end (a + b follow it).
+        let bytes = to_bytes(&r);
+        // The trace id u32 sits 20 bytes before the end (a + b follow it).
         let idx = bytes.len() - 20;
-        bytes[idx..idx + 4].copy_from_slice(&999u32.to_le_bytes());
-        assert!(from_bytes(&bytes).is_err());
+        for code in [5u32, 7, 8, 999] {
+            let mut bytes = bytes.clone();
+            bytes[idx..idx + 4].copy_from_slice(&code.to_le_bytes());
+            assert!(from_bytes(&bytes).is_err(), "code {code}");
+        }
+    }
+
+    /// The blob of two counters named `x` and `y`, with `y`'s name byte
+    /// rewritten to `name`.
+    fn counters_renamed(name: u8) -> Vec<u8> {
+        let mut r = Registry::new();
+        r.counter("x", 1);
+        r.counter("y", 2);
+        let mut bytes = to_bytes(&r);
+        let at = bytes.iter().rposition(|&b| b == b'y').unwrap();
+        bytes[at] = name;
+        bytes
+    }
+
+    #[test]
+    fn names_must_strictly_increase_within_a_section() {
+        assert!(from_bytes(&counters_renamed(b'y')).is_ok());
+        assert!(from_bytes(&counters_renamed(b'z')).is_ok());
+        // A repeated name would overwrite, a smaller one re-sort: neither
+        // re-encodes to the bytes read.
+        let err = from_bytes(&counters_renamed(b'x')).unwrap_err();
+        assert_eq!(err.context, "registry.counters");
+        assert!(from_bytes(&counters_renamed(b'a')).is_err());
+    }
+
+    #[test]
+    fn ring_longer_than_its_capacity_is_rejected() {
+        let mut r = Registry::new();
+        for i in 0..TRACE_CAP as u64 {
+            r.trace(TraceId::LinkDrop, i, 0, 0);
+        }
+        let mut bytes = to_bytes(&r);
+        assert!(from_bytes(&bytes).is_ok());
+        // Append one more event and bump the ring's length word.
+        let len_at = bytes.len() - TRACE_CAP * 28 - 8;
+        bytes[len_at..len_at + 8].copy_from_slice(&(TRACE_CAP as u64 + 1).to_le_bytes());
+        bytes.extend_from_within(bytes.len() - 28..);
+        assert_eq!(from_bytes(&bytes).unwrap_err().context, "trace.len");
+    }
+
+    #[test]
+    fn empty_digest_beside_a_nonzero_sum_is_rejected() {
+        let mut r = Registry::new();
+        r.observe("h", f64::NAN);
+        let bytes = to_bytes(&r);
+        assert!(from_bytes(&bytes).is_ok());
+        // The sum's 8 bytes follow the magic, two section counts and the
+        // name (a length word and one byte).
+        let at = 4 + 8 + 8 + 8 + 1;
+        for sum in [-0.0, 1.0, f64::NAN] {
+            let mut bytes = bytes.clone();
+            bytes[at..at + 8].copy_from_slice(&sum.to_bits().to_le_bytes());
+            assert_eq!(from_bytes(&bytes).unwrap_err().context, "hist.sum");
+        }
     }
 }

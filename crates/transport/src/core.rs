@@ -255,7 +255,7 @@ impl SenderCore {
                 "transport.srtt_ms",
                 self.rtt.srtt().unwrap_or(r).as_millis_f64()
             );
-            obs::gauge!("transport.cwnd_bytes", self.cc.cwnd() as f64);
+            obs::observe!("transport.cwnd_bytes", self.cc.cwnd() as f64);
         }
         rtt
     }

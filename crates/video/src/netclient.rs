@@ -2,15 +2,14 @@
 //!
 //! [`VideoClientEndpoint`] glues a [`Player`] to the packet simulator: it
 //! sends chunk requests (carrying the application-informed pace rate) to a
-//! [`transport::SenderEndpoint`] acting as the CDN server, ACKs the data
-//! stream via a [`transport::TransportReceiver`] (TCP or QUIC), and reports
-//! completed chunks back to the player.
+//! [`transport::SenderEndpoint`] acting as the CDN server, hands every
+//! arriving packet to a [`transport::ReceiverEndpoint`] (which ACKs the
+//! data stream, TCP or QUIC, and bins goodput), and reports completed
+//! chunks back to the player.
 
 use crate::player::{ChunkRequest, Player, PlayerState};
-use netsim::{
-    BinnedThroughput, Endpoint, FlowId, NodeCtx, NodeId, Packet, Payload, SimDuration, SimTime,
-};
-use transport::{mux, Protocol, TransportReceiver};
+use netsim::{Endpoint, FlowId, NodeCtx, NodeId, Packet, Payload, SimTime};
+use transport::{Protocol, ReceiverEndpoint, TransportReceiver};
 
 /// Timer token for player-deadline wakeups.
 const PLAYER_TICK: u64 = 7;
@@ -29,15 +28,14 @@ pub struct VideoClientEndpoint {
     local: NodeId,
     server: NodeId,
     flow: FlowId,
-    receiver: TransportReceiver,
+    /// The receive path: ACKs the data stream and keeps 100 ms goodput bins.
+    data: ReceiverEndpoint,
     player: Player,
     pending: Option<Pending>,
     /// Cumulative bytes requested over the connection so far.
     requested_bytes: u64,
     /// Completed chunk log: (request, download duration) in order.
     pub completed_chunks: Vec<(ChunkRequest, netsim::SimDuration)>,
-    /// Goodput recorder (100 ms bins) for throughput-over-time traces.
-    throughput: BinnedThroughput,
     /// Earliest outstanding player timer (dedup; engine timers are not
     /// cancellable and every data packet would otherwise arm a new chain).
     next_timer: SimTime,
@@ -62,12 +60,11 @@ impl VideoClientEndpoint {
             local,
             server,
             flow,
-            receiver: TransportReceiver::new(local, server, flow, protocol),
+            data: ReceiverEndpoint::with_protocol(local, server, flow, protocol),
             player,
             pending: None,
             requested_bytes: 0,
             completed_chunks: Vec::new(),
-            throughput: BinnedThroughput::new(SimDuration::from_millis(100)),
             next_timer: SimTime::MAX,
         }
     }
@@ -86,13 +83,13 @@ impl VideoClientEndpoint {
 
     /// The transport receiver (goodput inspection).
     pub fn receiver(&self) -> &TransportReceiver {
-        &self.receiver
+        self.data.receiver()
     }
 
     /// Goodput over time as `(bin start seconds, bits/sec)` — the Fig 1 /
     /// Fig 7 throughput trace.
     pub fn throughput_series(&self) -> Vec<(f64, f64)> {
-        self.throughput.series_bps()
+        self.data.throughput.series_bps()
     }
 
     /// Poll the player and act: issue a request and/or arm the next timer.
@@ -101,7 +98,7 @@ impl VideoClientEndpoint {
 
         // Completed download?
         if let Some(p) = self.pending {
-            if self.receiver.contiguous_bytes() >= p.stream_target {
+            if self.data.receiver().contiguous_bytes() >= p.stream_target {
                 let dl = now.saturating_since(p.requested_at);
                 self.player.on_chunk_complete(now, dl);
                 self.completed_chunks.push((p.request, dl));
@@ -153,12 +150,7 @@ impl VideoClientEndpoint {
 
 impl Endpoint for VideoClientEndpoint {
     fn on_packet(&mut self, now: SimTime, pkt: Packet, ctx: &mut NodeCtx) {
-        if let Some(len) = mux::data_len(&pkt) {
-            if let Some(ack) = self.receiver.on_data(now, &pkt) {
-                self.throughput.record(now, len);
-                ctx.send(ack);
-            }
-        }
+        self.data.on_packet(now, pkt, ctx);
         self.drive(now, ctx);
     }
 

@@ -309,7 +309,7 @@ impl Player {
                     self.state = PlayerState::Playing;
                     self.qoe.on_playback_start(now);
                     let delay = now.saturating_since(self.session_start);
-                    obs::span!("video.play_delay", delay.as_nanos());
+                    obs::observe!("video.play_delay_s", delay.as_secs_f64());
                 }
             }
             PlayerState::Rebuffering => {
@@ -320,7 +320,7 @@ impl Player {
                     self.qoe.on_rebuffer_end(now);
                     if let Some(start) = self.rebuffer_started.take() {
                         let stall = now.saturating_since(start);
-                        obs::span!("video.rebuffer", stall.as_nanos());
+                        obs::observe!("video.rebuffer_s", stall.as_secs_f64());
                         obs::trace_event!(
                             RebufferEnd,
                             now.as_nanos(),

@@ -3,10 +3,14 @@
 //! With the `obs` feature on, the experiment runner's merged registry must
 //! be byte-identical for every worker count, and every instrumented layer
 //! must actually show up in the output. With the feature off, the same instrumented code paths must
-//! record nothing at all — the macros compile to nothing.
+//! record nothing at all — the macros compile to nothing. In either build
+//! a registry blob decodes only as `Registry::encode` writes it.
 
+use proptest::prelude::*;
+use sammy_repro::obs::TraceId;
 use sammy_repro::prelude::*;
 use sammy_repro::sammy_bench::lab::{self, LabArm, LabConfig};
+use sammy_repro::tdigest::wire::{Reader, WireError};
 
 const USERS: u64 = 8;
 const PRE_SESSIONS: u64 = 1;
@@ -71,7 +75,7 @@ fn metrics_are_shard_count_invariant() {
         "abtest.sessions",
         "fluidsim.sessions",
         "fluidsim.chunks",
-        "fluidsim.chunk_download",
+        "fluidsim.chunk_download_s",
     ] {
         assert!(one.contains(name), "missing {name} in:\n{one}");
     }
@@ -88,23 +92,40 @@ fn packet_level_layers_are_instrumented() {
     let _ = lab::single_flow(LabArm::Sammy, &cfg);
     let reg = sammy_repro::obs::take();
     let names = reg.metric_names();
-    for name in [
-        "netsim.engine.events",
-        "netsim.link.queue_depth_bytes",
-        "transport.srtt_ms",
-        "transport.cwnd_bytes",
-        "transport.pacing_rate_mbps",
-        "video.buffer_level_s",
-        "video.play_delay",
+    for (name, kind) in [
+        ("netsim.engine.events", "counter"),
+        ("netsim.link.queue_depth_bytes", "hist"),
+        ("transport.srtt_ms", "hist"),
+        ("transport.cwnd_bytes", "hist"),
+        ("transport.pacing_rate_mbps", "hist"),
+        ("video.buffer_level_s", "hist"),
+        ("video.play_delay_s", "hist"),
     ] {
         assert!(
-            names.iter().any(|(n, _)| *n == name),
-            "missing {name}; instrumented layers: {names:?}"
+            names.contains(&(name, kind)),
+            "missing {kind} {name}; instrumented layers: {names:?}"
         );
     }
-    // The same run replayed yields the same telemetry bytes (the JSONL sink
-    // excludes wall-clock spans for exactly this reason).
+    // Every line is one of the three kinds, and the window's histogram
+    // keeps the extremes a gauge used to report.
     let first = reg.to_jsonl();
+    for line in first.lines() {
+        assert!(
+            ["counter", "hist", "trace"]
+                .iter()
+                .any(|k| line.starts_with(&format!(r#"{{"kind":"{k}","#))),
+            "{line}"
+        );
+    }
+    let cwnd = first
+        .lines()
+        .find(|l| l.contains(r#""name":"transport.cwnd_bytes""#))
+        .unwrap();
+    assert!(
+        cwnd.contains(r#""min":"#) && cwnd.contains(r#""max":"#),
+        "{cwnd}"
+    );
+    // The same run replayed yields the same telemetry bytes.
     let _ = lab::single_flow(LabArm::Sammy, &cfg);
     assert_eq!(first, sammy_repro::obs::take().to_jsonl());
 }
@@ -124,4 +145,65 @@ fn disabled_feature_records_nothing() {
     assert!(jsonl.is_empty(), "metrics recorded without obs: {jsonl}");
     let reg = sammy_repro::obs::take();
     assert!(reg.is_empty(), "registry non-empty without obs");
+}
+
+/// A registry's blob decoded as a checkpoint applies it: the whole blob,
+/// nothing left over.
+fn decode_registry(bytes: &[u8]) -> Result<Registry, WireError> {
+    let mut r = Reader::new(bytes);
+    let reg = Registry::decode(&mut r)?;
+    if !r.is_done() {
+        return Err(WireError {
+            context: "trailing bytes",
+        });
+    }
+    Ok(reg)
+}
+
+const NAMES: [&str; 6] = ["a.one", "a.one.x", "b.two", "c.three", "c.threee", "d"];
+const EVENTS: [TraceId; 3] = [TraceId::LinkDrop, TraceId::RungSwitch, TraceId::TcpRto];
+
+proptest! {
+    /// Any one byte of a valid registry blob flipped, or the blob cut
+    /// anywhere, is refused or decodes to a registry that re-encodes to
+    /// exactly the mutated bytes — never a panic. The registry is built
+    /// through its public methods, so this runs with telemetry off too:
+    /// counters, histograms (one may hold only skipped samples) and trace
+    /// events, none or some of each.
+    #[test]
+    fn mutated_registry_is_refused_or_reencodes_exactly(
+        counters in proptest::collection::vec((0usize..6, 0u64..1 << 40), 0..8),
+        samples in proptest::collection::vec((0usize..6, -1e3f64..1e3, any::<bool>()), 0..8),
+        events in proptest::collection::vec((0usize..3, any::<u64>(), 0u64..1000), 0..4),
+        at in 0.0f64..1.0,
+        flip in 1u8..=255,
+        cut in any::<bool>(),
+    ) {
+        let mut reg = Registry::new();
+        for &(name, delta) in &counters {
+            reg.counter(NAMES[name], delta);
+        }
+        for &(name, v, skipped) in &samples {
+            reg.observe(NAMES[name], if skipped { f64::NAN } else { v });
+        }
+        for &(id, t_ns, a) in &events {
+            reg.trace(EVENTS[id], t_ns, a, t_ns ^ a);
+        }
+        let mut valid = Vec::new();
+        reg.encode(&mut valid);
+        prop_assert!(decode_registry(&valid).is_ok());
+        let i = (at * valid.len() as f64) as usize;
+        let mutated = if cut {
+            valid[..i].to_vec()
+        } else {
+            let mut bytes = valid.clone();
+            bytes[i] ^= flip;
+            bytes
+        };
+        if let Ok(back) = decode_registry(&mutated) {
+            let mut again = Vec::new();
+            back.encode(&mut again);
+            prop_assert_eq!(again, mutated, "byte {} (cut: {})", i, cut);
+        }
+    }
 }
